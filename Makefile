@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race race-recovery race-chaos race-delta race-finish race-store race-transport race-dataplane race-compress chaos-smoke tcp-smoke workers-seq fuzz bench bench-checkpoint bench-kernels bench-delta bench-finish bench-store bench-compress
+.PHONY: ci vet build test race race-recovery race-chaos race-delta race-finish race-store race-transport race-dataplane race-compress chaos-smoke tcp-smoke workers-seq bench-check fuzz bench bench-checkpoint bench-kernels bench-delta bench-finish bench-store bench-compress
 
-ci: vet build race race-recovery race-chaos race-delta race-finish race-store race-transport race-dataplane race-compress chaos-smoke tcp-smoke workers-seq bench-checkpoint bench-kernels bench-delta bench-finish bench-store bench-compress
+ci: vet build race race-recovery race-chaos race-delta race-finish race-store race-transport race-dataplane race-compress chaos-smoke tcp-smoke workers-seq bench-check bench-checkpoint bench-kernels bench-delta bench-finish bench-store bench-compress
 
 vet:
 	$(GO) vet ./...
@@ -78,13 +78,15 @@ race-transport:
 
 # Extra -race iterations over the registered-kernel data plane: the
 # kernel registry/store, coordinator-side dispatch (mirror, fallback,
-# forced puts) racing kills, the tcp executor loop with a real worker
-# SIGKILLed mid-dispatch, and the dist kernels' ship-once and
-# bitwise-equality contracts.
+# forced puts) racing kills, the whole tcp package — wire v3 framing,
+# the executor loop with a real worker SIGKILLed mid-dispatch, write
+# deadlines against a stalled peer, the kill/replace leak check — and
+# the dist kernels' ship-once and bitwise-equality contracts. The tcp
+# package runs whole: a -run regex silently stops matching renamed tests.
 race-dataplane:
 	$(GO) test -race -count=2 ./internal/apgas/kernel/
 	$(GO) test -race -count=2 -run 'KernelDispatch' ./internal/apgas/
-	$(GO) test -race -count=2 -run 'Exec|Wire|PersistentCodec|Hello|RaceGrow' ./internal/apgas/transport/tcp/
+	$(GO) test -race -count=2 ./internal/apgas/transport/tcp/
 	$(GO) test -race -count=2 -run 'MultVecKernel|RestoreBumps' ./internal/dist/
 
 # Extra -race iterations over the compression seam: the chunked float
@@ -123,14 +125,23 @@ tcp-smoke:
 workers-seq:
 	RGML_WORKERS=1 $(GO) test -count=1 ./...
 
-# Short fuzz pass over the snapshot wire-format decoders (the committed
-# f.Add seeds always run as part of `make test`; this explores further).
+# The benchmark is a module of its own (benchmark/go.mod), so root
+# `go vet ./...` and `go test ./...` never compile it; this leg does,
+# against the internal packages as they are in this checkout.
+bench-check:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
+
+# Short fuzz pass over the snapshot and tcp wire-format decoders (the
+# committed f.Add seeds always run as part of `make test`; this explores
+# further).
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzFloat64s -fuzztime=30s ./internal/codec/
 	$(GO) test -run=NONE -fuzz=FuzzInts -fuzztime=30s ./internal/codec/
 	$(GO) test -run=NONE -fuzz=FuzzCompressFloat64s -fuzztime=30s ./internal/codec/
 	$(GO) test -run=NONE -fuzz=FuzzCompressInts -fuzztime=30s ./internal/codec/
 	$(GO) test -run=NONE -fuzz=FuzzDecode -fuzztime=30s ./internal/block/
+	$(GO) test -run=NONE -fuzz=FuzzFrameDecode -fuzztime=30s ./internal/apgas/transport/tcp/
 
 # Full benchmark sweep (paper figures/tables + ablations).
 bench:

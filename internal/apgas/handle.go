@@ -71,8 +71,9 @@ func (h PlaceLocalHandle[T]) SetLocal(ctx *Ctx, v T) {
 }
 
 // Destroy removes the handle's per-place objects from every live place of
-// g, releasing the memory. Dead places are skipped (their stores are
-// already gone).
+// g, releasing the memory — including whatever kernel-visible data the
+// data plane cached under the handle, at the coordinator and in worker
+// bodies. Dead places are skipped (their stores are already gone).
 func (h PlaceLocalHandle[T]) Destroy(g PlaceGroup) {
 	if h.rt == nil {
 		return
@@ -80,6 +81,7 @@ func (h PlaceLocalHandle[T]) Destroy(g PlaceGroup) {
 	for _, p := range g {
 		h.rt.placeState(p).remove(h.id)
 	}
+	h.rt.kern.dropHandle(h.id, g)
 }
 
 // GlobalRef is a reference to a single object homed at one place, like

@@ -1,7 +1,7 @@
 // Package kernel is the task IR of the distributed data plane: a
-// process-global registry of named compute kernels, a gob-encodable task
-// descriptor that references them, and the per-place data store a kernel
-// executes against.
+// process-global registry of named compute kernels, a task descriptor
+// that references them (with its flat wire encoding, wire.go), and the
+// per-place data store a kernel executes against.
 //
 // Go cannot serialize closures, so the transport seam's multi-process
 // backend (transport/tcp) could historically only mirror traffic — every
@@ -12,7 +12,7 @@
 // name to the exact same code. A Task names a kernel and carries its
 // inputs — scalars, one payload, and references into the executing
 // place's Store (with the bytes to install when the place does not hold
-// them yet) — and a Result carries its outputs back. Both are plain gob
+// them yet) — and a Result carries its outputs back. Both are plain
 // values; nothing in this package depends on the apgas runtime or the
 // transport, so both can import it.
 //
@@ -27,6 +27,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"github.com/rgml/rgml/internal/codec"
 )
 
 // Task describes one registered-kernel invocation. It is the unit the
@@ -43,7 +45,8 @@ type Task struct {
 	// I64 and F64 carry scalar arguments.
 	I64 []int64
 	F64 []float64
-	// Payload carries one opaque per-call input.
+	// Payload carries one opaque per-call input, valid for the duration
+	// of the kernel call only (a worker recycles its buffer afterwards).
 	Payload []byte
 	// Refs name the store entries the kernel reads, in the order the
 	// kernel expects them. The dispatcher guarantees the executing store
@@ -54,6 +57,10 @@ type Task struct {
 	// of Refs the target place did not already hold (plus any
 	// unconditional installs a call site adds itself).
 	Puts []Blob
+	// Drops are store handles whose owning object was destroyed or
+	// remade; every entry under them is removed before Puts apply. The
+	// dispatcher rides them on the next task to the place.
+	Drops []uint64
 }
 
 // Ref identifies one store entry at an exact content version.
@@ -86,6 +93,26 @@ type Result struct {
 	// coordinator; kernels must therefore be pure, so the re-execution is
 	// equivalent.
 	Err string
+	// Pooled marks Frames and Payload as codec.GetBuffer buffers owned by
+	// the result, which Release hands back. It never crosses the wire: a
+	// kernel that fills its outputs from the pool sets it, and so does the
+	// transport for a result it read off a socket.
+	Pooled bool
+}
+
+// Release returns a pooled result's Frames and Payload to the buffer
+// pool and clears them; the caller must be done with the bytes. It is
+// optional — an unreleased result is ordinary garbage — and a no-op on
+// results that alias memory they do not own.
+func (r *Result) Release() {
+	if !r.Pooled {
+		return
+	}
+	for _, f := range r.Frames {
+		codec.PutBuffer(f)
+	}
+	codec.PutBuffer(r.Payload)
+	r.Frames, r.Payload, r.Pooled = nil, nil, false
 }
 
 // Input is a call-site declaration of one store-resident kernel input:
@@ -93,11 +120,21 @@ type Result struct {
 // materializes the bytes only when the target store does not hold that
 // exact version. The dispatcher (apgas.Ctx.ExecKernel) turns Inputs into
 // Refs and, for the stale or missing ones, Puts.
+//
+// The dispatcher owns the buffer Encode returns and hands it to
+// codec.PutBuffer once it has crossed the wire, so Encode returns either
+// a codec.GetBuffer buffer or a fresh allocation — never memory something
+// else still references.
+//
+// Obj, when set, is the live object the bytes would decode to. Where the
+// kernel runs in the coordinator's own address space the dispatcher
+// installs it by reference (Store.PutObj) and never calls Encode.
 type Input struct {
 	Handle uint64
 	Key    int64
 	Ver    uint64
 	Encode func() []byte
+	Obj    any
 }
 
 // Func is a registered kernel body. It runs inside the executing place's
@@ -158,10 +195,14 @@ type storeKey struct {
 }
 
 // Entry is one versioned store value: the installed bytes plus a
-// decode-once cache for the kernel-side object decoded from them.
+// decode-once cache for the kernel-side object decoded from them — or,
+// for a by-reference install (Store.PutObj), the object alone.
 type Entry struct {
 	ver  uint64
 	data []byte
+	// reuse is the decoded object of the entry this one replaced in a
+	// recycling store, offered to the decoder as storage.
+	reuse any
 
 	mu  sync.Mutex
 	obj any
@@ -170,9 +211,17 @@ type Entry struct {
 // Ver returns the entry's content version.
 func (e *Entry) Ver() uint64 { return e.ver }
 
-// Bytes returns the installed bytes. Kernels must treat them as
-// read-only.
+// Bytes returns the installed bytes (nil for a by-reference entry).
+// Kernels must treat them as read-only and must not keep them past the
+// call: a recycling store hands the buffer back to the pool when the
+// entry is replaced or dropped.
 func (e *Entry) Bytes() []byte { return e.data }
+
+// Reuse returns the decoded object of the version this entry replaced,
+// for a decode function to overwrite instead of allocating (the rank
+// vector a worker receives every iteration has the same shape as the last
+// one). Nil unless the store recycles, and nil once Obj has decoded.
+func (e *Entry) Reuse() any { return e.reuse }
 
 // Obj returns the decoded object for the entry, building it with decode
 // on first use and caching it for subsequent kernels: a matrix block
@@ -187,7 +236,7 @@ func (e *Entry) Obj(decode func(data []byte) (any, error)) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.obj = obj
+	e.obj, e.reuse = obj, nil
 	return obj, nil
 }
 
@@ -197,6 +246,15 @@ func (e *Entry) Obj(decode func(data []byte) (any, error)) (any, error) {
 // concurrent use (the coordinator executes fallbacks from many task
 // goroutines).
 type Store struct {
+	// Recycle makes the store the owner of every installed buffer: a
+	// replaced or dropped entry's bytes go back to codec's buffer pool and
+	// a replaced entry's decoded object is offered to its successor
+	// (Entry.Reuse). Set it before first use, and only where tasks run one
+	// at a time and every install is a buffer nothing else references — a
+	// worker's executor loop, whose installs are the pooled buffers the
+	// wire reader filled.
+	Recycle bool
+
 	mu sync.RWMutex
 	m  map[storeKey]*Entry
 }
@@ -207,9 +265,28 @@ func NewStore() *Store { return &Store{m: make(map[storeKey]*Entry)} }
 // Put installs data under (handle, key) at version ver, replacing any
 // previous version (and its decoded object).
 func (s *Store) Put(handle uint64, key int64, ver uint64, data []byte) {
+	s.put(handle, key, &Entry{ver: ver, data: data})
+}
+
+// PutObj installs obj itself under (handle, key) at version ver: a
+// by-reference entry whose Obj returns obj without any decode. Only
+// meaningful where the store shares an address space with the object's
+// owner — the coordinator executing a kernel for one of its own places.
+func (s *Store) PutObj(handle uint64, key int64, ver uint64, obj any) {
+	s.put(handle, key, &Entry{ver: ver, obj: obj})
+}
+
+func (s *Store) put(handle uint64, key int64, e *Entry) {
+	k := storeKey{handle, key}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.m[storeKey{handle, key}] = &Entry{ver: ver, data: data}
+	if old := s.m[k]; old != nil && s.Recycle {
+		codec.PutBuffer(old.data)
+		old.mu.Lock()
+		e.reuse = old.obj
+		old.mu.Unlock()
+	}
+	s.m[k] = e
 }
 
 // Get returns the entry for (handle, key).
@@ -233,8 +310,11 @@ func (s *Store) Holds(handle uint64, key int64, ver uint64) bool {
 func (s *Store) Drop(handle uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for k := range s.m {
+	for k, e := range s.m {
 		if k.handle == handle {
+			if s.Recycle {
+				codec.PutBuffer(e.data)
+			}
 			delete(s.m, k)
 		}
 	}
@@ -269,11 +349,14 @@ func (ex *Exec) Ref(r Ref) (*Entry, error) {
 	return e, nil
 }
 
-// Run executes t against ex: install the task's Puts, resolve the
-// kernel, run it, and fold every failure mode — unknown name, kernel
-// error, kernel panic — into Result.Err so the caller has exactly one
-// error channel whether the run was local or remote.
+// Run executes t against ex: apply the task's Drops, install its Puts,
+// resolve the kernel, run it, and fold every failure mode — unknown
+// name, kernel error, kernel panic — into Result.Err so the caller has
+// exactly one error channel whether the run was local or remote.
 func Run(ex *Exec, t *Task) *Result {
+	for _, h := range t.Drops {
+		ex.Store.Drop(h)
+	}
 	for _, b := range t.Puts {
 		ex.Store.Put(b.Handle, b.Key, b.Ver, b.Data)
 	}

@@ -2,9 +2,12 @@ package kernel
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"github.com/rgml/rgml/internal/codec"
 )
 
 // The registry is process-global and Register panics on duplicates, so
@@ -150,3 +153,191 @@ func TestBuiltinPut(t *testing.T) {
 		t.Fatal("put kernel did not install the blob")
 	}
 }
+
+func TestRunAppliesDropsBeforePuts(t *testing.T) {
+	ex := &Exec{Store: NewStore()}
+	ex.Store.Put(4, 0, 1, []byte("old generation"))
+	ex.Store.Put(4, 1, 1, []byte("old generation"))
+	ex.Store.Put(5, 0, 1, []byte("kept"))
+	res := Run(ex, &Task{
+		Name:  PutName,
+		Drops: []uint64{4},
+		Refs:  []Ref{{Handle: 4, Key: 0, Ver: 2}},
+		Puts:  []Blob{{Handle: 4, Key: 0, Ver: 2, Data: []byte("new generation")}},
+	})
+	if res.Err != "" {
+		t.Fatalf("Run = %+v", res)
+	}
+	if ex.Store.Len() != 2 || !ex.Store.Holds(4, 0, 2) || !ex.Store.Holds(5, 0, 1) {
+		t.Fatalf("after drop+put: Len=%d", ex.Store.Len())
+	}
+}
+
+// TestPutObjIsByReference: a by-reference entry hands back the very
+// object it was given, without running any decode.
+func TestPutObjIsByReference(t *testing.T) {
+	s := NewStore()
+	live := []float64{1, 2, 3}
+	s.PutObj(1, 0, 7, live)
+	e, ok := s.Get(1, 0)
+	if !ok || e.Ver() != 7 || e.Bytes() != nil {
+		t.Fatalf("Get = %+v, %v", e, ok)
+	}
+	obj, err := e.Obj(func([]byte) (any, error) { return nil, errors.New("decode must not run") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	live[0] = 42
+	if got := obj.([]float64); got[0] != 42 {
+		t.Fatal("entry holds a copy, want the live object")
+	}
+}
+
+// TestRecyclingStore pins what a worker's store does with superseded
+// entries: the replaced buffer goes back to the pool, the replaced
+// decoded object is offered to the new entry's decoder exactly once, and
+// Drop recycles too. A plain store does neither.
+func TestRecyclingStore(t *testing.T) {
+	const size = 1 << 12
+	pooled := func() []byte { return codec.GetBuffer(size)[:size] }
+	puts := func() uint64 { _, _, p := codec.PoolStats(); return p }
+
+	s := NewStore()
+	s.Recycle = true
+	s.Put(1, 0, 1, pooled())
+	e1, _ := s.Get(1, 0)
+	first, _ := e1.Obj(func([]byte) (any, error) { return "decoded v1", nil })
+	if e1.Reuse() != nil {
+		t.Fatal("first version offered storage to reuse")
+	}
+	before := puts()
+	s.Put(1, 0, 2, pooled())
+	if got := puts() - before; got != 1 {
+		t.Fatalf("replacing an entry returned %d buffers to the pool, want 1", got)
+	}
+	e2, _ := s.Get(1, 0)
+	if e2.Reuse() != first {
+		t.Fatalf("Reuse() = %v, want the predecessor's object", e2.Reuse())
+	}
+	if _, err := e2.Obj(func([]byte) (any, error) { return "decoded v2", nil }); err != nil || e2.Reuse() != nil {
+		t.Fatalf("after decode: err %v, Reuse() = %v", err, e2.Reuse())
+	}
+	s.Drop(1)
+	if got := puts() - before; got != 2 {
+		t.Fatalf("replace and drop returned %d buffers to the pool, want 2", got)
+	}
+
+	plain := NewStore()
+	plain.Put(1, 0, 1, pooled())
+	e, _ := plain.Get(1, 0)
+	e.Obj(func([]byte) (any, error) { return "decoded", nil })
+	plain.Put(1, 0, 2, pooled())
+	if e, _ := plain.Get(1, 0); e.Reuse() != nil {
+		t.Fatal("plain store offered storage to reuse")
+	}
+	plain.Drop(1)
+	if got := puts() - before; got != 2 {
+		t.Fatalf("a plain store returned %d buffers to the pool", got-2)
+	}
+}
+
+func TestResultRelease(t *testing.T) {
+	frame := codec.GetBuffer(1 << 10)[:1<<10]
+	r := &Result{Frames: [][]byte{frame, nil}, Payload: codec.GetBuffer(100)[:100], Pooled: true}
+	r.Release()
+	if r.Frames != nil || r.Payload != nil || r.Pooled {
+		t.Fatalf("after Release: %+v", r)
+	}
+	r.Release() // idempotent
+
+	alias := []byte("store bytes the result does not own")
+	r = &Result{Payload: alias}
+	r.Release()
+	if r.Payload == nil {
+		t.Fatal("Release cleared a result that is not pool-backed")
+	}
+}
+
+// TestWireRoundTrip: tasks and results survive the flat encoding with
+// every field and blob in place, and the blobs are adopted, not copied.
+func TestWireRoundTrip(t *testing.T) {
+	task := &Task{
+		Name: "kerneltest.read", Place: 3,
+		I64: []int64{-1, 1 << 62}, F64: []float64{0.5, -0.0},
+		Payload: []byte("payload"),
+		Refs:    []Ref{{Handle: 9, Key: -2, Ver: 4}, {Handle: 1, Key: 0, Ver: 1}},
+		Puts:    []Blob{{Handle: 9, Key: -2, Ver: 4, Data: []byte("shipped")}, {Handle: 7, Data: nil}},
+		Drops:   []uint64{11, 12},
+	}
+	meta, blobs := task.AppendWire(nil, nil)
+	if len(blobs) != len(task.Puts)+1 || &blobs[0][0] != &task.Puts[0].Data[0] {
+		t.Fatalf("AppendWire blobs = %q, want the task's own slices", blobs)
+	}
+	got, err := DecodeTask(meta, blobs)
+	if err != nil || !reflect.DeepEqual(got, task) {
+		t.Fatalf("DecodeTask = %+v, %v\nwant %+v", got, err, task)
+	}
+	empty, err := DecodeTask((&Task{}).AppendWire(nil, nil))
+	if err != nil || !reflect.DeepEqual(empty, &Task{}) {
+		t.Fatalf("empty task round trip = %+v, %v", empty, err)
+	}
+
+	res := &Result{F64: []float64{1, 2}, Err: "no luck", Frames: [][]byte{{1}, nil, {2, 3}}, Payload: []byte("out")}
+	meta, blobs = res.AppendWire(nil, nil)
+	back, err := DecodeResult(meta, blobs, true)
+	res.Pooled = true
+	if err != nil || !reflect.DeepEqual(back, res) {
+		t.Fatalf("DecodeResult = %+v, %v\nwant %+v", back, err, res)
+	}
+}
+
+// TestWireDecodeRejectsCorruptMeta: truncated meta, trailing bytes,
+// counts larger than the bytes behind them and blob lists of the wrong
+// length are errors — never a panic, never an allocation sized by a
+// corrupt count.
+func TestWireDecodeRejectsCorruptMeta(t *testing.T) {
+	task := &Task{Name: "kernel-8", I64: []int64{1}, F64: []float64{2}, Refs: []Ref{{1, 2, 3}}, Drops: []uint64{4},
+		Puts: []Blob{{Handle: 5, Data: []byte("x")}}}
+	tmeta, tblobs := task.AppendWire(nil, nil)
+	res := &Result{F64: []float64{1}, Err: "no luck!", Frames: [][]byte{{1}}}
+	rmeta, rblobs := res.AppendWire(nil, nil)
+	for cut := 0; cut < len(tmeta); cut++ {
+		if _, err := DecodeTask(tmeta[:cut], tblobs); !errors.Is(err, ErrBadWire) {
+			t.Fatalf("task meta cut at %d: %v", cut, err)
+		}
+	}
+	for cut := 0; cut < len(rmeta); cut++ {
+		if _, err := DecodeResult(rmeta[:cut], rblobs, false); !errors.Is(err, ErrBadWire) {
+			t.Fatalf("result meta cut at %d: %v", cut, err)
+		}
+	}
+	for name, err := range map[string]error{
+		"task trailing byte":   second(DecodeTask(append(tmeta[:len(tmeta):len(tmeta)], 0), tblobs)),
+		"task missing blob":    second(DecodeTask(tmeta, tblobs[:1])),
+		"task extra blob":      second(DecodeTask(tmeta, append(tblobs[:2:2], nil))),
+		"result trailing byte": second(DecodeResult(append(rmeta[:len(rmeta):len(rmeta)], 0), rblobs, false)),
+		"result missing blob":  second(DecodeResult(rmeta, rblobs[:1], false)),
+		"result no blobs":      second(DecodeResult(rmeta, nil, false)),
+	} {
+		if !errors.Is(err, ErrBadWire) {
+			t.Errorf("%s: %v, want ErrBadWire", name, err)
+		}
+	}
+	// Every count field set to 2^64-1 in turn.
+	for off := 0; off+8 <= len(tmeta); off += 8 {
+		bad := append([]byte(nil), tmeta...)
+		for i := 0; i < 8; i++ {
+			bad[off+i] = 0xff
+		}
+		DecodeTask(bad, tblobs) // must not panic or allocate by the count
+	}
+	for off := 0; off+8 <= len(rmeta); off += 8 {
+		bad := append([]byte(nil), rmeta...)
+		for i := 0; i < 8; i++ {
+			bad[off+i] = 0xff
+		}
+		DecodeResult(bad, rblobs, false)
+	}
+}
+
+func second[T any](_ T, err error) error { return err }

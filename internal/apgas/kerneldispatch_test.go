@@ -25,6 +25,33 @@ func init() {
 		}
 		return &kernel.Result{Payload: append([]byte(nil), e.Bytes()...)}, nil
 	})
+	// apgastest.obj reports what its first ref resolves to — the live
+	// []float64 of a by-reference entry, or the decoded bytes — plus the
+	// executing store's size.
+	apgas.RegisterKernel("apgastest.obj", func(ex *kernel.Exec, t *kernel.Task) (*kernel.Result, error) {
+		res := &kernel.Result{F64: []float64{float64(ex.Store.Len())}}
+		if len(t.Refs) == 0 {
+			return res, nil
+		}
+		e, err := ex.Ref(t.Refs[0])
+		if err != nil {
+			return nil, err
+		}
+		obj, err := e.Obj(func(data []byte) (any, error) {
+			vs := make([]float64, len(data))
+			for i, b := range data {
+				vs[i] = float64(b)
+			}
+			return vs, nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		vs := obj.([]float64)
+		vs[0]++ // visible to the caller only if vs is the caller's own slice
+		res.F64 = append(res.F64, vs...)
+		return res, nil
+	})
 }
 
 // fakeExecutor is a fakeTransport with a data plane: it executes
@@ -36,7 +63,8 @@ type fakeExecutor struct {
 	emu      sync.Mutex
 	stores   map[int]*kernel.Store
 	shipped  []int // len(t.Puts) per dispatch, in order
-	failNext bool  // fail the next Exec with a transport error
+	drops    [][]uint64
+	failNext bool // fail the next Exec with a transport error
 }
 
 func (f *fakeExecutor) Exec(t *kernel.Task) (*kernel.Result, error) {
@@ -59,7 +87,16 @@ func (f *fakeExecutor) Exec(t *kernel.Task) (*kernel.Result, error) {
 		f.stores[place] = st
 	}
 	f.shipped = append(f.shipped, len(t.Puts))
-	return kernel.Run(&kernel.Exec{Place: place, Store: st}, t), nil
+	f.drops = append(f.drops, t.Drops)
+	// The blobs are borrowed until Exec returns (transport.Executor); a
+	// store that keeps them copies, as a worker's socket read does.
+	remote := *t
+	remote.Puts = make([]kernel.Blob, len(t.Puts))
+	for i, b := range t.Puts {
+		b.Data = append([]byte(nil), b.Data...)
+		remote.Puts[i] = b
+	}
+	return kernel.Run(&kernel.Exec{Place: place, Store: st}, &remote), nil
 }
 
 func (f *fakeExecutor) shipCounts() []int {
@@ -271,5 +308,113 @@ func TestKernelDispatchPlaceZeroStaysLocal(t *testing.T) {
 	}
 	if got := rt.Stats().WorkerTasks; got != 0 {
 		t.Fatalf("WorkerTasks = %d, want 0", got)
+	}
+}
+
+// TestKernelPlaceZeroByReference pins how the coordinator's own place
+// executes a kernel: an input that names its live object is installed by
+// reference — Encode never runs, and the kernel sees (and here, mutates)
+// the caller's very slice — while a worker place still gets the bytes.
+func TestKernelPlaceZeroByReference(t *testing.T) {
+	fe := &fakeExecutor{}
+	rt, err := apgas.New(apgas.WithPlaces(2), apgas.WithTransport(fe))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer rt.Shutdown()
+
+	run := func(c *apgas.Ctx) (live []float64, encoded int, res *kernel.Result) {
+		live = []float64{10, 20}
+		in := kernel.Input{Handle: 3, Key: 0, Ver: 1, Obj: live, Encode: func() []byte {
+			encoded++
+			return []byte{10, 20}
+		}}
+		res, err := c.ExecKernel(&kernel.Task{Name: "apgastest.obj"}, in)
+		if err != nil {
+			t.Fatalf("ExecKernel at %v: %v", c.Here, err)
+		}
+		return live, encoded, res
+	}
+	err = rt.Finish(func(ctx *apgas.Ctx) {
+		live, encoded, res := run(ctx)
+		if encoded != 0 || live[0] != 11 || res.F64[1] != 11 {
+			t.Errorf("place 0: Encode ran %d times, live[0] = %v, kernel saw %v; want by-reference", encoded, live[0], res.F64[1:])
+		}
+		// The same version again, with a different object: by-reference
+		// installs are unconditional, never skipped on a version match.
+		if live, _, res := run(ctx); live[0] != 11 || res.F64[1] != 11 {
+			t.Errorf("place 0, second object under the same version: live[0] = %v, kernel saw %v", live[0], res.F64[1:])
+		}
+		ctx.At(rt.Place(1), func(c *apgas.Ctx) {
+			live, encoded, res := run(c)
+			if encoded != 1 || live[0] != 10 || res.F64[1] != 11 {
+				t.Errorf("place 1: Encode ran %d times, live[0] = %v, kernel saw %v; want shipped bytes", encoded, live[0], res.F64[1:])
+			}
+		})
+	})
+	if err != nil {
+		t.Fatalf("Finish: %v", err)
+	}
+}
+
+// TestHandleDestroyDropsKernelData: destroying a PlaceLocalHandle removes
+// what the data plane cached under it — from the coordinator's own stores
+// at once, from the ship-once mirror (a re-dispatch re-ships), and from
+// each worker body that holds some via a Drops list on the next task to
+// that place, and only to such places.
+func TestHandleDestroyDropsKernelData(t *testing.T) {
+	fe := &fakeExecutor{}
+	rt, err := apgas.New(apgas.WithPlaces(3), apgas.WithResilient(true), apgas.WithTransport(fe))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer rt.Shutdown()
+	storeLen := func(c *apgas.Ctx) float64 {
+		res, err := c.ExecKernel(&kernel.Task{Name: "apgastest.obj"})
+		if err != nil {
+			t.Fatalf("ExecKernel at %v: %v", c.Here, err)
+		}
+		return res.F64[0]
+	}
+	for gen := 0; gen < 20; gen++ {
+		h, err := apgas.NewPlaceLocalHandle(rt, rt.World(), func(*apgas.Ctx, int) int { return 0 })
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := kernel.Input{Handle: h.Handle(), Ver: 1, Obj: []float64{1}, Encode: func() []byte { return []byte{1} }}
+		err = rt.Finish(func(ctx *apgas.Ctx) {
+			for _, p := range rt.World()[:2] { // place 2 never sees the handle
+				ctx.At(p, func(c *apgas.Ctx) {
+					if _, err := c.ExecKernel(&kernel.Task{Name: "apgastest.obj"}, in); err != nil {
+						t.Errorf("ExecKernel at %v: %v", c.Here, err)
+					}
+				})
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Destroy(rt.World())
+	}
+	err = rt.Finish(func(ctx *apgas.Ctx) {
+		for _, p := range rt.World() {
+			ctx.At(p, func(c *apgas.Ctx) {
+				if n := storeLen(c); n != 0 {
+					t.Errorf("store of %v holds %v entries after every handle was destroyed", c.Here, n)
+				}
+			})
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe.emu.Lock()
+	defer fe.emu.Unlock()
+	var dropped int
+	for _, d := range fe.drops {
+		dropped += len(d)
+	}
+	if dropped != 20 {
+		t.Fatalf("workers were told to drop %d handles, want 20 (one per generation, at place 1 only)", dropped)
 	}
 }

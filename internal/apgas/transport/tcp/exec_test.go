@@ -1,6 +1,9 @@
 package tcp_test
 
 import (
+	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -33,6 +36,9 @@ func init() {
 			return nil, err
 		}
 		return &kernel.Result{Payload: e.Bytes()}, nil
+	})
+	apgas.RegisterKernel("tcptest.storelen", func(ex *kernel.Exec, t *kernel.Task) (*kernel.Result, error) {
+		return &kernel.Result{F64: []float64{float64(ex.Store.Len())}}, nil
 	})
 }
 
@@ -173,11 +179,11 @@ func TestExecDuringRealDeath(t *testing.T) {
 	}
 }
 
-// TestSendAndExecRaceGrow grows the place set while hammering the new
-// places with Sends and Execs from many goroutines: messages racing the
-// hello handshake must fail cleanly (place not yet joined) or succeed,
-// and every new place must become fully operative — sendable and
-// executing kernels — with no spurious death reports.
+// TestSendAndExecRaceGrow grows the place set while other goroutines
+// keep the existing place busy, then hits the new places from many
+// goroutines the moment Grow returns: Grow waits for the handshakes, so
+// every first Send and first Exec must succeed — no retry, no fallback
+// window — with no spurious death reports.
 func TestSendAndExecRaceGrow(t *testing.T) {
 	tr := tcp.New(fastHeartbeat())
 	deaths := make(chan int, 8)
@@ -188,6 +194,25 @@ func TestSendAndExecRaceGrow(t *testing.T) {
 	}
 	defer tr.Close()
 
+	stop := make(chan struct{})
+	var busy sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		busy.Add(1)
+		go func() {
+			defer busy.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := tr.Exec(&kernel.Task{Name: "tcptest.sum", Place: 1, I64: []int64{1}}); err != nil {
+					t.Errorf("Exec at place 1 during Grow: %v", err)
+					return
+				}
+			}
+		}()
+	}
 	if err := tr.Grow(2); err != nil {
 		t.Fatalf("Grow(2): %v", err)
 	}
@@ -197,29 +222,230 @@ func TestSendAndExecRaceGrow(t *testing.T) {
 			wg.Add(1)
 			go func(place int) {
 				defer wg.Done()
-				deadline := time.Now().Add(10 * time.Second)
-				for {
-					if time.Now().After(deadline) {
-						t.Errorf("grown place %d never became operative", place)
-						return
-					}
-					// Both planes must come up; errors before the join are
-					// fine, hangs and panics are not.
-					if _, err := tr.Send(0, place, transport.ClassTask, 8, nil); err != nil {
-						continue
-					}
-					res, err := tr.Exec(&kernel.Task{Name: "tcptest.sum", Place: int32(place), I64: []int64{int64(place)}})
-					if err == nil && res.Err == "" && len(res.F64) == 1 && res.F64[0] == float64(place) {
-						return
-					}
+				if _, err := tr.Send(0, place, transport.ClassTask, 8, nil); err != nil {
+					t.Errorf("first Send to grown place %d: %v", place, err)
+				}
+				res, err := tr.Exec(&kernel.Task{Name: "tcptest.sum", Place: int32(place), I64: []int64{int64(place)}})
+				if err != nil || res.Err != "" || len(res.F64) != 1 || res.F64[0] != float64(place) {
+					t.Errorf("first Exec at grown place %d = %+v, %v", place, res, err)
 				}
 			}(place)
 		}
 	}
 	wg.Wait()
+	close(stop)
+	busy.Wait()
 	select {
 	case p := <-deaths:
 		t.Fatalf("spurious death report for place %d during grow", p)
 	default:
+	}
+}
+
+// TestExecPutSteadyStateAllocs pins the zero-copy blob path on the
+// coordinator: shipping a 1 MB blob to a worker allocates a handful of
+// small objects — the pending entry, the result — and nothing that grows
+// with the blob. (The process-wide counters also see the heartbeat
+// reader; it allocates per frame, not per byte.)
+func TestExecPutSteadyStateAllocs(t *testing.T) {
+	tr := tcp.New(fastHeartbeat())
+	if err := tr.Start(2, transport.Handler{}); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	defer tr.Close()
+	data := make([]byte, 1<<20)
+	task := &kernel.Task{Name: kernel.PutName, Place: 1, Puts: []kernel.Blob{{Handle: 1, Data: data}}}
+	put := func() {
+		task.Puts[0].Ver++
+		res, err := tr.Exec(task)
+		if err != nil || res.Err != "" {
+			t.Fatalf("Exec(put) = %+v, %v", res, err)
+		}
+		res.Release()
+	}
+	put() // warm the connection's scratch buffers
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, put)
+	runtime.ReadMemStats(&after)
+	perRun := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+	if allocs > 16 {
+		t.Errorf("a 1 MB put costs %.0f allocations on the coordinator, want O(1) (<= 16)", allocs)
+	}
+	if perRun > 1024 {
+		t.Errorf("a 1 MB put allocates %.0f bytes on the coordinator, want < 1 KB", perRun)
+	}
+}
+
+// TestWorkersAndStoresDoNotLeak runs six kill/replace cycles and fifty
+// checkpoint-shaped handle lifetimes (ship a blob to every worker under a
+// fresh handle, destroy the handle) over real worker processes, and checks
+// that nothing accumulates: the transport remembers exactly the live
+// places, every worker's store is back to the one long-lived entry once
+// the drops have ridden a task, and the coordinator's goroutines are back
+// at the baseline.
+func TestWorkersAndStoresDoNotLeak(t *testing.T) {
+	tr := tcp.New(fastHeartbeat())
+	rt, err := apgas.New(apgas.WithPlaces(3), apgas.WithResilient(true), apgas.WithTransport(tr))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer rt.Shutdown()
+	live := func() apgas.PlaceGroup { return rt.Live(rt.World()) }
+	// at runs fn in a task at every live non-zero place.
+	at := func(fn func(c *apgas.Ctx)) {
+		t.Helper()
+		err := rt.Finish(func(ctx *apgas.Ctx) {
+			for _, p := range live()[1:] {
+				ctx.AsyncAt(p, fn)
+			}
+		})
+		if err != nil {
+			t.Fatalf("Finish: %v", err)
+		}
+	}
+	put := func(c *apgas.Ctx, handle uint64, size int) {
+		task := &kernel.Task{Name: kernel.PutName, Puts: []kernel.Blob{{Handle: handle, Ver: 1, Data: make([]byte, size)}}}
+		if _, err := c.ExecKernel(task); err != nil {
+			t.Errorf("put at %v: %v", c.Here, err)
+		}
+	}
+	const resident = 1 << 50 // a handle that lives for the whole run
+	at(func(c *apgas.Ctx) { put(c, resident, 8) })
+	baseline := runtime.NumGoroutine()
+
+	for cycle := 0; cycle < 6; cycle++ {
+		victim := live()[1]
+		if cycle%2 == 0 {
+			err = rt.Kill(victim)
+		} else if err = tr.KillWorkerProcess(victim.ID); err == nil {
+			for deadline := time.Now().Add(5 * time.Second); !rt.IsDead(victim); time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("cycle %d: death of %v never detected", cycle, victim)
+				}
+			}
+		}
+		if err != nil {
+			t.Fatalf("cycle %d: kill %v: %v", cycle, victim, err)
+		}
+		added, err := rt.AddPlaces(1)
+		if err != nil {
+			t.Fatalf("cycle %d: AddPlaces: %v", cycle, err)
+		}
+		if err := rt.Finish(func(ctx *apgas.Ctx) {
+			ctx.AsyncAt(added[0], func(c *apgas.Ctx) { put(c, resident, 8) })
+		}); err != nil {
+			t.Fatalf("cycle %d: first task at %v: %v", cycle, added[0], err)
+		}
+		if got, want := tr.WorkerRecords(), len(live())-1; got != want {
+			t.Fatalf("cycle %d: transport remembers %d workers, %d places are live", cycle, got, want)
+		}
+	}
+
+	for ckpt := 0; ckpt < 50; ckpt++ {
+		h, err := apgas.NewPlaceLocalHandle(rt, live(), func(*apgas.Ctx, int) int { return 0 })
+		if err != nil {
+			t.Fatalf("checkpoint %d: %v", ckpt, err)
+		}
+		at(func(c *apgas.Ctx) { put(c, h.Handle(), 64<<10) })
+		h.Destroy(live())
+	}
+	at(func(c *apgas.Ctx) {
+		res, err := c.ExecKernel(&kernel.Task{Name: "tcptest.storelen"})
+		if err != nil || len(res.F64) != 1 {
+			t.Errorf("storelen at %v = %+v, %v", c.Here, res, err)
+		} else if res.F64[0] != 1 {
+			t.Errorf("worker store at %v holds %v entries after every handle was destroyed, want the 1 resident", c.Here, res.F64[0])
+		}
+	})
+	if st := rt.Stats(); st.WorkerTasks == 0 {
+		t.Fatal("no kernel ran in a worker process")
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, %d before the kill/replace cycles", runtime.NumGoroutine(), baseline)
+		}
+	}
+}
+
+// TestStalledWorkerSurfacesAsConnLost plays the SIGSTOPped worker with a
+// full socket buffer: a peer that joins, keeps heartbeating, and never
+// reads. The write deadline turns the blocked Send and Exec into errors
+// within the detector timeout, and the place is reported dead exactly
+// once, as a connection loss.
+func TestStalledWorkerSurfacesAsConnLost(t *testing.T) {
+	const timeout = 300 * time.Millisecond
+	tr := tcp.New(tcp.WithExternalWorkers(), tcp.WithHeartbeat(10*time.Millisecond, timeout))
+	type death struct {
+		place int
+		cause transport.DeathCause
+	}
+	deaths := make(chan death, 4)
+	started := make(chan error, 1)
+	go func() {
+		started <- tr.Start(2, transport.Handler{
+			PlaceDead: func(p int, c transport.DeathCause) { deaths <- death{p, c} },
+		})
+	}()
+	for deadline := time.Now().Add(5 * time.Second); tr.Addr() == ""; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("coordinator never started listening")
+		}
+	}
+	stall, err := tcp.DialStalledWorker(tr.Addr(), 1, 10*time.Millisecond)
+	if err != nil {
+		t.Fatalf("stalled worker: %v", err)
+	}
+	defer stall()
+	if err := <-started; err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	defer tr.Close()
+
+	// Fill the socket buffers until a write would block, from two
+	// goroutines using both planes: each must see its call fail, and
+	// within a few timeouts.
+	payload := make([]byte, 4<<20)
+	errs := make(chan error, 2)
+	call := func(fn func() error) {
+		start := time.Now()
+		for fn() == nil {
+			if time.Since(start) > 10*timeout {
+				errs <- errors.New("calls keep succeeding against a peer that never reads")
+				return
+			}
+		}
+		if took := time.Since(start); took > 10*timeout {
+			errs <- fmt.Errorf("call failed only after %v", took)
+			return
+		}
+		errs <- nil
+	}
+	go call(func() error {
+		_, err := tr.Send(0, 1, transport.ClassSnapshot, len(payload), payload)
+		return err
+	})
+	go call(func() error {
+		_, err := tr.Exec(&kernel.Task{Name: kernel.PutName, Place: 1, Puts: []kernel.Blob{{Handle: 1, Data: payload}}})
+		return err
+	})
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	select {
+	case d := <-deaths:
+		if d.place != 1 || d.cause != transport.CauseConn {
+			t.Fatalf("death report %+v, want place 1 by connection loss", d)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("stalled place never reported dead")
+	}
+	select {
+	case d := <-deaths:
+		t.Fatalf("duplicate death report: %+v", d)
+	case <-time.After(2 * timeout):
 	}
 }

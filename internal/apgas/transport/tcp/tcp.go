@@ -1,5 +1,5 @@
 // Package tcp is the multi-process transport backend: one place per OS
-// process, connected by loopback-default TCP carrying length-prefixed gob
+// process, connected by loopback-default TCP carrying flat length-prefixed
 // frames (wire.go).
 //
 // Topology: place zero is the coordinator — the process that constructed
@@ -13,9 +13,11 @@
 //
 // Data plane: workers compute. Go cannot serialize closures, but named
 // registered kernels (apgas.RegisterKernel + internal/apgas/kernel)
-// travel as gob task descriptors: Exec ships a TASK frame to the worker
+// travel as task descriptors: Exec ships a TASK frame to the worker
 // owning the place, the worker's executor loop runs the kernel against
 // its per-place blob store, and a RESULT frame carries the answer back.
+// Blob payloads cross without a user-space copy on the sending side and
+// land in pooled buffers on the receiving side (wire.go).
 // Operand blobs cross once per version (the coordinator mirrors what
 // each worker holds); any dispatch failure — unregistered kernel, dead
 // worker, mid-flight connection loss — falls back silently to
@@ -36,12 +38,16 @@
 // error, whichever first (deduped). Administrative kills (Runtime.Kill,
 // chaos) mark the place dead in the detector before destroying the
 // worker, so no redundant report reaches the runtime and kill-driven
-// recovery stays identical to the local backend's.
+// recovery stays identical to the local backend's. Every write carries a
+// deadline of the detector timeout, so a peer that stops reading (a
+// stopped process behind a full socket buffer) surfaces as a connection
+// loss instead of blocking its sender forever.
 package tcp
 
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/exec"
@@ -73,13 +79,13 @@ type Transport struct {
 	detector *transport.Detector
 	ln       net.Listener
 
-	mu       sync.Mutex
-	started  bool
-	closed   bool
-	places   int
-	workers  map[int]*worker // keyed by place ID; place 0 has no worker
-	joined   chan struct{}   // closed when all expected places have joined
-	joinOnce sync.Once
+	mu      sync.Mutex
+	started bool
+	closed  bool
+	places  int
+	// workers holds the live (or still joining) place bodies by place ID;
+	// place 0 has none, and a dead place's record is deleted (forget).
+	workers map[int]*worker
 
 	wg sync.WaitGroup // acceptor + per-connection readers
 
@@ -101,20 +107,21 @@ type pendingTask struct {
 // worker is the coordinator's record of one remote place body.
 type worker struct {
 	place int
-	fc    *frameConn
-	proc  *os.Process // nil for externally-joined workers
+	fc    *frameConn    // nil until the hello handshake
+	proc  *os.Process   // nil for externally-joined workers
+	ready chan struct{} // closed by admit once fc is set
 }
 
 // tcpInstr holds the backend's observability handles (nil-safe).
 type tcpInstr struct {
 	frames        *obs.Counter // transport.tcp.frames
-	wireBytes     *obs.Counter // transport.tcp.wire_bytes (real footprint: prefix + gob body)
+	wireBytes     *obs.Counter // transport.tcp.wire_bytes (real footprint: prefix + frame)
 	logicalBytes  *obs.Counter // transport.tcp.logical_bytes (declared size, NetModel-comparable)
 	heartbeats    *obs.Counter // transport.tcp.heartbeats
 	deaths        *obs.Counter // transport.tcp.deaths
 	tasks         *obs.Counter // transport.tcp.tasks (kernel dispatches put on a wire)
 	taskFailures  *obs.Counter // transport.tcp.task_failures (dispatches failed by death/shutdown)
-	helloRejected *obs.Counter // transport.tcp.hello_rejected (wire-version mismatches)
+	helloRejected *obs.Counter // transport.tcp.hello_rejected (unparseable or wrong-version hellos)
 	killWriteErrs *obs.Counter // transport.tcp.kill_write_errors (best-effort fKill writes that failed)
 }
 
@@ -161,7 +168,6 @@ func New(opts ...Option) *Transport {
 		interval: transport.DefaultHeartbeatInterval,
 		timeout:  transport.DefaultHeartbeatTimeout,
 		workers:  make(map[int]*worker),
-		joined:   make(chan struct{}),
 		pending:  make(map[uint64]*pendingTask),
 	}
 	for _, o := range opts {
@@ -226,33 +232,48 @@ func (t *Transport) Start(places int, h transport.Handler) error {
 	t.wg.Add(1)
 	go t.acceptLoop()
 
-	if t.external == 0 {
-		for p := 1; p < places; p++ {
-			if err := t.spawnWorker(p); err != nil {
-				ln.Close()
-				return err
-			}
-		}
-	}
-
 	// Wait for every expected place to complete its HELLO handshake, so
 	// the runtime never sees a place whose body is not yet reachable.
-	if places > 1 {
-		timeout := time.NewTimer(joinTimeout(places))
-		defer timeout.Stop()
-		select {
-		case <-t.joined:
-		case <-timeout.C:
-			ln.Close()
-			return fmt.Errorf("tcp: timed out waiting for %d worker(s) to join", places-1)
-		}
+	if err := t.bringUp(1, places); err != nil {
+		ln.Close()
+		return err
 	}
-
 	t.detector.Start()
 	return nil
 }
 
-// joinTimeout bounds how long Start waits for worker handshakes:
+// bringUp registers places lo..hi-1 as expected, spawns their worker
+// processes (unless they join externally) and waits, bounded by
+// joinTimeout, until each has completed its hello handshake.
+func (t *Transport) bringUp(lo, hi int) error {
+	expected := make([]*worker, 0, hi-lo)
+	t.mu.Lock()
+	for p := lo; p < hi; p++ {
+		w := &worker{place: p, ready: make(chan struct{})}
+		t.workers[p] = w
+		expected = append(expected, w)
+	}
+	t.mu.Unlock()
+	if t.external == 0 {
+		for _, w := range expected {
+			if err := t.spawnWorker(w); err != nil {
+				return err
+			}
+		}
+	}
+	timeout := time.NewTimer(joinTimeout(hi - lo))
+	defer timeout.Stop()
+	for _, w := range expected {
+		select {
+		case <-w.ready:
+		case <-timeout.C:
+			return fmt.Errorf("tcp: timed out waiting for place %d to join", w.place)
+		}
+	}
+	return nil
+}
+
+// joinTimeout bounds how long Start and Grow wait for worker handshakes:
 // generous enough for process spawn under load, far from interactive
 // annoyance when a worker binary is broken.
 func joinTimeout(places int) time.Duration {
@@ -260,10 +281,11 @@ func joinTimeout(places int) time.Duration {
 	return d
 }
 
-// spawnWorker re-executes the current binary as the body of place p.
+// spawnWorker re-executes the current binary as the body of w's place.
 // The child's RGML_TCP_WORKER environment routes it into MaybeWorker
 // before any of its own main logic runs.
-func (t *Transport) spawnWorker(p int) error {
+func (t *Transport) spawnWorker(w *worker) error {
+	p := w.place
 	exe, err := os.Executable()
 	if err != nil {
 		return fmt.Errorf("tcp: resolve own executable: %w", err)
@@ -277,12 +299,7 @@ func (t *Transport) spawnWorker(p int) error {
 		return fmt.Errorf("tcp: spawn worker for place %d: %w", p, err)
 	}
 	t.mu.Lock()
-	if w := t.workers[p]; w != nil {
-		// Handshake already landed; just attach the process handle.
-		w.proc = cmd.Process
-	} else {
-		t.workers[p] = &worker{place: p, proc: cmd.Process}
-	}
+	w.proc = cmd.Process
 	t.mu.Unlock()
 	// Reap on exit so dead workers never linger as zombies.
 	go cmd.Wait()
@@ -306,16 +323,16 @@ func (t *Transport) acceptLoop() {
 // worker and starts its read loop.
 func (t *Transport) admit(conn net.Conn) {
 	defer t.wg.Done()
-	fc := newFrameConn(conn)
+	fc := newFrameConn(conn, t.detector.Timeout())
 	var hello frame
-	if _, err := fc.read(&hello); err != nil || hello.Type != fHello {
-		fc.close()
+	_, err := fc.read(&hello)
+	if err == io.EOF {
+		fc.close() // connected and left without a word
 		return
 	}
-	if hello.Ver != wireVersion {
-		// A peer speaking another stream format would desync the
-		// persistent codec after this very frame; reject it loudly rather
-		// than misdecode later.
+	if err != nil || hello.Type != fHello || hello.Ver != wireVersion {
+		// A peer speaking another stream format — a v2 hello does not even
+		// parse — is turned away loudly rather than misdecoded later.
 		t.instr.helloRejected.Inc()
 		t.reg.Trace("tcp.hello_rejected", int64(hello.From), int64(hello.Ver))
 		fc.close()
@@ -323,29 +340,18 @@ func (t *Transport) admit(conn net.Conn) {
 	}
 	p := int(hello.From)
 	t.mu.Lock()
-	if t.closed || p <= 0 {
-		t.mu.Unlock()
-		fc.close()
-		return
-	}
 	w := t.workers[p]
-	if w == nil {
-		w = &worker{place: p}
-		t.workers[p] = w
-	}
-	if w.fc != nil {
-		// Duplicate claim for a place that already has a live body.
+	if t.closed || w == nil || w.fc != nil {
+		// Not a place this run expects (never announced, or dead and
+		// forgotten), or a duplicate claim for one that has a live body.
 		t.mu.Unlock()
 		fc.close()
 		return
 	}
 	w.fc = fc
 	t.detector.Watch(p)
-	joined := t.allJoinedLocked()
 	t.mu.Unlock()
-	if joined {
-		t.signalJoined()
-	}
+	close(w.ready)
 	t.wg.Add(1)
 	go t.readLoop(w)
 }
@@ -363,22 +369,25 @@ func (t *Transport) body(place int) (fc *frameConn, proc *os.Process) {
 	return fc, proc
 }
 
-// allJoinedLocked reports whether every place below the initial count has
-// a connected body. Caller holds t.mu.
-func (t *Transport) allJoinedLocked() bool {
-	for p := 1; p < t.places; p++ {
-		w := t.workers[p]
-		if w == nil || w.fc == nil {
-			return false
-		}
+// forget deletes a dead place's record, cutting its wire and killing its
+// process (a stopped or wedged worker would otherwise outlive the run's
+// interest in it). The record — frameConn buffers, process handle — is
+// garbage from here on; a late hello for the place is refused by admit.
+// Idempotent.
+func (t *Transport) forget(place int) {
+	t.mu.Lock()
+	w := t.workers[place]
+	delete(t.workers, place)
+	t.mu.Unlock()
+	if w == nil {
+		return
 	}
-	return true
-}
-
-// signalJoined closes the joined gate exactly once (a late re-join must
-// not close it twice).
-func (t *Transport) signalJoined() {
-	t.joinOnce.Do(func() { close(t.joined) })
+	if w.fc != nil {
+		w.fc.close()
+	}
+	if w.proc != nil {
+		w.proc.Kill()
+	}
 }
 
 // readLoop drains one worker's frames: heartbeats feed the detector,
@@ -407,8 +416,8 @@ func (t *Transport) readLoop(w *worker) {
 	}
 }
 
-// resolve delivers a result (nil = dispatch failed) to the pending
-// kernel dispatch it answers. Unknown seqs are ignored: the dispatch may
+// resolve delivers a result to the pending kernel dispatch it answers.
+// Unknown seqs only get their buffers back to the pool: the dispatch may
 // already have been failed by a death racing the result.
 func (t *Transport) resolve(seq uint64, res *kernel.Result) {
 	t.pmu.Lock()
@@ -417,6 +426,8 @@ func (t *Transport) resolve(seq uint64, res *kernel.Result) {
 	t.pmu.Unlock()
 	if p != nil {
 		p.ch <- res
+	} else {
+		res.Release()
 	}
 }
 
@@ -451,6 +462,7 @@ func (t *Transport) connLost(place int) {
 		return
 	}
 	t.failPending(place)
+	t.forget(place)
 	if t.detector.MarkDead(place) {
 		t.instr.deaths.Inc()
 		if t.handler.PlaceDead != nil {
@@ -463,9 +475,7 @@ func (t *Transport) connLost(place int) {
 func (t *Transport) placeDead(place int, cause transport.DeathCause) {
 	t.instr.deaths.Inc()
 	t.failPending(place)
-	if fc, _ := t.body(place); fc != nil {
-		fc.close()
-	}
+	t.forget(place)
 	if t.handler.PlaceDead != nil {
 		t.handler.PlaceDead(place, cause)
 	}
@@ -515,7 +525,7 @@ func (t *Transport) Send(from, to int, class transport.Class, size int, payload 
 		return 0, fmt.Errorf("tcp: send to place %d: %w", ep, err)
 	}
 	t.instr.frames.Inc()
-	// wireBytes is the frame's real footprint (prefix + gob body, which
+	// wireBytes is the frame's real footprint (prefix + frame, which
 	// also carries From/To/Class/Size and any payload) as reported by
 	// write; the declared logical size — what the NetModel accounts —
 	// lands in its own counter so the two stay comparable but distinct.
@@ -581,20 +591,17 @@ func (t *Transport) Kill(place int) error {
 	}
 	t.detector.MarkDead(place)
 	t.failPending(place)
-	fc, proc := t.body(place)
-	if fc != nil {
-		// Best effort: ask the worker to exit, then cut the wire. A
-		// failed ask still ends in proc.Kill, but record it — a run whose
-		// kills all degrade to SIGKILL is telling us something.
+	if fc, _ := t.body(place); fc != nil {
+		// Best effort: ask the worker to exit before forget cuts the wire
+		// and kills the process. A failed ask still ends in SIGKILL, but
+		// record it — a run whose kills all degrade to SIGKILL is telling
+		// us something.
 		if _, err := fc.write(&frame{Type: fKill, To: int32(place)}); err != nil {
 			t.instr.killWriteErrs.Inc()
 			t.reg.Trace("tcp.kill_write_error", int64(place), 0)
 		}
-		fc.close()
 	}
-	if proc != nil {
-		proc.Kill()
-	}
+	t.forget(place)
 	return nil
 }
 
@@ -611,8 +618,11 @@ func (t *Transport) KillWorkerProcess(place int) error {
 }
 
 // Grow implements transport.Transport: spawn bodies for n new places,
-// numbered densely after the existing ones. External-join mode cannot
-// conjure processes and returns an error.
+// numbered densely after the existing ones, and return once each has
+// completed its hello handshake (bounded by joinTimeout) — a dispatch
+// right after elastic replacement finds the worker there instead of
+// racing its join and falling back to the coordinator. External-join mode
+// cannot conjure processes and returns an error.
 func (t *Transport) Grow(n int) error {
 	if n <= 0 {
 		return nil
@@ -628,17 +638,7 @@ func (t *Transport) Grow(n int) error {
 	base := t.places
 	t.places += n
 	t.mu.Unlock()
-	for p := base; p < base+n; p++ {
-		if err := t.spawnWorker(p); err != nil {
-			return err
-		}
-	}
-	// Watch begins at handshake (admit); new workers join asynchronously.
-	// The runtime's view of the place is live immediately, matching the
-	// local backend; a worker that never manages to join is eventually
-	// reported dead by the detector once its handshake lands — or stays
-	// unwatched, in which case Sends to it fail loudly.
-	return nil
+	return t.bringUp(base, base+n)
 }
 
 // Close implements transport.Transport: stop detection, dismiss workers,

@@ -143,17 +143,11 @@ func TestGrow(t *testing.T) {
 	if err := tr.Grow(2); err != nil {
 		t.Fatalf("Grow(2): %v", err)
 	}
-	// New workers join asynchronously; poll briefly.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		_, err := tr.Send(0, 3, transport.ClassTask, 0, nil)
-		if err == nil {
-			break
+	// Grow returns after the new places' handshakes: no polling.
+	for p := 2; p < 4; p++ {
+		if _, err := tr.Send(0, p, transport.ClassTask, 0, nil); err != nil {
+			t.Fatalf("grown place %d not sendable when Grow returned: %v", p, err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("grown place 3 never became sendable: %v", err)
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -2,36 +2,46 @@ package tcp
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
+	"net"
 	"sync"
+	"time"
 
 	"github.com/rgml/rgml/internal/apgas/kernel"
+	"github.com/rgml/rgml/internal/codec"
 )
 
-// Wire format: every message is one frame — a 4-byte big-endian length
-// prefix followed by that many bytes of gob-encoded frame struct. The
-// gob encoder and decoder are persistent per connection, so type
-// descriptors cross the wire once per connection instead of once per
-// frame (a heartbeat shrinks from ~80 bytes of body to ~15); the length
-// prefix keeps framing independent of the codec, preserves per-frame
-// footprint accounting, and lets a reader fail loudly on a frame whose
-// gob run does not match its declared length. maxFrameLen bounds a
-// single frame (a corrupt or hostile length prefix must not allocate
-// gigabytes).
+// Wire format v3: every message, of all seven types, is one flat frame,
+// little-endian throughout.
+//
+//	prefix  u32  bytes that follow (≤ maxFrameLen)
+//	header  u8 type | u8 class | u16 nblobs | i32 from | i32 to | u32 ver
+//	        | i64 size | u64 seq | u32 metaLen                  (headerLen)
+//	meta    metaLen bytes: the kernel.Task of an fTask or kernel.Result of
+//	        an fResult, flat-encoded by internal/apgas/kernel; empty otherwise
+//	table   nblobs × u32 blob length
+//	blobs   the blob bytes, back to back
+//
+// Blobs are the bulk payloads — a task's Puts[i].Data and Payload, a
+// result's Frames and Payload, a data frame's Payload. The sender never
+// copies them: one vectored write takes header, meta and table from a
+// per-connection scratch buffer and each blob from the caller's own
+// slice. The receiver reads each into a codec.GetBuffer buffer that
+// becomes the decoded frame's slice. Sender and receiver account the same
+// footprint for a frame: prefix plus the length it states. maxFrameLen
+// bounds a single frame, and every inner length is checked against the
+// frame's own before anything is allocated for it (a corrupt or hostile
+// length must not allocate gigabytes).
 const maxFrameLen = 1 << 28 // 256 MiB
 
 // wireVersion is the frame-stream format version, carried in the hello
-// handshake. Version 2 introduced the persistent per-connection gob
-// codec: after the first frame the byte stream is meaningless to a
-// fresh-decoder peer, so the coordinator rejects a hello that does not
-// declare the same version instead of desyncing mid-run. (The hello
-// itself decodes under either scheme — a persistent encoder's first
-// message and a fresh encoder's only message are byte-identical.)
-const wireVersion = 2
+// handshake; the coordinator rejects a hello that does not declare it.
+// Version 3 replaced the length-prefixed gob stream of version 2, whose
+// hello does not even parse as a v3 frame (its big-endian length reads as
+// an oversized little-endian one) and is rejected the same way.
+const wireVersion = 3
 
 // frameType discriminates the messages crossing a coordinator-worker
 // connection.
@@ -103,121 +113,203 @@ type frame struct {
 	Result *kernel.Result
 }
 
-// chunkReader feeds one frame body at a time to the persistent gob
-// decoder. It implements io.ByteReader so gob reads exact message
-// lengths itself instead of wrapping the reader in a read-ahead bufio
-// that would cross frame boundaries.
-type chunkReader struct {
-	buf []byte
-}
+// headerLen is the fixed header that follows the length prefix.
+const headerLen = 36
 
-func (cr *chunkReader) Read(p []byte) (int, error) {
-	if len(cr.buf) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, cr.buf)
-	cr.buf = cr.buf[n:]
-	return n, nil
-}
+// maxBlobs bounds the blobs of one frame (the header counts them in 16
+// bits).
+const maxBlobs = 1<<16 - 1
 
-func (cr *chunkReader) ReadByte() (byte, error) {
-	if len(cr.buf) == 0 {
-		return 0, io.EOF
-	}
-	b := cr.buf[0]
-	cr.buf = cr.buf[1:]
-	return b, nil
-}
+// writeFloor is the slowest transfer a healthy peer is assumed to
+// sustain: a frame's write deadline is the detector timeout plus its
+// size at this rate, so a 256 MiB frame is not declared stuck by a
+// quarter-second timeout while a stopped peer still is.
+const writeFloor = 64 << 20 // bytes per second
 
-// frameConn wraps one side of a connection with buffered, length-prefixed
-// framing over a persistent gob codec. Writes are serialized by a mutex
-// so heartbeats, data, task and control frames from different goroutines
-// interleave at frame granularity; reads are single-goroutine by
-// construction (one reader per connection). Because the codec state is
-// per-connection, frames are only decodable by the connection's own
-// decoder, in order — which the transport guarantees anyway.
+// frameConn wraps one side of a connection with the v3 framing. Writes
+// are serialized by a mutex so heartbeats, data, task and control frames
+// from different goroutines interleave at frame granularity, and each
+// carries a deadline; reads are single-goroutine by construction (one
+// reader per connection).
 type frameConn struct {
-	wmu    sync.Mutex
-	w      *bufio.Writer
-	encBuf bytes.Buffer
-	enc    *gob.Encoder
+	c net.Conn
+	// wtimeout bounds how long one frame may sit in write before the peer
+	// counts as gone (see writeFloor).
+	wtimeout time.Duration
+	// dropData makes read discard fData payloads instead of materialising
+	// them: a worker's whole contract for runtime traffic is to drain it.
+	dropData bool
 
-	r   *bufio.Reader
-	dr  chunkReader
-	dec *gob.Decoder
+	wmu  sync.Mutex
+	wbuf []byte   // prefix + header + meta + blob table of the frame being written
+	wvec [][]byte // the write vector: wbuf, then the frame's blobs
 
-	c    io.Closer
+	r    *bufio.Reader
+	rbuf []byte // meta + blob table of the frame being read
+
 	once sync.Once
 }
 
-func newFrameConn(rwc io.ReadWriteCloser) *frameConn {
-	fc := &frameConn{
-		w: bufio.NewWriter(rwc),
-		r: bufio.NewReader(rwc),
-		c: rwc,
-	}
-	fc.enc = gob.NewEncoder(&fc.encBuf)
-	fc.dec = gob.NewDecoder(&fc.dr)
-	return fc
+func newFrameConn(c net.Conn, wtimeout time.Duration) *frameConn {
+	return &frameConn{c: c, wtimeout: wtimeout, r: bufio.NewReader(c)}
 }
 
-// write encodes and sends one frame, flushing it onto the wire before
-// returning; a frame is either fully sent or the connection is broken.
-// It returns the frame's wire footprint (prefix + gob body) so senders
-// can account the bytes that actually crossed the wire, mirroring read.
+// write sends one frame with a single vectored write — header, meta and
+// blob table from the connection's scratch buffer, every blob straight
+// from the caller's slice — and returns its wire footprint, mirroring
+// read. A frame is either fully sent or the connection is closed: a
+// failed or timed-out write may have left half a frame on the wire.
 func (fc *frameConn) write(f *frame) (int, error) {
 	fc.wmu.Lock()
 	defer fc.wmu.Unlock()
-	fc.encBuf.Reset()
-	if err := fc.enc.Encode(f); err != nil {
-		return 0, fmt.Errorf("tcp: encode %v frame: %w", f.Type, err)
+	b := append(fc.wbuf[:0], make([]byte, 4+headerLen)...)
+	vec := append(fc.wvec[:0], nil) // slot 0 is b's, once b has stopped growing
+	switch f.Type {
+	case fTask:
+		b, vec = f.Task.AppendWire(b, vec)
+	case fResult:
+		b, vec = f.Result.AppendWire(b, vec)
+	default:
+		if len(f.Payload) > 0 {
+			vec = append(vec, f.Payload)
+		}
 	}
-	body := fc.encBuf.Bytes()
-	if len(body) > maxFrameLen {
-		return 0, fmt.Errorf("tcp: %v frame of %d bytes exceeds limit %d", f.Type, len(body), maxFrameLen)
+	blobs := vec[1:]
+	metaLen := len(b) - 4 - headerLen
+	if len(blobs) > maxBlobs {
+		return 0, fmt.Errorf("tcp: %v frame with %d blobs exceeds limit %d", f.Type, len(blobs), maxBlobs)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := fc.w.Write(hdr[:]); err != nil {
+	le := binary.LittleEndian
+	total := int64(len(b) - 4 + 4*len(blobs))
+	for _, blob := range blobs {
+		b = le.AppendUint32(b, uint32(len(blob)))
+		total += int64(len(blob))
+	}
+	if total > maxFrameLen {
+		return 0, fmt.Errorf("tcp: %v frame of %d bytes exceeds limit %d", f.Type, total, maxFrameLen)
+	}
+	le.PutUint32(b[0:], uint32(total))
+	b[4], b[5] = byte(f.Type), f.Class
+	le.PutUint16(b[6:], uint16(len(blobs)))
+	le.PutUint32(b[8:], uint32(f.From))
+	le.PutUint32(b[12:], uint32(f.To))
+	le.PutUint32(b[16:], f.Ver)
+	le.PutUint64(b[20:], uint64(f.Size))
+	le.PutUint64(b[28:], f.Seq)
+	le.PutUint32(b[36:], uint32(metaLen))
+
+	// Empty blobs exist in the table only; the vector skips them.
+	vec[0] = b
+	n := 1
+	for _, blob := range blobs {
+		if len(blob) > 0 {
+			vec[n] = blob
+			n++
+		}
+	}
+	fc.wbuf, fc.wvec = b, vec[:0]
+	err := fc.c.SetWriteDeadline(time.Now().Add(fc.wtimeout + time.Duration(total)*time.Second/writeFloor))
+	if err == nil {
+		bufs := net.Buffers(vec[:n]) // WriteTo consumes its receiver; vec keeps the full view
+		_, err = bufs.WriteTo(fc.c)
+	}
+	clear(vec) // the scratch vector must not pin the caller's blobs
+	if err != nil {
+		fc.close()
 		return 0, err
 	}
-	if _, err := fc.w.Write(body); err != nil {
-		return 0, err
-	}
-	if err := fc.w.Flush(); err != nil {
-		return 0, err
-	}
-	return 4 + len(body), nil
+	return 4 + int(total), nil
 }
 
 // read decodes the next frame, blocking until one arrives or the
-// connection breaks. It returns the frame's wire footprint (prefix +
-// body) for byte accounting.
+// connection breaks, and returns its wire footprint (prefix included).
+// Every declared length is checked against the frame's own length — and
+// that against maxFrameLen — before anything is allocated for it. Blobs
+// are read straight into codec.GetBuffer buffers, which the decoded
+// frame owns.
 func (fc *frameConn) read(f *frame) (int, error) {
-	var hdr [4]byte
+	var hdr [4 + headerLen]byte
 	if _, err := io.ReadFull(fc.r, hdr[:]); err != nil {
 		return 0, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrameLen {
-		return 0, fmt.Errorf("tcp: frame length %d exceeds limit %d", n, maxFrameLen)
+	le := binary.LittleEndian
+	total := int64(le.Uint32(hdr[0:]))
+	nblobs := int64(le.Uint16(hdr[6:]))
+	metaLen := int64(le.Uint32(hdr[36:]))
+	if total > maxFrameLen {
+		return 0, fmt.Errorf("tcp: frame length %d exceeds limit %d", total, maxFrameLen)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(fc.r, body); err != nil {
+	blobBytes := total - headerLen - metaLen - 4*nblobs
+	if blobBytes < 0 {
+		return 0, fmt.Errorf("tcp: frame of %d bytes cannot hold %d meta bytes and %d blob lengths", total, metaLen, nblobs)
+	}
+	*f = frame{
+		Type:  frameType(hdr[4]),
+		Class: hdr[5],
+		From:  int32(le.Uint32(hdr[8:])),
+		To:    int32(le.Uint32(hdr[12:])),
+		Ver:   le.Uint32(hdr[16:]),
+		Size:  int64(le.Uint64(hdr[20:])),
+		Seq:   le.Uint64(hdr[28:]),
+	}
+	if need := int(metaLen + 4*nblobs); cap(fc.rbuf) < need {
+		fc.rbuf = make([]byte, need)
+	}
+	meta, table := fc.rbuf[:metaLen], fc.rbuf[metaLen:metaLen+4*nblobs]
+	if _, err := io.ReadFull(fc.r, fc.rbuf[:metaLen+4*nblobs]); err != nil {
+		return 0, noEOF(err)
+	}
+	var declared int64
+	for i := int64(0); i < nblobs; i++ {
+		declared += int64(le.Uint32(table[4*i:]))
+	}
+	if declared != blobBytes {
+		return 0, fmt.Errorf("tcp: %v frame declares %d blob bytes, its length leaves %d", f.Type, declared, blobBytes)
+	}
+	if f.Type == fData && fc.dropData {
+		_, err := fc.r.Discard(int(blobBytes))
+		return 4 + int(total), noEOF(err)
+	}
+	var blobs [][]byte
+	if nblobs > 0 {
+		blobs = make([][]byte, nblobs)
+	}
+	for i := range blobs {
+		n := int(le.Uint32(table[4*i:]))
+		if n == 0 {
+			continue
+		}
+		blobs[i] = codec.GetBuffer(n)[:n]
+		if _, err := io.ReadFull(fc.r, blobs[i]); err != nil {
+			return 0, noEOF(err)
+		}
+	}
+	var err error
+	switch f.Type {
+	case fTask:
+		f.Task, err = kernel.DecodeTask(meta, blobs)
+	case fResult:
+		f.Result, err = kernel.DecodeResult(meta, blobs, true)
+	default:
+		if metaLen != 0 || len(blobs) > 1 {
+			err = fmt.Errorf("tcp: %v frame with %d meta bytes and %d blobs", f.Type, metaLen, len(blobs))
+		} else if len(blobs) == 1 {
+			f.Payload = blobs[0]
+		}
+	}
+	if err != nil {
 		return 0, err
 	}
-	*f = frame{}
-	fc.dr.buf = body
-	if err := fc.dec.Decode(f); err != nil {
-		return 0, fmt.Errorf("tcp: decode frame: %w", err)
+	return 4 + int(total), nil
+}
+
+// noEOF turns an end of stream inside a frame into the error it is: only
+// between frames is EOF a clean close.
+func noEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
 	}
-	if len(fc.dr.buf) != 0 {
-		// One Encode call produces exactly the byte run one Decode call
-		// consumes; leftovers mean the peer's codec state and ours have
-		// diverged, and every later frame would misdecode.
-		return 0, fmt.Errorf("tcp: frame decode left %d undecoded bytes (codec desync)", len(fc.dr.buf))
-	}
-	return 4 + int(n), nil
+	return err
 }
 
 // close tears the connection down. Idempotent; concurrent with reads and

@@ -1,7 +1,14 @@
 package tcp
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"math/rand"
 	"net"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -15,20 +22,58 @@ import (
 func pipePair(t *testing.T) (*frameConn, *frameConn) {
 	t.Helper()
 	a, b := net.Pipe()
-	fa, fb := newFrameConn(a), newFrameConn(b)
+	fa, fb := newFrameConn(a, time.Minute), newFrameConn(b, time.Minute)
 	t.Cleanup(func() { fa.close(); fb.close() })
 	return fa, fb
+}
+
+// byteConn is the read side of a connection over fixed bytes: what a
+// frameConn sees of a peer that sent exactly those bytes and hung up.
+type byteConn struct {
+	net.Conn // nil: the decode path uses nothing but Read and Close
+	r        *bytes.Reader
+}
+
+func (c byteConn) Read(p []byte) (int, error) { return c.r.Read(p) }
+func (c byteConn) Close() error               { return nil }
+
+func decoderOver(data []byte) *frameConn {
+	return newFrameConn(byteConn{r: bytes.NewReader(data)}, time.Minute)
+}
+
+// encodeFrames returns the wire bytes of the given frames and each
+// frame's footprint as the sender accounted it.
+func encodeFrames(t testing.TB, frames ...*frame) ([]byte, []int) {
+	t.Helper()
+	a, b := net.Pipe()
+	fc := newFrameConn(a, time.Minute)
+	got := make(chan []byte, 1)
+	go func() {
+		data, _ := io.ReadAll(b)
+		got <- data
+	}()
+	var ns []int
+	for _, f := range frames {
+		n, err := fc.write(f)
+		if err != nil {
+			t.Fatalf("write %v: %v", f.Type, err)
+		}
+		ns = append(ns, n)
+	}
+	fc.close()
+	return <-got, ns
 }
 
 // testFrames is a representative mixed sequence: handshake, beats, data
 // with and without payload, a kernel task with puts, and its result.
 func testFrames() []*frame {
 	task := &kernel.Task{
-		Name: "wiretest.noop",
-		I64:  []int64{1, 2, 3},
-		F64:  []float64{0.5, 0.25},
-		Refs: []kernel.Ref{{Handle: 7, Key: 0, Ver: 3}},
-		Puts: []kernel.Blob{{Handle: 7, Key: 0, Ver: 3, Data: []byte("payload")}},
+		Name:  "wiretest.noop",
+		I64:   []int64{1, 2, 3},
+		F64:   []float64{0.5, 0.25},
+		Refs:  []kernel.Ref{{Handle: 7, Key: 0, Ver: 3}},
+		Puts:  []kernel.Blob{{Handle: 7, Key: 0, Ver: 3, Data: []byte("payload")}},
+		Drops: []uint64{5, 6},
 	}
 	return []*frame{
 		{Type: fHello, From: 1, Ver: wireVersion},
@@ -38,69 +83,141 @@ func testFrames() []*frame {
 		{Type: fTask, To: 1, Seq: 1, Task: task},
 		{Type: fResult, From: 1, Seq: 1, Result: &kernel.Result{F64: []float64{1, 2}}},
 		{Type: fHeartbeat, From: 1},
+		{Type: fKill, To: 1},
 		{Type: fTask, To: 1, Seq: 2, Task: task},
-		{Type: fResult, From: 1, Seq: 2, Result: &kernel.Result{F64: []float64{3, 4}}},
+		{Type: fResult, From: 1, Seq: 2, Result: &kernel.Result{Err: "no luck", Frames: [][]byte{{1}, nil, {2, 3}}}},
+		{Type: fBye, To: 1},
 	}
+}
+
+// randomFrame draws a frame of the given type with nblobs blobs where the
+// type can carry them (task and result: nblobs-1 puts or frames plus the
+// payload; data: at most the payload). Blob sizes include empty, one
+// byte, and sizes either side of the reader's buffer.
+func randomFrame(rng *rand.Rand, typ frameType, nblobs int) *frame {
+	blob := func() []byte {
+		sizes := []int{0, 1, 7, 64, 4095, 4097, 70000}
+		b := make([]byte, sizes[rng.Intn(len(sizes))])
+		rng.Read(b)
+		return b
+	}
+	f := &frame{
+		Type: typ, From: rng.Int31(), To: -rng.Int31(), Class: uint8(rng.Intn(4)),
+		Ver: rng.Uint32(), Size: rng.Int63(), Seq: rng.Uint64(),
+	}
+	switch typ {
+	case fTask:
+		t := &kernel.Task{Name: "wiretest.random", Place: rng.Int31(), Payload: blob()}
+		for i := rng.Intn(4); i > 0; i-- {
+			t.I64 = append(t.I64, -rng.Int63())
+			t.F64 = append(t.F64, rng.NormFloat64())
+			t.Refs = append(t.Refs, kernel.Ref{Handle: rng.Uint64(), Key: -rng.Int63(), Ver: rng.Uint64()})
+			t.Drops = append(t.Drops, rng.Uint64())
+		}
+		for i := 1; i < nblobs; i++ {
+			t.Puts = append(t.Puts, kernel.Blob{Handle: rng.Uint64(), Key: rng.Int63(), Ver: rng.Uint64(), Data: blob()})
+		}
+		f.Task = t
+	case fResult:
+		r := &kernel.Result{Payload: blob(), Err: []string{"", "kernel said no"}[rng.Intn(2)]}
+		for i := rng.Intn(4); i > 0; i-- {
+			r.F64 = append(r.F64, rng.NormFloat64())
+		}
+		for i := 1; i < nblobs; i++ {
+			r.Frames = append(r.Frames, blob())
+		}
+		f.Result = r
+	case fData:
+		if nblobs > 0 {
+			f.Payload = blob()
+		}
+	}
+	return f
+}
+
+// normalize maps every empty slice of a frame to nil and drops what never
+// crosses the wire, so reflect.DeepEqual compares content.
+func normalize(f *frame) *frame {
+	nilIfEmpty := func(b []byte) []byte {
+		if len(b) == 0 {
+			return nil
+		}
+		return b
+	}
+	g := *f
+	g.Payload = nilIfEmpty(g.Payload)
+	if f.Task != nil {
+		t := *f.Task
+		t.Payload = nilIfEmpty(t.Payload)
+		t.Puts = append([]kernel.Blob(nil), t.Puts...)
+		for i := range t.Puts {
+			t.Puts[i].Data = nilIfEmpty(t.Puts[i].Data)
+		}
+		g.Task = &t
+	}
+	if f.Result != nil {
+		r := *f.Result
+		r.Payload, r.Pooled = nilIfEmpty(r.Payload), false
+		r.Frames = append([][]byte(nil), r.Frames...)
+		for i := range r.Frames {
+			r.Frames[i] = nilIfEmpty(r.Frames[i])
+		}
+		g.Result = &r
+	}
+	return &g
 }
 
 // TestWireFootprintSenderEqualsReceiver pins the wire-accounting contract
 // behind the transport.tcp.wire_bytes counter: the footprint write
 // reports for a frame is exactly the footprint read reports on the other
-// side, so the sender-side counter equals the bytes a receiver would sum
-// — no double count of the length prefix, no missed gob descriptor
-// bytes.
+// side — and exactly the bytes that crossed — so the sender-side counter
+// equals what a receiver would sum.
 func TestWireFootprintSenderEqualsReceiver(t *testing.T) {
-	sender, receiver := pipePair(t)
 	frames := testFrames()
-
-	sent := make(chan []int, 1)
-	go func() {
-		var ns []int
-		for _, f := range frames {
-			n, err := sender.write(f)
-			if err != nil {
-				t.Errorf("write %v: %v", f.Type, err)
-				break
-			}
-			ns = append(ns, n)
-		}
-		sent <- ns
-	}()
-
-	var got []int
-	for range frames {
+	rng := rand.New(rand.NewSource(3))
+	for _, typ := range []frameType{fData, fTask, fResult} {
+		frames = append(frames, randomFrame(rng, typ, 1+rng.Intn(8)))
+	}
+	data, wrote := encodeFrames(t, frames...)
+	receiver := decoderOver(data)
+	var sum int
+	for i, want := range wrote {
 		var f frame
 		n, err := receiver.read(&f)
 		if err != nil {
-			t.Fatalf("read frame %d: %v", len(got), err)
+			t.Fatalf("read frame %d: %v", i, err)
 		}
-		got = append(got, n)
-	}
-	wrote := <-sent
-	if len(wrote) != len(got) {
-		t.Fatalf("wrote %d frames, read %d", len(wrote), len(got))
-	}
-	var sumW, sumR int
-	for i := range wrote {
-		if wrote[i] != got[i] {
-			t.Errorf("frame %d (%v): sender counted %d bytes, receiver %d", i, frames[i].Type, wrote[i], got[i])
+		if n != want {
+			t.Errorf("frame %d (%v): sender counted %d bytes, receiver %d", i, frames[i].Type, want, n)
 		}
-		sumW += wrote[i]
-		sumR += got[i]
+		sum += n
 	}
-	if sumW != sumR {
-		t.Fatalf("total sender footprint %d != receiver footprint %d", sumW, sumR)
+	if sum != len(data) {
+		t.Fatalf("frames account for %d bytes, %d crossed the wire", sum, len(data))
+	}
+	// A payload-bearing frame costs its payload plus a fixed, small
+	// overhead: no per-byte encoding tax.
+	big := &frame{Type: fData, Payload: make([]byte, 1<<20)}
+	if _, ns := encodeFrames(t, big); ns[0] > len(big.Payload)+4+headerLen+4 {
+		t.Fatalf("1 MiB data frame costs %d bytes on the wire", ns[0])
 	}
 }
 
-// TestWireRoundTripPreservesFrames verifies the persistent codec decodes
-// every frame of a mixed stream back to its written content — including
-// the nested task and result structures — with no state bleed between
-// frames.
+// TestWireRoundTripPreservesFrames is the round-trip property: every
+// frame type, with 0 to 8 blobs where it carries blobs (empty and
+// one-byte blobs included), decodes back to what was written, in a mixed
+// stream with no state bleeding between frames.
 func TestWireRoundTripPreservesFrames(t *testing.T) {
-	sender, receiver := pipePair(t)
+	rng := rand.New(rand.NewSource(20150525))
 	frames := testFrames()
+	for _, typ := range []frameType{fHello, fHeartbeat, fData, fKill, fBye, fTask, fResult} {
+		for nblobs := 0; nblobs <= 8; nblobs++ {
+			frames = append(frames, randomFrame(rng, typ, nblobs))
+		}
+	}
+	rng.Shuffle(len(frames), func(i, j int) { frames[i], frames[j] = frames[j], frames[i] })
 
+	sender, receiver := pipePair(t)
 	go func() {
 		for _, f := range frames {
 			if _, err := sender.write(f); err != nil {
@@ -109,93 +226,193 @@ func TestWireRoundTripPreservesFrames(t *testing.T) {
 			}
 		}
 	}()
-
 	for i, want := range frames {
-		var f frame
-		if _, err := receiver.read(&f); err != nil {
-			t.Fatalf("read frame %d: %v", i, err)
+		var got frame
+		if _, err := receiver.read(&got); err != nil {
+			t.Fatalf("read frame %d (%v): %v", i, want.Type, err)
 		}
-		if f.Type != want.Type || f.From != want.From || f.To != want.To || f.Size != want.Size || f.Seq != want.Seq {
-			t.Fatalf("frame %d decoded as %+v, want header of %+v", i, f, want)
+		if !reflect.DeepEqual(normalize(&got), normalize(want)) {
+			t.Fatalf("frame %d (%v) decoded as\n%+v\nwant\n%+v", i, want.Type, normalize(&got), normalize(want))
 		}
-		if string(f.Payload) != string(want.Payload) {
-			t.Fatalf("frame %d payload %q, want %q", i, f.Payload, want.Payload)
-		}
-		if want.Task != nil {
-			if f.Task == nil || f.Task.Name != want.Task.Name || len(f.Task.Puts) != len(want.Task.Puts) {
-				t.Fatalf("frame %d task decoded as %+v, want %+v", i, f.Task, want.Task)
-			}
-			if string(f.Task.Puts[0].Data) != string(want.Task.Puts[0].Data) {
-				t.Fatalf("frame %d put data %q, want %q", i, f.Task.Puts[0].Data, want.Task.Puts[0].Data)
-			}
-		}
-		if want.Result != nil && (f.Result == nil || len(f.Result.F64) != len(want.Result.F64)) {
-			t.Fatalf("frame %d result decoded as %+v, want %+v", i, f.Result, want.Result)
+		if want.Result != nil && !got.Result.Pooled {
+			t.Fatalf("frame %d: result read off the wire is not marked pool-backed", i)
 		}
 	}
 }
 
-// TestPersistentCodecAmortizesDescriptors pins the reason wireVersion 2
-// exists: with a persistent per-connection codec, gob ships the frame
-// struct's transitive type descriptors (frame, kernel.Task, Ref, Blob,
-// Result) exactly once — on the connection's first frame — so every
-// later frame, whatever its shape, is descriptor-free and strictly
-// smaller. A regression to a fresh-encoder-per-frame scheme re-ships
-// descriptors every frame and makes all the sizes equal to the first,
-// which this test rejects.
-func TestPersistentCodecAmortizesDescriptors(t *testing.T) {
-	sender, receiver := pipePair(t)
-	task := &kernel.Task{Name: "wiretest.noop", I64: []int64{9}}
-	seq := []*frame{
-		{Type: fHeartbeat, From: 1},
-		{Type: fHeartbeat, From: 1},
-		{Type: fTask, To: 1, Seq: 1, Task: task},
-		{Type: fTask, To: 1, Seq: 2, Task: task},
+// TestWireDropDataDiscardsPayload pins what a worker does with runtime
+// traffic: the payload of a data frame is skipped, never materialised,
+// the footprint still counts it, and the stream stays in step.
+func TestWireDropDataDiscardsPayload(t *testing.T) {
+	data, wrote := encodeFrames(t,
+		&frame{Type: fData, Size: 100000, Payload: make([]byte, 100000)},
+		&frame{Type: fHeartbeat, From: 4})
+	fc := decoderOver(data)
+	fc.dropData = true
+	var f frame
+	if n, err := fc.read(&f); err != nil || n != wrote[0] || f.Type != fData || f.Size != 100000 || f.Payload != nil {
+		t.Fatalf("dropData read = %d bytes, %v, frame %+v; want %d bytes, header only", n, err, f, wrote[0])
 	}
-	sent := make(chan []int, 1)
-	go func() {
-		var ns []int
-		for i, f := range seq {
-			n, err := sender.write(f)
-			if err != nil {
-				t.Errorf("write %d: %v", i, err)
-				break
+	if _, err := fc.read(&f); err != nil || f.Type != fHeartbeat || f.From != 4 {
+		t.Fatalf("frame after a discarded payload = %+v, %v", f, err)
+	}
+}
+
+// TestWireTruncatedAtEveryOffset cuts a mixed stream at every byte: the
+// frames before the cut decode, the cut one is an error — a clean EOF
+// only exactly between frames — and nothing panics.
+func TestWireTruncatedAtEveryOffset(t *testing.T) {
+	data, wrote := encodeFrames(t, testFrames()...)
+	for cut := 0; cut < len(data); cut++ {
+		fc := decoderOver(data[:cut])
+		off := 0
+		for i := 0; ; i++ {
+			var f frame
+			n, err := fc.read(&f)
+			if err == nil {
+				if n != wrote[i] || off+n > cut {
+					t.Fatalf("cut %d: frame %d decoded with %d bytes at offset %d", cut, i, n, off)
+				}
+				off += n
+				continue
 			}
-			ns = append(ns, n)
+			if (err == io.EOF) != (off == cut) {
+				t.Fatalf("cut %d: frame %d at offset %d failed with %v", cut, i, off, err)
+			}
+			break
 		}
-		sent <- ns
-	}()
-	for i := range seq {
+	}
+}
+
+// TestWireRejectsOversizeBeforeAllocating feeds headers whose declared
+// lengths are inconsistent or beyond maxFrameLen: each is rejected from
+// the header and table alone, without allocating for the blobs it
+// claims.
+func TestWireRejectsOversizeBeforeAllocating(t *testing.T) {
+	le := binary.LittleEndian
+	header := func(total uint32, typ frameType, nblobs uint16, metaLen uint32, table ...uint32) []byte {
+		b := make([]byte, 4+headerLen)
+		le.PutUint32(b[0:], total)
+		b[4] = byte(typ)
+		le.PutUint16(b[6:], nblobs)
+		le.PutUint32(b[36:], metaLen)
+		for _, n := range table {
+			b = le.AppendUint32(b, n)
+		}
+		return b
+	}
+	const big = maxFrameLen - headerLen - 4
+	cases := map[string][]byte{
+		"length past the limit":           header(maxFrameLen+1, fData, 0, 0),
+		"v2 big-endian gob prefix":        {0, 0, 0, 95, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36},
+		"shorter than its header":         header(headerLen-1, fHeartbeat, 0, 0),
+		"meta longer than the frame":      header(headerLen+8, fTask, 0, 9),
+		"blob table longer than frame":    header(headerLen+8, fData, 3, 0),
+		"blob longer than the frame":      header(headerLen+4+10, fData, 1, 0, 1<<30),
+		"blobs sum past the frame":        header(headerLen+8+10, fTask, 2, 0, 6, 6),
+		"blobs sum short of the frame":    header(headerLen+4+10, fData, 1, 0, 9),
+		"two blobs on a data frame":       append(header(headerLen+8+2, fData, 2, 0, 1, 1), 7, 7),
+		"blob count beyond the task meta": append(header(headerLen+8+2, fTask, 2, 0, 1, 1), 7, 7),
+	}
+	for name, data := range cases {
 		var f frame
-		if _, err := receiver.read(&f); err != nil {
-			t.Fatalf("read %d: %v", i, err)
+		if _, err := decoderOver(data).read(&f); err == nil || err == io.EOF {
+			t.Errorf("%s: read = %v, want a decode error", name, err)
 		}
 	}
-	sizes := <-sent
-	if len(sizes) != len(seq) {
-		t.Fatalf("wrote %d frames, want %d", len(sizes), len(seq))
+
+	// A maximal legal blob whose bytes never arrive is the one case that
+	// must allocate; an illegal one of the same size must not.
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	for i := 0; i < 4; i++ {
+		var f frame
+		if _, err := decoderOver(header(headerLen+4+big-1, fData, 1, 0, big)).read(&f); err == nil {
+			t.Fatal("inconsistent 256 MiB blob accepted")
+		}
 	}
-	if sizes[1] >= sizes[0] {
-		t.Fatalf("second heartbeat %d bytes, first %d: descriptors not amortized", sizes[1], sizes[0])
+	runtime.ReadMemStats(&ms)
+	if grew := ms.TotalAlloc - before; grew > 1<<20 {
+		t.Fatalf("rejecting oversize frames allocated %d bytes", grew)
 	}
-	if sizes[0]-sizes[1] < 30 {
-		t.Fatalf("heartbeat shrank only %d bytes (first %d, second %d); expected the ~full descriptor overhead", sizes[0]-sizes[1], sizes[0], sizes[1])
+}
+
+// TestWireWriteRefusesOversizeFrame: the sender refuses what a receiver
+// would reject, before touching the wire.
+func TestWireWriteRefusesOversizeFrame(t *testing.T) {
+	sender, _ := pipePair(t)
+	half := make([]byte, maxFrameLen/2)
+	task := &kernel.Task{Name: "wiretest.big", Puts: []kernel.Blob{{Data: half}, {Data: half}}}
+	if _, err := sender.write(&frame{Type: fTask, Task: task}); err == nil {
+		t.Fatal("frame past maxFrameLen written")
 	}
-	// The first frame paid for ALL descriptors: even the first fTask —
-	// a shape never sent before on this connection — rides descriptor-free
-	// and identical to its repeat, and far below the first frame.
-	if sizes[2] != sizes[3] {
-		t.Fatalf("identical task frames differ: %d vs %d bytes — descriptors re-shipped", sizes[2], sizes[3])
+	if _, err := sender.write(&frame{Type: fResult, Result: &kernel.Result{Frames: make([][]byte, maxBlobs+1)}}); err == nil {
+		t.Fatal("frame past maxBlobs written")
 	}
-	if sizes[2] >= sizes[0] {
-		t.Fatalf("task frame (%d bytes) not below the descriptor-bearing first frame (%d)", sizes[2], sizes[0])
+}
+
+// FuzzFrameDecode throws arbitrary bytes at the frame reader: it may
+// reject them, never panic, and whatever it accepts re-encodes to a frame
+// that decodes to the same content.
+func FuzzFrameDecode(f *testing.F) {
+	valid, _ := encodeFrames(f, testFrames()...)
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add([]byte{0, 0, 0, 95})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= 4 && binary.LittleEndian.Uint32(data) > uint32(len(data)) {
+			// A frame longer than the input can only end in a short read;
+			// skip it so the fuzzer does not spend its time allocating for
+			// maximal blobs that never arrive (the truncation test covers
+			// short reads at every offset).
+			return
+		}
+		fc := decoderOver(data)
+		for {
+			var got frame
+			if _, err := fc.read(&got); err != nil {
+				return
+			}
+			re, _ := encodeFrames(t, &got)
+			var again frame
+			if _, err := decoderOver(re).read(&again); err != nil {
+				t.Fatalf("re-encoded frame does not decode: %v", err)
+			}
+			if !reflect.DeepEqual(normalize(&again), normalize(&got)) {
+				t.Fatalf("re-encoded frame decodes differently:\n%+v\n%+v", normalize(&again), normalize(&got))
+			}
+		}
+	})
+}
+
+// TestWriteDeadlineBreaksStalledConnection pins the rule that every write
+// carries a deadline: against a peer that never reads, write returns an
+// error within the timeout instead of blocking under the write lock, and
+// the connection is closed — half a frame may be on the wire.
+func TestWriteDeadlineBreaksStalledConnection(t *testing.T) {
+	a, b := net.Pipe()
+	defer b.Close()
+	fc := newFrameConn(a, 50*time.Millisecond)
+	start := time.Now()
+	_, err := fc.write(&frame{Type: fData, Payload: make([]byte, 1<<16)})
+	var ne net.Error
+	if !errors.As(err, &ne) || !ne.Timeout() {
+		t.Fatalf("write to a stalled peer = %v, want a timeout", err)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("stalled write took %v", took)
+	}
+	if _, err := fc.write(&frame{Type: fHeartbeat}); err == nil {
+		t.Fatal("connection still writable after a timed-out frame")
 	}
 }
 
 // TestHelloVersionRejected verifies the coordinator refuses a worker
 // speaking a different wire version at the handshake — closing the
-// connection and counting the rejection — instead of admitting a peer
-// whose codec state would desync on the first post-hello frame.
+// connection and counting the rejection — instead of admitting a peer it
+// would misdecode later. A version-2 peer's gob hello does not parse as a
+// frame at all and is turned away the same way.
 func TestHelloVersionRejected(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := New(WithExternalWorkers(), WithObs(reg), WithHeartbeat(10*time.Millisecond, 2*time.Second))
@@ -209,26 +426,37 @@ func TestHelloVersionRejected(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// A version-1 peer: its hello decodes fine (first frames are
-	// byte-identical across schemes) but must be turned away.
-	conn, err := net.Dial("tcp", tr.Addr())
-	if err != nil {
-		t.Fatalf("dial: %v", err)
+	stale := map[string]func(conn net.Conn) error{
+		"v3 framing, version 2": func(conn net.Conn) error {
+			_, err := newFrameConn(conn, time.Second).write(&frame{Type: fHello, From: 1, Ver: 2})
+			return err
+		},
+		"v2 framing (big-endian length, gob body)": func(conn net.Conn) error {
+			_, err := conn.Write(append([]byte{0, 0, 0, 95}, make([]byte, 95)...))
+			return err
+		},
 	}
-	fc := newFrameConn(conn)
-	if _, err := fc.write(&frame{Type: fHello, From: 1, Ver: 1}); err != nil {
-		t.Fatalf("write stale hello: %v", err)
-	}
-	var f frame
-	if _, err := fc.read(&f); err == nil {
-		t.Fatalf("coordinator answered a stale-version hello with a %v frame; want closed connection", f.Type)
-	}
-	fc.close()
-	for reg.CounterValue("transport.tcp.hello_rejected") == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("hello rejection never counted")
+	rejected := int64(0)
+	for name, hello := range stale {
+		conn, err := net.Dial("tcp", tr.Addr())
+		if err != nil {
+			t.Fatalf("%s: dial: %v", name, err)
 		}
-		time.Sleep(time.Millisecond)
+		if err := hello(conn); err != nil {
+			t.Fatalf("%s: write stale hello: %v", name, err)
+		}
+		var f frame
+		if _, err := newFrameConn(conn, time.Second).read(&f); err == nil {
+			t.Fatalf("%s: coordinator answered a stale hello with a %v frame; want closed connection", name, f.Type)
+		}
+		conn.Close()
+		rejected++
+		for reg.CounterValue("transport.tcp.hello_rejected") < rejected {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: hello rejection never counted", name)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 
 	// A current-version peer joins fine and completes the expected set.
@@ -236,7 +464,7 @@ func TestHelloVersionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatalf("dial 2: %v", err)
 	}
-	fc2 := newFrameConn(conn2)
+	fc2 := newFrameConn(conn2, time.Second)
 	defer fc2.close()
 	if _, err := fc2.write(&frame{Type: fHello, From: 1, Ver: wireVersion}); err != nil {
 		t.Fatalf("write hello: %v", err)

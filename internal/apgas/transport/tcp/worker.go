@@ -8,6 +8,7 @@ import (
 
 	"github.com/rgml/rgml/internal/apgas/kernel"
 	"github.com/rgml/rgml/internal/apgas/transport"
+	"github.com/rgml/rgml/internal/codec"
 )
 
 // The worker side of the backend: the process embodying one non-zero
@@ -69,7 +70,12 @@ func ServeWorker(addr string, place int, interval, timeout time.Duration) error 
 	if err != nil {
 		return fmt.Errorf("tcp: dial coordinator %s: %w", addr, err)
 	}
-	fc := newFrameConn(conn)
+	if timeout <= 0 {
+		timeout = transport.DefaultHeartbeatTimeout
+	}
+	fc := newFrameConn(conn, timeout)
+	defer fc.close()
+	fc.dropData = true
 	if _, err := fc.write(&frame{Type: fHello, From: int32(place), Ver: wireVersion}); err != nil {
 		return fmt.Errorf("tcp: hello: %w", err)
 	}
@@ -118,7 +124,8 @@ func ServeWorker(addr string, place int, interval, timeout time.Duration) error 
 		case fData:
 			// Traffic addressed to this place that carries no kernel:
 			// the wire realization of coordinator-resident task bodies.
-			// Draining it is the whole contract.
+			// Draining it is the whole contract, and read already
+			// discarded the payload unmaterialised (dropData).
 		}
 	}
 }
@@ -128,11 +135,21 @@ func ServeWorker(addr string, place int, interval, timeout time.Duration) error 
 // kernel panic, folded into Result.Err by kernel.Run — produces exactly
 // one fResult for its fTask's Seq; write errors end the loop early
 // (coordinator gone, and the read loop is tearing everything down).
+//
+// Buffer ownership: the task's Puts arrived in pooled buffers that the
+// recycling store now owns and returns to the pool when an entry is
+// replaced or dropped; the task's Payload and a pooled result's outputs
+// go back as soon as the result is on the wire.
 func runKernels(fc *frameConn, place int, tasks <-chan *frame) {
-	ex := &kernel.Exec{Place: place, Store: kernel.NewStore()}
+	st := kernel.NewStore()
+	st.Recycle = true
+	ex := &kernel.Exec{Place: place, Store: st}
 	for f := range tasks {
 		res := kernel.Run(ex, f.Task)
-		if _, err := fc.write(&frame{Type: fResult, From: int32(place), Seq: f.Seq, Result: res}); err != nil {
+		_, err := fc.write(&frame{Type: fResult, From: int32(place), Seq: f.Seq, Result: res})
+		res.Release()
+		codec.PutBuffer(f.Task.Payload)
+		if err != nil {
 			// Coordinator unreachable. Keep draining (without executing)
 			// until the read loop closes the channel, so it never blocks
 			// on a full buffer while trying to reach its own exit.

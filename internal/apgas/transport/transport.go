@@ -25,7 +25,7 @@
 //
 //   - transport/tcp runs one place per OS process: place zero is the
 //     coordinator, every other place is paired with a worker process
-//     reached over a TCP connection carrying length-prefixed gob frames.
+//     reached over a TCP connection carrying flat length-prefixed frames.
 //     A heartbeat failure detector with configurable interval and timeout
 //     turns real process death into Handler.PlaceDead events.
 //
@@ -184,5 +184,10 @@ type Executor interface {
 	// backend closed) is the error; a kernel-level failure travels inside
 	// Result.Err. Callers treat either as "re-execute at the
 	// coordinator", never as a task-visible fault.
+	//
+	// t's blobs (Puts[i].Data, Payload) are borrowed until Exec returns:
+	// the caller may recycle them afterwards, so an implementation that
+	// keeps the bytes — an in-process fake with a store — copies them. The
+	// result may be pool-backed; the caller may Release it.
 	Exec(t *kernel.Task) (*kernel.Result, error)
 }

@@ -40,11 +40,6 @@ var ErrGroupMismatch = errors.New("dist: objects distributed over different plac
 // dimensions.
 var ErrShapeMismatch = errors.New("dist: shape mismatch")
 
-// encodeVector serializes a vector fragment for snapshot storage.
-func encodeVector(v la.Vector) []byte {
-	return codec.AppendFloat64s(make([]byte, 0, codec.SizeFloat64s(len(v))), v)
-}
-
 // saveVector runs the checkpoint fast path for one vector fragment:
 // encode into a pooled, exactly-sized buffer with the CRC-32C folded into
 // the encode pass (over the compressed bytes when comp is set), then hand

@@ -6,6 +6,7 @@ import (
 	"github.com/rgml/rgml/internal/apgas"
 	"github.com/rgml/rgml/internal/apgas/kernel"
 	"github.com/rgml/rgml/internal/block"
+	"github.com/rgml/rgml/internal/codec"
 	"github.com/rgml/rgml/internal/la"
 	"github.com/rgml/rgml/internal/par"
 )
@@ -20,7 +21,15 @@ import (
 // The kernels are pure functions of their task and store entries and use
 // the exact block arithmetic the closure path uses (MultVecAssign), so
 // results are bit-identical wherever they run; vectors cross the wire
-// through the exact float64 codec roundtrip.
+// through the exact float64 codec roundtrip, in pooled buffers
+// (wireVector) that go back to the pool once sent or decoded.
+
+// wireVector encodes v for the data plane into a pooled buffer; whoever
+// ends up owning it (the dispatcher, a Result) returns it with
+// codec.PutBuffer.
+func wireVector(v la.Vector) []byte {
+	return codec.AppendFloat64s(codec.GetBuffer(codec.SizeFloat64s(len(v))), v)
+}
 
 // multVecKernelName is the per-place phase-1 body of MultVec: one
 // partial vector per owned block.
@@ -33,9 +42,12 @@ func init() {
 // multVecKernelBody computes B·x for every block ref of the task.
 // Refs[0] is the duplicated x; Refs[1:] are the place's blocks in
 // ascending block-ID order. The result carries one encoded partial per
-// block ref, in the same order. Blocks decode once per shipped version
-// (Entry.Obj caches the object); x decodes once per shipped version too,
-// which in the solvers means once per iteration.
+// block ref, in the same order, in pooled buffers. Blocks decode once per
+// shipped version (Entry.Obj caches the object); x decodes once per
+// shipped version too, which in the solvers means once per iteration —
+// into the previous version's storage where the store offers it. At the
+// coordinator's own place the entries are the live objects themselves and
+// nothing decodes.
 func multVecKernelBody(ex *kernel.Exec, t *kernel.Task) (*kernel.Result, error) {
 	if len(t.Refs) < 1 {
 		return nil, fmt.Errorf("dist: %s: missing x ref", t.Name)
@@ -45,7 +57,8 @@ func multVecKernelBody(ex *kernel.Exec, t *kernel.Task) (*kernel.Result, error) 
 		return nil, err
 	}
 	xobj, err := xe.Obj(func(data []byte) (any, error) {
-		v, derr := decodeVector(data, nil)
+		prev, _ := xe.Reuse().(la.Vector)
+		v, derr := decodeVectorInto(prev, data, nil)
 		if derr != nil {
 			return nil, derr
 		}
@@ -82,21 +95,26 @@ func multVecKernelBody(ex *kernel.Exec, t *kernel.Task) (*kernel.Result, error) 
 			}
 			out := la.NewVector(b.Rows)
 			b.MultVecAssign(x, out)
-			frames[i] = encodeVector(out)
+			frames[i] = wireVector(out)
 		}
 	})
+	res := &kernel.Result{Frames: frames, Pooled: true}
 	if failed != nil {
+		res.Release()
 		return nil, failed
 	}
-	return &kernel.Result{Frames: frames}, nil
+	return res, nil
 }
 
 // multVecKernel runs MultVec's phase 1 for one place through the
 // registered-kernel data plane: ship x (once per version) and any blocks
 // the worker body does not hold yet, compute the partials there, and
-// decode them into the place's scratch map. Returns false on any failure
-// so the caller can fall back to the coordinator-resident block fan —
-// the kernel purity contract makes the two paths bit-identical.
+// decode them straight into the place's scratch map. Every input also
+// names its live object, so where the kernel runs in the coordinator's
+// own address space (place zero) nothing is encoded at all. Returns
+// false on any failure so the caller can fall back to the
+// coordinator-resident block fan — the kernel purity contract makes the
+// two paths bit-identical.
 func (m *DistBlockMatrix) multVecKernel(ctx *apgas.Ctx, x *DupVector, xloc la.Vector, part map[int]la.Vector, bs *block.BlockSet) bool {
 	if bs.Len() == 0 {
 		return true
@@ -106,7 +124,8 @@ func (m *DistBlockMatrix) multVecKernel(ctx *apgas.Ctx, x *DupVector, xloc la.Ve
 		Handle: x.plh.Handle(),
 		Key:    0,
 		Ver:    x.ver,
-		Encode: func() []byte { return encodeVector(xloc) },
+		Encode: func() []byte { return wireVector(xloc) },
+		Obj:    xloc,
 	})
 	ids := make([]int, 0, bs.Len())
 	bs.Each(func(id int, b *block.MatrixBlock) {
@@ -115,19 +134,30 @@ func (m *DistBlockMatrix) multVecKernel(ctx *apgas.Ctx, x *DupVector, xloc la.Ve
 			Handle: m.plh.Handle(),
 			Key:    int64(id),
 			Ver:    b.Ver,
-			Encode: b.Encode,
+			Encode: func() []byte {
+				e := codec.NewEncoder(b.EncodedSize())
+				b.EncodeInto(&e)
+				return e.Bytes()
+			},
+			Obj: b,
 		})
 	})
 	res, err := ctx.ExecKernel(&kernel.Task{Name: multVecKernelName}, inputs...)
-	if err != nil || len(res.Frames) != len(ids) {
+	if err != nil {
+		return false
+	}
+	defer res.Release()
+	if len(res.Frames) != len(ids) {
 		return false
 	}
 	for i, id := range ids {
-		v, err := decodeVector(res.Frames[i], nil)
-		if err != nil || len(v) != len(part[rowPartKey(id)]) {
+		// Decode in place: a frame of any other length would regrow the
+		// destination instead of filling it.
+		dst := part[rowPartKey(id)]
+		v, _, err := codec.Float64sInto(dst, res.Frames[i])
+		if err != nil || len(v) != len(dst) {
 			return false
 		}
-		copy(part[rowPartKey(id)], v)
 	}
 	return true
 }
@@ -140,14 +170,16 @@ func (m *DistBlockMatrix) multVecKernel(ctx *apgas.Ctx, x *DupVector, xloc la.Ve
 // warm is a cache optimization, and a version mismatch later degrades to
 // a re-ship or coordinator fallback, never to wrong data.
 func (v *DupVector) warm(c *apgas.Ctx, local la.Vector) {
-	if !c.KernelDispatch() {
+	if !c.WorkerBody() {
 		return
 	}
+	data := wireVector(local)
 	t := &kernel.Task{Name: kernel.PutName, Puts: []kernel.Blob{{
 		Handle: v.plh.Handle(),
 		Key:    0,
 		Ver:    v.ver,
-		Data:   encodeVector(local),
+		Data:   data,
 	}}}
 	_, _ = c.ExecKernel(t)
+	codec.PutBuffer(data)
 }

@@ -50,7 +50,15 @@ func (e *execTransport) Exec(t *kernel.Task) (*kernel.Result, error) {
 	}
 	e.tasks = append(e.tasks, t.Name)
 	e.shipped = append(e.shipped, len(t.Puts))
-	return kernel.Run(&kernel.Exec{Place: place, Store: st}, t), nil
+	// The blobs are borrowed until Exec returns (transport.Executor); a
+	// store that keeps them copies, as a worker's socket read does.
+	remote := *t
+	remote.Puts = make([]kernel.Blob, len(t.Puts))
+	for i, b := range t.Puts {
+		b.Data = append([]byte(nil), b.Data...)
+		remote.Puts[i] = b
+	}
+	return kernel.Run(&kernel.Exec{Place: place, Store: st}, &remote), nil
 }
 
 func (e *execTransport) dispatches() (names []string, shipped []int) {

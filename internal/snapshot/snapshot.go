@@ -715,9 +715,13 @@ func (s *Snapshot) save(ctx *apgas.Ctx, key int, e *entry) {
 // once per snapshot, so a constant version suffices. Only full saves warm:
 // delta-carried entries are already resident from the checkpoint that
 // first shipped them, and re-warming would forfeit the carry's byte
-// savings. Failures are ignored; the warm is purely a cache fill.
+// savings. The bytes go out straight from the snapshot's own pooled
+// buffer, which stays the snapshot's: the worker drops its copy when the
+// snapshot's handle is destroyed. At place zero there is no worker body
+// and nothing to warm. Failures are ignored; the warm is purely a cache
+// fill.
 func (s *Snapshot) warmReplica(c *apgas.Ctx, key int, e *entry) {
-	if !c.KernelDispatch() {
+	if !c.WorkerBody() {
 		return
 	}
 	t := &kernel.Task{Name: kernel.PutName, Puts: []kernel.Blob{{
