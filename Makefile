@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race race-recovery race-chaos race-delta race-finish race-store race-transport race-dataplane race-compress chaos-smoke tcp-smoke workers-seq bench-check fuzz bench bench-checkpoint bench-kernels bench-delta bench-finish bench-store bench-compress
+.PHONY: ci vet build test race race-synctest chaos-smoke tcp-smoke workers-seq bench-check fuzz bench bench-checkpoint bench-kernels bench-delta bench-finish bench-store bench-compress
 
-ci: vet build race race-recovery race-chaos race-delta race-finish race-store race-transport race-dataplane race-compress chaos-smoke tcp-smoke workers-seq bench-check bench-checkpoint bench-kernels bench-delta bench-finish bench-store bench-compress
+ci: vet build race race-synctest chaos-smoke tcp-smoke workers-seq bench-check bench-checkpoint bench-kernels bench-delta bench-finish bench-store bench-compress
 
 vet:
 	$(GO) vet ./...
@@ -16,86 +16,20 @@ build:
 test:
 	$(GO) test ./...
 
+# The whole suite under the race detector, twice. No -run lists: a regex
+# silently stops matching a renamed test.
+# Delta checkpoints share entry buffers across snapshots; the tcp tests
+# SIGKILL a real worker mid-dispatch and stall a peer against the write
+# deadline; the lossy compressor's max-error is a CAS loop hit from every
+# place.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -count=2 ./...
 
-# Extra -race iterations over the recovery-critical packages: the
-# executor's multi-failure paths, the application store's checkpoint
-# window, and the runtime's ledger/instrumentation are where the
-# interleavings live.
-race-recovery:
-	$(GO) test -race -count=2 ./internal/core/ ./internal/apgas/ ./internal/snapshot/
-
-# The chaos campaign tests again under -race: the burst kills and the
-# commit/restore-window kills drive the recovery machinery from injection
-# points that run concurrently with the ledger and the replica writes.
-race-chaos:
-	$(GO) test -race -count=2 -run 'TestChaos' ./internal/bench/
-	$(GO) test -race -count=2 ./internal/chaos/
-
-# Extra -race iterations over the delta-checkpointing paths: entry
-# carry-forward shares buffers across snapshots, and partial restore
-# validates survivor state concurrently with the loads — both are new
-# interleavings on top of the recovery machinery.
-race-delta:
-	$(GO) test -race -count=2 -run 'Delta|Partial|ReadOnly|Retain' ./internal/snapshot/ ./internal/core/ ./internal/dist/ ./internal/bench/
-
-# Extra -race iterations over the sharded resilient-finish paths: the
-# per-place shard goroutines, the local fast-path counters, the batched
-# fork delivery, and place death broadcast across shards all interleave
-# with overlapping finishes — plus the central-vs-sharded fingerprint
-# invariance check under the same seeds.
-race-finish:
-	$(GO) test -race -count=2 -run 'FinishMode|Sharded|LedgerQueue|Refused' ./internal/apgas/
-	$(GO) test -race -count=2 -run 'TestKillFingerprintFinishModeInvariance' ./internal/chaos/
-	$(GO) test -race -count=2 -run 'TestFinishBenchSmoke' ./internal/bench/
-
-# Extra -race iterations over the redundancy-policy store paths: the
-# Reed-Solomon codec's parallel shard reconstruction, replicated and
-# erasure-coded puts racing the repair pass, degraded-entry tracking
-# under injected replica drops, and the executor-level double-kill
-# sweep that pins the loud-loss/recovery contract per policy.
-race-store:
-	$(GO) test -race -count=2 -run 'TestGF|TestRS' ./internal/codec/
-	$(GO) test -race -count=2 -run 'Replicate|Erasure|Repair|Degraded|PolicyClamp|SinglePlace' ./internal/snapshot/
-	$(GO) test -race -count=2 -run 'TestExecutor(Repair|Delta|DoubleKill|NoBackup|PartialRestore|SinglePlace)' ./internal/core/
-	$(GO) test -race -count=2 -run 'Span' ./internal/chaos/
-
-# Extra -race iterations over the transport seam: the tcp backend's
-# frame reader/heartbeat/detector goroutines racing administrative
-# kills, the runtime's transport-death broadcast racing Kill, and the
-# cross-backend invariance oracle (same chaos schedule on local and tcp
-# must give identical kill fingerprints and bitwise-equal iterates).
-# The synctest leg pins the failure detector's latency bound,
-# no-false-positive and flapping-suppression properties under virtual
-# time (asynctimerchan=0 is required by synctest until the go directive
-# passes 1.23).
-race-transport:
-	$(GO) test -race -count=2 ./internal/apgas/transport/... ./internal/cliflags/
-	$(GO) test -race -count=2 -run 'Transport' ./internal/apgas/
-	$(GO) test -race -count=2 -run 'CrossBackend|RealProcessKill' ./internal/bench/
+# The failure detector's latency bound, no-false-positive and
+# flapping-suppression properties under virtual time (asynctimerchan=0 is
+# required by synctest until the go directive passes 1.23).
+race-synctest:
 	GOEXPERIMENT=synctest GODEBUG=asynctimerchan=0 $(GO) test -race -run 'Synctest' ./internal/apgas/transport/
-
-# Extra -race iterations over the registered-kernel data plane: the
-# kernel registry/store, coordinator-side dispatch (mirror, fallback,
-# forced puts) racing kills, the whole tcp package — wire v3 framing,
-# the executor loop with a real worker SIGKILLed mid-dispatch, write
-# deadlines against a stalled peer, the kill/replace leak check — and
-# the dist kernels' ship-once and bitwise-equality contracts. The tcp
-# package runs whole: a -run regex silently stops matching renamed tests.
-race-dataplane:
-	$(GO) test -race -count=2 ./internal/apgas/kernel/
-	$(GO) test -race -count=2 -run 'KernelDispatch' ./internal/apgas/
-	$(GO) test -race -count=2 ./internal/apgas/transport/tcp/
-	$(GO) test -race -count=2 -run 'MultVecKernel|RestoreBumps' ./internal/dist/
-
-# Extra -race iterations over the compression seam: the chunked float
-# codec compresses and inflates through the shared worker pool and the
-# flate/buffer pools, the lossy compressor's max-error tracking is a
-# CAS loop hit from every place, and the compressed chaos/delta/partial
-# paths exercise the per-snapshot compressor from concurrent places.
-race-compress:
-	$(GO) test -race -count=2 -run 'Compress|Lossy|Lossless' ./internal/codec/ ./internal/dist/ ./internal/bench/
 
 # A short fixed-seed chaos campaign over every benchmark application:
 # one kill inside a checkpoint commit plus one during the restore that
@@ -111,8 +45,7 @@ chaos-smoke:
 # death by heartbeat (no administrative mark), restore from the last
 # checkpoint, and finish; rgmlrun exits non-zero if no restore happened
 # or if no registered kernel executed inside a worker process
-# (-min-worker-tasks: the distributed data plane must actually engage,
-# not silently fall back to coordinator-resident execution).
+# (-min-worker-tasks: the distributed data plane must actually engage).
 tcp-smoke:
 	$(GO) run ./cmd/rgmlrun -transport tcp -app pagerank -places 4 \
 		-size 200 -iters 8 -ckpt 2 -kill-proc-iter 4 -min-worker-tasks 1 > /dev/null

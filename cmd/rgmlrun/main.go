@@ -257,10 +257,8 @@ func run() error {
 	st := rt.Stats()
 	fmt.Printf("  runtime:      %d tasks, %d messages, %d ledger events, %d places killed, %d failed\n",
 		st.TasksSpawned, st.Messages, st.LedgerEvents, st.PlacesKilled, st.PlacesFailed)
-	if tcpTP != nil {
-		fmt.Printf("  data plane:   %d kernels executed in workers (%d fell back to the coordinator)\n",
-			st.WorkerTasks, reg.CounterValue("apgas.tasks.kernel_fallback"))
-	}
+	fmt.Printf("  kernels:      %d in workers, %d in-process (%d of them re-executed after a transport failure)\n",
+		st.WorkerTasks, reg.CounterValue("apgas.tasks.kernel_local"), reg.CounterValue("apgas.tasks.kernel_fallback"))
 	if finishMode == apgas.FinishSharded {
 		fmt.Printf("  finish:       sharded (%d local fast-path tasks, %d refused forks)\n",
 			st.LocalTasks, st.RefusedForks)

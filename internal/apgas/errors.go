@@ -106,7 +106,7 @@ var ErrShutdown = errors.New("apgas: runtime is shut down")
 // validation failure (WithLedgerQueue with a non-positive capacity,
 // WithFinishMode with an unknown mode, WithStorePolicy with an invalid
 // geometry, ...). The failure is recorded at option-apply time and
-// surfaced by New/NewRuntime, so a bad value fails construction loudly
+// surfaced by New, so a bad value fails construction loudly
 // instead of deadlocking or silently falling back to a default; callers
 // classify with errors.Is(err, apgas.ErrBadOption).
 var ErrBadOption = errors.New("apgas: invalid option")

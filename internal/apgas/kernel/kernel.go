@@ -19,8 +19,9 @@
 // Determinism contract: a kernel must be a pure function of its task and
 // the store entries it references, and must perform bit-identical
 // floating-point arithmetic wherever it executes. The runtime relies on
-// this to fall back to coordinator-resident execution (local backend, or
-// a worker dying mid-dispatch) without perturbing results.
+// this to run the same kernel inside a worker process or in-process (no
+// worker body, or a worker whose transport failed mid-dispatch) without
+// perturbing results.
 package kernel
 
 import (
@@ -33,7 +34,7 @@ import (
 
 // Task describes one registered-kernel invocation. It is the unit the
 // tcp backend ships to a worker process (an fTask frame) and the unit the
-// coordinator-resident fallback executes directly.
+// runtime's in-process leg executes directly.
 type Task struct {
 	// Name resolves the kernel in the process-global registry. Names must
 	// be stable across re-exec: register at package init, never from
@@ -88,10 +89,9 @@ type Result struct {
 	// (e.g. one partial vector per matrix block).
 	Frames [][]byte
 	// Err, when non-empty, reports a kernel-level failure (unknown
-	// kernel, missing store entry, kernel error or panic). The dispatcher
-	// treats a remote Err as a data-plane fault and re-executes at the
-	// coordinator; kernels must therefore be pure, so the re-execution is
-	// equivalent.
+	// kernel, missing or stale store entry, kernel error or panic). The
+	// dispatcher returns it to its caller as an error and never
+	// re-executes: a pure kernel would fail identically.
 	Err string
 	// Pooled marks Frames and Payload as codec.GetBuffer buffers owned by
 	// the result, which Release hands back. It never crosses the wire: a
@@ -126,9 +126,9 @@ func (r *Result) Release() {
 // a codec.GetBuffer buffer or a fresh allocation — never memory something
 // else still references.
 //
-// Obj, when set, is the live object the bytes would decode to. Where the
-// kernel runs in the coordinator's own address space the dispatcher
-// installs it by reference (Store.PutObj) and never calls Encode.
+// Obj is the live object the bytes would decode to. Where the kernel runs
+// in-process the dispatcher installs it by reference (Store.PutObj) and
+// never calls Encode; an input without one can only execute in a worker.
 type Input struct {
 	Handle uint64
 	Key    int64
@@ -138,8 +138,8 @@ type Input struct {
 }
 
 // Func is a registered kernel body. It runs inside the executing place's
-// body (worker process) or the coordinator (fallback); ex gives it the
-// place's store, t its arguments. Returning an error — or panicking — is
+// worker process, or in the coordinator process for a place without one;
+// ex gives it the place's store, t its arguments. Returning an error — or panicking — is
 // reported as Result.Err.
 type Func func(ex *Exec, t *Task) (*Result, error)
 
@@ -242,8 +242,8 @@ func (e *Entry) Obj(decode func(data []byte) (any, error)) (any, error) {
 
 // Store is one place's kernel-visible data: entries installed by task
 // Puts, keyed by (handle, key). Worker processes own one per place;
-// the coordinator keeps one per place for fallback execution. Safe for
-// concurrent use (the coordinator executes fallbacks from many task
+// the coordinator keeps one per place for in-process execution. Safe for
+// concurrent use (the coordinator executes kernels from many task
 // goroutines).
 type Store struct {
 	// Recycle makes the store the owner of every installed buffer: a
@@ -271,7 +271,7 @@ func (s *Store) Put(handle uint64, key int64, ver uint64, data []byte) {
 // PutObj installs obj itself under (handle, key) at version ver: a
 // by-reference entry whose Obj returns obj without any decode. Only
 // meaningful where the store shares an address space with the object's
-// owner — the coordinator executing a kernel for one of its own places.
+// owner — the runtime's in-process leg.
 func (s *Store) PutObj(handle uint64, key int64, ver uint64, obj any) {
 	s.put(handle, key, &Entry{ver: ver, obj: obj})
 }
@@ -295,14 +295,6 @@ func (s *Store) Get(handle uint64, key int64) (*Entry, bool) {
 	defer s.mu.RUnlock()
 	e, ok := s.m[storeKey{handle, key}]
 	return e, ok
-}
-
-// Holds reports whether the store has (handle, key) at exactly ver.
-func (s *Store) Holds(handle uint64, key int64, ver uint64) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, ok := s.m[storeKey{handle, key}]
-	return ok && e.ver == ver
 }
 
 // Drop removes every entry under handle (the owning object was destroyed

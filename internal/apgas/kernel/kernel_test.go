@@ -27,6 +27,12 @@ func init() {
 	Register("kerneltest.fail", func(ex *Exec, task *Task) (*Result, error) { return nil, errors.New("no luck") })
 }
 
+// holds reports whether s has (handle, key) at exactly ver.
+func holds(s *Store, handle uint64, key int64, ver uint64) bool {
+	e, ok := s.Get(handle, key)
+	return ok && e.Ver() == ver
+}
+
 func TestRegistry(t *testing.T) {
 	if _, ok := Lookup("kerneltest.a"); !ok {
 		t.Fatal("registered kernel not found")
@@ -68,8 +74,8 @@ func TestStore(t *testing.T) {
 	if !ok || string(e.Bytes()) != "v1" || e.Ver() != 1 {
 		t.Fatalf("Get(1,0) = %v, %v", e, ok)
 	}
-	if !s.Holds(1, 0, 1) || s.Holds(1, 0, 2) || s.Holds(3, 0, 1) {
-		t.Fatal("Holds version/handle discrimination broken")
+	if !holds(s, 1, 0, 1) || holds(s, 1, 0, 2) || holds(s, 3, 0, 1) {
+		t.Fatal("version/handle discrimination broken")
 	}
 	// A new version replaces in place.
 	s.Put(1, 0, 2, []byte("v2"))
@@ -81,7 +87,7 @@ func TestStore(t *testing.T) {
 	}
 	// Drop removes every key of a handle, other handles untouched.
 	s.Drop(1)
-	if s.Len() != 1 || s.Holds(1, 0, 2) || s.Holds(1, 1, 1) || !s.Holds(2, 0, 5) {
+	if s.Len() != 1 || holds(s, 1, 0, 2) || holds(s, 1, 1, 1) || !holds(s, 2, 0, 5) {
 		t.Fatalf("after Drop(1): Len=%d", s.Len())
 	}
 }
@@ -149,7 +155,7 @@ func TestBuiltinPut(t *testing.T) {
 	if res.Err != "" {
 		t.Fatalf("put kernel Err = %q", res.Err)
 	}
-	if !ex.Store.Holds(1, 0, 2) {
+	if !holds(ex.Store, 1, 0, 2) {
 		t.Fatal("put kernel did not install the blob")
 	}
 }
@@ -168,7 +174,7 @@ func TestRunAppliesDropsBeforePuts(t *testing.T) {
 	if res.Err != "" {
 		t.Fatalf("Run = %+v", res)
 	}
-	if ex.Store.Len() != 2 || !ex.Store.Holds(4, 0, 2) || !ex.Store.Holds(5, 0, 1) {
+	if ex.Store.Len() != 2 || !holds(ex.Store, 4, 0, 2) || !holds(ex.Store, 5, 0, 1) {
 		t.Fatalf("after drop+put: Len=%d", ex.Store.Len())
 	}
 }

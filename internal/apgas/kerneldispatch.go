@@ -1,7 +1,7 @@
 package apgas
 
 import (
-	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -14,18 +14,18 @@ import (
 // boundaries, so task bodies that should execute inside a worker process
 // are expressed as registered kernels (internal/apgas/kernel): named pure
 // functions over a task descriptor and a per-place data store. A Ctx
-// dispatches them with ExecKernel; on a backend with a distributed data
-// plane (transport/tcp) the kernel runs inside the place's worker
-// process, and on any other backend — or whenever the remote side fails
-// mid-dispatch — it runs at the coordinator against an equivalent store,
-// which the kernel purity contract makes bit-identical.
+// dispatches them with ExecKernel, on every backend: where the place has a
+// worker body (transport/tcp, places other than zero) the kernel runs
+// inside that process on shipped bytes, and everywhere else it runs
+// in-process on the live objects, by reference. The kernel purity contract
+// makes the two bit-identical.
 //
 // ExecKernel deliberately performs NO hop/NetModel accounting: the call
 // sites that adopt it (dist.MultVec, DupVector.Sync, snapshot replica
-// puts) already charge their logical traffic exactly as the closure path
-// does, so apgas-level counters — and with them chaos fingerprints and
-// cross-backend NetModel invariance — are unchanged by where the kernel
-// physically ran. Only transport-level wire counters may differ.
+// puts) charge their logical traffic themselves, so apgas-level counters —
+// and with them chaos fingerprints and cross-backend NetModel invariance —
+// are unchanged by where the kernel physically ran. Only transport-level
+// wire counters may differ.
 
 // RegisterKernel registers a named kernel in the process-global registry
 // (see kernel.Register). Call it from package init so the re-exec'd
@@ -43,9 +43,8 @@ type mirrorKey struct {
 // capability (nil without a distributed data plane), a per-place mirror
 // of which entry versions have been shipped to each worker body (so an
 // unchanged matrix block crosses the wire once, not once per iteration),
-// per-place coordinator-resident stores for place zero and for fallback
-// execution, and the destroyed handles each worker body has yet to be
-// told to drop.
+// per-place stores for in-process execution, and the destroyed handles
+// each worker body has yet to be told to drop.
 type kernDispatch struct {
 	ex transport.Executor
 
@@ -90,7 +89,7 @@ func (k *kernDispatch) commit(place int, puts []kernel.Blob) {
 	}
 }
 
-// store returns place's coordinator-resident kernel store, creating it
+// store returns place's in-process kernel store, creating it
 // on first use.
 func (k *kernDispatch) store(place int) *kernel.Store {
 	k.mu.Lock()
@@ -104,7 +103,7 @@ func (k *kernDispatch) store(place int) *kernel.Store {
 }
 
 // placeDead drops everything known about a dead place: its worker body's
-// cache is gone with the process, and the place's coordinator store dies
+// cache is gone with the process, and the place's in-process store dies
 // with the place exactly as its apgas store does.
 func (k *kernDispatch) placeDead(place int) {
 	k.mu.Lock()
@@ -115,7 +114,7 @@ func (k *kernDispatch) placeDead(place int) {
 }
 
 // dropHandle forgets a destroyed handle at every place of g: its entries
-// leave the coordinator-resident stores and the mirror at once, and each
+// leave the in-process stores and the mirror at once, and each
 // worker body the mirror says holds some is told on the next task
 // dispatched to it (takeDrops). Without this every Remake would leave a
 // dead generation of blocks, and every superseded checkpoint its replica,
@@ -152,33 +151,55 @@ func (k *kernDispatch) takeDrops(place int) []uint64 {
 	return d
 }
 
-// KernelDispatch reports whether the runtime's backend executes
-// registered kernels inside worker processes. Call sites use it to keep
-// the plain-closure path — zero encode overhead, bit-identical by
-// construction — on backends without a data plane.
-func (c *Ctx) KernelDispatch() bool { return c.rt.kern.ex != nil }
-
 // WorkerBody reports whether the task's own place is embodied by a worker
 // process that executes kernels: a data-plane backend, and not place
-// zero, which is the coordinator itself. Cache warms (forced puts that
-// only pre-install bytes in a worker's store) are pointless without one.
+// zero, which is the coordinator itself. It is the one fact ExecKernel's
+// two legs are selected by. Cache warms (forced puts that only
+// pre-install bytes in a worker's store) are pointless without one.
 func (c *Ctx) WorkerBody() bool { return c.rt.kern.ex != nil && c.Here.ID != 0 }
 
+// Causes of an in-process re-execution, read off the transport's Exec
+// error: the second field of the apgas.kernel.fallback trace event.
+const (
+	FallbackPlaceDead       = 1 // the worker body was already gone at dispatch
+	FallbackWireError       = 2 // the wire broke, or the body died, mid-dispatch
+	FallbackTransportClosed = 3 // the backend was shut down
+)
+
+// fallbackCause classifies a transport-level Exec error.
+func fallbackCause(err error) int64 {
+	switch {
+	case errors.Is(err, transport.ErrClosed):
+		return FallbackTransportClosed
+	case errors.Is(err, transport.ErrNoBody):
+		return FallbackPlaceDead
+	}
+	return FallbackWireError
+}
+
 // ExecKernel runs registered kernel task t at the task's current place,
-// resolving inputs into task refs and shipping only the blobs the
-// executing store does not already hold at the declared version. Puts
-// already present on t are unconditional installs: they ship (and apply)
-// regardless of what the mirror believes, which is how call sites push
-// content that changed under an unchanged version (DupVector.Sync
-// republishes the root value without bumping it). On a
-// data-plane backend the kernel runs inside the place's worker process;
-// on any other backend, at place zero, or when the remote dispatch fails
-// for any reason (worker death, broken wire, kernel-level error), it
-// executes at the coordinator against an equivalent per-place store, where
-// an input that carries its live object (Input.Obj) is installed by
-// reference and never encoded. The error return is therefore rare: it
-// means even coordinator-resident execution failed, and callers should
-// fall back to their closure path.
+// the one way a ported operation's per-place body executes on every
+// backend. It has two legs, selected by WorkerBody:
+//
+//   - The place has a worker body: inputs resolve into task refs, only the
+//     blobs the worker's store does not already hold at the declared
+//     version ship, and the kernel runs inside the worker process. Puts
+//     already present on t are unconditional installs: they ship (and
+//     apply) regardless of what the mirror believes, which is how call
+//     sites push content that changed under an unchanged version
+//     (DupVector.Sync republishes the root value without bumping it).
+//   - It has none (any place of the local backend, place zero of tcp): the
+//     kernel runs in-process against the place's store, where each input's
+//     live object (Input.Obj) is installed by reference and nothing is
+//     encoded. Forced puts are byte installs for a worker's store and are
+//     not applied here.
+//
+// A kernel-level failure (Result.Err: unknown kernel, missing or stale
+// store entry, kernel error or panic) is returned as the error from
+// either leg — a pure kernel would fail identically on a re-run. Only a
+// transport-level Exec error (the worker body is gone or going)
+// re-executes in-process, counted in apgas.tasks.kernel_fallback; the
+// detector handles the death independently.
 //
 // Buffers: the dispatcher owns what Input.Encode returns and recycles it
 // once the remote dispatch has returned; forced puts stay the caller's.
@@ -199,11 +220,9 @@ func (c *Ctx) ExecKernel(t *kernel.Task, inputs ...kernel.Input) (*kernel.Result
 		t.Refs[i] = kernel.Ref{Handle: in.Handle, Key: in.Key, Ver: in.Ver}
 	}
 	k := &rt.kern
-	forced := t.Puts
 
-	// Remote leg: place zero IS the coordinator, so only non-zero places
-	// have a worker body to dispatch into.
-	if k.ex != nil && place != 0 {
+	if c.WorkerBody() {
+		forced := t.Puts
 		t.Drops = k.takeDrops(place)
 		for _, in := range inputs {
 			if !k.shipped(place, in.Handle, in.Key, in.Ver) {
@@ -218,48 +237,41 @@ func (c *Ctx) ExecKernel(t *kernel.Task, inputs ...kernel.Input) (*kernel.Result
 		for _, b := range shipped[len(forced):] {
 			codec.PutBuffer(b.Data)
 		}
-		if err == nil && res != nil && res.Err == "" {
+		if err == nil {
+			if res.Err != "" {
+				return nil, kernelError(t, res)
+			}
 			k.commit(place, shipped)
 			rt.stats.WorkerTasks.Add(1)
 			rt.instr.workerExec.Inc()
 			return res, nil
 		}
-		// Any remote failure — transport or kernel-level — degrades to
-		// coordinator execution. Kernels are pure, so the re-execution is
-		// equivalent; the detector handles the death independently.
-		if res != nil {
-			res.Release()
-		}
 		rt.instr.kernelFallback.Inc()
-		rt.cfg.Obs.Trace("apgas.kernel.fallback", int64(place), 0)
+		rt.cfg.Obs.Trace("apgas.kernel.fallback", int64(place), fallbackCause(err))
 	}
 
-	// Coordinator-resident leg. Forced puts are left on t (as copies) for
-	// kernel.Run to apply. An input that carries its live object installs by
-	// reference, every time (a map write; the object may have been swapped
-	// under an unchanged version); the rest install their encoded bytes
-	// when the store lacks the version.
+	// In-process leg. Installs are by reference, every time (a map write;
+	// the object may have been swapped under an unchanged version). An
+	// input without a live object has nothing to install, and the kernel's
+	// Exec.Ref reports it.
 	st := k.store(place)
-	if len(forced) > 0 {
-		// Forced puts stay the caller's memory (a pooled buffer it is about
-		// to recycle); the store must not alias it.
-		t.Puts = make([]kernel.Blob, len(forced))
-		for i, b := range forced {
-			b.Data = bytes.Clone(b.Data)
-			t.Puts[i] = b
-		}
-	}
+	t.Puts = nil
 	for _, in := range inputs {
 		if in.Obj != nil {
 			st.PutObj(in.Handle, in.Key, in.Ver, in.Obj)
-		} else if !st.Holds(in.Handle, in.Key, in.Ver) {
-			st.Put(in.Handle, in.Key, in.Ver, in.Encode())
 		}
 	}
 	res := kernel.Run(&kernel.Exec{Place: place, Store: st}, t)
 	if res.Err != "" {
-		return nil, fmt.Errorf("apgas: kernel %q at place %d: %s", t.Name, place, res.Err)
+		return nil, kernelError(t, res)
 	}
 	rt.instr.kernelLocal.Inc()
 	return res, nil
+}
+
+// kernelError turns a kernel-level failure into ExecKernel's error,
+// releasing whatever buffers the failed result still carries.
+func kernelError(t *kernel.Task, res *kernel.Result) error {
+	res.Release()
+	return fmt.Errorf("apgas: kernel %q at place %d: %s", t.Name, t.Place, res.Err)
 }

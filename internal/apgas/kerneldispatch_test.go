@@ -2,13 +2,20 @@ package apgas_test
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/rgml/rgml/internal/apgas"
 	"github.com/rgml/rgml/internal/apgas/kernel"
+	"github.com/rgml/rgml/internal/apgas/transport"
 	"github.com/rgml/rgml/internal/obs"
 )
+
+// failKernelRuns counts executions of apgastest.fail, wherever they ran.
+var failKernelRuns atomic.Int64
 
 func init() {
 	apgas.RegisterKernel("apgastest.sum", func(ex *kernel.Exec, t *kernel.Task) (*kernel.Result, error) {
@@ -52,6 +59,10 @@ func init() {
 		res.F64 = append(res.F64, vs...)
 		return res, nil
 	})
+	apgas.RegisterKernel("apgastest.fail", func(ex *kernel.Exec, t *kernel.Task) (*kernel.Result, error) {
+		failKernelRuns.Add(1)
+		return nil, errors.New("injected kernel failure")
+	})
 }
 
 // fakeExecutor is a fakeTransport with a data plane: it executes
@@ -64,7 +75,7 @@ type fakeExecutor struct {
 	stores   map[int]*kernel.Store
 	shipped  []int // len(t.Puts) per dispatch, in order
 	drops    [][]uint64
-	failNext bool // fail the next Exec with a transport error
+	failNext error // fail the next Exec with this transport error
 }
 
 func (f *fakeExecutor) Exec(t *kernel.Task) (*kernel.Result, error) {
@@ -73,9 +84,9 @@ func (f *fakeExecutor) Exec(t *kernel.Task) (*kernel.Result, error) {
 	}
 	f.emu.Lock()
 	defer f.emu.Unlock()
-	if f.failNext {
-		f.failNext = false
-		return nil, errors.New("fake: injected dispatch failure")
+	if err := f.failNext; err != nil {
+		f.failNext = nil
+		return nil, err
 	}
 	if f.stores == nil {
 		f.stores = make(map[int]*kernel.Store)
@@ -105,10 +116,11 @@ func (f *fakeExecutor) shipCounts() []int {
 	return append([]int(nil), f.shipped...)
 }
 
-// TestKernelDispatchLocalBackend pins the no-data-plane path: the local
-// backend answers the probe with ErrNoDataPlane, so KernelDispatch
-// reports false and ExecKernel runs coordinator-resident — correct
-// results, kernel_local counted, worker_executed zero.
+// TestKernelDispatchLocalBackend pins how the local backend executes a
+// kernel: no place has a worker body, so every place — not only place
+// zero — runs it in-process on the caller's live object, by reference,
+// with zero Encode calls; kernel_local counts it, worker_executed stays
+// zero.
 func TestKernelDispatchLocalBackend(t *testing.T) {
 	reg := obs.NewRegistry()
 	rt, err := apgas.New(apgas.WithPlaces(3), apgas.WithObs(reg))
@@ -119,12 +131,22 @@ func TestKernelDispatchLocalBackend(t *testing.T) {
 
 	err = rt.Finish(func(ctx *apgas.Ctx) {
 		ctx.AsyncAt(rt.Place(1), func(c *apgas.Ctx) {
-			if c.KernelDispatch() {
-				t.Error("local backend claims a data plane")
+			if c.WorkerBody() {
+				t.Error("local backend claims a worker body")
 			}
-			res, err := c.ExecKernel(&kernel.Task{Name: "apgastest.sum", F64: []float64{1, 2, 3}})
-			if err != nil || res.F64[0] != 6 {
-				t.Errorf("ExecKernel = %+v, %v", res, err)
+			live := []float64{10, 20}
+			encoded := 0
+			res, err := c.ExecKernel(&kernel.Task{Name: "apgastest.obj"},
+				kernel.Input{Handle: 3, Key: 0, Ver: 1, Obj: live, Encode: func() []byte {
+					encoded++
+					return []byte{10, 20}
+				}})
+			if err != nil {
+				t.Errorf("ExecKernel: %v", err)
+				return
+			}
+			if encoded != 0 || live[0] != 11 || res.F64[1] != 11 {
+				t.Errorf("Encode ran %d times, live[0] = %v, kernel saw %v; want by-reference", encoded, live[0], res.F64[1:])
 			}
 		})
 	})
@@ -176,8 +198,8 @@ func TestKernelDispatchRemoteAndMirror(t *testing.T) {
 	}
 	err = rt.Finish(func(ctx *apgas.Ctx) {
 		ctx.AsyncAt(rt.Place(1), func(c *apgas.Ctx) {
-			if !c.KernelDispatch() {
-				t.Error("executor-capable backend reports no data plane")
+			if !c.WorkerBody() {
+				t.Error("place 1 of an executor-capable backend reports no worker body")
 			}
 			read(c, 1, "v1") // cold: ships the blob
 			read(c, 1, "v1") // warm: mirror hit, ships nothing
@@ -247,10 +269,64 @@ func TestKernelDispatchForcedPutsBypassMirror(t *testing.T) {
 	}
 }
 
-// TestKernelDispatchFallback injects a transport-level dispatch failure
-// and verifies ExecKernel degrades to coordinator-resident execution with
-// the same result — counted as a fallback, not a worker task.
+// TestKernelDispatchFallback injects each kind of transport-level dispatch
+// failure and verifies ExecKernel re-executes in-process, by reference,
+// with the same result — counted once in kernel_fallback (and once in
+// kernel_local, never as a worker task), with the cause in the trace.
 func TestKernelDispatchFallback(t *testing.T) {
+	for _, tc := range []struct {
+		err   error
+		cause int64
+	}{
+		{fmt.Errorf("fake: %w", transport.ErrNoBody), apgas.FallbackPlaceDead},
+		{errors.New("fake: broken pipe"), apgas.FallbackWireError},
+		{fmt.Errorf("fake: %w", transport.ErrClosed), apgas.FallbackTransportClosed},
+	} {
+		fe := &fakeExecutor{failNext: tc.err}
+		reg := obs.NewRegistry()
+		rt, err := apgas.New(apgas.WithPlaces(2), apgas.WithTransport(fe), apgas.WithObs(reg))
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		err = rt.Finish(func(ctx *apgas.Ctx) {
+			ctx.AsyncAt(rt.Place(1), func(c *apgas.Ctx) {
+				in := kernel.Input{Handle: 3, Ver: 1, Obj: []float64{10, 20}, Encode: func() []byte { return []byte{10, 20} }}
+				res, err := c.ExecKernel(&kernel.Task{Name: "apgastest.obj"}, in)
+				if err != nil || res.F64[1] != 11 || res.F64[2] != 20 {
+					t.Errorf("%v: ExecKernel = %+v, %v", tc.err, res, err)
+				}
+			})
+		})
+		if err != nil {
+			t.Fatalf("Finish: %v", err)
+		}
+		if got := reg.CounterValue("apgas.tasks.kernel_fallback"); got != 1 {
+			t.Fatalf("%v: kernel_fallback = %d, want 1", tc.err, got)
+		}
+		if got := reg.CounterValue("apgas.tasks.kernel_local"); got != 1 {
+			t.Fatalf("%v: kernel_local = %d, want 1 (the re-execution)", tc.err, got)
+		}
+		if got := rt.Stats().WorkerTasks; got != 0 {
+			t.Fatalf("%v: WorkerTasks = %d, want 0", tc.err, got)
+		}
+		var traced []obs.Event
+		for _, ev := range reg.TraceEvents() {
+			if ev.Name == "apgas.kernel.fallback" {
+				traced = append(traced, ev)
+			}
+		}
+		if len(traced) != 1 || traced[0].A != 1 || traced[0].B != tc.cause {
+			t.Fatalf("%v: fallback trace events = %+v, want one at place 1 with cause %d", tc.err, traced, tc.cause)
+		}
+		rt.Shutdown()
+	}
+}
+
+// TestKernelDispatchKernelErrorIsReturned pins the other half of the rule:
+// a kernel-level failure (Result.Err) is the caller's error on both legs,
+// and the worker leg does not re-execute it in-process — the kernel ran
+// exactly once, and neither kernel_fallback nor kernel_local moved.
+func TestKernelDispatchKernelErrorIsReturned(t *testing.T) {
 	fe := &fakeExecutor{}
 	reg := obs.NewRegistry()
 	rt, err := apgas.New(apgas.WithPlaces(2), apgas.WithTransport(fe), apgas.WithObs(reg))
@@ -259,28 +335,31 @@ func TestKernelDispatchFallback(t *testing.T) {
 	}
 	defer rt.Shutdown()
 
-	fe.emu.Lock()
-	fe.failNext = true
-	fe.emu.Unlock()
+	fail := func(c *apgas.Ctx) {
+		t.Helper()
+		before := failKernelRuns.Load()
+		res, err := c.ExecKernel(&kernel.Task{Name: "apgastest.fail"})
+		if err == nil || !strings.Contains(err.Error(), "injected kernel failure") {
+			t.Errorf("ExecKernel at %v = %+v, %v; want the kernel's error", c.Here, res, err)
+		}
+		if ran := failKernelRuns.Load() - before; ran != 1 {
+			t.Errorf("failing kernel ran %d times at %v, want 1", ran, c.Here)
+		}
+	}
 	err = rt.Finish(func(ctx *apgas.Ctx) {
-		ctx.AsyncAt(rt.Place(1), func(c *apgas.Ctx) {
-			res, err := c.ExecKernel(&kernel.Task{Name: "apgastest.sum", F64: []float64{2, 3}})
-			if err != nil || res.F64[0] != 5 {
-				t.Errorf("ExecKernel under failure = %+v, %v", res, err)
-			}
-		})
+		fail(ctx) // in-process leg
+		ctx.At(rt.Place(1), fail)
 	})
 	if err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
-	if got := reg.CounterValue("apgas.tasks.kernel_fallback"); got != 1 {
-		t.Fatalf("kernel_fallback = %d, want 1", got)
+	if got := fe.shipCounts(); len(got) != 1 {
+		t.Fatalf("dispatches = %v, want exactly the one to place 1", got)
 	}
-	if got := reg.CounterValue("apgas.tasks.kernel_local"); got != 1 {
-		t.Fatalf("kernel_local = %d, want 1 (the fallback execution)", got)
-	}
-	if got := rt.Stats().WorkerTasks; got != 0 {
-		t.Fatalf("WorkerTasks = %d, want 0", got)
+	for _, name := range []string{"apgas.tasks.kernel_fallback", "apgas.tasks.kernel_local", "apgas.tasks.worker_executed"} {
+		if got := reg.CounterValue(name); got != 0 {
+			t.Errorf("%s = %d after two failed kernels, want 0", name, got)
+		}
 	}
 }
 

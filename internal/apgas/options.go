@@ -8,9 +8,7 @@ import (
 	"github.com/rgml/rgml/internal/obs"
 )
 
-// Option configures a Runtime under construction. Options are the
-// preferred construction surface; the positional Config literal accepted
-// by NewRuntime remains as a compatibility shim.
+// Option configures a Runtime under construction (see New).
 type Option func(*Config)
 
 // WithPlaces sets the number of places to create (at least 1).
@@ -118,8 +116,7 @@ func WithCompression(spec codec.Spec) Option {
 	}
 }
 
-// recordErr keeps the first option-validation failure for NewRuntime to
-// surface.
+// recordErr keeps the first option-validation failure for New to surface.
 func (c *Config) recordErr(err error) {
 	if c.err == nil {
 		c.err = err
@@ -137,18 +134,4 @@ func WithObs(reg *obs.Registry) Option {
 // at every worker count, so this is purely a throughput knob.
 func WithKernelWorkers(n int) Option {
 	return func(c *Config) { c.KernelWorkers = n }
-}
-
-// New creates an emulated APGAS runtime from functional options:
-//
-//	rt, err := apgas.New(apgas.WithPlaces(8), apgas.WithResilient(true))
-//
-// Unset options keep their zero defaults, except Places, which defaults
-// to 1 (a runtime needs at least one place to exist).
-func New(opts ...Option) (*Runtime, error) {
-	cfg := Config{Places: 1}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return NewRuntime(cfg)
 }

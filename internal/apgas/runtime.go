@@ -88,8 +88,7 @@ type Config struct {
 	Compress codec.Spec
 
 	// err carries the first validation failure recorded by a functional
-	// option at apply time (see options.go); NewRuntime surfaces it. The
-	// field is unexported so positional Config literals cannot set it.
+	// option at apply time (see options.go); New surfaces it.
 	err error
 }
 
@@ -105,7 +104,7 @@ type Runtime struct {
 	ledger *ledger        // non-nil iff cfg.Resilient && FinishCentral
 	shards *shardedLedger // non-nil iff cfg.Resilient && FinishSharded
 
-	// tp is the communication backend (never nil after NewRuntime): the
+	// tp is the communication backend (never nil after New): the
 	// in-process emulation by default, or a real multi-process transport.
 	tp transport.Transport
 
@@ -126,7 +125,7 @@ type Runtime struct {
 }
 
 // rtInstr holds the runtime's observability handles, resolved once at
-// NewRuntime so hot paths update them with single atomic operations. With
+// New so hot paths update them with single atomic operations. With
 // no registry configured every handle is nil and each update is a no-op
 // branch (see internal/obs).
 type rtInstr struct {
@@ -144,9 +143,9 @@ type rtInstr struct {
 	placesAdded     *obs.Counter   // apgas.places.added
 	livePlaces      *obs.Gauge     // apgas.places.live
 	finishes        *obs.Histogram // apgas.finish.duration
-	workerExec      *obs.Counter   // apgas.tasks.worker_executed (kernels run in worker bodies)
-	kernelLocal     *obs.Counter   // apgas.tasks.kernel_local (kernels run coordinator-resident)
-	kernelFallback  *obs.Counter   // apgas.tasks.kernel_fallback (remote dispatches degraded)
+	workerExec      *obs.Counter   // apgas.tasks.worker_executed (kernels run in a worker body)
+	kernelLocal     *obs.Counter   // apgas.tasks.kernel_local (kernels run in-process: no worker body, or re-executed)
+	kernelFallback  *obs.Counter   // apgas.tasks.kernel_fallback (re-executed in-process because the worker's transport failed)
 
 	// Per-class transport accounting: apgas.transport.<class>.messages and
 	// apgas.transport.<class>.bytes, indexed by transport.Class. The legacy
@@ -183,27 +182,22 @@ func newRTInstr(reg *obs.Registry) rtInstr {
 	return in
 }
 
-// NewRuntime creates a runtime with cfg.Places live places.
+// New creates an emulated APGAS runtime from functional options:
 //
-// Deprecated: this is a compatibility-only shim for external
-// positional-Config callers; nothing inside the repo uses it anymore.
-// Use New with functional options (WithPlaces, WithResilient,
-// WithTransport, …) — both constructors share the same validation.
-func NewRuntime(cfg Config) (*Runtime, error) {
+//	rt, err := apgas.New(apgas.WithPlaces(8), apgas.WithResilient(true))
+//
+// Unset options keep their zero defaults, except Places, which defaults
+// to 1 (a runtime needs at least one place to exist).
+func New(opts ...Option) (*Runtime, error) {
+	cfg := Config{Places: 1}
+	for _, opt := range opts {
+		opt(&cfg)
+	}
 	if cfg.err != nil {
 		return nil, cfg.err
 	}
-	if err := cfg.Store.Validate(); err != nil {
-		return nil, err
-	}
 	if cfg.Places < 1 {
-		return nil, fmt.Errorf("apgas: Config.Places must be >= 1, got %d", cfg.Places)
-	}
-	if cfg.FinishMode != FinishCentral && cfg.FinishMode != FinishSharded {
-		return nil, fmt.Errorf("apgas: unknown Config.FinishMode %d", int(cfg.FinishMode))
-	}
-	if cfg.LedgerQueue < 0 {
-		return nil, fmt.Errorf("apgas: Config.LedgerQueue must be >= 0, got %d", cfg.LedgerQueue)
+		return nil, fmt.Errorf("apgas: WithPlaces(%d): a runtime needs at least 1 place", cfg.Places)
 	}
 	rt := &Runtime{cfg: cfg, instr: newRTInstr(cfg.Obs)}
 	rt.places = make([]*place, cfg.Places)
@@ -565,11 +559,11 @@ func (c *Ctx) TransferBytes(to Place, data []byte) {
 
 // TransferSnapshot charges checkpoint redundancy traffic by declared
 // size without handing the transport a payload. The snapshot layer's
-// kernel-dispatch save path uses it when the replica bytes ride a kernel
-// task into the worker process instead of a data frame: the apgas-level
-// accounting (message count, bytes, snapshot class) stays exactly what
-// TransferBytes would have charged, so NetModel numbers are invariant to
-// which wire the payload physically took.
+// save path uses it: the replica bytes ride a kernel task into the replica
+// place's worker process (where it has one) instead of a data frame, and
+// the apgas-level accounting (message count, bytes, snapshot class) stays
+// exactly what TransferBytes would have charged, so NetModel numbers are
+// invariant to which wire the payload physically took.
 func (c *Ctx) TransferSnapshot(to Place, bytes int) {
 	c.rt.hop(c.Here, to, transport.ClassSnapshot, bytes, nil)
 }

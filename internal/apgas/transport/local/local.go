@@ -6,15 +6,15 @@
 // communication path is the same code whether the backend is this
 // emulation or a real multi-process transport, and it is bit-identical to
 // the pre-seam runtime: the delay function it sleeps on is exactly the
-// old chargeNet computation, there are no external place bodies to kill,
-// and no failure detector that could perturb deterministic chaos
-// schedules.
+// old chargeNet computation, there are no external place bodies to kill
+// (nor to run a kernel in: the backend implements no transport.Executor,
+// and the runtime executes every registered kernel in-process), and no
+// failure detector that could perturb deterministic chaos schedules.
 package local
 
 import (
 	"time"
 
-	"github.com/rgml/rgml/internal/apgas/kernel"
 	"github.com/rgml/rgml/internal/apgas/transport"
 )
 
@@ -65,16 +65,6 @@ func (t *Transport) Send(from, to int, class transport.Class, size int, payload 
 		return d, nil
 	}
 	return 0, nil
-}
-
-// Exec implements transport.Executor by declining: every place lives in
-// the coordinator process, so there is no "remote body" to run a kernel
-// in, and the runtime's coordinator-resident execution IS the place's
-// execution. Declining (rather than omitting the interface) pins the
-// decision in code: the local backend must keep the exact pre-dispatch
-// closure path, bit-identical and with zero kernel-encode overhead.
-func (t *Transport) Exec(task *kernel.Task) (*kernel.Result, error) {
-	return nil, transport.ErrNoDataPlane
 }
 
 // Kill implements transport.Transport. Places have no external bodies in

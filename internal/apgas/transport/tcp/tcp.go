@@ -19,12 +19,14 @@
 // Blob payloads cross without a user-space copy on the sending side and
 // land in pooled buffers on the receiving side (wire.go).
 // Operand blobs cross once per version (the coordinator mirrors what
-// each worker holds); any dispatch failure — unregistered kernel, dead
-// worker, mid-flight connection loss — falls back silently to
-// coordinator-resident execution, which is bit-identical because
-// kernels are pure. Closure-based tasks that never registered a kernel
-// still execute at the coordinator with a footprint-only DATA frame on
-// the wire. DESIGN.md §14 spells out this boundary.
+// each worker holds). A transport-level dispatch failure — dead worker,
+// mid-flight connection loss, closed backend — makes the runtime
+// re-execute the kernel in-process, which is bit-identical because
+// kernels are pure; a kernel-level failure comes back in the RESULT
+// frame and is the caller's error. Closure-based tasks that never
+// registered a kernel still execute at the coordinator with a
+// footprint-only DATA frame on the wire. DESIGN.md §14 spells out this
+// boundary.
 //
 // The workers also provide the real failure domain: a worker process
 // dying (killed, crashed, unplugged) is a genuine fail-stop detected by
@@ -434,7 +436,7 @@ func (t *Transport) resolve(seq uint64, res *kernel.Result) {
 // failPending fails every in-flight kernel dispatch, or — when place is
 // non-negative — only those targeting that place. Exec's waiters observe
 // a nil result and surface a transport error, which the runtime answers
-// with coordinator-resident re-execution.
+// with in-process re-execution.
 func (t *Transport) failPending(place int) {
 	t.pmu.Lock()
 	var victims []*pendingTask
@@ -551,10 +553,10 @@ func (t *Transport) Exec(task *kernel.Task) (*kernel.Result, error) {
 	}
 	t.mu.Unlock()
 	if closed {
-		return nil, errors.New("tcp: transport closed")
+		return nil, fmt.Errorf("tcp: %w", transport.ErrClosed)
 	}
 	if place <= 0 || fc == nil || t.detector.Dead(place) {
-		return nil, fmt.Errorf("tcp: place %d has no live body", place)
+		return nil, fmt.Errorf("tcp: dispatch to place %d: %w", place, transport.ErrNoBody)
 	}
 	seq := t.nextSeq.Add(1)
 	p := &pendingTask{place: place, ch: make(chan *kernel.Result, 1)}

@@ -166,10 +166,19 @@ type Transport interface {
 	Close() error
 }
 
-// ErrNoDataPlane is an Executor's answer when it cannot execute kernels
-// remotely: the runtime then keeps task bodies coordinator-resident,
-// which is always correct (registered kernels are pure).
+// ErrNoDataPlane is an Executor's answer to the capability probe when it
+// cannot execute kernels remotely: the runtime then runs every kernel
+// in-process, which is always correct (registered kernels are pure).
 var ErrNoDataPlane = errors.New("transport: backend has no distributed data plane")
+
+// ErrClosed and ErrNoBody are the transport-level Exec failures a backend
+// can tell apart from a wire that broke mid-dispatch: the backend was
+// shut down, or the place had no live body to dispatch into. Backends
+// wrap them; the runtime reads the re-execution cause it traces off them.
+var (
+	ErrClosed = errors.New("transport: backend closed")
+	ErrNoBody = errors.New("transport: place has no live body")
+)
 
 // Executor is the optional distributed-data-plane capability: a backend
 // that can execute a registered kernel inside the place's own body
@@ -177,13 +186,14 @@ var ErrNoDataPlane = errors.New("transport: backend has no distributed data plan
 // with Exec(nil) at construction — a nil task is a capability check,
 // answered (nil, nil) by a backend that dispatches remotely and
 // ErrNoDataPlane by one that does not — so the base Transport interface,
-// and every existing fake implementing it, stays unchanged.
+// and every existing fake implementing it, stays unchanged. A backend
+// with no worker bodies at all (transport/local) simply omits it.
 type Executor interface {
 	// Exec runs t at the place t.Place names and blocks until the result
 	// returns. A transport-level failure (dead place, broken wire,
-	// backend closed) is the error; a kernel-level failure travels inside
-	// Result.Err. Callers treat either as "re-execute at the
-	// coordinator", never as a task-visible fault.
+	// backend closed) is the error, and the runtime re-executes the
+	// kernel in-process; a kernel-level failure travels inside the
+	// (non-nil) Result's Err, and the runtime returns it to the caller.
 	//
 	// t's blobs (Puts[i].Data, Payload) are borrowed until Exec returns:
 	// the caller may recycle them afterwards, so an implementation that

@@ -12,6 +12,7 @@ import (
 	"github.com/rgml/rgml/internal/chaos"
 	"github.com/rgml/rgml/internal/core"
 	"github.com/rgml/rgml/internal/la"
+	"github.com/rgml/rgml/internal/obs"
 )
 
 // TestMain lets the tcp transport re-exec this test binary as its worker
@@ -40,10 +41,13 @@ type backendRun struct {
 	killed    int64
 	failed    int64
 	// workerTasks counts registered kernels executed inside worker
-	// processes: zero by definition on the local backend, nonzero on a
-	// data-plane backend — the invariance contract is that this is the
-	// ONLY place the backends may differ.
+	// processes and localTasks those executed in-process. Both backends
+	// run the same kernels through the same dispatch; the invariance
+	// contract is that where they physically ran — all in-process on the
+	// local backend, in workers on a data-plane backend — is the ONLY
+	// place the backends may differ.
 	workerTasks int64
+	localTasks  int64
 	// workerTasksAtKill is the count captured right after the mid-run
 	// kill, for asserting dispatch re-establishes itself on the shrunken
 	// group (runWithKill only).
@@ -57,7 +61,8 @@ func runChaosSchedule(t *testing.T, factory func() (transport.Transport, error),
 	t.Helper()
 	cfg := Config{Scale: SmokeScale()}
 	cfg.Transport = factory
-	rt, err := cfg.newRuntime(places, true, nil)
+	reg := obs.NewRegistry()
+	rt, err := cfg.newRuntime(places, true, reg)
 	if err != nil {
 		t.Fatalf("newRuntime: %v", err)
 	}
@@ -96,6 +101,7 @@ func runChaosSchedule(t *testing.T, factory func() (transport.Transport, error),
 		killed:      st.PlacesKilled,
 		failed:      st.PlacesFailed,
 		workerTasks: st.WorkerTasks,
+		localTasks:  reg.CounterValue("apgas.tasks.kernel_local"),
 	}
 }
 
@@ -129,8 +135,9 @@ func TestCrossBackendChaosInvariance(t *testing.T) {
 				places, local.killed, over.killed, over.failed)
 		}
 		// The one permitted difference: where the kernels physically ran.
-		if local.workerTasks != 0 {
-			t.Errorf("places=%d: local backend executed %d worker tasks, want 0", places, local.workerTasks)
+		if local.localTasks == 0 || local.workerTasks != 0 {
+			t.Errorf("places=%d: local backend executed %d kernels in-process and %d in workers, want all of them in-process",
+				places, local.localTasks, local.workerTasks)
 		}
 		if over.workerTasks == 0 {
 			t.Errorf("places=%d: tcp backend executed no worker-side kernels — the data plane never engaged", places)

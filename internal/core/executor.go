@@ -194,14 +194,14 @@ func newExecInstr(reg *obs.Registry) execInstr {
 	}
 }
 
-// NewExecutor builds an executor over rt's initial world, reserving
-// cfg.Spares places for ReplaceRedundant.
-//
-// Deprecated: this is a compatibility-only shim for external
-// Config-literal callers; nothing inside the repo uses it anymore. Use
-// New with functional options (WithCheckpointInterval, WithRestoreMode,
-// WithSpares, WithChaos, …).
-func NewExecutor(rt *apgas.Runtime, cfg Config) (*Executor, error) {
+// New builds an executor over rt's initial world from functional options,
+// reserving the WithSpares places for ReplaceRedundant. Zero options give
+// the defaults documented on Config.
+func New(rt *apgas.Runtime, opts ...Option) (*Executor, error) {
+	var cfg Config
+	for _, opt := range opts {
+		opt(&cfg)
+	}
 	world := rt.World()
 	if cfg.Spares < 0 || cfg.Spares >= world.Size() {
 		return nil, fmt.Errorf("core: %d spares of %d places", cfg.Spares, world.Size())

@@ -3,14 +3,12 @@ package core
 import (
 	"time"
 
-	"github.com/rgml/rgml/internal/apgas"
 	"github.com/rgml/rgml/internal/chaos"
 	"github.com/rgml/rgml/internal/obs"
 )
 
-// Option configures an Executor built with New. Options replace positional
-// Config literal construction: zero options give the same executor as a
-// zero Config, and every Config knob has a corresponding With* option.
+// Option configures an Executor built with New; every Config knob has a
+// corresponding With* option.
 type Option func(*Config)
 
 // WithCheckpointInterval checkpoints before iterations 0, k, 2k, ….
@@ -77,15 +75,4 @@ func WithKernelWorkers(n int) Option {
 // unchanged ones forward by reference (see Config.Delta).
 func WithDelta(on bool) Option {
 	return func(c *Config) { c.Delta = on }
-}
-
-// New builds an executor over rt's initial world from functional options.
-// It is the preferred constructor; NewExecutor remains as the Config-based
-// shim for existing callers.
-func New(rt *apgas.Runtime, opts ...Option) (*Executor, error) {
-	var cfg Config
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return NewExecutor(rt, cfg)
 }

@@ -20,12 +20,13 @@ import (
 //
 // Phase 1 fans each place's blocks across the intra-place kernel pool
 // (block partials are disjoint, so any interleaving yields the same
-// bits), and the per-block scratch vectors live in a place-local map
-// reused across calls. The map serves both collectives: MultVec partials
-// (length block-rows) sit under even keys, TransMultVec partials (length
-// block-cols) under odd keys, and the gathered-x buffer under xbufKey,
-// so the per-iteration MultVec/TransMultVec pair of the solvers never
-// reallocates.
+// bits) — for MultVec inside the registered kernel (kernels.go), the one
+// body every backend runs — and the per-block scratch vectors live in a
+// place-local map reused across calls. The map serves both collectives:
+// MultVec partials (length block-rows) sit under even keys, TransMultVec
+// partials (length block-cols) under odd keys, and the gathered-x buffer
+// under xbufKey, so the per-iteration MultVec/TransMultVec pair of the
+// solvers never reallocates.
 
 // rowPartKey returns block id's scratch key for M·x partials.
 func rowPartKey(id int) int { return 2 * id }
@@ -52,8 +53,10 @@ func (m *DistBlockMatrix) MultVec(x *DupVector, y *DistVector) error {
 	}
 
 	// Phase 1: per-block partials B_{rb,cb} · x[cols(cb)] at each owner.
-	// Scratch vectors are sized serially (map writes), then the blocks fan
-	// across the kernel pool, each overwriting its own partial.
+	// Scratch vectors are sized serially (map writes), then the place's
+	// kernel overwrites each block's partial. A kernel failure is thrown
+	// into the finish and returned: a pure kernel would fail identically
+	// on a re-run.
 	err = apgas.ForEachPlace(m.rt, m.pg, func(ctx *apgas.Ctx, idx int) {
 		xloc := x.Local(ctx)
 		part := scratch.Local(ctx)
@@ -63,12 +66,7 @@ func (m *DistBlockMatrix) MultVec(x *DupVector, y *DistVector) error {
 				part[rowPartKey(id)] = la.NewVector(b.Rows)
 			}
 		})
-		if ctx.KernelDispatch() && m.multVecKernel(ctx, x, xloc, part, bs) {
-			return
-		}
-		bs.EachPar(func(id int, b *block.MatrixBlock) {
-			b.MultVecAssign(xloc, part[rowPartKey(id)])
-		})
+		apgas.Throw(m.multVecKernel(ctx, x, xloc, part, bs))
 	})
 	if err != nil {
 		return err

@@ -11,15 +11,15 @@ import (
 	"github.com/rgml/rgml/internal/par"
 )
 
-// Registered kernels: the dist-layer compute bodies that can execute
-// inside a worker process on a data-plane backend (transport/tcp)
-// instead of at the coordinator. Registration happens at package init —
-// before main, therefore before tcp.MaybeWorker turns a re-exec'd child
-// into a worker — so coordinator and workers always resolve the same
+// Registered kernels: the dist-layer per-place compute bodies, each
+// written once and run through Ctx.ExecKernel on every backend — inside
+// the place's worker process where it has one (transport/tcp), in-process
+// on the live objects everywhere else. Registration happens at package
+// init — before main, therefore before tcp.MaybeWorker turns a re-exec'd
+// child into a worker — so coordinator and workers always resolve the same
 // names to the same code.
 //
-// The kernels are pure functions of their task and store entries and use
-// the exact block arithmetic the closure path uses (MultVecAssign), so
+// The kernels are pure functions of their task and store entries, so
 // results are bit-identical wherever they run; vectors cross the wire
 // through the exact float64 codec roundtrip, in pooled buffers
 // (wireVector) that go back to the pool once sent or decoded.
@@ -45,9 +45,9 @@ func init() {
 // block ref, in the same order, in pooled buffers. Blocks decode once per
 // shipped version (Entry.Obj caches the object); x decodes once per
 // shipped version too, which in the solvers means once per iteration —
-// into the previous version's storage where the store offers it. At the
-// coordinator's own place the entries are the live objects themselves and
-// nothing decodes.
+// into the previous version's storage where the store offers it. Run
+// in-process, the entries are the live objects themselves and nothing
+// decodes.
 func multVecKernelBody(ex *kernel.Exec, t *kernel.Task) (*kernel.Result, error) {
 	if len(t.Refs) < 1 {
 		return nil, fmt.Errorf("dist: %s: missing x ref", t.Name)
@@ -69,9 +69,9 @@ func multVecKernelBody(ex *kernel.Exec, t *kernel.Task) (*kernel.Result, error) 
 	}
 	x := xobj.(la.Vector)
 
-	// Resolve and decode every block first (serial: Obj takes the entry
-	// lock), then fan the arithmetic across the intra-place kernel pool —
-	// partials are disjoint, so any interleaving yields the same bits.
+	// Resolve, decode and bounds-check every block first (serial: Obj takes
+	// the entry lock), then fan the arithmetic across the intra-place kernel
+	// pool — partials are disjoint, so any interleaving yields the same bits.
 	blocks := make([]*block.MatrixBlock, len(t.Refs)-1)
 	for i, r := range t.Refs[1:] {
 		be, rerr := ex.Ref(r)
@@ -82,42 +82,32 @@ func multVecKernelBody(ex *kernel.Exec, t *kernel.Task) (*kernel.Result, error) 
 		if derr != nil {
 			return nil, derr
 		}
-		blocks[i] = obj.(*block.MatrixBlock)
+		b := obj.(*block.MatrixBlock)
+		if len(x) < b.Col0+b.Cols {
+			return nil, fmt.Errorf("dist: %s: x length %d short of block needing %d", t.Name, len(x), b.Col0+b.Cols)
+		}
+		blocks[i] = b
 	}
 	frames := make([][]byte, len(blocks))
-	var failed error
 	par.For(len(blocks), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			b := blocks[i]
-			if len(x) < b.Col0+b.Cols {
-				failed = fmt.Errorf("dist: %s: x length %d short of block needing %d", t.Name, len(x), b.Col0+b.Cols)
-				return
-			}
 			out := la.NewVector(b.Rows)
 			b.MultVecAssign(x, out)
 			frames[i] = wireVector(out)
 		}
 	})
-	res := &kernel.Result{Frames: frames, Pooled: true}
-	if failed != nil {
-		res.Release()
-		return nil, failed
-	}
-	return res, nil
+	return &kernel.Result{Frames: frames, Pooled: true}, nil
 }
 
-// multVecKernel runs MultVec's phase 1 for one place through the
-// registered-kernel data plane: ship x (once per version) and any blocks
-// the worker body does not hold yet, compute the partials there, and
-// decode them straight into the place's scratch map. Every input also
-// names its live object, so where the kernel runs in the coordinator's
-// own address space (place zero) nothing is encoded at all. Returns
-// false on any failure so the caller can fall back to the
-// coordinator-resident block fan — the kernel purity contract makes the
-// two paths bit-identical.
-func (m *DistBlockMatrix) multVecKernel(ctx *apgas.Ctx, x *DupVector, xloc la.Vector, part map[int]la.Vector, bs *block.BlockSet) bool {
+// multVecKernel runs MultVec's phase 1 for one place: the registered
+// kernel computes the place's partials — in its worker process, which gets
+// x (once per version) and any blocks it does not hold yet shipped, or
+// in-process on the live objects every input names — and the partials
+// decode straight into the place's scratch map.
+func (m *DistBlockMatrix) multVecKernel(ctx *apgas.Ctx, x *DupVector, xloc la.Vector, part map[int]la.Vector, bs *block.BlockSet) error {
 	if bs.Len() == 0 {
-		return true
+		return nil
 	}
 	inputs := make([]kernel.Input, 0, bs.Len()+1)
 	inputs = append(inputs, kernel.Input{
@@ -135,7 +125,9 @@ func (m *DistBlockMatrix) multVecKernel(ctx *apgas.Ctx, x *DupVector, xloc la.Ve
 			Key:    int64(id),
 			Ver:    b.Ver,
 			Encode: func() []byte {
-				e := codec.NewEncoder(b.EncodedSize())
+				// Not a pooled buffer: a block ships once per worker
+				// lifetime, so recycled it would only sit in the pool.
+				e := codec.WrapEncoder(make([]byte, 0, b.EncodedSize()))
 				b.EncodeInto(&e)
 				return e.Bytes()
 			},
@@ -144,22 +136,25 @@ func (m *DistBlockMatrix) multVecKernel(ctx *apgas.Ctx, x *DupVector, xloc la.Ve
 	})
 	res, err := ctx.ExecKernel(&kernel.Task{Name: multVecKernelName}, inputs...)
 	if err != nil {
-		return false
+		return err
 	}
 	defer res.Release()
 	if len(res.Frames) != len(ids) {
-		return false
+		return fmt.Errorf("dist: %s at %v: %d partials for %d blocks", multVecKernelName, ctx.Here, len(res.Frames), len(ids))
 	}
 	for i, id := range ids {
 		// Decode in place: a frame of any other length would regrow the
 		// destination instead of filling it.
 		dst := part[rowPartKey(id)]
 		v, _, err := codec.Float64sInto(dst, res.Frames[i])
-		if err != nil || len(v) != len(dst) {
-			return false
+		if err != nil {
+			return fmt.Errorf("dist: %s at %v: partial of block %d: %w", multVecKernelName, ctx.Here, id, err)
+		}
+		if len(v) != len(dst) {
+			return fmt.Errorf("dist: %s at %v: partial of block %d has length %d, want %d", multVecKernelName, ctx.Here, id, len(v), len(dst))
 		}
 	}
-	return true
+	return nil
 }
 
 // warm force-installs a duplicate's current bytes into the executing
@@ -167,8 +162,8 @@ func (m *DistBlockMatrix) multVecKernel(ctx *apgas.Ctx, x *DupVector, xloc la.Ve
 // at the current version finds it cached. A forced put (not a versioned
 // input): Sync republishes content under an unchanged version, which a
 // version-checked ship would wrongly skip. Failures are ignored — the
-// warm is a cache optimization, and a version mismatch later degrades to
-// a re-ship or coordinator fallback, never to wrong data.
+// warm is a cache optimization, and a worker that missed it gets the
+// bytes re-shipped by the next kernel whose mirror entry is absent.
 func (v *DupVector) warm(c *apgas.Ctx, local la.Vector) {
 	if !c.WorkerBody() {
 		return

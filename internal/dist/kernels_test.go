@@ -2,6 +2,7 @@ package dist
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -9,19 +10,28 @@ import (
 	"github.com/rgml/rgml/internal/apgas"
 	"github.com/rgml/rgml/internal/apgas/kernel"
 	"github.com/rgml/rgml/internal/apgas/transport"
+	"github.com/rgml/rgml/internal/block"
+	"github.com/rgml/rgml/internal/grid"
 	"github.com/rgml/rgml/internal/la"
+	"github.com/rgml/rgml/internal/obs"
 )
 
 // execTransport is a minimal in-process transport with a data plane: it
 // executes dispatched kernels against real per-place stores, exactly as a
 // tcp worker would, so the dist kernels can be driven end-to-end without
 // spawning processes. It records per-dispatch blob counts for the
-// ship-once assertions.
+// ship-once assertions, and can be told to break: failEvery n fails every
+// n-th dispatch with a transport error, kernelErr answers every multvec
+// dispatch with that kernel-level failure.
 type execTransport struct {
+	failEvery int
+	kernelErr string
+
 	mu      sync.Mutex
 	stores  map[int]*kernel.Store
 	tasks   []string
 	shipped []int
+	failed  int
 }
 
 func (e *execTransport) Name() string                                { return "exec-fake" }
@@ -50,6 +60,13 @@ func (e *execTransport) Exec(t *kernel.Task) (*kernel.Result, error) {
 	}
 	e.tasks = append(e.tasks, t.Name)
 	e.shipped = append(e.shipped, len(t.Puts))
+	if e.failEvery > 0 && len(e.tasks)%e.failEvery == 0 {
+		e.failed++
+		return nil, errors.New("dist test: injected dispatch failure")
+	}
+	if e.kernelErr != "" && t.Name == multVecKernelName {
+		return &kernel.Result{Err: e.kernelErr}, nil
+	}
 	// The blobs are borrowed until Exec returns (transport.Executor); a
 	// store that keeps them copies, as a worker's socket read does.
 	remote := *t
@@ -70,22 +87,33 @@ func (e *execTransport) dispatches() (names []string, shipped []int) {
 func newExecRT(t *testing.T, places int) (*apgas.Runtime, *execTransport) {
 	t.Helper()
 	et := &execTransport{}
-	rt, err := apgas.New(apgas.WithPlaces(places), apgas.WithResilient(true), apgas.WithTransport(et))
+	rt, _ := newExecRTWith(t, places, et)
+	return rt, et
+}
+
+func newExecRTWith(t *testing.T, places int, et *execTransport) (*apgas.Runtime, *obs.Registry) {
+	t.Helper()
+	reg := obs.NewRegistry()
+	rt, err := apgas.New(apgas.WithPlaces(places), apgas.WithResilient(true), apgas.WithTransport(et), apgas.WithObs(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(rt.Shutdown)
-	return rt, et
+	return rt, reg
 }
 
+// The multVecOn program's shape: an mvRows×mvCols dense matrix in 8×3
+// blocks over a 4×1 place grid.
+const mvRows, mvCols, mvRowBlocks, mvColBlocks = 24, 9, 8, 3
+
 // multVecOn runs an iterated y = m·x / RootApply / Sync program on rt and
-// returns the final y. Every backend runs the identical program; a
-// data-plane backend must produce bitwise-equal output.
+// returns the final y. Every backend runs the identical program and must
+// produce output bitwise equal to multVecReference.
 func multVecOn(t *testing.T, rt *apgas.Runtime, iters int) la.Vector {
 	t.Helper()
-	const rows, cols = 24, 9
+	const rows, cols = mvRows, mvCols
 	pg := rt.World()
-	m := makeDenseDBM(t, rt, rows, cols, 8, 3, 4, 1, pg)
+	m := makeDenseDBM(t, rt, rows, cols, mvRowBlocks, mvColBlocks, 4, 1, pg)
 	x, err := MakeDupVector(rt, cols, pg)
 	if err != nil {
 		t.Fatal(err)
@@ -124,24 +152,78 @@ func multVecOn(t *testing.T, rt *apgas.Runtime, iters int) la.Vector {
 	return got
 }
 
-// TestMultVecKernelBitIdenticalToClosurePath pins the data plane's core
-// correctness contract: the same MultVec/RootApply/Sync program produces
-// bitwise-identical results whether blocks multiply in the coordinator
-// (local backend) or inside worker-side kernel bodies — the float64
-// codec roundtrip and the shared MultVecAssign arithmetic leave no room
-// for drift.
-func TestMultVecKernelBitIdenticalToClosurePath(t *testing.T) {
-	local := multVecOn(t, newRT(t, 4), 3)
-	rtE, et := newExecRT(t, 4)
-	dispatched := multVecOn(t, rtE, 3)
-	if len(local) != len(dispatched) {
-		t.Fatalf("result lengths differ: %d vs %d", len(local), len(dispatched))
+// multVecReference computes what multVecOn must return with no runtime at
+// all: blocks built straight from the grid, one serial MultVecAssign per
+// block, partials combined in canonical (row-block, then column-block)
+// order, and the same root update between iterations.
+func multVecReference(t *testing.T, iters int) la.Vector {
+	t.Helper()
+	g, err := grid.New(mvRows, mvCols, mvRowBlocks, mvColBlocks)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range local {
-		if local[i] != dispatched[i] {
-			t.Fatalf("y[%d]: local %v != dispatched %v (bitwise)", i, local[i], dispatched[i])
+	x := la.NewVector(mvCols)
+	for i := range x {
+		x[i] = float64(i)*0.375 + 1
+	}
+	y := la.NewVector(mvRows)
+	mult := func() {
+		y.Zero()
+		for rb := 0; rb < g.RowBlocks; rb++ {
+			for cb := 0; cb < g.ColBlocks; cb++ {
+				b := block.NewDenseBlock(g, rb, cb)
+				for j := 0; j < b.Cols; j++ {
+					for i := 0; i < b.Rows; i++ {
+						b.Dense.Set(i, j, denseInit(b.Row0+i, b.Col0+j))
+					}
+				}
+				part := la.NewVector(b.Rows)
+				b.MultVecAssign(x, part)
+				y[b.Row0 : b.Row0+b.Rows].Add(part)
+			}
 		}
 	}
+	for it := 0; it < iters; it++ {
+		mult()
+		for i := range x {
+			x[i] += 1.0 / float64(it+3)
+		}
+	}
+	mult()
+	return y
+}
+
+// TestMultVecKernelBitIdenticalToReference pins the one dispatch path's
+// correctness contract: the same MultVec/RootApply/Sync program produces
+// the reference's exact bits whether every kernel runs in-process on the
+// live objects (local backend), inside worker-side bodies on shipped bytes
+// (exec-fake; place zero in-process), or in a mix where every third
+// dispatch dies on the wire and is re-executed in-process — the float64
+// codec roundtrip and the single kernel body leave no room for drift.
+func TestMultVecKernelBitIdenticalToReference(t *testing.T) {
+	const iters = 3
+	want := multVecReference(t, iters)
+	check := func(leg string, got la.Vector) {
+		t.Helper()
+		if !bitsEqualVec(got, want) {
+			t.Fatalf("%s: y = %v, want %v (bitwise)", leg, got, want)
+		}
+	}
+
+	localReg := obs.NewRegistry()
+	rtL, err := apgas.New(apgas.WithPlaces(4), apgas.WithResilient(true), apgas.WithObs(localReg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rtL.Shutdown)
+	check("in-process", multVecOn(t, rtL, iters))
+	// 4 MultVecs × 4 places, none in a worker.
+	if got := localReg.CounterValue("apgas.tasks.kernel_local"); got != 16 || rtL.Stats().WorkerTasks != 0 {
+		t.Fatalf("local backend: kernel_local = %d, WorkerTasks = %d; want 16, 0", got, rtL.Stats().WorkerTasks)
+	}
+
+	rtE, et := newExecRT(t, 4)
+	check("exec-fake", multVecOn(t, rtE, iters))
 	names, _ := et.dispatches()
 	mv := 0
 	for _, n := range names {
@@ -149,12 +231,22 @@ func TestMultVecKernelBitIdenticalToClosurePath(t *testing.T) {
 			mv++
 		}
 	}
-	// 4 iterations × 3 non-coordinator places.
+	// 4 MultVecs × 3 non-coordinator places.
 	if mv != 12 {
 		t.Fatalf("multvec kernel dispatched %d times, want 12 (names: %v)", mv, names)
 	}
 	if got := rtE.Stats().WorkerTasks; got == 0 {
 		t.Fatal("WorkerTasks = 0 on the data-plane backend")
+	}
+
+	flaky := &execTransport{failEvery: 3}
+	rtM, reg := newExecRTWith(t, 4, flaky)
+	check("mixed", multVecOn(t, rtM, iters))
+	if fb := reg.CounterValue("apgas.tasks.kernel_fallback"); fb == 0 || fb != int64(flaky.failed) {
+		t.Fatalf("mixed run: kernel_fallback = %d, transport failed %d dispatches", fb, flaky.failed)
+	}
+	if rtM.Stats().WorkerTasks == 0 {
+		t.Fatal("mixed run executed nothing in workers")
 	}
 }
 
@@ -261,18 +353,13 @@ func TestDupVectorRestoreBumpsVersion(t *testing.T) {
 	}
 }
 
-// TestMultVecKernelSurvivesExecFailure verifies the degraded path: an
-// executor that fails every dispatch — the data plane is "up" (the probe
-// succeeds) but no kernel ever lands remotely — must leave MultVec
-// correct through silent coordinator-resident re-execution.
-func TestMultVecKernelSurvivesExecFailure(t *testing.T) {
-	rt, err := apgas.New(apgas.WithPlaces(2), apgas.WithTransport(&failingExec{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Shutdown)
+// smallMultVec builds the operands of an 8×4 MultVec over rt's two places:
+// the matrix in rowBlocks×1 blocks, split evenly between the places, and
+// x[i] = i+1.
+func smallMultVec(t *testing.T, rt *apgas.Runtime, rowBlocks int) (*DistBlockMatrix, *DupVector, *DistVector) {
+	t.Helper()
 	const rows, cols = 8, 4
-	m := makeDenseDBM(t, rt, rows, cols, 2, 1, 2, 1, rt.World())
+	m := makeDenseDBM(t, rt, rows, cols, rowBlocks, 1, 2, 1, rt.World())
 	x, err := MakeDupVector(rt, cols, rt.World())
 	if err != nil {
 		t.Fatal(err)
@@ -284,6 +371,18 @@ func TestMultVecKernelSurvivesExecFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return m, x, y
+}
+
+// TestMultVecKernelSurvivesExecFailure verifies the one re-execution: an
+// executor that fails every dispatch with a transport error — the data
+// plane is "up" (the probe succeeds) but no kernel ever lands remotely —
+// leaves MultVec exact, every failed dispatch re-executed in-process and
+// counted in kernel_fallback.
+func TestMultVecKernelSurvivesExecFailure(t *testing.T) {
+	et := &execTransport{failEvery: 1}
+	rt, reg := newExecRTWith(t, 2, et)
+	m, x, y := smallMultVec(t, rt, 2)
 	if err := m.MultVec(x, y); err != nil {
 		t.Fatal(err)
 	}
@@ -292,11 +391,11 @@ func TestMultVecKernelSurvivesExecFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	dense, _ := m.ToDense()
-	xv := la.NewVector(cols)
+	xv := la.NewVector(m.Cols())
 	for i := range xv {
 		xv[i] = float64(i) + 1
 	}
-	want := la.NewVector(rows)
+	want := la.NewVector(m.Rows())
 	dense.MultVec(xv, want)
 	if !got.EqualApprox(want, 0) {
 		t.Fatalf("MultVec under dispatch failure: got %v want %v", got, want)
@@ -304,16 +403,52 @@ func TestMultVecKernelSurvivesExecFailure(t *testing.T) {
 	if rt.Stats().WorkerTasks != 0 {
 		t.Fatal("failing executor still counted worker tasks")
 	}
-}
-
-// failingExec has a data plane that always fails dispatches.
-type failingExec struct{ execTransport }
-
-func (f *failingExec) Exec(t *kernel.Task) (*kernel.Result, error) {
-	if t == nil {
-		return nil, nil
+	if fb := reg.CounterValue("apgas.tasks.kernel_fallback"); fb == 0 || fb != int64(et.failed) {
+		t.Fatalf("kernel_fallback = %d, transport failed %d dispatches", fb, et.failed)
 	}
-	return nil, errDispatch
 }
 
-var errDispatch = errors.New("dist test: injected dispatch failure")
+// TestMultVecKernelErrorIsReturned: a kernel-level failure in a worker is
+// MultVec's error — loud, not masked by an in-process recomputation.
+func TestMultVecKernelErrorIsReturned(t *testing.T) {
+	et := &execTransport{kernelErr: "injected store disagreement"}
+	rt, reg := newExecRTWith(t, 2, et)
+	m, x, y := smallMultVec(t, rt, 2)
+	before := reg.CounterValue("apgas.tasks.kernel_local")
+	err := m.MultVec(x, y)
+	if err == nil || !strings.Contains(err.Error(), "injected store disagreement") {
+		t.Fatalf("MultVec = %v, want the kernel's error", err)
+	}
+	if fb := reg.CounterValue("apgas.tasks.kernel_fallback"); fb != 0 {
+		t.Fatalf("kernel_fallback = %d: a kernel-level failure was re-executed", fb)
+	}
+	// Only place zero's own kernel ran in-process.
+	if got := reg.CounterValue("apgas.tasks.kernel_local") - before; got != 1 {
+		t.Fatalf("kernel_local moved by %d, want 1 (place zero only)", got)
+	}
+}
+
+// TestMultVecKernelShortXIsOneError drives the kernel's own error path
+// under -race: a place owning two blocks whose x duplicate is too short
+// fails both bounds checks, which must yield exactly one kernel error —
+// returned by MultVec — with no write shared between the block fan's
+// chunks.
+func TestMultVecKernelShortXIsOneError(t *testing.T) {
+	rt := newRT(t, 2)
+	m, x, y := smallMultVec(t, rt, 4)
+	err := rt.Finish(func(ctx *apgas.Ctx) {
+		ctx.At(rt.Place(1), func(c *apgas.Ctx) {
+			if n := m.LocalBlocks(c).Len(); n < 2 {
+				t.Errorf("place 1 owns %d blocks, want at least 2", n)
+			}
+			x.plh.SetLocal(c, x.plh.Local(c)[:2])
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = m.MultVec(x, y)
+	if err == nil || strings.Count(err.Error(), "short of block") != 1 {
+		t.Fatalf("MultVec with a short x at place 1 = %v, want one bounds error", err)
+	}
+}

@@ -688,21 +688,15 @@ func (s *Snapshot) save(ctx *apgas.Ctx, key int, e *entry) {
 		next := s.pg[s.slotOf(idx, i)]
 		s.instr.replicas.Inc()
 		s.instr.backupBytes.Add(int64(len(e.data)))
-		if ctx.KernelDispatch() {
-			// Data-plane backend: the payload rides a forced kernel put into
-			// the replica place's worker body, so the spawn message carries
-			// no bytes. TransferSnapshot still charges the full declared
-			// size against the snapshot class — logical accounting, and
-			// with it cross-backend NetModel invariance, is unchanged.
-			ctx.TransferSnapshot(next, len(e.data))
-			ctx.AsyncAt(next, func(c *apgas.Ctx) {
-				s.warmReplica(c, key, e)
-				s.putReplica(c, key, e, idx)
-			})
-			continue
-		}
-		ctx.TransferBytes(next, e.data)
+		// Where the replica place has a worker body the payload rides a
+		// forced kernel put into it (warmReplica), so the spawn message
+		// carries no bytes; where it has none there is no wire to carry
+		// them over. TransferSnapshot charges the full declared size
+		// against the snapshot class either way, so NetModel numbers do
+		// not depend on the backend.
+		ctx.TransferSnapshot(next, len(e.data))
 		ctx.AsyncAt(next, func(c *apgas.Ctx) {
+			s.warmReplica(c, key, e)
 			s.putReplica(c, key, e, idx)
 		})
 	}
@@ -912,6 +906,14 @@ func (s *Snapshot) Digest(ctx *apgas.Ctx, key, ownerIdx int) (sum uint32, size i
 	return 0, 0, fmt.Errorf("snapshot: key %d owner %d: %w", key, ownerIdx, ErrNotFound)
 }
 
+// parkLimit is the buffer capacity from which a degraded snapshot's
+// buffers are not recycled (see Destroy). Parked, the three 16 MiB buffers
+// of a 25 MB read-only PageRank graph sat idle between failures, and
+// whether a forced collection at the end of a run still found them in the
+// pool depended on where the last concurrent cycle had fallen: 87 or 137 MB
+// of heap after the same run.
+const parkLimit = 16 << 20
+
 // Degraded reports whether the snapshot's replica placement has lost
 // redundancy: some place of its snapshot-time group is dead, so entries
 // owned (or backed up) there are down to a single copy — or already
@@ -937,8 +939,18 @@ func (s *Snapshot) Degraded() bool {
 // commits (coordinated checkpointing keeps only one snapshot alive), which
 // is what makes steady-state checkpointing allocation-free: checkpoint
 // N+1 re-encodes into the buffers checkpoint N-1 released.
+//
+// A degraded snapshot dies because a place did, not because a checkpoint
+// of the same shape superseded it: nothing takes its buffers until the
+// next failure. Small ones are parked in the pool all the same (the next
+// recovery restores faster for it); from parkLimit up they are left to
+// the GC instead.
 func (s *Snapshot) Destroy() {
-	if s == nil || !s.plh.Valid() || !s.destroyed.CompareAndSwap(false, true) {
+	if s == nil || !s.plh.Valid() {
+		return
+	}
+	degraded := s.Degraded()
+	if !s.destroyed.CompareAndSwap(false, true) {
 		return
 	}
 	s.instr.destroys.Inc()
@@ -962,7 +974,7 @@ func (s *Snapshot) Destroy() {
 		}
 	}
 	for e := range seen {
-		if e.refs.Add(-1) == 0 && e.pooled {
+		if e.refs.Add(-1) == 0 && e.pooled && !(degraded && cap(e.data) >= parkLimit) {
 			codec.PutBuffer(e.data)
 		}
 	}

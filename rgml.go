@@ -43,8 +43,6 @@ type (
 	// Runtime is the emulated APGAS runtime (a set of places plus the
 	// finish machinery and failure injector).
 	Runtime = apgas.Runtime
-	// RuntimeConfig parameterizes NewRuntime.
-	RuntimeConfig = apgas.Config
 	// Place identifies one place (an emulated process).
 	Place = apgas.Place
 	// PlaceGroup is an ordered collection of places.
@@ -155,18 +153,12 @@ func WithCompression(spec CompressionSpec) RuntimeOption { return apgas.WithComp
 type RuntimeOption = apgas.Option
 
 // NewRuntimeWith creates an emulated APGAS runtime from functional
-// options — the preferred constructor:
+// options:
 //
 //	rt, err := rgml.NewRuntimeWith(rgml.WithPlaces(8), rgml.WithResilient(true))
 //
 // Zero options give a single non-resilient place.
 func NewRuntimeWith(opts ...RuntimeOption) (*Runtime, error) { return apgas.New(opts...) }
-
-// NewRuntime creates an emulated APGAS runtime from a Config literal.
-//
-// Deprecated: compatibility-only shim for external Config-literal
-// callers. Use NewRuntimeWith with functional options.
-func NewRuntime(cfg RuntimeConfig) (*Runtime, error) { return apgas.NewRuntime(cfg) }
 
 // WithPlaces sets the number of places to create (at least 1).
 func WithPlaces(n int) RuntimeOption { return apgas.WithPlaces(n) }
@@ -374,8 +366,6 @@ type (
 	AppResilientStore = core.AppResilientStore
 	// Executor drives an IterativeApp with checkpoint/restart.
 	Executor = core.Executor
-	// ExecutorConfig parameterizes NewExecutor.
-	ExecutorConfig = core.Config
 	// RestoreMode selects how the application adapts to place loss.
 	RestoreMode = core.RestoreMode
 )
@@ -392,7 +382,7 @@ const (
 type ExecutorOption = core.Option
 
 // NewExecutorWith builds a resilient executor over rt's initial world from
-// functional options — the preferred constructor:
+// functional options:
 //
 //	exec, err := rgml.NewExecutorWith(rt,
 //	    rgml.WithCheckpointInterval(10),
@@ -403,14 +393,6 @@ type ExecutorOption = core.Option
 // context (cancellation surfaces as ErrCanceled).
 func NewExecutorWith(rt *Runtime, opts ...ExecutorOption) (*Executor, error) {
 	return core.New(rt, opts...)
-}
-
-// NewExecutor builds a resilient executor from a Config literal.
-//
-// Deprecated: compatibility-only shim for external Config-literal
-// callers. Use NewExecutorWith with functional options.
-func NewExecutor(rt *Runtime, cfg ExecutorConfig) (*Executor, error) {
-	return core.NewExecutor(rt, cfg)
 }
 
 // WithCheckpointInterval checkpoints before iterations 0, k, 2k, ….
@@ -523,9 +505,9 @@ var (
 type (
 	// MetricsRegistry is the named-instrument registry (counters, gauges,
 	// duration histograms, trace events) that the runtime, the snapshot
-	// layer and the executor report into. Share one registry between
-	// RuntimeConfig.Obs and ExecutorConfig.Obs to get a single coherent
-	// export for a run.
+	// layer and the executor report into. Pass one registry to both
+	// WithRuntimeObs and WithExecutorObs to get a single coherent export
+	// for a run.
 	MetricsRegistry = obs.Registry
 	// TraceEvent is one entry of a registry's trace ring.
 	TraceEvent = obs.Event
