@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race race-synctest chaos-smoke tcp-smoke workers-seq bench-check fuzz bench bench-checkpoint bench-kernels bench-delta bench-finish bench-store bench-compress
+.PHONY: ci vet build test race race-synctest chaos-smoke tcp-smoke workers-seq bench-check fuzz bench
 
-ci: vet build race race-synctest chaos-smoke tcp-smoke workers-seq bench-check bench-checkpoint bench-kernels bench-delta bench-finish bench-store bench-compress
+ci: vet build race race-synctest chaos-smoke tcp-smoke workers-seq bench-check
 
 vet:
 	$(GO) vet ./...
@@ -76,48 +76,8 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDecode -fuzztime=30s ./internal/block/
 	$(GO) test -run=NONE -fuzz=FuzzFrameDecode -fuzztime=30s ./internal/apgas/transport/tcp/
 
-# Full benchmark sweep (paper figures/tables + ablations).
+# The performance benchmark (BENCHMARK.json): five workloads on the local
+# and tcp backends, bitwise-verified, compared with bounds. The paper's
+# tables and figures are `go run ./cmd/rgmlbench -out results all`.
 bench:
-	$(GO) test -bench=. -benchmem ./...
-
-# The checkpoint fast-path benchmarks backing BENCH_checkpoint.json.
-bench-checkpoint:
-	$(GO) test -run=NONE -bench='BenchmarkCodec(Encode|Decode)' -benchmem ./internal/codec/
-	$(GO) test -run=NONE -bench='BenchmarkSnapshotSave' -benchmem ./internal/dist/
-
-# The parallel kernel-engine benchmarks backing BENCH_kernels.json.
-bench-kernels:
-	$(GO) test -run=NONE -bench='BenchmarkKernel' -benchmem ./internal/la/ ./internal/dist/
-
-# The delta-checkpointing comparison backing BENCH_delta.json: full vs
-# delta checkpoint traffic and partial-restore traffic for LinReg with
-# inputs checkpointed every interval, one failure repaired by a spare.
-bench-delta:
-	$(GO) run ./cmd/rgmlbench -q -places 2,4,8 delta > BENCH_delta.json
-	@echo "bench-delta: wrote BENCH_delta.json"
-
-# The resilient-finish architecture comparison backing BENCH_finish.json:
-# central place-zero ledger vs sharded home-based bookkeeping — fork/join
-# throughput, finish-barrier latency, resilient overhead vs place count,
-# and the cross-mode chaos fingerprint/weights invariance oracle.
-bench-finish:
-	$(GO) run ./cmd/rgmlbench -q finish > BENCH_finish.json
-	@echo "bench-finish: wrote BENCH_finish.json"
-
-# The redundancy-policy comparison backing BENCH_store.json: storage
-# overhead and reconstruction throughput for replication factors vs
-# Reed-Solomon erasure geometries, plus the correlated double-kill
-# survival matrix (k=2 loses loudly; k=3 and erasure recover and verify).
-bench-store:
-	$(GO) run ./cmd/rgmlbench -q store > BENCH_store.json
-	@echo "bench-store: wrote BENCH_store.json"
-
-# The checkpoint-compression sweep backing BENCH_compress.json: shipped
-# checkpoint bytes and iterations-to-converge for none vs lossless vs
-# error-bounded lossy at several bounds, for a dense (LinReg) and a
-# sparse (PageRank) application, each run through a mid-computation kill
-# and restore. The sweep hard-fails if lossless is not bitwise-equal to
-# the uncompressed baseline or a lossy error exceeds its bound.
-bench-compress:
-	$(GO) run ./cmd/rgmlbench -q compress > BENCH_compress.json
-	@echo "bench-compress: wrote BENCH_compress.json"
+	bash benchmark/run.sh

@@ -9,23 +9,15 @@
 //	rgmlbench -chaos "kill(point=commit,iter=10,place=1)" -seeds 1,2,3 chaos
 //
 // Experiments: table2, fig2, fig3, fig4, table3, fig5, fig6, fig7, table4,
-// ablations, delta — a full-vs-delta checkpointing comparison emitting the
-// BENCH_delta.json document — finish — a central-vs-sharded resilient-finish
-// architecture comparison emitting the BENCH_finish.json document — store —
-// a redundancy-policy comparison (replication factor vs Reed-Solomon
-// erasure coding: storage overhead, reconstruction throughput, and a
-// correlated double-kill survival matrix) emitting the BENCH_store.json
-// document — compress — a checkpoint-compression sweep (codec ×
-// error-bound: shipped bytes, save/restore time, iterations-to-converge)
-// emitting the BENCH_compress.json document — and chaos — a
-// fault-injection campaign that sweeps the -seeds list over the -chaos
-// schedule for each benchmark application and emits a per-campaign
-// survival/recovery JSON report.
+// ablations ("all" runs these ten) and chaos — a fault-injection campaign
+// that sweeps the -seeds list over the -chaos schedule for each benchmark
+// application and emits a per-campaign survival/recovery JSON report.
+// Performance is measured by the benchmark/ module, not here.
 //
 // The -placement/-redundancy/-shards flags set the snapshot store's
-// redundancy policy for every resilient run (the store experiment sweeps
-// its own policies and ignores them). -transport tcp runs every place as
-// a separate OS process (heavy: each runtime spawns a process group).
+// redundancy policy for every resilient run. -transport tcp runs every
+// place as a separate OS process (heavy: each runtime spawns a process
+// group).
 //
 // The workload sizes default to laptop scale (see -scale and the
 // per-workload flags); EXPERIMENTS.md records how they map to the paper's
@@ -323,7 +315,7 @@ func runExperiment(cfg bench.Config, exp, outDir string) error {
 			return bench.WriteCheckpointTable(w, rows)
 		})
 	case "fig5", "fig6", "fig7":
-		fig, _, err := cfg.RestoreFigure(figApp[exp])
+		fig, err := cfg.RestoreFigure(figApp[exp])
 		if err != nil {
 			return err
 		}
@@ -351,39 +343,7 @@ func runExperiment(cfg bench.Config, exp, outDir string) error {
 		return output(outDir, "ablations", func(w io.Writer) error {
 			return bench.WriteAblations(w, rows)
 		})
-	case "delta":
-		rows, err := cfg.DeltaSweep()
-		if err != nil {
-			return err
-		}
-		return output(outDir, "delta", func(w io.Writer) error {
-			return bench.WriteDeltaReport(w, cfg, rows)
-		})
-	case "finish":
-		rep, err := cfg.FinishBench()
-		if err != nil {
-			return err
-		}
-		return output(outDir, "finish", func(w io.Writer) error {
-			return bench.WriteFinishReport(w, rep)
-		})
-	case "store":
-		rep, err := cfg.StoreBench()
-		if err != nil {
-			return err
-		}
-		return output(outDir, "store", func(w io.Writer) error {
-			return bench.WriteStoreReport(w, rep)
-		})
-	case "compress":
-		rows, err := cfg.CompressSweep()
-		if err != nil {
-			return err
-		}
-		return output(outDir, "compress", func(w io.Writer) error {
-			return bench.WriteCompressReport(w, cfg, rows)
-		})
 	default:
-		return fmt.Errorf("unknown experiment (want table2, fig2-7, table3, table4, ablations, delta, finish, store, compress, all)")
+		return fmt.Errorf("unknown experiment (want table2, fig2-7, table3, table4, ablations, chaos, all)")
 	}
 }

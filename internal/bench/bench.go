@@ -1,5 +1,6 @@
-// Package bench is the experiment harness that regenerates every table and
-// figure of the paper's evaluation (section VII):
+// Package bench regenerates every table and figure of the paper's
+// evaluation (section VII) and runs the chaos campaign. It is not the
+// performance benchmark — that is the benchmark/ module.
 //
 //	Table II  — lines-of-code comparison (static analysis of internal/apps)
 //	Fig. 2-4  — per-iteration time, resilient vs non-resilient finish,
@@ -9,6 +10,7 @@
 //	            restoration modes, plus the non-resilient baseline
 //	Table IV  — % of total time in checkpoint and restore at the largest
 //	            place count, per mode
+//	Ablations — the design-choice experiments of DESIGN.md section 9
 //
 // Absolute numbers depend on the host (the emulation multiplexes places
 // onto one process); the harness is tuned so the paper's *shapes* — who
@@ -118,12 +120,11 @@ type Config struct {
 	FinishMode apgas.FinishMode
 	// Store is the snapshot store's redundancy policy for every resilient
 	// runtime the harness builds. The zero value keeps the paper-faithful
-	// default (replicate, k=2); the store experiment overrides it per run.
+	// default (replicate, k=2).
 	Store apgas.StorePolicy
 	// Compress is the checkpoint compression policy for every resilient
 	// runtime the harness builds. The zero value keeps the bit-identical
-	// uncompressed codec; the compress experiment sweeps its own specs
-	// and ignores it.
+	// uncompressed codec.
 	Compress codec.Spec
 	// Transport, when non-nil, builds a fresh communication backend for
 	// each runtime the harness constructs (a transport is single-use: one
@@ -151,10 +152,6 @@ func DefaultConfig() Config {
 		LedgerWork: 250,
 	}
 }
-
-// LedgerCostFunc returns the ledger's per-event work function (nil when
-// LedgerWork is zero), for callers wiring a runtime by hand.
-func (c Config) LedgerCostFunc() func(live int) { return c.ledgerCost() }
 
 // ledgerCost returns the ledger's per-event work function.
 func (c Config) ledgerCost() func(live int) {
@@ -213,9 +210,9 @@ func (c Config) newRuntime(places int, resilient bool, reg *obs.Registry) (*apga
 
 // runMeta describes the host and the active runtime configuration —
 // finish architecture, store redundancy policy, transport backend and
-// checkpoint compression — so every BENCH_* document is self-describing:
-// two reports generated under different flags are distinguishable from
-// their metadata alone.
+// checkpoint compression — so every chaos report is self-describing: two
+// reports generated under different flags are distinguishable from their
+// metadata alone.
 func (c Config) runMeta() map[string]string {
 	tname := c.TransportName
 	if tname == "" {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"github.com/rgml/rgml/internal/codec"
 )
 
 // smokeConfig is a fast harness configuration for tests (no simulated
@@ -45,7 +47,7 @@ func TestFinishOverheadFigureSmoke(t *testing.T) {
 }
 
 func TestRestoreFigureSmoke(t *testing.T) {
-	fig, details, err := smokeConfig().RestoreFigure(PageRank)
+	fig, err := smokeConfig().RestoreFigure(PageRank)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,15 +55,14 @@ func TestRestoreFigureSmoke(t *testing.T) {
 	if len(fig.Series) != 4 {
 		t.Fatalf("series = %d", len(fig.Series))
 	}
-	if len(details) != 2*3 { // 2 place counts × 3 modes
-		t.Fatalf("details = %d", len(details))
-	}
-	for _, d := range details {
-		if d.TotalMS <= 0 {
-			t.Fatalf("bad detail %+v", d)
+	for _, s := range fig.Series {
+		if len(s.Points) != 2 {
+			t.Fatalf("%s: points = %d", s.Name, len(s.Points))
 		}
-		if d.CheckpointPct < 0 || d.CheckpointPct > 100 || d.RestorePct < 0 || d.RestorePct > 100 {
-			t.Fatalf("bad percentages %+v", d)
+		for _, p := range s.Points {
+			if p.Mean <= 0 {
+				t.Fatalf("%s: bad point %+v", s.Name, p)
+			}
 		}
 	}
 	// The failure runs must cost at least as much as... they include
@@ -110,6 +111,11 @@ func TestPercentTableSmoke(t *testing.T) {
 	for _, r := range rows {
 		if len(r.Pct) != 3 {
 			t.Fatalf("modes = %d", len(r.Pct))
+		}
+		for mode, cr := range r.Pct {
+			if cr[0] < 0 || cr[0] > 100 || cr[1] < 0 || cr[1] > 100 {
+				t.Fatalf("%s %s: bad percentages C=%v R=%v", r.App, mode, cr[0], cr[1])
+			}
 		}
 	}
 	var buf bytes.Buffer
@@ -181,5 +187,32 @@ func TestNewRuntimeRespectsResilience(t *testing.T) {
 	defer nrt.Shutdown()
 	if nrt.Resilient() {
 		t.Error("expected non-resilient runtime")
+	}
+}
+
+// TestRunMetaRecordsConfiguration: every report's environment block
+// carries the active finish/store/transport/compression configuration,
+// so a chaos report is self-describing.
+func TestRunMetaRecordsConfiguration(t *testing.T) {
+	c := smokeConfig()
+	meta := c.runMeta()
+	for k, want := range map[string]string{
+		"finish":      "central",
+		"store":       "replicate(k=2) [default]",
+		"transport":   "local",
+		"compression": "none",
+	} {
+		if got := meta[k]; got != want {
+			t.Errorf("runMeta[%q] = %q, want %q", k, got, want)
+		}
+	}
+	c.Compress = codec.Spec{Mode: codec.CompressLossless}
+	c.TransportName = "tcp"
+	meta = c.runMeta()
+	if meta["compression"] != "lossless" || meta["transport"] != "tcp" {
+		t.Errorf("runMeta did not pick up overrides: %v", meta)
+	}
+	if !strings.Contains(meta["go"], "go") {
+		t.Errorf("runMeta go version missing: %v", meta["go"])
 	}
 }

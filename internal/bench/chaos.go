@@ -235,18 +235,26 @@ func finalIterate(app core.IterativeApp) (la.Vector, error) {
 // iteratesMatch compares a run's final iterate against the reference. The
 // reductions all evaluate at the duplicated vectors' root place, so
 // recovery paths reproduce the reference essentially exactly; the epsilon
-// only absorbs repartitioned segment sums after a rebalance.
+// only absorbs repartitioned segment sums after a rebalance. A NaN or
+// ±Inf element on either side never matches: a diverged run must not
+// verify against a diverged reference.
 func iteratesMatch(ref, got la.Vector) bool {
 	if len(ref) != len(got) {
 		return false
 	}
 	for i := range ref {
-		if diff := math.Abs(ref[i] - got[i]); diff > 1e-9*(1+math.Abs(ref[i])) {
+		if !finite(ref[i]) || !finite(got[i]) {
+			return false
+		}
+		// Negated so that a NaN difference fails the comparison.
+		if diff := math.Abs(ref[i] - got[i]); !(diff <= 1e-9*(1+math.Abs(ref[i]))) {
 			return false
 		}
 	}
 	return true
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // WriteChaosReport renders the campaign report as indented JSON.
 func WriteChaosReport(w io.Writer, rep ChaosReport) error {

@@ -124,8 +124,6 @@ func (c Config) FinishOverheadFigure(app AppName) (*Figure, error) {
 
 // RestoreRun is one measured execution of the restore experiments.
 type RestoreRun struct {
-	Places  int
-	Mode    string
 	TotalMS float64
 	// CheckpointPct and RestorePct are the share of total time spent in
 	// checkpointing and restoration (Table IV).
@@ -139,8 +137,7 @@ var restoreModes = []core.RestoreMode{core.ShrinkRebalance, core.Shrink, core.Re
 // Scale.Iterations iterations with checkpoints every CheckpointInterval
 // iterations and a single place failure injected after FailureIteration,
 // for each restoration mode, plus the non-resilient no-failure baseline.
-// The per-run details are returned alongside for Table IV.
-func (c Config) RestoreFigure(app AppName) (*Figure, []RestoreRun, error) {
+func (c Config) RestoreFigure(app AppName) (*Figure, error) {
 	fig := &Figure{
 		Title:  fmt.Sprintf("%s: total runtime with a single failure", app),
 		YLabel: "total time (ms)",
@@ -153,7 +150,6 @@ func (c Config) RestoreFigure(app AppName) (*Figure, []RestoreRun, error) {
 	case PageRank:
 		fig.ID = "fig7"
 	}
-	var details []RestoreRun
 	for _, mode := range restoreModes {
 		fig.Series = append(fig.Series, Series{Name: mode.String()})
 	}
@@ -161,22 +157,15 @@ func (c Config) RestoreFigure(app AppName) (*Figure, []RestoreRun, error) {
 
 	for _, places := range c.Scale.PlaceCounts {
 		for si, mode := range restoreModes {
-			var lastRun RestoreRun
 			pt, err := c.timeRuns(func(run int) (float64, error) {
 				r, err := c.restoreRun(app, places, mode)
-				if err != nil {
-					return 0, err
-				}
-				lastRun = r
-				return r.TotalMS, nil
+				return r.TotalMS, err
 			})
 			if err != nil {
-				return nil, nil, fmt.Errorf("bench: %s places=%d mode=%v: %w", app, places, mode, err)
+				return nil, fmt.Errorf("bench: %s places=%d mode=%v: %w", app, places, mode, err)
 			}
 			pt.Places = places
 			fig.Series[si].Points = append(fig.Series[si].Points, pt)
-			lastRun.TotalMS = pt.Mean
-			details = append(details, lastRun)
 			c.progressf("%s %s places=%d mode=%v: %.0f ms total", fig.ID, app, places, mode, pt.Mean)
 		}
 		// Baseline: non-resilient runtime, plain loop, no failure.
@@ -199,13 +188,13 @@ func (c Config) RestoreFigure(app AppName) (*Figure, []RestoreRun, error) {
 			return float64(time.Since(start).Microseconds()) / 1000, nil
 		})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		pt.Places = places
 		fig.Series[len(fig.Series)-1].Points = append(fig.Series[len(fig.Series)-1].Points, pt)
 		c.progressf("%s %s places=%d baseline: %.0f ms total", fig.ID, app, places, pt.Mean)
 	}
-	return fig, details, nil
+	return fig, nil
 }
 
 // restoreRun executes one failure-and-recovery run and returns its
@@ -260,11 +249,8 @@ func (c Config) restoreRun(app AppName, places int, mode core.RestoreMode) (Rest
 	if err := c.exportMetrics(reg, fmt.Sprintf("%s_%s_p%d.json", app, mode, places)); err != nil {
 		return RestoreRun{}, err
 	}
-	totalMS := float64(m.Total.Microseconds()) / 1000
 	return RestoreRun{
-		Places:        places,
-		Mode:          mode.String(),
-		TotalMS:       totalMS,
+		TotalMS:       float64(m.Total.Microseconds()) / 1000,
 		CheckpointPct: 100 * m.CheckpointTime.Seconds() / m.Total.Seconds(),
 		RestorePct:    100 * m.RestoreTime.Seconds() / m.Total.Seconds(),
 	}, nil

@@ -7,9 +7,10 @@ import (
 	"github.com/rgml/rgml/internal/block"
 )
 
-// Distributed kernel benchmarks backing BENCH_kernels.json
-// (`make bench-kernels`): the per-iteration MultVec/TransMultVec pair that
-// dominates the LinReg/LogReg/PageRank step time.
+// Distributed kernel benchmarks whose PR 4 numbers are frozen in
+// results/BENCH_kernels.json: the per-iteration MultVec/TransMultVec pair
+// that dominates the LinReg/LogReg/PageRank step time. The gate on them is
+// dist.multvec_ms/dist.transmultvec_ms of `bash benchmark/run.sh -micro`.
 
 func benchMatVec(b *testing.B, rows, cols, places int) (*apgas.Runtime, *DistBlockMatrix, *DupVector, *DistVector) {
 	b.Helper()

@@ -6,9 +6,11 @@ import (
 	"testing"
 )
 
-// Kernel benchmarks backing BENCH_kernels.json (`make bench-kernels`).
-// The sizes are chosen so the operands spill the L1/L2 caches, which is
-// where the tiled kernels separate from the naive loops.
+// Kernel benchmarks whose PR 4 numbers are frozen in
+// results/BENCH_kernels.json; the gate on kernel speed is the la.* metrics
+// of `bash benchmark/run.sh -micro`, not these. The sizes are chosen so
+// the operands spill the L1/L2 caches, which is where the tiled kernels
+// separate from the naive loops.
 
 func randDense(rows, cols int, rng *rand.Rand) *DenseMatrix {
 	m := NewDense(rows, cols)
