@@ -105,8 +105,12 @@ func (c Config) Ablations() ([]AblationRow, error) {
 		if err := v.Init(func(i int) float64 { return float64(i) }); err != nil {
 			return 0, err
 		}
+		var opts snapshot.Options
+		if !backup {
+			opts.Policy = apgas.ReplicateStore(1)
+		}
 		start := time.Now()
-		s, err := snapshot.NewWithOptions(rt, pg, snapshot.Options{DisableBackup: !backup})
+		s, err := snapshot.NewWithOptions(rt, pg, opts)
 		if err != nil {
 			return 0, err
 		}

@@ -8,7 +8,6 @@ import (
 	"github.com/rgml/rgml/internal/apgas"
 	"github.com/rgml/rgml/internal/chaos"
 	"github.com/rgml/rgml/internal/obs"
-	"github.com/rgml/rgml/internal/par"
 )
 
 // RestoreMode selects how the executor adapts the application to the loss
@@ -96,10 +95,6 @@ type Config struct {
 	// changed since the committed checkpoint, carrying the rest forward
 	// by reference (see AppResilientStore.Save and Snapshot.SaveDelta).
 	Delta bool
-	// KernelWorkers, when positive, sets the intra-place kernel worker
-	// pool size (see apgas.Config.KernelWorkers); zero leaves the pool
-	// unchanged. Kernel results are bit-identical at every worker count.
-	KernelWorkers int
 }
 
 // Metrics reports where the executor spent its time; the benchmark
@@ -216,9 +211,6 @@ func New(rt *apgas.Runtime, opts ...Option) (*Executor, error) {
 	}
 	if cfg.MaxRestores == 0 {
 		cfg.MaxRestores = 16
-	}
-	if cfg.KernelWorkers > 0 {
-		par.SetWorkers(cfg.KernelWorkers)
 	}
 	reg := cfg.Obs
 	if reg == nil {
@@ -454,12 +446,7 @@ func (e *Executor) recover(app IterativeApp, attempts *int) error {
 		// not restored yet, so a kill here lands on a group member
 		// mid-restore and forces a further attempt.
 		e.chaosAt(chaos.PointRestore)
-		// Stash the failure's dead-place set so the store can hand it to
-		// PartialRestorer objects: survivors then keep their in-memory
-		// state and only the fragments lost with plan.dead are re-loaded.
-		e.store.setDead(plan.dead)
 		if err := app.Restore(plan.active, e.store, snapIter, plan.rebalance); err != nil {
-			e.store.setDead(nil)
 			if apgas.IsDeadPlace(err) {
 				// Another place died during recovery: try again. The plan
 				// is discarded without being committed, so any spares it
@@ -495,10 +482,6 @@ type groupPlan struct {
 	active    apgas.PlaceGroup
 	spares    apgas.PlaceGroup
 	rebalance bool
-	// dead lists the active-group places lost in the failure this plan
-	// recovers from; the executor stashes it in the store so partial
-	// restore knows which owners need their data re-loaded.
-	dead []apgas.Place
 }
 
 // nextGroup computes the new active group per the restoration mode.
@@ -521,7 +504,7 @@ func (e *Executor) nextGroup() (groupPlan, error) {
 		if len(alive) >= len(dead) {
 			taken := alive[:len(dead)]
 			newPG, err := e.active.Replace(dead, taken)
-			return groupPlan{active: newPG, spares: alive[len(dead):], dead: dead}, err
+			return groupPlan{active: newPG, spares: alive[len(dead):]}, err
 		}
 		if len(alive) > 0 {
 			// Partial coverage: the schedule killed more places than spares
@@ -541,7 +524,6 @@ func (e *Executor) nextGroup() (groupPlan, error) {
 				active:    survivors,
 				spares:    nil,
 				rebalance: e.cfg.Fallback == ShrinkRebalance,
-				dead:      dead,
 			}, nil
 		}
 		// Spare pool fully exhausted: fall back (paper section V-B3).
@@ -552,11 +534,11 @@ func (e *Executor) nextGroup() (groupPlan, error) {
 			return groupPlan{}, fmt.Errorf("core: elastic place creation: %w", err)
 		}
 		newPG, err := e.active.Replace(dead, added)
-		return groupPlan{active: newPG, spares: e.spares, dead: dead}, err
+		return groupPlan{active: newPG, spares: e.spares}, err
 	}
 	survivors := e.active.Without(dead...)
 	if survivors.Size() == 0 {
 		return groupPlan{}, ErrGroupExhausted
 	}
-	return groupPlan{active: survivors, spares: e.spares, rebalance: mode == ShrinkRebalance, dead: dead}, nil
+	return groupPlan{active: survivors, spares: e.spares, rebalance: mode == ShrinkRebalance}, nil
 }

@@ -63,12 +63,6 @@ func WithChaos(eng *chaos.Engine) Option {
 	return func(c *Config) { c.Chaos = eng }
 }
 
-// WithKernelWorkers sets the intra-place kernel worker pool size (see
-// Config.KernelWorkers); n < 1 leaves the pool unchanged.
-func WithKernelWorkers(n int) Option {
-	return func(c *Config) { c.KernelWorkers = n }
-}
-
 // WithDelta enables incremental (delta) checkpointing: objects that
 // implement snapshot.DirtyTracker re-encode and re-ship only the
 // fragments that changed since the committed checkpoint, carrying the

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"github.com/rgml/rgml/internal/apgas"
 	"github.com/rgml/rgml/internal/obs"
 	"github.com/rgml/rgml/internal/snapshot"
 )
@@ -41,13 +40,6 @@ type AppResilientStore struct {
 	// unchanged entries forward by reference. The executor sets it from
 	// its Delta config knob.
 	delta bool
-
-	// dead is the set of places lost in the failure the executor is
-	// currently recovering from, stashed by the executor before the
-	// application's Restore runs. Restore hands it to PartialRestorer
-	// objects so survivors keep their in-memory state; it is cleared when
-	// the restore finishes.
-	dead []apgas.Place
 
 	// Observability handles (nil-safe; see instrument).
 	saves      *obs.Counter // core.store.saves
@@ -87,23 +79,6 @@ func (s *AppResilientStore) SetDelta(on bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.delta = on
-}
-
-// setDead stashes the places lost in the failure being recovered from;
-// the executor calls it before the application's Restore. Restore
-// consumes and clears it.
-func (s *AppResilientStore) setDead(dead []apgas.Place) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.dead = dead
-}
-
-// DeadPlaces returns the places lost in the failure currently being
-// recovered from (empty outside a restore).
-func (s *AppResilientStore) DeadPlaces() []apgas.Place {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dead
 }
 
 // setCommitHook installs the function Commit runs at its entry (see the
@@ -338,10 +313,10 @@ func (s *AppResilientStore) destroyUnshared(set map[snapshot.Snapshottable]*snap
 // Restore restores every object of the committed checkpoint in parallel
 // (paper Listing 5, line 14: one restore() call recovers all saved
 // objects). Each object must already have been remade over the new place
-// group by the application's Restore method. When the executor has
-// stashed the failure's dead-place set (setDead), objects implementing
-// snapshot.PartialRestorer restore only the fragments whose owner died;
-// surviving places keep their in-memory state. After a successful
+// group by the application's Restore method. Objects implementing
+// snapshot.PartialRestorer restore only the fragments their current owner
+// lost: a fragment Remake retained at a surviving place is kept when it
+// validates against the snapshot digest. After a successful
 // restore, cached read-only snapshots whose replica placement degraded
 // (their group names a dead place) are re-taken from the just-restored
 // objects and swapped into both the cache and the committed checkpoint,
@@ -350,7 +325,6 @@ func (s *AppResilientStore) destroyUnshared(set map[snapshot.Snapshottable]*snap
 func (s *AppResilientStore) Restore() error {
 	s.mu.Lock()
 	committed := s.committed
-	dead := s.dead
 	s.mu.Unlock()
 	if committed == nil {
 		return ErrNoSnapshot
@@ -366,8 +340,8 @@ func (s *AppResilientStore) Restore() error {
 		go func() {
 			defer wg.Done()
 			var err error
-			if pr, ok := obj.(snapshot.PartialRestorer); ok && len(dead) > 0 {
-				err = pr.RestoreSnapshotPartial(snap, dead)
+			if pr, ok := obj.(snapshot.PartialRestorer); ok {
+				err = pr.RestoreSnapshotPartial(snap)
 			} else {
 				err = obj.RestoreSnapshot(snap)
 			}
@@ -397,7 +371,6 @@ func (s *AppResilientStore) Restore() error {
 	}
 	s.mu.Unlock()
 	s.repairCommitted(snaps)
-	s.setDead(nil)
 	return nil
 }
 

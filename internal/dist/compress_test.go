@@ -318,7 +318,7 @@ func TestCompressedPartialRestoreLossless(t *testing.T) {
 	if err := v.Remake(newPG); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.RestoreSnapshotPartial(s, []apgas.Place{rt.Place(1)}); err != nil {
+	if err := v.RestoreSnapshotPartial(s); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("dist.restore.partial.kept").Value(); got != 3 {
@@ -377,7 +377,7 @@ func TestCompressedPartialRestoreLossyReloadsAll(t *testing.T) {
 	if err := v.Remake(newPG); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.RestoreSnapshotPartial(s, []apgas.Place{rt.Place(1)}); err != nil {
+	if err := v.RestoreSnapshotPartial(s); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("dist.restore.partial.kept").Value(); got != 0 {

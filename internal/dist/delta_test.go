@@ -1,12 +1,17 @@
 package dist
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"github.com/rgml/rgml/internal/apgas"
 	"github.com/rgml/rgml/internal/block"
+	"github.com/rgml/rgml/internal/codec"
 	"github.com/rgml/rgml/internal/la"
 	"github.com/rgml/rgml/internal/obs"
+	"github.com/rgml/rgml/internal/snapshot"
 )
 
 // newInstrumentedRT is newRT with an obs registry attached, so the delta
@@ -152,7 +157,7 @@ func TestDistBlockMatrixPartialRestoreRetained(t *testing.T) {
 	}
 
 	loadBytes0 := reg.Counter("snapshot.load.bytes").Value()
-	if err := m.RestoreSnapshotPartial(s, []apgas.Place{rt.Place(1)}); err != nil {
+	if err := m.RestoreSnapshotPartial(s); err != nil {
 		t.Fatal(err)
 	}
 	// Places 0 and 2 keep their blocks; the spare's block and the diverged
@@ -234,7 +239,7 @@ func TestDistVectorDeltaAndPartialRestore(t *testing.T) {
 	if got := reg.Counter("dist.remake.segments.retained").Value(); got != 3 {
 		t.Fatalf("remake.segments.retained = %d, want 3", got)
 	}
-	if err := v.RestoreSnapshotPartial(s3, []apgas.Place{rt.Place(1)}); err != nil {
+	if err := v.RestoreSnapshotPartial(s3); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("dist.restore.partial.kept").Value(); got != 3 {
@@ -286,7 +291,7 @@ func TestDupVectorPartialRestoreBroadcasts(t *testing.T) {
 		t.Fatal(err)
 	}
 	loads0 := reg.Counter("snapshot.loads").Value()
-	if err := v.RestoreSnapshotPartial(s, []apgas.Place{rt.Place(1)}); err != nil {
+	if err := v.RestoreSnapshotPartial(s); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("dist.restore.partial.kept").Value(); got != 3 {
@@ -348,7 +353,7 @@ func TestDupVectorDeltaAndDivergedSurvivorFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	kept0 := reg.Counter("dist.restore.partial.kept").Value()
-	if err := v.RestoreSnapshotPartial(s2, []apgas.Place{rt.Place(1)}); err != nil {
+	if err := v.RestoreSnapshotPartial(s2); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("dist.restore.partial.kept").Value(); got != kept0 {
@@ -396,7 +401,7 @@ func TestDupDenseMatrixDeltaAndPartialRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	loads0 := reg.Counter("snapshot.loads").Value()
-	if err := m.RestoreSnapshotPartial(s2, []apgas.Place{rt.Place(2)}); err != nil {
+	if err := m.RestoreSnapshotPartial(s2); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("dist.restore.partial.kept").Value(); got != 3 {
@@ -415,6 +420,261 @@ func TestDupDenseMatrixDeltaAndPartialRestore(t *testing.T) {
 				if got.At(i, j) != float64(10*i+j) {
 					t.Fatalf("duplicate %d at [%d,%d] = %v, want %v", idx, i, j, got.At(i, j), float64(10*i+j))
 				}
+			}
+		}
+	}
+}
+
+// TestFullSaveIsDeltaSaveAgainstNothing pins the contract of the one save
+// path, for every snapshottable class under both a replicated and an
+// erasure-coded store, with and without compression: MakeSnapshot,
+// MakeDeltaSnapshot(nil) and MakeDeltaSnapshot against an inapplicable
+// predecessor (another place group, another compression policy) store the
+// same digest under every key and restore the same bits, and none of them
+// moves a snapshot.delta.* counter. It also pins the explicit full
+// restore: after a Remake that retained survivors, RestoreSnapshot reloads
+// every fragment and keeps none.
+func TestFullSaveIsDeltaSaveAgainstNothing(t *testing.T) {
+	type object interface {
+		snapshot.DirtyTracker
+		snapshot.PartialRestorer
+		SetCompression(codec.Spec) error
+	}
+	// subject is one object under test: keys lists its snapshot's
+	// (key, owner index) pairs, read its whole content.
+	type subject struct {
+		obj      object
+		keys     [][2]int
+		read     func() []float64
+		scribble func() error
+		remake   func(apgas.PlaceGroup) error
+	}
+	blockMatrix := func(kind block.Kind) func(*testing.T, *apgas.Runtime, apgas.PlaceGroup) subject {
+		return func(t *testing.T, rt *apgas.Runtime, pg apgas.PlaceGroup) subject {
+			m, err := MakeDistBlockMatrix(rt, kind, 24, 24, 2, 2, 2, 2, pg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if kind == block.Dense {
+				err = m.InitDense(func(i, j int) float64 { return math.Sin(float64(3*i + j)) })
+			} else {
+				err = m.InitSparseColumns(func(j int) ([]int, []float64) {
+					return []int{j, (j + 7) % 24}, []float64{1 + float64(j)/24, -0.5}
+				})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var keys [][2]int
+			for id, owner := range m.dg.PlaceOf {
+				keys = append(keys, [2]int{id, owner})
+			}
+			return subject{
+				obj:  m,
+				keys: keys,
+				read: func() []float64 {
+					d, err := m.ToDense()
+					if err != nil {
+						t.Fatal(err)
+					}
+					return d.Data
+				},
+				scribble: func() error { return m.Scale(0) },
+				remake:   func(pg apgas.PlaceGroup) error { return m.Remake(pg, true) },
+			}
+		}
+	}
+	classes := []struct {
+		name  string
+		build func(*testing.T, *apgas.Runtime, apgas.PlaceGroup) subject
+	}{
+		{"DistVector", func(t *testing.T, rt *apgas.Runtime, pg apgas.PlaceGroup) subject {
+			v, err := MakeDistVector(rt, 301, pg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := v.Init(func(i int) float64 { return math.Cos(float64(i) / 3) }); err != nil {
+				t.Fatal(err)
+			}
+			return subject{
+				obj:  v,
+				keys: [][2]int{{0, 0}, {1, 1}, {2, 2}, {3, 3}},
+				read: func() []float64 {
+					got, err := v.ToVector()
+					if err != nil {
+						t.Fatal(err)
+					}
+					return got
+				},
+				scribble: func() error { return v.Scale(0) },
+				remake:   v.Remake,
+			}
+		}},
+		{"DupVector", func(t *testing.T, rt *apgas.Runtime, pg apgas.PlaceGroup) subject {
+			v, err := MakeDupVector(rt, 300, pg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := v.Init(func(i int) float64 { return math.Sin(float64(i)) }); err != nil {
+				t.Fatal(err)
+			}
+			return subject{
+				obj:  v,
+				keys: [][2]int{{0, 0}},
+				read: func() []float64 {
+					var all []float64
+					for idx := range v.Group() {
+						all = append(all, readDupAt(t, v, idx)...)
+					}
+					return all
+				},
+				scribble: func() error { return v.AllApply(func(local la.Vector) { local.Fill(-7) }) },
+				remake:   v.Remake,
+			}
+		}},
+		{"DupDenseMatrix", func(t *testing.T, rt *apgas.Runtime, pg apgas.PlaceGroup) subject {
+			m, err := MakeDupDenseMatrix(rt, 7, 5, pg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Init(func(i, j int) float64 { return math.Sin(float64(5*i + j)) }); err != nil {
+				t.Fatal(err)
+			}
+			return subject{
+				obj:  m,
+				keys: [][2]int{{0, 0}},
+				read: func() []float64 {
+					var all []float64
+					for idx := range m.Group() {
+						all = append(all, readDupDenseAt(t, m, idx).Data...)
+					}
+					return all
+				},
+				scribble: func() error {
+					return m.AllApply(func(local *la.DenseMatrix) { clear(local.Data) })
+				},
+				remake: m.Remake,
+			}
+		}},
+		{"DistBlockMatrixDense", blockMatrix(block.Dense)},
+		{"DistBlockMatrixSparse", blockMatrix(block.Sparse)},
+	}
+	policies := []apgas.StorePolicy{apgas.ReplicateStore(2), apgas.ErasureStore(3, 1)}
+	for _, class := range classes {
+		for _, pol := range policies {
+			for _, spec := range []codec.Spec{{}, losslessSpec} {
+				name := fmt.Sprintf("%s/%v/%v", class.name, pol, spec.Mode)
+				t.Run(name, func(t *testing.T) {
+					rt, reg := newCompressedRT(t, 5, spec, apgas.WithStorePolicy(pol))
+					pg := apgas.PlaceGroup{rt.Place(0), rt.Place(1), rt.Place(2), rt.Place(3)}
+					sub := class.build(t, rt, pg)
+					want := sub.read()
+
+					// The inapplicable predecessors: a snapshot over another
+					// group, and one written under another compression policy.
+					otherGroup, err := snapshot.New(rt, apgas.PlaceGroup{rt.Place(1), rt.Place(2), rt.Place(3), rt.Place(4)})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer otherGroup.Destroy()
+					otherSpec := losslessSpec
+					if spec == losslessSpec {
+						otherSpec = codec.Spec{}
+					}
+					if err := sub.obj.SetCompression(otherSpec); err != nil {
+						t.Fatal(err)
+					}
+					otherComp, err := sub.obj.MakeSnapshot()
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer otherComp.Destroy()
+					if err := sub.obj.SetCompression(spec); err != nil {
+						t.Fatal(err)
+					}
+
+					digests := func(s *snapshot.Snapshot) [][2]int {
+						var out [][2]int
+						err := rt.Finish(func(ctx *apgas.Ctx) {
+							for _, k := range sub.keys {
+								sum, size, err := s.Digest(ctx, k[0], k[1])
+								if err != nil {
+									apgas.Throw(err)
+								}
+								out = append(out, [2]int{int(sum), size})
+							}
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						return out
+					}
+					full, err := sub.obj.MakeSnapshot()
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer full.Destroy()
+					wantDigests := digests(full)
+					// Every save runs before the first scribble, so the
+					// object's version still matches every predecessor's.
+					saves := []struct {
+						name string
+						prev *snapshot.Snapshot
+						snap *snapshot.Snapshot
+					}{{"MakeDeltaSnapshot(nil)", nil, nil}, {"other group", otherGroup, nil}, {"other compression", otherComp, nil}}
+					for i := range saves {
+						if saves[i].snap, err = sub.obj.MakeDeltaSnapshot(saves[i].prev); err != nil {
+							t.Fatal(err)
+						}
+						defer saves[i].snap.Destroy()
+					}
+					for _, sv := range saves {
+						if got := digests(sv.snap); !slices.Equal(got, wantDigests) {
+							t.Errorf("%s: digests %v, want MakeSnapshot's %v", sv.name, got, wantDigests)
+						}
+						if err := sub.scribble(); err != nil {
+							t.Fatal(err)
+						}
+						if err := sub.obj.RestoreSnapshot(sv.snap); err != nil {
+							t.Fatalf("%s: restore: %v", sv.name, err)
+						}
+						checkVector(t, sub.read(), want, 0)
+					}
+					for _, c := range []string{"snapshot.delta.carried", "snapshot.delta.saved", "snapshot.delta.bytes.skipped"} {
+						if got := reg.Counter(c).Value(); got != 0 {
+							t.Errorf("%s = %d, want 0 without an applicable predecessor", c, got)
+						}
+					}
+
+					// Kill place 1 and replace it in position: the three
+					// survivors retain their fragments through Remake, yet
+					// the explicit full restore loads all four.
+					if err := rt.Kill(rt.Place(1)); err != nil {
+						t.Fatal(err)
+					}
+					retained := func() int64 {
+						return reg.Counter("dist.remake.segments.retained").Value() +
+							reg.Counter("dist.remake.blocks.retained").Value()
+					}
+					retained0 := retained()
+					if err := sub.remake(apgas.PlaceGroup{rt.Place(0), rt.Place(4), rt.Place(2), rt.Place(3)}); err != nil {
+						t.Fatal(err)
+					}
+					if got := retained() - retained0; got != 3 {
+						t.Fatalf("Remake retained %d fragments, want 3", got)
+					}
+					loads0 := reg.Counter("snapshot.loads").Value()
+					if err := sub.obj.RestoreSnapshot(full); err != nil {
+						t.Fatal(err)
+					}
+					if got := reg.Counter("dist.restore.partial.kept").Value(); got != 0 {
+						t.Errorf("dist.restore.partial.kept = %d, want 0", got)
+					}
+					if got := reg.Counter("snapshot.loads").Value() - loads0; got != 4 {
+						t.Errorf("RestoreSnapshot loaded %d fragments, want all 4", got)
+					}
+					checkVector(t, sub.read(), want, 0)
+				})
 			}
 		}
 	}

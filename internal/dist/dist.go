@@ -40,44 +40,40 @@ var ErrGroupMismatch = errors.New("dist: objects distributed over different plac
 // dimensions.
 var ErrShapeMismatch = errors.New("dist: shape mismatch")
 
-// saveVector runs the checkpoint fast path for one vector fragment:
-// encode into a pooled, exactly-sized buffer with the CRC-32C folded into
-// the encode pass (over the compressed bytes when comp is set), then hand
-// the buffer to the snapshot store.
-func saveVector(ctx *apgas.Ctx, s *snapshot.Snapshot, key int, v la.Vector, comp codec.Compressor) {
-	if comp == nil {
-		enc := encodeVectorPooled(v, nil)
-		s.SaveEncoded(ctx, key, enc)
-		return
-	}
-	start := time.Now()
-	enc := encodeVectorPooled(v, comp)
-	s.NoteCompression(codec.SizeFloat64s(len(v)), enc.Len(), time.Since(start))
-	s.SaveEncoded(ctx, key, enc)
-}
-
-// encodeVectorPooled encodes a vector fragment into a pooled encoder.
-func encodeVectorPooled(v la.Vector, comp codec.Compressor) *codec.Encoder {
-	enc := codec.NewEncoderC(codec.SizeFloat64s(len(v)), comp)
-	enc.PutFloat64s(v)
-	return &enc
-}
-
-// saveVectorDelta is saveVector against a previous checkpoint (see
-// Snapshot.SaveDelta): the fragment is re-encoded and re-shipped only if
-// ver moved since prev recorded it, or its bytes actually changed. With a
+// saveVector checkpoints one vector fragment against prev (nil for a full
+// save; see Snapshot.SaveDelta): the fragment is encoded into a pooled,
+// exactly-sized buffer with the CRC-32C folded into the encode pass (over
+// the compressed bytes when comp is set) unless ver shows it unchanged
+// since prev, and re-shipped only if its bytes actually changed. With a
 // deterministic compressor, the store's byte comparison operates on
 // compressed frames and stays exact.
-func saveVectorDelta(ctx *apgas.Ctx, s, prev *snapshot.Snapshot, key int, ver uint64, v la.Vector, comp codec.Compressor) {
+func saveVector(ctx *apgas.Ctx, s, prev *snapshot.Snapshot, key int, ver uint64, v la.Vector, comp codec.Compressor) {
 	s.SaveDelta(ctx, key, ver, prev, func() *codec.Encoder {
-		if comp == nil {
-			return encodeVectorPooled(v, nil)
+		var start time.Time
+		if comp != nil {
+			start = time.Now()
 		}
-		start := time.Now()
-		enc := encodeVectorPooled(v, comp)
-		s.NoteCompression(codec.SizeFloat64s(len(v)), enc.Len(), time.Since(start))
-		return enc
+		enc := codec.NewEncoderC(codec.SizeFloat64s(len(v)), comp)
+		enc.PutFloat64s(v)
+		if comp != nil {
+			s.NoteCompression(codec.SizeFloat64s(len(v)), enc.Len(), time.Since(start))
+		}
+		return &enc
 	})
+}
+
+// deltaBase returns prev when it can serve as the baseline of a delta
+// save over pg under spec — same place group, same compression policy
+// (carried-forward frames must decode under the new snapshot's codec) —
+// and nil, which makes the save a full one, otherwise.
+func deltaBase(prev *snapshot.Snapshot, pg apgas.PlaceGroup, spec codec.Spec) *snapshot.Snapshot {
+	if prev == nil || !prev.Group().Equal(pg) {
+		return nil
+	}
+	if prevSpec, _, err := splitCompressMeta(prev.Meta()); err != nil || prevSpec != spec {
+		return nil
+	}
+	return prev
 }
 
 // validateRetainedVector checks a surviving place's in-memory fragment
@@ -101,7 +97,8 @@ func validateRetainedVector(ctx *apgas.Ctx, s *snapshot.Snapshot, key, ownerIdx 
 	if err != nil || (comp == nil && size != codec.SizeFloat64s(len(v))) {
 		return false
 	}
-	enc := encodeVectorPooled(v, comp)
+	enc := codec.NewEncoderC(codec.SizeFloat64s(len(v)), comp)
+	enc.PutFloat64s(v)
 	ok := enc.Len() == size && enc.Sum() == sum
 	codec.PutBuffer(enc.Bytes())
 	return ok

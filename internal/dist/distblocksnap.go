@@ -12,22 +12,26 @@ import (
 	"github.com/rgml/rgml/internal/snapshot"
 )
 
-// MakeSnapshot implements snapshot.Snapshottable: each place saves every
-// block it owns under the block's ID; the descriptor records the
-// snapshot-time grid and block→place mapping so restores can locate each
-// block's replicas.
-func (m *DistBlockMatrix) MakeSnapshot() (*snapshot.Snapshot, error) {
-	return m.MakeSnapshotWithOptions(snapshot.Options{})
-}
+// MakeSnapshot implements snapshot.Snapshottable: a full save, i.e. a
+// delta save against nothing.
+func (m *DistBlockMatrix) MakeSnapshot() (*snapshot.Snapshot, error) { return m.MakeDeltaSnapshot(nil) }
 
-// MakeSnapshotWithOptions is MakeSnapshot with explicit snapshot Options
-// (e.g. the DisableBackup ablation knob).
-func (m *DistBlockMatrix) MakeSnapshotWithOptions(opts snapshot.Options) (*snapshot.Snapshot, error) {
-	s, err := snapshot.NewWithOptions(m.rt, m.pg, opts)
+// MakeDeltaSnapshot implements snapshot.DirtyTracker: each place saves
+// every block it owns under the block's ID; the descriptor records the
+// snapshot-time grid and block→place mapping so restores can locate each
+// block's replicas. Blocks unchanged since prev (same content version, or
+// identical bytes) are carried into the new snapshot by reference instead
+// of being re-encoded and re-shipped; every block is saved fresh when prev
+// is nil or unusable as a baseline (see deltaApplicable).
+func (m *DistBlockMatrix) MakeDeltaSnapshot(prev *snapshot.Snapshot) (*snapshot.Snapshot, error) {
+	comp, spec := m.newCompressor(m.rt)
+	if !m.deltaApplicable(prev, spec) {
+		prev = nil
+	}
+	s, err := snapshot.New(m.rt, m.pg)
 	if err != nil {
 		return nil, err
 	}
-	comp, spec := m.newCompressor(m.rt)
 	meta := appendCompressMeta(make([]byte, 0, 8*codec.SizeInt+codec.SizeInts(len(m.dg.PlaceOf))), spec)
 	meta = codec.AppendInt(meta, int(m.kind))
 	meta = codec.AppendInt(meta, m.rows)
@@ -39,13 +43,13 @@ func (m *DistBlockMatrix) MakeSnapshotWithOptions(opts snapshot.Options) (*snaps
 	err = apgas.ForEachPlace(m.rt, m.pg, func(ctx *apgas.Ctx, idx int) {
 		bs := m.plh.Local(ctx)
 		if bs.Len() <= 1 {
-			bs.Each(func(id int, b *block.MatrixBlock) { saveBlock(ctx, s, id, b, comp) })
+			bs.Each(func(id int, b *block.MatrixBlock) { saveBlock(ctx, s, prev, id, b.Ver, b, comp) })
 			return
 		}
 		// A place holding several blocks encodes them in parallel tasks;
 		// each task's backup put overlaps the other encodes.
 		bs.Each(func(id int, b *block.MatrixBlock) {
-			ctx.AsyncAt(ctx.Here, func(c *apgas.Ctx) { saveBlock(c, s, id, b, comp) })
+			ctx.AsyncAt(ctx.Here, func(c *apgas.Ctx) { saveBlock(c, s, prev, id, b.Ver, b, comp) })
 		})
 	})
 	if err != nil {
@@ -56,86 +60,38 @@ func (m *DistBlockMatrix) MakeSnapshotWithOptions(opts snapshot.Options) (*snaps
 	return s, nil
 }
 
-// encodeBlock encodes one block into a pooled encoder, through comp when
-// set (the CRC-32C then covers the compressed frame), recording the
-// compression instrumentation on s.
-func encodeBlock(s *snapshot.Snapshot, b *block.MatrixBlock, comp codec.Compressor) *codec.Encoder {
-	if comp == nil {
-		enc := codec.NewEncoder(b.EncodedSize())
-		b.EncodeInto(&enc)
-		return &enc
-	}
-	start := time.Now()
-	enc := codec.NewEncoderC(b.EncodedSize(), comp)
-	b.EncodeInto(&enc)
-	s.NoteCompression(b.EncodedSize(), enc.Len(), time.Since(start))
-	return &enc
-}
-
-// saveBlock runs the checkpoint fast path for one block: encode into a
-// pooled, exactly-sized buffer with the CRC-32C folded into the encode
-// pass, then hand the buffer to the snapshot store.
-func saveBlock(ctx *apgas.Ctx, s *snapshot.Snapshot, id int, b *block.MatrixBlock, comp codec.Compressor) {
-	enc := encodeBlock(s, b, comp)
-	s.SaveEncoded(ctx, id, enc)
-}
-
-// saveBlockDelta is saveBlock against a previous checkpoint: the block is
-// re-encoded (and re-shipped) only if its content version moved since
-// prev recorded it, with the store's CRC comparison as the backstop for
-// unversioned mutations.
-func saveBlockDelta(ctx *apgas.Ctx, s, prev *snapshot.Snapshot, id int, b *block.MatrixBlock, comp codec.Compressor) {
-	s.SaveDelta(ctx, id, b.Ver, prev, func() *codec.Encoder {
-		return encodeBlock(s, b, comp)
-	})
-}
-
-// MakeDeltaSnapshot implements snapshot.DirtyTracker: blocks unchanged
-// since prev (same content version, or identical bytes) are carried into
-// the new snapshot by reference instead of being re-encoded and
-// re-shipped. Applicable only when prev describes the same group, grid,
-// distribution, and compression policy (carried-forward frames must
-// decode under this snapshot's codec); anything else degrades to a full
-// MakeSnapshot.
-func (m *DistBlockMatrix) MakeDeltaSnapshot(prev *snapshot.Snapshot) (*snapshot.Snapshot, error) {
-	comp, spec := m.newCompressor(m.rt)
-	if !m.deltaApplicable(prev, spec) {
-		return m.MakeSnapshot()
-	}
-	s, err := snapshot.NewWithOptions(m.rt, m.pg, snapshot.Options{})
-	if err != nil {
-		return nil, err
-	}
-	s.SetMeta(prev.Meta())
-	err = apgas.ForEachPlace(m.rt, m.pg, func(ctx *apgas.Ctx, idx int) {
-		bs := m.plh.Local(ctx)
-		if bs.Len() <= 1 {
-			bs.Each(func(id int, b *block.MatrixBlock) { saveBlockDelta(ctx, s, prev, id, b, comp) })
-			return
+// saveBlock checkpoints one block under key at content version ver
+// against prev (nil for a full save; see Snapshot.SaveDelta): the block is
+// encoded into a pooled, exactly-sized buffer with the CRC-32C folded into
+// the encode pass (over the compressed frame when comp is set, recording
+// the compression instrumentation on s) unless ver shows it unchanged
+// since prev, and re-shipped only if its bytes actually changed.
+func saveBlock(ctx *apgas.Ctx, s, prev *snapshot.Snapshot, key int, ver uint64, b *block.MatrixBlock, comp codec.Compressor) {
+	s.SaveDelta(ctx, key, ver, prev, func() *codec.Encoder {
+		var start time.Time
+		if comp != nil {
+			start = time.Now()
 		}
-		bs.Each(func(id int, b *block.MatrixBlock) {
-			ctx.AsyncAt(ctx.Here, func(c *apgas.Ctx) { saveBlockDelta(c, s, prev, id, b, comp) })
-		})
+		enc := codec.NewEncoderC(b.EncodedSize(), comp)
+		b.EncodeInto(&enc)
+		if comp != nil {
+			s.NoteCompression(b.EncodedSize(), enc.Len(), time.Since(start))
+		}
+		return &enc
 	})
-	if err != nil {
-		s.Destroy()
-		return nil, err
-	}
-	noteLossyErr(s, comp)
-	return s, nil
 }
 
 // deltaApplicable reports whether prev can serve as the baseline of a
-// delta snapshot under the resolved compression spec: same group, same
-// grid, the same block→place mapping (a carried entry must keep its
-// owner, or restores would look up replicas at the wrong places), and
-// the same compression policy.
+// delta snapshot under the resolved compression spec: deltaBase's group
+// and compression checks, plus the same grid and the same block→place
+// mapping (a carried entry must keep its owner, or restores would look up
+// replicas at the wrong places).
 func (m *DistBlockMatrix) deltaApplicable(prev *snapshot.Snapshot, spec codec.Spec) bool {
-	if prev == nil || !prev.Group().Equal(m.pg) {
+	if deltaBase(prev, m.pg, spec) == nil {
 		return false
 	}
 	meta, err := decodeSnapMeta(prev.Meta())
-	if err != nil || meta.kind != m.kind || !meta.oldGrid.Equal(m.g) || meta.spec != spec {
+	if err != nil || meta.kind != m.kind || !meta.oldGrid.Equal(m.g) {
 		return false
 	}
 	for id, p := range meta.placeOf {
@@ -146,77 +102,14 @@ func (m *DistBlockMatrix) deltaApplicable(prev *snapshot.Snapshot, spec codec.Sp
 	return true
 }
 
-// RestoreSnapshotPartial implements snapshot.PartialRestorer: on the
-// same-grid path, blocks whose payload survived the Remake (retained at
-// a surviving place) are kept if a local re-encode matches the
-// snapshot's digest — only blocks owned by fresh places, or whose
-// content moved past the checkpoint, are loaded from the store. Regrid
-// restores always rebuild everything.
-func (m *DistBlockMatrix) RestoreSnapshotPartial(s *snapshot.Snapshot, dead []apgas.Place) error {
-	meta, err := decodeSnapMeta(s.Meta())
-	if err != nil {
-		return err
-	}
-	if meta.kind != m.kind || meta.rows != m.rows || meta.cols != m.cols {
-		return fmt.Errorf("dist: restore %v %dx%d from snapshot of %v %dx%d: %w",
-			m.kind, m.rows, m.cols, meta.kind, meta.rows, meta.cols, ErrShapeMismatch)
-	}
-	if !meta.oldGrid.Equal(m.g) {
-		return m.restoreRegrid(s, meta)
-	}
-	reg := m.rt.Obs()
-	kept := reg.Counter("dist.restore.partial.kept")
-	keptBytes := reg.Counter("dist.restore.partial.bytes.kept")
-	loaded := reg.Counter("dist.restore.partial.loaded")
-	return apgas.ForEachPlace(m.rt, m.pg, func(ctx *apgas.Ctx, idx int) {
-		m.plh.Local(ctx).Each(func(id int, b *block.MatrixBlock) {
-			if b.Retained && m.validateRetained(ctx, s, meta, id, b) {
-				b.Retained = false
-				kept.Inc()
-				keptBytes.Add(int64(b.EncodedSize()))
-				return
-			}
-			if err := m.loadBlock(ctx, s, meta, id, b); err != nil {
-				apgas.Throw(err)
-			}
-			b.Retained = false
-			loaded.Inc()
-		})
-	})
-}
-
-// validateRetained checks a surviving block's in-memory payload against
-// the snapshot: sizes first (free; skipped under compression, whose
-// frame sizes are not predictable from the shape), then a local
-// re-encode whose CRC must equal the stored digest. A survivor whose
-// state advanced past the checkpoint fails the comparison and is
-// re-loaded like any lost block. A lossy codec rejects outright (see
-// validateRetainedVector): a quantizing re-encode cannot tell the
-// checkpointed payload from newer state in the same bucket.
-func (m *DistBlockMatrix) validateRetained(ctx *apgas.Ctx, s *snapshot.Snapshot, meta *snapMeta, id int, b *block.MatrixBlock) bool {
-	if meta.spec.Mode == codec.CompressLossy {
-		return false
-	}
-	sum, size, err := s.Digest(ctx, id, meta.placeOf[id])
-	if err != nil || (meta.comp == nil && size != b.EncodedSize()) {
-		return false
-	}
-	enc := codec.NewEncoderC(b.EncodedSize(), meta.comp)
-	b.EncodeInto(&enc)
-	ok := enc.Len() == size && enc.Sum() == sum
-	codec.PutBuffer(enc.Bytes())
-	return ok
-}
-
 // snapMeta is the decoded snapshot descriptor.
 type snapMeta struct {
 	kind       block.Kind
 	rows, cols int
 	oldGrid    *grid.Grid
 	placeOf    []int
-	// spec and comp record the compression policy the snapshot's frames
-	// were written under (zero/nil for an uncompressed snapshot).
-	spec codec.Spec
+	// comp is the compressor the snapshot's frames were written through
+	// (nil for an uncompressed snapshot).
 	comp codec.Compressor
 }
 
@@ -246,7 +139,7 @@ func decodeSnapMeta(meta []byte) (*snapMeta, error) {
 	if len(placeOf) != g.NumBlocks() {
 		return nil, fmt.Errorf("dist: snapshot meta: %d owners for %d blocks", len(placeOf), g.NumBlocks())
 	}
-	return &snapMeta{kind: block.Kind(kind), rows: rows, cols: cols, oldGrid: g, placeOf: placeOf, spec: spec, comp: comp}, nil
+	return &snapMeta{kind: block.Kind(kind), rows: rows, cols: cols, oldGrid: g, placeOf: placeOf, comp: comp}, nil
 }
 
 // RestoreSnapshot implements snapshot.Snapshottable. If the current data
@@ -255,8 +148,28 @@ func decodeSnapMeta(meta []byte) (*snapMeta, error) {
 // replace-redundant modes). If the grid changed (shrink-rebalance), every
 // place reassembles each of its new blocks from the overlapping regions of
 // the old blocks; sparse blocks additionally run the nonzero-counting pass
-// over the overlaps before allocating (paper section IV-B2).
-func (m *DistBlockMatrix) RestoreSnapshot(s *snapshot.Snapshot) error {
+// over the overlaps before allocating (paper section IV-B2). Every block
+// is loaded: survivor state retained through Remake is never trusted.
+func (m *DistBlockMatrix) RestoreSnapshot(s *snapshot.Snapshot) error { return m.restore(s, false) }
+
+// RestoreSnapshotPartial implements snapshot.PartialRestorer: it is
+// RestoreSnapshot except that, on the same-grid path, blocks whose payload
+// survived the Remake (retained at a surviving place) are kept if a local
+// re-encode matches the snapshot's digest — only blocks owned by fresh
+// places, or whose content moved past the checkpoint, are loaded from the
+// store.
+func (m *DistBlockMatrix) RestoreSnapshotPartial(s *snapshot.Snapshot) error {
+	return m.restore(s, true)
+}
+
+// restore is the one restore body behind RestoreSnapshot (keepRetained
+// false) and RestoreSnapshotPartial (keepRetained true). The same-grid
+// path decodes each loaded block into its existing payload allocation
+// (DecodeInto). Installing the decoded slices instead would drop the
+// block's pooled backing — the first checkpoint after every restore would
+// then allocate every payload afresh — and would alias the regrid decode
+// cache's buffers into live blocks.
+func (m *DistBlockMatrix) restore(s *snapshot.Snapshot, keepRetained bool) error {
 	meta, err := decodeSnapMeta(s.Meta())
 	if err != nil {
 		return err
@@ -265,26 +178,28 @@ func (m *DistBlockMatrix) RestoreSnapshot(s *snapshot.Snapshot) error {
 		return fmt.Errorf("dist: restore %v %dx%d from snapshot of %v %dx%d: %w",
 			m.kind, m.rows, m.cols, meta.kind, meta.rows, meta.cols, ErrShapeMismatch)
 	}
-	if meta.oldGrid.Equal(m.g) {
-		return m.restoreSameGrid(s, meta)
+	if !meta.oldGrid.Equal(m.g) {
+		return m.restoreRegrid(s, meta)
 	}
-	return m.restoreRegrid(s, meta)
-}
-
-// restoreSameGrid copies whole blocks: each place loads every block it now
-// owns directly from the snapshot replica of the block's old owner,
-// decoding into the block's existing payload allocation (DecodeInto).
-// Installing the decoded slices instead would drop the block's pooled
-// backing — the first checkpoint after every restore would then allocate
-// every payload afresh — and would alias the regrid decode cache's
-// buffers into live blocks.
-func (m *DistBlockMatrix) restoreSameGrid(s *snapshot.Snapshot, meta *snapMeta) error {
+	reg := m.rt.Obs()
+	kept := reg.Counter("dist.restore.partial.kept")
+	keptBytes := reg.Counter("dist.restore.partial.bytes.kept")
+	loaded := reg.Counter("dist.restore.partial.loaded")
 	return apgas.ForEachPlace(m.rt, m.pg, func(ctx *apgas.Ctx, idx int) {
 		m.plh.Local(ctx).Each(func(id int, b *block.MatrixBlock) {
+			if keepRetained && b.Retained && validateRetainedBlock(ctx, s, id, meta.placeOf[id], b, meta.comp) {
+				b.Retained = false
+				kept.Inc()
+				keptBytes.Add(int64(b.EncodedSize()))
+				return
+			}
 			if err := m.loadBlock(ctx, s, meta, id, b); err != nil {
 				apgas.Throw(err)
 			}
 			b.Retained = false
+			if keepRetained {
+				loaded.Inc()
+			}
 		})
 	})
 }

@@ -322,44 +322,19 @@ func (v *DistVector) Remake(newPG apgas.PlaceGroup) error {
 	return nil
 }
 
-// MakeSnapshot implements snapshot.Snapshottable: each place saves its
-// segment under its group index; the descriptor records the snapshot-time
-// segmentation.
-func (v *DistVector) MakeSnapshot() (*snapshot.Snapshot, error) {
-	s, err := snapshot.New(v.rt, v.pg)
-	if err != nil {
-		return nil, err
-	}
-	comp, spec := v.newCompressor(v.rt)
-	meta := appendCompressMeta(nil, spec)
-	meta = codec.AppendInt(meta, v.n)
-	meta = codec.AppendInts(meta, v.segSizes)
-	s.SetMeta(meta)
-	err = apgas.ForEachPlace(v.rt, v.pg, func(ctx *apgas.Ctx, idx int) {
-		saveVector(ctx, s, idx, v.plh.Local(ctx), comp)
-	})
-	if err != nil {
-		s.Destroy()
-		return nil, err
-	}
-	noteLossyErr(s, comp)
-	return s, nil
-}
+// MakeSnapshot implements snapshot.Snapshottable: a full save, i.e. a
+// delta save against nothing.
+func (v *DistVector) MakeSnapshot() (*snapshot.Snapshot, error) { return v.MakeDeltaSnapshot(nil) }
 
-// MakeDeltaSnapshot implements snapshot.DirtyTracker: segments whose
-// version is unchanged since prev (or whose bytes compare equal) are
-// carried forward by reference instead of re-encoded and re-shipped.
-// Falls back to a full snapshot when prev does not cover the current
-// place group, or was written under a different compression policy
-// (carried-forward frames must decode under this snapshot's codec).
+// MakeDeltaSnapshot implements snapshot.DirtyTracker: each place saves its
+// segment under its group index; the descriptor records the snapshot-time
+// segmentation. Segments whose version is unchanged since prev (or whose
+// bytes compare equal) are carried forward by reference instead of
+// re-encoded and re-shipped; every segment is saved fresh when prev is
+// nil or unusable as a baseline (see deltaBase).
 func (v *DistVector) MakeDeltaSnapshot(prev *snapshot.Snapshot) (*snapshot.Snapshot, error) {
-	if prev == nil || !prev.Group().Equal(v.pg) {
-		return v.MakeSnapshot()
-	}
 	comp, spec := v.newCompressor(v.rt)
-	if prevSpec, _, err := splitCompressMeta(prev.Meta()); err != nil || prevSpec != spec {
-		return v.MakeSnapshot()
-	}
+	prev = deltaBase(prev, v.pg, spec)
 	s, err := snapshot.New(v.rt, v.pg)
 	if err != nil {
 		return nil, err
@@ -370,7 +345,7 @@ func (v *DistVector) MakeDeltaSnapshot(prev *snapshot.Snapshot) (*snapshot.Snaps
 	s.SetMeta(meta)
 	ver := v.ver
 	err = apgas.ForEachPlace(v.rt, v.pg, func(ctx *apgas.Ctx, idx int) {
-		saveVectorDelta(ctx, s, prev, idx, ver, v.plh.Local(ctx), comp)
+		saveVector(ctx, s, prev, idx, ver, v.plh.Local(ctx), comp)
 	})
 	if err != nil {
 		s.Destroy()
@@ -384,8 +359,21 @@ func (v *DistVector) MakeDeltaSnapshot(prev *snapshot.Snapshot) (*snapshot.Snaps
 // segmentation matches the snapshot's (restore onto the same number of
 // places), each place loads its whole segment — the fast block-by-block
 // path. Otherwise each place reassembles its new segment from the
-// overlapping old segments (the re-partitioned path).
-func (v *DistVector) RestoreSnapshot(s *snapshot.Snapshot) error {
+// overlapping old segments (the re-partitioned path). Every segment is
+// loaded: survivor state retained through Remake is never trusted.
+func (v *DistVector) RestoreSnapshot(s *snapshot.Snapshot) error { return v.restore(s, false) }
+
+// RestoreSnapshotPartial implements snapshot.PartialRestorer: it is
+// RestoreSnapshot except that, on a same-segmentation restore, segments
+// retained through the preceding Remake are validated against the
+// checkpoint digest (a local re-encode whose CRC must match the stored
+// sum) and kept in place when they match; only segments whose owner died
+// — or whose survivor state diverged from the checkpoint — are loaded.
+func (v *DistVector) RestoreSnapshotPartial(s *snapshot.Snapshot) error { return v.restore(s, true) }
+
+// restore is the one restore body behind RestoreSnapshot (keepRetained
+// false) and RestoreSnapshotPartial (keepRetained true).
+func (v *DistVector) restore(s *snapshot.Snapshot, keepRetained bool) error {
 	comp, objMeta, err := compressorForMeta(s.Meta())
 	if err != nil {
 		return fmt.Errorf("dist: DistVector restore meta: %w", err)
@@ -404,12 +392,22 @@ func (v *DistVector) RestoreSnapshot(s *snapshot.Snapshot) error {
 	oldOffs := grid.Offsets(oldSizes)
 
 	sameSeg := len(oldSizes) == v.pg.Size()
+	reg := v.rt.Obs()
+	kept := reg.Counter("dist.restore.partial.kept")
+	keptBytes := reg.Counter("dist.restore.partial.bytes.kept")
+	loaded := reg.Counter("dist.restore.partial.loaded")
 	return apgas.ForEachPlace(v.rt, v.pg, func(ctx *apgas.Ctx, idx int) {
-		if idx < len(v.retained) {
+		retained := idx < len(v.retained) && v.retained[idx]
+		if retained {
 			v.retained[idx] = false
 		}
 		seg := v.plh.Local(ctx)
 		if sameSeg {
+			if keepRetained && retained && validateRetainedVector(ctx, s, idx, idx, seg, comp) {
+				kept.Inc()
+				keptBytes.Add(int64(codec.SizeFloat64s(len(seg))))
+				return
+			}
 			// Same segmentation: decode straight into the existing
 			// segment storage.
 			data, err := s.Load(ctx, idx, idx)
@@ -421,6 +419,9 @@ func (v *DistVector) RestoreSnapshot(s *snapshot.Snapshot) error {
 				apgas.Throw(err)
 			}
 			seg.CopyFrom(old)
+			if keepRetained {
+				loaded.Inc()
+			}
 			return
 		}
 		// Re-segmented: copy the overlapping parts of each old segment.
@@ -442,58 +443,5 @@ func (v *DistVector) RestoreSnapshot(s *snapshot.Snapshot) error {
 			}
 			copy(seg[lo-off:hi-off], old[lo-o0:hi-o0])
 		}
-	})
-}
-
-// RestoreSnapshotPartial implements snapshot.PartialRestorer: on a
-// same-segmentation restore, segments retained through the preceding
-// Remake are validated against the checkpoint digest (a local re-encode
-// whose CRC must match the stored sum) and kept in place when they
-// match; only segments whose owner died — or whose survivor state
-// diverged from the checkpoint — are loaded from the store. Falls back
-// to the full restore when the segmentation changed.
-func (v *DistVector) RestoreSnapshotPartial(s *snapshot.Snapshot, dead []apgas.Place) error {
-	comp, objMeta, err := compressorForMeta(s.Meta())
-	if err != nil {
-		return fmt.Errorf("dist: DistVector restore meta: %w", err)
-	}
-	n, rest, err := codec.Int(objMeta)
-	if err != nil {
-		return fmt.Errorf("dist: DistVector restore meta: %w", err)
-	}
-	oldSizes, _, err := codec.Ints(rest)
-	if err != nil {
-		return fmt.Errorf("dist: DistVector restore meta: %w", err)
-	}
-	if n != v.n {
-		return fmt.Errorf("dist: DistVector restore length %d, want %d: %w", n, v.n, ErrShapeMismatch)
-	}
-	if len(oldSizes) != v.pg.Size() {
-		return v.RestoreSnapshot(s)
-	}
-	reg := v.rt.Obs()
-	kept := reg.Counter("dist.restore.partial.kept")
-	keptBytes := reg.Counter("dist.restore.partial.bytes.kept")
-	loaded := reg.Counter("dist.restore.partial.loaded")
-	return apgas.ForEachPlace(v.rt, v.pg, func(ctx *apgas.Ctx, idx int) {
-		seg := v.plh.Local(ctx)
-		if idx < len(v.retained) && v.retained[idx] {
-			v.retained[idx] = false
-			if validateRetainedVector(ctx, s, idx, idx, seg, comp) {
-				kept.Inc()
-				keptBytes.Add(int64(codec.SizeFloat64s(len(seg))))
-				return
-			}
-		}
-		data, err := s.Load(ctx, idx, idx)
-		if err != nil {
-			apgas.Throw(err)
-		}
-		old, err := decodeVectorInto(seg, data, comp)
-		if err != nil {
-			apgas.Throw(err)
-		}
-		seg.CopyFrom(old)
-		loaded.Inc()
 	})
 }

@@ -217,55 +217,30 @@ func dupSparseBlock(sp *la.SparseCSC) *block.MatrixBlock {
 	return &block.MatrixBlock{Rows: sp.Rows, Cols: sp.Cols, Sparse: sp}
 }
 
-// MakeSnapshot implements snapshot.Snapshottable: one logical copy is
-// saved by the group root (all duplicates are identical; see
-// DupVector.MakeSnapshot).
-func (m *DupDenseMatrix) MakeSnapshot() (*snapshot.Snapshot, error) {
-	s, err := snapshot.New(m.rt, m.pg)
-	if err != nil {
-		return nil, err
-	}
-	comp, spec := m.newCompressor(m.rt)
-	if meta := appendCompressMeta(nil, spec); len(meta) > 0 {
-		s.SetMeta(meta)
-	}
-	err = m.rt.Finish(func(ctx *apgas.Ctx) {
-		ctx.At(m.pg[0], func(c *apgas.Ctx) {
-			saveBlock(c, s, 0, dupDenseBlock(m.plh.Local(c)), comp)
-		})
-	})
-	if err != nil {
-		s.Destroy()
-		return nil, err
-	}
-	noteLossyErr(s, comp)
-	return s, nil
-}
+// MakeSnapshot implements snapshot.Snapshottable: a full save, i.e. a
+// delta save against nothing.
+func (m *DupDenseMatrix) MakeSnapshot() (*snapshot.Snapshot, error) { return m.MakeDeltaSnapshot(nil) }
 
-// MakeDeltaSnapshot implements snapshot.DirtyTracker: the single stored
-// copy is carried forward by reference when the matrix's version is
-// unchanged since prev (or its bytes compare equal). Falls back to a
-// full snapshot when prev does not cover the current place group, or
-// was written under a different compression policy.
+// MakeDeltaSnapshot implements snapshot.DirtyTracker: one logical copy is
+// saved by the group root (all duplicates are identical; see
+// DupVector.MakeDeltaSnapshot), carried forward by reference when the
+// matrix's version is unchanged since prev (or its bytes compare equal),
+// and saved fresh when prev is nil or unusable as a baseline (see
+// deltaBase).
 func (m *DupDenseMatrix) MakeDeltaSnapshot(prev *snapshot.Snapshot) (*snapshot.Snapshot, error) {
-	if prev == nil || !prev.Group().Equal(m.pg) {
-		return m.MakeSnapshot()
-	}
 	comp, spec := m.newCompressor(m.rt)
-	if prevSpec, _, err := splitCompressMeta(prev.Meta()); err != nil || prevSpec != spec {
-		return m.MakeSnapshot()
-	}
+	prev = deltaBase(prev, m.pg, spec)
 	s, err := snapshot.New(m.rt, m.pg)
 	if err != nil {
 		return nil, err
 	}
-	if meta := appendCompressMeta(nil, spec); len(meta) > 0 {
-		s.SetMeta(meta)
-	}
+	s.SetMeta(appendCompressMeta(nil, spec))
 	ver := m.ver
 	err = m.rt.Finish(func(ctx *apgas.Ctx) {
 		ctx.At(m.pg[0], func(c *apgas.Ctx) {
-			saveDupBlockDelta(c, s, prev, ver, dupDenseBlock(m.plh.Local(c)), comp)
+			// Keyed by the duplicated object's own version, not the wrapper
+			// block's (rebuilt on every checkpoint, so its Ver is always 0).
+			saveBlock(c, s, prev, 0, ver, dupDenseBlock(m.plh.Local(c)), comp)
 		})
 	})
 	if err != nil {
@@ -274,15 +249,6 @@ func (m *DupDenseMatrix) MakeDeltaSnapshot(prev *snapshot.Snapshot) (*snapshot.S
 	}
 	noteLossyErr(s, comp)
 	return s, nil
-}
-
-// saveDupBlockDelta is saveBlockDelta keyed by the duplicated object's
-// own version rather than the wrapper block's (the wrapper is rebuilt on
-// every checkpoint, so its Ver is always zero).
-func saveDupBlockDelta(ctx *apgas.Ctx, s, prev *snapshot.Snapshot, ver uint64, b *block.MatrixBlock, comp codec.Compressor) {
-	s.SaveDelta(ctx, 0, ver, prev, func() *codec.Encoder {
-		return encodeBlock(s, b, comp)
-	})
 }
 
 // RestoreSnapshot implements snapshot.Snapshottable.
@@ -309,7 +275,7 @@ func (m *DupDenseMatrix) RestoreSnapshot(s *snapshot.Snapshot) error {
 // DupVector.RestoreSnapshotPartial): one validated survivor supplies the
 // data, re-broadcast along a binomial tree to just the places that lost
 // it; with no valid survivor, falls back to the full restore.
-func (m *DupDenseMatrix) RestoreSnapshotPartial(s *snapshot.Snapshot, dead []apgas.Place) error {
+func (m *DupDenseMatrix) RestoreSnapshotPartial(s *snapshot.Snapshot) error {
 	comp, _, err := compressorForMeta(s.Meta())
 	if err != nil {
 		return fmt.Errorf("dist: DupDenseMatrix restore meta: %w", err)
@@ -448,7 +414,7 @@ func (m *DupSparseMatrix) MakeSnapshot() (*snapshot.Snapshot, error) {
 	}
 	err = m.rt.Finish(func(ctx *apgas.Ctx) {
 		ctx.At(m.pg[0], func(c *apgas.Ctx) {
-			saveBlock(c, s, 0, dupSparseBlock(m.plh.Local(c)), comp)
+			saveBlock(c, s, nil, 0, 0, dupSparseBlock(m.plh.Local(c)), comp)
 		})
 	})
 	if err != nil {

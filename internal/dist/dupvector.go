@@ -241,59 +241,32 @@ func (v *DupVector) Remake(newPG apgas.PlaceGroup) error {
 	return nil
 }
 
-// MakeSnapshot implements snapshot.Snapshottable. All duplicates are
+// MakeSnapshot implements snapshot.Snapshottable: a full save, i.e. a
+// delta save against nothing.
+func (v *DupVector) MakeSnapshot() (*snapshot.Snapshot, error) { return v.MakeDeltaSnapshot(nil) }
+
+// MakeDeltaSnapshot implements snapshot.DirtyTracker. All duplicates are
 // identical, so one logical copy is saved: the group root stores it (with
 // the usual next-place backup). Saving P redundant copies would make
 // checkpointing a duplicated object O(P²) in data volume — the paper's
 // checkpoint times (Table III: PageRank, whose mutable state is one
 // DupVector, checkpoints in a fraction of LinReg's time) show the
-// implementation saves duplicated state once.
-func (v *DupVector) MakeSnapshot() (*snapshot.Snapshot, error) {
-	s, err := snapshot.New(v.rt, v.pg)
-	if err != nil {
-		return nil, err
-	}
-	comp, spec := v.newCompressor(v.rt)
-	if meta := appendCompressMeta(nil, spec); len(meta) > 0 {
-		s.SetMeta(meta)
-	}
-	err = v.rt.Finish(func(ctx *apgas.Ctx) {
-		ctx.At(v.pg[0], func(c *apgas.Ctx) {
-			saveVector(c, s, 0, v.plh.Local(c), comp)
-		})
-	})
-	if err != nil {
-		s.Destroy()
-		return nil, err
-	}
-	noteLossyErr(s, comp)
-	return s, nil
-}
-
-// MakeDeltaSnapshot implements snapshot.DirtyTracker: the single stored
-// copy is carried forward by reference when the vector's version is
-// unchanged since prev (or its bytes compare equal). Falls back to a
-// full snapshot when prev does not cover the current place group, or
-// was written under a different compression policy.
+// implementation saves duplicated state once. The copy is carried forward
+// by reference when the vector's version is unchanged since prev (or its
+// bytes compare equal), and saved fresh when prev is nil or unusable as a
+// baseline (see deltaBase).
 func (v *DupVector) MakeDeltaSnapshot(prev *snapshot.Snapshot) (*snapshot.Snapshot, error) {
-	if prev == nil || !prev.Group().Equal(v.pg) {
-		return v.MakeSnapshot()
-	}
 	comp, spec := v.newCompressor(v.rt)
-	if prevSpec, _, err := splitCompressMeta(prev.Meta()); err != nil || prevSpec != spec {
-		return v.MakeSnapshot()
-	}
+	prev = deltaBase(prev, v.pg, spec)
 	s, err := snapshot.New(v.rt, v.pg)
 	if err != nil {
 		return nil, err
 	}
-	if meta := appendCompressMeta(nil, spec); len(meta) > 0 {
-		s.SetMeta(meta)
-	}
+	s.SetMeta(appendCompressMeta(nil, spec))
 	ver := v.ver
 	err = v.rt.Finish(func(ctx *apgas.Ctx) {
 		ctx.At(v.pg[0], func(c *apgas.Ctx) {
-			saveVectorDelta(c, s, prev, 0, ver, v.plh.Local(c), comp)
+			saveVector(c, s, prev, 0, ver, v.plh.Local(c), comp)
 		})
 	})
 	if err != nil {
@@ -343,7 +316,7 @@ func (v *DupVector) RestoreSnapshot(s *snapshot.Snapshot) error {
 // the data, re-broadcast along a binomial tree to just the places that
 // lost (or diverged from) the checkpointed value — no snapshot loads at
 // all. With no valid survivor, falls back to the full restore.
-func (v *DupVector) RestoreSnapshotPartial(s *snapshot.Snapshot, dead []apgas.Place) error {
+func (v *DupVector) RestoreSnapshotPartial(s *snapshot.Snapshot) error {
 	// Same version bump as RestoreSnapshot (which this may fall back to):
 	// the rewind invalidates any kernel-cache entry shipped at the old
 	// version.

@@ -345,7 +345,7 @@ func TestDupVectorRestoreBumpsVersion(t *testing.T) {
 		t.Fatal("RestoreSnapshot left ver unchanged")
 	}
 	before = x.ver
-	if err := x.RestoreSnapshotPartial(snap, nil); err != nil {
+	if err := x.RestoreSnapshotPartial(snap); err != nil {
 		t.Fatal(err)
 	}
 	if x.ver == before {

@@ -6,16 +6,16 @@ import (
 
 	"github.com/rgml/rgml/internal/apgas"
 	"github.com/rgml/rgml/internal/block"
-	"github.com/rgml/rgml/internal/snapshot"
 )
 
 // benchBlockMatrix builds the benchmark workload: a 1024x1024 matrix cut
 // into four 512x512 blocks over four places (one block per place), the
 // "dense 512x512 block set" checkpoint target of the checkpoint fast-path
-// work. Sparse uses the same geometry with ~1% density.
-func benchBlockMatrix(b *testing.B, kind block.Kind) (*apgas.Runtime, *DistBlockMatrix) {
+// work. Sparse uses the same geometry with ~1% density. Extra options
+// configure the runtime (e.g. its store policy).
+func benchBlockMatrix(b *testing.B, kind block.Kind, extra ...apgas.Option) (*apgas.Runtime, *DistBlockMatrix) {
 	b.Helper()
-	rt, err := apgas.New(apgas.WithPlaces(4), apgas.WithResilient(true))
+	rt, err := apgas.New(append([]apgas.Option{apgas.WithPlaces(4), apgas.WithResilient(true)}, extra...)...)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -46,7 +46,11 @@ func BenchmarkSnapshotSave(b *testing.B) {
 		for _, backup := range []bool{true, false} {
 			name := fmt.Sprintf("%s/backup=%v", kind, backup)
 			b.Run(name, func(b *testing.B) {
-				_, m := benchBlockMatrix(b, kind)
+				var opts []apgas.Option
+				if !backup {
+					opts = append(opts, apgas.WithStorePolicy(apgas.ReplicateStore(1)))
+				}
+				_, m := benchBlockMatrix(b, kind, opts...)
 				payload, err := m.Bytes()
 				if err != nil {
 					b.Fatal(err)
@@ -55,7 +59,7 @@ func BenchmarkSnapshotSave(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					s, err := m.MakeSnapshotWithOptions(snapshot.Options{DisableBackup: !backup})
+					s, err := m.MakeSnapshot()
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -58,7 +58,9 @@ func loadSeg(t *testing.T, rt *apgas.Runtime, s *Snapshot, idx int) []float64 {
 // TestSnapshotDeltaVersionCarryRefcount drives the version-hit carry path
 // and its refcount contract: a matching non-zero version shares the
 // predecessor's entry without re-encoding, and the shared buffer is not
-// recycled until the *last* snapshot referencing it is destroyed.
+// recycled until the *last* snapshot referencing it is destroyed. A save
+// with no predecessor is a full save and leaves every snapshot.delta.*
+// counter at 0.
 func TestSnapshotDeltaVersionCarryRefcount(t *testing.T) {
 	rt, reg := newInstrumentedRT(t, 3)
 	pg := rt.World()
@@ -66,9 +68,9 @@ func TestSnapshotDeltaVersionCarryRefcount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	saveAllDelta(t, rt, s1, nil, 1, 0) // no predecessor: everything fresh
-	if got := reg.Counter("snapshot.delta.saved").Value(); got != 3 {
-		t.Fatalf("delta.saved = %d, want 3", got)
+	saveAllDelta(t, rt, s1, nil, 1, 0) // no predecessor: a full save
+	if got := reg.Counter("snapshot.delta.saved").Value(); got != 0 {
+		t.Fatalf("delta.saved = %d, want 0", got)
 	}
 	if got := reg.Counter("snapshot.delta.carried").Value(); got != 0 {
 		t.Fatalf("delta.carried = %d, want 0", got)
@@ -160,8 +162,8 @@ func TestSnapshotDeltaContentFallbackAndMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	saveAllDelta(t, rt, s3, s2, 0, 1)
-	if got := reg.Counter("snapshot.delta.saved").Value(); got != 6 {
-		t.Fatalf("delta.saved = %d, want 6 (3 initial + 3 changed)", got)
+	if got := reg.Counter("snapshot.delta.saved").Value(); got != 3 {
+		t.Fatalf("delta.saved = %d, want 3 (the changed entries; the initial save had no predecessor)", got)
 	}
 	if got := loadSeg(t, rt, s3, 1); got[1] != 1 {
 		t.Fatalf("new checkpoint entry = %v, want round 1", got)
@@ -251,9 +253,11 @@ func TestDestroyDegradedParksOnlySmallBuffers(t *testing.T) {
 			if idx == 1 {
 				size = parkLimit
 			}
-			e := codec.NewEncoder(size)
-			e.PutInt(idx)
-			s.SaveEncoded(ctx, idx, &e)
+			s.SaveDelta(ctx, idx, 0, nil, func() *codec.Encoder {
+				e := codec.NewEncoder(size)
+				e.PutInt(idx)
+				return &e
+			})
 		})
 		if err != nil {
 			t.Fatal(err)

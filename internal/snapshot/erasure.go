@@ -271,7 +271,9 @@ func (s *Snapshot) saveDeltaErasure(ctx *apgas.Ctx, key int, ver uint64, prev *S
 		s.carryForwardErasure(ctx, key, es)
 		return true
 	}
-	s.instr.deltaSaved.Inc()
+	if prev != nil {
+		s.instr.deltaSaved.Inc()
+	}
 	s.saveErasure(ctx, key, enc.Bytes(), enc.Sum(), true, ver)
 	return false
 }

@@ -5,10 +5,9 @@ import (
 )
 
 // policy is an apgas.StorePolicy resolved against a concrete place
-// group: defaults applied, widths clamped to the group size, the
-// DisableBackup ablation folded in. Two snapshots may share delta
-// carry-forward state only when their resolved policies are equal, so
-// the type is a comparable value.
+// group: defaults applied, widths clamped to the group size. Two
+// snapshots may share delta carry-forward state only when their resolved
+// policies are equal, so the type is a comparable value.
 type policy struct {
 	// erasure selects the Reed-Solomon layout; otherwise k full copies.
 	erasure bool
@@ -54,9 +53,6 @@ func (pl policy) String() string {
 // physically hold; a single-place group degenerates to replicate k=1
 // (there is nowhere to put redundancy).
 func resolvePolicy(rt *apgas.Runtime, size int, opts Options) policy {
-	if opts.DisableBackup {
-		return policy{k: 1}
-	}
 	sp := opts.Policy
 	if sp.IsZero() {
 		sp = rt.StorePolicy()

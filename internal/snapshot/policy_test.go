@@ -393,8 +393,8 @@ func TestErasureDeltaCarryAndMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	saveAllDelta(t, rt, s1, nil, 1, 0)
-	if got := reg.Counter("snapshot.delta.saved").Value(); got != 4 {
-		t.Fatalf("delta.saved = %d, want 4", got)
+	if got := reg.Counter("snapshot.delta.saved").Value(); got != 0 {
+		t.Fatalf("delta.saved = %d, want 0 (no predecessor: a full save)", got)
 	}
 
 	// Version hit: the encode callback must never run.
@@ -430,8 +430,8 @@ func TestErasureDeltaCarryAndMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	saveAllDelta(t, rt, s4, s3, 0, 1)
-	if got := reg.Counter("snapshot.delta.saved").Value(); got != 8 {
-		t.Fatalf("delta.saved = %d, want 8 (4 initial + 4 changed)", got)
+	if got := reg.Counter("snapshot.delta.saved").Value(); got != 4 {
+		t.Fatalf("delta.saved = %d, want 4 (the changed entries)", got)
 	}
 	if got := loadSeg(t, rt, s4, 1); got[1] != 1 {
 		t.Fatalf("new checkpoint entry = %v, want round 1", got)
@@ -475,8 +475,8 @@ func TestDegradedDeltaNotCarried(t *testing.T) {
 	if got := reg.Counter("snapshot.delta.carried").Value(); got != 0 {
 		t.Fatalf("delta.carried = %d, want 0 (degraded entries must not carry)", got)
 	}
-	if got := reg.Counter("snapshot.delta.saved").Value(); got != 6 {
-		t.Fatalf("delta.saved = %d, want 6", got)
+	if got := reg.Counter("snapshot.delta.saved").Value(); got != 3 {
+		t.Fatalf("delta.saved = %d, want 3 (the re-saved degraded entries)", got)
 	}
 
 	// The re-saved generation is fully replicated: the owner's death is

@@ -22,7 +22,7 @@
 // The save path is built for throughput: the backup put runs as an async
 // task overlapping the saver's remaining work (the enclosing finish still
 // guarantees it lands before the checkpoint is considered taken), entries
-// saved through SaveEncoded carry a CRC-32C folded into the encode pass
+// saved through SaveDelta carry a CRC-32C folded into the encode pass
 // instead of a separate hashing traversal, successful verifications are
 // memoized per entry so repeated loads do not re-hash, and payload buffers
 // plus per-place stores are recycled through pools when a superseded
@@ -60,25 +60,26 @@ type Snapshottable interface {
 // of their fragments changed since the previous checkpoint and can
 // therefore capture an incremental (delta) snapshot: unchanged entries
 // are carried forward by reference from prev (see Snapshot.SaveDelta)
-// instead of being re-encoded and re-shipped. prev may be nil or taken
-// over a different group, in which case the implementation must degrade
-// to a full MakeSnapshot.
+// instead of being re-encoded and re-shipped. A full save is the
+// nil-predecessor case: prev may be nil, or unusable as a baseline (taken
+// over a different group or compression policy), and the implementation
+// then saves every fragment fresh — MakeSnapshot is MakeDeltaSnapshot(nil).
 type DirtyTracker interface {
 	Snapshottable
 	MakeDeltaSnapshot(prev *Snapshot) (*Snapshot, error)
 }
 
 // PartialRestorer is implemented by Snapshottable objects that can
-// restore only the fragments whose current owner lost them — places in
-// dead held state that died with them; surviving places keep their
-// in-memory state (integrity-validated against the snapshot digests)
-// rather than re-loading it from the store. dead lists the places that
-// failed since the snapshot's checkpoint committed. Implementations must
-// fall back to a full RestoreSnapshot whenever partial restoration is
-// not applicable (regrid, group mismatch, no retained state).
+// restore only the fragments their current owner lost: a fragment whose
+// storage survived the preceding Remake at the same place (its Retained
+// flag) is kept when it validates against the snapshot digest, and every
+// other fragment is loaded from the store. Implementations must load
+// everything whenever partial restoration is not applicable (regrid,
+// group mismatch, no retained state). RestoreSnapshot, by contrast,
+// never trusts survivor state.
 type PartialRestorer interface {
 	Snapshottable
-	RestoreSnapshotPartial(s *Snapshot, dead []apgas.Place) error
+	RestoreSnapshotPartial(s *Snapshot) error
 }
 
 // ErrDataLost reports that an entry's surviving redundancy is below what
@@ -99,11 +100,6 @@ var ErrCorrupt = errors.New("snapshot: entry failed integrity check")
 
 // Options tunes snapshot behaviour.
 type Options struct {
-	// DisableBackup turns off all redundancy (equivalent to a replicate
-	// k=1 policy, overriding Policy). The snapshot then cannot survive
-	// the owner's failure; it exists for the ablation benchmark
-	// quantifying the price of redundant storage.
-	DisableBackup bool
 	// Policy overrides the runtime's store-wide redundancy policy
 	// (apgas.Config.Store) for this snapshot. The zero value inherits the
 	// runtime's policy, falling back to the paper-faithful replicate k=2.
@@ -165,9 +161,9 @@ type entry struct {
 	data []byte
 	sum  uint32
 	// ver is the content version recorded by SaveDelta (0 for entries
-	// saved through Save/SaveEncoded). A successor snapshot whose saver
-	// reports the same non-zero version carries the entry forward without
-	// re-encoding it.
+	// saved through Save). A successor snapshot whose saver reports the
+	// same non-zero version carries the entry forward without re-encoding
+	// it.
 	ver uint64
 	// pooled marks data as drawn from the codec buffer pool; the final
 	// Destroy recycles it instead of dropping it.
@@ -549,24 +545,15 @@ func (s *Snapshot) Save(ctx *apgas.Ctx, key int, data []byte) {
 	s.save(ctx, key, newEntry(data, codec.Checksum(data), false, 0))
 }
 
-// SaveEncoded stores an Encoder's payload under key without re-hashing:
-// the CRC-32C was folded into the encode pass, so the bytes are traversed
-// exactly once on the save path. The snapshot takes ownership of the
-// buffer (which NewEncoder drew from the codec pool): under replication
-// it is recycled when the snapshot is destroyed, under erasure
-// immediately after sharding (only the shards are stored).
-func (s *Snapshot) SaveEncoded(ctx *apgas.Ctx, key int, e *codec.Encoder) {
-	if s.pol.erasure {
-		s.saveErasure(ctx, key, e.Bytes(), e.Sum(), true, 0)
-		return
-	}
-	s.save(ctx, key, newEntry(e.Bytes(), e.Sum(), true, 0))
-}
-
 // SaveDelta stores the value for key incrementally against prev, the
-// previously committed snapshot of the same object. ver is the saver's
-// content version for the fragment (from its DirtyTracker bookkeeping;
-// 0 means unversioned). Three outcomes, in order of preference:
+// previously committed snapshot of the same object; with a nil prev it is
+// a full save. ver is the saver's content version for the fragment (from
+// its DirtyTracker bookkeeping; 0 means unversioned). encode produces the
+// payload into a pooled buffer with the CRC-32C folded into the encode
+// pass, so the bytes are traversed exactly once on the save path; the
+// snapshot takes ownership of that buffer (under replication it is
+// recycled when the snapshot is destroyed, under erasure immediately
+// after sharding). Three outcomes, in order of preference:
 //
 //  1. Version hit: prev holds a healthy entry for key at this owner with
 //     the same non-zero version — the entry is shared by reference into
@@ -577,7 +564,8 @@ func (s *Snapshot) SaveEncoded(ctx *apgas.Ctx, key int, e *codec.Encoder) {
 //     is the fallback that keeps delta checkpoints correct for objects
 //     that mutate state in place without bumping versions.
 //  3. Miss: the encoded fragment is saved fresh (double storage, network
-//     charges), recording ver for the next delta.
+//     charges), recording ver for the next delta. Only a miss against a
+//     non-nil prev counts as snapshot.delta.saved.
 //
 // An entry is "healthy" for carry-forward only if prev was taken over
 // the same place group with the same resolved policy, is not destroyed,
@@ -604,7 +592,9 @@ func (s *Snapshot) SaveDelta(ctx *apgas.Ctx, key int, ver uint64, prev *Snapshot
 		s.carryForward(ctx, key, e)
 		return true
 	}
-	s.instr.deltaSaved.Inc()
+	if prev != nil {
+		s.instr.deltaSaved.Inc()
+	}
 	s.save(ctx, key, newEntry(enc.Bytes(), enc.Sum(), true, ver))
 	return false
 }

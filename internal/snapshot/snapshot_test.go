@@ -172,10 +172,12 @@ func TestAdjacentDoubleFailureLosesData(t *testing.T) {
 	}
 }
 
-func TestDisableBackupAblation(t *testing.T) {
+// TestReplicateK1OwnerDeathIsLoudLoss pins the no-backup ablation's
+// policy: replicate k=1 keeps only the owner's copy.
+func TestReplicateK1OwnerDeathIsLoudLoss(t *testing.T) {
 	rt := newRT(t, 3)
 	pg := rt.World()
-	s, err := NewWithOptions(rt, pg, Options{DisableBackup: true})
+	s, err := NewWithOptions(rt, pg, Options{Policy: apgas.ReplicateStore(1)})
 	if err != nil {
 		t.Fatal(err)
 	}

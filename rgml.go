@@ -351,10 +351,14 @@ type (
 	// snapshot/restore (paper Listing 3).
 	Snapshottable = snapshot.Snapshottable
 	// DirtyTracker marks Snapshottables that can build delta snapshots
-	// against the committed checkpoint (see WithDelta).
+	// against the committed checkpoint (see WithDelta). A full save is its
+	// nil-predecessor case: MakeSnapshot is MakeDeltaSnapshot(nil).
 	DirtyTracker = snapshot.DirtyTracker
 	// PartialRestorer marks Snapshottables that can restore only the
-	// state lost with the dead places (see WithDelta).
+	// state their current owner lost: fragments Remake retained at a
+	// surviving place are kept when they validate against the checkpoint.
+	// Every executor recovery restores through it, with or without
+	// WithDelta.
 	PartialRestorer = snapshot.PartialRestorer
 )
 
@@ -418,9 +422,7 @@ func WithMaxRestores(n int) ExecutorOption { return core.WithMaxRestores(n) }
 // WithDelta enables delta checkpointing: objects implementing
 // DirtyTracker re-encode and re-ship only entries whose content changed
 // since the committed checkpoint; unchanged entries are carried forward
-// by reference. On recovery, objects implementing PartialRestorer keep
-// CRC-validated surviving-place state and load only what the dead places
-// owned.
+// by reference.
 func WithDelta(on bool) ExecutorOption { return core.WithDelta(on) }
 
 // WithAfterStep installs a hook running after each successful iteration.
@@ -432,10 +434,6 @@ func WithExecutorObs(reg *MetricsRegistry) ExecutorOption { return core.WithObs(
 // WithChaos attaches a fault-injection engine to the executor: armed for
 // the duration of each run, driven by the executor's iteration clock.
 func WithChaos(eng *ChaosEngine) ExecutorOption { return core.WithChaos(eng) }
-
-// WithExecutorKernelWorkers sets the kernel worker pool size from the
-// executor's side (see WithKernelWorkers; the pool is process-wide).
-func WithExecutorKernelWorkers(n int) ExecutorOption { return core.WithKernelWorkers(n) }
 
 // Chaos fault-injection surface (internal/chaos): deterministic,
 // seed-reproducible failure schedules driving the runtime's Kill and
