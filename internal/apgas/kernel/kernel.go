@@ -62,6 +62,10 @@ type Task struct {
 	// remade; every entry under them is removed before Puts apply. The
 	// dispatcher rides them on the next task to the place.
 	Drops []uint64
+	// Sink is the caller's destination for the kernel's outputs. It never
+	// crosses the wire: the dispatcher hands it to the kernel as Exec.Sink
+	// only when the task runs in the caller's process.
+	Sink any
 }
 
 // Ref identifies one store entry at an exact content version.
@@ -324,6 +328,10 @@ func (s *Store) Len() int {
 type Exec struct {
 	Place int
 	Store *Store
+	// Sink is Task.Sink where the kernel runs in the caller's process, and
+	// nil in a worker. A kernel that finds one writes its outputs into it
+	// instead of encoding them as Result frames.
+	Sink any
 }
 
 // Ref resolves one of the task's refs against the executing store,

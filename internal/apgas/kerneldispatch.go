@@ -191,8 +191,9 @@ func fallbackCause(err error) int64 {
 //   - It has none (any place of the local backend, place zero of tcp): the
 //     kernel runs in-process against the place's store, where each input's
 //     live object (Input.Obj) is installed by reference and nothing is
-//     encoded. Forced puts are byte installs for a worker's store and are
-//     not applied here.
+//     encoded; the task's Sink reaches the kernel as Exec.Sink, so outputs
+//     land in the caller's memory without a wire round trip. Forced puts
+//     are byte installs for a worker's store and are not applied here.
 //
 // A kernel-level failure (Result.Err: unknown kernel, missing or stale
 // store entry, kernel error or panic) is returned as the error from
@@ -261,7 +262,7 @@ func (c *Ctx) ExecKernel(t *kernel.Task, inputs ...kernel.Input) (*kernel.Result
 			st.PutObj(in.Handle, in.Key, in.Ver, in.Obj)
 		}
 	}
-	res := kernel.Run(&kernel.Exec{Place: place, Store: st}, t)
+	res := kernel.Run(&kernel.Exec{Place: place, Store: st, Sink: t.Sink}, t)
 	if res.Err != "" {
 		return nil, kernelError(t, res)
 	}

@@ -60,7 +60,7 @@ type StorePolicy struct {
 	Placement Placement
 	// Replicas is the total number of full copies (owner included) under
 	// PlacementReplicate. 0 means the default (2); 1 disables redundancy
-	// (equivalent to the DisableBackup ablation).
+	// (the ReplicateStore(1) policy).
 	Replicas int
 	// DataShards and ParityShards set the erasure geometry under
 	// PlacementErasure. Zero values mean the defaults (4 and 1).

@@ -20,7 +20,9 @@ type Kind uint8
 const (
 	// Dense blocks store a column-major la.DenseMatrix.
 	Dense Kind = iota
-	// Sparse blocks store a compressed-sparse-column la.SparseCSC.
+	// Sparse blocks store a compressed-sparse-row la.SparseCSR: the
+	// matrices are row-striped, so a block's mat-vec is one gather per
+	// output row.
 	Sparse
 )
 
@@ -46,7 +48,7 @@ type MatrixBlock struct {
 
 	// Exactly one of Dense / Sparse is non-nil, per Kind.
 	Dense  *la.DenseMatrix
-	Sparse *la.SparseCSC
+	Sparse *la.SparseCSR
 
 	// Ver is the block's content version for delta checkpointing: every
 	// mutation of the payload bumps it (Touch), and a checkpoint whose
@@ -83,7 +85,7 @@ func NewSparseBlock(g *grid.Grid, rb, cb int) *MatrixBlock {
 	rows, cols := g.BlockDims(rb, cb)
 	return &MatrixBlock{
 		RB: rb, CB: cb, Row0: r0, Col0: c0, Rows: rows, Cols: cols,
-		Sparse: la.NewSparseCSC(rows, cols),
+		Sparse: la.NewSparseCSR(rows, cols),
 	}
 }
 
@@ -202,8 +204,8 @@ func (b *MatrixBlock) EncodedSize() int {
 	if b.Dense != nil {
 		return n + codec.SizeFloat64s(len(b.Dense.Data))
 	}
-	return n + codec.SizeInts(len(b.Sparse.ColPtr)) +
-		codec.SizeInts(len(b.Sparse.RowIdx)) +
+	return n + codec.SizeInts(len(b.Sparse.RowPtr)) +
+		codec.SizeInts(len(b.Sparse.ColIdx)) +
 		codec.SizeFloat64s(len(b.Sparse.Vals))
 }
 
@@ -221,8 +223,8 @@ func (b *MatrixBlock) EncodeInto(e *codec.Encoder) {
 	if b.Dense != nil {
 		e.PutFloat64s(b.Dense.Data)
 	} else {
-		e.PutInts(b.Sparse.ColPtr)
-		e.PutInts(b.Sparse.RowIdx)
+		e.PutInts(b.Sparse.RowPtr)
+		e.PutInts(b.Sparse.ColIdx)
 		e.PutFloat64s(b.Sparse.Vals)
 	}
 }
@@ -267,22 +269,10 @@ func DecodeC(data []byte, comp codec.Compressor) (*MatrixBlock, error) {
 		_ = rd
 		b.Dense = la.NewDenseFrom(b.Rows, b.Cols, data)
 	case Sparse:
-		colPtr, rd, err := codec.IntsIntoC(comp, nil, rd)
-		if err != nil {
-			return nil, fmt.Errorf("block: decode colptr: %w", err)
+		b.Sparse = &la.SparseCSR{Rows: b.Rows, Cols: b.Cols}
+		if err := decodeSparse(b.Sparse, rd, comp); err != nil {
+			return nil, err
 		}
-		rowIdx, rd, err := codec.IntsIntoC(comp, nil, rd)
-		if err != nil {
-			return nil, fmt.Errorf("block: decode rowidx: %w", err)
-		}
-		vals, _, err := codec.Float64sIntoC(comp, nil, rd)
-		if err != nil {
-			return nil, fmt.Errorf("block: decode vals: %w", err)
-		}
-		if len(colPtr) != b.Cols+1 || len(rowIdx) != len(vals) {
-			return nil, fmt.Errorf("block: inconsistent sparse payload")
-		}
-		b.Sparse = &la.SparseCSC{Rows: b.Rows, Cols: b.Cols, ColPtr: colPtr, RowIdx: rowIdx, Vals: vals}
 	default:
 		return nil, fmt.Errorf("block: unknown kind %d", kind)
 	}
@@ -328,24 +318,34 @@ func DecodeIntoC(dst *MatrixBlock, data []byte, comp codec.Compressor) error {
 		}
 		dst.Dense.Data = vals
 	case Sparse:
-		sp := dst.Sparse
-		colPtr, rd, err := codec.IntsIntoC(comp, sp.ColPtr, rd)
-		if err != nil {
-			return fmt.Errorf("block: decode colptr: %w", err)
+		if err := decodeSparse(dst.Sparse, rd, comp); err != nil {
+			return err
 		}
-		rowIdx, rd, err := codec.IntsIntoC(comp, sp.RowIdx, rd)
-		if err != nil {
-			return fmt.Errorf("block: decode rowidx: %w", err)
-		}
-		vals, _, err := codec.Float64sIntoC(comp, sp.Vals, rd)
-		if err != nil {
-			return fmt.Errorf("block: decode vals: %w", err)
-		}
-		if len(colPtr) != dst.Cols+1 || len(rowIdx) != len(vals) {
-			return fmt.Errorf("block: inconsistent sparse payload")
-		}
-		sp.ColPtr, sp.RowIdx, sp.Vals = colPtr, rowIdx, vals
 	}
 	dst.Touch()
+	return nil
+}
+
+// decodeSparse decodes a CSR payload (row pointers, column indices,
+// values) into sp, whose Rows/Cols are already set, reusing sp's slices
+// as storage where their capacity allows; the slices are swapped in only
+// on success.
+func decodeSparse(sp *la.SparseCSR, rd []byte, comp codec.Compressor) error {
+	rowPtr, rd, err := codec.IntsIntoC(comp, sp.RowPtr, rd)
+	if err != nil {
+		return fmt.Errorf("block: decode rowptr: %w", err)
+	}
+	colIdx, rd, err := codec.IntsIntoC(comp, sp.ColIdx, rd)
+	if err != nil {
+		return fmt.Errorf("block: decode colidx: %w", err)
+	}
+	vals, _, err := codec.Float64sIntoC(comp, sp.Vals, rd)
+	if err != nil {
+		return fmt.Errorf("block: decode vals: %w", err)
+	}
+	if len(rowPtr) != sp.Rows+1 || len(colIdx) != len(vals) {
+		return fmt.Errorf("block: inconsistent sparse payload")
+	}
+	sp.RowPtr, sp.ColIdx, sp.Vals = rowPtr, colIdx, vals
 	return nil
 }

@@ -1,6 +1,8 @@
 package block
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -56,7 +58,7 @@ func TestBlockCloneIndependent(t *testing.T) {
 		t.Error("dense clone shares storage")
 	}
 	s := NewSparseBlock(g, 0, 0)
-	s.Sparse.PasteSub(0, 0, la.NewSparseCSCFromTriplets(4, 4, []la.Triplet{{Row: 1, Col: 1, Val: 3}}))
+	s.Sparse = la.NewSparseCSRFromTriplets(4, 4, []la.Triplet{{Row: 1, Col: 1, Val: 3}})
 	cs := s.Clone()
 	cs.Sparse.Vals[0] = 7
 	if s.Sparse.Vals[0] != 3 {
@@ -90,7 +92,7 @@ func TestTransMultVecInto(t *testing.T) {
 	g := testGrid(t)
 	rng := la.NewRNG(2)
 	b := NewSparseBlock(g, 1, 0)
-	b.Sparse.PasteSub(0, 0, la.RandomSparseCSC(3, 4, 2, rng))
+	b.Sparse = la.RandomSparseCSC(3, 4, 2, rng).ToCSR()
 
 	x := la.RandomVector(10, rng)
 	yLocal := la.NewVector(8)
@@ -140,13 +142,84 @@ func TestEncodeDecodeSparse(t *testing.T) {
 	g := testGrid(t)
 	rng := la.NewRNG(4)
 	b := NewSparseBlock(g, 0, 1)
-	b.Sparse.PasteSub(0, 0, la.RandomSparseCSC(b.Rows, b.Cols, 2, rng))
+	b.Sparse = la.RandomSparseCSC(b.Rows, b.Cols, 2, rng).ToCSR()
 	got, err := Decode(b.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Kind() != Sparse || !got.Sparse.EqualApprox(b.Sparse, 0) {
+	if got.Kind() != Sparse || !sameCSR(got.Sparse, b.Sparse) {
 		t.Fatal("sparse roundtrip mismatch")
+	}
+}
+
+// sameCSR reports whether a and b hold identical CSR arrays, values
+// compared by bit pattern.
+func sameCSR(a, b *la.SparseCSR) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols || !slices.Equal(a.RowPtr, b.RowPtr) ||
+		!slices.Equal(a.ColIdx, b.ColIdx) || len(a.Vals) != len(b.Vals) {
+		return false
+	}
+	for k := range a.Vals {
+		if math.Float64bits(a.Vals[k]) != math.Float64bits(b.Vals[k]) {
+			return false
+		}
+	}
+	return true
+}
+
+// csrSpecials is a 3×4 CSR payload with an empty row and column, ±0 and
+// non-finite values.
+func csrSpecials() *la.SparseCSR {
+	return la.NewSparseCSRFromTriplets(3, 4, []la.Triplet{
+		{Row: 0, Col: 0, Val: math.Copysign(0, -1)},
+		{Row: 0, Col: 3, Val: math.Inf(-1)},
+		{Row: 2, Col: 1, Val: math.NaN()},
+		{Row: 2, Col: 3, Val: 0.1},
+		{Row: 2, Col: 3, Val: 0.2},
+	})
+}
+
+// Property: the CSR payload survives Encode/Decode and DecodeInto bit for
+// bit — array for array, including the row pointers of empty rows — and
+// DecodeInto reuses the destination's storage when it is large enough.
+func TestEncodeDecodeSparseCSR(t *testing.T) {
+	g := testGrid(t)
+	b := NewSparseBlock(g, 2, 0) // 3x4
+	b.Sparse = csrSpecials()
+	enc := b.Encode()
+	if len(enc) != b.EncodedSize() {
+		t.Fatalf("EncodedSize %d, encoded %d bytes", b.EncodedSize(), len(enc))
+	}
+	got, err := Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameCSR(got.Sparse, b.Sparse) || got.Row0 != b.Row0 || got.Col0 != b.Col0 {
+		t.Fatalf("Decode: %+v, want %+v", got.Sparse, b.Sparse)
+	}
+
+	dst := NewSparseBlock(g, 2, 0)
+	dst.Sparse.ColIdx = make([]int, 0, 8)
+	dst.Sparse.Vals = make([]float64, 0, 8)
+	storage := &dst.Sparse.Vals[:1][0]
+	ver := dst.Ver
+	if err := DecodeInto(dst, enc); err != nil {
+		t.Fatal(err)
+	}
+	if !sameCSR(dst.Sparse, b.Sparse) || dst.Ver == ver {
+		t.Fatalf("DecodeInto: %+v (ver %d), want %+v", dst.Sparse, dst.Ver, b.Sparse)
+	}
+	if &dst.Sparse.Vals[0] != storage {
+		t.Error("DecodeInto reallocated values that fit the destination")
+	}
+
+	// A row-pointer array sized for the columns, not the rows, is the CSC
+	// layout: rejected, not misread.
+	csc := b.Sparse.ToCSC()
+	bad := &MatrixBlock{RB: b.RB, Rows: b.Rows, Cols: b.Cols,
+		Sparse: &la.SparseCSR{Rows: b.Rows, Cols: b.Cols, RowPtr: csc.ColPtr, ColIdx: csc.RowIdx, Vals: csc.Vals}}
+	if _, err := Decode(bad.Encode()); err == nil {
+		t.Error("Decode accepted a cols+1 pointer array")
 	}
 }
 

@@ -18,11 +18,11 @@ func fuzzSeedBlocks() []*MatrixBlock {
 		d.Dense.Data[i] = float64(i) * 1.25
 	}
 	s := NewSparseBlock(g, 2, 0)
-	s.Sparse.PasteSub(0, 0, la.NewSparseCSCFromTriplets(3, 4, []la.Triplet{
+	s.Sparse = la.NewSparseCSRFromTriplets(3, 4, []la.Triplet{
 		{Row: 0, Col: 0, Val: 1},
 		{Row: 2, Col: 1, Val: -3.5},
 		{Row: 1, Col: 3, Val: math.Pi},
-	}))
+	})
 	return []*MatrixBlock{d, s}
 }
 
@@ -44,6 +44,16 @@ func FuzzDecode(f *testing.F) {
 		f.Add(short)
 	}
 	f.Add([]byte{})
+	// CSR payloads: special values with an empty row and column, an empty
+	// block, and a pointer array one entry short.
+	g, _ := grid.New(10, 8, 3, 2)
+	sp := NewSparseBlock(g, 2, 0)
+	sp.Sparse = csrSpecials()
+	f.Add(sp.Encode())
+	f.Add(NewSparseBlock(g, 0, 1).Encode())
+	short := NewSparseBlock(g, 1, 1)
+	short.Sparse.RowPtr = short.Sparse.RowPtr[:short.Rows]
+	f.Add(short.Encode())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := Decode(data)
 		if err != nil {

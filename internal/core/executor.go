@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"time"
 
 	"github.com/rgml/rgml/internal/apgas"
@@ -147,6 +148,17 @@ type Executor struct {
 	// lastCkpt and autoIters drive the Young-formula automatic interval.
 	lastCkpt  int64
 	autoIters int64
+	// collectPending asks for one background garbage collection after
+	// the first step that follows a recovery. The dead place's objects
+	// and the snapshots its death degraded are garbage or idle pooled
+	// buffers by then, and a solver whose steps barely allocate may run
+	// no collection before the next failure: that recovery would grow
+	// the heap instead of reusing the memory, and the buffers would
+	// outlive the run. One cycle frees them, as a real place's memory
+	// goes with its process; pooled buffers stay until a second one, so
+	// the next recovery still finds them. Waiting for a step keeps the
+	// cycle off the restore and the checkpoint that follows it.
+	collectPending bool
 }
 
 // execInstr holds the executor's observability handles (the "core.*"
@@ -322,6 +334,10 @@ func (e *Executor) RunContext(ctx context.Context, app IterativeApp) error {
 		}
 		e.iter++
 		e.in.steps.Inc()
+		if e.collectPending {
+			e.collectPending = false
+			go runtime.GC()
+		}
 		if e.cfg.AfterStep != nil {
 			e.cfg.AfterStep(e.iter)
 		}
@@ -468,6 +484,7 @@ func (e *Executor) recover(app IterativeApp, attempts *int) error {
 		e.lastCkpt = snapIter
 		e.in.restores.Inc()
 		e.reg.Trace("core.restore.success", int64(*attempts), snapIter)
+		e.collectPending = true
 		return nil
 	}
 }

@@ -240,7 +240,7 @@ func (m *DistBlockMatrix) InitSparseColumns(fn func(j int) (rows []int, vals []f
 				}
 			}
 			for _, b := range blocks {
-				b.Sparse = la.NewSparseCSCFromTriplets(b.Rows, b.Cols, triplets[b])
+				b.Sparse = la.NewSparseCSRFromTriplets(b.Rows, b.Cols, triplets[b])
 				b.Touch()
 			}
 		}

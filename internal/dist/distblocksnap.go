@@ -257,40 +257,38 @@ func (m *DistBlockMatrix) restoreRegrid(s *snapshot.Snapshot, meta *snapMeta) er
 			// Sparse: count the nonzeros of every overlap first to size
 			// the new block (the extra pass the paper charges to sparse
 			// re-grid restores), then assemble by merging the overlap
-			// columns in order. g.Overlaps returns overlaps column-major
+			// rows in order. g.Overlaps returns overlaps column-major
 			// (old column-block outer, old row-block inner), so for any
-			// column of the new block the contributing runs arrive in
-			// ascending row order and the merge is a straight copy.
+			// row of the new block the contributing runs arrive in
+			// ascending column order and the merge is a straight copy.
 			nnz := 0
-			subs := make([]*la.SparseCSC, len(overlaps))
+			subs := make([]*la.SparseCSR, len(overlaps))
 			for i, ov := range overlaps {
 				old := loadOld(ov.OldRB, ov.OldCB)
-				// One counting pass per overlap (the extra pass the paper
-				// charges to sparse re-grid restores); its result sizes
-				// both the merged block and the sub-extraction, which
-				// previously re-counted internally.
+				// One counting pass per overlap sizes both the merged
+				// block and the sub-extraction.
 				n := old.Sparse.CountSubNNZ(ov.Row0-old.Row0, ov.Col0-old.Col0, ov.Rows, ov.Cols)
 				nnz += n
 				subs[i] = old.Sparse.ExtractSubPresized(ov.Row0-old.Row0, ov.Col0-old.Col0, ov.Rows, ov.Cols, n)
 			}
-			sp := la.NewSparseCSC(nb.Rows, nb.Cols)
-			sp.RowIdx = make([]int, 0, nnz)
+			sp := la.NewSparseCSR(nb.Rows, nb.Cols)
+			sp.ColIdx = make([]int, 0, nnz)
 			sp.Vals = make([]float64, 0, nnz)
-			for j := 0; j < nb.Cols; j++ {
-				col := j + nb.Col0
-				for i, ov := range overlaps {
-					if col < ov.Col0 || col >= ov.Col0+ov.Cols {
+			for i := 0; i < nb.Rows; i++ {
+				row := i + nb.Row0
+				for k, ov := range overlaps {
+					if row < ov.Row0 || row >= ov.Row0+ov.Rows {
 						continue
 					}
-					sub := subs[i]
-					sj := col - ov.Col0
-					rowOff := ov.Row0 - nb.Row0
-					for k := sub.ColPtr[sj]; k < sub.ColPtr[sj+1]; k++ {
-						sp.RowIdx = append(sp.RowIdx, sub.RowIdx[k]+rowOff)
-						sp.Vals = append(sp.Vals, sub.Vals[k])
+					sub := subs[k]
+					ps, pe := sub.RowPtr[row-ov.Row0], sub.RowPtr[row-ov.Row0+1]
+					colOff := ov.Col0 - nb.Col0
+					for _, j := range sub.ColIdx[ps:pe] {
+						sp.ColIdx = append(sp.ColIdx, j+colOff)
 					}
+					sp.Vals = append(sp.Vals, sub.Vals[ps:pe]...)
 				}
-				sp.ColPtr[j+1] = len(sp.Vals)
+				sp.RowPtr[i+1] = len(sp.Vals)
 			}
 			nb.Sparse = sp
 		})

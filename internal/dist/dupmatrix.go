@@ -213,7 +213,7 @@ func dupDenseBlock(d *la.DenseMatrix) *block.MatrixBlock {
 	return &block.MatrixBlock{Rows: d.Rows, Cols: d.Cols, Dense: d}
 }
 
-func dupSparseBlock(sp *la.SparseCSC) *block.MatrixBlock {
+func dupSparseBlock(sp *la.SparseCSR) *block.MatrixBlock {
 	return &block.MatrixBlock{Rows: sp.Rows, Cols: sp.Cols, Sparse: sp}
 }
 
@@ -331,7 +331,7 @@ type DupSparseMatrix struct {
 	rt         *apgas.Runtime
 	rows, cols int
 	pg         apgas.PlaceGroup
-	plh        apgas.PlaceLocalHandle[*la.SparseCSC]
+	plh        apgas.PlaceLocalHandle[*la.SparseCSR]
 	// compressible carries the per-object checkpoint-compression
 	// override and lossy opt-in (SetCompression, AllowLossyCheckpoint).
 	compressible
@@ -345,8 +345,8 @@ func MakeDupSparseMatrix(rt *apgas.Runtime, rows, cols int, pg apgas.PlaceGroup)
 	if pg.Size() == 0 {
 		return nil, fmt.Errorf("dist: MakeDupSparseMatrix: empty place group")
 	}
-	plh, err := apgas.NewPlaceLocalHandle(rt, pg, func(ctx *apgas.Ctx, idx int) *la.SparseCSC {
-		return la.NewSparseCSC(rows, cols)
+	plh, err := apgas.NewPlaceLocalHandle(rt, pg, func(ctx *apgas.Ctx, idx int) *la.SparseCSR {
+		return la.NewSparseCSR(rows, cols)
 	})
 	if err != nil {
 		return nil, err
@@ -364,7 +364,7 @@ func (m *DupSparseMatrix) Cols() int { return m.cols }
 func (m *DupSparseMatrix) Group() apgas.PlaceGroup { return m.pg }
 
 // Local returns the calling place's duplicate.
-func (m *DupSparseMatrix) Local(ctx *apgas.Ctx) *la.SparseCSC { return m.plh.Local(ctx) }
+func (m *DupSparseMatrix) Local(ctx *apgas.Ctx) *la.SparseCSR { return m.plh.Local(ctx) }
 
 // InitColumns fills every duplicate from a per-column generator (see
 // DistBlockMatrix.InitSparseColumns), evaluated redundantly at each place.
@@ -377,9 +377,7 @@ func (m *DupSparseMatrix) InitColumns(fn func(j int) (rows []int, vals []float64
 				ts = append(ts, la.Triplet{Row: i, Col: j, Val: vals[k]})
 			}
 		}
-		sp := la.NewSparseCSCFromTriplets(m.rows, m.cols, ts)
-		h := m.plh.Local(ctx)
-		h.ColPtr, h.RowIdx, h.Vals = sp.ColPtr, sp.RowIdx, sp.Vals
+		*m.plh.Local(ctx) = *la.NewSparseCSRFromTriplets(m.rows, m.cols, ts)
 	})
 }
 
@@ -389,8 +387,8 @@ func (m *DupSparseMatrix) Remake(newPG apgas.PlaceGroup) error {
 		return fmt.Errorf("dist: DupSparseMatrix.Remake: empty place group")
 	}
 	m.plh.Destroy(m.pg)
-	plh, err := apgas.NewPlaceLocalHandle(m.rt, newPG, func(ctx *apgas.Ctx, idx int) *la.SparseCSC {
-		return la.NewSparseCSC(m.rows, m.cols)
+	plh, err := apgas.NewPlaceLocalHandle(m.rt, newPG, func(ctx *apgas.Ctx, idx int) *la.SparseCSR {
+		return la.NewSparseCSR(m.rows, m.cols)
 	})
 	if err != nil {
 		return err
@@ -443,7 +441,6 @@ func (m *DupSparseMatrix) RestoreSnapshot(s *snapshot.Snapshot) error {
 		if b.Sparse == nil || b.Rows != m.rows || b.Cols != m.cols {
 			apgas.Throw(fmt.Errorf("dist: DupSparseMatrix restore shape mismatch"))
 		}
-		h := m.plh.Local(ctx)
-		h.ColPtr, h.RowIdx, h.Vals = b.Sparse.ColPtr, b.Sparse.RowIdx, b.Sparse.Vals
+		*m.plh.Local(ctx) = *b.Sparse
 	})
 }

@@ -41,8 +41,10 @@ func init() {
 
 // multVecKernelBody computes B·x for every block ref of the task.
 // Refs[0] is the duplicated x; Refs[1:] are the place's blocks in
-// ascending block-ID order. The result carries one encoded partial per
-// block ref, in the same order, in pooled buffers. Blocks decode once per
+// ascending block-ID order. In-process, Exec.Sink holds the caller's
+// scratch vectors, one per block ref in the same order, and each partial
+// is written straight into its vector; in a worker, the result carries one
+// encoded partial per block ref, in pooled buffers. Blocks decode once per
 // shipped version (Entry.Obj caches the object); x decodes once per
 // shipped version too, which in the solvers means once per iteration —
 // into the previous version's storage where the store offers it. Run
@@ -88,10 +90,18 @@ func multVecKernelBody(ex *kernel.Exec, t *kernel.Task) (*kernel.Result, error) 
 		}
 		blocks[i] = b
 	}
-	frames := make([][]byte, len(blocks))
+	sink, _ := ex.Sink.([]la.Vector)
+	var frames [][]byte
+	if sink == nil {
+		frames = make([][]byte, len(blocks))
+	}
 	par.For(len(blocks), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			b := blocks[i]
+			if sink != nil {
+				b.MultVecAssign(x, sink[i])
+				continue
+			}
 			out := la.NewVector(b.Rows)
 			b.MultVecAssign(x, out)
 			frames[i] = wireVector(out)
@@ -101,10 +111,11 @@ func multVecKernelBody(ex *kernel.Exec, t *kernel.Task) (*kernel.Result, error) 
 }
 
 // multVecKernel runs MultVec's phase 1 for one place: the registered
-// kernel computes the place's partials — in its worker process, which gets
-// x (once per version) and any blocks it does not hold yet shipped, or
-// in-process on the live objects every input names — and the partials
-// decode straight into the place's scratch map.
+// kernel computes the place's partials into the place's scratch map — in
+// its worker process, which gets x (once per version) and any blocks it
+// does not hold yet shipped, and whose partials decode into the scratch;
+// or in-process on the live objects every input names, writing the
+// scratch directly.
 func (m *DistBlockMatrix) multVecKernel(ctx *apgas.Ctx, x *DupVector, xloc la.Vector, part map[int]la.Vector, bs *block.BlockSet) error {
 	if bs.Len() == 0 {
 		return nil
@@ -117,9 +128,9 @@ func (m *DistBlockMatrix) multVecKernel(ctx *apgas.Ctx, x *DupVector, xloc la.Ve
 		Encode: func() []byte { return wireVector(xloc) },
 		Obj:    xloc,
 	})
-	ids := make([]int, 0, bs.Len())
+	sink := make([]la.Vector, 0, bs.Len())
 	bs.Each(func(id int, b *block.MatrixBlock) {
-		ids = append(ids, id)
+		sink = append(sink, part[rowPartKey(id)])
 		inputs = append(inputs, kernel.Input{
 			Handle: m.plh.Handle(),
 			Key:    int64(id),
@@ -134,18 +145,22 @@ func (m *DistBlockMatrix) multVecKernel(ctx *apgas.Ctx, x *DupVector, xloc la.Ve
 			Obj: b,
 		})
 	})
-	res, err := ctx.ExecKernel(&kernel.Task{Name: multVecKernelName}, inputs...)
+	t := &kernel.Task{Name: multVecKernelName, Sink: sink}
+	res, err := ctx.ExecKernel(t, inputs...)
 	if err != nil {
 		return err
 	}
 	defer res.Release()
-	if len(res.Frames) != len(ids) {
-		return fmt.Errorf("dist: %s at %v: %d partials for %d blocks", multVecKernelName, ctx.Here, len(res.Frames), len(ids))
+	if len(res.Frames) == 0 {
+		return nil // ran in-process: the partials are already in the sink
 	}
-	for i, id := range ids {
+	if len(res.Frames) != len(sink) {
+		return fmt.Errorf("dist: %s at %v: %d partials for %d blocks", multVecKernelName, ctx.Here, len(res.Frames), len(sink))
+	}
+	for i, dst := range sink {
 		// Decode in place: a frame of any other length would regrow the
 		// destination instead of filling it.
-		dst := part[rowPartKey(id)]
+		id := t.Refs[i+1].Key
 		v, _, err := codec.Float64sInto(dst, res.Frames[i])
 		if err != nil {
 			return fmt.Errorf("dist: %s at %v: partial of block %d: %w", multVecKernelName, ctx.Here, id, err)

@@ -14,6 +14,7 @@ import (
 	"github.com/rgml/rgml/internal/grid"
 	"github.com/rgml/rgml/internal/la"
 	"github.com/rgml/rgml/internal/obs"
+	"github.com/rgml/rgml/internal/par"
 )
 
 // execTransport is a minimal in-process transport with a data plane: it
@@ -450,5 +451,58 @@ func TestMultVecKernelShortXIsOneError(t *testing.T) {
 	err = m.MultVec(x, y)
 	if err == nil || strings.Count(err.Error(), "short of block") != 1 {
 		t.Fatalf("MultVec with a short x at place 1 = %v, want one bounds error", err)
+	}
+}
+
+// multVecAllocs returns the allocations of one warm MultVec of a 256×256
+// sparse matrix cut into blocksPerPlace row blocks per place over a
+// 4-place local runtime.
+func multVecAllocs(t *testing.T, blocksPerPlace int) float64 {
+	t.Helper()
+	const n = 256
+	rt := newRT(t, 4)
+	pg := rt.World()
+	m, err := MakeDistBlockMatrix(rt, block.Sparse, n, n, 4*blocksPerPlace, 1, 4, 1, pg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.InitSparseColumns(sparseColInit(n)); err != nil {
+		t.Fatal(err)
+	}
+	x, err := MakeDupVector(rt, n, pg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := x.Init(func(i int) float64 { return float64(i) + 1 }); err != nil {
+		t.Fatal(err)
+	}
+	y, err := MakeDistVector(rt, n, pg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mult := func() {
+		if err := m.MultVec(x, y); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mult() // size the scratch partials
+	return testing.AllocsPerRun(50, mult)
+}
+
+// TestMultVecInProcessAllocs: on the local backend every MultVec kernel
+// runs in-process and writes each block's partial straight into the
+// place's scratch vector, so a block costs only its kernel input, its
+// by-reference store entry and its SpMV call's parallel region — no
+// partial vector, no wire frame, no boxed dimension check. Measured at one
+// kernel worker (the block fan's pool bookkeeping then does not depend on
+// the host), 1 → 4 blocks per place cost 140 → 228 allocations with a
+// fresh partial per block and is 128 → 180 with the scratch sink.
+func TestMultVecInProcessAllocs(t *testing.T) {
+	defer par.SetWorkers(par.Workers())
+	par.SetWorkers(1)
+	one, four := multVecAllocs(t, 1), multVecAllocs(t, 4)
+	if perBlock := (four - one) / 12; perBlock > 5 {
+		t.Fatalf("in-process MultVec: %.0f → %.0f allocations for 4 → 16 blocks, %.2f per block; want at most 5",
+			one, four, perBlock)
 	}
 }

@@ -1,8 +1,6 @@
 package la
 
 import (
-	"sort"
-
 	"github.com/rgml/rgml/internal/obs"
 	"github.com/rgml/rgml/internal/par"
 )
@@ -16,22 +14,29 @@ import (
 // shapes, so results are bit-identical at any worker count.
 
 // AccumTransDenseSparse computes out += aᵀ·s, where a is rows×k dense and
-// s is rows×m sparse; out is k×m and must be pre-allocated. Parallel over
-// sparse columns: column j owns out[:, j], and the per-element order is
-// exactly the naive loop's.
-func AccumTransDenseSparse(a *DenseMatrix, s *SparseCSC, out *DenseMatrix) {
+// s is rows×m sparse; out is k×m and must be pre-allocated.
+//
+// The nonzeros of one sparse row scatter into arbitrary output columns,
+// so the parallel decomposition is by output-column range: each chunk
+// scans every row but binary-searches the (sorted) column indices for its
+// own column sub-range. Every output element sees exactly the naive
+// column-major loop's accumulation order — ascending row — so the kernel
+// is bit-identical to the serial reference over the CSC form.
+func AccumTransDenseSparse(a *DenseMatrix, s *SparseCSR, out *DenseMatrix) {
 	checkDim(a.Rows == s.Rows, "AccumTransDenseSparse: a rows %d != s rows %d", a.Rows, s.Rows)
 	checkDim(out.Rows == a.Cols && out.Cols == s.Cols,
 		"AccumTransDenseSparse: out %dx%d, want %dx%d", out.Rows, out.Cols, a.Cols, s.Cols)
 	t0 := kstart()
 	k := a.Cols
-	par.For(s.Cols, spColGrain, func(jlo, jhi int) {
-		for j := jlo; j < jhi; j++ {
-			outCol := out.Data[j*k : (j+1)*k]
-			for p := s.ColPtr[j]; p < s.ColPtr[j+1]; p++ {
-				i, v := s.RowIdx[p], s.Vals[p]
+	par.For(s.Cols, spColRangeGrain, func(lo, hi int) {
+		full := lo == 0 && hi == s.Cols
+		for i := 0; i < s.Rows; i++ {
+			ps, pe := s.colRange(i, lo, hi, full)
+			for p := ps; p < pe; p++ {
+				j, v := s.ColIdx[p], s.Vals[p]
+				outCol := out.Data[j*k : (j+1)*k]
 				// out[:, j] += v · a[i, :]ᵀ (a is column-major: stride a.Rows).
-				for kk := 0; kk < k; kk++ {
+				for kk := range outCol {
 					outCol[kk] += v * a.Data[i+kk*a.Rows]
 				}
 			}
@@ -41,36 +46,24 @@ func AccumTransDenseSparse(a *DenseMatrix, s *SparseCSC, out *DenseMatrix) {
 }
 
 // AccumSparseMultDenseT computes out += s·hᵀ, where s is rows×m sparse and
-// h is k×m dense; out is rows×k and must be pre-allocated.
-//
-// The nonzeros of one sparse column scatter into arbitrary output rows,
-// so the parallel decomposition is by output-row range: each chunk scans
-// every column but binary-searches the (sorted) row indices for its own
-// row sub-range. Every output element sees exactly the naive loop's
-// accumulation order — ascending column, then ascending position — so
-// the kernel is bit-identical to the serial reference (and to the
-// pre-engine implementation).
-func AccumSparseMultDenseT(s *SparseCSC, h *DenseMatrix, out *DenseMatrix) {
+// h is k×m dense; out is rows×k and must be pre-allocated. Parallel over
+// sparse rows: row i owns out[i, :], and each element accumulates in
+// ascending column order, exactly the naive loop's — so the kernel is
+// bit-identical to the serial reference at any worker count.
+func AccumSparseMultDenseT(s *SparseCSR, h *DenseMatrix, out *DenseMatrix) {
 	checkDim(h.Cols == s.Cols, "AccumSparseMultDenseT: h cols %d != s cols %d", h.Cols, s.Cols)
 	checkDim(out.Rows == s.Rows && out.Cols == h.Rows,
 		"AccumSparseMultDenseT: out %dx%d, want %dx%d", out.Rows, out.Cols, s.Rows, h.Rows)
 	t0 := kstart()
 	k := h.Rows
-	par.For(s.Rows, sdtRowGrain, func(lo, hi int) {
-		full := lo == 0 && hi == s.Rows
-		for j := 0; j < s.Cols; j++ {
-			hCol := h.Data[j*k : (j+1)*k] // h[:, j], contiguous
-			ps, pe := s.ColPtr[j], s.ColPtr[j+1]
-			if !full {
-				idx := s.RowIdx[ps:pe]
-				pe = ps + sort.SearchInts(idx, hi)
-				ps += sort.SearchInts(idx, lo)
-			}
-			for p := ps; p < pe; p++ {
-				i, v := s.RowIdx[p], s.Vals[p]
+	par.For(s.Rows, spRowGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			for p := s.RowPtr[i]; p < s.RowPtr[i+1]; p++ {
+				j, v := s.ColIdx[p], s.Vals[p]
+				hCol := h.Data[j*k : (j+1)*k] // h[:, j], contiguous
 				// out[i, :] += v · h[:, j]ᵀ (out is column-major: stride out.Rows).
-				for kk := 0; kk < k; kk++ {
-					out.Data[i+kk*out.Rows] += v * hCol[kk]
+				for kk, hv := range hCol {
+					out.Data[i+kk*out.Rows] += v * hv
 				}
 			}
 		}

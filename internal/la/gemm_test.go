@@ -7,9 +7,9 @@ import (
 
 func TestAccumTransDenseSparseAgainstDense(t *testing.T) {
 	rng := NewRNG(21)
-	a := RandomDense(10, 4, rng)        // rows×k
-	s := RandomSparseCSC(10, 6, 3, rng) // rows×m
-	out := RandomDense(4, 6, rng)       // accumulate onto non-zero start
+	a := RandomDense(10, 4, rng)                // rows×k
+	s := RandomSparseCSC(10, 6, 3, rng).ToCSR() // rows×m
+	out := RandomDense(4, 6, rng)               // accumulate onto non-zero start
 	base := out.Clone()
 	AccumTransDenseSparse(a, s, out)
 	// Reference: base + aᵀ·dense(s).
@@ -33,8 +33,8 @@ func TestAccumTransDenseSparseAgainstDense(t *testing.T) {
 
 func TestAccumSparseMultDenseTAgainstDense(t *testing.T) {
 	rng := NewRNG(22)
-	s := RandomSparseCSC(8, 5, 2, rng) // rows×m
-	h := RandomDense(3, 5, rng)        // k×m
+	s := RandomSparseCSC(8, 5, 2, rng).ToCSR() // rows×m
+	h := RandomDense(3, 5, rng)                // k×m
 	out := NewDense(8, 3)
 	AccumSparseMultDenseT(s, h, out)
 	sd := s.ToDense()
@@ -93,7 +93,7 @@ func TestAccumKernelsAccumulate(t *testing.T) {
 		k := 1 + rng.Intn(4)
 		m := 1 + rng.Intn(5)
 		a := RandomDense(rows, k, rng)
-		s := RandomSparseCSC(rows, m, 1+rng.Intn(rows), rng)
+		s := RandomSparseCSC(rows, m, 1+rng.Intn(rows), rng).ToCSR()
 		once := NewDense(k, m)
 		AccumTransDenseSparse(a, s, once)
 		twice := NewDense(k, m)
@@ -108,7 +108,7 @@ func TestAccumKernelsAccumulate(t *testing.T) {
 
 func TestAccumKernelDimPanics(t *testing.T) {
 	a := NewDense(4, 2)
-	s := NewSparseCSC(5, 3)
+	s := NewSparseCSR(5, 3)
 	out := NewDense(2, 3)
 	defer func() {
 		if recover() == nil {

@@ -34,17 +34,24 @@ const (
 	gemmRowTile = 256
 	// gramColGrain chunks AccumTransDenseDense output columns.
 	gramColGrain = 8
-	// spColGrain chunks AccumTransDenseSparse sparse columns (each owns
-	// its output column).
-	spColGrain = 64
-	// sdtRowGrain chunks the row-partitioned sparse kernels
-	// (AccumSparseMultDenseT, SparseCSC.MultVec) by output rows. Every
-	// chunk walks every sparse column and binary-searches its row range,
-	// so the per-chunk cost has a fixed component proportional to the
-	// column count; the grain must be large enough that this overhead
-	// stays small next to the O(nnz/chunk) useful work even for matrices
-	// with only a handful of nonzeros per column.
-	sdtRowGrain = 32768
+	// spRowGrain chunks the row-parallel CSR kernels (SparseCSR.MultVec,
+	// AccumSparseMultDenseT) by output rows. Each row is an independent
+	// gather with no per-chunk setup, so the grain only has to amortize
+	// the pool's per-chunk cost over a few nonzeros per row.
+	spRowGrain = 4096
+	// spColRangeGrain chunks the column-range CSR kernels
+	// (SparseCSR.TransMultVec, AccumTransDenseSparse) by output columns.
+	// Every chunk walks every row and binary-searches its column range,
+	// so the per-chunk cost has a fixed component proportional to the row
+	// count; the grain must be large enough that this overhead stays small
+	// next to the O(nnz/chunk) useful work even for matrices with only a
+	// handful of nonzeros per row.
+	spColRangeGrain = 32768
+	// cscColGrain and cscRowGrain chunk the library SparseCSC kernels:
+	// TransMultVec by owned output columns, MultVec by binary-searched
+	// output-row ranges (spColRangeGrain's trade, transposed).
+	cscColGrain = 64
+	cscRowGrain = 32768
 )
 
 // dot4 is the shared 4-accumulator dot product. The unroll structure is
@@ -117,6 +124,8 @@ type kinstr struct {
 	gram  *obs.Histogram // la.kernel.gram
 	tds   *obs.Histogram // la.kernel.accum_tds
 	sdt   *obs.Histogram // la.kernel.accum_sdt
+	spmv  *obs.Histogram // la.kernel.spmv
+	tspmv *obs.Histogram // la.kernel.tspmv
 	tiles *obs.Counter   // la.gemm.tiles
 }
 
@@ -124,7 +133,8 @@ var kins atomic.Pointer[kinstr]
 
 // SetObs wires the kernel instrumentation into reg: one duration
 // histogram per hot kernel (la.kernel.gemm, .gemv, .tgemv, .gram,
-// .accum_tds, .accum_sdt) and the GEMM micro-tile counter
+// .accum_tds, .accum_sdt, and .spmv/.tspmv for SparseCSR.MultVec and
+// TransMultVec) and the GEMM micro-tile counter
 // (la.gemm.tiles). The kernels are package-level, so the last registry
 // wired wins; nil disables instrumentation.
 func SetObs(reg *obs.Registry) {
@@ -139,6 +149,8 @@ func SetObs(reg *obs.Registry) {
 		gram:  reg.Histogram("la.kernel.gram"),
 		tds:   reg.Histogram("la.kernel.accum_tds"),
 		sdt:   reg.Histogram("la.kernel.accum_sdt"),
+		spmv:  reg.Histogram("la.kernel.spmv"),
+		tspmv: reg.Histogram("la.kernel.tspmv"),
 		tiles: reg.Counter("la.gemm.tiles"),
 	})
 }

@@ -4,13 +4,17 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"github.com/rgml/rgml/internal/par"
 )
 
 // Kernel benchmarks whose PR 4 numbers are frozen in
 // results/BENCH_kernels.json; the gate on kernel speed is the la.* metrics
-// of `bash benchmark/run.sh -micro`, not these. The sizes are chosen so
-// the operands spill the L1/L2 caches, which is where the tiled kernels
-// separate from the naive loops.
+// of `bash benchmark/run.sh -micro`, not these. The dense sizes are chosen
+// so the operands spill the L1/L2 caches, which is where the tiled kernels
+// separate from the naive loops. The sparse cases run the matrix blocks of
+// the two PageRank benchmark workloads, in the block format (CSR), at one
+// kernel worker: `go test -bench Sparse ./internal/la`.
 
 func randDense(rows, cols int, rng *rand.Rand) *DenseMatrix {
 	m := NewDense(rows, cols)
@@ -28,14 +32,36 @@ func randVec(n int, rng *rand.Rand) Vector {
 	return v
 }
 
-func randSparse(rows, cols, nnzPerCol int, rng *rand.Rand) *SparseCSC {
+// sparseBlockShapes are the row-stripe blocks of pagerank_fine_local and
+// pagerank_recover_tcp: rows of a cols-node link matrix with links
+// out-links per node.
+var sparseBlockShapes = []struct {
+	name              string
+	rows, cols, links int
+}{
+	{"2000x16000", 2000, 16000, 8},
+	{"30000x90000", 30000, 90000, 16},
+}
+
+// randSparse returns the first rows rows of a random cols-node link
+// matrix: every column draws links targets from all cols nodes, and the
+// stripe keeps the ones below rows (about links·rows/cols per column).
+func randSparse(rows, cols, links int, rng *rand.Rand) *SparseCSR {
 	var ts []Triplet
 	for j := 0; j < cols; j++ {
-		for k := 0; k < nnzPerCol; k++ {
-			ts = append(ts, Triplet{Row: rng.Intn(rows), Col: j, Val: rng.NormFloat64()})
+		for k := 0; k < links; k++ {
+			if i := rng.Intn(cols); i < rows {
+				ts = append(ts, Triplet{Row: i, Col: j, Val: rng.NormFloat64()})
+			}
 		}
 	}
-	return NewSparseCSCFromTriplets(rows, cols, ts)
+	return NewSparseCSRFromTriplets(rows, cols, ts)
+}
+
+// oneWorker pins the kernel pool to one worker for the rest of b.
+func oneWorker(b *testing.B) {
+	par.SetWorkers(1)
+	b.Cleanup(func() { par.SetWorkers(0) })
 }
 
 func BenchmarkKernelGEMM(b *testing.B) {
@@ -90,16 +116,43 @@ func BenchmarkKernelGram(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelSparseMultVec times PageRank's block mat-vec in the
+// block format (csr) against the same block as SparseCSC (csc).
+func BenchmarkKernelSparseMultVec(b *testing.B) {
+	for _, sh := range sparseBlockShapes {
+		rng := rand.New(rand.NewSource(7))
+		csr := randSparse(sh.rows, sh.cols, sh.links, rng)
+		csc := csr.ToCSC()
+		x, y := randVec(sh.cols, rng), NewVector(sh.rows)
+		b.Run(sh.name+"/csr", func(b *testing.B) {
+			oneWorker(b)
+			for i := 0; i < b.N; i++ {
+				csr.MultVec(x, y)
+			}
+		})
+		b.Run(sh.name+"/csc", func(b *testing.B) {
+			oneWorker(b)
+			for i := 0; i < b.N; i++ {
+				csc.MultVec(x, y)
+			}
+		})
+	}
+}
+
 func BenchmarkKernelAccumSparseMultDenseT(b *testing.B) {
-	const rows, cols, k, nnz = 8192, 8192, 8, 8
-	rng := rand.New(rand.NewSource(5))
-	s := randSparse(rows, cols, nnz, rng)
-	h := randDense(k, cols, rng)
-	out := NewDense(rows, k)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out.Zero()
-		AccumSparseMultDenseT(s, h, out)
+	const k = 8
+	for _, sh := range sparseBlockShapes {
+		rng := rand.New(rand.NewSource(5))
+		s := randSparse(sh.rows, sh.cols, sh.links, rng)
+		h := randDense(k, sh.cols, rng)
+		out := NewDense(sh.rows, k)
+		b.Run(sh.name, func(b *testing.B) {
+			oneWorker(b)
+			for i := 0; i < b.N; i++ {
+				out.Zero()
+				AccumSparseMultDenseT(s, h, out)
+			}
+		})
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/rgml/rgml/internal/obs"
 	"github.com/rgml/rgml/internal/par"
 )
 
@@ -187,7 +188,7 @@ func TestDenseMultMatchesNaive(t *testing.T) {
 
 func TestAccumKernelsWorkerInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	s := testRandSparse(400, 300, 9, rng)
+	s := testRandSparse(400, 300, 9, rng).ToCSR()
 	a := testRandDense(400, 13, rng)
 	h := testRandDense(13, 300, rng)
 	bb := testRandDense(400, 21, rng)
@@ -209,15 +210,15 @@ func TestAccumKernelsWorkerInvariance(t *testing.T) {
 	})
 }
 
-// TestAccumSparseMultDenseTMatchesNaive: the row-range decomposition with
-// binary-searched column sub-ranges must reproduce the naive loop bit for
-// bit — every output element sees the identical accumulation sequence.
+// TestAccumSparseMultDenseTMatchesNaive: the row-parallel CSR kernel must
+// reproduce the naive column-major loop bit for bit — every output element
+// sees the identical accumulation sequence.
 func TestAccumSparseMultDenseTMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	s := testRandSparse(5000, 200, 7, rng)
 	h := testRandDense(9, 200, rng)
 	out := NewDense(5000, 9)
-	AccumSparseMultDenseT(s, h, out)
+	AccumSparseMultDenseT(s.ToCSR(), h, out)
 	ref := NewDense(5000, 9)
 	k := h.Rows
 	for j := 0; j < s.Cols; j++ {
@@ -338,4 +339,154 @@ func TestKernelsUnderEveryWorkerCount(t *testing.T) {
 			t.Fatalf("workers=%d: repeated Mult not deterministic", w)
 		}
 	})
+}
+
+// sparseKernelOutputs holds one run of the four sparse kernels: MultVec,
+// TransMultVec, AccumSparseMultDenseT and AccumTransDenseSparse.
+type sparseKernelOutputs [4][]float64
+
+// sparseCase is one input set for the CSR/CSC bitwise table.
+type sparseCase struct {
+	name       string
+	rows, cols int
+	ts         []Triplet
+	x, xt      Vector       // MultVec / TransMultVec operands
+	h, a, base *DenseMatrix // accumulation operands; base seeds both outputs
+}
+
+// cscReference runs c through the CSC kernels and, for the two
+// accumulations, the naive column-major loops.
+func cscReference(c sparseCase) sparseKernelOutputs {
+	s := NewSparseCSCFromTriplets(c.rows, c.cols, c.ts)
+	var out sparseKernelOutputs
+	out[0] = NewVector(c.rows)
+	s.MultVec(c.x, out[0])
+	out[1] = NewVector(c.cols)
+	s.TransMultVec(c.xt, out[1])
+	sdt := c.base.Clone()
+	tds := NewDense(c.a.Cols, c.cols)
+	k := c.h.Rows
+	for j := 0; j < s.Cols; j++ {
+		for p := s.ColPtr[j]; p < s.ColPtr[j+1]; p++ {
+			i, v := s.RowIdx[p], s.Vals[p]
+			for kk := 0; kk < k; kk++ {
+				sdt.Data[i+kk*sdt.Rows] += v * c.h.Data[j*k+kk]
+				tds.Data[j*k+kk] += v * c.a.Data[i+kk*c.a.Rows]
+			}
+		}
+	}
+	out[2], out[3] = sdt.Data, tds.Data
+	return out
+}
+
+// csrRun runs c through the CSR kernels the matrix blocks use.
+func csrRun(c sparseCase) sparseKernelOutputs {
+	s := NewSparseCSRFromTriplets(c.rows, c.cols, c.ts)
+	var out sparseKernelOutputs
+	out[0] = NewVector(c.rows)
+	s.MultVec(c.x, out[0])
+	out[1] = NewVector(c.cols)
+	s.TransMultVec(c.xt, out[1])
+	sdt := c.base.Clone()
+	AccumSparseMultDenseT(s, c.h, sdt)
+	tds := NewDense(c.a.Cols, c.cols)
+	AccumTransDenseSparse(c.a, s, tds)
+	out[2], out[3] = sdt.Data, tds.Data
+	return out
+}
+
+// sparseSpecialsCase is a 6×7 matrix with an empty row (2), an empty
+// column (3), a triplicated entry whose sum depends on the order, and
+// Inf/NaN values in columns where x is ±0 — so a MultVec that stopped
+// skipping zero x entries turns them into NaN, and a TransMultVec that
+// started skipping zero entries loses the NaN the CSC kernel produces.
+func sparseSpecialsCase(rng *rand.Rand) sparseCase {
+	inf, nan := math.Inf(1), math.NaN()
+	ts := []Triplet{
+		{0, 1, 0.1}, {0, 1, 0.2}, {0, 1, 0.3}, // duplicates: (0.1+0.2)+0.3
+		{0, 6, 1.5}, {1, 4, inf}, {1, 0, -0.75}, {3, 0, math.Inf(-1)},
+		{3, 2, 2.5}, {4, 5, nan}, {4, 2, -1}, {5, 6, 0.125}, {5, 1, 3},
+		{1, 4, 0.5}, // duplicate of an Inf: still Inf
+	}
+	return sparseCase{
+		name: "specials", rows: 6, cols: 7, ts: ts,
+		x:    Vector{math.Inf(-1), nan, -2, 3, 0, math.Copysign(0, -1), inf},
+		xt:   Vector{0, math.Copysign(0, -1), nan, inf, math.Inf(-1), 1.25},
+		h:    testRandDense(3, 7, rng),
+		a:    testRandDense(6, 3, rng),
+		base: testRandDense(6, 3, rng),
+	}
+}
+
+// sparseChunkedCase is large enough that the row-parallel kernels run in
+// two chunks (rows > spRowGrain) and the column-range ones in two
+// (cols > spColRangeGrain), with random duplicates and zeros in x.
+func sparseChunkedCase(rng *rand.Rand) sparseCase {
+	const rows, cols, k = 5000, 40000, 3
+	var ts []Triplet
+	for j := 0; j < cols; j++ {
+		for n := rng.Intn(4); n > 0; n-- {
+			ts = append(ts, Triplet{Row: rng.Intn(rows), Col: j, Val: rng.NormFloat64()})
+		}
+	}
+	x, xt := testRandVec(cols, rng), testRandVec(rows, rng)
+	for i := 0; i < cols; i += 97 {
+		x[i] = math.Copysign(0, float64(i%2)-0.5)
+	}
+	for i := 0; i < rows; i += 89 {
+		xt[i] = 0
+	}
+	x[11], xt[13] = math.Inf(1), math.NaN()
+	return sparseCase{
+		name: "chunked", rows: rows, cols: cols, ts: ts, x: x, xt: xt,
+		h:    testRandDense(k, cols, rng),
+		a:    testRandDense(rows, k, rng),
+		base: testRandDense(rows, k, rng),
+	}
+}
+
+// TestCSRKernelsMatchCSCBitwise pins the block format's contract: each CSR
+// kernel reproduces the CSC kernel (or naive CSC loop) it replaced bit for
+// bit, at every worker count, on ±0/NaN/±Inf operands, empty rows and
+// columns, and duplicate triplets.
+func TestCSRKernelsMatchCSCBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	names := [4]string{"MultVec", "TransMultVec", "AccumSparseMultDenseT", "AccumTransDenseSparse"}
+	defer par.SetWorkers(0)
+	for _, c := range []sparseCase{sparseSpecialsCase(rng), sparseChunkedCase(rng)} {
+		par.SetWorkers(1)
+		want := cscReference(c)
+		for _, w := range []int{1, 2, 4} {
+			par.SetWorkers(w)
+			got := csrRun(c)
+			for k := range got {
+				if !bitEqual(got[k], want[k]) {
+					t.Errorf("%s: CSR %s at workers=%d differs bitwise from CSC", c.name, names[k], w)
+				}
+			}
+		}
+	}
+}
+
+// TestSparseKernelsObserved: with a registry wired, every SparseCSR
+// MultVec and TransMultVec call lands exactly one observation in its
+// histogram.
+func TestSparseKernelsObserved(t *testing.T) {
+	reg := obs.NewRegistry()
+	SetObs(reg)
+	defer SetObs(nil)
+	s := testRandSparse(40, 30, 3, rand.New(rand.NewSource(16))).ToCSR()
+	y, z := NewVector(40), NewVector(30)
+	for i := 0; i < 3; i++ {
+		s.MultVec(NewVector(30).Fill(1), y)
+	}
+	for i := 0; i < 2; i++ {
+		s.TransMultVec(NewVector(40).Fill(1), z)
+	}
+	if got := reg.Histogram("la.kernel.spmv").Count(); got != 3 {
+		t.Errorf("la.kernel.spmv count = %d, want 3", got)
+	}
+	if got := reg.Histogram("la.kernel.tspmv").Count(); got != 2 {
+		t.Errorf("la.kernel.tspmv count = %d, want 2", got)
+	}
 }

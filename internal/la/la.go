@@ -25,8 +25,15 @@ import "fmt"
 // checkDim panics with a descriptive message when a dimension precondition
 // is violated. Dimension mismatches are programming errors, not runtime
 // conditions, so they panic rather than return errors (as in gonum and GML).
-func checkDim(ok bool, format string, args ...any) {
+// The arguments are ints, boxed only on the failure path: an ...any
+// parameter would heap-allocate every dimension above 255 on every kernel
+// call.
+func checkDim(ok bool, format string, args ...int) {
 	if !ok {
-		panic("la: " + fmt.Sprintf(format, args...))
+		boxed := make([]any, len(args))
+		for i, a := range args {
+			boxed[i] = a
+		}
+		panic("la: " + fmt.Sprintf(format, boxed...))
 	}
 }

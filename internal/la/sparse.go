@@ -18,7 +18,9 @@ type Triplet struct {
 // SparseCSC is a compressed-sparse-column matrix, the counterpart of
 // x10.matrix.sparse.SparseCSC. Column j's nonzeros occupy
 // RowIdx[ColPtr[j]:ColPtr[j+1]] / Vals[ColPtr[j]:ColPtr[j+1]], with row
-// indices sorted ascending within each column.
+// indices sorted ascending within each column. Matrix blocks are stored
+// as SparseCSR; this type is the library's column-major form, and its
+// kernels are the references the CSR ones reproduce bit for bit.
 type SparseCSC struct {
 	Rows, Cols int
 	ColPtr     []int
@@ -100,12 +102,12 @@ func (m *SparseCSC) Clone() *SparseCSC {
 //
 // The scatter across output rows is parallelized by output-row range:
 // each chunk binary-searches every column's sorted row indices for its
-// own sub-range (the AccumSparseMultDenseT scheme), preserving the naive
-// loop's exact per-element accumulation order.
+// own sub-range (SparseCSR.TransMultVec's scheme, transposed), preserving
+// the naive loop's exact per-element accumulation order.
 func (m *SparseCSC) MultVec(x, y Vector) {
 	checkDim(len(x) == m.Cols, "MultVec: x len %d != cols %d", len(x), m.Cols)
 	checkDim(len(y) == m.Rows, "MultVec: y len %d != rows %d", len(y), m.Rows)
-	par.For(m.Rows, sdtRowGrain, func(lo, hi int) {
+	par.For(m.Rows, cscRowGrain, func(lo, hi int) {
 		seg := y[lo:hi]
 		for i := range seg {
 			seg[i] = 0
@@ -135,7 +137,7 @@ func (m *SparseCSC) MultVec(x, y Vector) {
 func (m *SparseCSC) TransMultVec(x, y Vector) {
 	checkDim(len(x) == m.Rows, "TransMultVec: x len %d != rows %d", len(x), m.Rows)
 	checkDim(len(y) == m.Cols, "TransMultVec: y len %d != cols %d", len(y), m.Cols)
-	par.For(m.Cols, spColGrain, func(jlo, jhi int) {
+	par.For(m.Cols, cscColGrain, func(jlo, jhi int) {
 		for j := jlo; j < jhi; j++ {
 			var s float64
 			for k := m.ColPtr[j]; k < m.ColPtr[j+1]; k++ {
@@ -163,76 +165,6 @@ func (m *SparseCSC) ToDense() *DenseMatrix {
 		}
 	}
 	return d
-}
-
-// CountSubNNZ counts the nonzeros inside the rows×cols region anchored at
-// (r0, c0). The re-grid restore path for sparse matrices needs this extra
-// counting pass to size new blocks before copying (paper section IV-B2:
-// "the non-zero elements for the overlapping regions must be counted to
-// determine the space required for the new sparse block").
-func (m *SparseCSC) CountSubNNZ(r0, c0, rows, cols int) int {
-	checkDim(r0 >= 0 && c0 >= 0 && r0+rows <= m.Rows && c0+cols <= m.Cols,
-		"CountSubNNZ(%d, %d, %d, %d) out of %dx%d", r0, c0, rows, cols, m.Rows, m.Cols)
-	n := 0
-	for j := c0; j < c0+cols; j++ {
-		lo, hi := m.ColPtr[j], m.ColPtr[j+1]
-		idx := m.RowIdx[lo:hi]
-		n += sort.SearchInts(idx, r0+rows) - sort.SearchInts(idx, r0)
-	}
-	return n
-}
-
-// ExtractSub copies the rows×cols region anchored at (r0, c0) into a new
-// CSC matrix (with indices rebased to the region's origin).
-func (m *SparseCSC) ExtractSub(r0, c0, rows, cols int) *SparseCSC {
-	return m.ExtractSubPresized(r0, c0, rows, cols, m.CountSubNNZ(r0, c0, rows, cols))
-}
-
-// ExtractSubPresized is ExtractSub with the region's nonzero count already
-// known (from an earlier CountSubNNZ pass), so the regrid restore path
-// counts each overlap once instead of re-counting inside the extraction.
-func (m *SparseCSC) ExtractSubPresized(r0, c0, rows, cols, nnz int) *SparseCSC {
-	out := NewSparseCSC(rows, cols)
-	out.RowIdx = make([]int, 0, nnz)
-	out.Vals = make([]float64, 0, nnz)
-	for j := 0; j < cols; j++ {
-		lo, hi := m.ColPtr[c0+j], m.ColPtr[c0+j+1]
-		idx := m.RowIdx[lo:hi]
-		from := lo + sort.SearchInts(idx, r0)
-		to := lo + sort.SearchInts(idx, r0+rows)
-		for k := from; k < to; k++ {
-			out.RowIdx = append(out.RowIdx, m.RowIdx[k]-r0)
-			out.Vals = append(out.Vals, m.Vals[k])
-		}
-		out.ColPtr[j+1] = len(out.Vals)
-	}
-	return out
-}
-
-// PasteSub merges sub into m with its top-left corner at (r0, c0),
-// rebuilding the receiver's storage. Existing entries inside the region are
-// replaced.
-func (m *SparseCSC) PasteSub(r0, c0 int, sub *SparseCSC) {
-	checkDim(r0 >= 0 && c0 >= 0 && r0+sub.Rows <= m.Rows && c0+sub.Cols <= m.Cols,
-		"PasteSub(%d, %d) of %dx%d into %dx%d", r0, c0, sub.Rows, sub.Cols, m.Rows, m.Cols)
-	var ts []Triplet
-	for j := 0; j < m.Cols; j++ {
-		inCols := j >= c0 && j < c0+sub.Cols
-		for k := m.ColPtr[j]; k < m.ColPtr[j+1]; k++ {
-			i := m.RowIdx[k]
-			if inCols && i >= r0 && i < r0+sub.Rows {
-				continue // replaced by the pasted region
-			}
-			ts = append(ts, Triplet{Row: i, Col: j, Val: m.Vals[k]})
-		}
-	}
-	for j := 0; j < sub.Cols; j++ {
-		for k := sub.ColPtr[j]; k < sub.ColPtr[j+1]; k++ {
-			ts = append(ts, Triplet{Row: sub.RowIdx[k] + r0, Col: j + c0, Val: sub.Vals[k]})
-		}
-	}
-	rebuilt := NewSparseCSCFromTriplets(m.Rows, m.Cols, ts)
-	m.ColPtr, m.RowIdx, m.Vals = rebuilt.ColPtr, rebuilt.RowIdx, rebuilt.Vals
 }
 
 // Triplets returns the matrix's nonzeros in coordinate form (column-major

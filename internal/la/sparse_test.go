@@ -94,51 +94,71 @@ func TestCSCTransMultVecAgainstDense(t *testing.T) {
 	}
 }
 
-func TestCSCCountSubNNZ(t *testing.T) {
-	rng := NewRNG(13)
-	s := RandomSparseCSC(12, 10, 3, rng)
-	d := s.ToDense()
-	for _, reg := range [][4]int{{0, 0, 12, 10}, {2, 3, 5, 4}, {11, 9, 1, 1}, {0, 0, 1, 10}} {
-		want := 0
-		for i := reg[0]; i < reg[0]+reg[2]; i++ {
-			for j := reg[1]; j < reg[1]+reg[3]; j++ {
-				if d.At(i, j) != 0 {
-					want++
-				}
+// denseNNZ counts the nonzeros of d inside the rows×cols region at (r0, c0).
+func denseNNZ(d *DenseMatrix, r0, c0, rows, cols int) int {
+	n := 0
+	for i := r0; i < r0+rows; i++ {
+		for j := c0; j < c0+cols; j++ {
+			if d.At(i, j) != 0 {
+				n++
 			}
 		}
+	}
+	return n
+}
+
+func TestCSRCountSubNNZ(t *testing.T) {
+	rng := NewRNG(13)
+	s := RandomSparseCSC(12, 10, 3, rng).ToCSR()
+	d := s.ToDense()
+	for _, reg := range [][4]int{{0, 0, 12, 10}, {2, 3, 5, 4}, {11, 9, 1, 1}, {0, 0, 1, 10}, {4, 0, 8, 10}, {0, 6, 12, 0}} {
+		want := denseNNZ(d, reg[0], reg[1], reg[2], reg[3])
 		if got := s.CountSubNNZ(reg[0], reg[1], reg[2], reg[3]); got != want {
 			t.Errorf("CountSubNNZ(%v) = %d, want %d", reg, got, want)
 		}
 	}
 }
 
-func TestCSCExtractSub(t *testing.T) {
+func TestCSRExtractSubPresized(t *testing.T) {
 	rng := NewRNG(14)
-	s := RandomSparseCSC(12, 10, 3, rng)
-	sub := s.ExtractSub(2, 3, 6, 5)
-	want := s.ToDense().ExtractSub(2, 3, 6, 5)
-	if !sub.ToDense().EqualApprox(want, 0) {
-		t.Error("ExtractSub disagrees with dense path")
-	}
-	if sub.NNZ() != s.CountSubNNZ(2, 3, 6, 5) {
-		t.Error("ExtractSub NNZ disagrees with CountSubNNZ")
+	s := RandomSparseCSC(12, 10, 3, rng).ToCSR()
+	for _, reg := range [][4]int{{2, 3, 6, 5}, {0, 0, 12, 10}, {5, 0, 4, 10}, {11, 9, 1, 1}} {
+		n := s.CountSubNNZ(reg[0], reg[1], reg[2], reg[3])
+		sub := s.ExtractSubPresized(reg[0], reg[1], reg[2], reg[3], n)
+		want := s.ToDense().ExtractSub(reg[0], reg[1], reg[2], reg[3])
+		if !sub.ToDense().EqualApprox(want, 0) {
+			t.Errorf("ExtractSubPresized(%v) disagrees with dense path", reg)
+		}
+		if sub.NNZ() != n || len(sub.ColIdx) != cap(sub.ColIdx) {
+			t.Errorf("ExtractSubPresized(%v): nnz %d (cap %d), counted %d", reg, sub.NNZ(), cap(sub.ColIdx), n)
+		}
 	}
 }
 
-func TestCSCPasteSub(t *testing.T) {
-	rng := NewRNG(15)
-	s := RandomSparseCSC(10, 8, 3, rng)
-	sub := RandomSparseCSC(4, 3, 2, rng)
-	want := s.ToDense()
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 3; j++ {
-			want.Set(i+5, j+4, sub.At(i, j))
+// Property: an extracted region of a CSR matrix is the dense region, in
+// canonical form (columns ascending within each row).
+func TestCSRExtractSubProperty(t *testing.T) {
+	f := func(seed uint64) bool {
+		rng := NewRNG(seed)
+		rows := 2 + rng.Intn(10)
+		cols := 2 + rng.Intn(10)
+		m := RandomSparseCSC(rows, cols, 1+rng.Intn(rows), rng).ToCSR()
+		r0 := rng.Intn(rows)
+		c0 := rng.Intn(cols)
+		sr := 1 + rng.Intn(rows-r0)
+		sc := 1 + rng.Intn(cols-c0)
+		sub := m.ExtractSubPresized(r0, c0, sr, sc, m.CountSubNNZ(r0, c0, sr, sc))
+		for i := 0; i < sr; i++ {
+			for k := sub.RowPtr[i] + 1; k < sub.RowPtr[i+1]; k++ {
+				if sub.ColIdx[k] <= sub.ColIdx[k-1] {
+					return false
+				}
+			}
 		}
+		return sub.ToDense().EqualApprox(m.ToDense().ExtractSub(r0, c0, sr, sc), 0)
 	}
-	s.PasteSub(5, 4, sub)
-	if !s.ToDense().EqualApprox(want, 0) {
-		t.Error("PasteSub disagrees with dense path")
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -229,27 +249,6 @@ func TestCSRTripletsAndDense(t *testing.T) {
 	}
 	if !m.ToDense().EqualApprox(m.ToCSC().ToDense(), 0) {
 		t.Error("CSR/CSC ToDense mismatch")
-	}
-}
-
-// Property: extract/paste roundtrip on sparse matrices preserves content.
-func TestCSCExtractPasteProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := NewRNG(seed)
-		rows := 2 + rng.Intn(10)
-		cols := 2 + rng.Intn(10)
-		m := RandomSparseCSC(rows, cols, 1+rng.Intn(rows), rng)
-		r0 := rng.Intn(rows)
-		c0 := rng.Intn(cols)
-		sr := 1 + rng.Intn(rows-r0)
-		sc := 1 + rng.Intn(cols-c0)
-		sub := m.ExtractSub(r0, c0, sr, sc)
-		back := m.Clone()
-		back.PasteSub(r0, c0, sub)
-		return back.EqualApprox(m, 0)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -264,7 +264,8 @@ type (
 	DenseMatrix = la.DenseMatrix
 	// SparseCSC is a compressed-sparse-column matrix.
 	SparseCSC = la.SparseCSC
-	// SparseCSR is a compressed-sparse-row matrix.
+	// SparseCSR is a compressed-sparse-row matrix, the storage of sparse
+	// matrix blocks.
 	SparseCSR = la.SparseCSR
 	// RNG is a deterministic random generator for workload synthesis.
 	RNG = la.RNG
