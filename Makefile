@@ -65,14 +65,15 @@ bench-check:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
 
-# Short fuzz pass over the snapshot and tcp wire-format decoders (the
-# committed f.Add seeds always run as part of `make test`; this explores
-# further).
+# Short fuzz pass over the snapshot and tcp wire-format decoders and the
+# checksumming encoder (the committed f.Add seeds always run as part of
+# `make test`; this explores further).
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzFloat64s -fuzztime=30s ./internal/codec/
 	$(GO) test -run=NONE -fuzz=FuzzInts -fuzztime=30s ./internal/codec/
 	$(GO) test -run=NONE -fuzz=FuzzCompressFloat64s -fuzztime=30s ./internal/codec/
 	$(GO) test -run=NONE -fuzz=FuzzCompressInts -fuzztime=30s ./internal/codec/
+	$(GO) test -run=NONE -fuzz=FuzzEncoder -fuzztime=30s ./internal/codec/
 	$(GO) test -run=NONE -fuzz=FuzzDecode -fuzztime=30s ./internal/block/
 	$(GO) test -run=NONE -fuzz=FuzzFrameDecode -fuzztime=30s ./internal/apgas/transport/tcp/
 

@@ -210,8 +210,8 @@ func (b *MatrixBlock) EncodedSize() int {
 }
 
 // EncodeInto serializes the block to the snapshot wire format through e,
-// which folds the CRC-32C of the payload into the same pass (the snapshot
-// fast path: one traversal serializes and checksums).
+// which checksums each chunk of the payload right after writing it (the
+// snapshot fast path: the CRC-32C reads bytes still in cache).
 func (b *MatrixBlock) EncodeInto(e *codec.Encoder) {
 	e.PutInt(int(b.Kind()))
 	e.PutInt(b.RB)

@@ -143,3 +143,74 @@ func TestEncoderMatchesAppend(t *testing.T) {
 		}
 	}
 }
+
+// TestEncoderChunkBoundaries pins the chunked bulk puts to the Append*
+// functions around every chunk boundary, at a 5000x128 block and past the
+// runtime's 1 MiB non-temporal copy threshold, each after a short prefix
+// and with and without a lossless Compressor: same bytes, and a running
+// sum equal to a one-shot checksum of the whole buffer. A length just past
+// a boundary leaves a one-word last chunk, so a loop that skipped the CRC
+// of a partial chunk fails here.
+func TestEncoderChunkBoundaries(t *testing.T) {
+	const words = bulkChunk / 8
+	lossless, err := NewCompressor(Spec{Mode: CompressLossless})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := func(e *Encoder) {
+		e.PutInt(42)
+		e.PutFloat64(math.Pi)
+	}
+	want := AppendFloat64(AppendInt(nil, 42), math.Pi)
+	lens := []int{0, 1, words - 1, words, words + 1, 5000 * 128, 1<<20/8 + 3}
+	for _, comp := range []Compressor{nil, lossless} {
+		for _, n := range lens {
+			fs := make([]float64, n)
+			is := make([]int, n)
+			for i := range fs {
+				fs[i] = math.Sin(float64(i)) * 1e3
+				is[i] = i*i - 7*i
+			}
+			check := func(kind string, e *Encoder, want []byte) {
+				t.Helper()
+				if !bytes.Equal(e.Bytes(), want) {
+					t.Fatalf("%s len=%d comp=%v: Encoder bytes differ from Append* bytes", kind, n, comp != nil)
+				}
+				if e.Sum() != Checksum(e.Bytes()) {
+					t.Fatalf("%s len=%d comp=%v: running CRC %#x != one-shot CRC %#x",
+						kind, n, comp != nil, e.Sum(), Checksum(e.Bytes()))
+				}
+			}
+
+			wantF, wantI := AppendFloat64s(bytes.Clone(want), fs), AppendInts(bytes.Clone(want), is)
+			if comp != nil {
+				wantF, wantI = comp.AppendFloat64s(bytes.Clone(want), fs), comp.AppendInts(bytes.Clone(want), is)
+			}
+
+			ef := Encoder{comp: comp}
+			prefix(&ef)
+			ef.PutFloat64s(fs)
+			check("float64s", &ef, wantF)
+
+			ei := Encoder{comp: comp}
+			prefix(&ei)
+			ei.PutInts(is)
+			check("ints", &ei, wantI)
+		}
+	}
+}
+
+// TestEncoderBulkPutAllocs pins the checkpoint steady state: encoding a
+// 5000x128 block payload into a NewEncoder buffer allocates nothing.
+func TestEncoderBulkPutAllocs(t *testing.T) {
+	vs := make([]float64, 5000*128)
+	e := NewEncoder(SizeFloat64s(len(vs)))
+	buf := e.Bytes()
+	allocs := testing.AllocsPerRun(10, func() {
+		e = WrapEncoder(buf[:0])
+		e.PutFloat64s(vs)
+	})
+	if allocs != 0 {
+		t.Errorf("PutFloat64s of %d values into a pooled buffer: %.0f allocations, want 0", len(vs), allocs)
+	}
+}

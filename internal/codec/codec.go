@@ -8,7 +8,8 @@
 // (where the wire format equals the in-memory representation) a single
 // memmove copies the whole payload, elsewhere an unrolled
 // binary.LittleEndian loop produces byte-identical output. The Encoder
-// folds CRC-32C computation into the encode pass, and the buffer pool
+// folds CRC-32C computation into the encode pass (chunk by chunk, so the
+// checksum reads bytes still in cache), and the buffer pool
 // (GetBuffer/PutBuffer) recycles checkpoint buffers across the
 // double-buffered snapshot cycle so steady-state checkpoints allocate
 // nothing for payloads.
@@ -74,15 +75,30 @@ func AppendFloat64(b []byte, v float64) []byte {
 // bulk-copied word-wise.
 func AppendFloat64s(b []byte, vs []float64) []byte {
 	b = AppendInt(b, len(vs))
-	if len(vs) == 0 {
-		return b
-	}
 	off := len(b)
 	b = grow(b, 8*len(vs))
-	dst := b[off:]
+	putFloat64s(b[off:], vs)
+	return b
+}
+
+// AppendInts appends a length header followed by the values, bulk-copied
+// word-wise.
+func AppendInts(b []byte, vs []int) []byte {
+	b = AppendInt(b, len(vs))
+	off := len(b)
+	b = grow(b, 8*len(vs))
+	putInts(b[off:], vs)
+	return b
+}
+
+// putFloat64s writes the little-endian words of vs to dst[:8*len(vs)].
+func putFloat64s(dst []byte, vs []float64) {
+	if len(vs) == 0 {
+		return
+	}
 	if hostLittleEndian {
 		copy(dst, unsafe.Slice((*byte)(unsafe.Pointer(&vs[0])), 8*len(vs)))
-		return b
+		return
 	}
 	i := 0
 	for ; i+4 <= len(vs); i += 4 {
@@ -94,22 +110,16 @@ func AppendFloat64s(b []byte, vs []float64) []byte {
 	for ; i < len(vs); i++ {
 		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(vs[i]))
 	}
-	return b
 }
 
-// AppendInts appends a length header followed by the values, bulk-copied
-// word-wise.
-func AppendInts(b []byte, vs []int) []byte {
-	b = AppendInt(b, len(vs))
+// putInts writes the little-endian words of vs to dst[:8*len(vs)].
+func putInts(dst []byte, vs []int) {
 	if len(vs) == 0 {
-		return b
+		return
 	}
-	off := len(b)
-	b = grow(b, 8*len(vs))
-	dst := b[off:]
 	if hostLittleEndian && intIs64 {
 		copy(dst, unsafe.Slice((*byte)(unsafe.Pointer(&vs[0])), 8*len(vs)))
-		return b
+		return
 	}
 	i := 0
 	for ; i+4 <= len(vs); i += 4 {
@@ -121,7 +131,6 @@ func AppendInts(b []byte, vs []int) []byte {
 	for ; i < len(vs); i++ {
 		binary.LittleEndian.PutUint64(dst[8*i:], uint64(int64(vs[i])))
 	}
-	return b
 }
 
 // Uint64 decodes a uint64, returning the remaining input.

@@ -163,22 +163,6 @@ func NewCompressor(spec Spec) (Compressor, error) {
 	}
 }
 
-// AppendFloat64sC routes through c, or the legacy encoding when c is nil.
-func AppendFloat64sC(c Compressor, dst []byte, vs []float64) []byte {
-	if c == nil {
-		return AppendFloat64s(dst, vs)
-	}
-	return c.AppendFloat64s(dst, vs)
-}
-
-// AppendIntsC routes through c, or the legacy encoding when c is nil.
-func AppendIntsC(c Compressor, dst []byte, vs []int) []byte {
-	if c == nil {
-		return AppendInts(dst, vs)
-	}
-	return c.AppendInts(dst, vs)
-}
-
 // Float64sIntoC routes through c, or the legacy decoding when c is nil.
 func Float64sIntoC(c Compressor, dst []float64, b []byte) ([]float64, []byte, error) {
 	if c == nil {

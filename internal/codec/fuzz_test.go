@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 )
@@ -61,6 +62,56 @@ func FuzzInts(f *testing.F) {
 		re := AppendInts(nil, vs)
 		if !bytes.Equal(re, data[:consumed]) {
 			t.Fatalf("re-encode of %d values is not byte-identical to input", len(vs))
+		}
+	})
+}
+
+// FuzzEncoder derives a prefix of up to three words and float and int
+// payloads of nf and ni words (cycling through data's bytes) from the
+// input and checks that the chunked Encoder emits exactly the bytes of the
+// Append* functions, with a running sum equal to their one-shot Checksum.
+// The uint16 lengths reach eight chunks, so every chunk-boundary offset is
+// in range of the mutator.
+func FuzzEncoder(f *testing.F) {
+	const words = bulkChunk / 8
+	f.Add(uint8(0), uint16(0), uint16(0), []byte{})
+	f.Add(uint8(1), uint16(3), uint16(2), AppendFloat64s(nil, []float64{1.5, math.NaN(), math.Inf(-1)}))
+	f.Add(uint8(2), uint16(words-1), uint16(words), []byte{0xff, 0x00, 0x7f})
+	f.Add(uint8(3), uint16(words+1), uint16(2*words+1), AppendInts(nil, []int{math.MinInt64, -1, 0}))
+	f.Fuzz(func(t *testing.T, prefix uint8, nf, ni uint16, data []byte) {
+		word := func(i int) uint64 {
+			if len(data) == 0 {
+				return uint64(i)
+			}
+			var w [8]byte
+			for k := range w {
+				w[k] = data[(8*i+k)%len(data)]
+			}
+			return binary.LittleEndian.Uint64(w[:]) ^ uint64(i)
+		}
+		fs := make([]float64, nf)
+		for i := range fs {
+			fs[i] = math.Float64frombits(word(i))
+		}
+		is := make([]int, ni)
+		for i := range is {
+			is[i] = int(int64(word(int(nf) + i)))
+		}
+
+		var e Encoder
+		var want []byte
+		for i := 0; i < int(prefix%4); i++ {
+			e.PutUint64(word(i))
+			want = AppendUint64(want, word(i))
+		}
+		e.PutFloat64s(fs)
+		e.PutInts(is)
+		want = AppendInts(AppendFloat64s(want, fs), is)
+		if !bytes.Equal(e.Bytes(), want) {
+			t.Fatalf("prefix=%d nf=%d ni=%d: Encoder bytes differ from Append* bytes", prefix%4, nf, ni)
+		}
+		if e.Sum() != Checksum(want) {
+			t.Fatalf("prefix=%d nf=%d ni=%d: running CRC %#x != Checksum %#x", prefix%4, nf, ni, e.Sum(), Checksum(want))
 		}
 	})
 }

@@ -42,9 +42,10 @@ var ErrShapeMismatch = errors.New("dist: shape mismatch")
 
 // saveVector checkpoints one vector fragment against prev (nil for a full
 // save; see Snapshot.SaveDelta): the fragment is encoded into a pooled,
-// exactly-sized buffer with the CRC-32C folded into the encode pass (over
-// the compressed bytes when comp is set) unless ver shows it unchanged
-// since prev, and re-shipped only if its bytes actually changed. With a
+// exactly-sized buffer whose CRC-32C the codec.Encoder computes chunk by
+// chunk as it writes (over the whole compressed frame, once it is built,
+// when comp is set) unless ver shows it unchanged since prev, and
+// re-shipped only if its bytes actually changed. With a
 // deterministic compressor, the store's byte comparison operates on
 // compressed frames and stays exact.
 func saveVector(ctx *apgas.Ctx, s, prev *snapshot.Snapshot, key int, ver uint64, v la.Vector, comp codec.Compressor) {

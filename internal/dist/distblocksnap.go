@@ -62,10 +62,11 @@ func (m *DistBlockMatrix) MakeDeltaSnapshot(prev *snapshot.Snapshot) (*snapshot.
 
 // saveBlock checkpoints one block under key at content version ver
 // against prev (nil for a full save; see Snapshot.SaveDelta): the block is
-// encoded into a pooled, exactly-sized buffer with the CRC-32C folded into
-// the encode pass (over the compressed frame when comp is set, recording
-// the compression instrumentation on s) unless ver shows it unchanged
-// since prev, and re-shipped only if its bytes actually changed.
+// encoded into a pooled, exactly-sized buffer whose CRC-32C the
+// codec.Encoder computes chunk by chunk as it writes (over each whole
+// compressed frame when comp is set, recording the compression
+// instrumentation on s) unless ver shows it unchanged since prev, and
+// re-shipped only if its bytes actually changed.
 func saveBlock(ctx *apgas.Ctx, s, prev *snapshot.Snapshot, key int, ver uint64, b *block.MatrixBlock, comp codec.Compressor) {
 	s.SaveDelta(ctx, key, ver, prev, func() *codec.Encoder {
 		var start time.Time

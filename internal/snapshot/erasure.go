@@ -265,7 +265,7 @@ func (s *Snapshot) saveDeltaErasure(ctx *apgas.Ctx, key int, ver uint64, prev *S
 		s.carryForwardErasure(ctx, key, es)
 		return true
 	}
-	enc := encode()
+	enc := s.runEncode(encode)
 	if es != nil && enc.Sum() == es[0].set.fullSum && enc.Len() == es[0].set.fullLen {
 		codec.PutBuffer(enc.Bytes())
 		s.carryForwardErasure(ctx, key, es)

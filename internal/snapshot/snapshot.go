@@ -22,8 +22,9 @@
 // The save path is built for throughput: the backup put runs as an async
 // task overlapping the saver's remaining work (the enclosing finish still
 // guarantees it lands before the checkpoint is considered taken), entries
-// saved through SaveDelta carry a CRC-32C folded into the encode pass
-// instead of a separate hashing traversal, successful verifications are
+// saved through SaveDelta carry a CRC-32C computed chunk by chunk as the
+// encoder writes them, while each chunk is still in cache, instead of a
+// separate hashing traversal, successful verifications are
 // memoized per entry so repeated loads do not re-hash, and payload buffers
 // plus per-place stores are recycled through pools when a superseded
 // checkpoint is destroyed.
@@ -416,6 +417,11 @@ type snapInstr struct {
 	compRatio *obs.Gauge   // snapshot.compress.ratio (cumulative out/in, permille)
 	compTime  *obs.Counter // snapshot.compress.time_us (encode time inside compressed saves)
 	lossyErrG *obs.Gauge   // snapshot.lossy.max_err (largest per-element error, femto units)
+
+	// encode times each fragment encode on the SaveDelta path (carried
+	// versions are not encoded and not observed), so a registry dump
+	// shows how much of a checkpoint is encode + CRC time.
+	encode *obs.Histogram // snapshot.save.encode
 }
 
 func newSnapInstr(reg *obs.Registry) snapInstr {
@@ -452,6 +458,8 @@ func newSnapInstr(reg *obs.Registry) snapInstr {
 		compRatio: reg.Gauge("snapshot.compress.ratio"),
 		compTime:  reg.Counter("snapshot.compress.time_us"),
 		lossyErrG: reg.Gauge("snapshot.lossy.max_err"),
+
+		encode: reg.Histogram("snapshot.save.encode"),
 	}
 }
 
@@ -549,11 +557,13 @@ func (s *Snapshot) Save(ctx *apgas.Ctx, key int, data []byte) {
 // previously committed snapshot of the same object; with a nil prev it is
 // a full save. ver is the saver's content version for the fragment (from
 // its DirtyTracker bookkeeping; 0 means unversioned). encode produces the
-// payload into a pooled buffer with the CRC-32C folded into the encode
-// pass, so the bytes are traversed exactly once on the save path; the
-// snapshot takes ownership of that buffer (under replication it is
-// recycled when the snapshot is destroyed, under erasure immediately
-// after sharding). Three outcomes, in order of preference:
+// payload into a pooled buffer through a codec.Encoder, which checksums
+// each bulk chunk right after writing it, so the CRC-32C reads bytes still
+// in cache instead of re-reading the payload from memory; its duration is
+// observed in the snapshot.save.encode histogram. The snapshot takes
+// ownership of that buffer (under replication it is recycled when the
+// snapshot is destroyed, under erasure immediately after sharding). Three
+// outcomes, in order of preference:
 //
 //  1. Version hit: prev holds a healthy entry for key at this owner with
 //     the same non-zero version — the entry is shared by reference into
@@ -586,7 +596,7 @@ func (s *Snapshot) SaveDelta(ctx *apgas.Ctx, key int, ver uint64, prev *Snapshot
 		s.carryForward(ctx, key, e)
 		return true
 	}
-	enc := encode()
+	enc := s.runEncode(encode)
 	if e != nil && enc.Len() == len(e.data) && enc.Sum() == e.sum && bytes.Equal(enc.Bytes(), e.data) {
 		codec.PutBuffer(enc.Bytes())
 		s.carryForward(ctx, key, e)
@@ -597,6 +607,15 @@ func (s *Snapshot) SaveDelta(ctx *apgas.Ctx, key int, ver uint64, prev *Snapshot
 	}
 	s.save(ctx, key, newEntry(enc.Bytes(), enc.Sum(), true, ver))
 	return false
+}
+
+// runEncode calls a SaveDelta encode callback, observing its duration in
+// snapshot.save.encode.
+func (s *Snapshot) runEncode(encode func() *codec.Encoder) *codec.Encoder {
+	start := time.Now()
+	enc := encode()
+	s.instr.encode.Observe(time.Since(start))
+	return enc
 }
 
 // carryEligible checks the snapshot-level carry-forward preconditions
