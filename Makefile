@@ -7,8 +7,11 @@ GO ?= go
 
 ci: vet build race race-synctest chaos-smoke tcp-smoke workers-seq bench-check
 
+# go vet, then a gofmt gate: any file gofmt would rewrite fails the target.
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: these files need gofmt -w:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -116,10 +116,11 @@ func NewLinReg(rt *apgas.Runtime, cfg LinRegConfig, pg apgas.PlaceGroup) (*LinRe
 	return a, nil
 }
 
-// IsFinished implements core.IterativeApp: the fixed iteration cap, or
-// residual convergence when cfg.Tolerance is set.
+// IsFinished implements core.IterativeApp: the fixed iteration cap, an
+// exactly zero residual (see Step), or residual convergence when
+// cfg.Tolerance is set.
 func (a *LinReg) IsFinished() bool {
-	if a.iter >= int64(a.cfg.Iterations) {
+	if a.iter >= int64(a.cfg.Iterations) || a.rsOld == 0 {
 		return true
 	}
 	return a.cfg.Tolerance > 0 && math.Sqrt(a.rsOld) <= a.cfg.Tolerance
@@ -145,6 +146,12 @@ func (a *LinReg) Step() error {
 	pq, err := a.p.Dot(a.q)
 	if err != nil {
 		return err
+	}
+	if pq == 0 {
+		// p has vanished: CG has converged to working precision, and
+		// alpha would be 0/0. Stop here (IsFinished) with w intact.
+		a.rsOld = 0
+		return nil
 	}
 	alpha := a.rsOld / pq
 	if err := a.w.ZipAll(a.p, func(w, p la.Vector) { w.Axpy(alpha, p) }); err != nil {

@@ -69,8 +69,11 @@ func NewLinRegNonResilient(rt *apgas.Runtime, cfg LinRegConfig, pg apgas.PlaceGr
 	return a, nil
 }
 
-// IsFinished reports whether all iterations have completed.
-func (a *LinRegNonResilient) IsFinished() bool { return a.iter >= int64(a.cfg.Iterations) }
+// IsFinished reports whether all iterations have completed or the
+// residual is exactly zero (see LinReg.Step).
+func (a *LinRegNonResilient) IsFinished() bool {
+	return a.iter >= int64(a.cfg.Iterations) || a.rsOld == 0
+}
 
 // Step performs one CG iteration (identical to the resilient Step).
 func (a *LinRegNonResilient) Step() error {
@@ -88,6 +91,10 @@ func (a *LinRegNonResilient) Step() error {
 	pq, err := a.p.Dot(a.q)
 	if err != nil {
 		return err
+	}
+	if pq == 0 {
+		a.rsOld = 0
+		return nil
 	}
 	alpha := a.rsOld / pq
 	if err := a.w.ZipAll(a.p, func(w, p la.Vector) { w.Axpy(alpha, p) }); err != nil {

@@ -83,6 +83,45 @@ func TestLinRegNonResilientMatchesResilient(t *testing.T) {
 	}
 }
 
+// TestLinRegStopsAtCGBreakdown runs CG long past convergence on a small
+// problem: the residual underflows to exactly zero (iteration 44 here),
+// after which the next step's alpha would be 0/0. Both programs must stop
+// there with finite weights instead of stepping on into NaN.
+func TestLinRegStopsAtCGBreakdown(t *testing.T) {
+	cfg := LinRegConfig{Examples: 40, Features: 4, Iterations: 100, Seed: 7}
+	rt := newRT(t, 2)
+	res, err := NewLinReg(rt, cfg, rt.World())
+	if err != nil {
+		t.Fatal(err)
+	}
+	non, err := NewLinRegNonResilient(rt, cfg, rt.World())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !res.IsFinished() {
+		if err := res.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := non.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if res.Iteration() >= int64(cfg.Iterations) || non.iter != res.iter {
+		t.Errorf("stopped at iterations %d and %d, want the same one before the cap %d", res.iter, non.iter, cfg.Iterations)
+	}
+	for name, app := range map[string]interface{ Weights() (la.Vector, error) }{"resilient": res, "non-resilient": non} {
+		w, err := app.Weights()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, x := range w {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				t.Fatalf("%s: weight %d = %v after the breakdown", name, i, x)
+			}
+		}
+	}
+}
+
 // failureFreeLinRegWeights runs LinReg to completion without failures.
 func failureFreeLinRegWeights(t *testing.T, places, iters int) la.Vector {
 	t.Helper()

@@ -29,8 +29,9 @@ const (
 	// executor falls back to Shrink or ShrinkRebalance per
 	// Config.Fallback.
 	ReplaceRedundant
-	// ReplaceElastic substitutes each failed place with a freshly created
-	// place (Elastic X10) — the paper's future-work fourth mode.
+	// ReplaceElastic substitutes each failed place with a live spare, or
+	// with a freshly created place (Elastic X10) when the spares run out —
+	// the paper's future-work fourth mode.
 	ReplaceElastic
 )
 
@@ -494,7 +495,8 @@ func (e *Executor) recover(app IterativeApp, attempts *int) error {
 // and whether the application should repartition. Nothing in the plan is
 // applied to the executor until the restore attempt actually succeeds —
 // in particular, spares named in active are not removed from the pool by
-// planning alone, so a failed attempt cannot leak them.
+// planning alone, so a failed attempt cannot leak them. For the same
+// reason, places that elastic planning creates join the pool at once.
 type groupPlan struct {
 	active    apgas.PlaceGroup
 	spares    apgas.PlaceGroup
@@ -546,12 +548,21 @@ func (e *Executor) nextGroup() (groupPlan, error) {
 		// Spare pool fully exhausted: fall back (paper section V-B3).
 		mode = e.cfg.Fallback
 	case ReplaceElastic:
-		added, err := e.rt.AddPlaces(len(dead))
-		if err != nil {
-			return groupPlan{}, fmt.Errorf("core: elastic place creation: %w", err)
+		// Draft live spares first and create places only for the
+		// shortfall. Created places join the pool before the attempt, so
+		// an attempt that fails leaves them there for the next one
+		// instead of orphaning them.
+		alive := e.rt.Live(e.spares)
+		if short := len(dead) - len(alive); short > 0 {
+			added, err := e.rt.AddPlaces(short)
+			if err != nil {
+				return groupPlan{}, fmt.Errorf("core: elastic place creation: %w", err)
+			}
+			alive = append(alive, added...)
+			e.spares = alive
 		}
-		newPG, err := e.active.Replace(dead, added)
-		return groupPlan{active: newPG, spares: e.spares}, err
+		newPG, err := e.active.Replace(dead, alive[:len(dead)])
+		return groupPlan{active: newPG, spares: alive[len(dead):]}, err
 	}
 	survivors := e.active.Without(dead...)
 	if survivors.Size() == 0 {

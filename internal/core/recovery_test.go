@@ -167,6 +167,46 @@ func TestExecutorSpareExhaustionDuringRestore(t *testing.T) {
 	}
 }
 
+// TestExecutorElasticFailureDuringRestoreLeaksNoPlace kills a second place
+// inside the first ReplaceElastic restore. The place created for that
+// doomed attempt must be drafted by the retry, not orphaned: every live
+// place ends up in the final group, and one place is created per death.
+func TestExecutorElasticFailureDuringRestoreLeaksNoPlace(t *testing.T) {
+	rt := newRT(t, 4)
+	exec, err := core.New(rt,
+		core.WithCheckpointInterval(5),
+		core.WithRestoreMode(core.ReplaceElastic),
+		core.WithAfterStep(killAt(t, rt, rt.Place(3), 6)),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := &failDuringRestore{
+		counterApp: newCounterApp(t, rt, exec.ActiveGroup(), 16, 12),
+		rt:         rt,
+		victim:     rt.Place(1),
+	}
+	if err := exec.Run(app); err != nil {
+		t.Fatal(err)
+	}
+	verify(t, app.counterApp)
+	if !app.fired {
+		t.Fatal("mid-restore failure was never injected")
+	}
+	if m := exec.Metrics(); m.RestoreAttempts != 2 || m.Restores != 1 {
+		t.Errorf("RestoreAttempts = %d, Restores = %d, want 2, 1", m.RestoreAttempts, m.Restores)
+	}
+	if live := rt.Live(rt.World()); live.Size() != app.pg.Size() {
+		t.Errorf("%d live places %v for a final group of %d %v", live.Size(), live, app.pg.Size(), app.pg)
+	}
+	if got := rt.Stats().PlacesAdded; got != 2 {
+		t.Errorf("PlacesAdded = %d for 2 deaths", got)
+	}
+	if app.pg.Size() != 4 || app.pg.Contains(rt.Place(1)) || app.pg.Contains(rt.Place(3)) {
+		t.Errorf("final group = %v, want 4 places without the dead 1 and 3", app.pg)
+	}
+}
+
 // TestExecutorRestoreAttemptExhaustion makes every restore attempt fail
 // and checks the executor gives up after MaxRestores attempts instead of
 // spinning.

@@ -556,6 +556,39 @@ func TestFullSaveIsDeltaSaveAgainstNothing(t *testing.T) {
 				remake: m.Remake,
 			}
 		}},
+		{"DupSparseMatrix", func(t *testing.T, rt *apgas.Runtime, pg apgas.PlaceGroup) subject {
+			m, err := MakeDupSparseMatrix(rt, 9, 7, pg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.InitColumns(func(j int) ([]int, []float64) {
+				return []int{j, (j + 4) % 9}, []float64{math.Cos(float64(j)), 0.25}
+			}); err != nil {
+				t.Fatal(err)
+			}
+			return subject{
+				obj:  m,
+				keys: [][2]int{{0, 0}},
+				read: func() []float64 {
+					var all []float64
+					for idx := range m.Group() {
+						err := rt.Finish(func(ctx *apgas.Ctx) {
+							ctx.At(m.Group()[idx], func(c *apgas.Ctx) {
+								all = append(all, m.Local(c).ToDense().Data...)
+							})
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+					}
+					return all
+				},
+				scribble: func() error {
+					return m.AllApply(func(local *la.SparseCSR) { *local = *la.NewSparseCSR(9, 7) })
+				},
+				remake: m.Remake,
+			}
+		}},
 		{"DistBlockMatrixDense", blockMatrix(block.Dense)},
 		{"DistBlockMatrixSparse", blockMatrix(block.Sparse)},
 	}

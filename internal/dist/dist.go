@@ -14,6 +14,12 @@
 // sub-block path (with the extra nonzero-counting pass for sparse data)
 // when the data grid changed.
 //
+// The three duplicated classes are one generic core, dup[T] (dup.go):
+// Sync and the partial restore's re-broadcast share one binomial bcast,
+// and Remake, MakeDeltaSnapshot and the full/partial restore are written
+// once. Each class adds a small payload adapter (dupKind) and its own
+// arithmetic (Dot, ZipAll, RootApply, Init, ...).
+//
 // Collective operations are deterministic: reductions combine per-place
 // contributions in place-group order, so a computation replayed after a
 // failure reproduces the failure-free result exactly. The resilience tests
@@ -143,6 +149,3 @@ func decodeVector(b []byte, comp codec.Compressor) (la.Vector, error) {
 	}
 	return vs, nil
 }
-
-// sameGroups reports whether two objects share a place group.
-func sameGroups(a, b apgas.PlaceGroup) bool { return a.Equal(b) }

@@ -27,7 +27,7 @@ func (m *DistBlockMatrix) conformalRows(other *DistBlockMatrix) error {
 		return fmt.Errorf("dist: row partitions differ (%d/%d rows, %d/%d blocks): %w",
 			m.rows, other.rows, m.g.RowBlocks, other.g.RowBlocks, ErrShapeMismatch)
 	}
-	if !sameGroups(m.pg, other.pg) {
+	if !m.pg.Equal(other.pg) {
 		return ErrGroupMismatch
 	}
 	for id := range m.dg.PlaceOf {
@@ -76,7 +76,7 @@ func (m *DistBlockMatrix) TransMultMatrix(other *DistBlockMatrix, out *DupDenseM
 		return fmt.Errorf("dist: TransMultMatrix out %dx%d, want %dx%d: %w",
 			out.Rows(), out.Cols(), m.cols, other.cols, ErrShapeMismatch)
 	}
-	if !sameGroups(m.pg, out.Group()) {
+	if !m.pg.Equal(out.Group()) {
 		return fmt.Errorf("dist: TransMultMatrix: %w", ErrGroupMismatch)
 	}
 	out.MarkDirty()
@@ -185,7 +185,7 @@ func (m *DistBlockMatrix) MultDupMatrix(h *DupDenseMatrix, out *DistBlockMatrix)
 		return fmt.Errorf("dist: MultDupMatrix h %dx%d, want %dx%d: %w",
 			h.Rows(), h.Cols(), m.cols, out.cols, ErrShapeMismatch)
 	}
-	if !sameGroups(m.pg, h.Group()) {
+	if !m.pg.Equal(h.Group()) {
 		return fmt.Errorf("dist: MultDupMatrix: %w", ErrGroupMismatch)
 	}
 	return apgas.ForEachPlace(m.rt, m.pg, func(ctx *apgas.Ctx, idx int) {
@@ -216,7 +216,7 @@ func (m *DistBlockMatrix) MultDupTranspose(h *DupDenseMatrix, out *DistBlockMatr
 		return fmt.Errorf("dist: MultDupTranspose h %dx%d, want %dx%d: %w",
 			h.Rows(), h.Cols(), out.cols, m.cols, ErrShapeMismatch)
 	}
-	if !sameGroups(m.pg, h.Group()) {
+	if !m.pg.Equal(h.Group()) {
 		return fmt.Errorf("dist: MultDupTranspose: %w", ErrGroupMismatch)
 	}
 	return apgas.ForEachPlace(m.rt, m.pg, func(ctx *apgas.Ctx, idx int) {

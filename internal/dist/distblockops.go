@@ -43,7 +43,7 @@ func (m *DistBlockMatrix) MultVec(x *DupVector, y *DistVector) error {
 	if x.Size() != m.cols || y.Size() != m.rows {
 		return fmt.Errorf("dist: MultVec (%dx%d)·%d -> %d: %w", m.rows, m.cols, x.Size(), y.Size(), ErrShapeMismatch)
 	}
-	if !sameGroups(m.pg, x.Group()) || !sameGroups(m.pg, y.Group()) {
+	if !m.pg.Equal(x.Group()) || !m.pg.Equal(y.Group()) {
 		return fmt.Errorf("dist: MultVec: %w", ErrGroupMismatch)
 	}
 	y.MarkDirty()
@@ -117,7 +117,7 @@ func (m *DistBlockMatrix) TransMultVec(x *DistVector, z *DupVector) error {
 	if x.Size() != m.rows || z.Size() != m.cols {
 		return fmt.Errorf("dist: TransMultVec (%dx%d)ᵀ·%d -> %d: %w", m.rows, m.cols, x.Size(), z.Size(), ErrShapeMismatch)
 	}
-	if !sameGroups(m.pg, x.Group()) || !sameGroups(m.pg, z.Group()) {
+	if !m.pg.Equal(x.Group()) || !m.pg.Equal(z.Group()) {
 		return fmt.Errorf("dist: TransMultVec: %w", ErrGroupMismatch)
 	}
 	z.MarkDirty()

@@ -108,11 +108,8 @@ func (v *DistVector) Scale(a float64) error {
 // and w in parallel (for element-wise combinations such as residual
 // computation).
 func (v *DistVector) ZipApplyLocal(w *DistVector, fn func(a, b la.Vector, off int)) error {
-	if !sameGroups(v.pg, w.pg) {
-		return fmt.Errorf("dist: ZipApplyLocal: %w", ErrGroupMismatch)
-	}
-	if v.n != w.n {
-		return fmt.Errorf("dist: ZipApplyLocal %d vs %d: %w", v.n, w.n, ErrShapeMismatch)
+	if err := v.conforms("ZipApplyLocal", w.pg, w.n); err != nil {
+		return err
 	}
 	v.ver++
 	w.ver++
@@ -124,80 +121,64 @@ func (v *DistVector) ZipApplyLocal(w *DistVector, fn func(a, b la.Vector, off in
 // ZipDup runs fn(seg, dupSeg, off) on each segment of v together with the
 // corresponding slice of a duplicated vector of the same length.
 func (v *DistVector) ZipDup(w *DupVector, fn func(seg, dupSeg la.Vector, off int)) error {
-	if !sameGroups(v.pg, w.pg) {
-		return fmt.Errorf("dist: ZipDup: %w", ErrGroupMismatch)
-	}
-	if v.n != w.n {
-		return fmt.Errorf("dist: ZipDup %d vs %d: %w", v.n, w.n, ErrShapeMismatch)
+	if err := v.conforms("ZipDup", w.pg, w.n); err != nil {
+		return err
 	}
 	v.ver++
 	w.ver++
 	return apgas.ForEachPlace(v.rt, v.pg, func(ctx *apgas.Ctx, idx int) {
-		off := v.segOffs[idx]
-		seg := v.plh.Local(ctx)
-		dup := w.Local(ctx)
-		fn(seg, dup[off:off+len(seg)], off)
+		seg, off := v.plh.Local(ctx), v.segOffs[idx]
+		fn(seg, w.Local(ctx)[off:off+len(seg)], off)
 	})
 }
 
 // DotDup computes the inner product of v with a duplicated vector of the
-// same length and group (paper Listing 2: U.dot(P)). Per-place partial
-// products are reduced in group order for determinism.
+// same length and group (paper Listing 2: U.dot(P)).
 func (v *DistVector) DotDup(w *DupVector) (float64, error) {
-	if !sameGroups(v.pg, w.pg) {
-		return 0, fmt.Errorf("dist: DotDup: %w", ErrGroupMismatch)
-	}
-	if v.n != w.n {
-		return 0, fmt.Errorf("dist: DotDup %d vs %d: %w", v.n, w.n, ErrShapeMismatch)
-	}
-	partials := make([]float64, v.pg.Size())
-	err := apgas.ForEachPlace(v.rt, v.pg, func(ctx *apgas.Ctx, idx int) {
-		seg := v.plh.Local(ctx)
-		off := v.segOffs[idx]
-		dup := w.Local(ctx)
-		partials[idx] = seg.Dot(dup[off : off+len(seg)])
-		ctx.Transfer(v.pg[0], 8)
-	})
-	if err != nil {
+	if err := v.conforms("DotDup", w.pg, w.n); err != nil {
 		return 0, err
 	}
-	var sum float64
-	for _, p := range partials {
-		sum += p
-	}
-	return sum, nil
+	return v.fold(func(ctx *apgas.Ctx, seg la.Vector, off int) float64 {
+		return seg.Dot(w.Local(ctx)[off : off+len(seg)])
+	})
 }
 
 // Dot computes the inner product of two conformal distributed vectors.
 func (v *DistVector) Dot(w *DistVector) (float64, error) {
-	if !sameGroups(v.pg, w.pg) {
-		return 0, fmt.Errorf("dist: Dot: %w", ErrGroupMismatch)
-	}
-	if v.n != w.n {
-		return 0, fmt.Errorf("dist: Dot %d vs %d: %w", v.n, w.n, ErrShapeMismatch)
-	}
-	partials := make([]float64, v.pg.Size())
-	err := apgas.ForEachPlace(v.rt, v.pg, func(ctx *apgas.Ctx, idx int) {
-		partials[idx] = v.plh.Local(ctx).Dot(w.plh.Local(ctx))
-		ctx.Transfer(v.pg[0], 8)
-	})
-	if err != nil {
+	if err := v.conforms("Dot", w.pg, w.n); err != nil {
 		return 0, err
 	}
-	var sum float64
-	for _, p := range partials {
-		sum += p
-	}
-	return sum, nil
+	return v.fold(func(ctx *apgas.Ctx, seg la.Vector, _ int) float64 {
+		return seg.Dot(w.plh.Local(ctx))
+	})
 }
 
 // FoldLocal maps fn over every segment in parallel and sums the per-place
 // results in group order (a deterministic reduction, e.g. for norms and
 // objective values).
 func (v *DistVector) FoldLocal(fn func(seg la.Vector, off int) float64) (float64, error) {
+	return v.fold(func(_ *apgas.Ctx, seg la.Vector, off int) float64 { return fn(seg, off) })
+}
+
+// FoldZip is FoldLocal over the conformal segments of two distributed
+// vectors.
+func (v *DistVector) FoldZip(w *DistVector, fn func(a, b la.Vector, off int) float64) (float64, error) {
+	if err := v.conforms("FoldZip", w.pg, w.n); err != nil {
+		return 0, err
+	}
+	return v.fold(func(ctx *apgas.Ctx, seg la.Vector, off int) float64 {
+		return fn(seg, w.plh.Local(ctx), off)
+	})
+}
+
+// fold is the one reduction behind Dot, DotDup, FoldLocal and FoldZip:
+// fn runs on every segment in parallel, each place ships its partial to
+// the root, and the partials are summed in group order — so a replay
+// after a failure reproduces the failure-free sum bit for bit.
+func (v *DistVector) fold(fn func(ctx *apgas.Ctx, seg la.Vector, off int) float64) (float64, error) {
 	partials := make([]float64, v.pg.Size())
 	err := apgas.ForEachPlace(v.rt, v.pg, func(ctx *apgas.Ctx, idx int) {
-		partials[idx] = fn(v.plh.Local(ctx), v.segOffs[idx])
+		partials[idx] = fn(ctx, v.plh.Local(ctx), v.segOffs[idx])
 		ctx.Transfer(v.pg[0], 8)
 	})
 	if err != nil {
@@ -210,28 +191,16 @@ func (v *DistVector) FoldLocal(fn func(seg la.Vector, off int) float64) (float64
 	return sum, nil
 }
 
-// FoldZip is FoldLocal over the conformal segments of two distributed
-// vectors.
-func (v *DistVector) FoldZip(w *DistVector, fn func(a, b la.Vector, off int) float64) (float64, error) {
-	if !sameGroups(v.pg, w.pg) {
-		return 0, fmt.Errorf("dist: FoldZip: %w", ErrGroupMismatch)
+// conforms checks that an operand of op distributed over pg with length n
+// matches v's group and length.
+func (v *DistVector) conforms(op string, pg apgas.PlaceGroup, n int) error {
+	if !v.pg.Equal(pg) {
+		return fmt.Errorf("dist: %s: %w", op, ErrGroupMismatch)
 	}
-	if v.n != w.n {
-		return 0, fmt.Errorf("dist: FoldZip %d vs %d: %w", v.n, w.n, ErrShapeMismatch)
+	if v.n != n {
+		return fmt.Errorf("dist: %s %d vs %d: %w", op, v.n, n, ErrShapeMismatch)
 	}
-	partials := make([]float64, v.pg.Size())
-	err := apgas.ForEachPlace(v.rt, v.pg, func(ctx *apgas.Ctx, idx int) {
-		partials[idx] = fn(v.plh.Local(ctx), w.plh.Local(ctx), v.segOffs[idx])
-		ctx.Transfer(v.pg[0], 8)
-	})
-	if err != nil {
-		return 0, err
-	}
-	var sum float64
-	for _, p := range partials {
-		sum += p
-	}
-	return sum, nil
+	return nil
 }
 
 // GatherTo collects the segments into the root duplicate of dup (paper
@@ -241,7 +210,7 @@ func (v *DistVector) GatherTo(dup *DupVector) error {
 	if v.n != dup.n {
 		return fmt.Errorf("dist: GatherTo %d into %d: %w", v.n, dup.n, ErrShapeMismatch)
 	}
-	if !sameGroups(v.pg, dup.pg) {
+	if !v.pg.Equal(dup.pg) {
 		return fmt.Errorf("dist: GatherTo: %w", ErrGroupMismatch)
 	}
 	dup.ver++
