@@ -37,10 +37,17 @@ race-synctest:
 # A short fixed-seed chaos campaign over every benchmark application:
 # one kill inside a checkpoint commit plus one during the restore that
 # follows. -chaos-strict fails the target if any run does not recover
-# and reproduce the failure-free iterate.
+# and reproduce the failure-free iterate. The second campaign stores
+# erasure-coded (d=3, p=2) on 5 places with 2 spares: one kill, then two
+# in a later checkpoint window. The read-only inputs survive the double
+# kill only if the first restore's repair moved the dead place's shards
+# onto its replacement.
 chaos-smoke:
 	$(GO) run ./cmd/rgmlbench -q -iters 6 -ckpt 2 -scale 0.05 -seeds 7 -chaos-strict \
 		-chaos "kill(point=commit,iter=2,place=1);kill(point=restore,place=3)" chaos > /dev/null
+	$(GO) run ./cmd/rgmlbench -q -iters 6 -ckpt 2 -scale 0.05 -seeds 7 -chaos-strict \
+		-placement erasure -shards 3,2 -chaos-places 5 -chaos-mode replace-redundant -chaos-spares 2 \
+		-chaos "kill(iter=1,place=1);kill(iter=3,place=2,span=2)" chaos > /dev/null
 	@echo "chaos-smoke: all campaigns survived and verified"
 
 # Multi-process smoke: PageRank over the tcp transport (3 worker

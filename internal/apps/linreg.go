@@ -95,11 +95,13 @@ func NewLinReg(rt *apgas.Runtime, cfg LinRegConfig, pg apgas.PlaceGroup) (*LinRe
 		if *dv, err = dist.MakeDupVector(rt, d, pg); err != nil {
 			return nil, err
 		}
-		// The CG state is mutable model state the solver re-converges
-		// from, so it tolerates error-bounded lossy checkpoints; the
-		// read-only inputs X and y stay lossless under any policy.
-		(*dv).AllowLossyCheckpoint(true)
 	}
+	// Only the model w tolerates an error-bounded lossy checkpoint: CG
+	// re-converges from a perturbed w. The residual r and the direction p
+	// carry CG's recurrence, which independently perturbed copies break
+	// (p loses its conjugacy), so they stay lossless under any policy, as
+	// do the read-only inputs X and y.
+	a.w.AllowLossyCheckpoint(true)
 	if a.xp, err = dist.MakeDistVector(rt, n, pg); err != nil {
 		return nil, err
 	}

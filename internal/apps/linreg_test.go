@@ -4,7 +4,10 @@ import (
 	"math"
 	"testing"
 
+	"github.com/rgml/rgml/internal/apgas"
+	"github.com/rgml/rgml/internal/codec"
 	"github.com/rgml/rgml/internal/core"
+	"github.com/rgml/rgml/internal/dist"
 	"github.com/rgml/rgml/internal/la"
 )
 
@@ -214,5 +217,56 @@ func TestLinRegRecoveryRebalanceApprox(t *testing.T) {
 	// reduction order differs: results agree to rounding, not bitwise.
 	if !got.EqualApprox(want, 1e-6) {
 		t.Fatalf("rebalanced weights diverge: %v vs %v", got, want)
+	}
+}
+
+// TestLinRegCGStateCheckpointedLossless checkpoints LinReg under a lossy
+// policy coarse enough to change the model's values, steps on, and
+// restores. The model w may come back perturbed, but the CG recurrence
+// lives in r and p, which must come back bit for bit.
+func TestLinRegCGStateCheckpointedLossless(t *testing.T) {
+	rt, err := apgas.New(apgas.WithPlaces(3), apgas.WithResilient(true),
+		apgas.WithCompression(codec.Spec{Mode: codec.CompressLossy, ErrorBound: 1e-3}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Shutdown)
+	app, err := NewLinReg(rt, lrCfg(10), rt.World())
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := func(dv *dist.DupVector) la.Vector {
+		t.Helper()
+		v, err := dv.Root()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	for i := 0; i < 3; i++ {
+		if err := app.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w, r, p := root(app.w), root(app.r), root(app.p)
+	store := core.NewAppResilientStore()
+	if err := app.Checkpoint(store); err != nil {
+		t.Fatal(err)
+	}
+	if err := app.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if err := app.Restore(app.Group(), store, 3, false); err != nil {
+		t.Fatal(err)
+	}
+	if root(app.w).EqualApprox(w, 0) {
+		t.Fatal("w restored unchanged: the error bound is too fine to exercise the lossy path")
+	}
+	for name, vs := range map[string][2]la.Vector{"r": {r, root(app.r)}, "p": {p, root(app.p)}} {
+		for i, x := range vs[0] {
+			if got := vs[1][i]; math.Float64bits(got) != math.Float64bits(x) {
+				t.Fatalf("%s[%d] restored as %v, checkpointed %v", name, i, got, x)
+			}
+		}
 	}
 }

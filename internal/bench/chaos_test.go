@@ -332,7 +332,10 @@ func TestChaosCampaignWithCompression(t *testing.T) {
 		t.Fatalf("report compression = %q", got)
 	}
 
-	c.Compress = codec.Spec{Mode: codec.CompressLossy, ErrorBound: 1e-9}
+	// LinReg checkpoints only its 8-element model lossy; at this size an
+	// error bound of 1e-9 does not pay (the codec keeps the frame exact),
+	// 1e-7 does.
+	c.Compress = codec.Spec{Mode: codec.CompressLossy, ErrorBound: 1e-7}
 	first, err := c.ChaosCampaign(acceptanceSpec(LinReg))
 	if err != nil {
 		t.Fatal(err)
@@ -342,7 +345,7 @@ func TestChaosCampaignWithCompression(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, rep := range map[string]ChaosReport{"first": first, "second": second} {
-		if got := rep.Environment["compression"]; got != "lossy(eps=1e-09)" {
+		if got := rep.Environment["compression"]; got != "lossy(eps=1e-07)" {
 			t.Fatalf("%s report compression = %q", name, got)
 		}
 		run := rep.Runs[0]

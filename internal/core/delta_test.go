@@ -3,6 +3,7 @@ package core_test
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/rgml/rgml/internal/apgas"
@@ -12,6 +13,7 @@ import (
 	"github.com/rgml/rgml/internal/dist"
 	"github.com/rgml/rgml/internal/la"
 	"github.com/rgml/rgml/internal/obs"
+	"github.com/rgml/rgml/internal/snapshot"
 )
 
 // deltaApp is counterApp plus an immutable input: each step adds x to v
@@ -267,12 +269,50 @@ func TestExecutorPartialRestoreLoadsOnlyDeadOwner(t *testing.T) {
 	}
 }
 
-// TestExecutorReadOnlyRefreshSurvivesSecondFailure is the regression test
-// for the stale read-only replica bug: the victims are adjacent in the
-// original group, so without the post-restore re-replication the cached
-// read-only snapshot of x would lose both replicas of one entry at the
-// second failure and the run could not recover.
-func TestExecutorReadOnlyRefreshSurvivesSecondFailure(t *testing.T) {
+// snapshotCounter is a read-only input that counts how often it is
+// snapshotted in full.
+type snapshotCounter struct {
+	*dist.DistVector
+	makes atomic.Int32
+}
+
+func (c *snapshotCounter) MakeSnapshot() (*snapshot.Snapshot, error) {
+	c.makes.Add(1)
+	return c.DistVector.MakeSnapshot()
+}
+
+// readOnceApp is deltaApp saving x read-only through a snapshotCounter.
+type readOnceApp struct {
+	*deltaApp
+	x *snapshotCounter
+}
+
+func newReadOnceApp(t *testing.T, rt *apgas.Runtime, pg apgas.PlaceGroup, iters int64) *readOnceApp {
+	a := newDeltaApp(t, rt, pg, 16, iters, true)
+	return &readOnceApp{deltaApp: a, x: &snapshotCounter{DistVector: a.x}}
+}
+
+func (a *readOnceApp) Checkpoint(store *core.AppResilientStore) error {
+	if err := store.StartNewSnapshot(); err != nil {
+		return err
+	}
+	if err := store.SaveReadOnly(a.x); err != nil {
+		return err
+	}
+	if err := store.Save(a.v); err != nil {
+		return err
+	}
+	return store.Commit()
+}
+
+// TestExecutorReadOnlyInputSnapshottedOnce is the regression test for the
+// stale read-only replica bug, and pins how it is healed: the victims are
+// adjacent in the original group, so a cached read-only snapshot of x left
+// as it was after the first failure would lose both replicas of one entry
+// at the second. Repair re-replicates the entries the dead place held
+// instead of re-taking the snapshot, so x is snapshotted once in the
+// whole run.
+func TestExecutorReadOnlyInputSnapshottedOnce(t *testing.T) {
 	rt := newObsRT(t, 4)
 	var once1, once2 sync.Once
 	hook := func(iter int64) {
@@ -291,28 +331,75 @@ func TestExecutorReadOnlyRefreshSurvivesSecondFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	app := newDeltaApp(t, rt, exec.ActiveGroup(), 16, 12, true)
+	app := newReadOnceApp(t, rt, exec.ActiveGroup(), 12)
 	if err := exec.Run(app); err != nil {
 		t.Fatal(err)
 	}
-	verifyDelta(t, app)
-	m := exec.Metrics()
-	if m.Restores != 2 {
+	verifyDelta(t, app.deltaApp)
+	if m := exec.Metrics(); m.Restores != 2 {
 		t.Errorf("Restores = %d, want 2", m.Restores)
 	}
 	if app.pg.Size() != 2 {
 		t.Errorf("final group = %v, want 2 survivors", app.pg)
 	}
-	// Each restore found the cached read-only snapshot degraded (its
-	// snapshot-time group named a dead place) and re-replicated it over
-	// the surviving group.
-	reg := exec.Registry()
-	if got := reg.Counter("core.store.readonly_refreshes").Value(); got != 2 {
-		t.Errorf("readonly_refreshes = %d, want 2", got)
+	if got := app.x.makes.Load(); got != 1 {
+		t.Errorf("x snapshotted %d times, want once", got)
 	}
-	// The read-only snapshot was still reused between checkpoints (the
-	// refresh replaces the cache entry, it does not disable the cache).
+	reg := exec.Registry()
+	if got := reg.Counter("snapshot.replicas.repaired").Value(); got <= 0 {
+		t.Errorf("replicas.repaired = %d, want > 0", got)
+	}
 	if got := reg.Counter("core.store.readonly_reuses").Value(); got <= 0 {
 		t.Errorf("readonly_reuses = %d, want > 0", got)
+	}
+}
+
+// TestExecutorErasureToleranceSurvivesReplacement pins that a replacement
+// restores a read-only snapshot's full width: under ErasureStore(3,2) it
+// tolerates two failures, and after the first failure's replacement it
+// must still tolerate two in one window. Healing the dead slot in place
+// leaves each entry four shards over four live places, and the later
+// double kill then loses every entry of x; moving the slot onto the
+// replacement gives each entry its fifth shard back.
+func TestExecutorErasureToleranceSurvivesReplacement(t *testing.T) {
+	for _, mode := range []core.RestoreMode{core.ReplaceRedundant, core.ReplaceElastic} {
+		t.Run(mode.String(), func(t *testing.T) {
+			rt := newStoreRT(t, 7, apgas.ErasureStore(3, 2))
+			var once1, once2 sync.Once
+			hook := func(iter int64) {
+				if iter == 2 {
+					once1.Do(func() { _ = rt.Kill(rt.Place(1)) })
+				}
+				if iter == 7 {
+					once2.Do(func() {
+						_ = rt.Kill(rt.Place(2))
+						_ = rt.Kill(rt.Place(3))
+					})
+				}
+			}
+			exec, err := core.New(rt,
+				core.WithCheckpointInterval(3),
+				core.WithRestoreMode(mode),
+				core.WithSpares(2),
+				core.WithAfterStep(hook),
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			app := newReadOnceApp(t, rt, exec.ActiveGroup(), 12)
+			if err := exec.Run(app); err != nil {
+				t.Fatal(err)
+			}
+			verifyDelta(t, app.deltaApp)
+			if m := exec.Metrics(); m.Restores != 2 {
+				t.Errorf("Restores = %d, want 2", m.Restores)
+			}
+			if got := app.x.makes.Load(); got != 1 {
+				t.Errorf("x snapshotted %d times, want once", got)
+			}
+			if got := exec.Registry().Counter("snapshot.slots.rehomed").Value(); got <= 0 {
+				t.Errorf("slots.rehomed = %d, want > 0", got)
+			}
+		})
 	}
 }

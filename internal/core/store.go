@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"github.com/rgml/rgml/internal/apgas"
 	"github.com/rgml/rgml/internal/obs"
 	"github.com/rgml/rgml/internal/snapshot"
 )
@@ -32,8 +33,16 @@ type AppResilientStore struct {
 
 	// readOnly caches SaveReadOnly snapshots for reuse across checkpoints
 	// ("if there is an existing snapshot for a read-only object,
-	// saveReadOnly will reuse this snapshot").
+	// saveReadOnly will reuse this snapshot"). A cached snapshot is taken
+	// once per run: after a failure, Repair heals it onto the places that
+	// took over instead of re-taking it.
 	readOnly map[snapshot.Snapshottable]*snapshot.Snapshot
+
+	// group is the application's current place group, which Repair heals
+	// committed snapshots toward (see snapshot.Snapshot.Repair). The
+	// executor sets it before every restore; nil, as in a stand-alone
+	// store, repairs in place.
+	group apgas.PlaceGroup
 
 	// delta enables incremental checkpointing: Save asks DirtyTracker
 	// objects for a delta snapshot against the committed one, carrying
@@ -44,7 +53,6 @@ type AppResilientStore struct {
 	// Observability handles (nil-safe; see instrument).
 	saves      *obs.Counter // core.store.saves
 	roReuses   *obs.Counter // core.store.readonly_reuses
-	roRefresh  *obs.Counter // core.store.readonly_refreshes
 	commits    *obs.Counter // core.store.commits
 	cancels    *obs.Counter // core.store.cancels
 	deltaSaves *obs.Counter // core.store.delta_saves
@@ -65,7 +73,6 @@ func (s *AppResilientStore) instrument(reg *obs.Registry) {
 	defer s.mu.Unlock()
 	s.saves = reg.Counter("core.store.saves")
 	s.roReuses = reg.Counter("core.store.readonly_reuses")
-	s.roRefresh = reg.Counter("core.store.readonly_refreshes")
 	s.commits = reg.Counter("core.store.commits")
 	s.cancels = reg.Counter("core.store.cancels")
 	s.deltaSaves = reg.Counter("core.store.delta_saves")
@@ -87,6 +94,14 @@ func (s *AppResilientStore) setCommitHook(fn func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.commitHook = fn
+}
+
+// setGroup records the application's place group that Repair heals
+// toward (see the group field). The executor owns this.
+func (s *AppResilientStore) setGroup(g apgas.PlaceGroup) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.group = g.Clone()
 }
 
 // NewAppResilientStore returns an empty store.
@@ -248,36 +263,32 @@ func (s *AppResilientStore) Commit() error {
 	s.inProgress = false
 	s.commits.Inc()
 	s.destroyUnshared(old)
-	committed := make([]*snapshot.Snapshot, 0, len(s.committed))
-	for _, snap := range s.committed {
-		committed = append(committed, snap)
-	}
 	s.mu.Unlock()
 	// Replica repair runs outside the lock (it is a distributed
 	// operation): any entry of the just-promoted checkpoint that is below
 	// its target redundancy — a dropped replica put, a holder place lost
 	// since the snapshot was taken — is re-replicated now, so the recovery
-	// point regains its full failure tolerance at every commit. Repair
-	// failure is non-fatal: the checkpoint is already committed, the entry
-	// stays tracked as degraded, and the next commit retries.
-	s.repairCommitted(committed)
+	// point regains its full failure tolerance at every commit.
+	s.repairCommitted()
 	s.mu.Lock()
 	return nil
 }
 
-// repairCommitted runs snapshot.Repair over the given snapshots, counting
-// healed entries and tracing repair errors. Callers must not hold s.mu.
-func (s *AppResilientStore) repairCommitted(snaps []*snapshot.Snapshot) {
+// repairCommitted runs snapshot.Repair toward the store's group over every
+// snapshot of the committed checkpoint, counting healed entries. A repair
+// error is non-fatal: the degraded gauge keeps the entry visible until a
+// later repair succeeds. Callers must not hold s.mu.
+func (s *AppResilientStore) repairCommitted() {
+	s.mu.Lock()
+	group := s.group
+	snaps := make([]*snapshot.Snapshot, 0, len(s.committed))
+	for _, snap := range s.committed {
+		snaps = append(snaps, snap)
+	}
+	s.mu.Unlock()
 	for _, snap := range snaps {
-		healed, err := snap.Repair()
-		if healed > 0 {
-			s.repairs.Add(int64(healed))
-		}
-		if err != nil {
-			// Non-fatal (see Commit); the degraded gauge keeps the entry
-			// visible until a later repair succeeds.
-			continue
-		}
+		healed, _ := snap.Repair(group)
+		s.repairs.Add(int64(healed))
 	}
 }
 
@@ -316,12 +327,12 @@ func (s *AppResilientStore) destroyUnshared(set map[snapshot.Snapshottable]*snap
 // group by the application's Restore method. Objects implementing
 // snapshot.PartialRestorer restore only the fragments their current owner
 // lost: a fragment Remake retained at a surviving place is kept when it
-// validates against the snapshot digest. After a successful
-// restore, cached read-only snapshots whose replica placement degraded
-// (their group names a dead place) are re-taken from the just-restored
-// objects and swapped into both the cache and the committed checkpoint,
-// so a second failure cannot hit a half-replicated input that is alive
-// and re-snapshottable.
+// validates against the snapshot digest. After a successful restore,
+// every committed snapshot is repaired toward the store's group: a slot
+// of a dead place moves onto the place that replaced it and is refilled
+// from the surviving copies, so a second failure cannot hit a
+// half-replicated checkpoint — read-only inputs included, which are never
+// re-taken.
 func (s *AppResilientStore) Restore() error {
 	s.mu.Lock()
 	committed := s.committed
@@ -356,68 +367,10 @@ func (s *AppResilientStore) Restore() error {
 	if len(errs) > 0 {
 		return fmt.Errorf("core: restore: %w", errors.Join(errs...))
 	}
-	if err := s.refreshDegradedReadOnly(); err != nil {
-		return err
-	}
-	// The restore may have left committed snapshots degraded — most
-	// visibly after a partial-spare replacement, where the group keeps a
-	// dead member and every entry it held is down one copy. Re-replicate
-	// from the survivors now rather than waiting for the next commit; one
-	// more failure before that commit must not lose the recovery point.
-	s.mu.Lock()
-	snaps := make([]*snapshot.Snapshot, 0, len(committed))
-	for _, snap := range committed {
-		snaps = append(snaps, snap)
-	}
-	s.mu.Unlock()
-	s.repairCommitted(snaps)
-	return nil
-}
-
-// refreshDegradedReadOnly re-replicates cached read-only snapshots whose
-// snapshot-time group now names a dead place. The cached snapshot was
-// taken once and reused in every checkpoint, so after a group shrink it
-// would otherwise keep serving (and keep being committed) with a replica
-// set that is one failure away from data loss — for an object whose
-// state was just restored and can simply be snapshotted again. The fresh
-// snapshot replaces the stale one in the read-only cache and in the
-// committed checkpoint before the old one is destroyed.
-func (s *AppResilientStore) refreshDegradedReadOnly() error {
-	s.mu.Lock()
-	type stale struct {
-		obj  snapshot.Snapshottable
-		snap *snapshot.Snapshot
-	}
-	var degraded []stale
-	for obj, snap := range s.readOnly {
-		if snap.Degraded() {
-			degraded = append(degraded, stale{obj, snap})
-		}
-	}
-	s.mu.Unlock()
-	for _, d := range degraded {
-		fresh, err := d.obj.MakeSnapshot()
-		if err != nil {
-			return fmt.Errorf("core: re-replicating read-only object: %w", err)
-		}
-		s.mu.Lock()
-		if s.readOnly[d.obj] != d.snap {
-			// Raced with another refresh; keep theirs.
-			s.mu.Unlock()
-			fresh.Destroy()
-			continue
-		}
-		s.readOnly[d.obj] = fresh
-		if s.committed != nil && s.committed[d.obj] == d.snap {
-			s.committed[d.obj] = fresh
-		}
-		if s.pending != nil && s.pending[d.obj] == d.snap {
-			s.pending[d.obj] = fresh
-		}
-		s.roRefresh.Inc()
-		s.mu.Unlock()
-		d.snap.Destroy()
-	}
+	// Every committed snapshot still names the dead place. Heal now rather
+	// than at the next commit; one more failure before that commit must
+	// not lose the recovery point.
+	s.repairCommitted()
 	return nil
 }
 

@@ -236,43 +236,3 @@ func TestSnapshotDeltaDigestFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestDestroyDegradedParksOnlySmallBuffers pins which buffers a snapshot
-// hands back to the codec pool: all of them when a checkpoint superseded
-// it, only those below parkLimit when it lost a place.
-func TestDestroyDegradedParksOnlySmallBuffers(t *testing.T) {
-	for _, kill := range []bool{false, true} {
-		rt := newRT(t, 3)
-		pg := rt.World()
-		s, err := New(rt, pg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = apgas.ForEachPlace(rt, pg, func(ctx *apgas.Ctx, idx int) {
-			size := 64
-			if idx == 1 {
-				size = parkLimit
-			}
-			s.SaveDelta(ctx, idx, 0, nil, func() *codec.Encoder {
-				e := codec.NewEncoder(size)
-				e.PutInt(idx)
-				return &e
-			})
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := uint64(3)
-		if kill {
-			if err := rt.Kill(pg[2]); err != nil {
-				t.Fatal(err)
-			}
-			want = 2
-		}
-		_, _, puts0 := codec.PoolStats()
-		s.Destroy()
-		if _, _, puts := codec.PoolStats(); puts-puts0 != want {
-			t.Errorf("place killed %v: Destroy recycled %d buffers, want %d", kill, puts-puts0, want)
-		}
-	}
-}

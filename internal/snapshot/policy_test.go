@@ -240,7 +240,7 @@ func TestSinglePlaceGroupDegeneratesToK1(t *testing.T) {
 		if data, lerr := loadKey(t, rt, s, 0, 0); lerr != nil || string(data) != "data-0" {
 			t.Fatalf("single-place load = %q, %v", data, lerr)
 		}
-		if healed, err := s.Repair(); healed != 0 || err != nil {
+		if healed, err := s.Repair(nil); healed != 0 || err != nil {
 			t.Fatalf("Repair on k=1 = (%d, %v), want (0, nil)", healed, err)
 		}
 		s.Destroy()
@@ -268,7 +268,7 @@ func TestRepairHealsDroppedReplica(t *testing.T) {
 
 	// The transient condition clears; the next commit's Repair heals.
 	rt.SetInjector(nil)
-	healed, err := s.Repair()
+	healed, err := s.Repair(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestRepairReplacesDeadBackup(t *testing.T) {
 	if err := rt.Kill(rt.Place(2)); err != nil {
 		t.Fatal(err)
 	}
-	healed, err := s.Repair()
+	healed, err := s.Repair(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestRepairRebuildsLostShards(t *testing.T) {
 	if err := rt.Kill(rt.Place(2)); err != nil {
 		t.Fatal(err)
 	}
-	healed, err := s.Repair()
+	healed, err := s.Repair(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,6 +377,149 @@ func TestRepairRebuildsLostShards(t *testing.T) {
 		if want := fmt.Sprintf("data-%d", key); string(data) != want {
 			t.Fatalf("Load(%d) = %q, want %q", key, data, want)
 		}
+	}
+}
+
+// TestRepairRehomesDeadSlot pins Repair's first step under both
+// placements: the dead place's slot moves onto the replacement standing at
+// its index, the census refills it at its base slot (no substitute
+// extras), and the snapshot is back at full tolerance — a further death
+// loses nothing. A second Repair with no new death neither moves nor
+// walks.
+func TestRepairRehomesDeadSlot(t *testing.T) {
+	for _, sp := range []apgas.StorePolicy{apgas.ReplicateStore(2), apgas.ErasureStore(2, 1)} {
+		t.Run(sp.String(), func(t *testing.T) {
+			rt, reg := newInstrumentedRT(t, 5)
+			pg := rt.World()[:4]
+			s, err := NewWithOptions(rt, pg, Options{Policy: sp})
+			if err != nil {
+				t.Fatal(err)
+			}
+			saveAll(t, rt, s, pg)
+			if err := rt.Kill(rt.Place(1)); err != nil {
+				t.Fatal(err)
+			}
+			group := apgas.PlaceGroup{rt.Place(0), rt.Place(4), rt.Place(2), rt.Place(3)}
+			healed, err := s.Repair(group)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !s.Group().Equal(group) {
+				t.Fatalf("snapshot group after Repair = %v, want %v", s.Group(), group)
+			}
+			// Slot 1 holds entries 0 and 1 under k=2 and a shard of entries
+			// 3, 0 and 1 under d+p=3.
+			want := 2
+			if sp.Placement == apgas.PlacementErasure {
+				want = 3
+			}
+			if healed != want || len(s.stores[1].entries) != want {
+				t.Fatalf("healed %d, slot 1 holds %d entries; want %d", healed, len(s.stores[1].entries), want)
+			}
+			if len(s.deg.extras) != 0 {
+				t.Fatalf("substitute holders %v, want none: the moved slot is refilled", s.deg.extras)
+			}
+			for name, want := range map[string]int64{"snapshot.slots.rehomed": 1, "snapshot.repair.censuses": 1} {
+				if got := reg.Counter(name).Value(); got != want {
+					t.Fatalf("%s = %d, want %d", name, got, want)
+				}
+			}
+			if healed, err := s.Repair(group); healed != 0 || err != nil {
+				t.Fatalf("second Repair = (%d, %v), want (0, nil)", healed, err)
+			}
+			if got := reg.Counter("snapshot.repair.censuses").Value(); got != 1 {
+				t.Fatalf("censuses after a Repair with no new death = %d, want 1", got)
+			}
+			if err := rt.Kill(rt.Place(4)); err != nil {
+				t.Fatal(err)
+			}
+			for key := range pg {
+				if data, lerr := loadKey(t, rt, s, key, key); lerr != nil || string(data) != fmt.Sprintf("data-%d", key) {
+					t.Fatalf("Load(%d) after the replacement died = %q, %v", key, data, lerr)
+				}
+			}
+		})
+	}
+}
+
+// TestRepairCensusOnlyAfterNewDeath pins when Repair walks every entry:
+// once per new death. A slot with nowhere to move (a shrink) stays dead,
+// and the commits after the census that healed around it must not walk
+// the snapshot again.
+func TestRepairCensusOnlyAfterNewDeath(t *testing.T) {
+	rt, reg := newInstrumentedRT(t, 4)
+	pg := rt.World()
+	s, err := New(rt, pg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saveAll(t, rt, s, pg)
+	censuses := reg.Counter("snapshot.repair.censuses")
+	repair := func(wantHealed int, wantCensuses int64) {
+		t.Helper()
+		healed, err := s.Repair(pg.Without(rt.Place(2)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if healed != wantHealed || censuses.Value() != wantCensuses {
+			t.Fatalf("Repair healed %d after %d censuses, want %d after %d", healed, censuses.Value(), wantHealed, wantCensuses)
+		}
+	}
+	repair(0, 0)
+	if err := rt.Kill(rt.Place(2)); err != nil {
+		t.Fatal(err)
+	}
+	repair(2, 1)
+	repair(0, 1)
+	repair(0, 1)
+	// Entries 1, 2 and 3 each lose a holder with place 3.
+	if err := rt.Kill(rt.Place(3)); err != nil {
+		t.Fatal(err)
+	}
+	repair(3, 2)
+	for key := range pg {
+		if _, lerr := loadKey(t, rt, s, key, key); lerr != nil {
+			t.Fatalf("Load(%d): %v", key, lerr)
+		}
+	}
+}
+
+// TestRepairPlacesEachRebuiltShardOnce pins erasure repair's placement
+// when one missing shard's base slot is dead and another's is a live slot
+// that lost its shard: shard 3 goes back to its base slot 3, shard 1 to
+// the one live slot outside the base set, and the entry regains its full
+// width, so two further deaths still leave d shards.
+func TestRepairPlacesEachRebuiltShardOnce(t *testing.T) {
+	rt, _ := newInstrumentedRT(t, 6)
+	pg := rt.World()
+	s, err := NewWithOptions(rt, pg, Options{Policy: apgas.ErasureStore(3, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Finish(func(ctx *apgas.Ctx) { s.Save(ctx, 0, []byte("data-0")) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Kill(rt.Place(1)); err != nil {
+		t.Fatal(err)
+	}
+	s.stores[3].mu.Lock()
+	delete(s.stores[3].entries, 0)
+	s.stores[3].mu.Unlock()
+	if healed, err := s.Repair(nil); healed != 1 || err != nil {
+		t.Fatalf("Repair = (%d, %v), want (1, nil)", healed, err)
+	}
+	for gi, want := range map[int]int{3: 3, 5: 1} {
+		if e, ok := s.stores[gi].get(0); !ok || e.shardIdx != want {
+			t.Fatalf("slot %d holds shard %v (present %v), want shard %d", gi, e, ok, want)
+		}
+	}
+	for _, p := range []int{2, 4} {
+		if err := rt.Kill(rt.Place(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if data, lerr := loadKey(t, rt, s, 0, 0); lerr != nil || string(data) != "data-0" {
+		t.Fatalf("Load after two more deaths = %q, %v", data, lerr)
 	}
 }
 

@@ -2,34 +2,52 @@ package snapshot
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"github.com/rgml/rgml/internal/apgas"
 	"github.com/rgml/rgml/internal/codec"
+	"github.com/rgml/rgml/internal/obs"
 )
 
 // This file is replica repair: bringing entries that fell below their
 // target redundancy — a replica put dropped after retry exhaustion, a
 // holder place killed, a partial-spare replacement that shrank the live
 // group — back to target from the surviving copies or shards. The
-// application store runs Repair at every checkpoint commit (and after a
-// restore), so a degraded entry stays one commit away from full
-// redundancy and the double-failure window closes instead of persisting
-// silently until the owner also dies.
+// application store runs Repair at every checkpoint commit and after a
+// restore, so a degraded entry stays one commit away from full redundancy
+// and the double-failure window closes instead of persisting silently
+// until the owner also dies. After a replacement, Repair first moves each
+// dead slot onto a place that took over, so a snapshot kept across
+// recoveries (a read-only input) regains its full width by shipping only
+// what the dead place held — nothing is re-encoded.
 
-// Repair re-replicates every entry of the snapshot that is below its
-// target redundancy, returning how many entries it healed. The target is
-// the policy width clamped to the live group size: with fewer live
-// places than slots, repair raises an entry as high as the group can
-// physically hold and leaves it tracked as degraded. Repaired copies may
-// land outside the entry's base slot set (when a base slot is dead);
-// those substitute holders are recorded so Load/Digest probe them.
+// Repair heals the snapshot toward group, the application's current place
+// group, returning how many entries it healed. It runs in two steps:
+//
+//  1. Each dead slot of the snapshot's group moves to a live place of
+//     group that the snapshot does not use yet, preferring the place at
+//     the slot's own index (where a replacement stands), and gets an empty
+//     store there. A nil group, or one with no such place (a shrink),
+//     leaves the slot dead.
+//  2. A census re-replicates every entry below its target redundancy from
+//     the surviving copies or shards. The target is the policy width
+//     clamped to the live group size: with fewer live places than slots,
+//     repair raises an entry as high as the group can physically hold and
+//     leaves it tracked as degraded. Repaired copies may land outside the
+//     entry's base slot set (when a base slot is dead); those substitute
+//     holders are recorded so Load/Digest probe them.
+//
+// The census walks every entry only after a new death or a move; otherwise
+// it examines just the entries tracked as degraded, so a commit with
+// nothing new to heal costs no walk.
 //
 // Repair reads peer stores directly (the emulation's shared memory) to
 // census holders, but every payload shipped to a new holder is charged
 // against the NetModel from the donor's place and lands through the same
-// fault-injected put path as a checkpoint replica.
-func (s *Snapshot) Repair() (int, error) {
+// fault-injected put path as a checkpoint replica. It must not run
+// concurrently with other operations on the snapshot.
+func (s *Snapshot) Repair(group apgas.PlaceGroup) (int, error) {
 	if s == nil || s.destroyed.Load() || !s.plh.Valid() {
 		return 0, nil
 	}
@@ -38,10 +56,13 @@ func (s *Snapshot) Repair() (int, error) {
 		// redundancy to repair toward.
 		return 0, nil
 	}
-	targets := s.repairTargets()
-	if len(targets) == 0 {
-		return 0, nil
+	moved, err := s.rehome(group)
+	if err != nil {
+		return 0, err
 	}
+	dead := s.pg.Size() - s.liveGroupCount()
+	census := moved || dead > s.censusDead
+	targets := s.repairTargets(census)
 	// Stable order keeps traces and network charges deterministic.
 	keys := make([]int, 0, len(targets))
 	for k := range targets {
@@ -61,33 +82,110 @@ func (s *Snapshot) Repair() (int, error) {
 			s.rt.Obs().Trace("snapshot.replica.repaired", int64(key), int64(targets[key]))
 		}
 	}
+	if census && firstErr == nil {
+		// Every entry that lost a holder is now at target or tracked as
+		// degraded; the next census waits for a further death.
+		s.censusDead = dead
+	}
 	return healed, firstErr
 }
 
-// repairTargets collects the (key, ownerIdx) pairs worth examining: every
-// key tracked as degraded (dropped puts), plus — when some member of the
-// group is dead — every entry in the surviving stores, since each of them
-// may have lost a holder with the dead place.
-func (s *Snapshot) repairTargets() map[int]int {
-	targets := make(map[int]int)
-	s.deg.mu.Lock()
-	for k, o := range s.deg.keys {
-		targets[k] = o
-	}
-	s.deg.mu.Unlock()
-	if s.Degraded() {
-		for gi, ps := range s.stores {
-			if ps == nil || s.rt.IsDead(s.pg[gi]) {
-				continue
-			}
-			ps.mu.Lock()
-			for k, e := range ps.entries {
-				if _, ok := targets[k]; !ok {
-					targets[k] = e.owner
-				}
-			}
-			ps.mu.Unlock()
+// rehome is Repair's first step: it moves each dead slot onto a free live
+// place of group (see freePlace) with an empty store, reporting whether
+// any slot moved. The stores are created in one finish; a place that dies
+// before its store exists leaves its slot dead. The dead place's store is
+// dropped with it — its entries are gone, and the census refills the new
+// store from the survivors.
+func (s *Snapshot) rehome(group apgas.PlaceGroup) (bool, error) {
+	var (
+		pg    apgas.PlaceGroup
+		slots []int
+	)
+	for gi, p := range s.pg {
+		if !s.rt.IsDead(p) {
+			continue
 		}
+		if pg == nil {
+			pg = s.pg.Clone()
+		}
+		if np, ok := s.freePlace(group, gi, pg); ok {
+			pg[gi] = np
+			slots = append(slots, gi)
+		}
+	}
+	if len(slots) == 0 {
+		return false, nil
+	}
+	stores := make([]*placeStore, len(slots))
+	err := s.rt.Finish(func(ctx *apgas.Ctx) {
+		for i, gi := range slots {
+			ctx.AsyncAt(pg[gi], func(c *apgas.Ctx) {
+				ps := s.newPlaceStore()
+				s.plh.SetLocal(c, ps)
+				stores[i] = ps
+			})
+		}
+	})
+	if err != nil && !apgas.IsDeadPlace(err) {
+		return false, fmt.Errorf("snapshot: rehoming slots: %w", err)
+	}
+	moved := false
+	for i, gi := range slots {
+		if stores[i] == nil {
+			pg[gi] = s.pg[gi]
+			continue
+		}
+		moved = true
+		s.stores[gi] = stores[i]
+		s.instr.rehomed.Inc()
+		s.rt.Obs().Trace("snapshot.slot.rehomed", int64(gi), int64(pg[gi].ID))
+	}
+	s.pg = pg
+	return moved, nil
+}
+
+// freePlace picks where dead slot gi moves: group's place at index gi
+// when it is alive and not yet a slot of pg, else the first such place of
+// group.
+func (s *Snapshot) freePlace(group apgas.PlaceGroup, gi int, pg apgas.PlaceGroup) (apgas.Place, bool) {
+	free := func(p apgas.Place) bool { return !s.rt.IsDead(p) && !pg.Contains(p) }
+	if gi < group.Size() && free(group[gi]) {
+		return group[gi], true
+	}
+	for _, p := range group {
+		if free(p) {
+			return p, true
+		}
+	}
+	return apgas.Place{}, false
+}
+
+// repairTargets collects the (key, ownerIdx) pairs worth examining: every
+// key tracked as degraded (dropped puts), plus — for a census — every
+// entry in the surviving stores, since each of them may have lost a
+// holder with a dead place or have a base slot that just moved.
+func (s *Snapshot) repairTargets(census bool) map[int]int {
+	s.deg.mu.Lock()
+	targets := maps.Clone(s.deg.keys)
+	s.deg.mu.Unlock()
+	if !census {
+		return targets
+	}
+	if targets == nil {
+		targets = make(map[int]int)
+	}
+	s.instr.censuses.Inc()
+	for gi, ps := range s.stores {
+		if ps == nil || s.rt.IsDead(s.pg[gi]) {
+			continue
+		}
+		ps.mu.Lock()
+		for k, e := range ps.entries {
+			if _, ok := targets[k]; !ok {
+				targets[k] = e.owner
+			}
+		}
+		ps.mu.Unlock()
 	}
 	return targets
 }
@@ -104,250 +202,149 @@ func (s *Snapshot) liveGroupCount() int {
 }
 
 // repairEntry examines one entry and re-replicates it if it is below
-// target, reporting whether it reached target redundancy. An entry that
-// cannot be raised yet (no verifiable donor, fewer than d shards left)
-// stays in the degraded set; one whose redundancy is already at target
-// is cleared from it without counting as a repair.
+// target, reporting whether it reached target redundancy. The target is
+// the policy width clamped to the live group size. An entry that cannot
+// be raised yet (no verifiable copy, fewer than d shards left) stays in
+// the degraded set; one whose redundancy is already at target is cleared
+// from it without counting as a repair.
 func (s *Snapshot) repairEntry(key, ownerIdx int) (bool, error) {
 	if ownerIdx < 0 || ownerIdx >= s.pg.Size() {
 		return false, fmt.Errorf("snapshot: repair key %d: owner index %d out of %d", key, ownerIdx, s.pg.Size())
 	}
-	if s.pol.erasure {
-		return s.repairErasure(key, ownerIdx)
+	holders, es := s.liveHolders(key, ownerIdx, nil)
+	target := min(s.pol.width(), s.liveGroupCount())
+	if len(holders) >= target {
+		s.clearDegraded(key)
+		s.recordExtras(key, ownerIdx, holders)
+		return false, nil
 	}
-	return s.repairReplicate(key, ownerIdx)
+	decodable := 1
+	if s.pol.erasure {
+		decodable = s.pol.d
+	}
+	if len(holders) < decodable {
+		// Every copy gone (or corrupt), or too few shards to decode:
+		// unrepairable. Keep it tracked so loads report loss instead of a
+		// missing key.
+		s.noteDegraded(key, ownerIdx)
+		return false, nil
+	}
+	dests := s.substituteSlots(key, ownerIdx, holders, target-len(holders))
+	var err error
+	if s.pol.erasure {
+		err = s.shipShards(key, ownerIdx, holders[0], es, dests)
+	} else {
+		err = s.ship(key, ownerIdx, holders[0], dests, func(int) *entry { return es[0] }, s.instr.replicas)
+	}
+	if err != nil && !apgas.IsDeadPlace(err) {
+		return false, fmt.Errorf("snapshot: repair key %d: %w", key, err)
+	}
+	// Re-census: puts can still be dropped by the injector or lose their
+	// place mid-repair.
+	holders, _ = s.liveHolders(key, ownerIdx, dests)
+	if len(holders) < target {
+		s.noteDegraded(key, ownerIdx)
+		return false, nil
+	}
+	s.recordExtras(key, ownerIdx, holders)
+	s.clearDegraded(key)
+	return true, nil
 }
 
-// repairReplicate heals a replicated entry: census the live verifiable
-// holders, and if fewer than min(k, live) remain, ship the donor's copy
-// to substitute slots walked from the owner's position.
-func (s *Snapshot) repairReplicate(key, ownerIdx int) (bool, error) {
-	var (
-		holders  []int
-		donor    *entry
-		donorIdx = -1
-	)
-	for _, gi := range s.holderSlots(key, ownerIdx) {
-		if s.rt.IsDead(s.pg[gi]) {
+// liveHolders censuses key's live, verifiable holders among its holder
+// slots plus extra, returning their slots and entries in probe order.
+// Under erasure only the first holder of each shard counts.
+func (s *Snapshot) liveHolders(key, ownerIdx int, extra []int) (slots []int, es []*entry) {
+	var seen []bool
+	if s.pol.erasure {
+		seen = make([]bool, s.pol.width())
+	}
+	for _, gi := range append(s.holderSlots(key, ownerIdx), extra...) {
+		if s.rt.IsDead(s.pg[gi]) || containsSlot(slots, gi) {
 			continue
 		}
 		e, ok := s.stores[gi].get(key)
 		if !ok || !e.verify() {
 			continue
 		}
-		holders = append(holders, gi)
-		if donor == nil {
-			donor, donorIdx = e, gi
-		}
-	}
-	target := s.pol.k
-	if live := s.liveGroupCount(); target > live {
-		target = live
-	}
-	if len(holders) >= target {
-		s.clearDegraded(key)
-		s.recordExtras(key, ownerIdx, holders)
-		return false, nil
-	}
-	if donor == nil {
-		// Every copy gone (or corrupt): unrepairable. Keep it tracked so
-		// loads report loss instead of a missing key.
-		s.noteDegraded(key, ownerIdx)
-		return false, nil
-	}
-	dests := s.substituteSlots(key, ownerIdx, holders, target-len(holders))
-	if len(dests) == 0 {
-		return false, nil
-	}
-	err := s.rt.Finish(func(ctx *apgas.Ctx) {
-		ctx.AsyncAt(s.pg[donorIdx], func(c *apgas.Ctx) {
-			for _, gi := range dests {
-				tgt := s.pg[gi]
-				s.instr.replicas.Inc()
-				s.instr.backupBytes.Add(int64(len(donor.data)))
-				c.TransferBytes(tgt, donor.data)
-				c.AsyncAt(tgt, func(cc *apgas.Ctx) {
-					s.putReplica(cc, key, donor, ownerIdx)
-				})
+		if seen != nil {
+			if e.set == nil || e.shardIdx >= len(seen) || seen[e.shardIdx] {
+				continue
 			}
-		})
-	})
-	if err != nil && !apgas.IsDeadPlace(err) {
-		return false, fmt.Errorf("snapshot: repair key %d: %w", key, err)
-	}
-	// Re-census: puts can still be dropped by the injector or lose their
-	// place mid-repair.
-	holders = holders[:0]
-	for _, gi := range s.holderSlots(key, ownerIdx) {
-		if s.rt.IsDead(s.pg[gi]) {
-			continue
+			seen[e.shardIdx] = true
 		}
-		if e, ok := s.stores[gi].get(key); ok && e.verify() {
-			holders = append(holders, gi)
-		}
+		slots = append(slots, gi)
+		es = append(es, e)
 	}
-	for _, gi := range dests {
-		if s.rt.IsDead(s.pg[gi]) {
-			continue
-		}
-		if e, ok := s.stores[gi].get(key); ok && e.verify() && !containsSlot(holders, gi) {
-			holders = append(holders, gi)
-		}
-	}
-	if len(holders) < target {
-		s.noteDegraded(key, ownerIdx)
-		return false, nil
-	}
-	s.recordExtras(key, ownerIdx, holders)
-	s.clearDegraded(key)
-	return true, nil
+	return slots, es
 }
 
-// repairErasure heals an erasure-coded entry: census the surviving
-// shards, reconstruct the missing ones from any d, and place them at
-// their base slots (or substitutes when a base slot is dead).
-func (s *Snapshot) repairErasure(key, ownerIdx int) (bool, error) {
-	d, p := s.pol.d, s.pol.p
-	n := d + p
-	entries := make([]*entry, n)
-	var (
-		holders []int
-		set     *shardSet
-		ver     uint64
-	)
-	for _, gi := range s.holderSlots(key, ownerIdx) {
-		if s.rt.IsDead(s.pg[gi]) {
-			continue
-		}
-		e, ok := s.stores[gi].get(key)
-		if !ok || e.set == nil || e.shardIdx >= n || !e.verify() {
-			continue
-		}
-		if entries[e.shardIdx] != nil {
-			continue
-		}
-		entries[e.shardIdx] = e
-		holders = append(holders, gi)
-		set, ver = e.set, e.ver
-	}
-	present := len(holders)
-	target := n
-	if live := s.liveGroupCount(); target > live {
-		target = live
-	}
-	if present >= target {
-		s.clearDegraded(key)
-		s.recordExtras(key, ownerIdx, holders)
-		return false, nil
-	}
-	if present < d {
-		// Below the decode threshold: unrecoverable until (if ever) more
-		// shards reappear. Keep it tracked for loud loss reporting.
-		s.noteDegraded(key, ownerIdx)
-		return false, nil
-	}
-	// Reconstruct every missing shard, then keep only as many as fit the
-	// live group; the rest go back to the pool.
+// shipShards rebuilds an erasure-coded entry's missing shards from the
+// surviving ones and ships one to each of dests from the donor slot. A
+// missing shard whose base slot is among dests goes there, keeping the
+// layout canonical; the others take the remaining dests in shard order.
+// Rebuilt shards left without a destination go back to the pool.
+func (s *Snapshot) shipShards(key, ownerIdx, donor int, es []*entry, dests []int) error {
+	n := s.pol.width()
 	work := make([][]byte, n)
-	for i, e := range entries {
-		if e != nil {
-			work[i] = e.data
-		}
+	for _, e := range es {
+		work[e.shardIdx] = e.data
 	}
 	s.instr.rebuilds.Inc()
-	if err := codec.RSReconstruct(work, d, p); err != nil {
-		return false, fmt.Errorf("snapshot: repair key %d: reconstruct: %w", key, err)
+	if err := codec.RSReconstruct(work, s.pol.d, s.pol.p); err != nil {
+		return fmt.Errorf("reconstruct: %w", err)
 	}
-	dests := s.substituteSlots(key, ownerIdx, holders, target-present)
-	type placement struct {
-		shardIdx int
-		gi       int
-		e        *entry
+	shardAt := make(map[int]int, len(dests)) // dest slot -> shard index
+	placed := make([]bool, n)
+	for _, e := range es {
+		placed[e.shardIdx] = true
 	}
-	var plan []placement
-	di := 0
-	for i := 0; i < n && di < len(dests); i++ {
-		if entries[i] != nil {
-			continue
+	var rest []int
+	for _, gi := range dests {
+		if i := (gi - ownerIdx + s.pg.Size()) % s.pg.Size(); i < n && !placed[i] {
+			shardAt[gi], placed[i] = i, true
+		} else {
+			rest = append(rest, gi)
 		}
-		// Prefer the shard's own base slot when it is a valid destination,
-		// keeping the layout canonical; otherwise take the next substitute.
-		gi := dests[di]
-		base := s.slotOf(ownerIdx, i)
-		for j, cand := range dests {
-			if cand == base {
-				gi = cand
-				dests[j] = dests[di]
-				dests[di] = gi
-				break
-			}
+	}
+	for i := 0; i < n && len(rest) > 0; i++ {
+		if !placed[i] {
+			shardAt[rest[0]], placed[i] = i, true
+			rest = rest[1:]
 		}
-		e := newEntry(work[i], codec.Checksum(work[i]), true, ver)
-		e.owner = ownerIdx
-		e.shardIdx = i
-		e.set = set
-		plan = append(plan, placement{shardIdx: i, gi: gi, e: e})
-		di++
 	}
-	planned := make(map[int]bool, len(plan))
-	for _, pl := range plan {
-		planned[pl.shardIdx] = true
-	}
-	for i := 0; i < n; i++ {
-		if entries[i] == nil && !planned[i] && work[i] != nil {
+	for i, ok := range placed {
+		if !ok {
 			codec.PutBuffer(work[i])
 		}
 	}
-	if len(plan) == 0 {
-		return false, nil
-	}
-	donorIdx := holders[0]
-	err := s.rt.Finish(func(ctx *apgas.Ctx) {
-		ctx.AsyncAt(s.pg[donorIdx], func(c *apgas.Ctx) {
-			for _, pl := range plan {
-				pl := pl
-				tgt := s.pg[pl.gi]
-				s.instr.shards.Inc()
-				s.instr.backupBytes.Add(int64(len(pl.e.data)))
-				c.TransferBytes(tgt, pl.e.data)
+	set, ver := es[0].set, es[0].ver
+	return s.ship(key, ownerIdx, donor, dests, func(gi int) *entry {
+		i := shardAt[gi]
+		e := newEntry(work[i], codec.Checksum(work[i]), true, ver)
+		e.owner, e.shardIdx, e.set = ownerIdx, i, set
+		return e
+	}, s.instr.shards)
+}
+
+// ship runs one finish in which the donor slot's place sends entryFor(gi)
+// to each slot gi of dests, counting each put in puts. Every payload is
+// charged to the network model and lands through the same fault-injected
+// put as a checkpoint replica.
+func (s *Snapshot) ship(key, ownerIdx, donor int, dests []int, entryFor func(gi int) *entry, puts *obs.Counter) error {
+	return s.rt.Finish(func(ctx *apgas.Ctx) {
+		ctx.AsyncAt(s.pg[donor], func(c *apgas.Ctx) {
+			for _, gi := range dests {
+				e, tgt := entryFor(gi), s.pg[gi]
+				puts.Inc()
+				s.instr.backupBytes.Add(int64(len(e.data)))
+				c.TransferBytes(tgt, e.data)
 				c.AsyncAt(tgt, func(cc *apgas.Ctx) {
-					s.putReplica(cc, key, pl.e, ownerIdx)
+					s.putReplica(cc, key, e, ownerIdx)
 				})
 			}
 		})
 	})
-	if err != nil && !apgas.IsDeadPlace(err) {
-		return false, fmt.Errorf("snapshot: repair key %d: %w", key, err)
-	}
-	// Re-census shards after the puts.
-	holders = holders[:0]
-	seen := make([]bool, n)
-	census := func(gi int) {
-		if s.rt.IsDead(s.pg[gi]) {
-			return
-		}
-		e, ok := s.stores[gi].get(key)
-		if !ok || e.set == nil || e.shardIdx >= n || seen[e.shardIdx] || !e.verify() {
-			return
-		}
-		seen[e.shardIdx] = true
-		holders = append(holders, gi)
-	}
-	for _, gi := range s.holderSlots(key, ownerIdx) {
-		census(gi)
-	}
-	for _, pl := range plan {
-		if !containsSlot(holders, pl.gi) {
-			census(pl.gi)
-		}
-	}
-	if len(holders) < target {
-		s.noteDegraded(key, ownerIdx)
-		return false, nil
-	}
-	s.recordExtras(key, ownerIdx, holders)
-	s.clearDegraded(key)
-	return true, nil
 }
 
 // substituteSlots picks up to need live group indices that are not

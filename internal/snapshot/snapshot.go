@@ -17,7 +17,8 @@
 // exhaustion, a replica place killed, a partial-spare replacement — are
 // tracked in a degraded set (exported as the snapshot.replicas.degraded
 // gauge) and re-replicated by Repair, which the application store runs
-// at every checkpoint commit.
+// at every checkpoint commit and after a restore; after a replacement,
+// Repair also moves the dead place's slot onto the place that took over.
 //
 // The save path is built for throughput: the backup put runs as an async
 // task overlapping the saver's remaining work (the enclosing finish still
@@ -304,6 +305,10 @@ type Snapshot struct {
 	// deg tracks entries below target redundancy and the extra holder
 	// slots repair placed them at (see repair.go).
 	deg degradedState
+	// censusDead is how many group members were dead when Repair last
+	// walked every entry; a further death is what makes the next walk
+	// worth its cost.
+	censusDead int
 }
 
 // degradedState is the snapshot's redundancy-loss bookkeeping: which keys
@@ -408,6 +413,8 @@ type snapInstr struct {
 	// Redundancy degradation and repair.
 	degradedG *obs.Gauge   // snapshot.replicas.degraded (entries below target, now)
 	repaired  *obs.Counter // snapshot.replicas.repaired (entries healed by Repair)
+	rehomed   *obs.Counter // snapshot.slots.rehomed (dead slots moved onto a replacement place)
+	censuses  *obs.Counter // snapshot.repair.censuses (Repair walks over every entry)
 	shards    *obs.Counter // snapshot.shards.placed (erasure shard puts)
 	rebuilds  *obs.Counter // snapshot.shards.rebuilt (erasure reconstructions on load)
 
@@ -450,6 +457,8 @@ func newSnapInstr(reg *obs.Registry) snapInstr {
 
 		degradedG: reg.Gauge("snapshot.replicas.degraded"),
 		repaired:  reg.Counter("snapshot.replicas.repaired"),
+		rehomed:   reg.Counter("snapshot.slots.rehomed"),
+		censuses:  reg.Counter("snapshot.repair.censuses"),
 		shards:    reg.Counter("snapshot.shards.placed"),
 		rebuilds:  reg.Counter("snapshot.shards.rebuilt"),
 
@@ -473,27 +482,37 @@ func NewWithOptions(rt *apgas.Runtime, pg apgas.PlaceGroup, opts Options) (*Snap
 	if pg.Size() == 0 {
 		return nil, errors.New("snapshot: empty place group")
 	}
-	instr := newSnapInstr(rt.Obs())
-	stores := make([]*placeStore, pg.Size())
+	s := &Snapshot{rt: rt, pg: pg.Clone(), instr: newSnapInstr(rt.Obs())}
+	s.stores = make([]*placeStore, pg.Size())
 	plh, err := apgas.NewPlaceLocalHandle(rt, pg, func(ctx *apgas.Ctx, idx int) *placeStore {
-		ps, pooled := getPlaceStore()
-		if pooled {
-			instr.poolHits.Inc()
-		} else {
-			instr.poolMisses.Inc()
-		}
-		stores[idx] = ps
+		ps := s.newPlaceStore()
+		s.stores[idx] = ps
 		return ps
 	})
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: allocating stores: %w", err)
 	}
+	s.plh = plh
 	opts.Retry = opts.Retry.normalize()
-	pol := resolvePolicy(rt, pg.Size(), opts)
-	return &Snapshot{rt: rt, pg: pg.Clone(), opts: opts, pol: pol, plh: plh, stores: stores, instr: instr}, nil
+	s.opts = opts
+	s.pol = resolvePolicy(rt, pg.Size(), opts)
+	return s, nil
 }
 
-// Group returns the place group the snapshot was taken over.
+// newPlaceStore takes an empty place store from the store pool, counting
+// the pool hit or miss.
+func (s *Snapshot) newPlaceStore() *placeStore {
+	ps, pooled := getPlaceStore()
+	if pooled {
+		s.instr.poolHits.Inc()
+	} else {
+		s.instr.poolMisses.Inc()
+	}
+	return ps
+}
+
+// Group returns the snapshot's place group: the one it was taken over,
+// with each dead slot Repair moved replaced by its new place.
 func (s *Snapshot) Group() apgas.PlaceGroup { return s.pg }
 
 // SetMeta attaches the object descriptor (e.g. its serialized grid and
@@ -915,50 +934,16 @@ func (s *Snapshot) Digest(ctx *apgas.Ctx, key, ownerIdx int) (sum uint32, size i
 	return 0, 0, fmt.Errorf("snapshot: key %d owner %d: %w", key, ownerIdx, ErrNotFound)
 }
 
-// parkLimit is the buffer capacity from which a degraded snapshot's
-// buffers are not recycled (see Destroy). Parked, the three 16 MiB buffers
-// of a 25 MB read-only PageRank graph sat idle between failures, and
-// whether a forced collection at the end of a run still found them in the
-// pool depended on where the last concurrent cycle had fallen: 87 or 137 MB
-// of heap after the same run.
-const parkLimit = 16 << 20
-
-// Degraded reports whether the snapshot's replica placement has lost
-// redundancy: some place of its snapshot-time group is dead, so entries
-// owned (or backed up) there are down to a single copy — or already
-// lost, if backups are disabled. A degraded snapshot still restores, but
-// one more failure can make it unrecoverable; the application store uses
-// this after a restore to re-replicate cached read-only snapshots whose
-// group shrank under them.
-func (s *Snapshot) Degraded() bool {
-	if s == nil || s.destroyed.Load() {
-		return false
-	}
-	for _, p := range s.pg {
-		if s.rt.IsDead(p) {
-			return true
-		}
-	}
-	return false
-}
-
 // Destroy releases the snapshot's storage on every surviving place of its
 // group, recycling pooled payload buffers and store shells for the next
 // checkpoint. The application store calls this when a newer checkpoint
 // commits (coordinated checkpointing keeps only one snapshot alive), which
 // is what makes steady-state checkpointing allocation-free: checkpoint
 // N+1 re-encodes into the buffers checkpoint N-1 released.
-//
-// A degraded snapshot dies because a place did, not because a checkpoint
-// of the same shape superseded it: nothing takes its buffers until the
-// next failure. Small ones are parked in the pool all the same (the next
-// recovery restores faster for it); from parkLimit up they are left to
-// the GC instead.
 func (s *Snapshot) Destroy() {
 	if s == nil || !s.plh.Valid() {
 		return
 	}
-	degraded := s.Degraded()
 	if !s.destroyed.CompareAndSwap(false, true) {
 		return
 	}
@@ -983,7 +968,7 @@ func (s *Snapshot) Destroy() {
 		}
 	}
 	for e := range seen {
-		if e.refs.Add(-1) == 0 && e.pooled && !(degraded && cap(e.data) >= parkLimit) {
+		if e.refs.Add(-1) == 0 && e.pooled {
 			codec.PutBuffer(e.data)
 		}
 	}
