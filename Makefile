@@ -51,15 +51,29 @@ chaos-smoke:
 	@echo "chaos-smoke: all campaigns survived and verified"
 
 # Multi-process smoke: PageRank over the tcp transport (3 worker
-# processes) with one worker SIGKILLed mid-run. The run must detect the
-# death by heartbeat (no administrative mark), restore from the last
-# checkpoint, and finish; rgmlrun exits non-zero if no restore happened
-# or if no registered kernel executed inside a worker process
-# (-min-worker-tasks: the distributed data plane must actually engage).
+# processes) with one worker SIGKILLed mid-run, once per restore mode
+# below. Each run must detect the death by heartbeat (no administrative
+# mark), restore from the last checkpoint, and finish; rgmlrun exits
+# non-zero if no restore happened or if no registered kernel executed
+# inside a worker process (-min-worker-tasks: the distributed data plane
+# must actually engage). Each run's final-iterate hash must then equal a
+# -transport local run of the same config: failure-free for
+# replace-elastic (the benchmark's mode, which spawns a replacement worker
+# and keeps the survivors' resident blocks), and with the same kill for
+# shrink, whose recovered run sums over three places instead of four.
+TCP_SMOKE = -app pagerank -places 4 -size 200 -iters 8 -ckpt 2
 tcp-smoke:
-	$(GO) run ./cmd/rgmlrun -transport tcp -app pagerank -places 4 \
-		-size 200 -iters 8 -ckpt 2 -kill-proc-iter 4 -min-worker-tasks 1 > /dev/null
-	@echo "tcp-smoke: recovered from a real worker-process kill with worker-side compute"
+	@set -e; \
+	hash() { out=$$($(GO) run ./cmd/rgmlrun "$$@") || exit 1; echo "$$out" | sed -n 's/^  final iterate: //p'; }; \
+	same() { if [ -z "$$1" ] || [ "$$1" != "$$2" ]; then \
+		echo "tcp-smoke: $$3: tcp final iterate '$$1', local '$$2'"; exit 1; fi; }; \
+	got=$$(hash -transport tcp $(TCP_SMOKE) -kill-proc-iter 4 -min-worker-tasks 1); \
+	want=$$(hash $(TCP_SMOKE) -kill-iter 4); \
+	same "$$got" "$$want" shrink; \
+	got=$$(hash -transport tcp $(TCP_SMOKE) -mode replace-elastic -kill-proc-iter 4 -min-worker-tasks 1); \
+	want=$$(hash $(TCP_SMOKE) -mode replace-elastic); \
+	same "$$got" "$$want" replace-elastic
+	@echo "tcp-smoke: recovered from real worker-process kills with worker-side compute and bitwise-equal iterates"
 
 # The whole suite again with the kernel worker pool pinned to one worker:
 # every parallel kernel and tree collective degenerates to its serial

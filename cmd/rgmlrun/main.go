@@ -1,6 +1,8 @@
 // Command rgmlrun executes one benchmark application once under the
 // resilient executor, optionally injecting place failures, and prints a
-// run summary — a quick way to watch the framework recover.
+// run summary — a quick way to watch the framework recover. The summary's
+// "final iterate:" line hashes the result's float64 bits, so two runs
+// print the same hash exactly when their iterates are bitwise equal.
 //
 // Usage:
 //
@@ -254,6 +256,11 @@ func run() error {
 		}
 	}
 	fmt.Printf("  final places: %v\n", exec.ActiveGroup())
+	final, err := apps.FinalIterate(app)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("  final iterate: %s\n", apps.IterateHash(final))
 	st := rt.Stats()
 	fmt.Printf("  runtime:      %d tasks, %d messages, %d ledger events, %d places killed, %d failed\n",
 		st.TasksSpawned, st.Messages, st.LedgerEvents, st.PlacesKilled, st.PlacesFailed)

@@ -187,7 +187,7 @@ func (c *Ctx) AsyncAt(p Place, fn func(ctx *Ctx)) {
 	// spawn itself then lands on a corpse and throws DeadPlaceError). Any
 	// transient-fault return is ignored — spawns are not retryable.
 	_ = rt.InjectFault(FaultPointSpawn, p)
-	rt.hop(c.Here, p, transport.ClassTask, 0, nil)
+	rt.hop(c.Here, p, transport.ClassTask, 0)
 
 	if !rt.cfg.Resilient {
 		// Non-resilient places never fail (Kill is rejected), so no

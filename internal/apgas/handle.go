@@ -38,8 +38,27 @@ func (h PlaceLocalHandle[T]) Valid() bool { return h.rt != nil }
 // object's per-place kernel-visible data (kernel.Input.Handle): handle
 // IDs are never reused within a runtime, so a remade object — new
 // PlaceLocalHandle — can never collide with stale cached entries of the
-// one it replaced.
+// one it replaced; what it keeps of them it keeps through Inherit.
 func (h PlaceLocalHandle[T]) Handle() uint64 { return h.id }
+
+// Inherit lets h, the handle replacing old in a Remake, keep what the
+// data plane cached under old in place p's worker body. vers names the
+// keys whose live object old held at p and h now holds there unchanged,
+// each with the object's current version; an entry cached at exactly
+// that version moves to h in the dispatch mirror now and in the worker's
+// store on the next task sent there, so the worker keeps its copy
+// instead of being sent it again. Everything else cached under old is
+// dropped when old is destroyed. Nothing happens where p has no worker
+// body: nothing was cached there.
+func (h PlaceLocalHandle[T]) Inherit(old PlaceLocalHandle[T], p Place, vers map[int64]uint64) {
+	if h.rt == nil || len(vers) == 0 {
+		return
+	}
+	if n := h.rt.kern.inherit(p.ID, old.id, h.id, vers); n > 0 {
+		h.rt.instr.kernelRekeyed.Add(int64(n))
+		h.rt.cfg.Obs.Trace("apgas.kernel.rekey", int64(p.ID), int64(n))
+	}
+}
 
 // Local resolves the handle at the task's current place, like applying the
 // () operator on a PlaceLocalHandle in X10. It throws DeadPlaceError if the

@@ -58,6 +58,11 @@ type Task struct {
 	// of Refs the target place did not already hold (plus any
 	// unconditional installs a call site adds itself).
 	Puts []Blob
+	// Rekeys move entries whose object survived a Remake at this place
+	// from the destroyed handle to its successor. They apply before Drops,
+	// so whatever else the old handle held is still dropped. The
+	// dispatcher rides them on the next task to the place, like Drops.
+	Rekeys []Rekey
 	// Drops are store handles whose owning object was destroyed or
 	// remade; every entry under them is removed before Puts apply. The
 	// dispatcher rides them on the next task to the place.
@@ -73,6 +78,13 @@ type Ref struct {
 	Handle uint64
 	Key    int64
 	Ver    uint64
+}
+
+// Rekey renames the store entry (From, Key) to (To, Key), keeping its
+// version, bytes and decoded object.
+type Rekey struct {
+	From, To uint64
+	Key      int64
 }
 
 // Blob is a store install: the bytes backing a Ref.
@@ -301,6 +313,22 @@ func (s *Store) Get(handle uint64, key int64) (*Entry, bool) {
 	return e, ok
 }
 
+// Rekey moves the entry (from, key) to (to, key) unchanged; a missing
+// entry is left missing, for the next Ref of it to report.
+func (s *Store) Rekey(from, to uint64, key int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.m[storeKey{from, key}]
+	if !ok {
+		return
+	}
+	delete(s.m, storeKey{from, key})
+	if old := s.m[storeKey{to, key}]; old != nil && s.Recycle {
+		codec.PutBuffer(old.data)
+	}
+	s.m[storeKey{to, key}] = e
+}
+
 // Drop removes every entry under handle (the owning object was destroyed
 // or remade).
 func (s *Store) Drop(handle uint64) {
@@ -349,11 +377,15 @@ func (ex *Exec) Ref(r Ref) (*Entry, error) {
 	return e, nil
 }
 
-// Run executes t against ex: apply the task's Drops, install its Puts,
-// resolve the kernel, run it, and fold every failure mode — unknown
-// name, kernel error, kernel panic — into Result.Err so the caller has
-// exactly one error channel whether the run was local or remote.
+// Run executes t against ex: apply the task's Rekeys, then its Drops,
+// install its Puts, resolve the kernel, run it, and fold every failure
+// mode — unknown name, kernel error, kernel panic — into Result.Err so the
+// caller has exactly one error channel whether the run was local or
+// remote.
 func Run(ex *Exec, t *Task) *Result {
+	for _, r := range t.Rekeys {
+		ex.Store.Rekey(r.From, r.To, r.Key)
+	}
 	for _, h := range t.Drops {
 		ex.Store.Drop(h)
 	}

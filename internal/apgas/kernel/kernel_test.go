@@ -179,6 +179,39 @@ func TestRunAppliesDropsBeforePuts(t *testing.T) {
 	}
 }
 
+// TestRunAppliesRekeysBeforeDrops pins the Remake hand-over: an entry
+// re-keyed to the successor handle keeps its version, bytes and decoded
+// object and survives the predecessor's drop in the same task, which still
+// removes everything else the predecessor held. A re-key of an entry the
+// store lacks leaves it missing, for the ref to report.
+func TestRunAppliesRekeysBeforeDrops(t *testing.T) {
+	ex := &Exec{Store: NewStore()}
+	ex.Store.Put(4, 0, 3, []byte("survivor"))
+	ex.Store.Put(4, 1, 1, []byte("left this place"))
+	e, _ := ex.Store.Get(4, 0)
+	obj, _ := e.Obj(func(b []byte) (any, error) { return string(b), nil })
+	res := Run(ex, &Task{
+		Name:   PutName,
+		Rekeys: []Rekey{{From: 4, To: 6, Key: 0}},
+		Drops:  []uint64{4},
+		Refs:   []Ref{{Handle: 6, Key: 0, Ver: 3}},
+	})
+	if res.Err != "" {
+		t.Fatalf("Run = %+v", res)
+	}
+	got, ok := ex.Store.Get(6, 0)
+	if ex.Store.Len() != 1 || !ok || got != e || string(got.Bytes()) != "survivor" {
+		t.Fatalf("after rekey+drop: Len=%d, entry %+v", ex.Store.Len(), got)
+	}
+	if again, _ := got.Obj(func([]byte) (any, error) { return nil, errors.New("decoded twice") }); again != obj {
+		t.Fatal("re-keyed entry lost its decoded object")
+	}
+	res = Run(ex, &Task{Name: PutName, Rekeys: []Rekey{{From: 4, To: 6, Key: 1}}, Refs: []Ref{{Handle: 6, Key: 1, Ver: 1}}})
+	if !strings.Contains(res.Err, "no entry") {
+		t.Fatalf("ref of a re-key the store could not apply: %+v", res)
+	}
+}
+
 // TestPutObjIsByReference: a by-reference entry hands back the very
 // object it was given, without running any decode.
 func TestPutObjIsByReference(t *testing.T) {
@@ -273,6 +306,7 @@ func TestWireRoundTrip(t *testing.T) {
 		Payload: []byte("payload"),
 		Refs:    []Ref{{Handle: 9, Key: -2, Ver: 4}, {Handle: 1, Key: 0, Ver: 1}},
 		Puts:    []Blob{{Handle: 9, Key: -2, Ver: 4, Data: []byte("shipped")}, {Handle: 7, Data: nil}},
+		Rekeys:  []Rekey{{From: 11, To: 13, Key: -5}, {From: 12, To: 14, Key: 1 << 40}},
 		Drops:   []uint64{11, 12},
 	}
 	meta, blobs := task.AppendWire(nil, nil)

@@ -16,7 +16,8 @@ import (
 // pooled buffers; nothing here copies a blob byte.
 //
 //	Task meta:   place | len name | n I64.. | n F64.. | n (handle key ver).. refs
-//	             | n handle.. drops | n (handle key ver).. puts
+//	             | n (from key to).. rekeys | n handle.. drops
+//	             | n (handle key ver).. puts
 //	Result meta: n F64.. | len err | n frames
 
 // ErrBadWire reports a task or result encoding that is truncated,
@@ -37,6 +38,10 @@ func (t *Task) AppendWire(meta []byte, blobs [][]byte) ([]byte, [][]byte) {
 	meta = codec.AppendInt(meta, len(t.Refs))
 	for _, r := range t.Refs {
 		meta = appendID(meta, r.Handle, r.Key, r.Ver)
+	}
+	meta = codec.AppendInt(meta, len(t.Rekeys))
+	for _, r := range t.Rekeys {
+		meta = appendID(meta, r.From, r.Key, r.To)
 	}
 	meta = codec.AppendInt(meta, len(t.Drops))
 	for _, h := range t.Drops {
@@ -67,6 +72,12 @@ func DecodeTask(meta []byte, blobs [][]byte) (*Task, error) {
 		t.Refs = make([]Ref, n)
 		for i := range t.Refs {
 			t.Refs[i].Handle, t.Refs[i].Key, t.Refs[i].Ver = r.id()
+		}
+	}
+	if n := r.count(24); n > 0 {
+		t.Rekeys = make([]Rekey, n)
+		for i := range t.Rekeys {
+			t.Rekeys[i].From, t.Rekeys[i].Key, t.Rekeys[i].To = r.id()
 		}
 	}
 	if n := r.count(8); n > 0 {

@@ -3,6 +3,7 @@ package apgas
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/rgml/rgml/internal/apgas/kernel"
@@ -43,14 +44,15 @@ type mirrorKey struct {
 // capability (nil without a distributed data plane), a per-place mirror
 // of which entry versions have been shipped to each worker body (so an
 // unchanged matrix block crosses the wire once, not once per iteration),
-// per-place stores for in-process execution, and the destroyed handles
-// each worker body has yet to be told to drop.
+// per-place stores for in-process execution, and the re-keys and
+// destroyed handles each worker body has yet to be told about.
 type kernDispatch struct {
 	ex transport.Executor
 
 	mu     sync.Mutex
 	mirror map[int]map[mirrorKey]uint64
 	stores map[int]*kernel.Store
+	rekeys map[int][]kernel.Rekey
 	drops  map[int][]uint64
 }
 
@@ -58,6 +60,7 @@ func (k *kernDispatch) init(ex transport.Executor) {
 	k.ex = ex
 	k.mirror = make(map[int]map[mirrorKey]uint64)
 	k.stores = make(map[int]*kernel.Store)
+	k.rekeys = make(map[int][]kernel.Rekey)
 	k.drops = make(map[int][]uint64)
 }
 
@@ -110,7 +113,51 @@ func (k *kernDispatch) placeDead(place int) {
 	defer k.mu.Unlock()
 	delete(k.mirror, place)
 	delete(k.stores, place)
+	delete(k.rekeys, place)
 	delete(k.drops, place)
+}
+
+// inherit hands place's worker-resident entries of handle from over to
+// handle to, for every key of vers (key → the live object's version)
+// that the mirror records at exactly that version: the object survived
+// a Remake at this place unchanged, so the bytes its worker holds are
+// still its bytes. The mirror moves at once; the worker's store moves on
+// the next task dispatched there (takePending), before that task's drops
+// remove whatever else from still holds. An entry the mirror records at
+// another version is left under from and dropped with it. It returns how
+// many entries moved.
+func (k *kernDispatch) inherit(place int, from, to uint64, vers map[int64]uint64) int {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	m := k.mirror[place]
+	var keys []int64
+	for key, ver := range vers {
+		if v, ok := m[mirrorKey{from, key}]; ok && v == ver {
+			keys = append(keys, key)
+		}
+	}
+	slices.Sort(keys) // a deterministic wire order
+	for _, key := range keys {
+		delete(m, mirrorKey{from, key})
+		m[mirrorKey{to, key}] = vers[key]
+		k.rekeys[place] = append(k.rekeys[place], kernel.Rekey{From: from, To: to, Key: key})
+	}
+	return len(keys)
+}
+
+// unkeep forgets the entries a dispatch's re-keys claimed, when the
+// dispatch failed at the transport and the worker may never have applied
+// them: a mirror that claims less than a worker holds costs a re-ship,
+// one that claims more would serve a missing entry.
+func (k *kernDispatch) unkeep(place int, rekeys []kernel.Rekey) {
+	if len(rekeys) == 0 {
+		return
+	}
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	for _, r := range rekeys {
+		delete(k.mirror[place], mirrorKey{r.To, r.Key})
+	}
 }
 
 // dropHandle forgets a destroyed handle at every place of g: its entries
@@ -142,13 +189,15 @@ func (k *kernDispatch) dropHandle(handle uint64, g PlaceGroup) {
 	}
 }
 
-// takeDrops hands over the handles place's worker body has yet to drop.
-func (k *kernDispatch) takeDrops(place int) []uint64 {
+// takePending hands over the re-keys and dropped handles place's worker
+// body has yet to apply.
+func (k *kernDispatch) takePending(place int) ([]kernel.Rekey, []uint64) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	d := k.drops[place]
+	r, d := k.rekeys[place], k.drops[place]
+	delete(k.rekeys, place)
 	delete(k.drops, place)
-	return d
+	return r, d
 }
 
 // WorkerBody reports whether the task's own place is embodied by a worker
@@ -224,21 +273,26 @@ func (c *Ctx) ExecKernel(t *kernel.Task, inputs ...kernel.Input) (*kernel.Result
 
 	if c.WorkerBody() {
 		forced := t.Puts
-		t.Drops = k.takeDrops(place)
+		t.Rekeys, t.Drops = k.takePending(place)
 		for _, in := range inputs {
 			if !k.shipped(place, in.Handle, in.Key, in.Ver) {
 				t.Puts = append(t.Puts, kernel.Blob{Handle: in.Handle, Key: in.Key, Ver: in.Ver, Data: in.Encode()})
 			}
 		}
+		var putBytes int64
+		for _, b := range t.Puts {
+			putBytes += int64(len(b.Data))
+		}
 		res, err := k.ex.Exec(t)
 		// Exec borrows the blobs only until it returns, so the ones encoded
 		// for this dispatch go back to the pool now.
-		shipped := t.Puts
-		t.Puts, t.Drops = forced, nil
+		shipped, rekeys := t.Puts, t.Rekeys
+		t.Puts, t.Rekeys, t.Drops = forced, nil, nil
 		for _, b := range shipped[len(forced):] {
 			codec.PutBuffer(b.Data)
 		}
 		if err == nil {
+			rt.instr.kernelPutBytes.Add(putBytes)
 			if res.Err != "" {
 				return nil, kernelError(t, res)
 			}
@@ -247,6 +301,7 @@ func (c *Ctx) ExecKernel(t *kernel.Task, inputs ...kernel.Input) (*kernel.Result
 			rt.instr.workerExec.Inc()
 			return res, nil
 		}
+		k.unkeep(place, rekeys)
 		rt.instr.kernelFallback.Inc()
 		rt.cfg.Obs.Trace("apgas.kernel.fallback", int64(place), fallbackCause(err))
 	}

@@ -142,7 +142,7 @@ func newLedger(rt *Runtime) *ledger {
 // send delivers a bookkeeping event to the ledger, charging the network
 // model for the hop to place zero.
 func (l *ledger) send(ev ledgerEvent) {
-	l.rt.hop(ev.from, Place{ID: 0}, transport.ClassControl, 0, nil)
+	l.rt.hop(ev.from, Place{ID: 0}, transport.ClassControl, 0)
 	l.post(ev)
 }
 

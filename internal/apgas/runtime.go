@@ -146,6 +146,8 @@ type rtInstr struct {
 	workerExec      *obs.Counter   // apgas.tasks.worker_executed (kernels run in a worker body)
 	kernelLocal     *obs.Counter   // apgas.tasks.kernel_local (kernels run in-process: no worker body, or re-executed)
 	kernelFallback  *obs.Counter   // apgas.tasks.kernel_fallback (re-executed in-process because the worker's transport failed)
+	kernelPutBytes  *obs.Counter   // apgas.kernel.put_bytes (store bytes shipped to worker bodies by ExecKernel puts)
+	kernelRekeyed   *obs.Counter   // apgas.kernel.rekeyed (worker-resident entries kept across a Remake)
 
 	// Per-class transport accounting: apgas.transport.<class>.messages and
 	// apgas.transport.<class>.bytes, indexed by transport.Class. The legacy
@@ -173,6 +175,8 @@ func newRTInstr(reg *obs.Registry) rtInstr {
 		workerExec:      reg.Counter("apgas.tasks.worker_executed"),
 		kernelLocal:     reg.Counter("apgas.tasks.kernel_local"),
 		kernelFallback:  reg.Counter("apgas.tasks.kernel_fallback"),
+		kernelPutBytes:  reg.Counter("apgas.kernel.put_bytes"),
+		kernelRekeyed:   reg.Counter("apgas.kernel.rekeyed"),
 	}
 	for c := 0; c < transport.NumClasses; c++ {
 		name := transport.Class(c).String()
@@ -260,12 +264,11 @@ func (rt *Runtime) Transport() transport.Transport { return rt.tp }
 // TransportName returns the backend's identifier ("local", "tcp").
 func (rt *Runtime) TransportName() string { return rt.tp.Name() }
 
-// hop records one place-crossing message of the given class and payload
+// hop records one place-crossing message of the given class and declared
 // size in the activity counters and moves it through the transport.
 // Intra-place moves are free and uncounted, matching the emulation's cost
-// model. payload, when non-nil, is the real bytes to carry (checkpoint
-// replica traffic); declared-size traffic leaves it nil.
-func (rt *Runtime) hop(from, to Place, class transport.Class, bytes int, payload []byte) {
+// model.
+func (rt *Runtime) hop(from, to Place, class transport.Class, bytes int) {
 	if from.ID == to.ID {
 		return
 	}
@@ -276,20 +279,20 @@ func (rt *Runtime) hop(from, to Place, class transport.Class, bytes int, payload
 		rt.instr.bytes.Add(int64(bytes))
 		rt.instr.classBytes[class].Add(int64(bytes))
 	}
-	rt.charge(from, to, class, bytes, payload)
+	rt.charge(from, to, class, bytes)
 }
 
 // charge moves a message through the transport, blocking for its transfer
 // time and accounting it, without counting a message (used for the return
 // leg of an "at", which the stats model treats as part of the same hop).
-func (rt *Runtime) charge(from, to Place, class transport.Class, bytes int, payload []byte) {
+func (rt *Runtime) charge(from, to Place, class transport.Class, bytes int) {
 	if from.ID == to.ID {
 		return
 	}
 	// Send errors are not task-visible faults: a failed send to a dying
 	// place is answered by the failure detector feeding transportDeath,
 	// after which the dead-place machinery takes over.
-	d, _ := rt.tp.Send(from.ID, to.ID, class, bytes, payload)
+	d, _ := rt.tp.Send(from.ID, to.ID, class, bytes, nil)
 	if d > 0 {
 		rt.instr.netTime.Add(int64(d))
 	}
@@ -545,27 +548,20 @@ func (c *Ctx) CheckAlive() {
 // around bulk data movement so the simulated interconnect sees realistic
 // volumes.
 func (c *Ctx) Transfer(to Place, bytes int) {
-	c.rt.hop(c.Here, to, transport.ClassData, bytes, nil)
+	c.rt.hop(c.Here, to, transport.ClassData, bytes)
 }
 
-// TransferBytes moves a real payload from the task's place to place to,
-// tagged as checkpoint redundancy traffic. The snapshot layer's replica
-// and erasure-shard writes use it so a distributed backend carries the
-// actual bytes while the local emulation charges their size exactly as
-// Transfer would.
-func (c *Ctx) TransferBytes(to Place, data []byte) {
-	c.rt.hop(c.Here, to, transport.ClassSnapshot, len(data), data)
-}
-
-// TransferSnapshot charges checkpoint redundancy traffic by declared
-// size without handing the transport a payload. The snapshot layer's
-// save path uses it: the replica bytes ride a kernel task into the replica
-// place's worker process (where it has one) instead of a data frame, and
-// the apgas-level accounting (message count, bytes, snapshot class) stays
-// exactly what TransferBytes would have charged, so NetModel numbers are
-// invariant to which wire the payload physically took.
+// TransferSnapshot charges checkpoint redundancy traffic — a replica or
+// erasure shard written at save or by repair, or fetched by a restore —
+// by its declared size. Like every Send it hands the transport no bytes:
+// a DATA frame is footprint-only, because the process it reaches would
+// discard them (the snapshot's entries live at the coordinator). Where a
+// replica's bytes are worth having in a worker, the save path installs
+// them with a kernel task (Snapshot.warmReplica). The hop, class and byte
+// count are what the NetModel and the apgas counters see, so they are
+// invariant to which wire, if any, carried the payload.
 func (c *Ctx) TransferSnapshot(to Place, bytes int) {
-	c.rt.hop(c.Here, to, transport.ClassSnapshot, bytes, nil)
+	c.rt.hop(c.Here, to, transport.ClassSnapshot, bytes)
 }
 
 // At runs fn synchronously at place p, like X10's "at (p) S" executed from
@@ -575,7 +571,7 @@ func (c *Ctx) TransferSnapshot(to Place, bytes int) {
 func (c *Ctx) At(p Place, fn func(ctx *Ctx)) {
 	rt := c.rt
 	pl := rt.placeState(p)
-	rt.hop(c.Here, p, transport.ClassTask, 0, nil)
+	rt.hop(c.Here, p, transport.ClassTask, 0)
 	pl.checkAlive()
 	sub := &Ctx{rt: rt, Here: p, fin: c.fin}
 	// The sub-activity's buffered forks must reach the shard even if fn
@@ -583,7 +579,7 @@ func (c *Ctx) At(p Place, fn func(ctx *Ctx)) {
 	defer sub.flushForks()
 	fn(sub)
 	// Returning from "at" is itself a message back to the origin.
-	rt.charge(p, c.Here, transport.ClassTask, 0, nil)
+	rt.charge(p, c.Here, transport.ClassTask, 0)
 	pl.checkAlive()
 }
 

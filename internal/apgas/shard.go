@@ -230,7 +230,7 @@ func newLedgerShard(rt *Runtime, home int) *ledgerShard {
 // send charges the network model for the hop to the shard's home place and
 // enqueues the event, counting (then waiting out) a saturated queue.
 func (sh *ledgerShard) send(ev ledgerEvent) {
-	sh.rt.hop(ev.from, Place{ID: sh.home}, transport.ClassControl, 0, nil)
+	sh.rt.hop(ev.from, Place{ID: sh.home}, transport.ClassControl, 0)
 	sh.post(ev)
 }
 

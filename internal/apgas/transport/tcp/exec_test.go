@@ -404,8 +404,9 @@ func TestStalledWorkerSurfacesAsConnLost(t *testing.T) {
 	defer tr.Close()
 
 	// Fill the socket buffers until a write would block, from two
-	// goroutines using both planes: each must see its call fail, and
-	// within a few timeouts.
+	// goroutines using both planes — footprint DATA frames and TASK frames
+	// carrying 4 MiB puts: each must see its call fail, and within a few
+	// timeouts.
 	payload := make([]byte, 4<<20)
 	errs := make(chan error, 2)
 	call := func(fn func() error) {
@@ -423,7 +424,7 @@ func TestStalledWorkerSurfacesAsConnLost(t *testing.T) {
 		errs <- nil
 	}
 	go call(func() error {
-		_, err := tr.Send(0, 1, transport.ClassSnapshot, len(payload), payload)
+		_, err := tr.Send(0, 1, transport.ClassSnapshot, len(payload), nil)
 		return err
 	})
 	go call(func() error {

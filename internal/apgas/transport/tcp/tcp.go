@@ -24,9 +24,12 @@
 // re-execute the kernel in-process, which is bit-identical because
 // kernels are pure; a kernel-level failure comes back in the RESULT
 // frame and is the caller's error. Closure-based tasks that never
-// registered a kernel still execute at the coordinator with a
-// footprint-only DATA frame on the wire. DESIGN.md §14 spells out this
-// boundary.
+// registered a kernel still execute at the coordinator, and every other
+// runtime message — task spawns, finish bookkeeping, bulk data and
+// checkpoint traffic alike — is a DATA frame carrying its class and
+// declared size and no bytes: the snapshot store lives at the
+// coordinator, so a payload sent to a worker would only be discarded.
+// DESIGN.md §14 spells out this boundary.
 //
 // The workers also provide the real failure domain: a worker process
 // dying (killed, crashed, unplugged) is a genuine fail-stop detected by
@@ -483,15 +486,18 @@ func (t *Transport) placeDead(place int, cause transport.DeathCause) {
 	}
 }
 
-// Send implements transport.Transport. With the data plane
-// coordinator-resident, every logical hop between places a and b is
-// realized as one frame on the wire of the non-coordinator endpoint
-// (a↔0 traffic rides a's own wire; a↔b traffic rides b's), so wire
-// volume tracks the logical traffic a fully distributed backend would
-// carry. Sends are fire-and-forget: TCP's per-connection FIFO provides
-// the ordering guarantee for control messages, and delivery to a dying
-// place is reported by the failure detector, not the send path.
+// Send implements transport.Transport. Every logical hop between places
+// a and b is realized as one footprint-only DATA frame on the wire of the
+// non-coordinator endpoint (a↔0 traffic rides a's own wire; a↔b traffic
+// rides b's), declaring the message's class and size. A non-nil payload
+// is an error: bytes a worker keeps travel in kernel tasks (Exec). Sends
+// are fire-and-forget: TCP's per-connection FIFO provides the ordering
+// guarantee for control messages, and delivery to a dying place is
+// reported by the failure detector, not the send path.
 func (t *Transport) Send(from, to int, class transport.Class, size int, payload []byte) (time.Duration, error) {
+	if payload != nil {
+		return 0, fmt.Errorf("tcp: Send with a %d-byte payload: DATA frames are footprint-only", len(payload))
+	}
 	if from == to {
 		return 0, nil
 	}
@@ -514,12 +520,11 @@ func (t *Transport) Send(from, to int, class transport.Class, size int, payload 
 	}
 	start := time.Now()
 	f := frame{
-		Type:    fData,
-		From:    int32(from),
-		To:      int32(to),
-		Class:   uint8(class),
-		Size:    int64(size),
-		Payload: payload,
+		Type:  fData,
+		From:  int32(from),
+		To:    int32(to),
+		Class: uint8(class),
+		Size:  int64(size),
 	}
 	n, err := fc.write(&f)
 	if err != nil {
@@ -527,9 +532,9 @@ func (t *Transport) Send(from, to int, class transport.Class, size int, payload 
 		return 0, fmt.Errorf("tcp: send to place %d: %w", ep, err)
 	}
 	t.instr.frames.Inc()
-	// wireBytes is the frame's real footprint (prefix + frame, which
-	// also carries From/To/Class/Size and any payload) as reported by
-	// write; the declared logical size — what the NetModel accounts —
+	// wireBytes is the frame's real footprint (prefix + header, which
+	// carries From/To/Class/Size) as reported by write; the declared
+	// logical size — what the NetModel accounts —
 	// lands in its own counter so the two stay comparable but distinct.
 	t.instr.wireBytes.Add(int64(n))
 	t.instr.logicalBytes.Add(int64(4 + size))

@@ -55,8 +55,12 @@ func TestStartSendClose(t *testing.T) {
 		}
 	}
 	// Worker-to-worker traffic rides the non-coordinator endpoint's wire.
-	if _, err := tr.Send(1, 2, transport.ClassSnapshot, 5, []byte("hello")); err != nil {
+	if _, err := tr.Send(1, 2, transport.ClassSnapshot, 5, nil); err != nil {
 		t.Fatalf("Send(1->2): %v", err)
+	}
+	// DATA frames are footprint-only: a payload is refused, not carried.
+	if _, err := tr.Send(1, 2, transport.ClassSnapshot, 5, []byte("hello")); err == nil {
+		t.Fatal("Send with a payload succeeded; want an error")
 	}
 	// Intra-place is free.
 	if d, err := tr.Send(2, 2, transport.ClassData, 1<<20, nil); err != nil || d != 0 {

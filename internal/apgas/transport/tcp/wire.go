@@ -13,7 +13,7 @@ import (
 	"github.com/rgml/rgml/internal/codec"
 )
 
-// Wire format v3: every message, of all seven types, is one flat frame,
+// Wire format v4: every message, of all seven types, is one flat frame,
 // little-endian throughout.
 //
 //	prefix  u32  bytes that follow (≤ maxFrameLen)
@@ -25,7 +25,9 @@ import (
 //	blobs   the blob bytes, back to back
 //
 // Blobs are the bulk payloads — a task's Puts[i].Data and Payload, a
-// result's Frames and Payload, a data frame's Payload. The sender never
+// result's Frames and Payload. Only those two frame types carry meta or
+// blobs; every other frame, fData included, is its header alone, and a
+// reader rejects one that declares either. The sender never
 // copies them: one vectored write takes header, meta and table from a
 // per-connection scratch buffer and each blob from the caller's own
 // slice. The receiver reads each into a codec.GetBuffer buffer that
@@ -40,8 +42,10 @@ const maxFrameLen = 1 << 28 // 256 MiB
 // handshake; the coordinator rejects a hello that does not declare it.
 // Version 3 replaced the length-prefixed gob stream of version 2, whose
 // hello does not even parse as a v3 frame (its big-endian length reads as
-// an oversized little-endian one) and is rejected the same way.
-const wireVersion = 3
+// an oversized little-endian one) and is rejected the same way. Version 4
+// added the task's re-key table (kernel.Task.Rekeys) to the task meta and
+// made fData frames footprint-only; its framing is v3's.
+const wireVersion = 4
 
 // frameType discriminates the messages crossing a coordinator-worker
 // connection.
@@ -53,8 +57,8 @@ const (
 	fHello frameType = iota + 1
 	// fHeartbeat is the worker's periodic liveness beacon.
 	fHeartbeat
-	// fData carries one runtime message: class-tagged, with a declared
-	// size and (for checkpoint redundancy traffic) the real payload.
+	// fData carries the footprint of one runtime message: its class and
+	// declared size, never its bytes.
 	fData
 	// fKill tells a worker to fail-stop immediately (administrative kill).
 	fKill
@@ -97,16 +101,12 @@ type frame struct {
 	Class uint8
 	// Ver is the wire-format version, meaningful only on fHello.
 	Ver uint32
-	// Size is the declared payload volume of a data frame; most runtime
-	// traffic declares size without carrying bytes, so Size is
-	// accounting, not len(Payload).
+	// Size is the declared payload volume of a data frame: accounting
+	// only, since no data frame carries bytes.
 	Size int64
 	// Seq pairs an fResult with the fTask it answers; unique per
 	// coordinator run.
 	Seq uint64
-	// Payload is the real bytes, when the message carries them
-	// (checkpoint replica traffic).
-	Payload []byte
 	// Task is the kernel invocation of an fTask frame.
 	Task *kernel.Task
 	// Result is the kernel outcome of an fResult frame.
@@ -136,9 +136,6 @@ type frameConn struct {
 	// wtimeout bounds how long one frame may sit in write before the peer
 	// counts as gone (see writeFloor).
 	wtimeout time.Duration
-	// dropData makes read discard fData payloads instead of materialising
-	// them: a worker's whole contract for runtime traffic is to drain it.
-	dropData bool
 
 	wmu  sync.Mutex
 	wbuf []byte   // prefix + header + meta + blob table of the frame being written
@@ -169,10 +166,6 @@ func (fc *frameConn) write(f *frame) (int, error) {
 		b, vec = f.Task.AppendWire(b, vec)
 	case fResult:
 		b, vec = f.Result.AppendWire(b, vec)
-	default:
-		if len(f.Payload) > 0 {
-			vec = append(vec, f.Payload)
-		}
 	}
 	blobs := vec[1:]
 	metaLen := len(b) - 4 - headerLen
@@ -252,6 +245,9 @@ func (fc *frameConn) read(f *frame) (int, error) {
 		Size:  int64(le.Uint64(hdr[20:])),
 		Seq:   le.Uint64(hdr[28:]),
 	}
+	if f.Type != fTask && f.Type != fResult && (metaLen != 0 || nblobs != 0) {
+		return 0, fmt.Errorf("tcp: %v frame with %d meta bytes and %d blobs", f.Type, metaLen, nblobs)
+	}
 	if need := int(metaLen + 4*nblobs); cap(fc.rbuf) < need {
 		fc.rbuf = make([]byte, need)
 	}
@@ -265,10 +261,6 @@ func (fc *frameConn) read(f *frame) (int, error) {
 	}
 	if declared != blobBytes {
 		return 0, fmt.Errorf("tcp: %v frame declares %d blob bytes, its length leaves %d", f.Type, declared, blobBytes)
-	}
-	if f.Type == fData && fc.dropData {
-		_, err := fc.r.Discard(int(blobBytes))
-		return 4 + int(total), noEOF(err)
 	}
 	var blobs [][]byte
 	if nblobs > 0 {
@@ -290,12 +282,6 @@ func (fc *frameConn) read(f *frame) (int, error) {
 		f.Task, err = kernel.DecodeTask(meta, blobs)
 	case fResult:
 		f.Result, err = kernel.DecodeResult(meta, blobs, true)
-	default:
-		if metaLen != 0 || len(blobs) > 1 {
-			err = fmt.Errorf("tcp: %v frame with %d meta bytes and %d blobs", f.Type, metaLen, len(blobs))
-		} else if len(blobs) == 1 {
-			f.Payload = blobs[0]
-		}
 	}
 	if err != nil {
 		return 0, err

@@ -65,21 +65,23 @@ func encodeFrames(t testing.TB, frames ...*frame) ([]byte, []int) {
 }
 
 // testFrames is a representative mixed sequence: handshake, beats, data
-// with and without payload, a kernel task with puts, and its result.
+// footprints of two classes, a kernel task with puts, re-keys and drops,
+// and its result.
 func testFrames() []*frame {
 	task := &kernel.Task{
-		Name:  "wiretest.noop",
-		I64:   []int64{1, 2, 3},
-		F64:   []float64{0.5, 0.25},
-		Refs:  []kernel.Ref{{Handle: 7, Key: 0, Ver: 3}},
-		Puts:  []kernel.Blob{{Handle: 7, Key: 0, Ver: 3, Data: []byte("payload")}},
-		Drops: []uint64{5, 6},
+		Name:   "wiretest.noop",
+		I64:    []int64{1, 2, 3},
+		F64:    []float64{0.5, 0.25},
+		Refs:   []kernel.Ref{{Handle: 7, Key: 0, Ver: 3}},
+		Puts:   []kernel.Blob{{Handle: 7, Key: 0, Ver: 3, Data: []byte("payload")}},
+		Rekeys: []kernel.Rekey{{From: 4, To: 7, Key: 2}, {From: 4, To: 7, Key: -1}},
+		Drops:  []uint64{5, 6},
 	}
 	return []*frame{
 		{Type: fHello, From: 1, Ver: wireVersion},
 		{Type: fHeartbeat, From: 1},
 		{Type: fData, From: 0, To: 1, Class: 2, Size: 4096},
-		{Type: fData, From: 1, To: 2, Class: 3, Size: 11, Payload: []byte("hello world")},
+		{Type: fData, From: 1, To: 2, Class: 3, Size: 11},
 		{Type: fTask, To: 1, Seq: 1, Task: task},
 		{Type: fResult, From: 1, Seq: 1, Result: &kernel.Result{F64: []float64{1, 2}}},
 		{Type: fHeartbeat, From: 1},
@@ -92,7 +94,7 @@ func testFrames() []*frame {
 
 // randomFrame draws a frame of the given type with nblobs blobs where the
 // type can carry them (task and result: nblobs-1 puts or frames plus the
-// payload; data: at most the payload). Blob sizes include empty, one
+// payload; no other type carries any). Blob sizes include empty, one
 // byte, and sizes either side of the reader's buffer.
 func randomFrame(rng *rand.Rand, typ frameType, nblobs int) *frame {
 	blob := func() []byte {
@@ -112,6 +114,7 @@ func randomFrame(rng *rand.Rand, typ frameType, nblobs int) *frame {
 			t.I64 = append(t.I64, -rng.Int63())
 			t.F64 = append(t.F64, rng.NormFloat64())
 			t.Refs = append(t.Refs, kernel.Ref{Handle: rng.Uint64(), Key: -rng.Int63(), Ver: rng.Uint64()})
+			t.Rekeys = append(t.Rekeys, kernel.Rekey{From: rng.Uint64(), To: rng.Uint64(), Key: -rng.Int63()})
 			t.Drops = append(t.Drops, rng.Uint64())
 		}
 		for i := 1; i < nblobs; i++ {
@@ -127,10 +130,6 @@ func randomFrame(rng *rand.Rand, typ frameType, nblobs int) *frame {
 			r.Frames = append(r.Frames, blob())
 		}
 		f.Result = r
-	case fData:
-		if nblobs > 0 {
-			f.Payload = blob()
-		}
 	}
 	return f
 }
@@ -145,7 +144,6 @@ func normalize(f *frame) *frame {
 		return b
 	}
 	g := *f
-	g.Payload = nilIfEmpty(g.Payload)
 	if f.Task != nil {
 		t := *f.Task
 		t.Payload = nilIfEmpty(t.Payload)
@@ -195,11 +193,12 @@ func TestWireFootprintSenderEqualsReceiver(t *testing.T) {
 	if sum != len(data) {
 		t.Fatalf("frames account for %d bytes, %d crossed the wire", sum, len(data))
 	}
-	// A payload-bearing frame costs its payload plus a fixed, small
-	// overhead: no per-byte encoding tax.
-	big := &frame{Type: fData, Payload: make([]byte, 1<<20)}
-	if _, ns := encodeFrames(t, big); ns[0] > len(big.Payload)+4+headerLen+4 {
-		t.Fatalf("1 MiB data frame costs %d bytes on the wire", ns[0])
+	// A blob-bearing frame costs its blobs plus a fixed, small overhead:
+	// no per-byte encoding tax.
+	blob := make([]byte, 1<<20)
+	big := &frame{Type: fTask, Task: &kernel.Task{Name: "wiretest.big", Puts: []kernel.Blob{{Data: blob}}}}
+	if _, ns := encodeFrames(t, big); ns[0] > len(blob)+4+headerLen+256 {
+		t.Fatalf("task frame with a 1 MiB put costs %d bytes on the wire", ns[0])
 	}
 }
 
@@ -240,21 +239,28 @@ func TestWireRoundTripPreservesFrames(t *testing.T) {
 	}
 }
 
-// TestWireDropDataDiscardsPayload pins what a worker does with runtime
-// traffic: the payload of a data frame is skipped, never materialised,
-// the footprint still counts it, and the stream stays in step.
-func TestWireDropDataDiscardsPayload(t *testing.T) {
-	data, wrote := encodeFrames(t,
-		&frame{Type: fData, Size: 100000, Payload: make([]byte, 100000)},
-		&frame{Type: fHeartbeat, From: 4})
-	fc := decoderOver(data)
-	fc.dropData = true
-	var f frame
-	if n, err := fc.read(&f); err != nil || n != wrote[0] || f.Type != fData || f.Size != 100000 || f.Payload != nil {
-		t.Fatalf("dropData read = %d bytes, %v, frame %+v; want %d bytes, header only", n, err, f, wrote[0])
+// TestWireDataFrameWithBlobIsDecodeError pins that DATA frames are
+// footprint-only: the writer has no way to attach bytes to one, and a
+// reader rejects a well-formed data frame that declares a blob — it is
+// not a payload to skip — before reading the blob's bytes.
+func TestWireDataFrameWithBlobIsDecodeError(t *testing.T) {
+	data, wrote := encodeFrames(t, &frame{Type: fData, Class: 3, Size: 100000})
+	if wrote[0] != 4+headerLen {
+		t.Fatalf("data frame footprint %d, want the bare header %d", wrote[0], 4+headerLen)
 	}
-	if _, err := fc.read(&f); err != nil || f.Type != fHeartbeat || f.From != 4 {
-		t.Fatalf("frame after a discarded payload = %+v, %v", f, err)
+	le := binary.LittleEndian
+	const n = 100000
+	withBlob := append([]byte(nil), data...)
+	le.PutUint32(withBlob[0:], uint32(headerLen+4+n))
+	le.PutUint16(withBlob[6:], 1)
+	withBlob = le.AppendUint32(withBlob, n)
+	withBlob = append(withBlob, make([]byte, n)...)
+	var f frame
+	if _, err := decoderOver(withBlob).read(&f); err == nil || err == io.EOF {
+		t.Fatalf("data frame with a %d-byte blob: read = %v, want a decode error", n, err)
+	}
+	if _, err := decoderOver(data).read(&f); err != nil || f.Type != fData || f.Size != n {
+		t.Fatalf("bare data frame: read %+v, %v", f, err)
 	}
 }
 
@@ -311,7 +317,9 @@ func TestWireRejectsOversizeBeforeAllocating(t *testing.T) {
 		"blob longer than the frame":      header(headerLen+4+10, fData, 1, 0, 1<<30),
 		"blobs sum past the frame":        header(headerLen+8+10, fTask, 2, 0, 6, 6),
 		"blobs sum short of the frame":    header(headerLen+4+10, fData, 1, 0, 9),
+		"a blob on a data frame":          append(header(headerLen+4+1, fData, 1, 0, 1), 7),
 		"two blobs on a data frame":       append(header(headerLen+8+2, fData, 2, 0, 1, 1), 7, 7),
+		"meta on a heartbeat":             append(header(headerLen+1, fHeartbeat, 0, 1), 7),
 		"blob count beyond the task meta": append(header(headerLen+8+2, fTask, 2, 0, 1, 1), 7, 7),
 	}
 	for name, data := range cases {
@@ -328,7 +336,7 @@ func TestWireRejectsOversizeBeforeAllocating(t *testing.T) {
 	before := ms.TotalAlloc
 	for i := 0; i < 4; i++ {
 		var f frame
-		if _, err := decoderOver(header(headerLen+4+big-1, fData, 1, 0, big)).read(&f); err == nil {
+		if _, err := decoderOver(header(headerLen+4+big-1, fResult, 1, 0, big)).read(&f); err == nil {
 			t.Fatal("inconsistent 256 MiB blob accepted")
 		}
 	}
@@ -395,7 +403,7 @@ func TestWriteDeadlineBreaksStalledConnection(t *testing.T) {
 	defer b.Close()
 	fc := newFrameConn(a, 50*time.Millisecond)
 	start := time.Now()
-	_, err := fc.write(&frame{Type: fData, Payload: make([]byte, 1<<16)})
+	_, err := fc.write(&frame{Type: fTask, Task: &kernel.Task{Name: "wiretest.stall", Puts: []kernel.Blob{{Data: make([]byte, 1<<16)}}}})
 	var ne net.Error
 	if !errors.As(err, &ne) || !ne.Timeout() {
 		t.Fatalf("write to a stalled peer = %v, want a timeout", err)
@@ -429,6 +437,10 @@ func TestHelloVersionRejected(t *testing.T) {
 	stale := map[string]func(conn net.Conn) error{
 		"v3 framing, version 2": func(conn net.Conn) error {
 			_, err := newFrameConn(conn, time.Second).write(&frame{Type: fHello, From: 1, Ver: 2})
+			return err
+		},
+		"v3 framing, version 3 (tasks without re-keys)": func(conn net.Conn) error {
+			_, err := newFrameConn(conn, time.Second).write(&frame{Type: fHello, From: 1, Ver: 3})
 			return err
 		},
 		"v2 framing (big-endian length, gob body)": func(conn net.Conn) error {

@@ -75,7 +75,6 @@ func ServeWorker(addr string, place int, interval, timeout time.Duration) error 
 	}
 	fc := newFrameConn(conn, timeout)
 	defer fc.close()
-	fc.dropData = true
 	if _, err := fc.write(&frame{Type: fHello, From: int32(place), Ver: wireVersion}); err != nil {
 		return fmt.Errorf("tcp: hello: %w", err)
 	}
@@ -122,10 +121,9 @@ func ServeWorker(addr string, place int, interval, timeout time.Duration) error 
 		case fTask:
 			tasks <- f
 		case fData:
-			// Traffic addressed to this place that carries no kernel:
-			// the wire realization of coordinator-resident task bodies.
-			// Draining it is the whole contract, and read already
-			// discarded the payload unmaterialised (dropData).
+			// The footprint of a coordinator-resident task body's traffic
+			// to this place: a header and nothing else, so draining it is
+			// the whole contract.
 		}
 	}
 }

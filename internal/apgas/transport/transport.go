@@ -55,8 +55,8 @@ const (
 	// (Ctx.Transfer): collective gathers, broadcasts, reductions.
 	ClassData
 	// ClassSnapshot is checkpoint redundancy traffic: replica and erasure
-	// shard payloads moving between a snapshot's owner and its backups.
-	// Unlike the other classes it usually carries the real bytes.
+	// shard payloads moving between a snapshot's owner and its backups,
+	// declared by size like every other class.
 	ClassSnapshot
 
 	// NumClasses bounds the Class space for per-class counter arrays.
@@ -139,9 +139,11 @@ type Transport interface {
 	// Send moves one message of the given class from place from to place
 	// to, blocking the caller for the transfer's duration, and returns
 	// that duration (simulated for the local backend, measured wire time
-	// for a real one). size declares the payload volume for accounting;
-	// payload, when non-nil, is the real bytes to carry (checkpoint
-	// replica traffic supplies it; declared-size traffic leaves it nil).
+	// for a real one). size declares the payload volume for accounting.
+	// The runtime always passes a nil payload: every message is a
+	// footprint, and bytes a worker should keep travel in kernel tasks
+	// (Executor). The parameter remains for implementations outside this
+	// module; the tcp backend rejects a non-nil payload.
 	// Intra-place sends (from == to) are free and return immediately.
 	// A Send to a dead or unknown place returns an error; callers treat
 	// that as "the failure detector will tell the runtime", not as a

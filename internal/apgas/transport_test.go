@@ -99,7 +99,7 @@ func TestTransportSeamTrafficAndLifecycle(t *testing.T) {
 	err = rt.Finish(func(ctx *apgas.Ctx) {
 		ctx.AsyncAt(rt.Place(1), func(c *apgas.Ctx) {
 			c.Transfer(rt.Place(2), 512)
-			c.TransferBytes(rt.Place(2), []byte("snap"))
+			c.TransferSnapshot(rt.Place(2), 4)
 		})
 	})
 	if err != nil {
@@ -108,10 +108,13 @@ func TestTransportSeamTrafficAndLifecycle(t *testing.T) {
 
 	ft.mu.Lock()
 	var byClass [transport.NumClasses]int
-	var sawPayload bool
+	var sawSnapshot, sawPayload bool
 	for _, s := range ft.sends {
 		byClass[s.class]++
-		if s.class == transport.ClassSnapshot && string(s.payload) == "snap" && s.size == 4 {
+		if s.class == transport.ClassSnapshot && s.size == 4 && s.from == 1 && s.to == 2 {
+			sawSnapshot = true
+		}
+		if s.payload != nil {
 			sawPayload = true
 		}
 	}
@@ -125,8 +128,11 @@ func TestTransportSeamTrafficAndLifecycle(t *testing.T) {
 	if byClass[transport.ClassData] != 1 {
 		t.Fatalf("ClassData sends = %d, want 1", byClass[transport.ClassData])
 	}
-	if !sawPayload {
-		t.Fatal("TransferBytes payload did not reach the transport")
+	if !sawSnapshot {
+		t.Fatal("TransferSnapshot did not reach the seam as a 4-byte snapshot-class send from place 1 to 2")
+	}
+	if sawPayload {
+		t.Fatal("a send reached the seam with a payload; every message is declared by size")
 	}
 	// Per-class obs counters mirror what crossed.
 	if got := reg.Counter("apgas.transport.data.bytes").Value(); got != 512 {

@@ -149,7 +149,7 @@ func (c Config) chaosReference(spec ChaosSpec) (la.Vector, error) {
 	if err := exec.Run(app); err != nil {
 		return nil, err
 	}
-	v, err := finalIterate(app)
+	v, err := apps.FinalIterate(app)
 	if err != nil {
 		return nil, err
 	}
@@ -207,7 +207,7 @@ func (c Config) chaosRun(spec ChaosSpec, sched chaos.Schedule, seed uint64, time
 		return fail(runErr)
 	}
 	run.Survived = true
-	got, err := finalIterate(app)
+	got, err := apps.FinalIterate(app)
 	if err != nil {
 		return fail(err)
 	}
@@ -216,20 +216,6 @@ func (c Config) chaosRun(spec ChaosSpec, sched chaos.Schedule, seed uint64, time
 		run.Error = "final iterate diverged from failure-free reference"
 	}
 	return run
-}
-
-// finalIterate extracts the application's converged state: the model
-// weights for the regressions, the rank vector for PageRank.
-func finalIterate(app core.IterativeApp) (la.Vector, error) {
-	switch a := app.(type) {
-	case *apps.LinReg:
-		return a.Weights()
-	case *apps.LogReg:
-		return a.Weights()
-	case *apps.PageRank:
-		return a.Ranks()
-	}
-	return nil, fmt.Errorf("bench: no final-iterate accessor for %T", app)
 }
 
 // iteratesMatch compares a run's final iterate against the reference. The

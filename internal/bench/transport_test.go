@@ -3,14 +3,18 @@ package bench
 import (
 	"math"
 	"os"
+	"slices"
 	"testing"
 	"time"
 
 	"github.com/rgml/rgml/internal/apgas"
 	"github.com/rgml/rgml/internal/apgas/transport"
 	"github.com/rgml/rgml/internal/apgas/transport/tcp"
+	"github.com/rgml/rgml/internal/apps"
+	"github.com/rgml/rgml/internal/block"
 	"github.com/rgml/rgml/internal/chaos"
 	"github.com/rgml/rgml/internal/core"
+	"github.com/rgml/rgml/internal/dist"
 	"github.com/rgml/rgml/internal/la"
 	"github.com/rgml/rgml/internal/obs"
 )
@@ -90,9 +94,9 @@ func runChaosSchedule(t *testing.T, factory func() (transport.Transport, error),
 	if err := exec.Run(app); err != nil {
 		t.Fatalf("run (transport %s): %v", rt.TransportName(), err)
 	}
-	w, err := finalIterate(app)
+	w, err := apps.FinalIterate(app)
 	if err != nil {
-		t.Fatalf("finalIterate: %v", err)
+		t.Fatalf("FinalIterate: %v", err)
 	}
 	st := rt.Stats()
 	return backendRun{
@@ -196,9 +200,9 @@ func runWithKill(t *testing.T, factory func() (transport.Transport, error), kill
 	if exec.Metrics().Restores == 0 {
 		t.Fatalf("no restore happened (transport %s)", rt.TransportName())
 	}
-	w, err := finalIterate(app)
+	w, err := apps.FinalIterate(app)
 	if err != nil {
-		t.Fatalf("finalIterate: %v", err)
+		t.Fatalf("FinalIterate: %v", err)
 	}
 	st := rt.Stats()
 	return backendRun{
@@ -268,5 +272,113 @@ func TestRealProcessKillMatchesLocalChaosKill(t *testing.T) {
 		if local.bits[i] != over.bits[i] {
 			t.Fatalf("final iterate diverges at [%d]: %#x vs %#x", i, local.bits[i], over.bits[i])
 		}
+	}
+}
+
+// restoreMeter wraps an application and records how many bytes the
+// coordinator's tcp wire counted during each of its Restore calls.
+type restoreMeter struct {
+	core.IterativeApp
+	wire     *obs.Counter
+	restores []int64
+}
+
+func (m *restoreMeter) Restore(pg apgas.PlaceGroup, store *core.AppResilientStore, iter int64, rebalance bool) error {
+	before := m.wire.Value()
+	err := m.IterativeApp.Restore(pg, store, iter, rebalance)
+	m.restores = append(m.restores, m.wire.Value()-before)
+	return err
+}
+
+// pageRankRestoreRun runs PageRank over 3 places with checkpoints every 2
+// iterations and, when kill is set, place 2 killed after iteration 3 and
+// replaced elastically. It returns the final ranks and the tcp wire bytes
+// of each Restore (none on the local backend).
+func pageRankRestoreRun(t *testing.T, overTCP bool, cfg apps.PageRankConfig, kill bool) (la.Vector, []int64) {
+	t.Helper()
+	reg := obs.NewRegistry()
+	opts := []apgas.Option{apgas.WithPlaces(3), apgas.WithResilient(true), apgas.WithObs(reg)}
+	if overTCP {
+		opts = append(opts, apgas.WithTransport(tcp.New(tcp.WithHeartbeat(25*time.Millisecond, 2*time.Second), tcp.WithObs(reg))))
+	}
+	rt, err := apgas.New(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Shutdown()
+	killed := !kill
+	exec, err := core.New(rt,
+		core.WithCheckpointInterval(2),
+		core.WithRestoreMode(core.ReplaceElastic),
+		core.WithAfterStep(func(iter int64) {
+			if !killed && iter == 3 {
+				killed = true
+				if err := rt.Kill(rt.Place(2)); err != nil {
+					t.Errorf("kill: %v", err)
+				}
+			}
+		}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := apps.NewPageRank(rt, cfg, exec.ActiveGroup())
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := &restoreMeter{IterativeApp: pr, wire: reg.Counter("transport.tcp.wire_bytes")}
+	if err := exec.Run(app); err != nil {
+		t.Fatalf("run (transport %s): %v", rt.TransportName(), err)
+	}
+	if n := exec.Metrics().Restores; kill && (n != 1 || len(app.restores) != 1) {
+		t.Fatalf("%d restores, %d Restore calls; want 1 each", n, len(app.restores))
+	}
+	ranks, err := pr.Ranks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ranks, app.restores
+}
+
+// TestTCPRestoreWritesNoDiscardedPayload pins what a restore sends its
+// workers on tcp: the replica fetches, shard reads and repair copies are
+// charged by size in footprint-only DATA frames, so the coordinator's wire
+// carries less during the whole Restore than one block of G — where it
+// used to carry every fetched entry's bytes to a worker that threw them
+// away. The recovered ranks are bitwise the failure-free local run's.
+func TestTCPRestoreWritesNoDiscardedPayload(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	cfg := apps.PageRankConfig{Nodes: 3 * 400, OutDegree: 8, Iterations: 8, Seed: 7}
+	want, _ := pageRankRestoreRun(t, false, cfg, false)
+	got, restores := pageRankRestoreRun(t, true, cfg, true)
+	if !slices.Equal(vectorBits(got), vectorBits(want)) {
+		t.Fatal("recovered tcp ranks differ from the failure-free local run")
+	}
+
+	// The smallest encoded block of the same G.
+	rt, err := apgas.New(apgas.WithPlaces(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Shutdown()
+	g, err := dist.MakeDistBlockMatrix(rt, block.Sparse, cfg.Nodes, cfg.Nodes, 3, 1, 3, 1, rt.World())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.InitSparseColumns(apps.LinkData{Seed: cfg.Seed, Nodes: cfg.Nodes, OutDegree: cfg.OutDegree}.Column); err != nil {
+		t.Fatal(err)
+	}
+	sizes := make([]int, 3)
+	if err := apgas.ForEachPlace(rt, rt.World(), func(ctx *apgas.Ctx, idx int) {
+		g.LocalBlocks(ctx).Each(func(_ int, b *block.MatrixBlock) { sizes[idx] = b.EncodedSize() })
+	}); err != nil {
+		t.Fatal(err)
+	}
+	blockBytes := int64(slices.Min(sizes))
+	t.Logf("wire bytes during Restore: %d; smallest G block: %d bytes", restores[0], blockBytes)
+	if restores[0] >= blockBytes {
+		t.Fatalf("the coordinator's wire carried %d bytes during Restore, not below one %d-byte block of G", restores[0], blockBytes)
 	}
 }

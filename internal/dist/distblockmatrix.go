@@ -98,8 +98,13 @@ func (m *DistBlockMatrix) alloc() error {
 // payload allocations and are flagged for partial restore, which
 // validates them against the snapshot instead of re-loading them. Fresh
 // places, and blocks whose owner changed, get zeroed blocks as before.
+// A retained block is the same object at the same place, so the new
+// handle inherits the copy its worker body holds (Inherit): the first
+// MultVec after a restore ships a survivor only what changed — a block
+// the restore reloaded has moved its version (DecodeIntoC touches it).
 func (m *DistBlockMatrix) allocReusing(old apgas.PlaceLocalHandle[*block.BlockSet], retained *obs.Counter) error {
 	reuse := old.Valid()
+	keep := make([]map[int64]uint64, m.pg.Size())
 	plh, err := apgas.NewPlaceLocalHandle(m.rt, m.pg, func(ctx *apgas.Ctx, idx int) *block.BlockSet {
 		bs := block.NewBlockSet()
 		var prev *block.BlockSet
@@ -113,6 +118,12 @@ func (m *DistBlockMatrix) allocReusing(old apgas.PlaceLocalHandle[*block.BlockSe
 					ob.Retained = true
 					retained.Inc()
 					bs.Add(id, ob)
+					if ctx.WorkerBody() {
+						if keep[idx] == nil {
+							keep[idx] = make(map[int64]uint64)
+						}
+						keep[idx][int64(id)] = ob.Ver
+					}
 					continue
 				}
 			}
@@ -126,6 +137,9 @@ func (m *DistBlockMatrix) allocReusing(old apgas.PlaceLocalHandle[*block.BlockSe
 	})
 	if err != nil {
 		return err
+	}
+	for idx, vers := range keep {
+		plh.Inherit(old, m.pg[idx], vers)
 	}
 	m.plh = plh
 	return nil

@@ -409,6 +409,48 @@ func TestMultVecKernelSurvivesExecFailure(t *testing.T) {
 	}
 }
 
+// TestRekeyLostToFailedDispatchIsForgotten: the re-keys a Remake queues
+// for a worker ride the next dispatch there. When that dispatch fails at
+// the transport, the mirror must stop claiming the re-keyed blocks —
+// otherwise the next MultVec would reference blocks the worker never
+// re-keyed and fail — so the blocks are shipped again instead.
+func TestRekeyLostToFailedDispatchIsForgotten(t *testing.T) {
+	et := &execTransport{}
+	rt, reg := newExecRTWith(t, 2, et)
+	m, x, y := smallMultVec(t, rt, 2)
+	if err := m.MultVec(x, y); err != nil {
+		t.Fatal(err)
+	}
+	want, err := y.ToVector()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Remake(rt.World(), true); err != nil {
+		t.Fatal(err)
+	}
+	if reg.CounterValue("apgas.kernel.rekeyed") == 0 {
+		t.Fatal("a Remake onto the same group kept no worker-resident block")
+	}
+	et.mu.Lock()
+	et.failEvery = len(et.tasks) + 1 // the next dispatch, which carries the re-keys
+	et.mu.Unlock()
+	for i := 0; i < 2; i++ {
+		if err := m.MultVec(x, y); err != nil {
+			t.Fatalf("MultVec %d after the lost re-key: %v", i, err)
+		}
+		got, err := y.ToVector()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bitsEqualVec(got, want) {
+			t.Fatalf("MultVec %d after the lost re-key: got %v want %v", i, got, want)
+		}
+	}
+	if _, shipped := et.dispatches(); shipped[len(shipped)-1] == 0 {
+		t.Fatal("the blocks were not shipped again after their re-key was lost")
+	}
+}
+
 // TestMultVecKernelErrorIsReturned: a kernel-level failure in a worker is
 // MultVec's error — loud, not masked by an in-process recomputation.
 func TestMultVecKernelErrorIsReturned(t *testing.T) {

@@ -52,7 +52,7 @@ func (s *Snapshot) saveErasure(ctx *apgas.Ctx, key int, data []byte, sum uint32,
 		tgt := s.pg[slot]
 		s.instr.shards.Inc()
 		s.instr.backupBytes.Add(int64(len(shard)))
-		ctx.TransferBytes(tgt, shard)
+		ctx.TransferSnapshot(tgt, len(shard))
 		ctx.AsyncAt(tgt, func(c *apgas.Ctx) {
 			s.putReplica(c, key, e, idx)
 		})
@@ -108,7 +108,7 @@ func (s *Snapshot) loadErasure(ctx *apgas.Ctx, key, ownerIdx int) ([]byte, error
 				}
 				if !isLocal {
 					// Charged (and counted) at fetch time, like Load.
-					c.TransferBytes(origin, e.data)
+					c.TransferSnapshot(origin, len(e.data))
 					s.instr.loadBytes.Add(int64(len(e.data)))
 				}
 				mu.Lock()

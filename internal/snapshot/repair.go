@@ -338,7 +338,7 @@ func (s *Snapshot) ship(key, ownerIdx, donor int, dests []int, entryFor func(gi 
 				e, tgt := entryFor(gi), s.pg[gi]
 				puts.Inc()
 				s.instr.backupBytes.Add(int64(len(e.data)))
-				c.TransferBytes(tgt, e.data)
+				c.TransferSnapshot(tgt, len(e.data))
 				c.AsyncAt(tgt, func(cc *apgas.Ctx) {
 					s.putReplica(cc, key, e, ownerIdx)
 				})

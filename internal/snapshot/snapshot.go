@@ -839,7 +839,7 @@ func (s *Snapshot) Load(ctx *apgas.Ctx, key, ownerIdx int) ([]byte, error) {
 				if found {
 					// Charged (and counted) at fetch time; see the byte
 					// accounting note in the doc comment.
-					c.TransferBytes(origin, e.data)
+					c.TransferSnapshot(origin, len(e.data))
 					s.instr.loadBytes.Add(int64(len(e.data)))
 				}
 			})
