@@ -58,9 +58,12 @@ chaos-smoke:
 # inside a worker process (-min-worker-tasks: the distributed data plane
 # must actually engage). Each run's final-iterate hash must then equal a
 # -transport local run of the same config: failure-free for
-# replace-elastic (the benchmark's mode, which spawns a replacement worker
-# and keeps the survivors' resident blocks), and with the same kill for
-# shrink, whose recovered run sums over three places instead of four.
+# replace-elastic (the benchmark's mode, which adopts the standby worker as
+# the replacement and keeps the survivors' resident blocks), and with the
+# same kill for shrink, whose recovered run sums over three places instead
+# of four. The replace-elastic run also fails unless its replacement place
+# was the standby (transport.tcp.standby.adopted >= 1): recovery must
+# start no process.
 TCP_SMOKE = -app pagerank -places 4 -size 200 -iters 8 -ckpt 2
 tcp-smoke:
 	@set -e; \
@@ -70,10 +73,14 @@ tcp-smoke:
 	got=$$(hash -transport tcp $(TCP_SMOKE) -kill-proc-iter 4 -min-worker-tasks 1); \
 	want=$$(hash $(TCP_SMOKE) -kill-iter 4); \
 	same "$$got" "$$want" shrink; \
-	got=$$(hash -transport tcp $(TCP_SMOKE) -mode replace-elastic -kill-proc-iter 4 -min-worker-tasks 1); \
+	out=$$($(GO) run ./cmd/rgmlrun -transport tcp $(TCP_SMOKE) -mode replace-elastic -kill-proc-iter 4 -min-worker-tasks 1 -metrics -) || exit 1; \
+	got=$$(echo "$$out" | sed -n 's/^  final iterate: //p'); \
+	adopted=$$(echo "$$out" | sed -n 's/^  transport\.tcp\.standby\.adopted  *//p'); \
+	if [ "$${adopted:-0}" -lt 1 ]; then \
+		echo "tcp-smoke: replace-elastic: transport.tcp.standby.adopted '$$adopted', want >= 1"; exit 1; fi; \
 	want=$$(hash $(TCP_SMOKE) -mode replace-elastic); \
 	same "$$got" "$$want" replace-elastic
-	@echo "tcp-smoke: recovered from real worker-process kills with worker-side compute and bitwise-equal iterates"
+	@echo "tcp-smoke: recovered from real worker-process kills with worker-side compute, an adopted standby and bitwise-equal iterates"
 
 # The whole suite again with the kernel worker pool pinned to one worker:
 # every parallel kernel and tree collective degenerates to its serial

@@ -100,6 +100,10 @@ type Runtime struct {
 	mu     sync.RWMutex
 	places []*place // indexed by place ID; never shrinks
 	down   bool
+	// growMu serializes AddPlaces, so the ids one call reserves are still
+	// the next ones when it publishes them, without holding mu across the
+	// transport's Grow.
+	growMu sync.Mutex
 
 	ledger *ledger        // non-nil iff cfg.Resilient && FinishCentral
 	shards *shardedLedger // non-nil iff cfg.Resilient && FinishSharded
@@ -412,14 +416,20 @@ func (rt *Runtime) placeState(p Place) *place {
 
 // AddPlaces elastically creates n new places and returns them. This is the
 // "Elastic X10" capability (X10 2.5.1) that the paper's future-work
-// Replace-Elastic restoration mode builds on.
+// Replace-Elastic restoration mode builds on. The transport's Grow — on
+// tcp a join wait of up to seconds — runs outside the place-table lock,
+// so liveness checks and the death path proceed meanwhile; concurrent
+// calls are serialized and get consecutive ids.
 func (rt *Runtime) AddPlaces(n int) (PlaceGroup, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("apgas: AddPlaces(%d): negative count", n)
 	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.down {
+	rt.growMu.Lock()
+	defer rt.growMu.Unlock()
+	rt.mu.RLock()
+	down, base := rt.down, len(rt.places)
+	rt.mu.RUnlock()
+	if down {
 		return nil, ErrShutdown
 	}
 	// The backend must be able to conjure bodies for the new places before
@@ -427,9 +437,13 @@ func (rt *Runtime) AddPlaces(n int) (PlaceGroup, error) {
 	if err := rt.tp.Grow(n); err != nil {
 		return nil, fmt.Errorf("apgas: AddPlaces(%d): transport %q: %w", n, rt.tp.Name(), err)
 	}
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if rt.down {
+		return nil, ErrShutdown
+	}
 	added := make(PlaceGroup, 0, n)
-	for i := 0; i < n; i++ {
-		id := len(rt.places)
+	for id := base; id < base+n; id++ {
 		rt.places = append(rt.places, newPlace(id))
 		added = append(added, Place{ID: id})
 	}

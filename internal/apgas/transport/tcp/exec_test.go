@@ -282,7 +282,8 @@ func TestExecPutSteadyStateAllocs(t *testing.T) {
 // checkpoint-shaped handle lifetimes (ship a blob to every worker under a
 // fresh handle, destroy the handle) over real worker processes, and checks
 // that nothing accumulates: the transport remembers exactly the live
-// places, every worker's store is back to the one long-lived entry once
+// places and keeps exactly one standby (none after Shutdown), every
+// worker's store is back to the one long-lived entry once
 // the drops have ridden a task, and the coordinator's goroutines are back
 // at the baseline.
 func TestWorkersAndStoresDoNotLeak(t *testing.T) {
@@ -313,6 +314,10 @@ func TestWorkersAndStoresDoNotLeak(t *testing.T) {
 	}
 	const resident = 1 << 50 // a handle that lives for the whole run
 	at(func(c *apgas.Ctx) { put(c, resident, 8) })
+	// The baseline counts a joined standby's reader and reaper.
+	if _, _, err := tr.AwaitStandby(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
 	baseline := runtime.NumGoroutine()
 
 	for cycle := 0; cycle < 6; cycle++ {
@@ -341,6 +346,9 @@ func TestWorkersAndStoresDoNotLeak(t *testing.T) {
 		if got, want := tr.WorkerRecords(), len(live())-1; got != want {
 			t.Fatalf("cycle %d: transport remembers %d workers, %d places are live", cycle, got, want)
 		}
+		if got := tr.Standbys(); got != 1 {
+			t.Fatalf("cycle %d: transport keeps %d standbys, want exactly 1", cycle, got)
+		}
 	}
 
 	for ckpt := 0; ckpt < 50; ckpt++ {
@@ -366,6 +374,10 @@ func TestWorkersAndStoresDoNotLeak(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines, %d before the kill/replace cycles", runtime.NumGoroutine(), baseline)
 		}
+	}
+	rt.Shutdown()
+	if got := tr.Standbys(); got != 0 {
+		t.Fatalf("transport keeps %d standbys after Shutdown, want 0", got)
 	}
 }
 

@@ -1,7 +1,9 @@
 package tcp
 
 import (
+	"fmt"
 	"net"
+	"os"
 	"time"
 )
 
@@ -44,4 +46,36 @@ func DialStalledWorker(addr string, place int, interval time.Duration) (hangUp f
 		}
 	}()
 	return func() { close(stop); <-done; fc.close() }, nil
+}
+
+// Standbys returns how many standby bodies the transport keeps (0 or 1).
+func (t *Transport) Standbys() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.standby != nil {
+		return 1
+	}
+	return 0
+}
+
+// AwaitStandby waits up to timeout for a standby that has completed its
+// hello, and returns its place id and process.
+func (t *Transport) AwaitStandby(timeout time.Duration) (int, *os.Process, error) {
+	for deadline := time.Now().Add(timeout); ; time.Sleep(time.Millisecond) {
+		t.mu.Lock()
+		var (
+			place int
+			proc  *os.Process
+		)
+		if sb := t.standby; sb != nil && sb.fc != nil {
+			place, proc = sb.place, sb.proc
+		}
+		t.mu.Unlock()
+		if proc != nil {
+			return place, proc, nil
+		}
+		if time.Now().After(deadline) {
+			return 0, nil, fmt.Errorf("no standby joined within %v", timeout)
+		}
+	}
 }

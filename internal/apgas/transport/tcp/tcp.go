@@ -31,6 +31,10 @@
 // coordinator, so a payload sent to a worker would only be discarded.
 // DESIGN.md §14 spells out this boundary.
 //
+// Process start stays off the recovery path: a self-spawning backend
+// keeps one standby worker, started and handshaken but not yet a place,
+// and Grow adopts it as the first new place (see Grow).
+//
 // The workers also provide the real failure domain: a worker process
 // dying (killed, crashed, unplugged) is a genuine fail-stop detected by
 // heartbeat timeout or connection reset and fed into the runtime's
@@ -91,6 +95,11 @@ type Transport struct {
 	// workers holds the live (or still joining) place bodies by place ID;
 	// place 0 has none, and a dead place's record is deleted (forget).
 	workers map[int]*worker
+	// standby is the body spawned ahead of time for place id places
+	// (self-spawn mode only, nil while there is none). It is not a place:
+	// it is kept out of workers, the detector does not watch it, and its
+	// death is reported to no one, until Grow adopts it.
+	standby *worker
 
 	wg sync.WaitGroup // acceptor + per-connection readers
 
@@ -111,10 +120,15 @@ type pendingTask struct {
 
 // worker is the coordinator's record of one remote place body.
 type worker struct {
-	place int
-	fc    *frameConn    // nil until the hello handshake
-	proc  *os.Process   // nil for externally-joined workers
-	ready chan struct{} // closed by admit once fc is set
+	place  int
+	fc     *frameConn    // nil until the hello handshake
+	proc   *os.Process   // nil for externally-joined workers
+	ready  chan struct{} // closed by admit once fc is set
+	exited chan struct{} // closed once a spawned process has been reaped
+}
+
+func newWorker(place int) *worker {
+	return &worker{place: place, ready: make(chan struct{}), exited: make(chan struct{})}
 }
 
 // tcpInstr holds the backend's observability handles (nil-safe).
@@ -128,6 +142,9 @@ type tcpInstr struct {
 	taskFailures  *obs.Counter // transport.tcp.task_failures (dispatches failed by death/shutdown)
 	helloRejected *obs.Counter // transport.tcp.hello_rejected (unparseable or wrong-version hellos)
 	killWriteErrs *obs.Counter // transport.tcp.kill_write_errors (best-effort fKill writes that failed)
+	adopted       *obs.Counter // transport.tcp.standby.adopted (standbys Grow made places)
+	spawned       *obs.Counter // transport.tcp.standby.spawned
+	lost          *obs.Counter // transport.tcp.standby.lost (standbys that died or never joined)
 }
 
 // Option configures the backend.
@@ -222,6 +239,9 @@ func (t *Transport) Start(places int, h transport.Handler) error {
 		taskFailures:  t.reg.Counter("transport.tcp.task_failures"),
 		helloRejected: t.reg.Counter("transport.tcp.hello_rejected"),
 		killWriteErrs: t.reg.Counter("transport.tcp.kill_write_errors"),
+		adopted:       t.reg.Counter("transport.tcp.standby.adopted"),
+		spawned:       t.reg.Counter("transport.tcp.standby.spawned"),
+		lost:          t.reg.Counter("transport.tcp.standby.lost"),
 	}
 
 	ln, err := net.Listen("tcp", t.addr)
@@ -244,6 +264,7 @@ func (t *Transport) Start(places int, h transport.Handler) error {
 		return err
 	}
 	t.detector.Start()
+	t.spawnStandby()
 	return nil
 }
 
@@ -254,7 +275,7 @@ func (t *Transport) bringUp(lo, hi int) error {
 	expected := make([]*worker, 0, hi-lo)
 	t.mu.Lock()
 	for p := lo; p < hi; p++ {
-		w := &worker{place: p, ready: make(chan struct{})}
+		w := newWorker(p)
 		t.workers[p] = w
 		expected = append(expected, w)
 	}
@@ -286,6 +307,51 @@ func joinTimeout(places int) time.Duration {
 	return d
 }
 
+// spawnStandby starts, in the background, a standby body for the next
+// place id, unless workers join externally, the backend is closed, or a
+// standby exists already.
+func (t *Transport) spawnStandby() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.external != 0 || t.closed || t.standby != nil {
+		return
+	}
+	w := newWorker(t.places)
+	t.standby = w
+	t.wg.Add(1)
+	go func() {
+		defer t.wg.Done()
+		if err := t.spawnWorker(w); err != nil {
+			t.dropStandby(w)
+			close(w.exited) // wakes a Grow waiting to adopt w
+			return
+		}
+		t.instr.spawned.Inc()
+	}()
+}
+
+// dropStandby forgets w if it is still the standby: it was never a place,
+// so its loss is counted (transport.tcp.standby.lost) and reported to no
+// one. Its connection is cut and its process killed.
+func (t *Transport) dropStandby(w *worker) {
+	t.mu.Lock()
+	if t.standby != w {
+		t.mu.Unlock()
+		return
+	}
+	t.standby = nil
+	fc, proc := w.fc, w.proc
+	t.mu.Unlock()
+	t.instr.lost.Inc()
+	t.reg.Trace("tcp.standby.lost", int64(w.place), 0)
+	if fc != nil {
+		fc.close()
+	}
+	if proc != nil {
+		proc.Kill()
+	}
+}
+
 // spawnWorker re-executes the current binary as the body of w's place.
 // The child's RGML_TCP_WORKER environment routes it into MaybeWorker
 // before any of its own main logic runs.
@@ -305,9 +371,20 @@ func (t *Transport) spawnWorker(w *worker) error {
 	}
 	t.mu.Lock()
 	w.proc = cmd.Process
+	closed := t.closed
 	t.mu.Unlock()
-	// Reap on exit so dead workers never linger as zombies.
-	go cmd.Wait()
+	if closed {
+		// Close ran while the process started and could not see it.
+		cmd.Process.Kill()
+	}
+	// Reap on exit so dead workers never linger as zombies. A standby
+	// that exits before adoption is dropped here, before a Grow waiting
+	// to adopt it wakes.
+	go func() {
+		cmd.Wait()
+		t.dropStandby(w)
+		close(w.exited)
+	}()
 	return nil
 }
 
@@ -346,6 +423,9 @@ func (t *Transport) admit(conn net.Conn) {
 	p := int(hello.From)
 	t.mu.Lock()
 	w := t.workers[p]
+	if sb := t.standby; w == nil && sb != nil && sb.place == p {
+		w = sb
+	}
 	if t.closed || w == nil || w.fc != nil {
 		// Not a place this run expects (never announced, or dead and
 		// forgotten), or a duplicate claim for one that has a live body.
@@ -354,7 +434,9 @@ func (t *Transport) admit(conn net.Conn) {
 		return
 	}
 	w.fc = fc
-	t.detector.Watch(p)
+	if w != t.standby {
+		t.detector.Watch(p) // a standby is watched from adoption on
+	}
 	t.mu.Unlock()
 	close(w.ready)
 	t.wg.Add(1)
@@ -396,14 +478,14 @@ func (t *Transport) forget(place int) {
 }
 
 // readLoop drains one worker's frames: heartbeats feed the detector,
-// connection errors are failure reports.
+// connection errors are failure reports (see lost).
 func (t *Transport) readLoop(w *worker) {
 	defer t.wg.Done()
 	for {
 		var f frame
 		n, err := w.fc.read(&f)
 		if err != nil {
-			t.connLost(w.place)
+			t.lost(w)
 			return
 		}
 		t.instr.frames.Inc()
@@ -453,6 +535,23 @@ func (t *Transport) failPending(place int) {
 	for _, p := range victims {
 		t.instr.taskFailures.Inc()
 		p.ch <- nil
+	}
+}
+
+// lost handles the broken connection of record w. A standby's is dropped
+// without a report; a place body's is connLost. A record that is neither
+// any more — a dead place already forgotten, a standby already dropped —
+// was handled when it was forgotten, and its id may belong to a fresh
+// body by now, so nothing is done in its name.
+func (t *Transport) lost(w *worker) {
+	t.mu.Lock()
+	standby, current := t.standby == w, t.workers[w.place] == w
+	t.mu.Unlock()
+	switch {
+	case standby:
+		t.dropStandby(w)
+	case current:
+		t.connLost(w.place)
 	}
 }
 
@@ -624,12 +723,15 @@ func (t *Transport) KillWorkerProcess(place int) error {
 	return proc.Kill()
 }
 
-// Grow implements transport.Transport: spawn bodies for n new places,
-// numbered densely after the existing ones, and return once each has
+// Grow implements transport.Transport: give n new places, numbered
+// densely after the existing ones, a body each, and return once each has
 // completed its hello handshake (bounded by joinTimeout) — a dispatch
 // right after elastic replacement finds the worker there instead of
-// racing its join and falling back to the coordinator. External-join mode
-// cannot conjure processes and returns an error.
+// racing its join and falling back to the coordinator. The first new
+// place is the standby, adopted (see adopt); the rest, and the first too
+// if the standby died, are spawned now. A new standby is started in the
+// background before Grow returns. External-join mode cannot conjure
+// processes and returns an error.
 func (t *Transport) Grow(n int) error {
 	if n <= 0 {
 		return nil
@@ -644,12 +746,48 @@ func (t *Transport) Grow(n int) error {
 	}
 	base := t.places
 	t.places += n
+	sb := t.standby
 	t.mu.Unlock()
-	return t.bringUp(base, base+n)
+	lo := base
+	if sb != nil && sb.place == base && t.adopt(sb) {
+		lo++
+	}
+	err := t.bringUp(lo, base+n)
+	t.spawnStandby()
+	return err
 }
 
-// Close implements transport.Transport: stop detection, dismiss workers,
-// tear down the listener, and reap.
+// adopt makes the standby sb the body of its place, once it has completed
+// its hello (bounded by joinTimeout): the record moves into workers and
+// the detector starts watching it with a full window. A standby that died
+// or never joined is dropped instead, and adopt reports false.
+func (t *Transport) adopt(sb *worker) bool {
+	timeout := time.NewTimer(joinTimeout(1))
+	defer timeout.Stop()
+	select {
+	case <-sb.ready:
+	case <-sb.exited:
+	case <-timeout.C:
+	}
+	t.mu.Lock()
+	ok := t.standby == sb && sb.fc != nil
+	if ok {
+		t.standby = nil
+		t.workers[sb.place] = sb
+		t.detector.Watch(sb.place)
+	}
+	t.mu.Unlock()
+	if !ok {
+		t.dropStandby(sb)
+		return false
+	}
+	t.instr.adopted.Inc()
+	t.reg.Trace("tcp.standby.adopted", int64(sb.place), 0)
+	return true
+}
+
+// Close implements transport.Transport: stop detection, dismiss workers
+// and the standby, tear down the listener, and reap.
 func (t *Transport) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -662,9 +800,13 @@ func (t *Transport) Close() error {
 		fc    *frameConn
 		proc  *os.Process
 	}
-	workers := make([]handles, 0, len(t.workers))
+	workers := make([]handles, 0, len(t.workers)+1)
 	for _, w := range t.workers {
 		workers = append(workers, handles{w.place, w.fc, w.proc})
+	}
+	if sb := t.standby; sb != nil {
+		workers = append(workers, handles{sb.place, sb.fc, sb.proc})
+		t.standby = nil
 	}
 	t.mu.Unlock()
 	if t.detector != nil {
@@ -680,13 +822,14 @@ func (t *Transport) Close() error {
 	if t.ln != nil {
 		t.ln.Close()
 	}
-	// Give workers a moment to exit on fBye, then force the stragglers.
+	// Give workers a moment to exit on fBye, then force the stragglers;
+	// one that never joined was sent no fBye.
 	deadline := time.Now().Add(2 * time.Second)
 	for _, w := range workers {
 		if w.proc == nil {
 			continue
 		}
-		for time.Now().Before(deadline) {
+		for w.fc != nil && time.Now().Before(deadline) {
 			if err := w.proc.Signal(syscall.Signal(0)); err != nil {
 				break // already gone
 			}

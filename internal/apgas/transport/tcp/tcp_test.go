@@ -8,8 +8,10 @@ import (
 	"time"
 
 	"github.com/rgml/rgml/internal/apgas"
+	"github.com/rgml/rgml/internal/apgas/kernel"
 	"github.com/rgml/rgml/internal/apgas/transport"
 	"github.com/rgml/rgml/internal/apgas/transport/tcp"
+	"github.com/rgml/rgml/internal/obs"
 )
 
 // TestMain routes self-spawned invocations of this test binary into the
@@ -155,10 +157,133 @@ func TestGrow(t *testing.T) {
 	}
 }
 
+// TestGrowAdoptsStandby pins the warm body: Start leaves one standby
+// worker, started and handshaken, holding the next place id, and Grow(1)
+// makes it that place without starting a process. Only then is the next
+// standby spawned, for the id after.
+func TestGrowAdoptsStandby(t *testing.T) {
+	reg := obs.NewRegistry()
+	tr := tcp.New(fastHeartbeat(), tcp.WithObs(reg))
+	if err := tr.Start(2, transport.Handler{}); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	defer tr.Close()
+	if place, _, err := tr.AwaitStandby(10 * time.Second); err != nil || place != 2 {
+		t.Fatalf("standby after Start: place %d, %v; want place 2", place, err)
+	}
+	if _, err := tr.Send(0, 2, transport.ClassTask, 0, nil); err == nil {
+		t.Fatal("Send to the standby's place id succeeded before Grow made it a place")
+	}
+	if err := tr.Grow(1); err != nil {
+		t.Fatalf("Grow(1): %v", err)
+	}
+	if got := reg.CounterValue("transport.tcp.standby.adopted"); got != 1 {
+		t.Fatalf("standby.adopted = %d after Grow(1), want 1", got)
+	}
+	res, err := tr.Exec(&kernel.Task{Name: "tcptest.sum", Place: 2, I64: []int64{2}})
+	if err != nil || res.Err != "" || len(res.F64) != 1 || res.F64[0] != 2 {
+		t.Fatalf("first Exec at the adopted place 2 = %+v, %v", res, err)
+	}
+	if place, _, err := tr.AwaitStandby(10 * time.Second); err != nil || place != 3 {
+		t.Fatalf("standby after Grow(1): place %d, %v; want place 3", place, err)
+	}
+	if got := reg.CounterValue("transport.tcp.standby.spawned"); got != 2 {
+		t.Fatalf("standby.spawned = %d, want 2 (one after Start, one after Grow)", got)
+	}
+	if got := tr.WorkerRecords(); got != 2 {
+		t.Fatalf("%d worker records, want 2: the standby is not a place", got)
+	}
+}
+
+// TestGrowTwoAdoptsOneSpawnsOne: Grow(2) adopts the standby as its first
+// new place and spawns a body for the second.
+func TestGrowTwoAdoptsOneSpawnsOne(t *testing.T) {
+	reg := obs.NewRegistry()
+	tr := tcp.New(fastHeartbeat(), tcp.WithObs(reg))
+	if err := tr.Start(2, transport.Handler{}); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	defer tr.Close()
+	if _, _, err := tr.AwaitStandby(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Grow(2); err != nil {
+		t.Fatalf("Grow(2): %v", err)
+	}
+	if got := reg.CounterValue("transport.tcp.standby.adopted"); got != 1 {
+		t.Fatalf("standby.adopted = %d after Grow(2), want 1", got)
+	}
+	for place := 2; place < 4; place++ {
+		res, err := tr.Exec(&kernel.Task{Name: "tcptest.sum", Place: int32(place), I64: []int64{int64(place)}})
+		if err != nil || res.Err != "" || len(res.F64) != 1 || res.F64[0] != float64(place) {
+			t.Fatalf("first Exec at grown place %d = %+v, %v", place, res, err)
+		}
+	}
+	if place, _, err := tr.AwaitStandby(10 * time.Second); err != nil || place != 4 {
+		t.Fatalf("standby after Grow(2): place %d, %v; want place 4", place, err)
+	}
+	if got := tr.WorkerRecords(); got != 3 {
+		t.Fatalf("%d worker records, want 3", got)
+	}
+}
+
+// TestStandbyDeathIsNotAPlaceDeath SIGKILLs the standby before any Grow:
+// it was never a place, so the runtime sees no failure and the detector
+// reports no death. The next AddPlaces spawns a fresh body for the place
+// and a new standby after it.
+func TestStandbyDeathIsNotAPlaceDeath(t *testing.T) {
+	reg := obs.NewRegistry()
+	tr := tcp.New(fastHeartbeat(), tcp.WithObs(reg))
+	rt, err := apgas.New(apgas.WithPlaces(2), apgas.WithResilient(true), apgas.WithTransport(tr), apgas.WithObs(reg))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer rt.Shutdown()
+	_, proc, err := tr.AwaitStandby(10 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := proc.Kill(); err != nil {
+		t.Fatalf("SIGKILL standby: %v", err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); reg.CounterValue("transport.tcp.standby.lost") == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the standby's death was never noticed")
+		}
+	}
+	if got := tr.Standbys(); got != 0 {
+		t.Fatalf("%d standbys after the standby died, want 0", got)
+	}
+	time.Sleep(50 * time.Millisecond) // room for a wrong report to land
+	if st := rt.Stats(); st.PlacesFailed != 0 || reg.CounterValue("transport.tcp.deaths") != 0 {
+		t.Fatalf("standby death reported as a place death: PlacesFailed %d, transport.tcp.deaths %d",
+			st.PlacesFailed, reg.CounterValue("transport.tcp.deaths"))
+	}
+
+	added, err := rt.AddPlaces(1)
+	if err != nil || len(added) != 1 || added[0].ID != 2 {
+		t.Fatalf("AddPlaces(1) after the standby died = %v, %v; want place 2", added, err)
+	}
+	if got := reg.CounterValue("transport.tcp.standby.adopted"); got != 0 {
+		t.Fatalf("standby.adopted = %d, want 0: the dead standby must not be adopted", got)
+	}
+	res, err := tr.Exec(&kernel.Task{Name: "tcptest.sum", Place: 2, I64: []int64{5}})
+	if err != nil || res.Err != "" || len(res.F64) != 1 || res.F64[0] != 5 {
+		t.Fatalf("first Exec at the freshly spawned place 2 = %+v, %v", res, err)
+	}
+	if place, _, err := tr.AwaitStandby(10 * time.Second); err != nil || place != 3 {
+		t.Fatalf("replacement standby: place %d, %v; want place 3", place, err)
+	}
+	if st := rt.Stats(); st.PlacesFailed != 0 || reg.CounterValue("transport.tcp.deaths") != 0 {
+		t.Fatalf("PlacesFailed %d, transport.tcp.deaths %d after the replacement; want 0, 0",
+			st.PlacesFailed, reg.CounterValue("transport.tcp.deaths"))
+	}
+}
+
 // TestExternalWorkersJoin covers the externally-managed worker mode (the
 // rgmlrun -serve-place path): the coordinator spawns nothing and waits
-// for ServeWorker joins; growth is impossible because the transport
-// cannot conjure external processes.
+// for ServeWorker joins; growth is impossible, and there is no standby,
+// because the transport cannot conjure external processes.
 func TestExternalWorkersJoin(t *testing.T) {
 	tr := tcp.New(fastHeartbeat(), tcp.WithExternalWorkers())
 	started := make(chan error, 1)
@@ -195,6 +320,9 @@ func TestExternalWorkersJoin(t *testing.T) {
 	}
 	if err := tr.Grow(1); err == nil {
 		t.Fatal("Grow succeeded in external-workers mode; want error")
+	}
+	if got := tr.Standbys(); got != 0 {
+		t.Fatalf("%d standbys with externally joined workers, want 0", got)
 	}
 }
 

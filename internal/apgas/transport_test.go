@@ -251,3 +251,96 @@ func TestTransportDeathRacesKill(t *testing.T) {
 		rt.Shutdown()
 	}
 }
+
+// blockingGrow is a fakeTransport whose Grow announces itself on entered
+// and then blocks until release is closed: a tcp Grow waiting seconds for
+// a worker to join.
+type blockingGrow struct {
+	fakeTransport
+	entered chan int
+	release chan struct{}
+}
+
+func (b *blockingGrow) Grow(n int) error {
+	b.entered <- n
+	<-b.release
+	return b.fakeTransport.Grow(n)
+}
+
+// TestAddPlacesGrowsOutsidePlaceTableLock blocks the transport's Grow
+// inside AddPlaces and checks that the runtime keeps working meanwhile:
+// IsDead, a transport-reported death and a Finish at place 0 spawning
+// onto place 1 all complete. A second AddPlaces waits for the first, and
+// the two get consecutive ids.
+func TestAddPlacesGrowsOutsidePlaceTableLock(t *testing.T) {
+	bt := &blockingGrow{entered: make(chan int, 2), release: make(chan struct{})}
+	rt, err := apgas.New(apgas.WithPlaces(3), apgas.WithResilient(true), apgas.WithTransport(bt))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer rt.Shutdown()
+	released := false
+	release := func() {
+		if !released {
+			released = true
+			close(bt.release)
+		}
+	}
+	defer release()
+
+	type grown struct {
+		g   apgas.PlaceGroup
+		err error
+	}
+	first, second := make(chan grown, 1), make(chan grown, 1)
+	go func() { g, err := rt.AddPlaces(1); first <- grown{g, err} }()
+	<-bt.entered
+
+	within := func(what string, fn func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { defer close(done); fn() }()
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s blocked while the transport's Grow was in progress", what)
+		}
+	}
+	within("IsDead", func() {
+		if rt.IsDead(apgas.Place{ID: 1}) {
+			t.Error("place 1 reported dead")
+		}
+	})
+	within("a transport-reported death", func() { bt.placeDead(2, transport.CauseConn) })
+	within("IsDead after the death", func() {
+		if !rt.IsDead(apgas.Place{ID: 2}) {
+			t.Error("place 2 not dead after its death was reported")
+		}
+	})
+	within("Finish at place 0", func() {
+		ran := false
+		err := rt.Finish(func(ctx *apgas.Ctx) {
+			ctx.AsyncAt(apgas.Place{ID: 1}, func(*apgas.Ctx) { ran = true })
+		})
+		if err != nil || !ran {
+			t.Errorf("Finish = %v, task ran %v", err, ran)
+		}
+	})
+
+	go func() { g, err := rt.AddPlaces(2); second <- grown{g, err} }()
+	time.Sleep(20 * time.Millisecond)
+	if len(bt.entered) != 0 {
+		t.Fatal("a second AddPlaces entered Grow while the first was still in it")
+	}
+	release()
+	a, b := <-first, <-second
+	if a.err != nil || b.err != nil {
+		t.Fatalf("AddPlaces: %v, %v", a.err, b.err)
+	}
+	if !a.g.Equal(apgas.PlaceGroup{{ID: 3}}) || !b.g.Equal(apgas.PlaceGroup{{ID: 4}, {ID: 5}}) {
+		t.Fatalf("AddPlaces gave %v then %v, want [3] then [4 5]", a.g, b.g)
+	}
+	if got := rt.NumPlaces(); got != 6 {
+		t.Fatalf("NumPlaces = %d, want 6", got)
+	}
+}

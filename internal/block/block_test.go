@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/rgml/rgml/internal/codec"
 	"github.com/rgml/rgml/internal/grid"
 	"github.com/rgml/rgml/internal/la"
 )
@@ -311,5 +312,35 @@ func TestBlockSetCloneAndBytes(t *testing.T) {
 	}
 	if s.Bytes() != s.Find(0).Bytes()+s.Find(5).Bytes() {
 		t.Error("Bytes wrong")
+	}
+}
+
+// TestChecksumOnlyMatchesEncode pins the survivor check's checksum-only
+// pass (codec.NewChecksummer through EncodeInto) to the real encoding of
+// dense and CSR blocks: the same length and the same CRC-32C, for an
+// empty, a one-word, three chunk-boundary and a 5000x128 payload.
+func TestChecksumOnlyMatchesEncode(t *testing.T) {
+	const chunkWords = 64 << 10 / 8
+	for _, n := range []int{0, 1, chunkWords - 1, chunkWords, chunkWords + 1, 5000 * 128} {
+		data := make([]float64, n)
+		rowPtr := make([]int, n+1)
+		colIdx := make([]int, n)
+		for i := range data {
+			data[i] = math.Sin(float64(i)) + float64(i)
+			rowPtr[i+1] = i + 1
+			colIdx[i] = i % 3
+		}
+		dense := &MatrixBlock{Rows: 1, Cols: n, Row0: 2, Col0: 5, Dense: la.NewDenseFrom(1, n, data)}
+		sparse := &MatrixBlock{RB: 1, CB: 2, Rows: n, Cols: 3,
+			Sparse: &la.SparseCSR{Rows: n, Cols: 3, RowPtr: rowPtr, ColIdx: colIdx, Vals: data}}
+		for _, b := range []*MatrixBlock{dense, sparse} {
+			want := b.Encode()
+			e := codec.NewChecksummer()
+			b.EncodeInto(&e)
+			if e.Len() != len(want) || e.Sum() != codec.Checksum(want) || e.Len() != b.EncodedSize() {
+				t.Fatalf("%v block, %d-word payload: checksum-only (len %d, CRC %#x), encode (len %d, CRC %#x)",
+					b.Kind(), n, e.Len(), e.Sum(), len(want), codec.Checksum(want))
+			}
+		}
 	}
 }

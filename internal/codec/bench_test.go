@@ -69,3 +69,34 @@ func BenchmarkCodecDecode(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkSurvivorCheck compares two ways of getting the length and
+// CRC-32C of a 5000x128 block payload's encoding: encoding it into a
+// pooled buffer (the survivor check before checksum-only mode), and
+// checksum-only mode, over the slice's memory and through the scratch
+// chunk a big-endian host would use.
+func BenchmarkSurvivorCheck(b *testing.B) {
+	vs := make([]float64, 5000*128)
+	for i := range vs {
+		vs[i] = float64(i) / 3
+	}
+	b.Run("encode", func(b *testing.B) {
+		b.SetBytes(int64(8 * len(vs)))
+		for i := 0; i < b.N; i++ {
+			e := NewEncoder(SizeFloat64s(len(vs)))
+			e.PutFloat64s(vs)
+			PutBuffer(e.Bytes())
+		}
+	})
+	for _, inPlace := range []bool{true, false} {
+		b.Run(fmt.Sprintf("checksum-inplace=%v", inPlace), func(b *testing.B) {
+			defer func(v bool) { sumInPlace = v }(sumInPlace)
+			sumInPlace = inPlace
+			b.SetBytes(int64(8 * len(vs)))
+			for i := 0; i < b.N; i++ {
+				e := NewChecksummer()
+				e.PutFloat64s(vs)
+			}
+		})
+	}
+}

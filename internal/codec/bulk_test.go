@@ -214,3 +214,68 @@ func TestEncoderBulkPutAllocs(t *testing.T) {
 		t.Errorf("PutFloat64s of %d values into a pooled buffer: %.0f allocations, want 0", len(vs), allocs)
 	}
 }
+
+// TestChecksummerMatchesEncoder pins checksum-only mode to a real encode
+// through the same puts: the same Len and Sum, and no bytes kept. It runs
+// every payload both ways a host can take — the CRC over the slice's own
+// memory and the conversion through the scratch chunk that a big-endian
+// or 32-bit host uses — with lengths around the chunk boundary, a
+// one-word and an empty payload, and a 5000x128 block.
+func TestChecksummerMatchesEncoder(t *testing.T) {
+	const words = bulkChunk / 8
+	defer func(v bool) { sumInPlace = v }(sumInPlace)
+	for _, inPlace := range []bool{true, false} {
+		sumInPlace = inPlace
+		for _, n := range []int{0, 1, words - 1, words, words + 1, 5000 * 128} {
+			fs := make([]float64, n)
+			is := make([]int, n)
+			for i := range fs {
+				fs[i] = math.Cos(float64(i)) * 1e5
+				is[i] = 3*i - i*i
+			}
+			puts := func(e *Encoder) {
+				e.PutInt(n)
+				e.PutFloat64(math.E)
+				e.PutFloat64s(fs)
+				e.PutUint64(1 << 63)
+				e.PutInts(is)
+			}
+			var enc Encoder
+			puts(&enc)
+			sum := NewChecksummer()
+			puts(&sum)
+			if sum.Len() != enc.Len() || sum.Sum() != enc.Sum() {
+				t.Fatalf("inPlace=%v n=%d: checksum-only (len %d, CRC %#x), encode (len %d, CRC %#x)",
+					inPlace, n, sum.Len(), sum.Sum(), enc.Len(), enc.Sum())
+			}
+			if sum.Bytes() != nil {
+				t.Fatalf("inPlace=%v n=%d: checksum-only mode kept %d bytes", inPlace, n, len(sum.Bytes()))
+			}
+			if !inPlace && cap(sum.buf) > bulkChunk {
+				t.Fatalf("n=%d: chunked checksum scratch grew to %d bytes, want at most one %d-byte chunk", n, cap(sum.buf), bulkChunk)
+			}
+		}
+	}
+}
+
+// TestChecksummerDrawsNoPoolBuffer pins that checksum-only mode never
+// touches the buffer pool, and that over a 5000x128 payload it allocates
+// nothing but its one-word scratch.
+func TestChecksummerDrawsNoPoolBuffer(t *testing.T) {
+	vs := make([]float64, 5000*128)
+	gets, _, puts := PoolStats()
+	allocs := testing.AllocsPerRun(10, func() {
+		e := NewChecksummer()
+		e.PutInt(len(vs))
+		e.PutFloat64s(vs)
+		if e.Len() != 8+SizeFloat64s(len(vs)) {
+			t.Fatalf("Len %d", e.Len())
+		}
+	})
+	if g, _, p := PoolStats(); g != gets || p != puts {
+		t.Errorf("checksum-only puts drew %d and returned %d pool buffers, want none", g-gets, p-puts)
+	}
+	if allocs > 1 {
+		t.Errorf("checksum-only puts of a %d-word payload: %.0f allocations, want at most 1", len(vs), allocs)
+	}
+}

@@ -71,7 +71,9 @@ func FuzzInts(f *testing.F) {
 // input and checks that the chunked Encoder emits exactly the bytes of the
 // Append* functions, with a running sum equal to their one-shot Checksum.
 // The uint16 lengths reach eight chunks, so every chunk-boundary offset is
-// in range of the mutator.
+// in range of the mutator. The same puts in checksum-only mode, over the
+// slice's memory and through the scratch chunk, must give the same length
+// and sum.
 func FuzzEncoder(f *testing.F) {
 	const words = bulkChunk / 8
 	f.Add(uint8(0), uint16(0), uint16(0), []byte{})
@@ -112,6 +114,22 @@ func FuzzEncoder(f *testing.F) {
 		}
 		if e.Sum() != Checksum(want) {
 			t.Fatalf("prefix=%d nf=%d ni=%d: running CRC %#x != Checksum %#x", prefix%4, nf, ni, e.Sum(), Checksum(want))
+		}
+
+		// Checksum-only mode, both ways a host can take, must agree.
+		defer func(v bool) { sumInPlace = v }(sumInPlace)
+		for _, inPlace := range []bool{true, false} {
+			sumInPlace = inPlace
+			c := NewChecksummer()
+			for i := 0; i < int(prefix%4); i++ {
+				c.PutUint64(word(i))
+			}
+			c.PutFloat64s(fs)
+			c.PutInts(is)
+			if c.Len() != len(want) || c.Sum() != Checksum(want) {
+				t.Fatalf("prefix=%d nf=%d ni=%d inPlace=%v: checksum-only (len %d, CRC %#x), want (%d, %#x)",
+					prefix%4, nf, ni, inPlace, c.Len(), c.Sum(), len(want), Checksum(want))
+			}
 		}
 	})
 }

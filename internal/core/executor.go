@@ -176,6 +176,8 @@ type execInstr struct {
 	stepDur         *obs.Histogram // core.step.duration
 	ckptDur         *obs.Histogram // core.checkpoint.duration
 	restoreDur      *obs.Histogram // core.restore.duration
+	restorePlan     *obs.Histogram // core.restore.plan (nextGroup, place creation included)
+	restoreApply    *obs.Histogram // core.restore.apply (app.Restore)
 	runNS           *obs.Counter   // core.run.ns
 	youngRecals     *obs.Counter   // core.young.recalibrations
 	youngIters      *obs.Gauge     // core.young.interval_iters
@@ -195,6 +197,8 @@ func newExecInstr(reg *obs.Registry) execInstr {
 		stepDur:         reg.Histogram("core.step.duration"),
 		ckptDur:         reg.Histogram("core.checkpoint.duration"),
 		restoreDur:      reg.Histogram("core.restore.duration"),
+		restorePlan:     reg.Histogram("core.restore.plan"),
+		restoreApply:    reg.Histogram("core.restore.apply"),
 		runNS:           reg.Counter("core.run.ns"),
 		youngRecals:     reg.Counter("core.young.recalibrations"),
 		youngIters:      reg.Gauge("core.young.interval_iters"),
@@ -456,7 +460,9 @@ func (e *Executor) recover(app IterativeApp, attempts *int) error {
 		}
 		e.in.restoreAttempts.Inc()
 		e.reg.Trace("core.restore.attempt", int64(*attempts), snapIter)
+		planStart := time.Now()
 		plan, err := e.nextGroup()
+		e.in.restorePlan.Observe(time.Since(planStart))
 		if err != nil {
 			return err
 		}
@@ -465,7 +471,10 @@ func (e *Executor) recover(app IterativeApp, attempts *int) error {
 		// mid-restore and forces a further attempt.
 		e.chaosAt(chaos.PointRestore)
 		e.store.setGroup(plan.active)
-		if err := app.Restore(plan.active, e.store, snapIter, plan.rebalance); err != nil {
+		applyStart := time.Now()
+		err = app.Restore(plan.active, e.store, snapIter, plan.rebalance)
+		e.in.restoreApply.Observe(time.Since(applyStart))
+		if err != nil {
 			if apgas.IsDeadPlace(err) {
 				// Another place died during recovery: try again. The plan
 				// is discarded without being committed, so any spares it

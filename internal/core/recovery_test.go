@@ -130,6 +130,15 @@ func TestExecutorFailureDuringRestore(t *testing.T) {
 	if n := traceCount(reg, "core.restore.success"); n != 1 {
 		t.Errorf("core.restore.success events = %d, want 1", n)
 	}
+	// Each attempt is timed in its two phases, and they lie inside the
+	// recovery's one duration.
+	planned, applied := reg.Histogram("core.restore.plan"), reg.Histogram("core.restore.apply")
+	if planned.Count() != 2 || applied.Count() != 2 {
+		t.Errorf("core.restore.plan/apply observed %d/%d attempts, want 2/2", planned.Count(), applied.Count())
+	}
+	if sum := planned.Sum() + applied.Sum(); sum > reg.Histogram("core.restore.duration").Sum() {
+		t.Errorf("plan+apply %v exceed core.restore.duration %v", sum, reg.Histogram("core.restore.duration").Sum())
+	}
 }
 
 // TestExecutorSpareExhaustionDuringRestore kills the only spare while it is

@@ -84,47 +84,51 @@ func deltaBase(prev *snapshot.Snapshot, pg apgas.PlaceGroup, spec codec.Spec) *s
 }
 
 // validateRetainedVector checks a surviving place's in-memory fragment
-// against the snapshot digest for key: sizes first, then a local
-// re-encode whose CRC must match the stored sum. Used by the partial
-// restore paths to keep survivor state instead of re-loading it. With a
-// lossless compressor the size precheck is skipped (compressed sizes are
-// not predictable from the shape) and the deterministic re-encode carries
-// the comparison alone. A lossy compressor rejects outright: its
-// re-encode cannot distinguish the checkpointed value from any later
-// value in the same quantization bucket, so content validation would let
-// survivors keep post-checkpoint state and dodge the rollback — under a
-// lossy codec every place reloads, keeping the post-restore state the
-// checkpoint state (up to the error bound), never a mixture of
-// checkpoint and newer survivor state.
+// against the snapshot digest for key (see validateRetained). Used by the
+// partial restore paths to keep survivor state instead of re-loading it.
 func validateRetainedVector(ctx *apgas.Ctx, s *snapshot.Snapshot, key, ownerIdx int, v la.Vector, comp codec.Compressor) bool {
-	if comp != nil && comp.Spec().Mode == codec.CompressLossy {
-		return false
-	}
-	sum, size, err := s.Digest(ctx, key, ownerIdx)
-	if err != nil || (comp == nil && size != codec.SizeFloat64s(len(v))) {
-		return false
-	}
-	enc := codec.NewEncoderC(codec.SizeFloat64s(len(v)), comp)
-	enc.PutFloat64s(v)
-	ok := enc.Len() == size && enc.Sum() == sum
-	codec.PutBuffer(enc.Bytes())
-	return ok
+	return validateRetained(ctx, s, key, ownerIdx, codec.SizeFloat64s(len(v)), comp, func(e *codec.Encoder) { e.PutFloat64s(v) })
 }
 
 // validateRetainedBlock checks a surviving place's in-memory block
-// against the snapshot digest for key: sizes first (skipped under
-// compression), then a local re-encode whose CRC must match the stored
-// sum. Lossy codecs reject outright — see validateRetainedVector.
+// against the snapshot digest for key (see validateRetained).
 func validateRetainedBlock(ctx *apgas.Ctx, s *snapshot.Snapshot, key, ownerIdx int, b *block.MatrixBlock, comp codec.Compressor) bool {
+	return validateRetained(ctx, s, key, ownerIdx, b.EncodedSize(), comp, b.EncodeInto)
+}
+
+// validateRetained reports whether encode, the save's own encoding of a
+// survivor's fragment of rawSize uncompressed bytes, emits exactly the
+// size and CRC-32C the snapshot digest recorded for key. Uncompressed it
+// runs in checksum-only mode (codec.NewChecksummer): the same puts, so the
+// same size and CRC over the same bytes, but nothing is written and no
+// pool buffer is drawn. A lossless compressor's CRC covers its output, so
+// that case encodes for real into a pooled buffer, and the size precheck
+// is skipped (compressed sizes are not predictable from the shape). A
+// lossy compressor rejects outright: its re-encode cannot distinguish the
+// checkpointed value from any later value in the same quantization
+// bucket, so content validation would let survivors keep
+// post-checkpoint state and dodge the rollback — under a lossy codec
+// every place reloads, keeping the post-restore state the checkpoint
+// state (up to the error bound), never a mixture of checkpoint and newer
+// survivor state. Each call that validates is timed into
+// dist.restore.validate.
+func validateRetained(ctx *apgas.Ctx, s *snapshot.Snapshot, key, ownerIdx, rawSize int, comp codec.Compressor, encode func(*codec.Encoder)) bool {
 	if comp != nil && comp.Spec().Mode == codec.CompressLossy {
 		return false
 	}
+	hist, start := ctx.Runtime().Obs().Histogram("dist.restore.validate"), time.Now()
+	defer func() { hist.Observe(time.Since(start)) }()
 	sum, size, err := s.Digest(ctx, key, ownerIdx)
-	if err != nil || (comp == nil && size != b.EncodedSize()) {
+	if err != nil || (comp == nil && size != rawSize) {
 		return false
 	}
-	enc := codec.NewEncoderC(b.EncodedSize(), comp)
-	b.EncodeInto(&enc)
+	var enc codec.Encoder
+	if comp == nil {
+		enc = codec.NewChecksummer()
+	} else {
+		enc = codec.NewEncoderC(rawSize, comp)
+	}
+	encode(&enc)
 	ok := enc.Len() == size && enc.Sum() == sum
 	codec.PutBuffer(enc.Bytes())
 	return ok

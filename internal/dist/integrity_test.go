@@ -7,6 +7,7 @@ import (
 	"github.com/rgml/rgml/internal/apgas"
 	"github.com/rgml/rgml/internal/block"
 	"github.com/rgml/rgml/internal/codec"
+	"github.com/rgml/rgml/internal/snapshot"
 )
 
 // TestLargeBlockSnapshotIntegrity checks the checkpoint encode end to end
@@ -137,5 +138,73 @@ func TestLargeBlockSnapshotIntegrity(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		s.Destroy()
+	}
+}
+
+// TestRetainedValidationDrawsNoPoolBuffer checks that a survivor's check
+// against its checkpoint digest only checksums: every retained dense
+// block, CSR block and vector segment validates, no codec pool buffer is
+// drawn while they do, and each check is timed into
+// dist.restore.validate.
+func TestRetainedValidationDrawsNoPoolBuffer(t *testing.T) {
+	const rows, cols = 10000, 128
+	rt, reg := newInstrumentedRT(t, 2)
+	dense, err := MakeDistBlockMatrix(rt, block.Dense, rows, cols, 2, 1, 2, 1, rt.World())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dense.InitDense(func(i, j int) float64 { return float64(i) - float64(j)/7 }); err != nil {
+		t.Fatal(err)
+	}
+	sparse, err := MakeDistBlockMatrix(rt, block.Sparse, rows, cols, 2, 1, 2, 1, rt.World())
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = sparse.InitSparseColumns(func(j int) ([]int, []float64) {
+		return []int{j, j + cols}, []float64{float64(j), -float64(j)}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vec, err := MakeDistVector(rt, rows, rt.World())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vec.Init(func(i int) float64 { return math.Sqrt(float64(i)) }); err != nil {
+		t.Fatal(err)
+	}
+	var snaps []*snapshot.Snapshot
+	for _, snap := range []func() (*snapshot.Snapshot, error){dense.MakeSnapshot, sparse.MakeSnapshot, vec.MakeSnapshot} {
+		s, err := snap()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Destroy()
+		snaps = append(snaps, s)
+	}
+
+	validations := reg.Histogram("dist.restore.validate")
+	before := validations.Count()
+	gets, _, _ := codec.PoolStats()
+	err = apgas.ForEachPlace(rt, rt.World(), func(ctx *apgas.Ctx, idx int) {
+		for i, m := range []*DistBlockMatrix{dense, sparse} {
+			m.LocalBlocks(ctx).Each(func(id int, b *block.MatrixBlock) {
+				if !validateRetainedBlock(ctx, snaps[i], id, m.dg.PlaceOf[id], b, nil) {
+					t.Errorf("%v block %d at place %d failed validation against its own checkpoint", b.Kind(), id, idx)
+				}
+			})
+		}
+		if !validateRetainedVector(ctx, snaps[2], idx, idx, vec.Local(ctx), nil) {
+			t.Errorf("vector segment %d failed validation against its own checkpoint", idx)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, _, _ := codec.PoolStats(); g != gets {
+		t.Errorf("validating survivors drew %d codec pool buffers, want 0", g-gets)
+	}
+	if n := validations.Count() - before; n != 6 {
+		t.Errorf("dist.restore.validate counted %d checks, want 6 (4 blocks, 2 segments)", n)
 	}
 }
