@@ -63,8 +63,12 @@ chaos-smoke:
 # same kill for shrink, whose recovered run sums over three places instead
 # of four. The replace-elastic run also fails unless its replacement place
 # was the standby (transport.tcp.standby.adopted >= 1): recovery must
-# start no process.
+# start no process. A LogReg leg then runs replace-elastic with the same
+# kind of kill, so TransMultVec's worker kernel, the score reuse across
+# steps and the restore that clears it are checked against the
+# failure-free local iterate too.
 TCP_SMOKE = -app pagerank -places 4 -size 200 -iters 8 -ckpt 2
+TCP_SMOKE_LOGREG = -app logreg -places 4 -size 200 -iters 8 -ckpt 2 -mode replace-elastic
 tcp-smoke:
 	@set -e; \
 	hash() { out=$$($(GO) run ./cmd/rgmlrun "$$@") || exit 1; echo "$$out" | sed -n 's/^  final iterate: //p'; }; \
@@ -79,7 +83,10 @@ tcp-smoke:
 	if [ "$${adopted:-0}" -lt 1 ]; then \
 		echo "tcp-smoke: replace-elastic: transport.tcp.standby.adopted '$$adopted', want >= 1"; exit 1; fi; \
 	want=$$(hash $(TCP_SMOKE) -mode replace-elastic); \
-	same "$$got" "$$want" replace-elastic
+	same "$$got" "$$want" replace-elastic; \
+	got=$$(hash -transport tcp $(TCP_SMOKE_LOGREG) -kill-proc-iter 4 -min-worker-tasks 1); \
+	want=$$(hash $(TCP_SMOKE_LOGREG)); \
+	same "$$got" "$$want" "logreg replace-elastic"
 	@echo "tcp-smoke: recovered from real worker-process kills with worker-side compute, an adopted standby and bitwise-equal iterates"
 
 # The whole suite again with the kernel worker pool pinned to one worker:

@@ -567,9 +567,9 @@ func (c *Ctx) Transfer(to Place, bytes int) {
 
 // TransferSnapshot charges checkpoint redundancy traffic — a replica or
 // erasure shard written at save or by repair, or fetched by a restore —
-// by its declared size. Like every Send it hands the transport no bytes:
-// a DATA frame is footprint-only, because the process it reaches would
-// discard them (the snapshot's entries live at the coordinator). Where a
+// by its declared size. Like every Send it hands the transport no bytes,
+// and the tcp backend writes none: the process it reaches would discard
+// them (the snapshot's entries live at the coordinator). Where a
 // replica's bytes are worth having in a worker, the save path installs
 // them with a kernel task (Snapshot.warmReplica). The hop, class and byte
 // count are what the NetModel and the apgas counters see, so they are

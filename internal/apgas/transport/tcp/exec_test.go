@@ -1,8 +1,6 @@
 package tcp_test
 
 import (
-	"errors"
-	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -383,9 +381,9 @@ func TestWorkersAndStoresDoNotLeak(t *testing.T) {
 
 // TestStalledWorkerSurfacesAsConnLost plays the SIGSTOPped worker with a
 // full socket buffer: a peer that joins, keeps heartbeating, and never
-// reads. The write deadline turns the blocked Send and Exec into errors
-// within the detector timeout, and the place is reported dead exactly
-// once, as a connection loss.
+// reads. The write deadline turns the blocked Exec into an error within
+// the detector timeout, the place is reported dead exactly once, as a
+// connection loss, and Send to it fails from then on.
 func TestStalledWorkerSurfacesAsConnLost(t *testing.T) {
 	const timeout = 300 * time.Millisecond
 	tr := tcp.New(tcp.WithExternalWorkers(), tcp.WithHeartbeat(10*time.Millisecond, timeout))
@@ -415,38 +413,21 @@ func TestStalledWorkerSurfacesAsConnLost(t *testing.T) {
 	}
 	defer tr.Close()
 
-	// Fill the socket buffers until a write would block, from two
-	// goroutines using both planes — footprint DATA frames and TASK frames
-	// carrying 4 MiB puts: each must see its call fail, and within a few
-	// timeouts.
+	// Fill the socket buffers with TASK frames carrying 4 MiB puts until a
+	// write would block: the call must fail, and within a few timeouts.
 	payload := make([]byte, 4<<20)
-	errs := make(chan error, 2)
-	call := func(fn func() error) {
-		start := time.Now()
-		for fn() == nil {
-			if time.Since(start) > 10*timeout {
-				errs <- errors.New("calls keep succeeding against a peer that never reads")
-				return
-			}
-		}
-		if took := time.Since(start); took > 10*timeout {
-			errs <- fmt.Errorf("call failed only after %v", took)
-			return
-		}
-		errs <- nil
-	}
-	go call(func() error {
-		_, err := tr.Send(0, 1, transport.ClassSnapshot, len(payload), nil)
-		return err
-	})
-	go call(func() error {
+	start := time.Now()
+	for {
 		_, err := tr.Exec(&kernel.Task{Name: kernel.PutName, Place: 1, Puts: []kernel.Blob{{Handle: 1, Data: payload}}})
-		return err
-	})
-	for i := 0; i < 2; i++ {
-		if err := <-errs; err != nil {
-			t.Error(err)
+		if err != nil {
+			break
 		}
+		if time.Since(start) > 10*timeout {
+			t.Fatal("calls keep succeeding against a peer that never reads")
+		}
+	}
+	if took := time.Since(start); took > 10*timeout {
+		t.Fatalf("call failed only after %v", took)
 	}
 	select {
 	case d := <-deaths:
@@ -455,6 +436,9 @@ func TestStalledWorkerSurfacesAsConnLost(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("stalled place never reported dead")
+	}
+	if _, err := tr.Send(0, 1, transport.ClassSnapshot, len(payload), nil); err == nil {
+		t.Fatal("Send to the stalled place succeeded after its death")
 	}
 	select {
 	case d := <-deaths:

@@ -26,10 +26,10 @@
 // frame and is the caller's error. Closure-based tasks that never
 // registered a kernel still execute at the coordinator, and every other
 // runtime message — task spawns, finish bookkeeping, bulk data and
-// checkpoint traffic alike — is a DATA frame carrying its class and
-// declared size and no bytes: the snapshot store lives at the
-// coordinator, so a payload sent to a worker would only be discarded.
-// DESIGN.md §14 spells out this boundary.
+// checkpoint traffic alike — puts nothing on the wire: the closure bodies
+// and the snapshot store live at the coordinator, so Send only checks
+// that the hop's endpoint has a live body. DESIGN.md §14 spells out this
+// boundary.
 //
 // Process start stays off the recovery path: a self-spawning backend
 // keeps one standby worker, started and handshaken but not yet a place,
@@ -135,7 +135,6 @@ func newWorker(place int) *worker {
 type tcpInstr struct {
 	frames        *obs.Counter // transport.tcp.frames
 	wireBytes     *obs.Counter // transport.tcp.wire_bytes (real footprint: prefix + frame)
-	logicalBytes  *obs.Counter // transport.tcp.logical_bytes (declared size, NetModel-comparable)
 	heartbeats    *obs.Counter // transport.tcp.heartbeats
 	deaths        *obs.Counter // transport.tcp.deaths
 	tasks         *obs.Counter // transport.tcp.tasks (kernel dispatches put on a wire)
@@ -232,7 +231,6 @@ func (t *Transport) Start(places int, h transport.Handler) error {
 	t.instr = tcpInstr{
 		frames:        t.reg.Counter("transport.tcp.frames"),
 		wireBytes:     t.reg.Counter("transport.tcp.wire_bytes"),
-		logicalBytes:  t.reg.Counter("transport.tcp.logical_bytes"),
 		heartbeats:    t.reg.Counter("transport.tcp.heartbeats"),
 		deaths:        t.reg.Counter("transport.tcp.deaths"),
 		tasks:         t.reg.Counter("transport.tcp.tasks"),
@@ -497,8 +495,8 @@ func (t *Transport) readLoop(w *worker) {
 		case fResult:
 			t.resolve(f.Seq, f.Result)
 		default:
-			// No other worker-originated traffic exists; ignore
-			// forward-compatible frames.
+			// No other worker-originated traffic exists; read has
+			// already rejected any type outside the protocol.
 		}
 	}
 }
@@ -585,17 +583,16 @@ func (t *Transport) placeDead(place int, cause transport.DeathCause) {
 	}
 }
 
-// Send implements transport.Transport. Every logical hop between places
-// a and b is realized as one footprint-only DATA frame on the wire of the
-// non-coordinator endpoint (a↔0 traffic rides a's own wire; a↔b traffic
-// rides b's), declaring the message's class and size. A non-nil payload
-// is an error: bytes a worker keeps travel in kernel tasks (Exec). Sends
-// are fire-and-forget: TCP's per-connection FIFO provides the ordering
-// guarantee for control messages, and delivery to a dying place is
-// reported by the failure detector, not the send path.
+// Send implements transport.Transport. It writes nothing: closure bodies
+// run at the coordinator, so a logical hop between places has no bytes a
+// worker could use, and bytes a worker keeps travel in kernel tasks
+// (Exec). The runtime accounts the hop above Send (apgas.net.*, the
+// NetModel, kill fingerprints). Send only checks the contract: a non-nil
+// payload is an error, and so is a closed transport or a hop whose
+// non-coordinator endpoint has no live body.
 func (t *Transport) Send(from, to int, class transport.Class, size int, payload []byte) (time.Duration, error) {
 	if payload != nil {
-		return 0, fmt.Errorf("tcp: Send with a %d-byte payload: DATA frames are footprint-only", len(payload))
+		return 0, fmt.Errorf("tcp: Send with a %d-byte payload: bytes a worker keeps travel in kernel tasks", len(payload))
 	}
 	if from == to {
 		return 0, nil
@@ -617,27 +614,7 @@ func (t *Transport) Send(from, to int, class transport.Class, size int, payload 
 	if fc == nil || t.detector.Dead(ep) {
 		return 0, fmt.Errorf("tcp: place %d has no live body", ep)
 	}
-	start := time.Now()
-	f := frame{
-		Type:  fData,
-		From:  int32(from),
-		To:    int32(to),
-		Class: uint8(class),
-		Size:  int64(size),
-	}
-	n, err := fc.write(&f)
-	if err != nil {
-		t.connLost(ep)
-		return 0, fmt.Errorf("tcp: send to place %d: %w", ep, err)
-	}
-	t.instr.frames.Inc()
-	// wireBytes is the frame's real footprint (prefix + header, which
-	// carries From/To/Class/Size) as reported by write; the declared
-	// logical size — what the NetModel accounts —
-	// lands in its own counter so the two stay comparable but distinct.
-	t.instr.wireBytes.Add(int64(n))
-	t.instr.logicalBytes.Add(int64(4 + size))
-	return time.Since(start), nil
+	return 0, nil
 }
 
 // Exec implements transport.Executor: ship t to the worker process

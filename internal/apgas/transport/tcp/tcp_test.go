@@ -56,11 +56,11 @@ func TestStartSendClose(t *testing.T) {
 			t.Fatalf("Send(%d->0): %v", p, err)
 		}
 	}
-	// Worker-to-worker traffic rides the non-coordinator endpoint's wire.
+	// A worker-to-worker hop checks the receiving place's body.
 	if _, err := tr.Send(1, 2, transport.ClassSnapshot, 5, nil); err != nil {
 		t.Fatalf("Send(1->2): %v", err)
 	}
-	// DATA frames are footprint-only: a payload is refused, not carried.
+	// Send carries no bytes: a payload is refused, not carried.
 	if _, err := tr.Send(1, 2, transport.ClassSnapshot, 5, []byte("hello")); err == nil {
 		t.Fatal("Send with a payload succeeded; want an error")
 	}
@@ -72,6 +72,38 @@ func TestStartSendClose(t *testing.T) {
 	case p := <-deaths:
 		t.Fatalf("unexpected death report for place %d", p)
 	default:
+	}
+}
+
+// TestSendWritesNoFrame pins that a runtime hop puts nothing on the
+// wire: thousands of Sends in both directions leave transport.tcp.frames
+// where the workers' heartbeats alone move it.
+func TestSendWritesNoFrame(t *testing.T) {
+	reg := obs.NewRegistry()
+	tr := tcp.New(fastHeartbeat(), tcp.WithObs(reg))
+	if err := tr.Start(3, transport.Handler{}); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	defer tr.Close()
+	nonBeat := func() int64 {
+		n := reg.CounterValue("transport.tcp.heartbeats")
+		return reg.CounterValue("transport.tcp.frames") - n
+	}
+	before := nonBeat()
+	for i := 0; i < 1000; i++ {
+		for p := 1; p < 3; p++ {
+			if _, err := tr.Send(0, p, transport.ClassData, 1<<20, nil); err != nil {
+				t.Fatalf("Send(0->%d): %v", p, err)
+			}
+			if _, err := tr.Send(p, 0, transport.ClassControl, 64, nil); err != nil {
+				t.Fatalf("Send(%d->0): %v", p, err)
+			}
+		}
+	}
+	// Each of the two read loops may have counted a heartbeat's frame but
+	// not yet the heartbeat at either reading.
+	if d := nonBeat() - before; d > 2 || d < -2 {
+		t.Fatalf("4000 Sends moved the non-heartbeat frame count by %d", d)
 	}
 }
 

@@ -13,12 +13,12 @@ import (
 	"github.com/rgml/rgml/internal/codec"
 )
 
-// Wire format v4: every message, of all seven types, is one flat frame,
+// Wire format v5: every message, of all six types, is one flat frame,
 // little-endian throughout.
 //
 //	prefix  u32  bytes that follow (≤ maxFrameLen)
-//	header  u8 type | u8 class | u16 nblobs | i32 from | i32 to | u32 ver
-//	        | i64 size | u64 seq | u32 metaLen                  (headerLen)
+//	header  u8 type | u16 nblobs | i32 from | i32 to | u32 ver | u64 seq
+//	        | u32 metaLen                                       (headerLen)
 //	meta    metaLen bytes: the kernel.Task of an fTask or kernel.Result of
 //	        an fResult, flat-encoded by internal/apgas/kernel; empty otherwise
 //	table   nblobs × u32 blob length
@@ -26,8 +26,8 @@ import (
 //
 // Blobs are the bulk payloads — a task's Puts[i].Data and Payload, a
 // result's Frames and Payload. Only those two frame types carry meta or
-// blobs; every other frame, fData included, is its header alone, and a
-// reader rejects one that declares either. The sender never
+// blobs; every other frame is its header alone, and a reader rejects one
+// that declares either, or a type outside the six. The sender never
 // copies them: one vectored write takes header, meta and table from a
 // per-connection scratch buffer and each blob from the caller's own
 // slice. The receiver reads each into a codec.GetBuffer buffer that
@@ -44,8 +44,12 @@ const maxFrameLen = 1 << 28 // 256 MiB
 // hello does not even parse as a v3 frame (its big-endian length reads as
 // an oversized little-endian one) and is rejected the same way. Version 4
 // added the task's re-key table (kernel.Task.Rekeys) to the task meta and
-// made fData frames footprint-only; its framing is v3's.
-const wireVersion = 4
+// made DATA frames footprint-only. Version 5 deleted the DATA frame — a
+// runtime hop puts nothing on the wire — and with it the header's class
+// and declared-size fields; a DATA frame's type is now malformed. A v4
+// hello does not parse as a v5 frame (its header is nine bytes longer)
+// and is rejected like any other.
+const wireVersion = 5
 
 // frameType discriminates the messages crossing a coordinator-worker
 // connection.
@@ -57,9 +61,7 @@ const (
 	fHello frameType = iota + 1
 	// fHeartbeat is the worker's periodic liveness beacon.
 	fHeartbeat
-	// fData carries the footprint of one runtime message: its class and
-	// declared size, never its bytes.
-	fData
+	_ // 3: the DATA frame of wire versions up to 4, malformed since 5
 	// fKill tells a worker to fail-stop immediately (administrative kill).
 	fKill
 	// fBye tells a worker the run is over; it exits cleanly.
@@ -79,8 +81,6 @@ func (t frameType) String() string {
 		return "hello"
 	case fHeartbeat:
 		return "heartbeat"
-	case fData:
-		return "data"
 	case fKill:
 		return "kill"
 	case fBye:
@@ -95,15 +95,11 @@ func (t frameType) String() string {
 
 // frame is the unit of exchange on a coordinator-worker connection.
 type frame struct {
-	Type  frameType
-	From  int32
-	To    int32
-	Class uint8
+	Type frameType
+	From int32
+	To   int32
 	// Ver is the wire-format version, meaningful only on fHello.
 	Ver uint32
-	// Size is the declared payload volume of a data frame: accounting
-	// only, since no data frame carries bytes.
-	Size int64
 	// Seq pairs an fResult with the fTask it answers; unique per
 	// coordinator run.
 	Seq uint64
@@ -114,7 +110,7 @@ type frame struct {
 }
 
 // headerLen is the fixed header that follows the length prefix.
-const headerLen = 36
+const headerLen = 27
 
 // maxBlobs bounds the blobs of one frame (the header counts them in 16
 // bits).
@@ -126,8 +122,8 @@ const maxBlobs = 1<<16 - 1
 // quarter-second timeout while a stopped peer still is.
 const writeFloor = 64 << 20 // bytes per second
 
-// frameConn wraps one side of a connection with the v3 framing. Writes
-// are serialized by a mutex so heartbeats, data, task and control frames
+// frameConn wraps one side of a connection with the framing above. Writes
+// are serialized by a mutex so heartbeats, task, result and control frames
 // from different goroutines interleave at frame granularity, and each
 // carries a deadline; reads are single-goroutine by construction (one
 // reader per connection).
@@ -182,14 +178,13 @@ func (fc *frameConn) write(f *frame) (int, error) {
 		return 0, fmt.Errorf("tcp: %v frame of %d bytes exceeds limit %d", f.Type, total, maxFrameLen)
 	}
 	le.PutUint32(b[0:], uint32(total))
-	b[4], b[5] = byte(f.Type), f.Class
-	le.PutUint16(b[6:], uint16(len(blobs)))
-	le.PutUint32(b[8:], uint32(f.From))
-	le.PutUint32(b[12:], uint32(f.To))
-	le.PutUint32(b[16:], f.Ver)
-	le.PutUint64(b[20:], uint64(f.Size))
-	le.PutUint64(b[28:], f.Seq)
-	le.PutUint32(b[36:], uint32(metaLen))
+	b[4] = byte(f.Type)
+	le.PutUint16(b[5:], uint16(len(blobs)))
+	le.PutUint32(b[7:], uint32(f.From))
+	le.PutUint32(b[11:], uint32(f.To))
+	le.PutUint32(b[15:], f.Ver)
+	le.PutUint64(b[19:], f.Seq)
+	le.PutUint32(b[27:], uint32(metaLen))
 
 	// Empty blobs exist in the table only; the vector skips them.
 	vec[0] = b
@@ -227,8 +222,8 @@ func (fc *frameConn) read(f *frame) (int, error) {
 	}
 	le := binary.LittleEndian
 	total := int64(le.Uint32(hdr[0:]))
-	nblobs := int64(le.Uint16(hdr[6:]))
-	metaLen := int64(le.Uint32(hdr[36:]))
+	nblobs := int64(le.Uint16(hdr[5:]))
+	metaLen := int64(le.Uint32(hdr[27:]))
 	if total > maxFrameLen {
 		return 0, fmt.Errorf("tcp: frame length %d exceeds limit %d", total, maxFrameLen)
 	}
@@ -237,13 +232,16 @@ func (fc *frameConn) read(f *frame) (int, error) {
 		return 0, fmt.Errorf("tcp: frame of %d bytes cannot hold %d meta bytes and %d blob lengths", total, metaLen, nblobs)
 	}
 	*f = frame{
-		Type:  frameType(hdr[4]),
-		Class: hdr[5],
-		From:  int32(le.Uint32(hdr[8:])),
-		To:    int32(le.Uint32(hdr[12:])),
-		Ver:   le.Uint32(hdr[16:]),
-		Size:  int64(le.Uint64(hdr[20:])),
-		Seq:   le.Uint64(hdr[28:]),
+		Type: frameType(hdr[4]),
+		From: int32(le.Uint32(hdr[7:])),
+		To:   int32(le.Uint32(hdr[11:])),
+		Ver:  le.Uint32(hdr[15:]),
+		Seq:  le.Uint64(hdr[19:]),
+	}
+	switch f.Type {
+	case fHello, fHeartbeat, fKill, fBye, fTask, fResult:
+	default:
+		return 0, fmt.Errorf("tcp: frame of unknown type %d", hdr[4])
 	}
 	if f.Type != fTask && f.Type != fResult && (metaLen != 0 || nblobs != 0) {
 		return 0, fmt.Errorf("tcp: %v frame with %d meta bytes and %d blobs", f.Type, metaLen, nblobs)

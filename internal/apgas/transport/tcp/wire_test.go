@@ -64,9 +64,9 @@ func encodeFrames(t testing.TB, frames ...*frame) ([]byte, []int) {
 	return <-got, ns
 }
 
-// testFrames is a representative mixed sequence: handshake, beats, data
-// footprints of two classes, a kernel task with puts, re-keys and drops,
-// and its result.
+// testFrames is a representative mixed sequence: handshake, beats, a
+// kernel task with puts, re-keys and drops, its result, and the control
+// frames.
 func testFrames() []*frame {
 	task := &kernel.Task{
 		Name:   "wiretest.noop",
@@ -80,8 +80,6 @@ func testFrames() []*frame {
 	return []*frame{
 		{Type: fHello, From: 1, Ver: wireVersion},
 		{Type: fHeartbeat, From: 1},
-		{Type: fData, From: 0, To: 1, Class: 2, Size: 4096},
-		{Type: fData, From: 1, To: 2, Class: 3, Size: 11},
 		{Type: fTask, To: 1, Seq: 1, Task: task},
 		{Type: fResult, From: 1, Seq: 1, Result: &kernel.Result{F64: []float64{1, 2}}},
 		{Type: fHeartbeat, From: 1},
@@ -103,10 +101,7 @@ func randomFrame(rng *rand.Rand, typ frameType, nblobs int) *frame {
 		rng.Read(b)
 		return b
 	}
-	f := &frame{
-		Type: typ, From: rng.Int31(), To: -rng.Int31(), Class: uint8(rng.Intn(4)),
-		Ver: rng.Uint32(), Size: rng.Int63(), Seq: rng.Uint64(),
-	}
+	f := &frame{Type: typ, From: rng.Int31(), To: -rng.Int31(), Ver: rng.Uint32(), Seq: rng.Uint64()}
 	switch typ {
 	case fTask:
 		t := &kernel.Task{Name: "wiretest.random", Place: rng.Int31(), Payload: blob()}
@@ -173,7 +168,7 @@ func normalize(f *frame) *frame {
 func TestWireFootprintSenderEqualsReceiver(t *testing.T) {
 	frames := testFrames()
 	rng := rand.New(rand.NewSource(3))
-	for _, typ := range []frameType{fData, fTask, fResult} {
+	for _, typ := range []frameType{fHeartbeat, fTask, fResult} {
 		frames = append(frames, randomFrame(rng, typ, 1+rng.Intn(8)))
 	}
 	data, wrote := encodeFrames(t, frames...)
@@ -209,7 +204,7 @@ func TestWireFootprintSenderEqualsReceiver(t *testing.T) {
 func TestWireRoundTripPreservesFrames(t *testing.T) {
 	rng := rand.New(rand.NewSource(20150525))
 	frames := testFrames()
-	for _, typ := range []frameType{fHello, fHeartbeat, fData, fKill, fBye, fTask, fResult} {
+	for _, typ := range []frameType{fHello, fHeartbeat, fKill, fBye, fTask, fResult} {
 		for nblobs := 0; nblobs <= 8; nblobs++ {
 			frames = append(frames, randomFrame(rng, typ, nblobs))
 		}
@@ -239,28 +234,28 @@ func TestWireRoundTripPreservesFrames(t *testing.T) {
 	}
 }
 
-// TestWireDataFrameWithBlobIsDecodeError pins that DATA frames are
-// footprint-only: the writer has no way to attach bytes to one, and a
-// reader rejects a well-formed data frame that declares a blob — it is
-// not a payload to skip — before reading the blob's bytes.
-func TestWireDataFrameWithBlobIsDecodeError(t *testing.T) {
-	data, wrote := encodeFrames(t, &frame{Type: fData, Class: 3, Size: 100000})
-	if wrote[0] != 4+headerLen {
-		t.Fatalf("data frame footprint %d, want the bare header %d", wrote[0], 4+headerLen)
-	}
+// dataFrameType is the type byte of the DATA frame that wire versions up
+// to 4 carried for every runtime hop; version 5 deleted it.
+const dataFrameType = 3
+
+// TestWireDataFrameIsDecodeError pins that the DATA frame is gone: a
+// well-formed header of its type — bare, as version 4 sent it, or
+// declaring a blob — is a decode error, not a frame to drain.
+func TestWireDataFrameIsDecodeError(t *testing.T) {
+	data, _ := encodeFrames(t, &frame{Type: fHeartbeat, From: 1})
+	data[4] = dataFrameType
 	le := binary.LittleEndian
 	const n = 100000
 	withBlob := append([]byte(nil), data...)
 	le.PutUint32(withBlob[0:], uint32(headerLen+4+n))
-	le.PutUint16(withBlob[6:], 1)
+	le.PutUint16(withBlob[5:], 1)
 	withBlob = le.AppendUint32(withBlob, n)
 	withBlob = append(withBlob, make([]byte, n)...)
-	var f frame
-	if _, err := decoderOver(withBlob).read(&f); err == nil || err == io.EOF {
-		t.Fatalf("data frame with a %d-byte blob: read = %v, want a decode error", n, err)
-	}
-	if _, err := decoderOver(data).read(&f); err != nil || f.Type != fData || f.Size != n {
-		t.Fatalf("bare data frame: read %+v, %v", f, err)
+	for name, b := range map[string][]byte{"bare": data, "with a blob": withBlob} {
+		var f frame
+		if _, err := decoderOver(b).read(&f); err == nil || err == io.EOF {
+			t.Fatalf("%s DATA frame: read = %v, want a decode error", name, err)
+		}
 	}
 }
 
@@ -300,8 +295,8 @@ func TestWireRejectsOversizeBeforeAllocating(t *testing.T) {
 		b := make([]byte, 4+headerLen)
 		le.PutUint32(b[0:], total)
 		b[4] = byte(typ)
-		le.PutUint16(b[6:], nblobs)
-		le.PutUint32(b[36:], metaLen)
+		le.PutUint16(b[5:], nblobs)
+		le.PutUint32(b[27:], metaLen)
 		for _, n := range table {
 			b = le.AppendUint32(b, n)
 		}
@@ -309,18 +304,21 @@ func TestWireRejectsOversizeBeforeAllocating(t *testing.T) {
 	}
 	const big = maxFrameLen - headerLen - 4
 	cases := map[string][]byte{
-		"length past the limit":           header(maxFrameLen+1, fData, 0, 0),
-		"v2 big-endian gob prefix":        {0, 0, 0, 95, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36},
+		"length past the limit":           header(maxFrameLen+1, fHeartbeat, 0, 0),
+		"v2 big-endian gob prefix":        {0, 0, 0, 95, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27},
 		"shorter than its header":         header(headerLen-1, fHeartbeat, 0, 0),
 		"meta longer than the frame":      header(headerLen+8, fTask, 0, 9),
-		"blob table longer than frame":    header(headerLen+8, fData, 3, 0),
-		"blob longer than the frame":      header(headerLen+4+10, fData, 1, 0, 1<<30),
+		"blob table longer than frame":    header(headerLen+8, fKill, 3, 0),
+		"blob longer than the frame":      header(headerLen+4+10, fKill, 1, 0, 1<<30),
 		"blobs sum past the frame":        header(headerLen+8+10, fTask, 2, 0, 6, 6),
-		"blobs sum short of the frame":    header(headerLen+4+10, fData, 1, 0, 9),
-		"a blob on a data frame":          append(header(headerLen+4+1, fData, 1, 0, 1), 7),
-		"two blobs on a data frame":       append(header(headerLen+8+2, fData, 2, 0, 1, 1), 7, 7),
+		"blobs sum short of the frame":    header(headerLen+4+10, fKill, 1, 0, 9),
+		"a blob on a kill frame":          append(header(headerLen+4+1, fKill, 1, 0, 1), 7),
+		"two blobs on a bye frame":        append(header(headerLen+8+2, fBye, 2, 0, 1, 1), 7, 7),
 		"meta on a heartbeat":             append(header(headerLen+1, fHeartbeat, 0, 1), 7),
 		"blob count beyond the task meta": append(header(headerLen+8+2, fTask, 2, 0, 1, 1), 7, 7),
+		"a bare DATA frame":               header(headerLen, dataFrameType, 0, 0),
+		"type zero":                       header(headerLen, 0, 0, 0),
+		"type past the last":              header(headerLen, fResult+1, 0, 0),
 	}
 	for name, data := range cases {
 		var f frame
@@ -361,13 +359,21 @@ func TestWireWriteRefusesOversizeFrame(t *testing.T) {
 }
 
 // FuzzFrameDecode throws arbitrary bytes at the frame reader: it may
-// reject them, never panic, and whatever it accepts re-encodes to a frame
-// that decodes to the same content.
+// reject them, never panic, never accept a DATA frame (the seeds include
+// one as version 4 wrote it and one in today's header), and whatever it
+// accepts re-encodes to a frame that decodes to the same content.
 func FuzzFrameDecode(f *testing.F) {
 	valid, _ := encodeFrames(f, testFrames()...)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte{0, 0, 0, 95})
+	v4data := make([]byte, 4+36) // v4: prefix + its 36-byte header
+	binary.LittleEndian.PutUint32(v4data, 36)
+	v4data[4] = dataFrameType
+	f.Add(v4data)
+	v5data := append([]byte(nil), valid[:4+headerLen]...) // the hello's header
+	v5data[4] = dataFrameType
+	f.Add(v5data)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) >= 4 && binary.LittleEndian.Uint32(data) > uint32(len(data)) {
 			// A frame longer than the input can only end in a short read;
@@ -381,6 +387,9 @@ func FuzzFrameDecode(f *testing.F) {
 			var got frame
 			if _, err := fc.read(&got); err != nil {
 				return
+			}
+			if got.Type == dataFrameType {
+				t.Fatal("a DATA frame was accepted")
 			}
 			re, _ := encodeFrames(t, &got)
 			var again frame
@@ -441,6 +450,16 @@ func TestHelloVersionRejected(t *testing.T) {
 		},
 		"v3 framing, version 3 (tasks without re-keys)": func(conn net.Conn) error {
 			_, err := newFrameConn(conn, time.Second).write(&frame{Type: fHello, From: 1, Ver: 3})
+			return err
+		},
+		"v4 framing (36-byte header with class and size)": func(conn net.Conn) error {
+			b := make([]byte, 4+36)
+			le := binary.LittleEndian
+			le.PutUint32(b[0:], 36)
+			b[4] = byte(fHello)
+			le.PutUint32(b[8:], 1)  // from
+			le.PutUint32(b[16:], 4) // version
+			_, err := conn.Write(b)
 			return err
 		},
 		"v2 framing (big-endian length, gob body)": func(conn net.Conn) error {

@@ -55,7 +55,7 @@ func MaybeWorker() {
 
 // ServeWorker runs the worker protocol for one place against the
 // coordinator at addr: handshake, heartbeat every interval, execute
-// kernel tasks and drain other frames until dismissed. It returns nil on
+// kernel tasks until dismissed. It returns nil on
 // a clean dismissal (fBye, fKill, or coordinator EOF) and an error for
 // anything unexpected. `rgmlrun -serve-place` calls it directly for
 // externally-joined deployments.
@@ -120,10 +120,6 @@ func ServeWorker(addr string, place int, interval, timeout time.Duration) error 
 			return nil
 		case fTask:
 			tasks <- f
-		case fData:
-			// The footprint of a coordinator-resident task body's traffic
-			// to this place: a header and nothing else, so draining it is
-			// the whole contract.
 		}
 	}
 }

@@ -138,8 +138,9 @@ type Transport interface {
 
 	// Send moves one message of the given class from place from to place
 	// to, blocking the caller for the transfer's duration, and returns
-	// that duration (simulated for the local backend, measured wire time
-	// for a real one). size declares the payload volume for accounting.
+	// that duration (simulated for the local backend; zero for tcp, which
+	// puts nothing on the wire because closure bodies run at the
+	// coordinator). size declares the payload volume for accounting.
 	// The runtime always passes a nil payload: every message is a
 	// footprint, and bytes a worker should keep travel in kernel tasks
 	// (Executor). The parameter remains for implementations outside this

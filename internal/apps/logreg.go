@@ -40,12 +40,13 @@ func (c *LogRegConfig) setDefaults() {
 }
 
 // LogReg trains a binary classifier on the logistic loss by gradient
-// descent with per-iteration objective evaluation. Each iteration performs
-// two passes over the design matrix (scores for the gradient, scores for
-// the objective) plus the reductions, giving it more finish-scoped
-// collectives and roughly twice the per-iteration cost of LinReg — the
-// relative weight the paper's Figures 2-3 show. X and the labels are
-// read-only; the model w is the mutable checkpoint state.
+// descent with per-iteration objective evaluation. A steady iteration
+// makes two passes over the design matrix: Xᵀ·(σ(s)−y) for the gradient
+// and s = X·w for the objective. The objective's scores are the next
+// gradient's scores — nothing between two steps changes X, w or s — so
+// only the first step, and the first after a Restore, computes X·w
+// before its gradient as well. X and the labels are read-only; the model
+// w is the mutable checkpoint state.
 type LogReg struct {
 	rt   *apgas.Runtime
 	cfg  LogRegConfig
@@ -57,8 +58,12 @@ type LogReg struct {
 	yb *dist.DistVector      // N binary labels (read-only)
 	w  *dist.DupVector       // model (mutable)
 
-	s    *dist.DistVector // temporary: scores X·w
+	s    *dist.DistVector // scores X·w
 	grad *dist.DupVector  // temporary: gradient
+	// fresh reports that s holds X·w for the current w: set when a
+	// step's objective pass completes, cleared when a step starts and by
+	// Restore.
+	fresh bool
 }
 
 // NewLogReg builds the LogReg application over pg, generating the training
@@ -110,9 +115,15 @@ func (a *LogReg) Loss() float64 { return a.loss }
 // Step implements core.IterativeApp: one gradient step plus an objective
 // evaluation.
 func (a *LogReg) Step() error {
-	// Gradient pass: s = X·w, s := σ(s) − y, grad = Xᵀ·s.
-	if err := a.x.MultVec(a.w, a.s); err != nil {
-		return err
+	// Gradient pass: s = X·w, s := σ(s) − y, grad = Xᵀ·s. The previous
+	// step's objective pass left s = X·w for this very w unless a restore
+	// came in between; its product is bit-identical to a fresh one.
+	fresh := a.fresh
+	a.fresh = false
+	if !fresh {
+		if err := a.x.MultVec(a.w, a.s); err != nil {
+			return err
+		}
 	}
 	err := a.s.ZipApplyLocal(a.yb, func(s, y la.Vector, _ int) {
 		for i := range s {
@@ -150,6 +161,7 @@ func (a *LogReg) Step() error {
 		return err
 	}
 	a.loss = loss * invN
+	a.fresh = true
 	a.iter++
 	return nil
 }
@@ -173,6 +185,7 @@ func (a *LogReg) Checkpoint(store *core.AppResilientStore) error {
 
 // Restore implements core.IterativeApp.
 func (a *LogReg) Restore(newPG apgas.PlaceGroup, store *core.AppResilientStore, snapshotIter int64, rebalance bool) error {
+	a.fresh = false
 	if err := a.x.Remake(newPG, !rebalance); err != nil {
 		return err
 	}

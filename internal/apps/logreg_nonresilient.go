@@ -26,6 +26,8 @@ type LogRegNonResilient struct {
 
 	s    *dist.DistVector
 	grad *dist.DupVector
+	// fresh reports that s holds X·w for the current w (see LogReg).
+	fresh bool
 }
 
 // NewLogRegNonResilient builds the non-resilient LogReg program.
@@ -69,8 +71,12 @@ func (a *LogRegNonResilient) Loss() float64 { return a.loss }
 // Step performs one gradient step plus an objective evaluation (identical
 // to the resilient Step).
 func (a *LogRegNonResilient) Step() error {
-	if err := a.x.MultVec(a.w, a.s); err != nil {
-		return err
+	fresh := a.fresh
+	a.fresh = false
+	if !fresh {
+		if err := a.x.MultVec(a.w, a.s); err != nil {
+			return err
+		}
 	}
 	err := a.s.ZipApplyLocal(a.yb, func(s, y la.Vector, _ int) {
 		for i := range s {
@@ -106,6 +112,7 @@ func (a *LogRegNonResilient) Step() error {
 		return err
 	}
 	a.loss = loss * invN
+	a.fresh = true
 	a.iter++
 	return nil
 }

@@ -157,28 +157,26 @@ func (b *MatrixBlock) TransMultVecInto(x la.Vector, yLocal la.Vector) {
 	ySeg.Add(tmp)
 }
 
-// MultVecAssign computes dst = B · x[Col0:Col0+Cols], overwriting dst
-// (length b.Rows). Unlike MultVecInto it neither allocates a temporary
-// nor accumulates, so hot iteration paths can reuse per-block scratch
-// vectors across calls.
-func (b *MatrixBlock) MultVecAssign(x, dst la.Vector) {
-	xSeg := x[b.Col0 : b.Col0+b.Cols]
+// MultVecAssign computes dst = B · xCols, overwriting dst (length
+// b.Rows), where xCols holds the block's columns of x (x[Col0:Col0+Cols]).
+// Unlike MultVecInto it neither allocates a temporary nor accumulates, so
+// hot iteration paths can reuse per-block scratch vectors across calls.
+func (b *MatrixBlock) MultVecAssign(xCols, dst la.Vector) {
 	if b.Dense != nil {
-		b.Dense.MultVec(xSeg, dst)
+		b.Dense.MultVec(xCols, dst)
 	} else {
-		b.Sparse.MultVec(xSeg, dst)
+		b.Sparse.MultVec(xCols, dst)
 	}
 }
 
-// TransMultVecAssign computes dst = Bᵀ · x[Row0:Row0+Rows], overwriting
-// dst (length b.Cols); the allocation-free counterpart of
-// TransMultVecInto.
-func (b *MatrixBlock) TransMultVecAssign(x, dst la.Vector) {
-	xSeg := x[b.Row0 : b.Row0+b.Rows]
+// TransMultVecAssign computes dst = Bᵀ · xRows, overwriting dst (length
+// b.Cols), where xRows holds the block's rows of x (x[Row0:Row0+Rows]);
+// the allocation-free counterpart of TransMultVecInto.
+func (b *MatrixBlock) TransMultVecAssign(xRows, dst la.Vector) {
 	if b.Dense != nil {
-		b.Dense.TransMultVec(xSeg, dst)
+		b.Dense.TransMultVec(xRows, dst)
 	} else {
-		b.Sparse.TransMultVec(xSeg, dst)
+		b.Sparse.TransMultVec(xRows, dst)
 	}
 }
 

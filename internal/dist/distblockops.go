@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/rgml/rgml/internal/apgas"
+	"github.com/rgml/rgml/internal/apgas/kernel"
 	"github.com/rgml/rgml/internal/block"
 	"github.com/rgml/rgml/internal/la"
 )
@@ -20,8 +21,8 @@ import (
 //
 // Phase 1 fans each place's blocks across the intra-place kernel pool
 // (block partials are disjoint, so any interleaving yields the same
-// bits) — for MultVec inside the registered kernel (kernels.go), the one
-// body every backend runs — and the per-block scratch vectors live in a
+// bits) inside a registered kernel (kernels.go), the one body every
+// backend runs, and the per-block scratch vectors live in a
 // place-local map reused across calls. The map serves both collectives:
 // MultVec partials (length block-rows) sit under even keys, TransMultVec
 // partials (length block-cols) under odd keys, and the gathered-x buffer
@@ -66,7 +67,13 @@ func (m *DistBlockMatrix) MultVec(x *DupVector, y *DistVector) error {
 				part[rowPartKey(id)] = la.NewVector(b.Rows)
 			}
 		})
-		apgas.Throw(m.multVecKernel(ctx, x, xloc, part, bs))
+		apgas.Throw(m.matVecKernel(ctx, multVecKernelName, kernel.Input{
+			Handle: x.plh.Handle(),
+			Key:    0,
+			Ver:    x.ver,
+			Encode: func() []byte { return wireVector(xloc) },
+			Obj:    xloc,
+		}, part, rowPartKey, bs))
 	})
 	if err != nil {
 		return err
@@ -131,8 +138,8 @@ func (m *DistBlockMatrix) TransMultVec(x *DistVector, z *DupVector) error {
 	}
 
 	// Phase 1: gather the needed x rows, then compute per-block partials
-	// B_{rb,cb}ᵀ · x[rows(rb)], fanned across the kernel pool. The place's
-	// gather map is seeded with its own partials for phase 2.
+	// B_{rb,cb}ᵀ · x[rows(rb)] in the place's kernel. The place's gather
+	// map is seeded with its own partials for phase 2.
 	err = apgas.ForEachPlace(m.rt, m.pg, func(ctx *apgas.Ctx, idx int) {
 		gm := gath.Local(ctx)
 		clear(gm)
@@ -181,9 +188,17 @@ func (m *DistBlockMatrix) TransMultVec(x *DistVector, z *DupVector) error {
 				part[colPartKey(id)] = la.NewVector(b.Cols)
 			}
 		})
-		bs.EachPar(func(id int, b *block.MatrixBlock) {
-			b.TransMultVecAssign(xbuf, part[colPartKey(id)])
-		})
+		// The gathered rows are a versioned input under x's own handle,
+		// keyed by their first row: a worker is sent them once per
+		// version of x.
+		rows := xbuf[minR:maxR]
+		apgas.Throw(m.matVecKernel(ctx, transMultVecKernelName, kernel.Input{
+			Handle: x.plh.Handle(),
+			Key:    int64(minR),
+			Ver:    x.ver,
+			Encode: func() []byte { return wireVector(rows) },
+			Obj:    rows,
+		}, part, colPartKey, bs))
 		bs.Each(func(id int, b *block.MatrixBlock) {
 			gm[id] = part[colPartKey(id)]
 		})

@@ -359,6 +359,11 @@ func (v *DistVector) restore(s *snapshot.Snapshot, keepRetained bool) error {
 		return fmt.Errorf("dist: DistVector restore length %d, want %d: %w", n, v.n, ErrShapeMismatch)
 	}
 	oldOffs := grid.Offsets(oldSizes)
+	// The segments rewind to the checkpoint, so the version must move:
+	// worker-side kernel caches may hold the diverged pre-restore rows
+	// under the current version, and the next delta checkpoint must
+	// re-examine the vector either way.
+	v.ver++
 
 	sameSeg := len(oldSizes) == v.pg.Size()
 	reg := v.rt.Obs()

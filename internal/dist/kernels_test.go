@@ -179,7 +179,7 @@ func multVecReference(t *testing.T, iters int) la.Vector {
 					}
 				}
 				part := la.NewVector(b.Rows)
-				b.MultVecAssign(x, part)
+				b.MultVecAssign(x[b.Col0:b.Col0+b.Cols], part)
 				y[b.Row0 : b.Row0+b.Rows].Add(part)
 			}
 		}

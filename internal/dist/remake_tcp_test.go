@@ -23,18 +23,29 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// recordingTCP is the tcp backend with every dispatched put recorded by
-// place: what each worker was sent, as (handle, key, version).
+// recordingTCP is the tcp backend with every dispatch recorded: each
+// put by place — what each worker was sent, as (handle, key, version) —
+// and each kernel by name.
 type recordingTCP struct {
 	*tcp.Transport
 
-	mu   sync.Mutex
-	puts map[int][]kernel.Ref
+	mu    sync.Mutex
+	puts  map[int][]kernel.Ref
+	names map[string]int
+}
+
+func newRecordingTCP() *recordingTCP {
+	return &recordingTCP{
+		Transport: tcp.New(tcp.WithHeartbeat(25*time.Millisecond, 2*time.Second)),
+		puts:      make(map[int][]kernel.Ref),
+		names:     make(map[string]int),
+	}
 }
 
 func (r *recordingTCP) Exec(t *kernel.Task) (*kernel.Result, error) {
 	if t != nil {
 		r.mu.Lock()
+		r.names[t.Name]++
 		for _, b := range t.Puts {
 			r.puts[int(t.Place)] = append(r.puts[int(t.Place)], kernel.Ref{Handle: b.Handle, Key: b.Key, Ver: b.Ver})
 		}
@@ -61,10 +72,7 @@ func newRemakeFixture(t *testing.T, overTCP bool, places, rowBlocks int) *remake
 	f := &remakeFixture{t: t, reg: obs.NewRegistry()}
 	opts := []apgas.Option{apgas.WithPlaces(places), apgas.WithResilient(true), apgas.WithObs(f.reg)}
 	if overTCP {
-		f.rec = &recordingTCP{
-			Transport: tcp.New(tcp.WithHeartbeat(25*time.Millisecond, 2*time.Second)),
-			puts:      make(map[int][]kernel.Ref),
-		}
+		f.rec = newRecordingTCP()
 		opts = append(opts, apgas.WithTransport(f.rec))
 	}
 	rt, err := apgas.New(opts...)
