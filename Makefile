@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race race-synctest chaos-smoke tcp-smoke workers-seq bench-check fuzz bench counts
+.PHONY: ci vet build test race race-synctest finish-stress chaos-smoke tcp-smoke workers-seq bench-check fuzz bench counts
 
-ci: vet build race race-synctest chaos-smoke tcp-smoke workers-seq bench-check
+ci: vet build race race-synctest finish-stress chaos-smoke tcp-smoke workers-seq bench-check
 
 # go vet, then a gofmt gate: any file gofmt would rewrite fails the target.
 vet:
@@ -33,6 +33,18 @@ race:
 # required by synctest until the go directive passes 1.23).
 race-synctest:
 	GOEXPERIMENT=synctest GODEBUG=asynctimerchan=0 $(GO) test -race -run 'Synctest' ./internal/apgas/transport/
+
+# The resilient-finish ledger's kill-versus-spawn races, repeated under
+# the race detector: the refused-fork tests 2000 times, the shard's
+# event-order enumeration and the concurrent-kill stress 100 times, in
+# both finish modes. The -list check fails the target if a rename leaves
+# a -run pattern matching fewer tests than it names.
+FINISH_STRESS = TestRefusedForkCounter|TestRefusedLocalFork|TestShardEventOrders|TestFinishModeStress
+finish-stress:
+	@n=$$($(GO) test -list '^($(FINISH_STRESS))$$' ./internal/apgas | grep -c '^Test'); \
+	if [ "$$n" -ne 4 ]; then echo "finish-stress: $$n of the 4 tests found"; exit 1; fi
+	$(GO) test -race -count=2000 -run '^(TestRefusedForkCounter|TestRefusedLocalFork)$$' ./internal/apgas
+	$(GO) test -race -count=100 -run '^(TestShardEventOrders|TestFinishModeStress)$$' ./internal/apgas
 
 # A short fixed-seed chaos campaign over every benchmark application:
 # one kill inside a checkpoint commit plus one during the restore that

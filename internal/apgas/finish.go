@@ -12,22 +12,20 @@ import (
 // activity until all of them (transitively) have terminated — X10's finish
 // construct.
 //
-// Three implementations hide behind the one type, selected by
-// Config.Resilient and Config.FinishMode:
+// Two implementations hide behind the one type, selected by
+// Config.Resilient:
 //
 //   - non-resilient: a plain local barrier (WaitGroup semantics). This is
 //     the cheap mode whose per-iteration times form the lower curves in the
 //     paper's Figures 2-4.
 //
-//   - resilient central: every task fork and join is an event processed
-//     serially by the place-zero ledger, which detects place death,
-//     terminates orphan tasks, and delivers DeadPlaceError to the affected
-//     finishes. The bookkeeping traffic is the overhead measured in
-//     Figures 2-4.
-//
-//   - resilient sharded: bookkeeping lives at the finish's home place's
-//     ledger shard, home-place tasks ride a local counter that never
-//     touches the shard, and remote forks are batched (see shard.go).
+//   - resilient: every task is bookkept by the resilient-finish ledger,
+//     which detects place death, terminates orphan tasks, and delivers
+//     DeadPlaceError to the affected finishes. Config.FinishMode picks the
+//     ledger's shape (ledger.go): central, one shard at place zero that
+//     sees every fork and join — the bookkeeping traffic measured in
+//     Figures 2-4 — or sharded, a shard per home place with a local fast
+//     path for home-place tasks and batched forks (see shard.go).
 type Finish struct {
 	rt   *Runtime
 	id   uint64
@@ -39,10 +37,6 @@ type Finish struct {
 	// Non-resilient barrier.
 	wg sync.WaitGroup
 
-	// Resilient (central) release signal, closed by the ledger when the
-	// finish is waiting and its last live task has joined.
-	release chan struct{}
-
 	// Sharded local fast path: home-place tasks are counted here instead
 	// of being registered with the shard. localDone, when armed by the
 	// waiter, is closed by the join that drains the population.
@@ -51,26 +45,23 @@ type Finish struct {
 	localDone chan struct{}
 	// spawns counts every fork of the finish (local and remote), bumped
 	// after the fork is visible to its barrier; the waiter's fixpoint loop
-	// (waitSharded) uses it to detect spawns racing the barriers.
+	// (quiesce) uses it to detect spawns racing the barriers. Only the
+	// sharded shape keeps it.
 	spawns atomic.Uint64
 	// remote is set (before the spawn counter bump) by the first
-	// place-crossing fork. While it is unset after a local drain, the
-	// finish provably has no shard state, so wait skips the shard
+	// fork that goes to the shard. While it is unset after a local drain,
+	// the finish provably has no shard state, so wait skips the shard
 	// round-trip entirely — the common all-local finish costs zero ledger
-	// traffic.
+	// traffic. Only the sharded shape keeps it.
 	remote atomic.Bool
 }
 
 func (rt *Runtime) newFinish(home Place) *Finish {
-	f := &Finish{
+	return &Finish{
 		rt:   rt,
 		id:   rt.nextFinish.Add(1),
 		home: home,
 	}
-	if rt.cfg.Resilient && rt.cfg.FinishMode == FinishCentral {
-		f.release = make(chan struct{})
-	}
-	return f
 }
 
 // record appends an exception to the finish's collection.
@@ -85,46 +76,43 @@ func (f *Finish) record(err error) {
 
 // wait blocks until the finish quiesces and returns its combined exceptions.
 func (f *Finish) wait() error {
-	switch {
-	case !f.rt.cfg.Resilient:
+	if f.rt.cfg.Resilient {
+		f.quiesce()
+	} else {
 		f.wg.Wait()
-	case f.rt.cfg.FinishMode == FinishSharded:
-		f.waitSharded()
-	default:
-		// Ask the ledger to release us once our live-task set drains. The
-		// round trip through the serialized ledger is part of the resilient
-		// finish cost.
-		f.rt.ledger.send(ledgerEvent{kind: evWait, fin: f})
-		<-f.release
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return combineErrors(f.errs)
 }
 
-// waitSharded is the sharded-mode quiescence fixpoint (see the protocol
-// discussion in shard.go): drain the local fast-path population, then the
-// shard's registered set, and accept only if no fork slipped in between.
+// quiesce blocks until the resilient finish has quiesced. Without the
+// local fast path every fork reached the shard before its task started,
+// and a task's forks precede its own join on the shard's channel, so one
+// wait round that finds the registered set empty is quiescence — and the
+// round trip is part of the measured resilient finish cost, even for a
+// finish that spawned nothing.
 //
-// The all-local shortcut: every remote fork sets f.remote before its
-// spawn-counter bump, and every fork made so far was made by the main
-// activity (before wait) or by a local task (whose completion localDrain
-// orders before the flag read). So an unset flag after the drain proves
-// no remote fork ever happened, the shard holds no state for this
-// finish, and the local fixpoint alone is quiescence.
-func (f *Finish) waitSharded() {
+// With the fast path it is the fixpoint described in shard.go: drain the
+// local population, then the shard's registered set, and accept only if
+// no fork slipped in between. The all-local shortcut: every shard-bound
+// fork sets f.remote before its spawn-counter bump, and every fork made
+// so far was made by the main activity (before wait) or by a local task
+// (whose completion localDrain orders before the flag read). So an unset
+// flag after the drain proves no fork went to the shard, the shard holds
+// no state for this finish, and the local fixpoint alone is quiescence.
+func (f *Finish) quiesce() {
+	l := f.rt.shards
+	if !l.localFast {
+		l.waitRound(f)
+		return
+	}
 	for {
 		s := f.spawns.Load()
 		f.localDrain()
-		if !f.remote.Load() {
-			if f.spawns.Load() == s {
-				return
-			}
-			continue
+		if f.remote.Load() {
+			l.waitRound(f)
 		}
-		reply := make(chan struct{})
-		f.rt.shards.wait(f, reply)
-		<-reply
 		if f.spawns.Load() == s {
 			return
 		}
@@ -188,6 +176,7 @@ func (c *Ctx) AsyncAt(p Place, fn func(ctx *Ctx)) {
 	// transient-fault return is ignored — spawns are not retryable.
 	_ = rt.InjectFault(FaultPointSpawn, p)
 	rt.hop(c.Here, p, transport.ClassTask, 0)
+	pl := rt.placeState(p)
 
 	if !rt.cfg.Resilient {
 		// Non-resilient places never fail (Kill is rejected), so no
@@ -195,99 +184,91 @@ func (c *Ctx) AsyncAt(p Place, fn func(ctx *Ctx)) {
 		f.wg.Add(1)
 		go func() {
 			defer f.wg.Done()
-			runTask(rt, p, f, fn)
+			runTask(rt, pl, f, fn)
 		}()
 		return
 	}
 
-	if rt.cfg.FinishMode == FinishSharded {
-		c.asyncSharded(p, f, fn)
+	if pl.isDead() {
+		// Refuse a spawn at a dead place here, before any path is chosen:
+		// the task never becomes live, never runs, and never reaches the
+		// ledger, so no join of it can race a fork.
+		rt.noteRefusedFork(f, p)
+		f.record(&DeadPlaceError{Place: p})
 		return
 	}
-
-	t := &task{id: rt.nextTask.Add(1), fin: f, place: p}
-	// FORK is enqueued before the task starts, so the ledger always sees
-	// FORK before the task's JOIN (the event channel is FIFO).
-	rt.ledger.send(ledgerEvent{kind: evFork, task: t, from: c.Here})
-	go func() {
-		err := runTaskErr(rt, p, f, fn)
-		rt.ledger.send(ledgerEvent{kind: evJoin, task: t, err: err, from: p})
-	}()
-}
-
-// asyncSharded is the FinishSharded spawn path: home-place tasks ride the
-// finish's local counter and never touch a shard; place-crossing tasks are
-// buffered into the spawning activity's fork batch for the finish's home
-// shard.
-func (c *Ctx) asyncSharded(p Place, f *Finish, fn func(ctx *Ctx)) {
-	rt := c.rt
-	if p.ID == f.home.ID {
-		if rt.placeState(p).isDead() {
-			// Mirror the central ledger's refusal: report the dead target
-			// immediately, but still run the goroutine (it aborts on its
-			// first liveness check) and ignore its outcome.
-			rt.noteRefusedFork(f, p)
-			f.record(&DeadPlaceError{Place: p})
-			go func() { _ = runTaskErr(rt, p, f, fn) }()
-			return
-		}
+	l := rt.shards
+	if l.localFast && p.ID == f.home.ID {
 		f.localFork()
 		f.spawns.Add(1)
 		rt.stats.LocalTasks.Add(1)
 		rt.instr.ledgerLocal.Inc()
 		go func() {
-			f.localJoin(runTaskErr(rt, p, f, fn))
+			f.localJoin(runTaskErr(rt, pl, f, fn))
 		}()
 		return
 	}
 
 	t := &task{id: rt.nextTask.Add(1), fin: f, place: p}
-	f.remote.Store(true)
 	c.pending = append(c.pending, t)
-	if len(c.pending) >= forkBatchCap {
+	if len(c.pending) >= l.forkBatch {
 		c.flushForks()
 	}
-	f.spawns.Add(1)
+	if l.localFast {
+		// For the waiter's fixpoint: the flag before the count.
+		f.remote.Store(true)
+		f.spawns.Add(1)
+	}
 	go func() {
-		err := runTaskErr(rt, p, f, fn)
+		err := runTaskErr(rt, pl, f, fn)
 		rt.shards.join(t, err, p)
 	}()
 }
 
-// flushForks delivers the activity's buffered remote forks to the finish's
-// home shard as one batched message (one NetModel hop for the whole
-// burst). Every activity flushes before its own join is sent — the
-// ordering invariant the sharded release protocol relies on — and at the
-// batch-size cap. A no-op outside sharded mode, where nothing is buffered.
+// flushForks delivers the activity's buffered forks to the finish's shard
+// as one batched message (one NetModel hop for the whole burst). Every
+// activity flushes before its own join is sent — the ordering invariant
+// the release protocol relies on — and at the shape's batch size, which
+// is one in central mode. A no-op when nothing is buffered, as on a
+// non-resilient runtime.
 func (c *Ctx) flushForks() {
-	if len(c.pending) == 0 {
+	ev := ledgerEvent{kind: evForkBatch, fin: c.fin, from: c.Here}
+	switch len(c.pending) {
+	case 0:
 		return
+	case 1:
+		// A lone fork (every fork in central mode) rides in the event and
+		// the buffer is kept: a slice per fork measurably slows the
+		// central fan-out.
+		ev.task = c.pending[0]
+		c.pending = c.pending[:0]
+	default:
+		ev.tasks = c.pending
+		c.pending = nil
 	}
-	ts := c.pending
-	c.pending = nil
-	c.rt.shards.forkBatch(c.fin, ts, c.Here)
+	c.rt.shards.shardOf(c.fin).send(ev)
 }
 
-// runTask executes fn at place p under panic-to-exception conversion and
+// runTask executes fn at place pl under panic-to-exception conversion and
 // records any failure directly on the finish (non-resilient path).
-func runTask(rt *Runtime, p Place, f *Finish, fn func(ctx *Ctx)) {
-	if err := runTaskErr(rt, p, f, fn); err != nil {
+func runTask(rt *Runtime, pl *place, f *Finish, fn func(ctx *Ctx)) {
+	if err := runTaskErr(rt, pl, f, fn); err != nil {
 		f.record(err)
 	}
 }
 
-// runTaskErr executes fn at place p and returns its failure, if any. The
+// runTaskErr executes fn at place pl and returns its failure, if any. The
 // task's buffered remote forks are flushed on every exit path, before the
-// caller can send the task's own join.
-func runTaskErr(rt *Runtime, p Place, f *Finish, fn func(ctx *Ctx)) (err error) {
-	ctx := &Ctx{rt: rt, Here: p, fin: f}
+// caller can send the task's own join. The spawner looks pl up once, for
+// its own dead-place check and for this one.
+func runTaskErr(rt *Runtime, pl *place, f *Finish, fn func(ctx *Ctx)) (err error) {
+	ctx := &Ctx{rt: rt, Here: Place{ID: pl.id}, fin: f}
 	defer ctx.flushForks()
 	defer func() {
 		if e := recoverTaskError(recover()); e != nil {
 			err = e
 		}
 	}()
-	pl := rt.placeState(p)
 	pl.checkAlive()
 	fn(ctx)
 	return nil

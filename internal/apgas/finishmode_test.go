@@ -245,29 +245,41 @@ func TestRefusedForkCounter(t *testing.T) {
 	}
 }
 
-// TestRefusedLocalFork exercises the sharded fast path's refusal branch: a
-// finish homed at a place that dies refuses later home spawns.
+// TestRefusedLocalFork exercises the refusal of a home spawn (the sharded
+// fast path's target): a finish homed at a place that dies refuses later
+// home spawns. The death releases the outer finish as soon as the ledger
+// terminates the orphan, which can be before the orphan's goroutine
+// reaches the refused spawn, so the counter is read only after the outer
+// task has returned.
 func TestRefusedLocalFork(t *testing.T) {
-	rt := newModeRuntime(t, 3, FinishSharded)
-	err := rt.Finish(func(ctx *Ctx) {
-		ctx.AsyncAt(rt.Place(1), func(c *Ctx) {
-			// A finish homed at place 1.
-			ferr := c.FinishFrom(func(inner *Ctx) {
-				if kerr := rt.Kill(rt.Place(1)); kerr != nil {
-					t.Errorf("Kill: %v", kerr)
-				}
-				inner.AsyncAt(rt.Place(1), func(*Ctx) {})
+	for _, mode := range bothModes {
+		mode := mode
+		t.Run(mode.String(), func(t *testing.T) {
+			rt := newModeRuntime(t, 3, mode)
+			returned := make(chan struct{})
+			err := rt.Finish(func(ctx *Ctx) {
+				ctx.AsyncAt(rt.Place(1), func(c *Ctx) {
+					defer close(returned)
+					// A finish homed at place 1.
+					ferr := c.FinishFrom(func(inner *Ctx) {
+						if kerr := rt.Kill(rt.Place(1)); kerr != nil {
+							t.Errorf("Kill: %v", kerr)
+						}
+						inner.AsyncAt(rt.Place(1), func(*Ctx) {})
+					})
+					if !IsDeadPlace(ferr) {
+						t.Errorf("inner finish err = %v, want DeadPlaceError", ferr)
+					}
+				})
 			})
-			if !IsDeadPlace(ferr) {
-				t.Errorf("inner finish err = %v, want DeadPlaceError", ferr)
+			if !IsDeadPlace(err) {
+				t.Fatalf("outer finish err = %v, want DeadPlaceError (task at killed place)", err)
+			}
+			<-returned
+			if rt.Stats().RefusedForks == 0 {
+				t.Fatal("refused local fork was not counted")
 			}
 		})
-	})
-	if !IsDeadPlace(err) {
-		t.Fatalf("outer finish err = %v, want DeadPlaceError (task at killed place)", err)
-	}
-	if rt.Stats().RefusedForks == 0 {
-		t.Fatal("refused local fork was not counted")
 	}
 }
 

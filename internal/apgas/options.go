@@ -17,9 +17,9 @@ func WithPlaces(n int) Option {
 }
 
 // WithResilient selects resilient finish semantics: task forks and joins
-// are tracked by the place-zero ledger, place failures are detected, and
-// affected finishes observe DeadPlaceError. Failure injection (Kill, and
-// therefore the chaos engine) requires it.
+// are tracked by the resilient-finish ledger, place failures are
+// detected, and affected finishes observe DeadPlaceError. Failure
+// injection (Kill, and therefore the chaos engine) requires it.
 func WithResilient(on bool) Option {
 	return func(c *Config) { c.Resilient = on }
 }
@@ -29,7 +29,7 @@ func WithNet(m NetModel) Option {
 	return func(c *Config) { c.Net = m }
 }
 
-// WithFinishMode selects the resilient-finish bookkeeping architecture:
+// WithFinishMode selects the shape of the resilient-finish ledger:
 // FinishCentral (the default) is the paper-faithful place-zero ledger,
 // FinishSharded the home-based sharded design with a local fast path and
 // batched event delivery (see Config.FinishMode). An unknown mode is a
@@ -45,8 +45,9 @@ func WithFinishMode(m FinishMode) Option {
 	}
 }
 
-// WithLedgerCost sets the modeled per-event bookkeeping work of the
-// place-zero resilient-finish ledger (see Config.LedgerCost).
+// WithLedgerCost sets the modeled bookkeeping work of the
+// resilient-finish ledger per drain of a shard's queue (one event in
+// central mode; see Config.LedgerCost).
 func WithLedgerCost(fn func(liveTasks int)) Option {
 	return func(c *Config) { c.LedgerCost = fn }
 }

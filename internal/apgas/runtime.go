@@ -21,34 +21,37 @@ type Config struct {
 	// 0..Places-1.
 	Places int
 	// Resilient selects resilient finish semantics: task forks and joins
-	// are recorded by a ledger at place zero, place failures are detected,
-	// and affected finishes observe DeadPlaceError. Without it, finishes are
-	// plain local barriers and failure injection is rejected (matching
-	// non-resilient X10, where a crash takes the whole application down).
+	// are recorded by the resilient-finish ledger, place failures are
+	// detected, and affected finishes observe DeadPlaceError. Without it,
+	// finishes are plain local barriers and failure injection is rejected
+	// (matching non-resilient X10, where a crash takes the whole
+	// application down).
 	Resilient bool
 	// Net is the simulated interconnect. The zero value is a free network.
 	Net NetModel
-	// FinishMode selects the resilient-finish bookkeeping architecture:
-	// FinishCentral (the default) is the paper-faithful place-zero ledger;
+	// FinishMode selects the shape of the one resilient-finish ledger:
+	// FinishCentral (the default) is the paper-faithful place-zero ledger,
+	// a single shard that sees every fork and join one event at a time;
 	// FinishSharded bookkeeps each finish at its home place's shard with a
 	// local fast path and batched event delivery (see ledger.go and
 	// shard.go). Ignored unless Resilient is set.
 	FinishMode FinishMode
-	// LedgerCost is extra processing work performed by the place-zero
-	// ledger for each bookkeeping event, on top of the real map
-	// maintenance. It receives the ledger's current live-task count:
-	// resilient X10's place-zero finish maintains per-finish, per-place
-	// transit state whose upkeep grows with the amount of outstanding
-	// activity, which is why the paper identifies place-zero bookkeeping
-	// as the scalability bottleneck. Events are processed serially, so
-	// this cost is not parallelizable. In FinishSharded mode each shard
-	// pays the cost over its own event gulps (batches), which is exactly
-	// how the sharded design escapes the bottleneck.
+	// LedgerCost is extra processing work performed by a ledger shard per
+	// drain of its event queue, on top of the real map maintenance. It
+	// receives the shard's current live-task count: resilient X10's
+	// place-zero finish maintains per-finish, per-place transit state
+	// whose upkeep grows with the amount of outstanding activity, which is
+	// why the paper identifies place-zero bookkeeping as the scalability
+	// bottleneck. In FinishCentral mode a drain is one event and the one
+	// shard's count is the global one, so the cost is paid serially per
+	// event; in FinishSharded mode each shard pays it once per gulp of up
+	// to 256 events over its own tasks only, which is exactly how the
+	// sharded design escapes the bottleneck.
 	LedgerCost func(liveTasks int)
-	// LedgerQueue is the capacity of each bookkeeping event channel (the
-	// central ledger's, or every shard's). Zero means DefaultLedgerQueue;
-	// a saturated queue blocks the forking activity and increments the
-	// apgas.ledger.queue_full counter.
+	// LedgerQueue is the capacity of each ledger shard's event channel
+	// (central mode has one shard, sharded mode one per place). Zero means
+	// DefaultLedgerQueue; a saturated queue blocks the forking activity and
+	// increments the apgas.ledger.queue_full counter.
 	LedgerQueue int
 	// Obs, when non-nil, receives runtime instrumentation: task spawns,
 	// place-crossing messages and bytes, ledger events, observed kills,
@@ -105,8 +108,7 @@ type Runtime struct {
 	// transport's Grow.
 	growMu sync.Mutex
 
-	ledger *ledger        // non-nil iff cfg.Resilient && FinishCentral
-	shards *shardedLedger // non-nil iff cfg.Resilient && FinishSharded
+	shards *shardedLedger // the resilient-finish ledger; non-nil iff cfg.Resilient
 
 	// tp is the communication backend (never nil after New): the
 	// in-process emulation by default, or a real multi-process transport.
@@ -214,12 +216,7 @@ func New(opts ...Option) (*Runtime, error) {
 	}
 	rt.instr.livePlaces.Set(int64(cfg.Places))
 	if cfg.Resilient {
-		switch cfg.FinishMode {
-		case FinishSharded:
-			rt.shards = newShardedLedger(rt)
-		default:
-			rt.ledger = newLedger(rt)
-		}
+		rt.shards = newShardedLedger(rt)
 	}
 	rt.tp = cfg.Transport
 	if rt.tp == nil {
@@ -229,9 +226,6 @@ func New(opts ...Option) (*Runtime, error) {
 		rt.tp = local.New(local.WithDelay(net.delay))
 	}
 	if err := rt.tp.Start(cfg.Places, transport.Handler{PlaceDead: rt.transportDeath}); err != nil {
-		if rt.ledger != nil {
-			rt.ledger.stop()
-		}
 		if rt.shards != nil {
 			rt.shards.stop()
 		}
@@ -343,9 +337,6 @@ func (rt *Runtime) Shutdown() {
 	}
 	rt.down = true
 	rt.mu.Unlock()
-	if rt.ledger != nil {
-		rt.ledger.stop()
-	}
 	if rt.shards != nil {
 		rt.shards.stop()
 	}
@@ -476,11 +467,7 @@ func (rt *Runtime) Kill(p Place) error {
 	rt.cfg.Obs.Trace("apgas.place.killed", int64(p.ID), 0)
 	// The failure detector notifies the bookkeeping layer, which adopts
 	// and terminates the dead place's tasks.
-	if rt.shards != nil {
-		rt.shards.placeDied(p)
-	} else {
-		rt.ledger.placeDied(p)
-	}
+	rt.shards.placeDied(p)
 	// Destroy the place's external body last: the runtime has already
 	// marked and broadcast the death, so kill-driven recovery is identical
 	// across backends regardless of how fast the body actually dies. The
@@ -520,8 +507,6 @@ func (rt *Runtime) transportDeath(id int, cause transport.DeathCause) {
 	rt.cfg.Obs.Trace("apgas.place.failed", int64(id), int64(cause))
 	if rt.shards != nil {
 		rt.shards.placeDied(Place{ID: id})
-	} else if rt.ledger != nil {
-		rt.ledger.placeDied(Place{ID: id})
 	}
 }
 
@@ -535,8 +520,8 @@ type Ctx struct {
 	Here Place
 	// fin is the dynamically enclosing finish, used by nested AsyncAt.
 	fin *Finish
-	// pending buffers this activity's not-yet-flushed remote forks in
-	// FinishSharded mode (see Ctx.flushForks); always nil otherwise.
+	// pending buffers this activity's not-yet-flushed forks for the
+	// resilient-finish ledger (see Ctx.flushForks).
 	pending []*task
 }
 
@@ -667,7 +652,7 @@ func (rt *Runtime) finishFrom(parent *Ctx, body func(ctx *Ctx)) error {
 		body(ctx)
 	}()
 	// Flush the main activity's buffered forks before asking the ledger
-	// for quiescence (sharded mode; no-op otherwise).
+	// for quiescence.
 	ctx.flushForks()
 	err := f.wait()
 	if rt.instr.finishes != nil {

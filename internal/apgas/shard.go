@@ -6,22 +6,26 @@ import (
 	"github.com/rgml/rgml/internal/apgas/transport"
 )
 
-// Sharded home-based resilient finish (Config.FinishMode ==
-// FinishSharded).
+// The ledger's machinery: shards, each a goroutine that bookkeeps the
+// finishes assigned to it. Both finish modes run it; ledgerShape
+// (ledger.go) sets how many shards there are and how events reach them.
 //
-// Instead of funnelling every fork/join in the system through one place-zero
-// goroutine, each Finish is bookkept at its *home* place's ledger shard:
-// one shard goroutine per place, with state partitioned by finish id. This
-// is the decentralization the paper's place-zero discussion motivates (and
-// what HPX-style task-local resilience and GASPI-style decentralized
-// failure notification implement in real systems):
+// FinishCentral is the shape with one shard, at place zero, a fork batch
+// of one and a gulp of one: every fork is enqueued before its task starts,
+// so the shard always sees a task's FORK before its JOIN and a parent's
+// forks before the parent's join, and one wait round decides quiescence.
 //
-//   - Concurrent finishes with different homes no longer serialize against
-//     each other; each shard applies the LedgerCost congestion model to its
-//     own live-task population only.
-//   - Bookkeeping hops are charged from the event's origin to the finish's
-//     home, not always to place zero. A finish whose activities all run at
-//     its home pays no simulated network at all.
+// FinishSharded is the decentralization the paper's place-zero discussion
+// motivates (and what HPX-style task-local resilience and GASPI-style
+// decentralized failure notification implement in real systems):
+//
+//   - One shard per place, each finish bookkept at its home place's shard.
+//     Concurrent finishes with different homes no longer serialize
+//     against each other; each shard applies the LedgerCost congestion
+//     model to its own live-task population only.
+//   - Bookkeeping hops are charged from the event's origin to the
+//     finish's home, not always to place zero. A finish whose activities
+//     all run at its home pays no simulated network at all.
 //   - Local fast path: tasks spawned at the finish's own home place are
 //     tracked by a counter on the Finish itself (finish.go) and never
 //     become shard events — the classic X10/HPX optimization where only
@@ -45,20 +49,24 @@ import (
 //     registered task has unflushed children.
 //  2. Early joins: a JOIN for a not-yet-registered task is parked in
 //     earlyJoins; when its FORK arrives the parked outcome is recorded and
-//     the task never becomes live. Refused forks and force-terminated
-//     orphans leave a tombstone in doneTasks so their eventual JOIN is
-//     ignored, exactly like the central ledger. Both maps are bounded:
-//     every task resolves each entry it creates.
+//     the task never becomes live. If the shard already knows the task's
+//     place is dead when the early JOIN arrives, it parks a DeadPlaceError
+//     instead of the task's own outcome: with the FORK first, the death
+//     would have terminated the task as an orphan. Refused forks and
+//     force-terminated orphans leave a tombstone in doneTasks so their
+//     eventual JOIN is ignored. Both maps are bounded: every task resolves
+//     each entry it creates.
 //
 // # Quiescence
 //
-// A shard releases a waiting finish when the finish's registered set is
-// empty. That alone is not quiescence: home-place tasks bypass the shard
-// entirely (their liveness is the finish's local counter, not channel
-// events), so "registered set empty" and "local counter zero" are two
-// barriers observed at different times, and a local task can flush a batch
-// of remote forks that the shard has not yet processed when the local
-// counter hits zero. Finish.waitSharded therefore runs a fixpoint loop:
+// A shard releases a wait round when the finish's registered set is
+// empty. With the local fast path that alone is not quiescence: home-place
+// tasks bypass the shard entirely (their liveness is the finish's local
+// counter, not channel events), so "registered set empty" and "local
+// counter zero" are two barriers observed at different times, and a local
+// task can flush a batch of remote forks that the shard has not yet
+// processed when the local counter hits zero. Finish.quiesce therefore
+// runs a fixpoint loop:
 //
 //	for {
 //	  s := spawns.Load()       // every spawn bumps this counter, last
@@ -89,35 +97,44 @@ import (
 // the shard: they abort cooperatively (checkAlive) and drain the local
 // counter themselves, which the emulation's task bodies always do.
 
-// forkBatchCap is the sender-side fork batch size: an activity's burst of
-// remote spawns is delivered to the home shard in messages of at most this
-// many forks, each charged one NetModel hop.
-const forkBatchCap = 32
-
-// ledgerGulp bounds how many queued events one shard drain processes under
-// a single modeled protocol-cost charge.
-const ledgerGulp = 256
-
-// shardedLedger routes bookkeeping to per-place shards by finish home.
+// shardedLedger routes bookkeeping to the shard of each finish.
 type shardedLedger struct {
 	rt *Runtime
+	ledgerShape
 
 	mu     sync.RWMutex
 	shards []*ledgerShard // indexed by home place ID; grows lazily
 }
 
 func newShardedLedger(rt *Runtime) *shardedLedger {
-	s := &shardedLedger{rt: rt}
-	s.shards = make([]*ledgerShard, rt.cfg.Places)
+	s := &shardedLedger{rt: rt, ledgerShape: rt.cfg.FinishMode.shape()}
+	n := rt.cfg.Places
+	if s.oneHome {
+		n = 1
+	}
+	s.shards = make([]*ledgerShard, n)
 	for i := range s.shards {
-		s.shards[i] = newLedgerShard(rt, i)
+		s.shards[i] = s.start(i)
 	}
 	return s
 }
 
-// shard returns the shard bookkeeping finishes homed at place id, creating
-// shards for elastically added places on first use.
-func (s *shardedLedger) shard(home int) *ledgerShard {
+// start creates the shard of place home and its goroutine.
+func (s *shardedLedger) start(home int) *ledgerShard {
+	sh := newLedgerShard(s.rt, home)
+	go sh.run(s.gulp)
+	return sh
+}
+
+// shardOf returns the shard bookkeeping f, creating shards for elastically
+// added places on first use.
+func (s *shardedLedger) shardOf(f *Finish) *ledgerShard {
+	if s.oneHome {
+		// One shard, never added to: read without the lock, which every
+		// central fork, join and wait would otherwise take.
+		return s.shards[0]
+	}
+	home := f.home.ID
 	s.mu.RLock()
 	if home < len(s.shards) {
 		sh := s.shards[home]
@@ -128,27 +145,22 @@ func (s *shardedLedger) shard(home int) *ledgerShard {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for len(s.shards) <= home {
-		s.shards = append(s.shards, newLedgerShard(s.rt, len(s.shards)))
+		s.shards = append(s.shards, s.start(len(s.shards)))
 	}
 	return s.shards[home]
 }
 
-// forkBatch delivers one activity's burst of remote forks (all for the
-// same finish) to the finish's home shard, charging the network model once
-// for the whole batch.
-func (s *shardedLedger) forkBatch(f *Finish, ts []*task, from Place) {
-	s.shard(f.home.ID).send(ledgerEvent{kind: evForkBatch, fin: f, tasks: ts, from: from})
-}
-
-// join reports a remote task's termination to its finish's home shard.
+// join reports a task's termination to its finish's shard.
 func (s *shardedLedger) join(t *task, err error, from Place) {
-	s.shard(t.fin.home.ID).send(ledgerEvent{kind: evJoin, task: t, err: err, from: from})
+	s.shardOf(t.fin).send(ledgerEvent{kind: evJoin, task: t, err: err, from: from})
 }
 
-// wait asks the home shard to close reply once f's registered set is
-// empty. The waiter runs at f.home, so the hop is intra-place and free.
-func (s *shardedLedger) wait(f *Finish, reply chan struct{}) {
-	s.shard(f.home.ID).send(ledgerEvent{kind: evWait, fin: f, reply: reply, from: f.home})
+// waitRound blocks until f's shard finds f's registered set empty. The
+// waiter runs at f.home, so the hop is free unless the shard is elsewhere.
+func (s *shardedLedger) waitRound(f *Finish) {
+	reply := make(chan struct{})
+	s.shardOf(f).send(ledgerEvent{kind: evWait, fin: f, reply: reply, from: f.home})
+	<-reply
 }
 
 // placeDied broadcasts a failure to every shard; each terminates the
@@ -175,9 +187,8 @@ func (s *shardedLedger) snapshot() []*ledgerShard {
 	return append([]*ledgerShard(nil), s.shards...)
 }
 
-// ledgerShard bookkeeps the finishes homed at one place. Its state mirrors
-// the central ledger's, restricted to its own finishes, plus the
-// out-of-order maps the batched protocol needs.
+// ledgerShard bookkeeps the finishes assigned to one shard. Its
+// transitions (process) read and write only its own state.
 type ledgerShard struct {
 	rt   *Runtime
 	home int
@@ -186,11 +197,16 @@ type ledgerShard struct {
 
 	// All state below is owned by the shard goroutine.
 
+	// liveByFinish tracks, per finish, the tasks forked but not yet joined.
 	liveByFinish map[uint64]map[uint64]*task
-	liveByPlace  map[int]map[uint64]*task
+	// liveByPlace indexes the same live tasks by the place they run at, so
+	// a place death can terminate exactly its orphans.
+	liveByPlace map[int]map[uint64]*task
 	// waiting maps a finish id to the reply channel of its pending wait
 	// round, closed when the finish's registered set drains.
-	waiting    map[uint64]chan struct{}
+	waiting map[uint64]chan struct{}
+	// deadPlaces remembers failures so later forks to a dead place are
+	// refused and early joins from one report its death.
 	deadPlaces map[int]bool
 	// earlyJoins parks outcomes of tasks whose JOIN overtook their batched
 	// FORK; consumed when the fork arrives.
@@ -198,9 +214,13 @@ type ledgerShard struct {
 	// doneTasks tombstones tasks whose fork was refused or that a place
 	// death force-terminated, so their eventual JOIN is ignored.
 	doneTasks map[uint64]struct{}
-	live      int
+	// live is the shard's live-task count, passed to the LedgerCost
+	// congestion model.
+	live int
 }
 
+// newLedgerShard creates the shard of place home; its goroutine is
+// started by the caller (shardedLedger.start).
 func newLedgerShard(rt *Runtime, home int) *ledgerShard {
 	sh := &ledgerShard{
 		rt:           rt,
@@ -223,7 +243,6 @@ func newLedgerShard(rt *Runtime, home int) *ledgerShard {
 			sh.deadPlaces[i] = true
 		}
 	}
-	go sh.run()
 	return sh
 }
 
@@ -234,7 +253,10 @@ func (sh *ledgerShard) send(ev ledgerEvent) {
 	sh.post(ev)
 }
 
-// post enqueues without charging the network.
+// post enqueues without charging the network (failure detection and
+// control events). A full channel is counted before blocking, so saturated
+// bookkeeping shows up in apgas.ledger.queue_full instead of silently
+// stalling forks.
 func (sh *ledgerShard) post(ev ledgerEvent) {
 	select {
 	case sh.ch <- ev:
@@ -245,21 +267,17 @@ func (sh *ledgerShard) post(ev ledgerEvent) {
 }
 
 // run drains the shard's channel in gulps: each blocking receive pulls
-// whatever burst is immediately behind it (up to ledgerGulp events) and the
+// whatever burst is immediately behind it (up to gulp events) and the
 // modeled protocol cost is charged once for the gulp — the amortization a
-// batching protocol buys — while the real map upkeep still happens per
-// event.
-func (sh *ledgerShard) run() {
+// batching protocol buys, or the per-event cost with a gulp of one — while
+// the real map upkeep still happens per event.
+func (sh *ledgerShard) run(gulp int) {
 	defer close(sh.done)
-	batch := make([]ledgerEvent, 0, ledgerGulp)
+	batch := make([]ledgerEvent, 0, gulp)
 	for {
-		ev, ok := <-sh.ch
-		if !ok {
-			return
-		}
-		batch = append(batch[:0], ev)
+		batch = append(batch[:0], <-sh.ch)
 	drain:
-		for len(batch) < ledgerGulp {
+		for len(batch) < gulp {
 			select {
 			case next := <-sh.ch:
 				batch = append(batch, next)
@@ -283,8 +301,12 @@ func (sh *ledgerShard) run() {
 func (sh *ledgerShard) process(ev ledgerEvent) {
 	switch ev.kind {
 	case evForkBatch:
-		sh.countEvents(int64(len(ev.tasks)))
-		for _, t := range ev.tasks {
+		ts := ev.tasks
+		if ev.task != nil {
+			ts = []*task{ev.task}
+		}
+		sh.countEvents(int64(len(ts)))
+		for _, t := range ts {
 			sh.fork(t)
 		}
 	case evJoin:
@@ -308,12 +330,14 @@ func (sh *ledgerShard) countEvents(n int64) {
 func (sh *ledgerShard) fork(t *task) {
 	if err, early := sh.earlyJoins[t.id]; early {
 		// The task already ran to completion before its batched fork
-		// arrived; its actual outcome stands and it is never live.
+		// arrived; its parked outcome stands and it is never live.
 		delete(sh.earlyJoins, t.id)
 		t.fin.record(err)
 		return
 	}
-	if sh.deadPlaces[t.place.ID] || sh.rt.placeState(t.place).isDead() {
+	if sh.deadPlaces[t.place.ID] {
+		// The place died after the spawn's own check (AsyncAt) but before
+		// this fork: refuse it; the task's eventual JOIN is ignored.
 		sh.rt.noteRefusedFork(t.fin, t.place)
 		t.fin.record(&DeadPlaceError{Place: t.place})
 		sh.doneTasks[t.id] = struct{}{}
@@ -343,7 +367,12 @@ func (sh *ledgerShard) join(t *task, err error) {
 	}
 	byFin := sh.liveByFinish[t.fin.id]
 	if byFin == nil || byFin[t.id] == nil {
-		// The batched fork is still in flight behind us; park the outcome.
+		// The batched fork is still in flight behind us; park the
+		// outcome. A death already seen here would have terminated the
+		// task had its fork come first, so the death is the outcome.
+		if sh.deadPlaces[t.place.ID] {
+			err = &DeadPlaceError{Place: t.place}
+		}
 		sh.earlyJoins[t.id] = err
 		return
 	}
@@ -359,15 +388,9 @@ func (sh *ledgerShard) died(p Place) {
 	orphans := sh.liveByPlace[p.ID]
 	delete(sh.liveByPlace, p.ID)
 	for _, t := range orphans {
-		sh.live--
 		t.fin.record(&DeadPlaceError{Place: p})
 		sh.doneTasks[t.id] = struct{}{}
-		if byFin := sh.liveByFinish[t.fin.id]; byFin != nil {
-			delete(byFin, t.id)
-			if len(byFin) == 0 {
-				delete(sh.liveByFinish, t.fin.id)
-			}
-		}
+		sh.remove(t)
 		sh.tryRelease(t.fin.id)
 	}
 }
@@ -391,7 +414,7 @@ func (sh *ledgerShard) remove(t *task) {
 // tryRelease answers a pending wait round once the finish's registered set
 // has drained. The flush-before-join invariant guarantees the set is never
 // transiently empty while a registered task has unflushed children; the
-// waiter's fixpoint loop (Finish.waitSharded) covers home-place tasks and
+// waiter's fixpoint loop (Finish.quiesce) covers home-place tasks and
 // spawns that race the barriers.
 func (sh *ledgerShard) tryRelease(fin uint64) {
 	reply, ok := sh.waiting[fin]

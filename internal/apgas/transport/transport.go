@@ -49,7 +49,7 @@ const (
 	// at-hops and their return legs.
 	ClassTask Class = iota
 	// ClassControl is resilient-finish bookkeeping traffic: fork/join/wait
-	// events bound for the central ledger or a home shard.
+	// events bound for a ledger shard.
 	ClassControl
 	// ClassData is bulk application data movement declared by size
 	// (Ctx.Transfer): collective gathers, broadcasts, reductions.
