@@ -52,7 +52,6 @@ func run() error {
 		iters          = flag.Int("iters", 30, "iterations")
 		ckpt           = flag.Int("ckpt", 10, "checkpoint interval (0 disables)")
 		modeName       = flag.String("mode", "shrink", "restore mode: shrink, shrink-rebalance, replace-redundant, replace-elastic")
-		delta          = flag.Bool("delta", false, "delta checkpointing: re-encode and re-ship only entries changed since the committed checkpoint")
 		killIter       = flag.Int("kill-iter", 0, "inject an administrative failure after this iteration (0: none)")
 		killProc       = flag.Int("kill-proc-iter", 0, "tcp only: SIGKILL a worker process after this iteration and let the failure detector find it (0: none)")
 		minWorkerTasks = flag.Int("min-worker-tasks", 0, "tcp only: fail unless at least this many registered kernels executed inside worker processes (0: no assertion)")
@@ -147,7 +146,6 @@ func run() error {
 		core.WithCheckpointInterval(*ckpt),
 		core.WithRestoreMode(mode),
 		core.WithSpares(spares),
-		core.WithDelta(*delta),
 		core.WithObs(reg),
 		core.WithAfterStep(func(iter int64) {
 			if *killIter > 0 && !killed && iter == int64(*killIter) {

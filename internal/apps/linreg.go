@@ -31,10 +31,9 @@ type LinRegConfig struct {
 	RowBlocksPerPlace int
 	// CheckpointInputs saves the (immutable) training data X and y with
 	// plain Save on every checkpoint instead of the one-time SaveReadOnly.
-	// Pointless in production, but it is how the delta-checkpoint
-	// benchmark exposes the cost of redundantly re-shipping unchanged
-	// state: with delta checkpointing on, those saves collapse to
-	// carry-forwards.
+	// Pointless in production, but it is how a benchmark measures what
+	// SaveReadOnly saves: the cost of re-encoding and re-shipping
+	// unchanged inputs at every checkpoint.
 	CheckpointInputs bool
 }
 

@@ -50,13 +50,12 @@ type MatrixBlock struct {
 	Dense  *la.DenseMatrix
 	Sparse *la.SparseCSR
 
-	// Ver is the block's content version for delta checkpointing: every
-	// mutation of the payload bumps it (Touch), and a checkpoint whose
-	// previous entry recorded the same version carries the entry forward
-	// without re-encoding. Code that writes into Dense/Sparse directly
-	// must call Touch (or the owning matrix's MarkDirty); a missed bump
-	// is caught by the delta path's CRC comparison only when the version
-	// also changed, so the version is the contract, the CRC the backstop.
+	// Ver is the block's content version for the kernel data plane:
+	// every mutation of the payload bumps it (Touch), and a worker that
+	// already holds the block at this version is not shipped it again.
+	// Code that writes into Dense/Sparse directly must call Touch (or the
+	// owning matrix's MarkDirty), or worker kernels keep computing on the
+	// stale copy.
 	Ver uint64
 	// Retained marks a block whose payload survived a Remake on a
 	// surviving place: partial restore validates it against the snapshot
@@ -64,7 +63,8 @@ type MatrixBlock struct {
 	Retained bool
 }
 
-// Touch records a payload mutation for delta checkpointing.
+// Touch records a payload mutation, so the block is re-shipped to the
+// worker that computes on it.
 func (b *MatrixBlock) Touch() { b.Ver++ }
 
 // NewDenseBlock allocates a zeroed dense block for grid position (rb, cb)

@@ -27,9 +27,9 @@
 //
 // Chunked float frames compress and decompress in parallel through
 // internal/par; chunk geometry depends only on the element count, so the
-// emitted bytes are deterministic at every worker count — the property the
-// delta layer's content-hit comparison and the chaos campaigns' bitwise
-// replay checks rely on.
+// emitted bytes are deterministic at every worker count — the property
+// partial restore's digest validation of survivor state and the chaos
+// campaigns' bitwise replay checks rely on.
 package codec
 
 import (

@@ -40,7 +40,7 @@ type Encoder struct {
 }
 
 // NewEncoder returns an Encoder whose buffer comes from the pool with at
-// least sizeHint capacity. Pair with snapshot.SaveDelta (which takes
+// least sizeHint capacity. Pair with snapshot.SaveEncoded (which takes
 // ownership and recycles the buffer on Destroy) or with PutBuffer.
 func NewEncoder(sizeHint int) Encoder {
 	return Encoder{buf: GetBuffer(sizeHint)}

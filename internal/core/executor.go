@@ -54,7 +54,8 @@ func (m RestoreMode) String() string {
 // Config parameterizes an Executor.
 type Config struct {
 	// CheckpointInterval is the number of iterations between checkpoints;
-	// a checkpoint is taken before iterations 0, k, 2k, …. When zero and
+	// a checkpoint is taken before iterations 0, k, 2k, …, except where a
+	// restore just loaded the commit of that iteration. When zero and
 	// MTTF is set, the interval is derived automatically; when both are
 	// zero, checkpointing is disabled (the application then cannot
 	// recover from failures).
@@ -92,11 +93,6 @@ type Config struct {
 	// the run returns), advanced to the executor's iteration once per loop
 	// pass, and consulted at the step, commit and restore fault points.
 	Chaos *chaos.Engine
-	// Delta enables incremental checkpointing: objects implementing
-	// snapshot.DirtyTracker re-encode and re-ship only the fragments that
-	// changed since the committed checkpoint, carrying the rest forward
-	// by reference (see AppResilientStore.Save and Snapshot.SaveDelta).
-	Delta bool
 }
 
 // Metrics reports where the executor spent its time; the benchmark
@@ -159,7 +155,7 @@ type Executor struct {
 	// collection. One cycle frees a recovery's garbage, as a real place's
 	// memory goes with its process; pooled buffers stay until a second
 	// one, so the next recovery still finds them. Waiting for a step
-	// keeps the cycle off the restore and the checkpoint that follows it.
+	// keeps the cycle off the restore.
 	collectPending bool
 }
 
@@ -250,7 +246,6 @@ func New(rt *apgas.Runtime, opts ...Option) (*Executor, error) {
 		in:     newExecInstr(reg),
 	}
 	e.store.instrument(reg)
-	e.store.SetDelta(cfg.Delta)
 	if eng := cfg.Chaos; eng != nil {
 		e.store.setCommitHook(func() { _ = eng.At(chaos.PointCommit) })
 	}
@@ -315,7 +310,12 @@ func (e *Executor) RunContext(ctx context.Context, app IterativeApp) error {
 		}
 		e.chaosAdvance()
 		if e.shouldCheckpoint() {
-			if err := e.checkpoint(app); err != nil {
+			if e.store.HasSnapshot() && e.iter == e.store.SnapshotIter() {
+				// A restore just rolled back to this iteration: the commit
+				// already holds exactly this state, and the restore's
+				// repair has healed it toward the new group.
+				e.reg.Trace("core.checkpoint.skipped", e.iter, 0)
+			} else if err := e.checkpoint(app); err != nil {
 				if !apgas.IsDeadPlace(err) {
 					return fmt.Errorf("core: checkpoint at iteration %d: %w", e.iter, err)
 				}

@@ -62,11 +62,3 @@ func WithObs(reg *obs.Registry) Option {
 func WithChaos(eng *chaos.Engine) Option {
 	return func(c *Config) { c.Chaos = eng }
 }
-
-// WithDelta enables incremental (delta) checkpointing: objects that
-// implement snapshot.DirtyTracker re-encode and re-ship only the
-// fragments that changed since the committed checkpoint, carrying the
-// unchanged ones forward by reference (see Config.Delta).
-func WithDelta(on bool) Option {
-	return func(c *Config) { c.Delta = on }
-}

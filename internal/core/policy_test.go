@@ -82,64 +82,6 @@ func TestExecutorRepairClosesDroppedReplicaWindow(t *testing.T) {
 	}
 }
 
-// TestExecutorDeltaRefusesDegradedCarry pins the delta carry-forward rule
-// for dropped replicas end to end: the iteration-2 checkpoint degrades
-// fully (the fault storm outlasts both the save retries AND the repair
-// pass), so the iteration-4 delta checkpoint must re-save the unchanged
-// input x at full redundancy instead of carrying the owner-only entries —
-// which is what makes the iteration-5 owner kill survivable.
-func TestExecutorDeltaRefusesDegradedCarry(t *testing.T) {
-	rt := newObsRT(t, 4)
-	eng, err := chaos.New(rt, chaos.MustParse("flake(iter=2,times=-1);kill(place=1,iter=5)"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	exec, err := core.New(rt,
-		core.WithCheckpointInterval(2),
-		core.WithRestoreMode(core.Shrink),
-		core.WithDelta(true),
-		core.WithChaos(eng),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	app := newDeltaApp(t, rt, exec.ActiveGroup(), 16, 8, false)
-	if err := exec.Run(app); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	verifyDelta(t, app)
-
-	reg := exec.Registry()
-	// Checkpoint timeline: the initial (iteration-0) checkpoint is
-	// healthy, so iteration 2 carries x's 4 entries — and the fault storm
-	// drops their carry reference puts, degrading the iteration-2
-	// snapshot. Iteration 4 must therefore REFUSE to carry x (0 carries)
-	// and re-save it at full redundancy, which is what makes the
-	// iteration-5 owner kill survivable: had the degraded entries been
-	// carried, x's place-1 fragment would have no surviving copy and the
-	// restore would die with ErrDataLost. After the restore the group
-	// changes (no carry at 6), then iteration 8 carries x's 3 entries on
-	// the shrunken group. Total: 4 + 3.
-	if got := reg.Counter("snapshot.delta.carried").Value(); got != 7 {
-		t.Fatalf("delta.carried = %d, want 7 (healthy carries only)", got)
-	}
-	// 16 drops: x's 4 carry puts + v's 4 save puts at iteration 2, then
-	// the same 8 again when the commit's repair pass retries under the
-	// still-active storm and fails (the entries stay degraded, which is
-	// the refusal trigger).
-	if got := reg.Counter("snapshot.replicas.dropped").Value(); got != 16 {
-		t.Fatalf("replicas.dropped = %d, want 16", got)
-	}
-	// The restore-time repair pass heals keys 0 and 1 of both iteration-4
-	// snapshots (the entries that kept a copy at dead place 1).
-	if got := reg.Counter("snapshot.replicas.repaired").Value(); got != 4 {
-		t.Fatalf("replicas.repaired = %d, want 4 (restore-time heals)", got)
-	}
-	if m := exec.Metrics(); m.Restores != 1 {
-		t.Fatalf("Restores = %d, want 1", m.Restores)
-	}
-}
-
 // TestExecutorDoubleKillSweep is the PR's acceptance matrix: a correlated
 // kill of places 1 and 2 — an entry's owner and its adjacent backup — in
 // the same inter-checkpoint window. k=2 (the paper's pair scheme) must
@@ -191,28 +133,23 @@ func TestExecutorDoubleKillSweep(t *testing.T) {
 	})
 }
 
-// TestExecutorNoBackupDeltaRuns covers the DisableBackup ablation
-// (k=1 via ReplicateStore(1)) crossed with delta checkpointing: carries
-// work with zero replicas in a failure-free run, and an owner death makes
-// the next restore fail loudly with ErrDataLost rather than fabricating
-// state.
-func TestExecutorNoBackupDeltaRuns(t *testing.T) {
+// TestExecutorNoBackupRuns covers the DisableBackup ablation (k=1 via
+// ReplicateStore(1)): a failure-free run places no replicas, and an owner
+// death makes the next restore fail loudly with ErrDataLost rather than
+// fabricating state.
+func TestExecutorNoBackupRuns(t *testing.T) {
 	t.Run("failure-free", func(t *testing.T) {
 		rt := newStoreRT(t, 4, apgas.ReplicateStore(1))
-		exec, err := core.New(rt, core.WithCheckpointInterval(2), core.WithDelta(true))
+		exec, err := core.New(rt, core.WithCheckpointInterval(2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		app := newDeltaApp(t, rt, exec.ActiveGroup(), 16, 8, false)
+		app := newAccumApp(t, rt, exec.ActiveGroup(), 16, 8, false)
 		if err := exec.Run(app); err != nil {
 			t.Fatal(err)
 		}
-		verifyDelta(t, app)
-		reg := exec.Registry()
-		if got := reg.Counter("snapshot.delta.carried").Value(); got == 0 {
-			t.Fatal("k=1 delta run carried nothing; carry must not require replicas")
-		}
-		if got := reg.Counter("snapshot.replicas").Value(); got != 0 {
+		verifyAccum(t, app)
+		if got := exec.Registry().Counter("snapshot.replicas.placed").Value(); got != 0 {
 			t.Fatalf("replicas = %d, want 0 with backups disabled", got)
 		}
 	})
@@ -225,24 +162,23 @@ func TestExecutorNoBackupDeltaRuns(t *testing.T) {
 		exec, err := core.New(rt,
 			core.WithCheckpointInterval(2),
 			core.WithRestoreMode(core.Shrink),
-			core.WithDelta(true),
 			core.WithChaos(eng),
 		)
 		if err != nil {
 			t.Fatal(err)
 		}
-		app := newDeltaApp(t, rt, exec.ActiveGroup(), 16, 8, false)
+		app := newAccumApp(t, rt, exec.ActiveGroup(), 16, 8, false)
 		if err := exec.Run(app); !errors.Is(err, snapshot.ErrDataLost) {
 			t.Fatalf("run err = %v, want ErrDataLost (no redundancy to recover from)", err)
 		}
 	})
 }
 
-// TestExecutorPartialRestoreWithSpareAndDelta crosses the spare-replace
-// partial restore with delta checkpointing under a non-default policy:
-// the dead place's fragments are restored onto the spare while survivors
-// keep their state, and the run converges exactly.
-func TestExecutorPartialRestoreWithSpareAndDelta(t *testing.T) {
+// TestExecutorPartialRestoreWithSpare runs the spare-replace partial
+// restore under a non-default policy: the dead place's fragments are
+// restored onto the spare while survivors keep their state, and the run
+// converges exactly.
+func TestExecutorPartialRestoreWithSpare(t *testing.T) {
 	rt := newStoreRT(t, 5, apgas.ReplicateStore(3))
 	eng, err := chaos.New(rt, chaos.MustParse("kill(place=1,iter=3)"))
 	if err != nil {
@@ -252,17 +188,16 @@ func TestExecutorPartialRestoreWithSpareAndDelta(t *testing.T) {
 		core.WithCheckpointInterval(2),
 		core.WithRestoreMode(core.ReplaceRedundant),
 		core.WithSpares(1),
-		core.WithDelta(true),
 		core.WithChaos(eng),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	app := newDeltaApp(t, rt, exec.ActiveGroup(), 16, 8, false)
+	app := newAccumApp(t, rt, exec.ActiveGroup(), 16, 8, false)
 	if err := exec.Run(app); err != nil {
 		t.Fatal(err)
 	}
-	verifyDelta(t, app)
+	verifyAccum(t, app)
 	if m := exec.Metrics(); m.Restores != 1 {
 		t.Fatalf("Restores = %d, want 1", m.Restores)
 	}
@@ -272,8 +207,8 @@ func TestExecutorPartialRestoreWithSpareAndDelta(t *testing.T) {
 }
 
 // TestExecutorSinglePlaceRun pins the size-1 corner at the executor
-// layer: a one-place world checkpoints, carries deltas and finishes under
-// any policy (all of which clamp to a single local copy).
+// layer: a one-place world checkpoints and finishes under any policy (all
+// of which clamp to a single local copy).
 func TestExecutorSinglePlaceRun(t *testing.T) {
 	for _, pol := range []apgas.StorePolicy{
 		{},
@@ -281,16 +216,16 @@ func TestExecutorSinglePlaceRun(t *testing.T) {
 		apgas.ErasureStore(3, 2),
 	} {
 		rt := newStoreRT(t, 1, pol)
-		exec, err := core.New(rt, core.WithCheckpointInterval(2), core.WithDelta(true))
+		exec, err := core.New(rt, core.WithCheckpointInterval(2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		app := newDeltaApp(t, rt, exec.ActiveGroup(), 6, 6, false)
+		app := newAccumApp(t, rt, exec.ActiveGroup(), 6, 6, false)
 		if err := exec.Run(app); err != nil {
 			t.Fatalf("policy %v: %v", pol, err)
 		}
-		verifyDelta(t, app)
-		if got := exec.Registry().Counter("snapshot.replicas").Value(); got != 0 {
+		verifyAccum(t, app)
+		if got := exec.Registry().Counter("snapshot.replicas.placed").Value(); got != 0 {
 			t.Fatalf("policy %v: replicas = %d, want 0 on one place", pol, got)
 		}
 	}

@@ -44,19 +44,12 @@ type AppResilientStore struct {
 	// store, repairs in place.
 	group apgas.PlaceGroup
 
-	// delta enables incremental checkpointing: Save asks DirtyTracker
-	// objects for a delta snapshot against the committed one, carrying
-	// unchanged entries forward by reference. The executor sets it from
-	// its Delta config knob.
-	delta bool
-
 	// Observability handles (nil-safe; see instrument).
-	saves      *obs.Counter // core.store.saves
-	roReuses   *obs.Counter // core.store.readonly_reuses
-	commits    *obs.Counter // core.store.commits
-	cancels    *obs.Counter // core.store.cancels
-	deltaSaves *obs.Counter // core.store.delta_saves
-	repairs    *obs.Counter // core.store.repairs (entries healed by commit-time repair)
+	saves    *obs.Counter // core.store.saves
+	roReuses *obs.Counter // core.store.readonly_reuses
+	commits  *obs.Counter // core.store.commits
+	cancels  *obs.Counter // core.store.cancels
+	repairs  *obs.Counter // core.store.repairs (entries healed by commit- and restore-time repair)
 
 	// commitHook, when set, runs at the start of every Commit, after the
 	// pending checkpoint's objects have all been saved but before the
@@ -75,17 +68,7 @@ func (s *AppResilientStore) instrument(reg *obs.Registry) {
 	s.roReuses = reg.Counter("core.store.readonly_reuses")
 	s.commits = reg.Counter("core.store.commits")
 	s.cancels = reg.Counter("core.store.cancels")
-	s.deltaSaves = reg.Counter("core.store.delta_saves")
 	s.repairs = reg.Counter("core.store.repairs")
-}
-
-// SetDelta toggles incremental checkpointing for DirtyTracker objects
-// (see Save). Safe to call between checkpoints; the executor sets it
-// once from its configuration.
-func (s *AppResilientStore) SetDelta(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.delta = on
 }
 
 // setCommitHook installs the function Commit runs at its entry (see the
@@ -150,27 +133,8 @@ func (s *AppResilientStore) Save(obj snapshot.Snapshottable) error {
 		s.mu.Unlock()
 		return ErrNoSnapshotStarted
 	}
-	// With delta checkpointing on, a DirtyTracker object snapshots
-	// incrementally against its committed predecessor: unchanged entries
-	// carry forward by reference instead of being re-encoded and
-	// re-shipped. The predecessor stays alive until Commit destroys the
-	// superseded checkpoint, so reading it here without pinning is safe.
-	var prev *snapshot.Snapshot
-	dt, tracks := obj.(snapshot.DirtyTracker)
-	if s.delta && tracks && s.committed != nil {
-		prev = s.committed[obj]
-	}
 	s.mu.Unlock()
-	var (
-		snap *snapshot.Snapshot
-		err  error
-	)
-	if prev != nil {
-		snap, err = dt.MakeDeltaSnapshot(prev)
-		s.deltaSaves.Inc()
-	} else {
-		snap, err = obj.MakeSnapshot()
-	}
+	snap, err := obj.MakeSnapshot()
 	if err != nil {
 		return fmt.Errorf("core: saving object: %w", err)
 	}

@@ -16,7 +16,7 @@
 //
 // The three duplicated classes are one generic core, dup[T] (dup.go):
 // Sync and the partial restore's re-broadcast share one binomial bcast,
-// and Remake, MakeDeltaSnapshot and the full/partial restore are written
+// and Remake, MakeSnapshot and the full/partial restore are written
 // once. Each class adds a small payload adapter (dupKind) and its own
 // arithmetic (Dot, ZipAll, RootApply, Init, ...).
 //
@@ -46,16 +46,13 @@ var ErrGroupMismatch = errors.New("dist: objects distributed over different plac
 // dimensions.
 var ErrShapeMismatch = errors.New("dist: shape mismatch")
 
-// saveVector checkpoints one vector fragment against prev (nil for a full
-// save; see Snapshot.SaveDelta): the fragment is encoded into a pooled,
+// saveVector checkpoints one vector fragment under key (see
+// Snapshot.SaveEncoded): the fragment is encoded into a pooled,
 // exactly-sized buffer whose CRC-32C the codec.Encoder computes chunk by
 // chunk as it writes (over the whole compressed frame, once it is built,
-// when comp is set) unless ver shows it unchanged since prev, and
-// re-shipped only if its bytes actually changed. With a
-// deterministic compressor, the store's byte comparison operates on
-// compressed frames and stays exact.
-func saveVector(ctx *apgas.Ctx, s, prev *snapshot.Snapshot, key int, ver uint64, v la.Vector, comp codec.Compressor) {
-	s.SaveDelta(ctx, key, ver, prev, func() *codec.Encoder {
+// when comp is set).
+func saveVector(ctx *apgas.Ctx, s *snapshot.Snapshot, key int, v la.Vector, comp codec.Compressor) {
+	s.SaveEncoded(ctx, key, func() *codec.Encoder {
 		var start time.Time
 		if comp != nil {
 			start = time.Now()
@@ -67,20 +64,6 @@ func saveVector(ctx *apgas.Ctx, s, prev *snapshot.Snapshot, key int, ver uint64,
 		}
 		return &enc
 	})
-}
-
-// deltaBase returns prev when it can serve as the baseline of a delta
-// save over pg under spec — same place group, same compression policy
-// (carried-forward frames must decode under the new snapshot's codec) —
-// and nil, which makes the save a full one, otherwise.
-func deltaBase(prev *snapshot.Snapshot, pg apgas.PlaceGroup, spec codec.Spec) *snapshot.Snapshot {
-	if prev == nil || !prev.Group().Equal(pg) {
-		return nil
-	}
-	if prevSpec, _, err := splitCompressMeta(prev.Meta()); err != nil || prevSpec != spec {
-		return nil
-	}
-	return prev
 }
 
 // validateRetainedVector checks a surviving place's in-memory fragment

@@ -165,14 +165,14 @@ func (m *DistBlockMatrix) Group() apgas.PlaceGroup { return m.pg }
 
 // LocalBlocks returns the calling place's block set. Code that writes
 // into the blocks' payloads directly must bump their versions — either
-// per block via MatrixBlock.Touch or wholesale via MarkDirty — or delta
-// checkpoints fall back to (and depend on) the CRC comparison.
+// per block via MatrixBlock.Touch or wholesale via MarkDirty — or worker
+// kernels keep computing on the copies shipped at the old versions.
 func (m *DistBlockMatrix) LocalBlocks(ctx *apgas.Ctx) *block.BlockSet { return m.plh.Local(ctx) }
 
-// MarkDirty bumps every block's content version, forcing the next delta
-// checkpoint to re-examine (and, if changed, re-ship) the whole matrix.
-// It is the coarse hook for code that mutated blocks through LocalBlocks
-// without calling Touch on each one.
+// MarkDirty bumps every block's content version, so the next worker
+// kernel that reads the matrix re-ships every block. It is the coarse
+// hook for code that mutated blocks through LocalBlocks without calling
+// Touch on each one.
 func (m *DistBlockMatrix) MarkDirty() error {
 	return apgas.ForEachPlace(m.rt, m.pg, func(ctx *apgas.Ctx, idx int) {
 		m.plh.Local(ctx).Each(func(id int, b *block.MatrixBlock) { b.Touch() })

@@ -12,22 +12,12 @@ import (
 	"github.com/rgml/rgml/internal/snapshot"
 )
 
-// MakeSnapshot implements snapshot.Snapshottable: a full save, i.e. a
-// delta save against nothing.
-func (m *DistBlockMatrix) MakeSnapshot() (*snapshot.Snapshot, error) { return m.MakeDeltaSnapshot(nil) }
-
-// MakeDeltaSnapshot implements snapshot.DirtyTracker: each place saves
-// every block it owns under the block's ID; the descriptor records the
+// MakeSnapshot implements snapshot.Snapshottable: each place saves every
+// block it owns under the block's ID; the descriptor records the
 // snapshot-time grid and block→place mapping so restores can locate each
-// block's replicas. Blocks unchanged since prev (same content version, or
-// identical bytes) are carried into the new snapshot by reference instead
-// of being re-encoded and re-shipped; every block is saved fresh when prev
-// is nil or unusable as a baseline (see deltaApplicable).
-func (m *DistBlockMatrix) MakeDeltaSnapshot(prev *snapshot.Snapshot) (*snapshot.Snapshot, error) {
+// block's replicas.
+func (m *DistBlockMatrix) MakeSnapshot() (*snapshot.Snapshot, error) {
 	comp, spec := m.newCompressor(m.rt)
-	if !m.deltaApplicable(prev, spec) {
-		prev = nil
-	}
 	s, err := snapshot.New(m.rt, m.pg)
 	if err != nil {
 		return nil, err
@@ -43,13 +33,13 @@ func (m *DistBlockMatrix) MakeDeltaSnapshot(prev *snapshot.Snapshot) (*snapshot.
 	err = apgas.ForEachPlace(m.rt, m.pg, func(ctx *apgas.Ctx, idx int) {
 		bs := m.plh.Local(ctx)
 		if bs.Len() <= 1 {
-			bs.Each(func(id int, b *block.MatrixBlock) { saveBlock(ctx, s, prev, id, b.Ver, b, comp) })
+			bs.Each(func(id int, b *block.MatrixBlock) { saveBlock(ctx, s, id, b, comp) })
 			return
 		}
 		// A place holding several blocks encodes them in parallel tasks;
 		// each task's backup put overlaps the other encodes.
 		bs.Each(func(id int, b *block.MatrixBlock) {
-			ctx.AsyncAt(ctx.Here, func(c *apgas.Ctx) { saveBlock(c, s, prev, id, b.Ver, b, comp) })
+			ctx.AsyncAt(ctx.Here, func(c *apgas.Ctx) { saveBlock(c, s, id, b, comp) })
 		})
 	})
 	if err != nil {
@@ -60,15 +50,13 @@ func (m *DistBlockMatrix) MakeDeltaSnapshot(prev *snapshot.Snapshot) (*snapshot.
 	return s, nil
 }
 
-// saveBlock checkpoints one block under key at content version ver
-// against prev (nil for a full save; see Snapshot.SaveDelta): the block is
-// encoded into a pooled, exactly-sized buffer whose CRC-32C the
-// codec.Encoder computes chunk by chunk as it writes (over each whole
+// saveBlock checkpoints one block under key (see Snapshot.SaveEncoded):
+// the block is encoded into a pooled, exactly-sized buffer whose CRC-32C
+// the codec.Encoder computes chunk by chunk as it writes (over each whole
 // compressed frame when comp is set, recording the compression
-// instrumentation on s) unless ver shows it unchanged since prev, and
-// re-shipped only if its bytes actually changed.
-func saveBlock(ctx *apgas.Ctx, s, prev *snapshot.Snapshot, key int, ver uint64, b *block.MatrixBlock, comp codec.Compressor) {
-	s.SaveDelta(ctx, key, ver, prev, func() *codec.Encoder {
+// instrumentation on s).
+func saveBlock(ctx *apgas.Ctx, s *snapshot.Snapshot, key int, b *block.MatrixBlock, comp codec.Compressor) {
+	s.SaveEncoded(ctx, key, func() *codec.Encoder {
 		var start time.Time
 		if comp != nil {
 			start = time.Now()
@@ -80,27 +68,6 @@ func saveBlock(ctx *apgas.Ctx, s, prev *snapshot.Snapshot, key int, ver uint64, 
 		}
 		return &enc
 	})
-}
-
-// deltaApplicable reports whether prev can serve as the baseline of a
-// delta snapshot under the resolved compression spec: deltaBase's group
-// and compression checks, plus the same grid and the same block→place
-// mapping (a carried entry must keep its owner, or restores would look up
-// replicas at the wrong places).
-func (m *DistBlockMatrix) deltaApplicable(prev *snapshot.Snapshot, spec codec.Spec) bool {
-	if deltaBase(prev, m.pg, spec) == nil {
-		return false
-	}
-	meta, err := decodeSnapMeta(prev.Meta())
-	if err != nil || meta.kind != m.kind || !meta.oldGrid.Equal(m.g) {
-		return false
-	}
-	for id, p := range meta.placeOf {
-		if p != m.dg.PlaceOf[id] {
-			return false
-		}
-	}
-	return true
 }
 
 // snapMeta is the decoded snapshot descriptor.

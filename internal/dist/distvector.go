@@ -21,10 +21,12 @@ type DistVector struct {
 	segSizes []int
 	segOffs  []int // len = pg.Size()+1
 	plh      apgas.PlaceLocalHandle[la.Vector]
-	// ver is the vector's content version for delta checkpointing: every
-	// collective that may write the segments bumps it (MarkDirty for
-	// direct Local mutation). Segments are mutated collectively, so one
-	// object-level version covers all of them.
+	// ver is the vector's content version for the kernel data plane,
+	// which ships a segment to a worker only when the worker does not
+	// hold it at this version: every collective that may write the
+	// segments bumps it (MarkDirty for direct Local mutation). Segments
+	// are mutated collectively, so one object-level version covers all
+	// of them.
 	ver uint64
 	// retained[idx] marks a segment whose storage survived a Remake at
 	// the same place and group index; partial restore validates it
@@ -69,13 +71,13 @@ func (v *DistVector) SegmentOf(idx int) (off, size int) {
 }
 
 // Local returns the calling place's segment. Code that writes into it
-// directly must call MarkDirty, or delta checkpoints fall back to (and
-// depend on) the CRC comparison.
+// directly must call MarkDirty, or worker kernels keep computing on the
+// copy shipped at the old version.
 func (v *DistVector) Local(ctx *apgas.Ctx) la.Vector { return v.plh.Local(ctx) }
 
 // MarkDirty records that segment contents were mutated outside the
-// vector's own collectives, forcing the next delta checkpoint to
-// re-examine them.
+// vector's own collectives, so the next worker kernel that reads the
+// vector re-ships it.
 func (v *DistVector) MarkDirty() { v.ver++ }
 
 // Init sets element i to fn(i) at its owning place.
@@ -291,19 +293,11 @@ func (v *DistVector) Remake(newPG apgas.PlaceGroup) error {
 	return nil
 }
 
-// MakeSnapshot implements snapshot.Snapshottable: a full save, i.e. a
-// delta save against nothing.
-func (v *DistVector) MakeSnapshot() (*snapshot.Snapshot, error) { return v.MakeDeltaSnapshot(nil) }
-
-// MakeDeltaSnapshot implements snapshot.DirtyTracker: each place saves its
-// segment under its group index; the descriptor records the snapshot-time
-// segmentation. Segments whose version is unchanged since prev (or whose
-// bytes compare equal) are carried forward by reference instead of
-// re-encoded and re-shipped; every segment is saved fresh when prev is
-// nil or unusable as a baseline (see deltaBase).
-func (v *DistVector) MakeDeltaSnapshot(prev *snapshot.Snapshot) (*snapshot.Snapshot, error) {
+// MakeSnapshot implements snapshot.Snapshottable: each place saves its
+// segment under its group index; the descriptor records the
+// snapshot-time segmentation.
+func (v *DistVector) MakeSnapshot() (*snapshot.Snapshot, error) {
 	comp, spec := v.newCompressor(v.rt)
-	prev = deltaBase(prev, v.pg, spec)
 	s, err := snapshot.New(v.rt, v.pg)
 	if err != nil {
 		return nil, err
@@ -312,9 +306,8 @@ func (v *DistVector) MakeDeltaSnapshot(prev *snapshot.Snapshot) (*snapshot.Snaps
 	meta = codec.AppendInt(meta, v.n)
 	meta = codec.AppendInts(meta, v.segSizes)
 	s.SetMeta(meta)
-	ver := v.ver
 	err = apgas.ForEachPlace(v.rt, v.pg, func(ctx *apgas.Ctx, idx int) {
-		saveVector(ctx, s, prev, idx, ver, v.plh.Local(ctx), comp)
+		saveVector(ctx, s, idx, v.plh.Local(ctx), comp)
 	})
 	if err != nil {
 		s.Destroy()
@@ -361,8 +354,7 @@ func (v *DistVector) restore(s *snapshot.Snapshot, keepRetained bool) error {
 	oldOffs := grid.Offsets(oldSizes)
 	// The segments rewind to the checkpoint, so the version must move:
 	// worker-side kernel caches may hold the diverged pre-restore rows
-	// under the current version, and the next delta checkpoint must
-	// re-examine the vector either way.
+	// under the current version.
 	v.ver++
 
 	sameSeg := len(oldSizes) == v.pg.Size()

@@ -27,7 +27,7 @@ type dupKind[T any] interface {
 	// encodedSize is the payload's uncompressed checkpoint size.
 	encodedSize(T) int
 	// save checkpoints the payload under key 0 (see saveVector/saveBlock).
-	save(c *apgas.Ctx, s, prev *snapshot.Snapshot, ver uint64, local T, comp codec.Compressor)
+	save(c *apgas.Ctx, s *snapshot.Snapshot, local T, comp codec.Compressor)
 	// decodeInto overwrites dst with a checkpointed payload.
 	decodeInto(dst T, data []byte, comp codec.Compressor) error
 	// validate checks a retained payload against the checkpoint digest.
@@ -43,11 +43,11 @@ type dup[T any] struct {
 	kind dupKind[T]
 	pg   apgas.PlaceGroup
 	plh  apgas.PlaceLocalHandle[T]
-	// ver is the logical content version for delta checkpointing. The
-	// snapshot stores one copy (the root's), so ver tracks the logical
-	// value: every collective that changes it bumps ver (MarkDirty for
-	// direct Local mutation). Sync republishes the root value without
-	// changing it, so it does not bump.
+	// ver is the logical content version for the kernel data plane, which
+	// ships the value to a worker only when the worker does not hold it
+	// at this version: every collective that changes it bumps ver
+	// (MarkDirty for direct Local mutation). Sync republishes the root
+	// value without changing it, so it does not bump.
 	ver uint64
 	// retained[idx] marks a duplicate whose storage survived a Remake at
 	// the same place; partial restore validates one survivor against the
@@ -76,12 +76,12 @@ func makeDup[T any](rt *apgas.Runtime, name string, kind dupKind[T], pg apgas.Pl
 func (d *dup[T]) Group() apgas.PlaceGroup { return d.pg }
 
 // Local returns the calling place's duplicate. Code that writes into it
-// directly must call MarkDirty, or delta checkpoints fall back to (and
-// depend on) the CRC comparison.
+// directly must call MarkDirty, or worker kernels keep computing on the
+// copy shipped at the old version.
 func (d *dup[T]) Local(ctx *apgas.Ctx) T { return d.plh.Local(ctx) }
 
 // MarkDirty records that the object's logical value was mutated outside
-// its own collectives, forcing the next delta checkpoint to re-examine
+// its own collectives, so the next worker kernel that reads it re-ships
 // it.
 func (d *dup[T]) MarkDirty() { d.ver++ }
 
@@ -187,32 +187,23 @@ func (d *dup[T]) Remake(newPG apgas.PlaceGroup) error {
 	return nil
 }
 
-// MakeSnapshot implements snapshot.Snapshottable: a full save, i.e. a
-// delta save against nothing.
-func (d *dup[T]) MakeSnapshot() (*snapshot.Snapshot, error) { return d.MakeDeltaSnapshot(nil) }
-
-// MakeDeltaSnapshot implements snapshot.DirtyTracker. All duplicates are
+// MakeSnapshot implements snapshot.Snapshottable. All duplicates are
 // identical, so one logical copy is saved: the group root stores it (with
 // the usual next-place backup). Saving P redundant copies would make
 // checkpointing a duplicated object O(P²) in data volume — the paper's
 // checkpoint times (Table III: PageRank, whose mutable state is one
 // DupVector, checkpoints in a fraction of LinReg's time) show the
-// implementation saves duplicated state once. The copy is carried forward
-// by reference when the object's version is unchanged since prev (or its
-// bytes compare equal), and saved fresh when prev is nil or unusable as a
-// baseline (see deltaBase).
-func (d *dup[T]) MakeDeltaSnapshot(prev *snapshot.Snapshot) (*snapshot.Snapshot, error) {
+// implementation saves duplicated state once.
+func (d *dup[T]) MakeSnapshot() (*snapshot.Snapshot, error) {
 	comp, spec := d.newCompressor(d.rt)
-	prev = deltaBase(prev, d.pg, spec)
 	s, err := snapshot.New(d.rt, d.pg)
 	if err != nil {
 		return nil, err
 	}
 	s.SetMeta(appendCompressMeta(nil, spec))
-	ver := d.ver
 	err = d.rt.Finish(func(ctx *apgas.Ctx) {
 		ctx.At(d.pg[0], func(c *apgas.Ctx) {
-			d.kind.save(c, s, prev, ver, d.plh.Local(c), comp)
+			d.kind.save(c, s, d.plh.Local(c), comp)
 		})
 	})
 	if err != nil {
@@ -242,8 +233,7 @@ func (d *dup[T]) RestoreSnapshotPartial(s *snapshot.Snapshot) error { return d.r
 func (d *dup[T]) restore(s *snapshot.Snapshot, keepRetained bool) error {
 	// The logical value rewinds to the checkpoint, so the version must move:
 	// worker-side kernel caches may hold the diverged pre-restore content
-	// under the current version, and the next delta checkpoint must
-	// re-examine the object either way.
+	// under the current version.
 	d.ver++
 	comp, _, err := compressorForMeta(s.Meta())
 	if err != nil {

@@ -14,7 +14,6 @@ import (
 // dupObject is the method set the duplicated-object core gives all three
 // Dup classes.
 type dupObject interface {
-	snapshot.DirtyTracker
 	snapshot.PartialRestorer
 	Group() apgas.PlaceGroup
 	MarkDirty()
@@ -138,7 +137,7 @@ func checkDupsEqual(t *testing.T, rt *apgas.Runtime, sub dupSubject, want []floa
 }
 
 // TestDupCore drives the one duplicated-object core through every Dup
-// class: Sync, delta carry, Remake retention, full restore, a partial
+// class: Sync, the one-copy save, Remake retention, full restore, a partial
 // restore whose one valid survivor re-broadcasts to exactly the invalid
 // indices, and the fall back to a full restore when every survivor has
 // diverged from the checkpoint.
@@ -160,19 +159,14 @@ func TestDupCore(t *testing.T) {
 			dupAt(t, rt, sub, 0, func(c *apgas.Ctx) { want = sub.get(c) })
 			checkDupsEqual(t, rt, sub, want)
 
-			// One logical copy is saved, and it carries while unchanged.
-			s0, err := sub.obj.MakeSnapshot()
+			// One logical copy is saved.
+			s, err := sub.obj.MakeSnapshot()
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := sub.obj.MakeDeltaSnapshot(s0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s0.Destroy()
 			defer s.Destroy()
-			if got := counter("snapshot.delta.carried"); got != 1 {
-				t.Fatalf("delta.carried = %d, want 1", got)
+			if got := counter("snapshot.saves"); got != 1 {
+				t.Fatalf("snapshot.saves = %d, want 1", got)
 			}
 
 			// Full restore: every place loads the checkpoint.

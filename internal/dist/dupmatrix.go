@@ -134,10 +134,8 @@ func (denseKind) copyInto(dst, src *la.DenseMatrix) *la.DenseMatrix {
 func (denseKind) bytes(d *la.DenseMatrix) int       { return d.Bytes() }
 func (denseKind) encodedSize(d *la.DenseMatrix) int { return denseBlock(d).EncodedSize() }
 
-func (denseKind) save(c *apgas.Ctx, s, prev *snapshot.Snapshot, ver uint64, d *la.DenseMatrix, comp codec.Compressor) {
-	// Keyed by the duplicated object's own version, not the wrapper
-	// block's (rebuilt on every checkpoint, so its Ver is always 0).
-	saveBlock(c, s, prev, 0, ver, denseBlock(d), comp)
+func (denseKind) save(c *apgas.Ctx, s *snapshot.Snapshot, d *la.DenseMatrix, comp codec.Compressor) {
+	saveBlock(c, s, 0, denseBlock(d), comp)
 }
 
 func (denseKind) decodeInto(dst *la.DenseMatrix, data []byte, comp codec.Compressor) error {
@@ -164,8 +162,8 @@ func (sparseKind) copyInto(dst, src *la.SparseCSR) *la.SparseCSR {
 func (sparseKind) bytes(sp *la.SparseCSR) int       { return sp.Bytes() }
 func (sparseKind) encodedSize(sp *la.SparseCSR) int { return sparseBlock(sp).EncodedSize() }
 
-func (sparseKind) save(c *apgas.Ctx, s, prev *snapshot.Snapshot, ver uint64, sp *la.SparseCSR, comp codec.Compressor) {
-	saveBlock(c, s, prev, 0, ver, sparseBlock(sp), comp)
+func (sparseKind) save(c *apgas.Ctx, s *snapshot.Snapshot, sp *la.SparseCSR, comp codec.Compressor) {
+	saveBlock(c, s, 0, sparseBlock(sp), comp)
 }
 
 func (sparseKind) decodeInto(dst *la.SparseCSR, data []byte, comp codec.Compressor) error {

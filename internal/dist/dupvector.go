@@ -108,8 +108,8 @@ func (vecKind) copyInto(dst, src la.Vector) la.Vector { return dst.CopyFrom(src)
 func (vecKind) bytes(v la.Vector) int                 { return v.Bytes() }
 func (vecKind) encodedSize(v la.Vector) int           { return codec.SizeFloat64s(len(v)) }
 
-func (vecKind) save(c *apgas.Ctx, s, prev *snapshot.Snapshot, ver uint64, v la.Vector, comp codec.Compressor) {
-	saveVector(c, s, prev, 0, ver, v, comp)
+func (vecKind) save(c *apgas.Ctx, s *snapshot.Snapshot, v la.Vector, comp codec.Compressor) {
+	saveVector(c, s, 0, v, comp)
 }
 
 func (vecKind) validate(c *apgas.Ctx, s *snapshot.Snapshot, v la.Vector, comp codec.Compressor) bool {

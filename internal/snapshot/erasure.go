@@ -25,7 +25,7 @@ import (
 // carries its own CRC so a corrupt shard is detected before it poisons a
 // reconstruction. When pooled, data came from the codec pool and is
 // recycled immediately after sharding — only the shards are retained.
-func (s *Snapshot) saveErasure(ctx *apgas.Ctx, key int, data []byte, sum uint32, pooled bool, ver uint64) {
+func (s *Snapshot) saveErasure(ctx *apgas.Ctx, key int, data []byte, sum uint32, pooled bool) {
 	idx := s.pg.IndexOf(ctx.Here)
 	if idx < 0 {
 		panic(fmt.Sprintf("snapshot: Save from %v, not a member of %v", ctx.Here, s.pg))
@@ -40,7 +40,7 @@ func (s *Snapshot) saveErasure(ctx *apgas.Ctx, key int, data []byte, sum uint32,
 	s.instr.saves.Inc()
 	s.instr.saveBytes.Add(int64(len(data)))
 	for i, shard := range shards {
-		e := newEntry(shard, codec.Checksum(shard), true, ver)
+		e := newEntry(shard, codec.Checksum(shard), true)
 		e.owner = idx
 		e.shardIdx = i
 		e.set = set
@@ -194,86 +194,4 @@ func (s *Snapshot) loadErasure(ctx *apgas.Ctx, key, ownerIdx int) ([]byte, error
 		return nil, fmt.Errorf("snapshot: key %d owner %d: reassembled payload: %w", key, ownerIdx, ErrCorrupt)
 	}
 	return out, nil
-}
-
-// carryErasure returns prev's full slot-ordered shard entry set for key
-// when it is eligible for carry-forward into s, or nil. Eligibility
-// mirrors carryCandidate, per shard: every slot alive, every slot
-// holding its own shard (shardIdx == slot offset) of one coherent shard
-// set (shared shardSet pointer), saved by this owner.
-func (s *Snapshot) carryErasure(ctx *apgas.Ctx, key int, prev *Snapshot) []*entry {
-	idx, ok := s.carryEligible(ctx, prev)
-	if !ok || prev.isDegraded(key) {
-		return nil
-	}
-	n := s.pol.d + s.pol.p
-	es := make([]*entry, n)
-	var set *shardSet
-	for i := 0; i < n; i++ {
-		slot := s.slotOf(idx, i)
-		if s.rt.IsDead(s.pg[slot]) {
-			return nil
-		}
-		e, found := prev.stores[slot].get(key)
-		if !found || e.set == nil || e.shardIdx != i || e.owner != idx {
-			return nil
-		}
-		if set == nil {
-			set = e.set
-		} else if e.set != set {
-			return nil
-		}
-		es[i] = e
-	}
-	return es
-}
-
-// carryForwardErasure shares prev's shard entries into this snapshot's
-// slot set, one reference per shard entry. Like carryForward, no bytes
-// move and nothing is charged: each shard is already resident at its
-// slot.
-func (s *Snapshot) carryForwardErasure(ctx *apgas.Ctx, key int, es []*entry) {
-	idx := s.pg.IndexOf(ctx.Here)
-	for i, e := range es {
-		e.refs.Add(1)
-		slot := s.slotOf(idx, i)
-		if slot == idx {
-			s.plh.Local(ctx).put(key, e)
-			continue
-		}
-		e := e
-		ctx.AsyncAt(s.pg[slot], func(c *apgas.Ctx) {
-			s.putReplica(c, key, e, idx)
-		})
-	}
-	s.instr.deltaCarried.Inc()
-	s.instr.deltaSkipped.Add(int64(es[0].set.fullLen))
-}
-
-// saveDeltaErasure is SaveDelta's erasure mode. The version hit works as
-// under replication. The content hit compares the freshly encoded
-// payload's CRC-32C and length against the previous shard set's — there
-// is no byte-for-byte confirmation because the full payload is not
-// resident anywhere (only its shards are), so a 32-bit checksum plus
-// length stand in for content identity. The collision odds (~2^-32 per
-// changed-but-matching fragment) are far below the failure rates the
-// emulation models; callers needing certainty bump versions instead of
-// relying on content hits.
-func (s *Snapshot) saveDeltaErasure(ctx *apgas.Ctx, key int, ver uint64, prev *Snapshot, encode func() *codec.Encoder) bool {
-	es := s.carryErasure(ctx, key, prev)
-	if es != nil && ver > 0 && es[0].ver == ver {
-		s.carryForwardErasure(ctx, key, es)
-		return true
-	}
-	enc := s.runEncode(encode)
-	if es != nil && enc.Sum() == es[0].set.fullSum && enc.Len() == es[0].set.fullLen {
-		codec.PutBuffer(enc.Bytes())
-		s.carryForwardErasure(ctx, key, es)
-		return true
-	}
-	if prev != nil {
-		s.instr.deltaSaved.Inc()
-	}
-	s.saveErasure(ctx, key, enc.Bytes(), enc.Sum(), true, ver)
-	return false
 }

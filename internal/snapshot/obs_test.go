@@ -102,38 +102,19 @@ func TestLoadCountersSplitLocalRemote(t *testing.T) {
 }
 
 // TestSaveEncodeHistogram checks that snapshot.save.encode observes one
-// duration per fragment SaveDelta encodes — fresh saves and content hits
-// alike — and none for a version carry, which never calls encode.
+// duration per fragment SaveEncoded encodes.
 func TestSaveEncodeHistogram(t *testing.T) {
 	rt, reg := newInstrumentedRT(t, 3)
-	pg := rt.World()
 	h := reg.Histogram("snapshot.save.encode")
-	snap := func(prev *Snapshot, ver uint64) *Snapshot {
-		t.Helper()
-		s, err := New(rt, pg)
+	for want := int64(3); want <= 6; want += 3 {
+		s, err := New(rt, rt.World())
 		if err != nil {
 			t.Fatal(err)
 		}
-		saveAllDelta(t, rt, s, prev, ver, 0)
-		return s
-	}
-
-	s1 := snap(nil, 1)
-	if got := h.Count(); got != 3 {
-		t.Fatalf("after a full save: snapshot.save.encode count = %d, want 3", got)
-	}
-	s2 := snap(s1, 1) // same version: carried without encoding
-	if got := h.Count(); got != 3 {
-		t.Fatalf("after a version carry: count = %d, want 3", got)
-	}
-	if got := reg.Counter("snapshot.delta.carried").Value(); got != 3 {
-		t.Fatalf("snapshot.delta.carried = %d, want 3", got)
-	}
-	s3 := snap(s2, 2) // new version, same bytes: encoded, then carried
-	if got := h.Count(); got != 6 {
-		t.Fatalf("after a content hit: count = %d, want 6", got)
-	}
-	for _, s := range []*Snapshot{s1, s2, s3} {
+		saveAllEncoded(t, rt, s)
+		if got := h.Count(); got != want {
+			t.Fatalf("snapshot.save.encode count = %d, want %d", got, want)
+		}
 		s.Destroy()
 	}
 }

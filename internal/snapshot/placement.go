@@ -5,9 +5,7 @@ import (
 )
 
 // policy is an apgas.StorePolicy resolved against a concrete place
-// group: defaults applied, widths clamped to the group size. Two
-// snapshots may share delta carry-forward state only when their resolved
-// policies are equal, so the type is a comparable value.
+// group: defaults applied, widths clamped to the group size.
 type policy struct {
 	// erasure selects the Reed-Solomon layout; otherwise k full copies.
 	erasure bool

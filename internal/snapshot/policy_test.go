@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/rgml/rgml/internal/apgas"
-	"github.com/rgml/rgml/internal/codec"
 )
 
 // loadKey loads key (owned by ownerIdx) from the main activity.
@@ -521,121 +520,6 @@ func TestRepairPlacesEachRebuiltShardOnce(t *testing.T) {
 	if data, lerr := loadKey(t, rt, s, 0, 0); lerr != nil || string(data) != "data-0" {
 		t.Fatalf("Load after two more deaths = %q, %v", data, lerr)
 	}
-}
-
-// TestErasureDeltaCarryAndMiss drives SaveDelta's erasure mode: a
-// version hit carries the whole shard set by reference, unchanged
-// content carries via the checksum comparison, and changed content
-// re-shards.
-func TestErasureDeltaCarryAndMiss(t *testing.T) {
-	rt, reg := newInstrumentedRT(t, 4)
-	pg := rt.World()
-	opts := Options{Policy: apgas.ErasureStore(3, 1)}
-	s1, err := NewWithOptions(rt, pg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	saveAllDelta(t, rt, s1, nil, 1, 0)
-	if got := reg.Counter("snapshot.delta.saved").Value(); got != 0 {
-		t.Fatalf("delta.saved = %d, want 0 (no predecessor: a full save)", got)
-	}
-
-	// Version hit: the encode callback must never run.
-	s2, err := NewWithOptions(rt, pg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = apgas.ForEachPlace(rt, pg, func(ctx *apgas.Ctx, idx int) {
-		s2.SaveDelta(ctx, idx, 1, s1, func() *codec.Encoder {
-			panic("version hit must not re-encode")
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter("snapshot.delta.carried").Value(); got != 4 {
-		t.Fatalf("delta.carried = %d, want 4", got)
-	}
-
-	// Content hit: same bytes, unversioned.
-	s3, err := NewWithOptions(rt, pg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	saveAllDelta(t, rt, s3, s2, 0, 0)
-	if got := reg.Counter("snapshot.delta.carried").Value(); got != 8 {
-		t.Fatalf("delta.carried = %d, want 8", got)
-	}
-
-	// Miss: changed bytes re-shard; old and new generations stay distinct.
-	s4, err := NewWithOptions(rt, pg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	saveAllDelta(t, rt, s4, s3, 0, 1)
-	if got := reg.Counter("snapshot.delta.saved").Value(); got != 4 {
-		t.Fatalf("delta.saved = %d, want 4 (the changed entries)", got)
-	}
-	if got := loadSeg(t, rt, s4, 1); got[1] != 1 {
-		t.Fatalf("new checkpoint entry = %v, want round 1", got)
-	}
-	if got := loadSeg(t, rt, s1, 1); got[1] != 0 {
-		t.Fatalf("old checkpoint entry = %v, want round 0", got)
-	}
-	s1.Destroy()
-	s2.Destroy()
-	s3.Destroy()
-	s4.Destroy()
-}
-
-// TestDegradedDeltaNotCarried pins the satellite-2 invariant at the
-// snapshot layer: an entry whose replica put was dropped must NOT carry
-// forward into the next delta checkpoint — the successor re-ships it at
-// full redundancy.
-func TestDegradedDeltaNotCarried(t *testing.T) {
-	rt, reg := newInstrumentedRT(t, 3)
-	inj := &flakyInjector{failures: -1}
-	rt.SetInjector(inj)
-	pg := rt.World()
-	s1, err := NewWithOptions(rt, pg, Options{Retry: fastRetry(2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	saveAllDelta(t, rt, s1, nil, 1, 0)
-	if got := s1.DegradedEntries(); got != 3 {
-		t.Fatalf("DegradedEntries = %d, want 3", got)
-	}
-
-	// Replica writes work again; the delta checkpoint with identical
-	// content and version must still re-save (not carry) because the
-	// predecessor entries are degraded.
-	rt.SetInjector(nil)
-	s2, err := NewWithOptions(rt, pg, Options{Retry: fastRetry(2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	saveAllDelta(t, rt, s2, s1, 1, 0)
-	if got := reg.Counter("snapshot.delta.carried").Value(); got != 0 {
-		t.Fatalf("delta.carried = %d, want 0 (degraded entries must not carry)", got)
-	}
-	if got := reg.Counter("snapshot.delta.saved").Value(); got != 3 {
-		t.Fatalf("delta.saved = %d, want 3 (the re-saved degraded entries)", got)
-	}
-
-	// The re-saved generation is fully replicated: the owner's death is
-	// survivable again.
-	if err := rt.Kill(rt.Place(1)); err != nil {
-		t.Fatal(err)
-	}
-	got := loadSeg(t, rt, s2, 1)
-	want := segPayload(1, 0)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("entry 1 = %v, want %v", got, want)
-		}
-	}
-	s1.Destroy()
-	s2.Destroy()
 }
 
 // TestDestroyClearsDegradedGauge checks that destroying a snapshot with

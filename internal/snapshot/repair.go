@@ -318,10 +318,10 @@ func (s *Snapshot) shipShards(key, ownerIdx, donor int, es []*entry, dests []int
 			codec.PutBuffer(work[i])
 		}
 	}
-	set, ver := es[0].set, es[0].ver
+	set := es[0].set
 	return s.ship(key, ownerIdx, donor, dests, func(gi int) *entry {
 		i := shardAt[gi]
-		e := newEntry(work[i], codec.Checksum(work[i]), true, ver)
+		e := newEntry(work[i], codec.Checksum(work[i]), true)
 		e.owner, e.shardIdx, e.set = ownerIdx, i, set
 		return e
 	}, s.instr.shards)

@@ -23,7 +23,7 @@
 // The save path is built for throughput: the backup put runs as an async
 // task overlapping the saver's remaining work (the enclosing finish still
 // guarantees it lands before the checkpoint is considered taken), entries
-// saved through SaveDelta carry a CRC-32C computed chunk by chunk as the
+// saved through SaveEncoded carry a CRC-32C computed chunk by chunk as the
 // encoder writes them, while each chunk is still in cache, instead of a
 // separate hashing traversal, successful verifications are
 // memoized per entry so repeated loads do not re-hash, and payload buffers
@@ -32,7 +32,6 @@
 package snapshot
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -56,19 +55,6 @@ type Snapshottable interface {
 	// group and partitioning, which may differ from the snapshot's) from
 	// the saved state.
 	RestoreSnapshot(s *Snapshot) error
-}
-
-// DirtyTracker is implemented by Snapshottable objects that track which
-// of their fragments changed since the previous checkpoint and can
-// therefore capture an incremental (delta) snapshot: unchanged entries
-// are carried forward by reference from prev (see Snapshot.SaveDelta)
-// instead of being re-encoded and re-shipped. A full save is the
-// nil-predecessor case: prev may be nil, or unusable as a baseline (taken
-// over a different group or compression policy), and the implementation
-// then saves every fragment fresh — MakeSnapshot is MakeDeltaSnapshot(nil).
-type DirtyTracker interface {
-	Snapshottable
-	MakeDeltaSnapshot(prev *Snapshot) (*Snapshot, error)
 }
 
 // PartialRestorer is implemented by Snapshottable objects that can
@@ -149,26 +135,13 @@ func (p RetryPolicy) normalize() RetryPolicy {
 // time so a corrupted replica is detected at load time and the other copy
 // used instead. The owner and backup replicas share one entry (the
 // emulation's two map slots point at the same bytes), so the flags below
-// use atomics.
-//
-// Delta checkpointing shares entries *across snapshots* as well: an
-// unchanged entry is carried forward by reference into the successor
-// snapshot instead of being re-encoded. refs counts the snapshots that
-// reference the entry (not the place stores — owner and backup slots of
-// one snapshot count once), and the payload buffer returns to the codec
-// pool only when the last referencing snapshot is destroyed. This is the
-// invariant that lets Destroy run on a superseded checkpoint while the
-// live checkpoint still owns some of its buffers.
+// use atomics. An entry belongs to exactly one snapshot, whose Destroy
+// recycles its buffer.
 type entry struct {
 	data []byte
 	sum  uint32
-	// ver is the content version recorded by SaveDelta (0 for entries
-	// saved through Save). A successor snapshot whose saver reports the
-	// same non-zero version carries the entry forward without re-encoding
-	// it.
-	ver uint64
-	// pooled marks data as drawn from the codec buffer pool; the final
-	// Destroy recycles it instead of dropping it.
+	// pooled marks data as drawn from the codec buffer pool; Destroy
+	// recycles it instead of dropping it.
 	pooled bool
 	// owner is the group index of the place that saved the entry, set
 	// before the entry is published to any store; repair uses it to
@@ -180,8 +153,6 @@ type entry struct {
 	// replicas.
 	shardIdx int
 	set      *shardSet
-	// refs counts referencing snapshots; see the type comment.
-	refs atomic.Int32
 	// verified memoizes a successful integrity check so repeated loads of
 	// the same replica skip re-hashing. Corruption tests swap the whole
 	// entry, so a memoized verdict never outlives the bytes it vouches
@@ -192,18 +163,14 @@ type entry struct {
 // shardSet is the shared descriptor of one erasure-coded payload: the
 // full payload's checksum and length (what Digest reports and Load
 // verifies after reassembly). All d+p shard entries of one save point at
-// the same shardSet, which gives delta carry-forward the same
-// pointer-identity evidence that full replicas get from sharing one
-// entry.
+// the same shardSet.
 type shardSet struct {
 	fullSum uint32
 	fullLen int
 }
 
-func newEntry(data []byte, sum uint32, pooled bool, ver uint64) *entry {
-	e := &entry{data: data, sum: sum, pooled: pooled, ver: ver}
-	e.refs.Store(1)
-	return e
+func newEntry(data []byte, sum uint32, pooled bool) *entry {
+	return &entry{data: data, sum: sum, pooled: pooled}
 }
 
 // verify checks the entry's integrity, memoizing success.
@@ -261,10 +228,9 @@ func getPlaceStore() (ps *placeStore, pooled bool) {
 }
 
 // recycle clears the store and returns the shell to the store pool.
-// Payload release is not done here: entries may be shared with a
-// successor snapshot (delta carry-forward), so Snapshot.Destroy drops
-// each distinct entry's reference exactly once and recycles the buffer
-// only when no snapshot references it any more.
+// Payload release is not done here: the owner and backup slots of one
+// snapshot share entries, so Snapshot.Destroy recycles each distinct
+// entry's buffer exactly once.
 func (ps *placeStore) recycle() {
 	ps.mu.Lock()
 	clear(ps.entries)
@@ -404,11 +370,8 @@ type snapInstr struct {
 	poolMisses  *obs.Counter // snapshot.pool.misses
 	destroys    *obs.Counter // snapshot.destroys
 
-	// Delta checkpointing and partial restore.
-	deltaCarried *obs.Counter // snapshot.delta.carried (entries shared by reference)
-	deltaSaved   *obs.Counter // snapshot.delta.saved (delta-path entries re-encoded)
-	deltaSkipped *obs.Counter // snapshot.delta.bytes.skipped (payload bytes not re-shipped)
-	digests      *obs.Counter // snapshot.digests (metadata-only integrity probes)
+	// Partial restore.
+	digests *obs.Counter // snapshot.digests (metadata-only integrity probes)
 
 	// Redundancy degradation and repair.
 	degradedG *obs.Gauge   // snapshot.replicas.degraded (entries below target, now)
@@ -425,9 +388,8 @@ type snapInstr struct {
 	compTime  *obs.Counter // snapshot.compress.time_us (encode time inside compressed saves)
 	lossyErrG *obs.Gauge   // snapshot.lossy.max_err (largest per-element error, femto units)
 
-	// encode times each fragment encode on the SaveDelta path (carried
-	// versions are not encoded and not observed), so a registry dump
-	// shows how much of a checkpoint is encode + CRC time.
+	// encode times each fragment encode on the SaveEncoded path, so a
+	// registry dump shows how much of a checkpoint is encode + CRC time.
 	encode *obs.Histogram // snapshot.save.encode
 }
 
@@ -450,10 +412,7 @@ func newSnapInstr(reg *obs.Registry) snapInstr {
 		poolMisses:  reg.Counter("snapshot.pool.misses"),
 		destroys:    reg.Counter("snapshot.destroys"),
 
-		deltaCarried: reg.Counter("snapshot.delta.carried"),
-		deltaSaved:   reg.Counter("snapshot.delta.saved"),
-		deltaSkipped: reg.Counter("snapshot.delta.bytes.skipped"),
-		digests:      reg.Counter("snapshot.digests"),
+		digests: reg.Counter("snapshot.digests"),
 
 		degradedG: reg.Gauge("snapshot.replicas.degraded"),
 		repaired:  reg.Counter("snapshot.replicas.repaired"),
@@ -566,135 +525,29 @@ func (s *Snapshot) NoteLossyMaxError(maxErr float64) {
 // byte slice is retained; callers must not mutate it afterwards.
 func (s *Snapshot) Save(ctx *apgas.Ctx, key int, data []byte) {
 	if s.pol.erasure {
-		s.saveErasure(ctx, key, data, codec.Checksum(data), false, 0)
+		s.saveErasure(ctx, key, data, codec.Checksum(data), false)
 		return
 	}
-	s.save(ctx, key, newEntry(data, codec.Checksum(data), false, 0))
+	s.save(ctx, key, newEntry(data, codec.Checksum(data), false))
 }
 
-// SaveDelta stores the value for key incrementally against prev, the
-// previously committed snapshot of the same object; with a nil prev it is
-// a full save. ver is the saver's content version for the fragment (from
-// its DirtyTracker bookkeeping; 0 means unversioned). encode produces the
-// payload into a pooled buffer through a codec.Encoder, which checksums
-// each bulk chunk right after writing it, so the CRC-32C reads bytes still
-// in cache instead of re-reading the payload from memory; its duration is
-// observed in the snapshot.save.encode histogram. The snapshot takes
-// ownership of that buffer (under replication it is recycled when the
-// snapshot is destroyed, under erasure immediately after sharding). Three
-// outcomes, in order of preference:
-//
-//  1. Version hit: prev holds a healthy entry for key at this owner with
-//     the same non-zero version — the entry is shared by reference into
-//     this snapshot (refcounted; no encode, no payload transfer).
-//  2. Content hit: the fragment is re-encoded via encode, but its CRC,
-//     length and bytes match prev's entry — the freshly encoded buffer
-//     is returned to the pool and prev's entry is shared as above. This
-//     is the fallback that keeps delta checkpoints correct for objects
-//     that mutate state in place without bumping versions.
-//  3. Miss: the encoded fragment is saved fresh (double storage, network
-//     charges), recording ver for the next delta. Only a miss against a
-//     non-nil prev counts as snapshot.delta.saved.
-//
-// An entry is "healthy" for carry-forward only if prev was taken over
-// the same place group with the same resolved policy, is not destroyed,
-// is not tracked as degraded, every slot of the entry's placement is
-// alive, and every slot actually holds the entry (a replica dropped
-// under fault injection must not silently propagate to the successor).
-// The carried entry's replica reference puts are not charged against the
-// NetModel: the payloads already reside at their slots from the previous
-// checkpoint, and only control messages cross the network.
-//
-// It returns true when the entry was carried forward.
-func (s *Snapshot) SaveDelta(ctx *apgas.Ctx, key int, ver uint64, prev *Snapshot, encode func() *codec.Encoder) bool {
-	if s.pol.erasure {
-		return s.saveDeltaErasure(ctx, key, ver, prev, encode)
-	}
-	e := s.carryCandidate(ctx, key, prev)
-	if e != nil && ver > 0 && e.ver == ver {
-		s.carryForward(ctx, key, e)
-		return true
-	}
-	enc := s.runEncode(encode)
-	if e != nil && enc.Len() == len(e.data) && enc.Sum() == e.sum && bytes.Equal(enc.Bytes(), e.data) {
-		codec.PutBuffer(enc.Bytes())
-		s.carryForward(ctx, key, e)
-		return true
-	}
-	if prev != nil {
-		s.instr.deltaSaved.Inc()
-	}
-	s.save(ctx, key, newEntry(enc.Bytes(), enc.Sum(), true, ver))
-	return false
-}
-
-// runEncode calls a SaveDelta encode callback, observing its duration in
-// snapshot.save.encode.
-func (s *Snapshot) runEncode(encode func() *codec.Encoder) *codec.Encoder {
+// SaveEncoded stores the value for key like Save, but the payload is
+// produced by encode into a pooled buffer through a codec.Encoder, which
+// checksums each bulk chunk right after writing it, so the CRC-32C reads
+// bytes still in cache instead of re-reading the payload from memory; the
+// encode's duration is observed in the snapshot.save.encode histogram.
+// The snapshot takes ownership of that buffer: under replication it is
+// recycled when the snapshot is destroyed, under erasure immediately
+// after sharding.
+func (s *Snapshot) SaveEncoded(ctx *apgas.Ctx, key int, encode func() *codec.Encoder) {
 	start := time.Now()
 	enc := encode()
 	s.instr.encode.Observe(time.Since(start))
-	return enc
-}
-
-// carryEligible checks the snapshot-level carry-forward preconditions
-// shared by the replicate and erasure paths: same group, same resolved
-// policy, predecessor alive, saver a member of the group.
-func (s *Snapshot) carryEligible(ctx *apgas.Ctx, prev *Snapshot) (idx int, ok bool) {
-	if prev == nil || prev.destroyed.Load() || !prev.pg.Equal(s.pg) || prev.pol != s.pol {
-		return 0, false
+	if s.pol.erasure {
+		s.saveErasure(ctx, key, enc.Bytes(), enc.Sum(), true)
+		return
 	}
-	idx = s.pg.IndexOf(ctx.Here)
-	return idx, idx >= 0
-}
-
-// carryCandidate returns prev's entry for key when it is eligible for
-// carry-forward into s (see SaveDelta), or nil.
-func (s *Snapshot) carryCandidate(ctx *apgas.Ctx, key int, prev *Snapshot) *entry {
-	idx, ok := s.carryEligible(ctx, prev)
-	if !ok || prev.isDegraded(key) {
-		return nil
-	}
-	e, found := prev.plh.Local(ctx).get(key)
-	if !found {
-		return nil
-	}
-	// Every replica slot must be alive and hold the same entry pointer
-	// (in the emulation all replicas share one entry, so a slot holding
-	// the same pointer proves the payload is resident there). A slot that
-	// lost its copy — dead place, dropped put — disqualifies the entry:
-	// carrying it forward would replicate the degradation into the new
-	// checkpoint without re-shipping the payload.
-	for i := 1; i < s.pol.k; i++ {
-		slot := s.slotOf(idx, i)
-		if s.rt.IsDead(s.pg[slot]) {
-			return nil
-		}
-		be, found := prev.stores[slot].get(key)
-		if !found || be != e {
-			return nil
-		}
-	}
-	return e
-}
-
-// carryForward shares e (an entry owned by the previous checkpoint) into
-// this snapshot's replica slots, taking one reference for the whole
-// snapshot. Only control messages reach the replica places — the payload
-// is already resident there — so nothing is charged against the NetModel
-// and the bytes count as skipped, not saved.
-func (s *Snapshot) carryForward(ctx *apgas.Ctx, key int, e *entry) {
-	idx := s.pg.IndexOf(ctx.Here)
-	e.refs.Add(1)
-	s.plh.Local(ctx).put(key, e)
-	s.instr.deltaCarried.Inc()
-	s.instr.deltaSkipped.Add(int64(len(e.data)))
-	for i := 1; i < s.pol.k; i++ {
-		next := s.pg[s.slotOf(idx, i)]
-		ctx.AsyncAt(next, func(c *apgas.Ctx) {
-			s.putReplica(c, key, e, idx)
-		})
-	}
+	s.save(ctx, key, newEntry(enc.Bytes(), enc.Sum(), true))
 }
 
 // save places e locally and asynchronously at the k-1 replica places. The
@@ -734,10 +587,8 @@ func (s *Snapshot) save(ctx *apgas.Ctx, key int, e *entry) {
 // worker body so later kernels (and a future worker-side restore) can
 // reference them without a re-ship. Each Snapshot has its own
 // PlaceLocalHandle — handle IDs are never reused — and each key is written
-// once per snapshot, so a constant version suffices. Only full saves warm:
-// delta-carried entries are already resident from the checkpoint that
-// first shipped them, and re-warming would forfeit the carry's byte
-// savings. The bytes go out straight from the snapshot's own pooled
+// once per snapshot, so a constant version suffices. The bytes go out
+// straight from the snapshot's own pooled
 // buffer, which stays the snapshot's: the worker drops its copy when the
 // snapshot's handle is destroyed. At place zero there is no worker body
 // and nothing to warm. Failures are ignored; the warm is purely a cache
@@ -958,9 +809,8 @@ func (s *Snapshot) Destroy() {
 	s.deg.keys = nil
 	s.deg.extras = nil
 	s.deg.mu.Unlock()
-	// Release this snapshot's reference on each distinct entry (owner and
-	// backup slots share entries, and carried-forward entries also live in
-	// the successor snapshot); only the last reference recycles the buffer.
+	// Recycle each distinct entry's buffer once (owner and backup slots
+	// share entries).
 	seen := make(map[*entry]struct{})
 	for _, ps := range s.stores {
 		if ps != nil {
@@ -968,7 +818,7 @@ func (s *Snapshot) Destroy() {
 		}
 	}
 	for e := range seen {
-		if e.refs.Add(-1) == 0 && e.pooled {
+		if e.pooled {
 			codec.PutBuffer(e.data)
 		}
 	}

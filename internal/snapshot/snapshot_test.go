@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/rgml/rgml/internal/apgas"
+	"github.com/rgml/rgml/internal/codec"
 )
 
 func newRT(t *testing.T, places int) *apgas.Runtime {
@@ -281,6 +282,49 @@ func TestDestroyFreesStorage(t *testing.T) {
 	s.Destroy()
 	var nilSnap *Snapshot
 	nilSnap.Destroy()
+}
+
+// saveAllEncoded runs SaveEncoded at every place of s's group, each place
+// saving three float64s distinct to its index.
+func saveAllEncoded(t *testing.T, rt *apgas.Runtime, s *Snapshot) {
+	t.Helper()
+	err := apgas.ForEachPlace(rt, s.Group(), func(ctx *apgas.Ctx, idx int) {
+		s.SaveEncoded(ctx, idx, func() *codec.Encoder {
+			vals := []float64{float64(idx), 0, 3.5}
+			enc := codec.NewEncoder(codec.SizeFloat64s(len(vals)))
+			enc.PutFloat64s(vals)
+			return &enc
+		})
+	})
+	if err != nil {
+		t.Fatalf("saveAllEncoded: %v", err)
+	}
+}
+
+// TestDestroyRecyclesEachEntryOnce checks that Destroy returns every
+// pooled payload to the codec pool exactly once: one buffer per entry
+// under replication, whose owner and backup slots share it, and one per
+// shard under erasure.
+func TestDestroyRecyclesEachEntryOnce(t *testing.T) {
+	for _, tc := range []struct {
+		pol  apgas.StorePolicy
+		puts uint64
+	}{
+		{apgas.ReplicateStore(2), 4},
+		{apgas.ErasureStore(3, 1), 4 * 4},
+	} {
+		rt := newRT(t, 4)
+		s, err := NewWithOptions(rt, rt.World(), Options{Policy: tc.pol})
+		if err != nil {
+			t.Fatal(err)
+		}
+		saveAllEncoded(t, rt, s)
+		_, _, puts0 := codec.PoolStats()
+		s.Destroy()
+		if _, _, puts := codec.PoolStats(); puts-puts0 != tc.puts {
+			t.Errorf("%v: Destroy recycled %d buffers, want %d", tc.pol, puts-puts0, tc.puts)
+		}
+	}
 }
 
 func TestEmptyGroupRejected(t *testing.T) {

@@ -351,15 +351,10 @@ type (
 	// Snapshottable is implemented by every GML object that supports
 	// snapshot/restore (paper Listing 3).
 	Snapshottable = snapshot.Snapshottable
-	// DirtyTracker marks Snapshottables that can build delta snapshots
-	// against the committed checkpoint (see WithDelta). A full save is its
-	// nil-predecessor case: MakeSnapshot is MakeDeltaSnapshot(nil).
-	DirtyTracker = snapshot.DirtyTracker
 	// PartialRestorer marks Snapshottables that can restore only the
 	// state their current owner lost: fragments Remake retained at a
 	// surviving place are kept when they validate against the checkpoint.
-	// Every executor recovery restores through it, with or without
-	// WithDelta.
+	// Every executor recovery restores through it.
 	PartialRestorer = snapshot.PartialRestorer
 )
 
@@ -419,12 +414,6 @@ func WithSpares(n int) ExecutorOption { return core.WithSpares(n) }
 
 // WithMaxRestores bounds recovery attempts per run.
 func WithMaxRestores(n int) ExecutorOption { return core.WithMaxRestores(n) }
-
-// WithDelta enables delta checkpointing: objects implementing
-// DirtyTracker re-encode and re-ship only entries whose content changed
-// since the committed checkpoint; unchanged entries are carried forward
-// by reference.
-func WithDelta(on bool) ExecutorOption { return core.WithDelta(on) }
 
 // WithAfterStep installs a hook running after each successful iteration.
 func WithAfterStep(fn func(iter int64)) ExecutorOption { return core.WithAfterStep(fn) }
