@@ -56,7 +56,12 @@ finish-stress:
 # kill after the iteration-2 restore and before the iteration-4
 # checkpoint: a restore is not followed by a checkpoint, so the commit
 # survives only if the restore's own repair rebuilt the first victim's
-# shards.
+# shards. The fourth runs replace-elastic on the same store with no
+# reserved spares, so every replacement comes from a refill of the spare
+# pool: the commit kill's restore is itself hit by a kill, and the retry
+# must draft the place the doomed attempt created (one refill for the
+# second victim alone); the later double kill then refills two places in
+# one plan.
 chaos-smoke:
 	$(GO) run ./cmd/rgmlbench -q -iters 6 -ckpt 2 -scale 0.05 -seeds 7 -chaos-strict \
 		-chaos "kill(point=commit,iter=2,place=1);kill(point=restore,place=3)" chaos > /dev/null
@@ -66,6 +71,9 @@ chaos-smoke:
 	$(GO) run ./cmd/rgmlbench -q -iters 6 -ckpt 2 -scale 0.05 -seeds 7 -chaos-strict \
 		-placement erasure -shards 3,2 -chaos-places 5 -chaos-mode replace-redundant -chaos-spares 2 \
 		-chaos "kill(iter=2,place=1);kill(iter=3,place=2,span=2)" chaos > /dev/null
+	$(GO) run ./cmd/rgmlbench -q -iters 6 -ckpt 2 -scale 0.05 -seeds 7 -chaos-strict \
+		-placement erasure -shards 3,2 -chaos-places 5 -chaos-mode replace-elastic \
+		-chaos "kill(point=commit,iter=2,place=1);kill(point=restore,place=3);kill(iter=3,place=2,span=2)" chaos > /dev/null
 	@echo "chaos-smoke: all campaigns survived and verified"
 
 # Multi-process smoke: PageRank over the tcp transport (3 worker

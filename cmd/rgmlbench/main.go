@@ -72,7 +72,7 @@ func run(args []string) error {
 		seedsCSV    = fs.String("seeds", "1,2,3", "comma-separated chaos engine seeds to sweep")
 		chaosPlaces = fs.Int("chaos-places", 4, "active places per chaos run")
 		chaosMode   = fs.String("chaos-mode", "shrink", "restore mode for chaos runs: shrink, shrink-rebalance, replace-redundant, replace-elastic")
-		chaosSpares = fs.Int("chaos-spares", 0, "spare places reserved per chaos run")
+		chaosSpares = fs.Int("chaos-spares", 0, "spare places reserved per chaos run as the spare pool of either replace mode (ignored by shrink modes)")
 		chaosStrict = fs.Bool("chaos-strict", false, "exit non-zero when any chaos run fails to survive or verify")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -2,7 +2,8 @@
 // resilient executor, optionally injecting place failures, and prints a
 // run summary — a quick way to watch the framework recover. The summary's
 // "final iterate:" line hashes the result's float64 bits, so two runs
-// print the same hash exactly when their iterates are bitwise equal.
+// print the same hash exactly when their iterates are bitwise equal; a
+// NaN or ±Inf element fails the run instead.
 //
 // Usage:
 //
@@ -51,7 +52,7 @@ func run() error {
 		places         = flag.Int("places", 8, "number of active places")
 		iters          = flag.Int("iters", 30, "iterations")
 		ckpt           = flag.Int("ckpt", 10, "checkpoint interval (0 disables)")
-		modeName       = flag.String("mode", "shrink", "restore mode: shrink, shrink-rebalance, replace-redundant, replace-elastic")
+		modeName       = flag.String("mode", "shrink", "restore mode: shrink, shrink-rebalance, replace-redundant (one spare reserved) or replace-elastic (creates replacements); either replace mode shrinks away the places it cannot replace")
 		killIter       = flag.Int("kill-iter", 0, "inject an administrative failure after this iteration (0: none)")
 		killProc       = flag.Int("kill-proc-iter", 0, "tcp only: SIGKILL a worker process after this iteration and let the failure detector find it (0: none)")
 		minWorkerTasks = flag.Int("min-worker-tasks", 0, "tcp only: fail unless at least this many registered kernels executed inside worker processes (0: no assertion)")
@@ -256,6 +257,9 @@ func run() error {
 	fmt.Printf("  final places: %v\n", exec.ActiveGroup())
 	final, err := apps.FinalIterate(app)
 	if err != nil {
+		return err
+	}
+	if err := apps.CheckFinite(final); err != nil {
 		return err
 	}
 	fmt.Printf("  final iterate: %s\n", apps.IterateHash(final))

@@ -31,6 +31,18 @@ func FinalIterate(app core.IterativeApp) (la.Vector, error) {
 	return nil, fmt.Errorf("apps: no final iterate for %T", app)
 }
 
+// CheckFinite returns an error naming the first NaN or ±Inf element of v,
+// or nil when every element is finite. A diverged run's iterate must fail
+// verification, not match another diverged iterate.
+func CheckFinite(v la.Vector) error {
+	for i, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("apps: final iterate element %d of %d is %v", i, len(v), x)
+		}
+	}
+	return nil
+}
+
 // IterateHash is the FNV-1a hash of v's float64 bit patterns, in hex: two
 // iterates hash equal exactly when they are bitwise equal (up to
 // collisions). The benchmark hashes its verified iterates the same way.

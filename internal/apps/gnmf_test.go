@@ -3,6 +3,7 @@ package apps
 import (
 	"testing"
 
+	"github.com/rgml/rgml/internal/chaos"
 	"github.com/rgml/rgml/internal/core"
 )
 
@@ -90,12 +91,15 @@ func TestGNMFRecoversInShrinkAndReplaceModes(t *testing.T) {
 			if mode == core.ReplaceRedundant {
 				spares = 1
 			}
-			plan := core.NewFailurePlan(core.FailureEvent{AfterIteration: 6, Place: rt.Place(2)})
+			eng, err := chaos.New(rt, chaos.MustParse("kill(iter=6,place=2)"))
+			if err != nil {
+				t.Fatal(err)
+			}
 			exec, err := core.New(rt,
 				core.WithCheckpointInterval(4),
 				core.WithRestoreMode(mode),
 				core.WithSpares(spares),
-				core.WithAfterStep(plan.AfterStep(rt)),
+				core.WithChaos(eng),
 			)
 			if err != nil {
 				t.Fatal(err)
@@ -107,7 +111,7 @@ func TestGNMFRecoversInShrinkAndReplaceModes(t *testing.T) {
 			if err := exec.Run(app); err != nil {
 				t.Fatal(err)
 			}
-			if plan.Fired() != 1 || exec.Metrics().Restores == 0 {
+			if len(eng.Kills()) != 1 || exec.Metrics().Restores == 0 {
 				t.Fatal("failure injection or recovery missing")
 			}
 			w, h, err := app.Factors()

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/rgml/rgml/internal/chaos"
 	"github.com/rgml/rgml/internal/core"
 )
 
@@ -52,10 +53,13 @@ func TestSparseAppsFinalIteratePinned(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			rt := newRT(t, 5)
 			opts := []core.Option{core.WithCheckpointInterval(4), core.WithRestoreMode(r.mode), core.WithSpares(1)}
-			var plan *core.FailurePlan
+			var eng *chaos.Engine
 			if r.kill {
-				plan = core.NewFailurePlan(core.FailureEvent{AfterIteration: 6, Place: rt.Place(2)})
-				opts = append(opts, core.WithAfterStep(plan.AfterStep(rt)))
+				var err error
+				if eng, err = chaos.New(rt, chaos.MustParse("kill(iter=6,place=2)")); err != nil {
+					t.Fatal(err)
+				}
+				opts = append(opts, core.WithChaos(eng))
 			}
 			exec, err := core.New(rt, opts...)
 			if err != nil {
@@ -90,7 +94,7 @@ func TestSparseAppsFinalIteratePinned(t *testing.T) {
 				}
 				got = iterateHash(w.Data, h.Data)
 			}
-			if r.kill && (plan.Fired() != 1 || exec.Metrics().Restores == 0) {
+			if r.kill && (len(eng.Kills()) != 1 || exec.Metrics().Restores == 0) {
 				t.Fatal("failure injection or recovery missing")
 			}
 			if got != r.want {

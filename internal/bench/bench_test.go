@@ -124,6 +124,21 @@ func TestPercentTableSmoke(t *testing.T) {
 	}
 }
 
+func TestMedian(t *testing.T) {
+	for _, tc := range []struct {
+		xs   []float64
+		want float64
+	}{
+		{[]float64{4}, 4},
+		{[]float64{7, 1, 3}, 3},
+		{[]float64{5, 1, 2, 9}, 3.5},
+	} {
+		if got := median(tc.xs); got != tc.want {
+			t.Errorf("median = %v, want %v", got, tc.want)
+		}
+	}
+}
+
 func TestLOCTable(t *testing.T) {
 	rows, err := LOCTable()
 	if err != nil {

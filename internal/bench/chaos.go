@@ -225,13 +225,10 @@ func (c Config) chaosRun(spec ChaosSpec, sched chaos.Schedule, seed uint64, time
 // ±Inf element on either side never matches: a diverged run must not
 // verify against a diverged reference.
 func iteratesMatch(ref, got la.Vector) bool {
-	if len(ref) != len(got) {
+	if len(ref) != len(got) || apps.CheckFinite(ref) != nil || apps.CheckFinite(got) != nil {
 		return false
 	}
 	for i := range ref {
-		if !finite(ref[i]) || !finite(got[i]) {
-			return false
-		}
 		// Negated so that a NaN difference fails the comparison.
 		if diff := math.Abs(ref[i] - got[i]); !(diff <= 1e-9*(1+math.Abs(ref[i]))) {
 			return false
@@ -239,8 +236,6 @@ func iteratesMatch(ref, got la.Vector) bool {
 	}
 	return true
 }
-
-func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // WriteChaosReport renders the campaign report as indented JSON.
 func WriteChaosReport(w io.Writer, rep ChaosReport) error {

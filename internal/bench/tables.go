@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"sort"
 
 	"github.com/rgml/rgml/internal/core"
 )
@@ -73,21 +74,39 @@ type PercentRow struct {
 }
 
 // PercentTable regenerates Table IV from the restore experiments at the
-// largest configured place count.
+// largest configured place count. Each cell is the median of Scale.Runs
+// restore runs, the run count the figures average over: one run's share
+// moves by several points on a shared host.
 func (c Config) PercentTable() ([]PercentRow, error) {
 	places := c.Scale.PlaceCounts[len(c.Scale.PlaceCounts)-1]
 	var rows []PercentRow
 	for _, app := range Apps {
 		row := PercentRow{App: app, Pct: make(map[string][2]float64)}
 		for _, mode := range restoreModes {
-			r, err := c.restoreRun(app, places, mode)
-			if err != nil {
-				return nil, fmt.Errorf("bench: table4 %s mode=%v: %w", app, mode, err)
+			var ckpt, restore []float64
+			for run := 0; run < c.Scale.Runs; run++ {
+				r, err := c.restoreRun(app, places, mode)
+				if err != nil {
+					return nil, fmt.Errorf("bench: table4 %s mode=%v: %w", app, mode, err)
+				}
+				ckpt, restore = append(ckpt, r.CheckpointPct), append(restore, r.RestorePct)
 			}
-			row.Pct[mode.String()] = [2]float64{r.CheckpointPct, r.RestorePct}
-			c.progressf("table4 %s %v: C=%.0f%% R=%.0f%%", app, mode, r.CheckpointPct, r.RestorePct)
+			pct := [2]float64{median(ckpt), median(restore)}
+			row.Pct[mode.String()] = pct
+			c.progressf("table4 %s %v: C=%.0f%% R=%.0f%% (median of %d)", app, mode, pct[0], pct[1], c.Scale.Runs)
 		}
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// median returns the middle value of xs (the mean of the two middle values
+// for an even count); it sorts xs in place.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }

@@ -12,28 +12,36 @@ import (
 )
 
 // RestoreMode selects how the executor adapts the application to the loss
-// of places (paper section V-B).
+// of places (paper section V-B). Every mode runs one restoration plan over
+// one spare pool (see nextGroup); a mode is the pool policy that plan
+// applies.
 type RestoreMode int
 
 const (
 	// Shrink restores onto the surviving places, keeping the existing
 	// data partitioning: the fast block-by-block restore, at the cost of
-	// possible load imbalance (Fig. 1-b).
+	// possible load imbalance (Fig. 1-b). It never draws from the pool.
 	Shrink RestoreMode = iota
 	// ShrinkRebalance restores onto the surviving places and repartitions
-	// for even load, paying the sub-block overlap restore (Fig. 1-c).
+	// for even load, paying the sub-block overlap restore (Fig. 1-c). It
+	// never draws from the pool.
 	ShrinkRebalance
-	// ReplaceRedundant substitutes each failed place with a spare place
-	// reserved at start time, keeping both the group size and the data
-	// distribution unchanged. When failures exceed the spares, the
-	// executor falls back to Shrink or ShrinkRebalance per
-	// Config.Fallback.
+	// ReplaceRedundant substitutes each failed place in position with a
+	// live spare from the pool reserved at start (Config.Spares), keeping
+	// the group size and the data distribution. The pool never refills:
+	// dead places it cannot cover are shrunk away per Config.Fallback.
 	ReplaceRedundant
-	// ReplaceElastic substitutes each failed place with a live spare, or
-	// with a freshly created place (Elastic X10) when the spares run out —
-	// the paper's future-work fourth mode.
+	// ReplaceElastic is ReplaceRedundant over a pool that refills: when
+	// the live spares cannot cover the dead places it creates the
+	// shortfall (Elastic X10), the paper's future-work fourth mode. If
+	// creation fails it degrades exactly as an exhausted ReplaceRedundant
+	// pool does.
 	ReplaceElastic
 )
+
+// replaces reports whether the mode draws dead places' replacements from
+// the spare pool.
+func (m RestoreMode) replaces() bool { return m == ReplaceRedundant || m == ReplaceElastic }
 
 // String implements fmt.Stringer.
 func (m RestoreMode) String() string {
@@ -69,12 +77,14 @@ type Config struct {
 	MTTF time.Duration
 	// Mode is the restoration mode applied on failure.
 	Mode RestoreMode
-	// Fallback is applied by ReplaceRedundant when the spare pool is
-	// exhausted; it must be Shrink or ShrinkRebalance.
+	// Fallback is how either replace mode shrinks away the dead places
+	// its spare pool cannot cover (paper section V-B3); it must be Shrink
+	// or ShrinkRebalance, and shrink modes ignore it.
 	Fallback RestoreMode
 	// Spares reserves the last Spares places of the runtime's initial
-	// world as replacements for ReplaceRedundant; they are excluded from
-	// the active group the application starts on.
+	// world as the spare pool of either replace mode; they are excluded
+	// from the active group the application starts on. Shrink modes never
+	// draw from the pool.
 	Spares int
 	// MaxRestores bounds recovery attempts per Run (guarding against
 	// failure storms); 0 means 16.
@@ -178,6 +188,8 @@ type execInstr struct {
 	youngRecals     *obs.Counter   // core.young.recalibrations
 	youngIters      *obs.Gauge     // core.young.interval_iters
 	sparesFree      *obs.Gauge     // core.spares.available
+	refillFailed    *obs.Counter   // core.spares.refill_failed
+	shrunkPlaces    *obs.Counter   // core.restore.shrunk_places
 	activeSize      *obs.Gauge     // core.places.active
 }
 
@@ -199,13 +211,15 @@ func newExecInstr(reg *obs.Registry) execInstr {
 		youngRecals:     reg.Counter("core.young.recalibrations"),
 		youngIters:      reg.Gauge("core.young.interval_iters"),
 		sparesFree:      reg.Gauge("core.spares.available"),
+		refillFailed:    reg.Counter("core.spares.refill_failed"),
+		shrunkPlaces:    reg.Counter("core.restore.shrunk_places"),
 		activeSize:      reg.Gauge("core.places.active"),
 	}
 }
 
 // New builds an executor over rt's initial world from functional options,
-// reserving the WithSpares places for ReplaceRedundant. Zero options give
-// the defaults documented on Config.
+// reserving the WithSpares places as the replace modes' spare pool. Zero
+// options give the defaults documented on Config.
 func New(rt *apgas.Runtime, opts ...Option) (*Executor, error) {
 	var cfg Config
 	for _, opt := range opts {
@@ -491,6 +505,7 @@ func (e *Executor) recover(app IterativeApp, attempts *int) error {
 		e.spares = plan.spares
 		e.in.sparesFree.Set(int64(e.rt.Live(e.spares).Size()))
 		e.in.activeSize.Set(int64(e.active.Size()))
+		e.in.shrunkPlaces.Add(int64(plan.shrunk))
 		e.in.replayed.Add(e.iter - snapIter)
 		e.iter = snapIter
 		e.lastCkpt = snapIter
@@ -503,20 +518,31 @@ func (e *Executor) recover(app IterativeApp, attempts *int) error {
 
 // groupPlan is the outcome of one restoration-mode decision: the group to
 // restore onto, the spare pool as it should look if the restore succeeds,
-// and whether the application should repartition. Nothing in the plan is
-// applied to the executor until the restore attempt actually succeeds —
-// in particular, spares named in active are not removed from the pool by
+// whether the application should repartition, and how many dead places
+// were shrunk away rather than replaced. Nothing in the plan is applied to
+// the executor until the restore attempt actually succeeds — in
+// particular, spares named in active are not removed from the pool by
 // planning alone, so a failed attempt cannot leak them. For the same
-// reason, places that elastic planning creates join the pool at once.
+// reason, places that an elastic refill creates join the pool at once.
 type groupPlan struct {
 	active    apgas.PlaceGroup
 	spares    apgas.PlaceGroup
 	rebalance bool
+	shrunk    int
 }
 
-// nextGroup computes the new active group per the restoration mode.
+// nextGroup plans the new active group, one path for every mode. The
+// replace modes draw the live spares of the pool, and ReplaceElastic first
+// refills a short pool by creating places; shrink modes draw nothing. The
+// first dead places the drawn spares cover are replaced in position and
+// the rest are shrunk away under the shrink policy: the mode itself, or
+// Config.Fallback for a replace mode. A failed refill is counted and the
+// plan goes on with the pool as it is, so it degrades exactly as an
+// exhausted ReplaceRedundant pool does; a replace-mode plan that shrinks
+// emits one "core.restore.degraded" trace event (a = places shrunk away,
+// b = places replaced).
 func (e *Executor) nextGroup() (groupPlan, error) {
-	dead := make([]apgas.Place, 0, 1)
+	var dead []apgas.Place
 	for _, p := range e.active {
 		if e.rt.IsDead(p) {
 			dead = append(dead, p)
@@ -527,57 +553,36 @@ func (e *Executor) nextGroup() (groupPlan, error) {
 		// the data distribution is unaffected; restore in place.
 		return groupPlan{active: e.active.Clone(), spares: e.spares}, nil
 	}
-	mode := e.cfg.Mode
-	switch mode {
-	case ReplaceRedundant:
-		alive := e.rt.Live(e.spares)
-		if len(alive) >= len(dead) {
-			taken := alive[:len(dead)]
-			newPG, err := e.active.Replace(dead, taken)
-			return groupPlan{active: newPG, spares: alive[len(dead):]}, err
-		}
-		if len(alive) > 0 {
-			// Partial coverage: the schedule killed more places than spares
-			// remain. Degrade gracefully instead of abandoning the spares —
-			// replace as many dead places as the pool covers (preserving
-			// those data positions) and shrink away the rest, repartitioning
-			// per the configured fallback.
-			part, err := e.active.Replace(dead[:len(alive)], alive)
-			if err != nil {
-				return groupPlan{}, err
+	policy, pool, take := e.cfg.Mode, e.rt.Live(e.spares), 0
+	if policy.replaces() {
+		policy = e.cfg.Fallback
+		if short := len(dead) - len(pool); short > 0 && e.cfg.Mode == ReplaceElastic {
+			if added, err := e.rt.AddPlaces(short); err != nil {
+				e.in.refillFailed.Inc()
+			} else {
+				// The created places join the pool before the attempt, so
+				// an attempt that fails leaves them to the retry.
+				pool = append(pool, added...)
+				e.spares = pool
 			}
-			survivors := part.Without(dead[len(alive):]...)
-			if survivors.Size() == 0 {
-				return groupPlan{}, ErrGroupExhausted
-			}
-			return groupPlan{
-				active:    survivors,
-				spares:    nil,
-				rebalance: e.cfg.Fallback == ShrinkRebalance,
-			}, nil
 		}
-		// Spare pool fully exhausted: fall back (paper section V-B3).
-		mode = e.cfg.Fallback
-	case ReplaceElastic:
-		// Draft live spares first and create places only for the
-		// shortfall. Created places join the pool before the attempt, so
-		// an attempt that fails leaves them there for the next one
-		// instead of orphaning them.
-		alive := e.rt.Live(e.spares)
-		if short := len(dead) - len(alive); short > 0 {
-			added, err := e.rt.AddPlaces(short)
-			if err != nil {
-				return groupPlan{}, fmt.Errorf("core: elastic place creation: %w", err)
-			}
-			alive = append(alive, added...)
-			e.spares = alive
+		take = min(len(dead), len(pool))
+		if take < len(dead) {
+			e.reg.Trace("core.restore.degraded", int64(len(dead)-take), int64(take))
 		}
-		newPG, err := e.active.Replace(dead, alive[:len(dead)])
-		return groupPlan{active: newPG, spares: alive[len(dead):]}, err
 	}
-	survivors := e.active.Without(dead...)
-	if survivors.Size() == 0 {
+	active, err := e.active.Replace(dead[:take], pool[:take])
+	if err != nil {
+		return groupPlan{}, err
+	}
+	if active = active.Without(dead[take:]...); active.Size() == 0 {
 		return groupPlan{}, ErrGroupExhausted
 	}
-	return groupPlan{active: survivors, spares: e.spares, rebalance: mode == ShrinkRebalance}, nil
+	shrunk := len(dead) - take
+	return groupPlan{
+		active:    active,
+		spares:    pool[take:],
+		rebalance: shrunk > 0 && policy == ShrinkRebalance,
+		shrunk:    shrunk,
+	}, nil
 }

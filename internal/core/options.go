@@ -27,14 +27,15 @@ func WithRestoreMode(m RestoreMode) Option {
 	return func(c *Config) { c.Mode = m }
 }
 
-// WithFallback selects the mode ReplaceRedundant degrades to when the
-// spare pool is exhausted; it must be Shrink or ShrinkRebalance.
+// WithFallback selects how either replace mode shrinks away the dead
+// places its spare pool cannot cover; it must be Shrink or
+// ShrinkRebalance, and shrink modes ignore it.
 func WithFallback(m RestoreMode) Option {
 	return func(c *Config) { c.Fallback = m }
 }
 
 // WithSpares reserves the last n places of the runtime's initial world as
-// replacements for ReplaceRedundant.
+// the spare pool of either replace mode; shrink modes never draw from it.
 func WithSpares(n int) Option {
 	return func(c *Config) { c.Spares = n }
 }

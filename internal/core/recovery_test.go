@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/rgml/rgml/internal/apgas"
+	"github.com/rgml/rgml/internal/chaos"
 	"github.com/rgml/rgml/internal/core"
 	"github.com/rgml/rgml/internal/obs"
 )
@@ -48,12 +49,15 @@ func traceCount(reg *obs.Registry, name string) int {
 // retry needs both spares to replace both victims.
 func TestExecutorFailureDuringRestore(t *testing.T) {
 	rt := newRT(t, 6)
-	plan := core.NewFailurePlan(core.FailureEvent{AfterIteration: 6, Place: rt.Place(1)})
+	eng, err := chaos.New(rt, chaos.MustParse("kill(iter=6,place=1)"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	exec, err := core.New(rt,
 		core.WithCheckpointInterval(5),
 		core.WithRestoreMode(core.ReplaceRedundant),
 		core.WithSpares(2),
-		core.WithAfterStep(plan.AfterStep(rt)),
+		core.WithChaos(eng),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -73,11 +77,8 @@ func TestExecutorFailureDuringRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	verify(t, app.counterApp)
-	if plan.Fired() != 1 {
-		t.Errorf("plan fired %d times", plan.Fired())
-	}
-	if err := plan.Err(); err != nil {
-		t.Errorf("plan error: %v", err)
+	if got := eng.Signature(); got != "6@step:p1" {
+		t.Errorf("chaos signature = %q, want one step kill of place 1", got)
 	}
 	if !app.fired {
 		t.Fatal("mid-restore failure was never injected")

@@ -404,12 +404,13 @@ func WithMTTF(mttf time.Duration) ExecutorOption { return core.WithMTTF(mttf) }
 // WithRestoreMode selects the restoration mode applied on failure.
 func WithRestoreMode(m RestoreMode) ExecutorOption { return core.WithRestoreMode(m) }
 
-// WithFallback selects the mode ReplaceRedundant degrades to when the
-// spare pool is exhausted; it must be Shrink or ShrinkRebalance.
+// WithFallback selects how either replace mode shrinks away the dead
+// places its spare pool cannot cover; it must be Shrink or
+// ShrinkRebalance, and shrink modes ignore it.
 func WithFallback(m RestoreMode) ExecutorOption { return core.WithFallback(m) }
 
 // WithSpares reserves the last n places of the runtime's initial world as
-// replacements for ReplaceRedundant.
+// the spare pool of either replace mode; shrink modes ignore it.
 func WithSpares(n int) ExecutorOption { return core.WithSpares(n) }
 
 // WithMaxRestores bounds recovery attempts per run.
