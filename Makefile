@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race race-synctest finish-stress chaos-smoke tcp-smoke workers-seq bench-check fuzz bench counts
+.PHONY: ci vet build test race race-synctest finish-stress chaos-smoke tcp-smoke workers-seq bench-check table2-check fuzz bench counts
 
-ci: vet build race race-synctest finish-stress chaos-smoke tcp-smoke workers-seq bench-check
+ci: vet build race race-synctest finish-stress chaos-smoke tcp-smoke workers-seq bench-check table2-check
 
 # go vet, then a gofmt gate: any file gofmt would rewrite fails the target.
 vet:
@@ -128,6 +128,14 @@ workers-seq:
 bench-check:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
+
+# Table II is static analysis of internal/apps, so it is deterministic: the
+# committed results/table2.txt must equal a fresh one, or an app edit left
+# it stale.
+table2-check:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/rgmlbench -q -out "$$tmp" table2 > /dev/null && \
+	diff -u results/table2.txt "$$tmp/table2.txt" && echo "table2-check: results/table2.txt is current"
 
 # Short fuzz pass over the snapshot and tcp wire-format decoders and the
 # checksumming encoder (the committed f.Add seeds always run as part of

@@ -103,12 +103,11 @@ func DeadPlaces(err error) []Place {
 var ErrShutdown = errors.New("apgas: runtime is shut down")
 
 // ErrBadOption is the typed error wrapped by every functional-option
-// validation failure (WithLedgerQueue with a non-positive capacity,
-// WithFinishMode with an unknown mode, WithStorePolicy with an invalid
-// geometry, ...). The failure is recorded at option-apply time and
-// surfaced by New, so a bad value fails construction loudly
-// instead of deadlocking or silently falling back to a default; callers
-// classify with errors.Is(err, apgas.ErrBadOption).
+// validation failure (WithFinishMode with an unknown mode,
+// WithStorePolicy with an invalid geometry, ...). The failure is recorded
+// at option-apply time and surfaced by New, so a bad value fails
+// construction loudly instead of silently falling back to a default;
+// callers classify with errors.Is(err, apgas.ErrBadOption).
 var ErrBadOption = errors.New("apgas: invalid option")
 
 // ErrCanceled is the typed cancellation error: FinishContext (and, one

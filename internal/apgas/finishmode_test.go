@@ -44,9 +44,6 @@ func TestFinishModeConfigValidation(t *testing.T) {
 	if _, err := New(WithPlaces(1), WithFinishMode(FinishMode(7))); err == nil {
 		t.Fatal("expected error for unknown finish mode")
 	}
-	if _, err := New(WithPlaces(1), WithLedgerQueue(-1)); err == nil {
-		t.Fatal("expected error for negative ledger queue")
-	}
 }
 
 // TestFinishModesBasicEquivalence runs the same fan-out/fan-in program
@@ -174,17 +171,18 @@ func TestShardedLocalFastPath(t *testing.T) {
 	}
 }
 
-// TestLedgerQueueBackpressure drives a tiny bookkeeping queue hard enough
-// to saturate it and checks the backpressure counter fires (satellite:
-// queue_full observability) in both modes.
+// TestLedgerQueueBackpressure drives a capacity-1 bookkeeping queue hard
+// enough to saturate it and checks the apgas.ledger.queue_full counter
+// fires, in both modes.
 func TestLedgerQueueBackpressure(t *testing.T) {
+	defer func(c int) { ledgerQueueCap = c }(ledgerQueueCap)
+	ledgerQueueCap = 1
 	for _, mode := range bothModes {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
 			reg := obs.NewRegistry()
 			rt := newModeRuntime(t, 2, mode,
 				WithObs(reg),
-				WithLedgerQueue(1),
 				WithLedgerCost(func(live int) {
 					for i := 0; i < 2000; i++ {
 						_ = i * i

@@ -105,11 +105,15 @@ func (m FinishMode) shape() ledgerShape {
 	return ledgerShape{oneHome: true, forkBatch: 1, gulp: 1}
 }
 
-// DefaultLedgerQueue is the event-channel capacity used when
-// Config.LedgerQueue is zero. A saturated channel blocks forks; the
-// apgas.ledger.queue_full counter records every send that found the
-// channel full.
+// DefaultLedgerQueue is the capacity of each ledger shard's event channel
+// (central mode has one shard, sharded mode one per place). A saturated
+// channel blocks forks; the apgas.ledger.queue_full counter records every
+// send that found the channel full.
 const DefaultLedgerQueue = 4096
+
+// ledgerQueueCap sizes the shards' event channels: DefaultLedgerQueue,
+// which a test shrinks to saturate a queue.
+var ledgerQueueCap = DefaultLedgerQueue
 
 type ledgerEventKind uint8
 

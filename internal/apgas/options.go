@@ -52,23 +52,6 @@ func WithLedgerCost(fn func(liveTasks int)) Option {
 	return func(c *Config) { c.LedgerCost = fn }
 }
 
-// WithLedgerQueue sets the capacity of each bookkeeping event channel
-// (see Config.LedgerQueue). The capacity must be positive — an
-// unbuffered or negative queue would deadlock the fork path against the
-// ledger goroutine — so a non-positive n is a construction error
-// (wrapping ErrBadOption) rather than a silent fallback to
-// DefaultLedgerQueue. Callers wanting the default simply omit the
-// option.
-func WithLedgerQueue(n int) Option {
-	return func(c *Config) {
-		if n <= 0 {
-			c.recordErr(fmt.Errorf("apgas: WithLedgerQueue(%d): queue capacity must be positive: %w", n, ErrBadOption))
-			return
-		}
-		c.LedgerQueue = n
-	}
-}
-
 // WithStorePolicy sets the snapshot store's redundancy policy (see
 // Config.Store): replication factor k via ReplicateStore(k), or
 // Reed-Solomon erasure coding via ErasureStore(d, p). An invalid policy

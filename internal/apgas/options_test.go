@@ -2,32 +2,9 @@ package apgas
 
 import (
 	"errors"
+	"strings"
 	"testing"
 )
-
-func TestWithLedgerQueueRejectsNonPositive(t *testing.T) {
-	for _, n := range []int{0, -1, -100} {
-		rt, err := New(WithPlaces(2), WithResilient(true), WithLedgerQueue(n))
-		if err == nil {
-			rt.Shutdown()
-			t.Fatalf("WithLedgerQueue(%d) accepted", n)
-		}
-		if !errors.Is(err, ErrBadOption) {
-			t.Fatalf("WithLedgerQueue(%d): error %v does not wrap ErrBadOption", n, err)
-		}
-	}
-}
-
-func TestWithLedgerQueueAcceptsPositive(t *testing.T) {
-	rt, err := New(WithPlaces(2), WithResilient(true), WithLedgerQueue(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Shutdown()
-	if got := rt.cfg.LedgerQueue; got != 8 {
-		t.Fatalf("LedgerQueue = %d, want 8", got)
-	}
-}
 
 func TestWithFinishModeRejectsUnknown(t *testing.T) {
 	rt, err := New(WithPlaces(2), WithResilient(true), WithFinishMode(FinishMode(42)))
@@ -45,15 +22,15 @@ func TestFirstOptionErrorWins(t *testing.T) {
 	// later valid options do not launder it away.
 	_, err := New(
 		WithPlaces(2),
-		WithLedgerQueue(-1),
 		WithFinishMode(FinishMode(9)),
+		WithTransport(nil),
 		WithResilient(true),
 	)
 	if err == nil {
 		t.Fatal("construction with bad options succeeded")
 	}
-	if !errors.Is(err, ErrBadOption) {
-		t.Fatalf("error %v does not wrap ErrBadOption", err)
+	if !errors.Is(err, ErrBadOption) || !strings.Contains(err.Error(), "WithFinishMode") {
+		t.Fatalf("error %v is not the first bad option's ErrBadOption", err)
 	}
 }
 

@@ -48,11 +48,6 @@ type Config struct {
 	// to 256 events over its own tasks only, which is exactly how the
 	// sharded design escapes the bottleneck.
 	LedgerCost func(liveTasks int)
-	// LedgerQueue is the capacity of each ledger shard's event channel
-	// (central mode has one shard, sharded mode one per place). Zero means
-	// DefaultLedgerQueue; a saturated queue blocks the forking activity and
-	// increments the apgas.ledger.queue_full counter.
-	LedgerQueue int
 	// Obs, when non-nil, receives runtime instrumentation: task spawns,
 	// place-crossing messages and bytes, ledger events, observed kills,
 	// simulated network time, and finish latencies. The same registry is
@@ -294,14 +289,6 @@ func (rt *Runtime) charge(from, to Place, class transport.Class, bytes int) {
 	if d > 0 {
 		rt.instr.netTime.Add(int64(d))
 	}
-}
-
-// ledgerQueue resolves the configured bookkeeping channel capacity.
-func (c *Config) ledgerQueue() int {
-	if c.LedgerQueue > 0 {
-		return c.LedgerQueue
-	}
-	return DefaultLedgerQueue
 }
 
 // noteRefusedFork accounts a fork refused because its target place was

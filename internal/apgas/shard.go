@@ -225,7 +225,7 @@ func newLedgerShard(rt *Runtime, home int) *ledgerShard {
 	sh := &ledgerShard{
 		rt:           rt,
 		home:         home,
-		ch:           make(chan ledgerEvent, rt.cfg.ledgerQueue()),
+		ch:           make(chan ledgerEvent, ledgerQueueCap),
 		done:         make(chan struct{}),
 		liveByFinish: make(map[uint64]map[uint64]*task),
 		liveByPlace:  make(map[int]map[uint64]*task),

@@ -1,9 +1,11 @@
 // Package apps implements the paper's three benchmark applications —
-// Linear Regression, Logistic Regression, and PageRank — each in a
-// resilient variant (following the framework's IterativeApp programming
-// model, paper section V-A2) and a non-resilient variant (a plain step
-// loop). The pairs also regenerate Table II: the lines-of-code comparison
-// between the two styles is computed from this package's sources.
+// Linear Regression, Logistic Regression, and PageRank. Each is one plain
+// program (*NonResilient, in *_nonresilient.go: the data, IsFinished and
+// Step) and a resilient type that embeds it and adds only what the
+// framework's IterativeApp programming model (paper section V-A2) needs
+// beyond it: Checkpoint and Restore (in linreg.go, logreg.go and
+// pagerank.go). The split also regenerates Table II: the lines of code
+// resilience adds are computed from this package's sources.
 //
 // Algorithm notes (substitutions are recorded in DESIGN.md):
 //

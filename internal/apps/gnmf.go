@@ -51,7 +51,6 @@ func (c *GNMFConfig) setDefaults() {
 type GNMF struct {
 	rt   *apgas.Runtime
 	cfg  GNMFConfig
-	pg   apgas.PlaceGroup
 	iter int64
 
 	v *dist.DistBlockMatrix // data (read-only, sparse)
@@ -70,7 +69,7 @@ func NewGNMF(rt *apgas.Runtime, cfg GNMFConfig, pg apgas.PlaceGroup) (*GNMF, err
 	if cfg.Rank < 1 {
 		return nil, fmt.Errorf("apps: gnmf rank %d", cfg.Rank)
 	}
-	a := &GNMF{rt: rt, cfg: cfg, pg: pg.Clone()}
+	a := &GNMF{rt: rt, cfg: cfg}
 	if err := a.build(pg); err != nil {
 		return nil, err
 	}
@@ -148,9 +147,6 @@ func (a *GNMF) initData() error {
 
 // IsFinished implements core.IterativeApp.
 func (a *GNMF) IsFinished() bool { return a.iter >= int64(a.cfg.Iterations) }
-
-// Iteration returns the number of completed iterations.
-func (a *GNMF) Iteration() int64 { return a.iter }
 
 // Step implements core.IterativeApp: one pair of multiplicative updates.
 func (a *GNMF) Step() error {
@@ -274,7 +270,6 @@ func (a *GNMF) Restore(newPG apgas.PlaceGroup, store *core.AppResilientStore, sn
 	if err := store.Restore(); err != nil {
 		return err
 	}
-	a.pg = newPG.Clone()
 	a.iter = snapshotIter
 	return nil
 }
@@ -291,6 +286,3 @@ func (a *GNMF) Factors() (*la.DenseMatrix, *la.DenseMatrix, error) {
 	}
 	return w, h, nil
 }
-
-// Group returns the application's current place group.
-func (a *GNMF) Group() apgas.PlaceGroup { return a.pg.Clone() }

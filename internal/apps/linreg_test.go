@@ -59,29 +59,33 @@ func TestLinRegResidualDecreases(t *testing.T) {
 	}
 }
 
+// TestLinRegNonResilientMatchesResilient runs both programs to the
+// iteration cap and, with a Tolerance, to convergence well before it: they
+// must stop at the same iteration with bitwise-equal weights.
 func TestLinRegNonResilientMatchesResilient(t *testing.T) {
-	rt := newRT(t, 3)
-	res, err := NewLinReg(rt, lrCfg(8), rt.World())
-	if err != nil {
-		t.Fatal(err)
-	}
-	non, err := NewLinRegNonResilient(rt, lrCfg(8), rt.World())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for !res.IsFinished() {
-		if err := res.Step(); err != nil {
+	converging := lrCfg(30)
+	converging.Tolerance = 1e-2 // ‖r‖ falls below it at iteration 7
+	for _, cfg := range []LinRegConfig{lrCfg(8), converging} {
+		rt := newRT(t, 3)
+		res, err := NewLinReg(rt, cfg, rt.World())
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := non.Run(); err != nil {
-		t.Fatal(err)
-	}
-	a, _ := res.Weights()
-	b, _ := non.Weights()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("weight %d differs bitwise", i)
+		non, err := NewLinRegNonResilient(rt, cfg, rt.World())
+		if err != nil {
+			t.Fatal(err)
+		}
+		runToEnd(t, res)
+		runToEnd(t, non)
+		if non.iter != res.iter || (cfg.Tolerance > 0 && res.iter >= int64(cfg.Iterations)) {
+			t.Fatalf("tolerance %g: stopped at iterations %d and %d (cap %d)", cfg.Tolerance, res.iter, non.iter, cfg.Iterations)
+		}
+		a, _ := res.Weights()
+		b, _ := non.Weights()
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("tolerance %g: weight %d differs bitwise", cfg.Tolerance, i)
+			}
 		}
 	}
 }
@@ -101,15 +105,9 @@ func TestLinRegStopsAtCGBreakdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for !res.IsFinished() {
-		if err := res.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := non.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if res.Iteration() >= int64(cfg.Iterations) || non.iter != res.iter {
+	runToEnd(t, res)
+	runToEnd(t, non)
+	if res.iter >= int64(cfg.Iterations) || non.iter != res.iter {
 		t.Errorf("stopped at iterations %d and %d, want the same one before the cap %d", res.iter, non.iter, cfg.Iterations)
 	}
 	for name, app := range map[string]interface{ Weights() (la.Vector, error) }{"resilient": res, "non-resilient": non} {
@@ -256,7 +254,7 @@ func TestLinRegCGStateCheckpointedLossless(t *testing.T) {
 	if err := app.Step(); err != nil {
 		t.Fatal(err)
 	}
-	if err := app.Restore(app.Group(), store, 3, false); err != nil {
+	if err := app.Restore(rt.World(), store, 3, false); err != nil {
 		t.Fatal(err)
 	}
 	if root(app.w).EqualApprox(w, 0) {

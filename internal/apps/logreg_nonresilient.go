@@ -10,30 +10,66 @@ import (
 	"github.com/rgml/rgml/internal/la"
 )
 
-// LogRegNonResilient is the plain logistic regression program without
-// checkpoint/restore support — the "non-resilient" column of Table II and
-// the baseline of Figures 3 and 6.
+// LogRegConfig parameterizes the Logistic Regression benchmark.
+type LogRegConfig struct {
+	// Examples (N) and Features (D) size the dense design matrix.
+	Examples, Features int
+	// Eta is the gradient-descent learning rate.
+	Eta float64
+	// Lambda is the L2 regularization weight.
+	Lambda float64
+	// Iterations is the fixed iteration count (the paper runs 30).
+	Iterations int
+	// Seed selects the synthetic training set.
+	Seed uint64
+	// RowBlocksPerPlace sets the data-grid granularity.
+	RowBlocksPerPlace int
+}
+
+func (c *LogRegConfig) setDefaults() {
+	if c.Eta == 0 {
+		c.Eta = 0.5
+	}
+	if c.Lambda == 0 {
+		c.Lambda = 1e-6
+	}
+	if c.RowBlocksPerPlace == 0 {
+		c.RowBlocksPerPlace = 1
+	}
+}
+
+// LogRegNonResilient is the plain program — the "non-resilient" column of
+// Table II and the baseline of Figures 3 and 6 — that trains a binary
+// classifier on the logistic loss by gradient descent with per-iteration
+// objective evaluation. A steady iteration makes two passes over the
+// design matrix: Xᵀ·(σ(s)−y) for the gradient and s = X·w for the
+// objective. The objective's scores are the next gradient's scores —
+// nothing between two steps changes X, w or s — so only the first step,
+// and the first after a restore, computes X·w before its gradient as
+// well. X and the labels are read-only; the model w is what LogReg
+// checkpoints.
 type LogRegNonResilient struct {
-	rt   *apgas.Runtime
 	cfg  LogRegConfig
-	pg   apgas.PlaceGroup
 	iter int64
 	loss float64
 
-	x  *dist.DistBlockMatrix
-	yb *dist.DistVector
-	w  *dist.DupVector
+	x  *dist.DistBlockMatrix // N×D training examples (read-only)
+	yb *dist.DistVector      // N binary labels (read-only)
+	w  *dist.DupVector       // model (mutable)
 
-	s    *dist.DistVector
-	grad *dist.DupVector
-	// fresh reports that s holds X·w for the current w (see LogReg).
+	s    *dist.DistVector // scores X·w
+	grad *dist.DupVector  // temporary: gradient
+	// fresh reports that s holds X·w for the current w: set when a
+	// step's objective pass completes, cleared when a step starts and by
+	// a restore.
 	fresh bool
 }
 
-// NewLogRegNonResilient builds the non-resilient LogReg program.
+// NewLogRegNonResilient builds the LogReg program over pg, generating the
+// training set deterministically from cfg.Seed.
 func NewLogRegNonResilient(rt *apgas.Runtime, cfg LogRegConfig, pg apgas.PlaceGroup) (*LogRegNonResilient, error) {
 	cfg.setDefaults()
-	a := &LogRegNonResilient{rt: rt, cfg: cfg, pg: pg.Clone()}
+	a := &LogRegNonResilient{cfg: cfg}
 	n, d := cfg.Examples, cfg.Features
 	data := RegressionData{Seed: cfg.Seed, Examples: n, Features: d}
 	var err error
@@ -62,15 +98,18 @@ func NewLogRegNonResilient(rt *apgas.Runtime, cfg LogRegConfig, pg apgas.PlaceGr
 	return a, nil
 }
 
-// IsFinished reports whether all iterations have completed.
+// IsFinished implements core.IterativeApp.
 func (a *LogRegNonResilient) IsFinished() bool { return a.iter >= int64(a.cfg.Iterations) }
 
 // Loss returns the logistic objective computed by the last Step.
 func (a *LogRegNonResilient) Loss() float64 { return a.loss }
 
-// Step performs one gradient step plus an objective evaluation (identical
-// to the resilient Step).
+// Step implements core.IterativeApp: one gradient step plus an objective
+// evaluation.
 func (a *LogRegNonResilient) Step() error {
+	// Gradient pass: s = X·w, s := σ(s) − y, grad = Xᵀ·s. The previous
+	// step's objective pass left s = X·w for this very w unless a restore
+	// came in between; its product is bit-identical to a fresh one.
 	fresh := a.fresh
 	a.fresh = false
 	if !fresh {
@@ -89,6 +128,7 @@ func (a *LogRegNonResilient) Step() error {
 	if err := a.x.TransMultVec(a.s, a.grad); err != nil {
 		return err
 	}
+	// Model update: w -= η(grad/N + λw), identically at every place.
 	eta, lambda, invN := a.cfg.Eta, a.cfg.Lambda, 1/float64(a.cfg.Examples)
 	err = a.w.ZipAll(a.grad, func(w, g la.Vector) {
 		for i := range w {
@@ -98,6 +138,7 @@ func (a *LogRegNonResilient) Step() error {
 	if err != nil {
 		return err
 	}
+	// Objective pass: loss = Σ log(1+e^s) − y·s over fresh scores.
 	if err := a.x.MultVec(a.w, a.s); err != nil {
 		return err
 	}
@@ -114,16 +155,6 @@ func (a *LogRegNonResilient) Step() error {
 	a.loss = loss * invN
 	a.fresh = true
 	a.iter++
-	return nil
-}
-
-// Run executes the full iteration loop.
-func (a *LogRegNonResilient) Run() error {
-	for !a.IsFinished() {
-		if err := a.Step(); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

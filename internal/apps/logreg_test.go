@@ -80,14 +80,8 @@ func TestLogRegNonResilientMatchesResilient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for !res.IsFinished() {
-		if err := res.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := non.Run(); err != nil {
-		t.Fatal(err)
-	}
+	runToEnd(t, res)
+	runToEnd(t, non)
 	a, _ := res.Weights()
 	b, _ := non.Weights()
 	for i := range a {
@@ -249,9 +243,7 @@ func TestLogRegMatchesThreePassReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := non.Run(); err != nil {
-		t.Fatal(err)
-	}
+	runToEnd(t, non)
 	w, _ := non.Weights()
 	check("non-resilient", w, non.Loss())
 

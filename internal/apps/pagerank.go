@@ -1,161 +1,30 @@
 package apps
 
 import (
-	"fmt"
 	"math"
 
 	"github.com/rgml/rgml/internal/apgas"
-	"github.com/rgml/rgml/internal/block"
 	"github.com/rgml/rgml/internal/core"
-	"github.com/rgml/rgml/internal/dist"
-	"github.com/rgml/rgml/internal/la"
 )
 
-// PageRankConfig parameterizes the PageRank benchmark.
-type PageRankConfig struct {
-	// Nodes is the network size; OutDegree the out-links per node (so the
-	// network has Nodes×OutDegree edges).
-	Nodes, OutDegree int
-	// Alpha is the damping factor (paper pseudocode: P = αGP + (1−α)EuᵀP).
-	Alpha float64
-	// Iterations is the fixed iteration count (the paper runs 30).
-	Iterations int
-	// Tolerance, when positive, stops the power iteration as soon as the
-	// L1 change of the rank vector between iterations drops below it (in
-	// addition to the Iterations cap) — the iterations-to-converge
-	// measurement used by the compression benchmark.
-	Tolerance float64
-	// Seed selects the synthetic network.
-	Seed uint64
-	// RowBlocksPerPlace sets the data-grid granularity (1 gives one
-	// row-stripe block per place).
-	RowBlocksPerPlace int
-}
+// PageRank is the resilient PageRank application: the plain program
+// (paper Listing 2) plus the checkpoint/restore methods of Listing 5. G
+// and U never change and are checkpointed with SaveReadOnly.
+type PageRank struct{ PageRankNonResilient }
 
-func (c *PageRankConfig) setDefaults() {
-	if c.Alpha == 0 {
-		c.Alpha = 0.85
-	}
-	if c.RowBlocksPerPlace == 0 {
-		c.RowBlocksPerPlace = 1
-	}
-}
-
-// PageRank is the resilient PageRank application (paper Listing 2 plus the
-// checkpoint/restore methods of Listing 5). Its mutable state is the rank
-// vector P; the link matrix G and the personalization vector U never
-// change and are checkpointed with SaveReadOnly.
-type PageRank struct {
-	rt   *apgas.Runtime
-	cfg  PageRankConfig
-	pg   apgas.PlaceGroup
-	iter int64
-
-	g  *dist.DistBlockMatrix // sparse N×N link matrix (read-only)
-	p  *dist.DupVector       // rank vector (mutable)
-	u  *dist.DistVector      // personalization vector (read-only)
-	gp *dist.DistVector      // temporary: G·P
-
-	// lastDelta is the L1 change of the rank vector over the most recent
-	// iteration, tracked only when cfg.Tolerance is set (the extra
-	// root-copy collectives would otherwise perturb the default run's
-	// network accounting).
-	lastDelta float64
-}
-
-// NewPageRank builds the PageRank application over pg, generating the
-// network deterministically from cfg.Seed.
+// NewPageRank builds the PageRank application over pg (see
+// NewPageRankNonResilient).
 func NewPageRank(rt *apgas.Runtime, cfg PageRankConfig, pg apgas.PlaceGroup) (*PageRank, error) {
-	cfg.setDefaults()
-	a := &PageRank{rt: rt, cfg: cfg, pg: pg.Clone(), lastDelta: math.Inf(1)}
-	n := cfg.Nodes
-	var err error
-	rowBlocks := cfg.RowBlocksPerPlace * pg.Size()
-	if a.g, err = dist.MakeDistBlockMatrix(rt, block.Sparse, n, n, rowBlocks, 1, pg.Size(), 1, pg); err != nil {
-		return nil, fmt.Errorf("apps: pagerank G: %w", err)
-	}
-	link := LinkData{Seed: cfg.Seed, Nodes: n, OutDegree: cfg.OutDegree}
-	if err = a.g.InitSparseColumns(link.Column); err != nil {
+	non, err := NewPageRankNonResilient(rt, cfg, pg)
+	if err != nil {
 		return nil, err
 	}
-	if a.p, err = dist.MakeDupVector(rt, n, pg); err != nil {
-		return nil, err
-	}
+	a := &PageRank{*non}
 	// The rank vector is mutable state the power iteration re-converges
 	// from, so it tolerates error-bounded lossy checkpoints; G and U
 	// stay lossless under any policy.
 	a.p.AllowLossyCheckpoint(true)
-	if err = a.p.Init(func(int) float64 { return 1 / float64(n) }); err != nil {
-		return nil, err
-	}
-	if a.u, err = dist.MakeDistVector(rt, n, pg); err != nil {
-		return nil, err
-	}
-	if err = a.u.Init(func(int) float64 { return 1 / float64(n) }); err != nil {
-		return nil, err
-	}
-	if a.gp, err = dist.MakeDistVector(rt, n, pg); err != nil {
-		return nil, err
-	}
 	return a, nil
-}
-
-// IsFinished implements core.IterativeApp: the fixed iteration cap, or
-// rank-vector convergence when cfg.Tolerance is set.
-func (a *PageRank) IsFinished() bool {
-	if a.iter >= int64(a.cfg.Iterations) {
-		return true
-	}
-	return a.cfg.Tolerance > 0 && a.lastDelta <= a.cfg.Tolerance
-}
-
-// Iteration returns the number of completed iterations.
-func (a *PageRank) Iteration() int64 { return a.iter }
-
-// Step implements core.IterativeApp: one power iteration
-// P = αG·P + (1−α)·E·uᵀP (paper Listing 2, lines 13-17).
-func (a *PageRank) Step() error {
-	var prev la.Vector
-	if a.cfg.Tolerance > 0 {
-		var err error
-		if prev, err = a.p.Root(); err != nil {
-			return err
-		}
-	}
-	if err := a.g.MultVec(a.p, a.gp); err != nil { // GP = G·P
-		return err
-	}
-	if err := a.gp.Scale(a.cfg.Alpha); err != nil { // GP *= α
-		return err
-	}
-	utp, err := a.u.DotDup(a.p) // uᵀP
-	if err != nil {
-		return err
-	}
-	utp1a := utp * (1 - a.cfg.Alpha)
-	if err := a.gp.GatherTo(a.p); err != nil { // gather
-		return err
-	}
-	err = a.p.RootApply(func(local la.Vector) { local.CellAdd(utp1a) })
-	if err != nil {
-		return err
-	}
-	if err := a.p.Sync(); err != nil { // broadcast
-		return err
-	}
-	if prev != nil {
-		cur, err := a.p.Root()
-		if err != nil {
-			return err
-		}
-		var delta float64
-		for i := range cur {
-			delta += math.Abs(cur[i] - prev[i])
-		}
-		a.lastDelta = delta
-	}
-	a.iter++
-	return nil
 }
 
 // Checkpoint implements core.IterativeApp (paper Listing 5, lines 3-7).
@@ -194,13 +63,6 @@ func (a *PageRank) Restore(newPG apgas.PlaceGroup, store *core.AppResilientStore
 	}
 	// lastDelta described the pre-failure trajectory; replay recomputes it.
 	a.lastDelta = math.Inf(1)
-	a.pg = newPG.Clone()
 	a.iter = snapshotIter
 	return nil
 }
-
-// Ranks returns the current rank vector.
-func (a *PageRank) Ranks() (la.Vector, error) { return a.p.Root() }
-
-// Group returns the application's current place group.
-func (a *PageRank) Group() apgas.PlaceGroup { return a.pg.Clone() }

@@ -19,6 +19,20 @@ func newRT(t *testing.T, places int) *apgas.Runtime {
 	return rt
 }
 
+// runToEnd steps app until it reports finished: the whole run of a plain
+// program.
+func runToEnd(t *testing.T, app interface {
+	IsFinished() bool
+	Step() error
+}) {
+	t.Helper()
+	for !app.IsFinished() {
+		if err := app.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // referencePageRank runs the same power iteration single-place.
 func referencePageRank(cfg PageRankConfig) la.Vector {
 	cfg.setDefaults()
@@ -73,29 +87,33 @@ func TestPageRankMatchesReference(t *testing.T) {
 	}
 }
 
+// TestPageRankNonResilientMatchesResilient runs both programs to the
+// iteration cap and, with a Tolerance, to convergence well before it: they
+// must stop at the same iteration with bitwise-equal ranks.
 func TestPageRankNonResilientMatchesResilient(t *testing.T) {
-	rt := newRT(t, 3)
-	res, err := NewPageRank(rt, prCfg(8), rt.World())
-	if err != nil {
-		t.Fatal(err)
-	}
-	non, err := NewPageRankNonResilient(rt, prCfg(8), rt.World())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for !res.IsFinished() {
-		if err := res.Step(); err != nil {
+	converging := prCfg(50)
+	converging.Tolerance = 1e-6 // the L1 change falls below it at iteration 16
+	for _, cfg := range []PageRankConfig{prCfg(8), converging} {
+		rt := newRT(t, 3)
+		res, err := NewPageRank(rt, cfg, rt.World())
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := non.Run(); err != nil {
-		t.Fatal(err)
-	}
-	a, _ := res.Ranks()
-	b, _ := non.Ranks()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("rank %d differs bitwise", i)
+		non, err := NewPageRankNonResilient(rt, cfg, rt.World())
+		if err != nil {
+			t.Fatal(err)
+		}
+		runToEnd(t, res)
+		runToEnd(t, non)
+		if non.iter != res.iter || (cfg.Tolerance > 0 && res.iter >= int64(cfg.Iterations)) {
+			t.Fatalf("tolerance %g: stopped at iterations %d and %d (cap %d)", cfg.Tolerance, res.iter, non.iter, cfg.Iterations)
+		}
+		a, _ := res.Ranks()
+		b, _ := non.Ranks()
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("tolerance %g: rank %d differs bitwise", cfg.Tolerance, i)
+			}
 		}
 	}
 }

@@ -162,6 +162,16 @@ func TestLOCTable(t *testing.T) {
 		if added > r.NonResilientTotal {
 			t.Errorf("%s: resilience added %d lines, more than the whole program", r.App, added)
 		}
+		// One Step per app: the resilient program steps with the plain
+		// program's Step, so the two cannot drift apart.
+		resilient := locSources[r.App][1]
+		_, start, _, err := methodLines(resilient, "Step")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if start != 0 {
+			t.Errorf("%s: %s declares a Step method at line %d; the resilient program must reuse the plain one", r.App, resilient, start)
+		}
 	}
 	var buf bytes.Buffer
 	if err := WriteLOCTable(&buf, rows); err != nil {

@@ -12,7 +12,7 @@ import (
 
 // LOCRow is one row of Table II: the lines-of-code comparison between the
 // non-resilient and resilient versions of a benchmark application,
-// including the size of the resilience-specific methods.
+// including the size of the methods the executor drives.
 type LOCRow struct {
 	App               AppName
 	NonResilientTotal int
@@ -23,7 +23,8 @@ type LOCRow struct {
 }
 
 // locSources maps each application to its source files inside
-// internal/apps.
+// internal/apps: the plain program, and the file holding only what
+// resilience adds to it (a constructor, Checkpoint and Restore).
 var locSources = map[AppName][2]string{
 	// [non-resilient file, resilient file]
 	LinReg:   {"linreg_nonresilient.go", "linreg.go"},
@@ -33,40 +34,31 @@ var locSources = map[AppName][2]string{
 
 // LOCTable regenerates Table II by static analysis of the embedded
 // application sources: total code lines (excluding comments and blanks) of
-// each variant, plus the lines of the Checkpoint, Restore and IsFinished
-// methods that resilience adds.
+// the plain program and of the resilient program — the plain file plus the
+// resilient one — and the lines of the IsFinished, Checkpoint and Restore
+// methods, each read from whichever file declares it.
 func LOCTable() ([]LOCRow, error) {
 	var rows []LOCRow
 	for _, app := range Apps {
 		files := locSources[app]
-		nonRes, err := countFileLOC(files[0])
+		plain, err := countFileLOC(files[0])
 		if err != nil {
 			return nil, err
 		}
-		res, err := countFileLOC(files[1])
+		added, err := countFileLOC(files[1])
 		if err != nil {
 			return nil, err
 		}
-		ckpt, err := countMethodLOC(files[1], "Checkpoint")
-		if err != nil {
-			return nil, err
+		row := LOCRow{App: app, NonResilientTotal: plain, ResilientTotal: plain + added}
+		for _, m := range []struct {
+			name string
+			loc  *int
+		}{{"IsFinished", &row.IsFinishedLOC}, {"Checkpoint", &row.CheckpointLOC}, {"Restore", &row.RestoreLOC}} {
+			if *m.loc, err = countMethodLOC(files[:], m.name); err != nil {
+				return nil, err
+			}
 		}
-		restore, err := countMethodLOC(files[1], "Restore")
-		if err != nil {
-			return nil, err
-		}
-		fin, err := countMethodLOC(files[1], "IsFinished")
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, LOCRow{
-			App:               app,
-			NonResilientTotal: nonRes,
-			ResilientTotal:    res,
-			CheckpointLOC:     ckpt,
-			RestoreLOC:        restore,
-			IsFinishedLOC:     fin,
-		})
+		rows = append(rows, row)
 	}
 	return rows, nil
 }
@@ -113,39 +105,48 @@ func countFileLOC(name string) (int, error) {
 }
 
 // countMethodLOC counts the code lines of the named method (including its
-// signature and braces) in one embedded apps source file.
-func countMethodLOC(name, method string) (int, error) {
-	src, err := apps.Sources.ReadFile(name)
-	if err != nil {
-		return 0, fmt.Errorf("bench: reading %s: %w", name, err)
+// signature and braces) in the first of the embedded apps source files
+// that declares it.
+func countMethodLOC(files []string, method string) (int, error) {
+	for _, name := range files {
+		src, start, end, err := methodLines(name, method)
+		if err != nil {
+			return 0, err
+		}
+		if start == 0 {
+			continue
+		}
+		lines, _, err := codeLines(name, src)
+		if err != nil {
+			return 0, err
+		}
+		count := 0
+		for l := start; l <= end; l++ {
+			if lines[l] {
+				count++
+			}
+		}
+		return count, nil
+	}
+	return 0, fmt.Errorf("bench: method %s not found in %v", method, files)
+}
+
+// methodLines returns one embedded apps source file and the first and last
+// line of the named method in it, or 0, 0 when the file declares no such
+// method.
+func methodLines(name, method string) (src []byte, start, end int, err error) {
+	if src, err = apps.Sources.ReadFile(name); err != nil {
+		return nil, 0, 0, fmt.Errorf("bench: reading %s: %w", name, err)
 	}
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, name, src, 0)
 	if err != nil {
-		return 0, fmt.Errorf("bench: parsing %s: %w", name, err)
+		return nil, 0, 0, fmt.Errorf("bench: parsing %s: %w", name, err)
 	}
-	var startLine, endLine int
 	for _, decl := range f.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Recv == nil || fd.Name.Name != method {
-			continue
-		}
-		startLine = fset.Position(fd.Pos()).Line
-		endLine = fset.Position(fd.End()).Line
-		break
-	}
-	if startLine == 0 {
-		return 0, fmt.Errorf("bench: method %s not found in %s", method, name)
-	}
-	lines, _, err := codeLines(name, src)
-	if err != nil {
-		return 0, err
-	}
-	count := 0
-	for l := startLine; l <= endLine; l++ {
-		if lines[l] {
-			count++
+		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil && fd.Name.Name == method {
+			return src, fset.Position(fd.Pos()).Line, fset.Position(fd.End()).Line, nil
 		}
 	}
-	return count, nil
+	return src, 0, 0, nil
 }

@@ -37,7 +37,7 @@ func WriteFigure(w io.Writer, f *Figure) error {
 
 // WriteLOCTable renders Table II.
 func WriteLOCTable(w io.Writer, rows []LOCRow) error {
-	fmt.Fprintln(w, "# table2: Lines of code, non-resilient vs resilient (isFinished/checkpoint/restore are the resilience additions)")
+	fmt.Fprintln(w, "# table2: Lines of code, non-resilient vs resilient (the resilient program is the plain one plus a file adding checkpoint and restore)")
 	fmt.Fprintln(w, "application\tnon-resilient total\tresilient total\tisFinished\tcheckpoint\trestore")
 	for _, r := range rows {
 		_, err := fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%d\n",

@@ -66,10 +66,6 @@ const (
 	FinishSharded = apgas.FinishSharded
 )
 
-// DefaultLedgerQueue is the default capacity of each bookkeeping event
-// channel.
-const DefaultLedgerQueue = apgas.DefaultLedgerQueue
-
 // ParseFinishMode maps "central" or "sharded" to its FinishMode.
 func ParseFinishMode(s string) (FinishMode, error) { return apgas.ParseFinishMode(s) }
 
@@ -176,11 +172,6 @@ func WithNet(m NetModel) RuntimeOption { return apgas.WithNet(m) }
 // schedules kill identically — only the bookkeeping cost distribution
 // changes.
 func WithFinishMode(m FinishMode) RuntimeOption { return apgas.WithFinishMode(m) }
-
-// WithLedgerQueue sets the capacity of each resilient-finish bookkeeping
-// event channel (default DefaultLedgerQueue). When a channel fills, event
-// posting blocks and the apgas.ledger.queue_full counter increments.
-func WithLedgerQueue(n int) RuntimeOption { return apgas.WithLedgerQueue(n) }
 
 // WithRuntimeObs wires the runtime's instrumentation into reg. Pass the
 // same registry to WithExecutorObs for a single coherent export per run.

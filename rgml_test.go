@@ -275,7 +275,6 @@ func TestFacadeFinishMode(t *testing.T) {
 		rgml.WithPlaces(3),
 		rgml.WithResilient(true),
 		rgml.WithFinishMode(rgml.FinishSharded),
-		rgml.WithLedgerQueue(rgml.DefaultLedgerQueue/2),
 	)
 	if err != nil {
 		t.Fatal(err)
