@@ -92,7 +92,11 @@ chaos-smoke:
 # start no process. A LogReg leg then runs replace-elastic with the same
 # kind of kill, so TransMultVec's worker kernel, the score reuse across
 # steps and the restore that clears it are checked against the
-# failure-free local iterate too.
+# failure-free local iterate too. The same LogReg leg runs once more with
+# -compress lossless: the restore reads the compressed descriptor header
+# and re-encodes each survivor's fragment through the codec to check it
+# against the checkpoint digest, and its iterate must equal the
+# failure-free local run under the same compression.
 TCP_SMOKE = -app pagerank -places 4 -size 200 -iters 8 -ckpt 2
 TCP_SMOKE_LOGREG = -app logreg -places 4 -size 200 -iters 8 -ckpt 2 -mode replace-elastic
 tcp-smoke:
@@ -112,7 +116,10 @@ tcp-smoke:
 	same "$$got" "$$want" replace-elastic; \
 	got=$$(hash -transport tcp $(TCP_SMOKE_LOGREG) -kill-proc-iter 4 -min-worker-tasks 1); \
 	want=$$(hash $(TCP_SMOKE_LOGREG)); \
-	same "$$got" "$$want" "logreg replace-elastic"
+	same "$$got" "$$want" "logreg replace-elastic"; \
+	got=$$(hash -transport tcp $(TCP_SMOKE_LOGREG) -compress lossless -kill-proc-iter 4 -min-worker-tasks 1); \
+	want=$$(hash $(TCP_SMOKE_LOGREG) -compress lossless); \
+	same "$$got" "$$want" "logreg replace-elastic lossless"
 	@echo "tcp-smoke: recovered from real worker-process kills with worker-side compute, an adopted standby and bitwise-equal iterates"
 
 # The whole suite again with the kernel worker pool pinned to one worker:

@@ -169,7 +169,6 @@ func (c *Ctx) AsyncAt(p Place, fn func(ctx *Ctx)) {
 		panic("apgas: AsyncAt outside a finish scope")
 	}
 	rt := c.rt
-	rt.stats.TasksSpawned.Add(1)
 	rt.instr.tasks.Inc()
 	// Spawn fault point: an installed injector may kill a place here (the
 	// spawn itself then lands on a corpse and throws DeadPlaceError). Any
@@ -201,7 +200,6 @@ func (c *Ctx) AsyncAt(p Place, fn func(ctx *Ctx)) {
 	if l.localFast && p.ID == f.home.ID {
 		f.localFork()
 		f.spawns.Add(1)
-		rt.stats.LocalTasks.Add(1)
 		rt.instr.ledgerLocal.Inc()
 		go func() {
 			f.localJoin(runTaskErr(rt, pl, f, fn))

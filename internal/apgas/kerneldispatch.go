@@ -297,7 +297,6 @@ func (c *Ctx) ExecKernel(t *kernel.Task, inputs ...kernel.Input) (*kernel.Result
 				return nil, kernelError(t, res)
 			}
 			k.commit(place, shipped)
-			rt.stats.WorkerTasks.Add(1)
 			rt.instr.workerExec.Inc()
 			return res, nil
 		}

@@ -22,14 +22,3 @@ type NetModel struct {
 func (n NetModel) delay(bytes int) time.Duration {
 	return n.Latency + time.Duration(bytes)*n.BytePeriod
 }
-
-// charge blocks the calling task for the cost of sending bytes from one
-// place to another. It is a no-op for a zero model or an intra-place move.
-func (n NetModel) charge(from, to Place, bytes int) {
-	if from.ID == to.ID {
-		return
-	}
-	if d := n.delay(bytes); d > 0 {
-		time.Sleep(d)
-	}
-}

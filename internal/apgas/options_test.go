@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"github.com/rgml/rgml/internal/codec"
 )
 
 func TestWithFinishModeRejectsUnknown(t *testing.T) {
@@ -51,6 +53,26 @@ func TestWithStorePolicyValidation(t *testing.T) {
 	defer rt.Shutdown()
 	if got := rt.StorePolicy(); got.Replicas != 3 || got.Placement != PlacementReplicate {
 		t.Fatalf("StorePolicy() = %+v", got)
+	}
+}
+
+func TestWithCompressionValidation(t *testing.T) {
+	for _, spec := range []codec.Spec{
+		{Mode: codec.CompressLossy, ErrorBound: -1},
+		{Mode: codec.CompressLossless, ErrorBound: 1e-3},
+		{Mode: codec.Compression(9)},
+	} {
+		if _, err := New(WithPlaces(2), WithCompression(spec)); !errors.Is(err, ErrBadOption) {
+			t.Fatalf("WithCompression(%+v): err=%v, want ErrBadOption", spec, err)
+		}
+	}
+	rt, err := New(WithPlaces(2), WithCompression(codec.Spec{Mode: codec.CompressLossy, ErrorBound: 1e-6}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Shutdown()
+	if got := rt.Compression(); got.Mode != codec.CompressLossy || got.ErrorBound != 1e-6 {
+		t.Fatalf("Compression() = %+v", got)
 	}
 }
 

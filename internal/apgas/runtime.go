@@ -121,14 +121,14 @@ type Runtime struct {
 	// kern.ex is non-nil iff the transport has a distributed data plane.
 	kern kernDispatch
 
-	stats Stats
 	instr rtInstr
 }
 
 // rtInstr holds the runtime's observability handles, resolved once at
 // New so hot paths update them with single atomic operations. With
 // no registry configured every handle is nil and each update is a no-op
-// branch (see internal/obs).
+// branch (see internal/obs), except the ten counters Stats reads, which
+// are then standalone.
 type rtInstr struct {
 	tasks           *obs.Counter   // apgas.tasks.spawned
 	messages        *obs.Counter   // apgas.net.messages
@@ -158,22 +158,28 @@ type rtInstr struct {
 }
 
 func newRTInstr(reg *obs.Registry) rtInstr {
+	stat := func(name string) *obs.Counter {
+		if reg == nil {
+			return new(obs.Counter)
+		}
+		return reg.Counter(name)
+	}
 	in := rtInstr{
-		tasks:           reg.Counter("apgas.tasks.spawned"),
-		messages:        reg.Counter("apgas.net.messages"),
-		bytes:           reg.Counter("apgas.net.bytes"),
+		tasks:           stat("apgas.tasks.spawned"),
+		messages:        stat("apgas.net.messages"),
+		bytes:           stat("apgas.net.bytes"),
 		netTime:         reg.Counter("apgas.net.simulated_ns"),
-		ledgerEvents:    reg.Counter("apgas.ledger.events"),
+		ledgerEvents:    stat("apgas.ledger.events"),
 		ledgerQueueFull: reg.Counter("apgas.ledger.queue_full"),
-		ledgerLocal:     reg.Counter("apgas.ledger.local_fast"),
+		ledgerLocal:     stat("apgas.ledger.local_fast"),
 		ledgerBatches:   reg.Counter("apgas.ledger.batches"),
-		refusedForks:    reg.Counter("apgas.ledger.refused_forks"),
-		kills:           reg.Counter("apgas.kills.observed"),
-		failures:        reg.Counter("apgas.places.failed"),
-		placesAdded:     reg.Counter("apgas.places.added"),
+		refusedForks:    stat("apgas.ledger.refused_forks"),
+		kills:           stat("apgas.kills.observed"),
+		failures:        stat("apgas.places.failed"),
+		placesAdded:     stat("apgas.places.added"),
 		livePlaces:      reg.Gauge("apgas.places.live"),
 		finishes:        reg.Histogram("apgas.finish.duration"),
-		workerExec:      reg.Counter("apgas.tasks.worker_executed"),
+		workerExec:      stat("apgas.tasks.worker_executed"),
 		kernelLocal:     reg.Counter("apgas.tasks.kernel_local"),
 		kernelFallback:  reg.Counter("apgas.tasks.kernel_fallback"),
 		kernelPutBytes:  reg.Counter("apgas.kernel.put_bytes"),
@@ -265,7 +271,6 @@ func (rt *Runtime) hop(from, to Place, class transport.Class, bytes int) {
 	if from.ID == to.ID {
 		return
 	}
-	rt.stats.countMessage(from, to, bytes)
 	rt.instr.messages.Inc()
 	rt.instr.classMsgs[class].Inc()
 	if bytes > 0 {
@@ -295,7 +300,6 @@ func (rt *Runtime) charge(from, to Place, class transport.Class, bytes int) {
 // already dead: the spawn is answered with DeadPlaceError without ever
 // becoming live. The trace-ring event records (finish id, place id).
 func (rt *Runtime) noteRefusedFork(f *Finish, p Place) {
-	rt.stats.RefusedForks.Add(1)
 	rt.instr.refusedForks.Inc()
 	rt.cfg.Obs.Trace("apgas.ledger.refused_fork", int64(f.id), int64(p.ID))
 }
@@ -425,7 +429,6 @@ func (rt *Runtime) AddPlaces(n int) (PlaceGroup, error) {
 		rt.places = append(rt.places, newPlace(id))
 		added = append(added, Place{ID: id})
 	}
-	rt.stats.PlacesAdded.Add(int64(n))
 	rt.instr.placesAdded.Add(int64(n))
 	rt.instr.livePlaces.Add(int64(n))
 	rt.cfg.Obs.Trace("apgas.places.added", int64(n), int64(len(rt.places)))
@@ -447,7 +450,6 @@ func (rt *Runtime) Kill(p Place) error {
 	if !pl.kill() {
 		return nil
 	}
-	rt.stats.PlacesKilled.Add(1)
 	rt.instr.kills.Inc()
 	rt.instr.livePlaces.Add(-1)
 	rt.kern.placeDead(p.ID)
@@ -487,7 +489,6 @@ func (rt *Runtime) transportDeath(id int, cause transport.DeathCause) {
 	if !pl.kill() {
 		return
 	}
-	rt.stats.PlacesFailed.Add(1)
 	rt.instr.failures.Inc()
 	rt.instr.livePlaces.Add(-1)
 	rt.kern.placeDead(id)

@@ -323,7 +323,6 @@ func (sh *ledgerShard) process(ev ledgerEvent) {
 }
 
 func (sh *ledgerShard) countEvents(n int64) {
-	sh.rt.stats.LedgerEvents.Add(n)
 	sh.rt.instr.ledgerEvents.Add(n)
 }
 

@@ -1,79 +1,56 @@
 package apgas
 
-import "sync/atomic"
-
-// Stats accumulates runtime activity counters. They power the benchmark
-// harness's reporting (e.g. isolating how much of the resilient overhead is
-// ledger traffic) and the ablation benches.
-type Stats struct {
+// StatsSnapshot is a point-in-time copy of the runtime's activity
+// counters. They power the benchmark harness's reporting (e.g. isolating
+// how much of the resilient overhead is ledger traffic) and the ablation
+// benches.
+type StatsSnapshot struct {
 	// Messages counts place-crossing messages (task spawns, at-hops,
 	// ledger events, data transfers).
-	Messages atomic.Int64
+	Messages int64
 	// Bytes counts payload bytes declared to Ctx.Transfer.
-	Bytes atomic.Int64
+	Bytes int64
 	// LedgerEvents counts bookkeeping events processed by the resilient
 	// finish ledger.
-	LedgerEvents atomic.Int64
+	LedgerEvents int64
 	// TasksSpawned counts AsyncAt invocations.
-	TasksSpawned atomic.Int64
+	TasksSpawned int64
 	// PlacesKilled counts injected failures.
-	PlacesKilled atomic.Int64
+	PlacesKilled int64
 	// PlacesFailed counts real failures reported by the transport's
 	// failure detector (heartbeat timeout, connection loss) — always zero
 	// on the local backend, where no external bodies exist.
-	PlacesFailed atomic.Int64
+	PlacesFailed int64
 	// PlacesAdded counts elastically created places.
-	PlacesAdded atomic.Int64
+	PlacesAdded int64
 	// RefusedForks counts forks refused because the target place was
 	// already dead (answered with DeadPlaceError without becoming live).
-	RefusedForks atomic.Int64
+	RefusedForks int64
 	// LocalTasks counts tasks that rode the sharded local fast path:
 	// spawned at their finish's home place and tracked by the finish's
 	// local counter instead of ledger events.
-	LocalTasks atomic.Int64
+	LocalTasks int64
 	// WorkerTasks counts registered-kernel tasks that executed inside a
 	// worker process body (distributed data plane) rather than at the
 	// coordinator — always zero on the local backend.
-	WorkerTasks atomic.Int64
+	WorkerTasks int64
 }
 
-func (s *Stats) countMessage(from, to Place, bytes int) {
-	if from.ID == to.ID {
-		return
-	}
-	s.Messages.Add(1)
-	if bytes > 0 {
-		s.Bytes.Add(int64(bytes))
-	}
-}
-
-// StatsSnapshot is a point-in-time copy of the runtime counters.
-type StatsSnapshot struct {
-	Messages     int64
-	Bytes        int64
-	LedgerEvents int64
-	TasksSpawned int64
-	PlacesKilled int64
-	PlacesFailed int64
-	PlacesAdded  int64
-	RefusedForks int64
-	LocalTasks   int64
-	WorkerTasks  int64
-}
-
-// Stats returns a snapshot of the runtime's activity counters.
+// Stats returns a snapshot of the runtime's activity counters, read from
+// the observability counters that record the same events.
 func (rt *Runtime) Stats() StatsSnapshot {
+	in := &rt.instr
 	return StatsSnapshot{
-		Messages:     rt.stats.Messages.Load(),
-		Bytes:        rt.stats.Bytes.Load(),
-		LedgerEvents: rt.stats.LedgerEvents.Load(),
-		TasksSpawned: rt.stats.TasksSpawned.Load(),
-		PlacesKilled: rt.stats.PlacesKilled.Load(),
-		PlacesFailed: rt.stats.PlacesFailed.Load(),
-		PlacesAdded:  rt.stats.PlacesAdded.Load(),
-		RefusedForks: rt.stats.RefusedForks.Load(),
-		LocalTasks:   rt.stats.LocalTasks.Load(),
-		WorkerTasks:  rt.stats.WorkerTasks.Load(),
+		Messages:     in.messages.Value(),
+		Bytes:        in.bytes.Value(),
+		LedgerEvents: in.ledgerEvents.Value(),
+		TasksSpawned: in.tasks.Value(),
+		PlacesKilled: in.kills.Value(),
+		PlacesFailed: in.failures.Value(),
+		PlacesAdded:  in.placesAdded.Value(),
+		RefusedForks: in.refusedForks.Value(),
+		LocalTasks:   in.ledgerLocal.Value(),
+		WorkerTasks:  in.workerExec.Value(),
 	}
 }
 

@@ -32,8 +32,9 @@ type AblationRow struct {
 //   - read-only: three consecutive checkpoints of a LinReg-sized input
 //     matrix with Save vs SaveReadOnly — why Table III stays flat;
 //   - regrid-sparse: restoring a PageRank-sized sparse matrix onto fewer
-//     places with the same grid vs a recalculated grid — the section
-//     IV-B2 overlap-and-count cost behind Table IV's rebalance column.
+//     places with a recalculated grid vs the survivor-keeping same-grid
+//     restore every shrink recovery runs — the section IV-B2
+//     overlap-and-count cost behind Table IV's rebalance column.
 func (c Config) Ablations() ([]AblationRow, error) {
 	places := c.Scale.PlaceCounts[len(c.Scale.PlaceCounts)-1]
 	var rows []AblationRow
@@ -92,7 +93,12 @@ func (c Config) Ablations() ([]AblationRow, error) {
 
 	// --- backup-copy ---
 	saveVec := func(backup bool) (time.Duration, error) {
-		rt, err := c.newRuntime(places, true, nil)
+		cfg := c
+		cfg.Store = apgas.ReplicateStore(1)
+		if backup {
+			cfg.Store = apgas.ReplicateStore(2)
+		}
+		rt, err := cfg.newRuntime(places, true, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -105,12 +111,8 @@ func (c Config) Ablations() ([]AblationRow, error) {
 		if err := v.Init(func(i int) float64 { return float64(i) }); err != nil {
 			return 0, err
 		}
-		var opts snapshot.Options
-		if !backup {
-			opts.Policy = apgas.ReplicateStore(1)
-		}
 		start := time.Now()
-		s, err := snapshot.NewWithOptions(rt, pg, opts)
+		s, err := snapshot.New(rt, pg)
 		if err != nil {
 			return 0, err
 		}

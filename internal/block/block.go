@@ -58,7 +58,7 @@ type MatrixBlock struct {
 	// stale copy.
 	Ver uint64
 	// Retained marks a block whose payload survived a Remake on a
-	// surviving place: partial restore validates it against the snapshot
+	// surviving place: RestoreSnapshot validates it against the snapshot
 	// digest instead of re-loading it, then clears the flag.
 	Retained bool
 }

@@ -28,7 +28,7 @@
 // Chunked float frames compress and decompress in parallel through
 // internal/par; chunk geometry depends only on the element count, so the
 // emitted bytes are deterministic at every worker count — the property
-// partial restore's digest validation of survivor state and the chaos
+// the restore's digest validation of survivor state and the chaos
 // campaigns' bitwise replay checks rely on.
 package codec
 

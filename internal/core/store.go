@@ -288,14 +288,13 @@ func (s *AppResilientStore) destroyUnshared(set map[snapshot.Snapshottable]*snap
 // Restore restores every object of the committed checkpoint in parallel
 // (paper Listing 5, line 14: one restore() call recovers all saved
 // objects). Each object must already have been remade over the new place
-// group by the application's Restore method. Objects implementing
-// snapshot.PartialRestorer restore only the fragments their current owner
-// lost: a fragment Remake retained at a surviving place is kept when it
-// validates against the snapshot digest. After a successful restore,
-// every committed snapshot is repaired toward the store's group: a slot
-// of a dead place moves onto the place that replaced it and is refilled
-// from the surviving copies, so a second failure cannot hit a
-// half-replicated checkpoint — read-only inputs included, which are never
+// group by the application's Restore method, so each restores only the
+// fragments their current owner lost: a fragment Remake retained at a
+// surviving place is kept when it validates against the snapshot digest.
+// After a successful restore, every committed snapshot is repaired toward
+// the store's group: a slot of a dead place moves onto the place that
+// replaced it and is refilled from the surviving copies, so a second
+// failure cannot hit a half-replicated checkpoint — read-only inputs included, which are never
 // re-taken.
 func (s *AppResilientStore) Restore() error {
 	s.mu.Lock()
@@ -314,13 +313,7 @@ func (s *AppResilientStore) Restore() error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var err error
-			if pr, ok := obj.(snapshot.PartialRestorer); ok {
-				err = pr.RestoreSnapshotPartial(snap)
-			} else {
-				err = obj.RestoreSnapshot(snap)
-			}
-			if err != nil {
+			if err := obj.RestoreSnapshot(snap); err != nil {
 				emu.Lock()
 				errs = append(errs, err)
 				emu.Unlock()

@@ -9,34 +9,14 @@ import (
 	"github.com/rgml/rgml/internal/snapshot"
 )
 
-// compressMetaSentinel prefixes a snapshot descriptor whose payloads
-// were written through a compressor. Every legacy descriptor either is
-// empty or begins with a non-negative count/dimension, so a negative
-// sentinel can never collide with one: old snapshots decode unchanged,
-// and `-compress none` writes byte-identical descriptors.
-const compressMetaSentinel = -0x434F4D50 // "COMP"
-
 // compressible is embedded by every snapshottable dist class. It holds
-// the object's checkpoint-compression override and its lossy opt-in;
-// the runtime-wide policy (apgas.WithCompression) applies when no
-// override is set. Lossy compression is strictly opt-in per object:
-// without AllowLossyCheckpoint(true), a lossy policy is transparently
-// downgraded to lossless, so read-only inputs and index structures are
-// never quantized.
+// the object's lossy opt-in; the compression policy itself is the
+// runtime's (apgas.WithCompression). Lossy compression is strictly opt-in
+// per object: without AllowLossyCheckpoint(true), a lossy policy is
+// transparently downgraded to lossless, so read-only inputs and index
+// structures are never quantized.
 type compressible struct {
-	spec    codec.Spec
-	specSet bool
 	lossyOK bool
-}
-
-// SetCompression overrides the runtime-wide checkpoint compression
-// policy for this object. The zero Spec selects no compression.
-func (c *compressible) SetCompression(spec codec.Spec) error {
-	if err := spec.Validate(); err != nil {
-		return fmt.Errorf("dist: SetCompression: %w", err)
-	}
-	c.spec, c.specSet = spec, true
-	return nil
 }
 
 // AllowLossyCheckpoint marks the object as tolerating error-bounded
@@ -47,13 +27,10 @@ func (c *compressible) SetCompression(spec codec.Spec) error {
 func (c *compressible) AllowLossyCheckpoint(on bool) { c.lossyOK = on }
 
 // resolveSpec computes the effective compression policy for a
-// checkpoint of this object: per-object override beats the runtime
-// default, and lossy degrades to lossless unless the object opted in.
+// checkpoint of this object: the runtime's, with lossy degraded to
+// lossless unless the object opted in.
 func (c *compressible) resolveSpec(rt *apgas.Runtime) codec.Spec {
 	spec := rt.Compression()
-	if c.specSet {
-		spec = c.spec
-	}
 	if spec.Mode == codec.CompressLossy && !c.lossyOK {
 		spec = codec.Spec{Mode: codec.CompressLossless}
 	}
@@ -74,31 +51,18 @@ func (c *compressible) newCompressor(rt *apgas.Runtime) (codec.Compressor, codec
 	return comp, spec
 }
 
-// appendCompressMeta prepends the compression descriptor prefix for
-// spec. CompressNone appends nothing, keeping default-mode descriptors
-// byte-identical to the pre-compression format.
+// appendCompressMeta appends the compression header every snapshot
+// descriptor starts with: the codec's mode and its error bound.
 func appendCompressMeta(meta []byte, spec codec.Spec) []byte {
-	if spec.Mode == codec.CompressNone {
-		return meta
-	}
-	meta = codec.AppendInt(meta, compressMetaSentinel)
 	meta = codec.AppendInt(meta, int(spec.Mode))
-	meta = codec.AppendUint64(meta, math.Float64bits(spec.ErrorBound))
-	return meta
+	return codec.AppendUint64(meta, math.Float64bits(spec.ErrorBound))
 }
 
-// splitCompressMeta peels the compression prefix off a snapshot
-// descriptor, returning the recorded spec (zero for a legacy or
-// uncompressed descriptor) and the remaining object metadata.
+// splitCompressMeta peels the compression header off a snapshot
+// descriptor, returning the recorded spec and the remaining object
+// metadata.
 func splitCompressMeta(meta []byte) (codec.Spec, []byte, error) {
-	if len(meta) < codec.SizeInt {
-		return codec.Spec{}, meta, nil
-	}
-	v, rest, err := codec.Int(meta)
-	if err != nil || v != compressMetaSentinel {
-		return codec.Spec{}, meta, nil
-	}
-	mode, rest, err := codec.Int(rest)
+	mode, rest, err := codec.Int(meta)
 	if err != nil {
 		return codec.Spec{}, nil, fmt.Errorf("dist: compression meta: %w", err)
 	}
@@ -109,9 +73,6 @@ func splitCompressMeta(meta []byte) (codec.Spec, []byte, error) {
 	spec := codec.Spec{Mode: codec.Compression(mode), ErrorBound: math.Float64frombits(bits)}
 	if err := spec.Validate(); err != nil {
 		return codec.Spec{}, nil, fmt.Errorf("dist: compression meta: %w", err)
-	}
-	if spec.Mode == codec.CompressNone {
-		return codec.Spec{}, nil, fmt.Errorf("dist: compression meta: prefixed descriptor with mode none")
 	}
 	return spec, rest, nil
 }

@@ -35,51 +35,33 @@ func newCompressedRT(t *testing.T, places int, spec codec.Spec, extra ...apgas.O
 	return rt, reg
 }
 
-// TestCompressMetaRoundTrip pins the descriptor prefix format: mode none
-// adds nothing (the pre-compression descriptor bytes, so legacy
-// snapshots and `-compress none` interoperate), other modes round-trip
-// through split, legacy descriptors pass through untouched, and a
-// corrupt prefix is rejected rather than misread as object metadata.
+// TestCompressMetaRoundTrip pins the descriptor header format: every
+// mode, none included, round-trips through split with the object meta
+// after it untouched, and a truncated or contradictory header is rejected
+// rather than misread as object metadata.
 func TestCompressMetaRoundTrip(t *testing.T) {
-	legacy := codec.AppendInt(codec.AppendInt(nil, 12), 4) // plausible object meta
-	if got := appendCompressMeta(append([]byte(nil), legacy...), codec.Spec{}); !bytes.Equal(got, legacy) {
-		t.Fatal("mode none changed the descriptor bytes")
-	}
-	for _, spec := range []codec.Spec{losslessSpec, lossySpec} {
-		meta := appendCompressMeta(nil, spec)
-		meta = append(meta, legacy...)
-		got, rest, err := splitCompressMeta(meta)
+	objMeta := codec.AppendInt(codec.AppendInt(nil, 12), 4) // plausible object meta
+	for _, spec := range []codec.Spec{{}, losslessSpec, lossySpec} {
+		header := appendCompressMeta(nil, spec)
+		got, rest, err := splitCompressMeta(append(header, objMeta...))
 		if err != nil {
 			t.Fatalf("%v: %v", spec, err)
 		}
 		if got != spec {
 			t.Fatalf("spec round-trip: got %+v, want %+v", got, spec)
 		}
-		if !bytes.Equal(rest, legacy) {
+		if !bytes.Equal(rest, objMeta) {
 			t.Fatalf("%v: object meta mangled: %x", spec, rest)
 		}
-	}
-	// A legacy descriptor (no sentinel) splits to the zero spec with the
-	// bytes untouched; so do empty and short descriptors.
-	for _, meta := range [][]byte{legacy, nil, {0x01}} {
-		spec, rest, err := splitCompressMeta(meta)
-		if err != nil || !spec.IsZero() || !bytes.Equal(rest, meta) {
-			t.Fatalf("legacy split(%x) = %+v, %x, %v", meta, spec, rest, err)
+		for cut := 0; cut < len(header); cut++ {
+			if _, _, err := splitCompressMeta(header[:cut]); err == nil {
+				t.Fatalf("%v: truncated header (%d bytes) accepted", spec, cut)
+			}
 		}
 	}
-	// Sentinel followed by garbage must error, not fall back silently.
-	full := appendCompressMeta(nil, lossySpec)
-	for cut := codec.SizeInt; cut < len(full); cut++ {
-		if _, _, err := splitCompressMeta(full[:cut]); err == nil {
-			t.Fatalf("truncated prefix (%d bytes) accepted", cut)
-		}
-	}
-	// A prefix advertising mode none is contradictory.
-	bad := codec.AppendInt(nil, compressMetaSentinel)
-	bad = codec.AppendInt(bad, int(codec.CompressNone))
-	bad = codec.AppendUint64(bad, 0)
-	if _, _, err := splitCompressMeta(bad); err == nil {
-		t.Fatal("prefixed mode-none descriptor accepted")
+	// An error bound on mode none is contradictory.
+	if _, _, err := splitCompressMeta(appendCompressMeta(nil, codec.Spec{ErrorBound: 1})); err == nil {
+		t.Fatal("mode-none header with an error bound accepted")
 	}
 }
 
@@ -309,7 +291,7 @@ func TestCompressedPartialRestoreLossless(t *testing.T) {
 	if err := v.Remake(newPG); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.RestoreSnapshotPartial(s); err != nil {
+	if err := v.RestoreSnapshot(s); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("dist.restore.partial.kept").Value(); got != 3 {
@@ -368,7 +350,7 @@ func TestCompressedPartialRestoreLossyReloadsAll(t *testing.T) {
 	if err := v.Remake(newPG); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.RestoreSnapshotPartial(s); err != nil {
+	if err := v.RestoreSnapshot(s); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("dist.restore.partial.kept").Value(); got != 0 {
@@ -420,51 +402,5 @@ func TestCompressedErasureRestore(t *testing.T) {
 	}
 	for idx := 0; idx < rt.World().Size(); idx++ {
 		checkVector(t, readDupAt(t, v, idx), want, 0)
-	}
-}
-
-// TestPerObjectCompressionOverride: an object-level SetCompression beats
-// the runtime policy, and descriptors written under `none` stay
-// byte-identical whether or not the compression seam is configured
-// elsewhere in the runtime.
-func TestPerObjectCompressionOverride(t *testing.T) {
-	rt, reg := newCompressedRT(t, 3, losslessSpec)
-	v, err := MakeDistVector(rt, 1000, rt.World())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := v.SetCompression(codec.Spec{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := v.Init(func(i int) float64 { return float64(i) }); err != nil {
-		t.Fatal(err)
-	}
-	s, err := v.MakeSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Destroy()
-	// The override disabled compression for this object: no compressed
-	// bytes were accounted.
-	if got := reg.Counter("snapshot.compress.bytes_in").Value(); got != 0 {
-		t.Fatalf("compress.bytes_in = %d, want 0 with a none override", got)
-	}
-	if err := v.SetCompression(codec.Spec{Mode: codec.CompressLossy, ErrorBound: -1}); err == nil {
-		t.Fatal("SetCompression accepted an invalid spec")
-	}
-	if err := v.Scale(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := v.RestoreSnapshot(s); err != nil {
-		t.Fatal(err)
-	}
-	got, err := v.ToVector()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i] != float64(i) {
-			t.Fatalf("restored[%d] = %v", i, got[i])
-		}
 	}
 }

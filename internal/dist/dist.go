@@ -15,10 +15,10 @@
 // when the data grid changed.
 //
 // The three duplicated classes are one generic core, dup[T] (dup.go):
-// Sync and the partial restore's re-broadcast share one binomial bcast,
-// and Remake, MakeSnapshot and the full/partial restore are written
-// once. Each class adds a small payload adapter (dupKind) and its own
-// arithmetic (Dot, ZipAll, RootApply, Init, ...).
+// Sync and the restore's re-broadcast share one binomial bcast, and
+// Remake, MakeSnapshot and RestoreSnapshot are written once. Each class
+// adds a small payload adapter (dupKind) and its own arithmetic (Dot,
+// ZipAll, RootApply, Init, ...).
 //
 // Collective operations are deterministic: reductions combine per-place
 // contributions in place-group order, so a computation replayed after a
@@ -67,8 +67,8 @@ func saveVector(ctx *apgas.Ctx, s *snapshot.Snapshot, key int, v la.Vector, comp
 }
 
 // validateRetainedVector checks a surviving place's in-memory fragment
-// against the snapshot digest for key (see validateRetained). Used by the
-// partial restore paths to keep survivor state instead of re-loading it.
+// against the snapshot digest for key (see validateRetained). Used by
+// RestoreSnapshot to keep survivor state instead of re-loading it.
 func validateRetainedVector(ctx *apgas.Ctx, s *snapshot.Snapshot, key, ownerIdx int, v la.Vector, comp codec.Compressor) bool {
 	return validateRetained(ctx, s, key, ownerIdx, codec.SizeFloat64s(len(v)), comp, func(e *codec.Encoder) { e.PutFloat64s(v) })
 }

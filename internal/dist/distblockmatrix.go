@@ -47,8 +47,8 @@ type DistBlockMatrix struct {
 	matGatherH  apgas.PlaceLocalHandle[map[int]*la.DenseMatrix]
 	matGatherOK bool
 
-	// compressible carries the per-object checkpoint-compression
-	// override and lossy opt-in (SetCompression, AllowLossyCheckpoint).
+	// compressible carries the object's lossy-checkpoint opt-in
+	// (AllowLossyCheckpoint).
 	compressible
 }
 
@@ -95,7 +95,7 @@ func (m *DistBlockMatrix) alloc() error {
 // allocReusing allocates the per-place block sets, moving blocks out of
 // old (the handle from before a Remake) wherever a surviving place still
 // owns the same block of the same grid. Retained blocks keep their
-// payload allocations and are flagged for partial restore, which
+// payload allocations and are flagged for RestoreSnapshot, which
 // validates them against the snapshot instead of re-loading them. Fresh
 // places, and blocks whose owner changed, get zeroed blocks as before.
 // A retained block is the same object at the same place, so the new
@@ -391,7 +391,7 @@ func (m *DistBlockMatrix) Remake(newPG apgas.PlaceGroup, keepGrid bool) error {
 	}
 	// With keepGrid, blocks that stay at a surviving place are moved into
 	// the new handle instead of being re-zeroed (allocReusing): their
-	// payloads survive for partial restore to validate, and the restore
+	// payloads survive for RestoreSnapshot to validate, and the restore
 	// that follows a Remake overwrites whatever it does not validate. The
 	// old handle is destroyed only after the new one is built.
 	oldPLH, oldPG := m.plh, m.pg

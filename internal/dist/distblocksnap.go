@@ -82,13 +82,9 @@ type snapMeta struct {
 }
 
 func decodeSnapMeta(meta []byte) (*snapMeta, error) {
-	spec, rd, err := splitCompressMeta(meta)
+	comp, rd, err := compressorForMeta(meta)
 	if err != nil {
 		return nil, err
-	}
-	comp, err := codec.NewCompressor(spec)
-	if err != nil {
-		return nil, fmt.Errorf("dist: snapshot meta: %w", err)
 	}
 	var kind, rows, cols, rb, cb int
 	for _, dst := range []*int{&kind, &rows, &cols, &rb, &cb} {
@@ -111,33 +107,19 @@ func decodeSnapMeta(meta []byte) (*snapMeta, error) {
 }
 
 // RestoreSnapshot implements snapshot.Snapshottable. If the current data
-// grid equals the snapshot's, every place copies its blocks whole from the
-// store (the fast block-by-block path, used by the shrink and
-// replace-redundant modes). If the grid changed (shrink-rebalance), every
-// place reassembles each of its new blocks from the overlapping regions of
-// the old blocks; sparse blocks additionally run the nonzero-counting pass
-// over the overlaps before allocating (paper section IV-B2). Every block
-// is loaded: survivor state retained through Remake is never trusted.
-func (m *DistBlockMatrix) RestoreSnapshot(s *snapshot.Snapshot) error { return m.restore(s, false) }
-
-// RestoreSnapshotPartial implements snapshot.PartialRestorer: it is
-// RestoreSnapshot except that, on the same-grid path, blocks whose payload
-// survived the Remake (retained at a surviving place) are kept if a local
-// re-encode matches the snapshot's digest — only blocks owned by fresh
-// places, or whose content moved past the checkpoint, are loaded from the
-// store.
-func (m *DistBlockMatrix) RestoreSnapshotPartial(s *snapshot.Snapshot) error {
-	return m.restore(s, true)
-}
-
-// restore is the one restore body behind RestoreSnapshot (keepRetained
-// false) and RestoreSnapshotPartial (keepRetained true). The same-grid
-// path decodes each loaded block into its existing payload allocation
-// (DecodeInto). Installing the decoded slices instead would drop the
-// block's pooled backing — the first checkpoint after every restore would
-// then allocate every payload afresh — and would alias the regrid decode
-// cache's buffers into live blocks.
-func (m *DistBlockMatrix) restore(s *snapshot.Snapshot, keepRetained bool) error {
+// grid equals the snapshot's (the shrink and replace modes), a block whose
+// payload survived the Remake (retained at a surviving place) is kept if a
+// local re-encode matches the snapshot's digest; every other block — owned
+// by a fresh place, or moved past the checkpoint — is loaded whole, decoded
+// into its existing payload allocation (DecodeInto). Installing the decoded
+// slices instead would drop the block's pooled backing — the first
+// checkpoint after every restore would then allocate every payload afresh —
+// and would alias the regrid decode cache's buffers into live blocks. If
+// the grid changed (shrink-rebalance), every place reassembles each of its
+// new blocks from the overlapping regions of the old blocks; sparse blocks
+// additionally run the nonzero-counting pass over the overlaps before
+// allocating (paper section IV-B2).
+func (m *DistBlockMatrix) RestoreSnapshot(s *snapshot.Snapshot) error {
 	meta, err := decodeSnapMeta(s.Meta())
 	if err != nil {
 		return err
@@ -155,7 +137,7 @@ func (m *DistBlockMatrix) restore(s *snapshot.Snapshot, keepRetained bool) error
 	loaded := reg.Counter("dist.restore.partial.loaded")
 	return apgas.ForEachPlace(m.rt, m.pg, func(ctx *apgas.Ctx, idx int) {
 		m.plh.Local(ctx).Each(func(id int, b *block.MatrixBlock) {
-			if keepRetained && b.Retained && validateRetainedBlock(ctx, s, id, meta.placeOf[id], b, meta.comp) {
+			if b.Retained && validateRetainedBlock(ctx, s, id, meta.placeOf[id], b, meta.comp) {
 				b.Retained = false
 				kept.Inc()
 				keptBytes.Add(int64(b.EncodedSize()))
@@ -165,9 +147,7 @@ func (m *DistBlockMatrix) restore(s *snapshot.Snapshot, keepRetained bool) error
 				apgas.Throw(err)
 			}
 			b.Retained = false
-			if keepRetained {
-				loaded.Inc()
-			}
+			loaded.Inc()
 		})
 	})
 }

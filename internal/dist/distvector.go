@@ -29,11 +29,11 @@ type DistVector struct {
 	// of them.
 	ver uint64
 	// retained[idx] marks a segment whose storage survived a Remake at
-	// the same place and group index; partial restore validates it
+	// the same place and group index; RestoreSnapshot validates it
 	// against the snapshot digest instead of re-loading it.
 	retained []bool
-	// compressible carries the per-object checkpoint-compression
-	// override and lossy opt-in (SetCompression, AllowLossyCheckpoint).
+	// compressible carries the object's lossy-checkpoint opt-in
+	// (AllowLossyCheckpoint).
 	compressible
 }
 
@@ -258,7 +258,7 @@ func (v *DistVector) ToVector() (la.Vector, error) {
 // recalculate their data grid when the group changes — paper section
 // IV-A2). When the new group has the same size, segments whose owning
 // place is unchanged are carried over with their contents and marked
-// retained, so a following partial restore can validate them against the
+// retained, so a following RestoreSnapshot can validate them against the
 // checkpoint instead of re-loading; all other segments come up zeroed.
 // The caller is expected to restore or overwrite the vector before
 // reading it.
@@ -319,23 +319,13 @@ func (v *DistVector) MakeSnapshot() (*snapshot.Snapshot, error) {
 
 // RestoreSnapshot implements snapshot.Snapshottable. When the current
 // segmentation matches the snapshot's (restore onto the same number of
-// places), each place loads its whole segment — the fast block-by-block
-// path. Otherwise each place reassembles its new segment from the
-// overlapping old segments (the re-partitioned path). Every segment is
-// loaded: survivor state retained through Remake is never trusted.
-func (v *DistVector) RestoreSnapshot(s *snapshot.Snapshot) error { return v.restore(s, false) }
-
-// RestoreSnapshotPartial implements snapshot.PartialRestorer: it is
-// RestoreSnapshot except that, on a same-segmentation restore, segments
-// retained through the preceding Remake are validated against the
-// checkpoint digest (a local re-encode whose CRC must match the stored
-// sum) and kept in place when they match; only segments whose owner died
-// — or whose survivor state diverged from the checkpoint — are loaded.
-func (v *DistVector) RestoreSnapshotPartial(s *snapshot.Snapshot) error { return v.restore(s, true) }
-
-// restore is the one restore body behind RestoreSnapshot (keepRetained
-// false) and RestoreSnapshotPartial (keepRetained true).
-func (v *DistVector) restore(s *snapshot.Snapshot, keepRetained bool) error {
+// places), a segment retained through the preceding Remake is validated
+// against the checkpoint digest (a local re-encode whose CRC must match
+// the stored sum) and kept in place when it matches; every other segment
+// — its owner died, or its survivor state diverged from the checkpoint —
+// is loaded whole. Otherwise each place reassembles its new segment from
+// the overlapping old segments (the re-partitioned path).
+func (v *DistVector) RestoreSnapshot(s *snapshot.Snapshot) error {
 	comp, objMeta, err := compressorForMeta(s.Meta())
 	if err != nil {
 		return fmt.Errorf("dist: DistVector restore meta: %w", err)
@@ -369,7 +359,7 @@ func (v *DistVector) restore(s *snapshot.Snapshot, keepRetained bool) error {
 		}
 		seg := v.plh.Local(ctx)
 		if sameSeg {
-			if keepRetained && retained && validateRetainedVector(ctx, s, idx, idx, seg, comp) {
+			if retained && validateRetainedVector(ctx, s, idx, idx, seg, comp) {
 				kept.Inc()
 				keptBytes.Add(int64(codec.SizeFloat64s(len(seg))))
 				return
@@ -385,9 +375,7 @@ func (v *DistVector) restore(s *snapshot.Snapshot, keepRetained bool) error {
 				apgas.Throw(err)
 			}
 			seg.CopyFrom(old)
-			if keepRetained {
-				loaded.Inc()
-			}
+			loaded.Inc()
 			return
 		}
 		// Re-segmented: copy the overlapping parts of each old segment.

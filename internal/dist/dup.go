@@ -50,12 +50,12 @@ type dup[T any] struct {
 	// value without changing it, so it does not bump.
 	ver uint64
 	// retained[idx] marks a duplicate whose storage survived a Remake at
-	// the same place; partial restore validates one survivor against the
+	// the same place; RestoreSnapshot validates one survivor against the
 	// checkpoint digest and re-broadcasts from it instead of loading at
 	// every place.
 	retained []bool
-	// compressible carries the per-object checkpoint-compression
-	// override and lossy opt-in (SetCompression, AllowLossyCheckpoint).
+	// compressible carries the object's lossy-checkpoint opt-in
+	// (AllowLossyCheckpoint).
 	compressible
 }
 
@@ -136,8 +136,8 @@ func (d *dup[T]) sync(recv func(*apgas.Ctx, T)) error {
 // upper half of the list and hands it to that half's first index, whose
 // async relays the half in parallel with the sender's next peels. Every
 // edge charges the network model for one full payload, and the critical
-// path is O(log n) sends. Sync broadcasts over the whole group; the
-// partial restore over just the places that lost the checkpointed value.
+// path is O(log n) sends. Sync broadcasts over the whole group;
+// RestoreSnapshot over just the places that lost the checkpointed value.
 func (d *dup[T]) bcast(c *apgas.Ctx, idxs []int, src T, recv func(*apgas.Ctx, T)) {
 	for len(idxs) > 1 {
 		h := len(idxs) / 2
@@ -158,7 +158,7 @@ func (d *dup[T]) bcast(c *apgas.Ctx, idxs []int, src T, recv func(*apgas.Ctx, T)
 // Remake reallocates the object over a new place group (paper section
 // IV-A: remake(newPlaces)). Duplicates at places present in both groups
 // are carried over with their contents and marked retained, so a
-// following partial restore can validate one survivor against the
+// following RestoreSnapshot can validate one survivor against the
 // checkpoint and re-broadcast from it; duplicates at new places come up
 // zeroed. The caller is expected to restore or overwrite the object
 // before reading it.
@@ -214,23 +214,16 @@ func (d *dup[T]) MakeSnapshot() (*snapshot.Snapshot, error) {
 	return s, nil
 }
 
-// RestoreSnapshot implements snapshot.Snapshottable: every place of the
-// object's *current* group (which may be smaller, equal, or — with
-// elastic replacement — differently composed than the snapshot group)
-// concurrently loads a duplicate (paper section IV-B2).
-func (d *dup[T]) RestoreSnapshot(s *snapshot.Snapshot) error { return d.restore(s, false) }
-
-// RestoreSnapshotPartial implements snapshot.PartialRestorer: duplicates
+// RestoreSnapshot implements snapshot.Snapshottable over the object's
+// *current* group (which may be smaller, equal, or — with elastic
+// replacement — differently composed than the snapshot group). Duplicates
 // retained through the preceding Remake are validated against the
 // checkpoint digest; if at least one survivor matches, it alone supplies
 // the data, re-broadcast along a binomial tree to just the places that
 // lost (or diverged from) the checkpointed value — no snapshot loads at
-// all. With no valid survivor, falls back to the full restore.
-func (d *dup[T]) RestoreSnapshotPartial(s *snapshot.Snapshot) error { return d.restore(s, true) }
-
-// restore is the one restore body behind RestoreSnapshot (keepRetained
-// false) and RestoreSnapshotPartial (keepRetained true).
-func (d *dup[T]) restore(s *snapshot.Snapshot, keepRetained bool) error {
+// all. With no valid survivor, every place concurrently loads a duplicate
+// (paper section IV-B2).
+func (d *dup[T]) RestoreSnapshot(s *snapshot.Snapshot) error {
 	// The logical value rewinds to the checkpoint, so the version must move:
 	// worker-side kernel caches may hold the diverged pre-restore content
 	// under the current version.
@@ -240,7 +233,7 @@ func (d *dup[T]) restore(s *snapshot.Snapshot, keepRetained bool) error {
 		return fmt.Errorf("dist: %s restore meta: %w", d.name, err)
 	}
 	valid := make([]bool, d.pg.Size())
-	if keepRetained && len(d.retained) == d.pg.Size() {
+	if len(d.retained) == d.pg.Size() {
 		reg := d.rt.Obs()
 		kept := reg.Counter("dist.restore.partial.kept")
 		keptBytes := reg.Counter("dist.restore.partial.bytes.kept")

@@ -14,7 +14,7 @@ import (
 // dupObject is the method set the duplicated-object core gives all three
 // Dup classes.
 type dupObject interface {
-	snapshot.PartialRestorer
+	snapshot.Snapshottable
 	Group() apgas.PlaceGroup
 	MarkDirty()
 	Sync() error
@@ -209,7 +209,7 @@ func TestDupCore(t *testing.T) {
 			// snapshot loads.
 			loads0, kept0, bcast0 := counter("snapshot.loads"), counter("dist.restore.partial.kept"), counter("dist.restore.partial.bcast")
 			st0 := rt.Stats()
-			if err := sub.obj.RestoreSnapshotPartial(s); err != nil {
+			if err := sub.obj.RestoreSnapshot(s); err != nil {
 				t.Fatal(err)
 			}
 			if got := counter("dist.restore.partial.kept") - kept0; got != 1 {
@@ -235,7 +235,7 @@ func TestDupCore(t *testing.T) {
 				t.Fatal(err)
 			}
 			loads0, kept0 = counter("snapshot.loads"), counter("dist.restore.partial.kept")
-			if err := sub.obj.RestoreSnapshotPartial(s); err != nil {
+			if err := sub.obj.RestoreSnapshot(s); err != nil {
 				t.Fatal(err)
 			}
 			if got := counter("dist.restore.partial.kept") - kept0; got != 0 {
@@ -318,7 +318,7 @@ func TestDupNetworkAccounting(t *testing.T) {
 					t.Fatal(err)
 				}
 				wantRest := cost{restMsgs[p-1], payloads, 2*p - 1, restLedger[p-1], 0}
-				if got := measure(func() error { return sub.obj.RestoreSnapshotPartial(s) }); got != wantRest {
+				if got := measure(func() error { return sub.obj.RestoreSnapshot(s) }); got != wantRest {
 					t.Errorf("partial restore cost %+v, want %+v", got, wantRest)
 				}
 			})

@@ -104,7 +104,7 @@ func TestLargeBlockSnapshotIntegrity(t *testing.T) {
 		kept0, loaded0 := kept.Value(), loaded.Value()
 
 		markRetained(func(*block.MatrixBlock) {})
-		if err := m.RestoreSnapshotPartial(s); err != nil {
+		if err := m.RestoreSnapshot(s); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if k, l := kept.Value()-kept0, loaded.Value()-loaded0; k != 2 || l != 0 {
@@ -118,7 +118,7 @@ func TestLargeBlockSnapshotIntegrity(t *testing.T) {
 			*v = math.Nextafter(*v, math.Inf(1))
 			b.Touch()
 		})
-		if err := m.RestoreSnapshotPartial(s); err != nil {
+		if err := m.RestoreSnapshot(s); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if k, l := kept.Value()-kept0, loaded.Value()-loaded0; k != 3 || l != 1 {

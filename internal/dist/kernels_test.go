@@ -345,12 +345,17 @@ func TestDupVectorRestoreBumpsVersion(t *testing.T) {
 	if x.ver == before {
 		t.Fatal("RestoreSnapshot left ver unchanged")
 	}
+	// After a Remake the survivors validate and are kept: no load, and
+	// the version must still move.
+	if err := x.Remake(rt.World()); err != nil {
+		t.Fatal(err)
+	}
 	before = x.ver
-	if err := x.RestoreSnapshotPartial(snap); err != nil {
+	if err := x.RestoreSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}
 	if x.ver == before {
-		t.Fatal("RestoreSnapshotPartial left ver unchanged")
+		t.Fatal("RestoreSnapshot of kept survivors left ver unchanged")
 	}
 }
 

@@ -74,7 +74,7 @@ func TestDistBlockMatrixPartialRestoreRetained(t *testing.T) {
 	}
 
 	loadBytes0 := reg.Counter("snapshot.load.bytes").Value()
-	if err := m.RestoreSnapshotPartial(s); err != nil {
+	if err := m.RestoreSnapshot(s); err != nil {
 		t.Fatal(err)
 	}
 	// Places 0 and 2 keep their blocks; the spare's block and the diverged
@@ -137,7 +137,7 @@ func TestDistVectorPartialRestore(t *testing.T) {
 	if got := reg.Counter("dist.remake.segments.retained").Value(); got != 3 {
 		t.Fatalf("remake.segments.retained = %d, want 3", got)
 	}
-	if err := v.RestoreSnapshotPartial(s3); err != nil {
+	if err := v.RestoreSnapshot(s3); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("dist.restore.partial.kept").Value(); got != 3 {
@@ -189,7 +189,7 @@ func TestDupVectorPartialRestoreBroadcasts(t *testing.T) {
 		t.Fatal(err)
 	}
 	loads0 := reg.Counter("snapshot.loads").Value()
-	if err := v.RestoreSnapshotPartial(s); err != nil {
+	if err := v.RestoreSnapshot(s); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("dist.restore.partial.kept").Value(); got != 3 {
@@ -242,7 +242,7 @@ func TestDupVectorDivergedSurvivorFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	kept0 := reg.Counter("dist.restore.partial.kept").Value()
-	if err := v.RestoreSnapshotPartial(s2); err != nil {
+	if err := v.RestoreSnapshot(s2); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("dist.restore.partial.kept").Value(); got != kept0 {
@@ -282,7 +282,7 @@ func TestDupDenseMatrixPartialRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	loads0 := reg.Counter("snapshot.loads").Value()
-	if err := m.RestoreSnapshotPartial(s2); err != nil {
+	if err := m.RestoreSnapshot(s2); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("dist.restore.partial.kept").Value(); got != 3 {
@@ -306,16 +306,18 @@ func TestDupDenseMatrixPartialRestore(t *testing.T) {
 	}
 }
 
-// TestFullRestoreLoadsEveryFragment pins the save and the explicit full
-// restore for every snapshottable class under both a replicated and an
-// erasure-coded store, with and without compression: MakeSnapshot
-// restores the same bits over scribbled state, and after a Remake that
-// retained survivors, RestoreSnapshot reloads every fragment and keeps
-// none.
+// TestFullRestoreLoadsEveryFragment pins the save and the restore for
+// every snapshottable class under both a replicated and an erasure-coded
+// store, with and without compression: MakeSnapshot restores the same bits
+// over scribbled state. Then place 1 dies and a Remake retains the three
+// survivors' fragments. If the survivors are scribbled after the Remake,
+// each fails its digest check and RestoreSnapshot loads all four
+// fragments; if they are clean, it keeps them and refills only the dead
+// owner's fragment.
 func TestFullRestoreLoadsEveryFragment(t *testing.T) {
 	// subject is one object under test: read returns its whole content.
 	type subject struct {
-		obj      snapshot.PartialRestorer
+		obj      snapshot.Snapshottable
 		read     func() []float64
 		scribble func() error
 		remake   func(apgas.PlaceGroup) error
@@ -460,52 +462,69 @@ func TestFullRestoreLoadsEveryFragment(t *testing.T) {
 			for _, spec := range []codec.Spec{{}, losslessSpec} {
 				name := fmt.Sprintf("%s/%v/%v", class.name, pol, spec.Mode)
 				t.Run(name, func(t *testing.T) {
-					rt, reg := newCompressedRT(t, 5, spec, apgas.WithStorePolicy(pol))
-					pg := apgas.PlaceGroup{rt.Place(0), rt.Place(1), rt.Place(2), rt.Place(3)}
-					sub := class.build(t, rt, pg)
-					want := sub.read()
+					for _, row := range []string{"scribbled", "clean"} {
+						scribbled := row == "scribbled"
+						t.Run(row, func(t *testing.T) {
+							rt, reg := newCompressedRT(t, 5, spec, apgas.WithStorePolicy(pol))
+							pg := apgas.PlaceGroup{rt.Place(0), rt.Place(1), rt.Place(2), rt.Place(3)}
+							sub := class.build(t, rt, pg)
+							want := sub.read()
 
-					full, err := sub.obj.MakeSnapshot()
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer full.Destroy()
-					if err := sub.scribble(); err != nil {
-						t.Fatal(err)
-					}
-					if err := sub.obj.RestoreSnapshot(full); err != nil {
-						t.Fatalf("restore: %v", err)
-					}
-					checkVector(t, sub.read(), want, 0)
+							full, err := sub.obj.MakeSnapshot()
+							if err != nil {
+								t.Fatal(err)
+							}
+							defer full.Destroy()
+							if err := sub.scribble(); err != nil {
+								t.Fatal(err)
+							}
+							if err := sub.obj.RestoreSnapshot(full); err != nil {
+								t.Fatalf("restore: %v", err)
+							}
+							checkVector(t, sub.read(), want, 0)
 
-					// Kill place 1 and replace it in position: the three
-					// survivors retain their fragments through Remake, yet
-					// the explicit full restore loads all four.
-					if err := rt.Kill(rt.Place(1)); err != nil {
-						t.Fatal(err)
+							// Kill place 1 and replace it in position: the three
+							// survivors retain their fragments through Remake.
+							if err := rt.Kill(rt.Place(1)); err != nil {
+								t.Fatal(err)
+							}
+							retained := func() int64 {
+								return reg.Counter("dist.remake.segments.retained").Value() +
+									reg.Counter("dist.remake.blocks.retained").Value()
+							}
+							retained0 := retained()
+							if err := sub.remake(apgas.PlaceGroup{rt.Place(0), rt.Place(4), rt.Place(2), rt.Place(3)}); err != nil {
+								t.Fatal(err)
+							}
+							if got := retained() - retained0; got != 3 {
+								t.Fatalf("Remake retained %d fragments, want 3", got)
+							}
+							if scribbled {
+								if err := sub.scribble(); err != nil {
+									t.Fatal(err)
+								}
+							}
+							loads0 := reg.Counter("snapshot.loads").Value()
+							if err := sub.obj.RestoreSnapshot(full); err != nil {
+								t.Fatal(err)
+							}
+							if got := reg.Histogram("dist.restore.validate").Count(); got != 3 {
+								t.Errorf("dist.restore.validate checked %d survivors, want 3", got)
+							}
+							// A duplicate refills the dead place by re-broadcast
+							// from a kept survivor, every other class by a load.
+							loads := reg.Counter("snapshot.loads").Value() - loads0
+							refilled := loads + reg.Counter("dist.restore.partial.bcast").Value()
+							kept := reg.Counter("dist.restore.partial.kept").Value()
+							if scribbled && (kept != 0 || loads != 4) {
+								t.Errorf("scribbled survivors: kept %d, loaded %d fragments; want 0 kept, all 4 loaded", kept, loads)
+							}
+							if !scribbled && (kept != 3 || refilled != 1) {
+								t.Errorf("clean survivors: kept %d, refilled %d fragments; want 3 kept, 1 refilled", kept, refilled)
+							}
+							checkVector(t, sub.read(), want, 0)
+						})
 					}
-					retained := func() int64 {
-						return reg.Counter("dist.remake.segments.retained").Value() +
-							reg.Counter("dist.remake.blocks.retained").Value()
-					}
-					retained0 := retained()
-					if err := sub.remake(apgas.PlaceGroup{rt.Place(0), rt.Place(4), rt.Place(2), rt.Place(3)}); err != nil {
-						t.Fatal(err)
-					}
-					if got := retained() - retained0; got != 3 {
-						t.Fatalf("Remake retained %d fragments, want 3", got)
-					}
-					loads0 := reg.Counter("snapshot.loads").Value()
-					if err := sub.obj.RestoreSnapshot(full); err != nil {
-						t.Fatal(err)
-					}
-					if got := reg.Counter("dist.restore.partial.kept").Value(); got != 0 {
-						t.Errorf("dist.restore.partial.kept = %d, want 0", got)
-					}
-					if got := reg.Counter("snapshot.loads").Value() - loads0; got != 4 {
-						t.Errorf("RestoreSnapshot loaded %d fragments, want all 4", got)
-					}
-					checkVector(t, sub.read(), want, 0)
 				})
 			}
 		}

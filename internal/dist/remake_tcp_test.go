@@ -147,7 +147,7 @@ func (f *remakeFixture) remake(pg apgas.PlaceGroup, s *snapshot.Snapshot) {
 	if err := f.m.Remake(pg, true); err != nil {
 		f.t.Fatal(err)
 	}
-	if err := f.m.RestoreSnapshotPartial(s); err != nil {
+	if err := f.m.RestoreSnapshot(s); err != nil {
 		f.t.Fatal(err)
 	}
 	if err := f.x.Remake(pg); err != nil {

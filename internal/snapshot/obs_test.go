@@ -8,10 +8,11 @@ import (
 )
 
 // newInstrumentedRT is newRT with an obs registry attached.
-func newInstrumentedRT(t *testing.T, places int) (*apgas.Runtime, *obs.Registry) {
+func newInstrumentedRT(t *testing.T, places int, opts ...apgas.Option) (*apgas.Runtime, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	rt, err := apgas.New(apgas.WithPlaces(places), apgas.WithResilient(true), apgas.WithObs(reg))
+	opts = append([]apgas.Option{apgas.WithPlaces(places), apgas.WithResilient(true), apgas.WithObs(reg)}, opts...)
+	rt, err := apgas.New(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}

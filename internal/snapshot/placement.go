@@ -41,20 +41,16 @@ func (pl policy) String() string {
 	return apgas.ReplicateStore(pl.k).String()
 }
 
-// resolvePolicy turns the configured StorePolicy (the per-snapshot
-// override when set, else the runtime's, else the paper default of
-// replicate k=2) into a policy that fits a group of the given size. A
-// policy wider than the group is clamped — never a panic — and the clamp
-// is recorded as a "snapshot.policy.clamped" trace event carrying
-// (requested width, effective width). Erasure clamping sheds parity
+// resolvePolicy turns the runtime's StorePolicy (the paper default of
+// replicate k=2 when unset) into a policy that fits a group of the given
+// size. A policy wider than the group is clamped — never a panic — and
+// the clamp is recorded as a "snapshot.policy.clamped" trace event
+// carrying (requested width, effective width). Erasure clamping sheds parity
 // before data so the geometry keeps as much tolerance as the group can
 // physically hold; a single-place group degenerates to replicate k=1
 // (there is nowhere to put redundancy).
-func resolvePolicy(rt *apgas.Runtime, size int, opts Options) policy {
-	sp := opts.Policy
-	if sp.IsZero() {
-		sp = rt.StorePolicy()
-	}
+func resolvePolicy(rt *apgas.Runtime, size int) policy {
+	sp := rt.StorePolicy()
 	if sp.IsZero() {
 		sp = apgas.ReplicateStore(2)
 	}

@@ -28,9 +28,9 @@ func loadKey(t *testing.T, rt *apgas.Runtime, s *Snapshot, key, ownerIdx int) ([
 // k=3: killing an entry's owner AND its first backup in the same window
 // still leaves the second backup serving the bytes.
 func TestReplicateK3SurvivesDoubleFailure(t *testing.T) {
-	rt, _ := newInstrumentedRT(t, 5)
+	rt, _ := newInstrumentedRT(t, 5, apgas.WithStorePolicy(apgas.ReplicateStore(3)))
 	pg := rt.World()
-	s, err := NewWithOptions(rt, pg, Options{Policy: apgas.ReplicateStore(3)})
+	s, err := New(rt, pg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,9 +55,9 @@ func TestReplicateK3SurvivesDoubleFailure(t *testing.T) {
 // same correlated failure is unrecoverable, and surfaces as ErrDataLost —
 // never as a silent missing key or corrupt read.
 func TestReplicateK2DoubleFailureIsLoudLoss(t *testing.T) {
-	rt, _ := newInstrumentedRT(t, 5)
+	rt, _ := newInstrumentedRT(t, 5, apgas.WithStorePolicy(apgas.ReplicateStore(2)))
 	pg := rt.World()
-	s, err := NewWithOptions(rt, pg, Options{Policy: apgas.ReplicateStore(2)})
+	s, err := New(rt, pg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,9 +76,9 @@ func TestReplicateK2DoubleFailureIsLoudLoss(t *testing.T) {
 // to end: save at every place, kill p places, and reconstruct every
 // entry bit-identically from the surviving shards.
 func TestErasureRoundTripAndReconstruction(t *testing.T) {
-	rt, reg := newInstrumentedRT(t, 5)
+	rt, reg := newInstrumentedRT(t, 5, apgas.WithStorePolicy(apgas.ErasureStore(3, 2)))
 	pg := rt.World()
-	s, err := NewWithOptions(rt, pg, Options{Policy: apgas.ErasureStore(3, 2)})
+	s, err := New(rt, pg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,9 +121,9 @@ func TestErasureRoundTripAndReconstruction(t *testing.T) {
 // tolerates: fewer than d shards survive, which must be reported as
 // ErrDataLost.
 func TestErasureTooManyFailuresIsLoudLoss(t *testing.T) {
-	rt, _ := newInstrumentedRT(t, 4)
+	rt, _ := newInstrumentedRT(t, 4, apgas.WithStorePolicy(apgas.ErasureStore(3, 1)))
 	pg := rt.World()
-	s, err := NewWithOptions(rt, pg, Options{Policy: apgas.ErasureStore(3, 1)})
+	s, err := New(rt, pg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,9 +144,9 @@ func TestErasureTooManyFailuresIsLoudLoss(t *testing.T) {
 // stored bytes stay within (d+p)/d of the payload (plus shard-padding
 // slack), far below the k-replication multiple with the same tolerance.
 func TestErasureStorageOverhead(t *testing.T) {
-	rt, _ := newInstrumentedRT(t, 6)
+	rt, _ := newInstrumentedRT(t, 6, apgas.WithStorePolicy(apgas.ErasureStore(4, 2)))
 	pg := rt.World()
-	s, err := NewWithOptions(rt, pg, Options{Policy: apgas.ErasureStore(4, 2)})
+	s, err := New(rt, pg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,10 +178,10 @@ func TestErasureStorageOverhead(t *testing.T) {
 // erasure clamping sheds parity before data, and that the clamped store
 // still round-trips.
 func TestPolicyClampTrace(t *testing.T) {
-	rt, reg := newInstrumentedRT(t, 3)
+	rt, reg := newInstrumentedRT(t, 3, apgas.WithStorePolicy(apgas.ReplicateStore(5)))
 	pg := rt.World()
 
-	s, err := NewWithOptions(rt, pg, Options{Policy: apgas.ReplicateStore(5)})
+	s, err := New(rt, pg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,9 @@ func TestPolicyClampTrace(t *testing.T) {
 
 	// Erasure d=4,p=2 on 3 places: parity sheds first (p=2 fits), then
 	// data shrinks to fill what remains: d=1, p=2.
-	se, err := NewWithOptions(rt, pg, Options{Policy: apgas.ErasureStore(4, 2)})
+	rt, _ = newInstrumentedRT(t, 3, apgas.WithStorePolicy(apgas.ErasureStore(4, 2)))
+	pg = rt.World()
+	se, err := New(rt, pg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,14 +223,14 @@ func TestPolicyClampTrace(t *testing.T) {
 // resolves to a single local copy (there is nowhere to put redundancy),
 // save/load round-trips, and Repair is a no-op rather than a panic.
 func TestSinglePlaceGroupDegeneratesToK1(t *testing.T) {
-	rt, _ := newInstrumentedRT(t, 1)
-	pg := rt.World()
 	for _, sp := range []apgas.StorePolicy{
 		apgas.ReplicateStore(3),
 		apgas.ErasureStore(4, 2),
 		{}, // paper default
 	} {
-		s, err := NewWithOptions(rt, pg, Options{Policy: sp})
+		rt, _ := newInstrumentedRT(t, 1, apgas.WithStorePolicy(sp))
+		pg := rt.World()
+		s, err := New(rt, pg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +258,7 @@ func TestRepairHealsDroppedReplica(t *testing.T) {
 	rt.SetInjector(inj)
 
 	pg := rt.World()
-	s, err := NewWithOptions(rt, pg, Options{Retry: fastRetry(2)})
+	s, err := New(rt, pg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,9 +301,9 @@ func TestRepairHealsDroppedReplica(t *testing.T) {
 // place dies, Repair re-replicates the affected entries to a substitute
 // slot outside the base pair, and Load finds the substitute copy.
 func TestRepairReplacesDeadBackup(t *testing.T) {
-	rt, _ := newInstrumentedRT(t, 4)
+	rt, _ := newInstrumentedRT(t, 4, apgas.WithStorePolicy(apgas.ReplicateStore(2)))
 	pg := rt.World()
-	s, err := NewWithOptions(rt, pg, Options{Policy: apgas.ReplicateStore(2)})
+	s, err := New(rt, pg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,9 +341,9 @@ func TestRepairReplacesDeadBackup(t *testing.T) {
 // a dead shard holder's shards are reconstructed from the survivors and
 // placed at substitute slots, restoring full tolerance.
 func TestRepairRebuildsLostShards(t *testing.T) {
-	rt, reg := newInstrumentedRT(t, 5)
+	rt, reg := newInstrumentedRT(t, 5, apgas.WithStorePolicy(apgas.ErasureStore(3, 1)))
 	pg := rt.World()
-	s, err := NewWithOptions(rt, pg, Options{Policy: apgas.ErasureStore(3, 1)})
+	s, err := New(rt, pg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,9 +390,9 @@ func TestRepairRebuildsLostShards(t *testing.T) {
 func TestRepairRehomesDeadSlot(t *testing.T) {
 	for _, sp := range []apgas.StorePolicy{apgas.ReplicateStore(2), apgas.ErasureStore(2, 1)} {
 		t.Run(sp.String(), func(t *testing.T) {
-			rt, reg := newInstrumentedRT(t, 5)
+			rt, reg := newInstrumentedRT(t, 5, apgas.WithStorePolicy(sp))
 			pg := rt.World()[:4]
-			s, err := NewWithOptions(rt, pg, Options{Policy: sp})
+			s, err := New(rt, pg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -489,9 +491,9 @@ func TestRepairCensusOnlyAfterNewDeath(t *testing.T) {
 // the one live slot outside the base set, and the entry regains its full
 // width, so two further deaths still leave d shards.
 func TestRepairPlacesEachRebuiltShardOnce(t *testing.T) {
-	rt, _ := newInstrumentedRT(t, 6)
+	rt, _ := newInstrumentedRT(t, 6, apgas.WithStorePolicy(apgas.ErasureStore(3, 2)))
 	pg := rt.World()
-	s, err := NewWithOptions(rt, pg, Options{Policy: apgas.ErasureStore(3, 2)})
+	s, err := New(rt, pg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,7 +532,7 @@ func TestDestroyClearsDegradedGauge(t *testing.T) {
 	rt.SetInjector(&flakyInjector{failures: -1})
 	defer rt.SetInjector(nil)
 	pg := rt.World()
-	s, err := NewWithOptions(rt, pg, Options{Retry: fastRetry(2)})
+	s, err := New(rt, pg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,9 +550,9 @@ func TestDestroyClearsDegradedGauge(t *testing.T) {
 // describes the reassembled payload (sum and length), not one shard, and
 // that it survives holder deaths like Load does.
 func TestErasureDigestReportsFullPayload(t *testing.T) {
-	rt, _ := newInstrumentedRT(t, 4)
+	rt, _ := newInstrumentedRT(t, 4, apgas.WithStorePolicy(apgas.ErasureStore(2, 2)))
 	pg := rt.World()
-	s, err := NewWithOptions(rt, pg, Options{Policy: apgas.ErasureStore(2, 2)})
+	s, err := New(rt, pg)
 	if err != nil {
 		t.Fatal(err)
 	}

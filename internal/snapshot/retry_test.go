@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/rgml/rgml/internal/apgas"
 )
@@ -35,10 +34,6 @@ func (fi *flakyInjector) Fault(point string, subject apgas.Place) error {
 	return nil
 }
 
-func fastRetry(attempts int) RetryPolicy {
-	return RetryPolicy{MaxAttempts: attempts, Backoff: 50 * time.Microsecond}
-}
-
 // TestReplicaRetryLandsBackupAfterTransientFaults checks that a put that
 // flakes a few times still lands the backup replica, so a later owner
 // failure is survivable exactly as if nothing had been injected.
@@ -49,7 +44,7 @@ func TestReplicaRetryLandsBackupAfterTransientFaults(t *testing.T) {
 	defer rt.SetInjector(nil)
 
 	pg := rt.World()
-	s, err := NewWithOptions(rt, pg, Options{Retry: fastRetry(4)})
+	s, err := New(rt, pg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +85,7 @@ func TestReplicaRetryExhaustionDegradesToOwnerOnly(t *testing.T) {
 	defer rt.SetInjector(nil)
 
 	pg := rt.World()
-	s, err := NewWithOptions(rt, pg, Options{Retry: fastRetry(2)})
+	s, err := New(rt, pg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,9 +94,9 @@ func TestReplicaRetryExhaustionDegradesToOwnerOnly(t *testing.T) {
 	if got := reg.Counter("snapshot.replicas.dropped").Value(); got != 3 {
 		t.Errorf("snapshot.replicas.dropped = %d, want 3", got)
 	}
-	// MaxAttempts=2 means one retry per put before giving up.
-	if got := reg.Counter("snapshot.replicas.retries").Value(); got != 3 {
-		t.Errorf("snapshot.replicas.retries = %d, want 3", got)
+	// Four attempts per put: three retries each before giving up.
+	if got := reg.Counter("snapshot.replicas.retries").Value(); got != 9 {
+		t.Errorf("snapshot.replicas.retries = %d, want 9", got)
 	}
 	dropTraces := 0
 	for _, ev := range reg.TraceEvents() {
@@ -148,18 +143,5 @@ func TestReplicaRetryExhaustionDegradesToOwnerOnly(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestRetryPolicyDefaults pins the normalized defaults so option plumbing
-// can rely on the zero value meaning "sane bounded retry".
-func TestRetryPolicyDefaults(t *testing.T) {
-	p := RetryPolicy{}.normalize()
-	if p.MaxAttempts != 4 || p.Backoff != 200*time.Microsecond || p.AttemptTimeout != 25*time.Millisecond {
-		t.Fatalf("unexpected defaults %+v", p)
-	}
-	one := RetryPolicy{MaxAttempts: 1}.normalize()
-	if one.MaxAttempts != 1 {
-		t.Fatalf("MaxAttempts=1 must disable retries, got %+v", one)
 	}
 }

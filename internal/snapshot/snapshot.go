@@ -53,21 +53,12 @@ type Snapshottable interface {
 	MakeSnapshot() (*Snapshot, error)
 	// RestoreSnapshot re-populates the object (over its *current* place
 	// group and partitioning, which may differ from the snapshot's) from
-	// the saved state.
+	// the saved state. A fragment whose storage survived the preceding
+	// Remake at the same place (its Retained flag) is kept when it
+	// validates against the snapshot digest; every other fragment is
+	// loaded from the store. With no retained state, on a regrid or a
+	// group mismatch, everything is loaded.
 	RestoreSnapshot(s *Snapshot) error
-}
-
-// PartialRestorer is implemented by Snapshottable objects that can
-// restore only the fragments their current owner lost: a fragment whose
-// storage survived the preceding Remake at the same place (its Retained
-// flag) is kept when it validates against the snapshot digest, and every
-// other fragment is loaded from the store. Implementations must load
-// everything whenever partial restoration is not applicable (regrid,
-// group mismatch, no retained state). RestoreSnapshot, by contrast,
-// never trusts survivor state.
-type PartialRestorer interface {
-	Snapshottable
-	RestoreSnapshotPartial(s *Snapshot) error
 }
 
 // ErrDataLost reports that an entry's surviving redundancy is below what
@@ -86,50 +77,18 @@ var ErrNotFound = errors.New("snapshot: no entry for key")
 // replica is recoverable just like a failed place.
 var ErrCorrupt = errors.New("snapshot: entry failed integrity check")
 
-// Options tunes snapshot behaviour.
-type Options struct {
-	// Policy overrides the runtime's store-wide redundancy policy
-	// (apgas.Config.Store) for this snapshot. The zero value inherits the
-	// runtime's policy, falling back to the paper-faithful replicate k=2.
-	// A policy wider than the place group is clamped with a trace event.
-	Policy apgas.StorePolicy
-	// Retry tunes the bounded retry applied to backup (replica) puts when
-	// the runtime's fault injector reports a transient write failure. The
-	// zero value means the defaults (see RetryPolicy).
-	Retry RetryPolicy
-}
-
-// RetryPolicy bounds how hard the snapshot layer tries to land a backup
-// replica under transient-failure injection. A put that still fails after
-// MaxAttempts degrades gracefully to an owner-only entry (counted as
-// snapshot.replicas.dropped) rather than failing the checkpoint: double
-// storage is an availability optimisation, and a missing backup only
-// matters if the owner also dies before the next checkpoint.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of put attempts, including the
-	// first. 0 means the default (4); 1 disables retries.
-	MaxAttempts int
-	// Backoff is the wait before the second attempt, doubling on each
-	// further attempt. 0 means the default (200µs).
-	Backoff time.Duration
-	// AttemptTimeout caps the time budget of any single attempt (its
-	// backoff wait included), keeping a hostile injector from stalling a
-	// checkpoint. 0 means the default (25ms).
-	AttemptTimeout time.Duration
-}
-
-func (p RetryPolicy) normalize() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 4
-	}
-	if p.Backoff <= 0 {
-		p.Backoff = 200 * time.Microsecond
-	}
-	if p.AttemptTimeout <= 0 {
-		p.AttemptTimeout = 25 * time.Millisecond
-	}
-	return p
-}
+// The bounded retry applied to a backup (replica) put when the runtime's
+// fault injector reports a transient write failure: replicaAttempts puts
+// in all, the first retry after replicaBackoff, doubling, each wait capped
+// at replicaAttemptCap so a hostile injector cannot stall a checkpoint. A
+// put that still fails degrades to an owner-only entry (counted as
+// snapshot.replicas.dropped) rather than failing the checkpoint: a missing
+// backup only matters if the owner also dies before the next checkpoint.
+const (
+	replicaAttempts   = 4
+	replicaBackoff    = 200 * time.Microsecond
+	replicaAttemptCap = 25 * time.Millisecond
+)
 
 // entry is one stored value plus its integrity checksum, computed at save
 // time so a corrupted replica is detected at load time and the other copy
@@ -255,9 +214,8 @@ func (ps *placeStore) distinctEntries(seen map[*entry]struct{}) {
 // struct itself, which lives on the immortal place zero alongside the
 // application store.
 type Snapshot struct {
-	rt   *apgas.Runtime
-	pg   apgas.PlaceGroup
-	opts Options
+	rt *apgas.Runtime
+	pg apgas.PlaceGroup
 	// pol is the redundancy policy resolved against pg (defaults applied,
 	// width clamped to the group size).
 	pol policy
@@ -370,7 +328,7 @@ type snapInstr struct {
 	poolMisses  *obs.Counter // snapshot.pool.misses
 	destroys    *obs.Counter // snapshot.destroys
 
-	// Partial restore.
+	// Survivor validation on restore.
 	digests *obs.Counter // snapshot.digests (metadata-only integrity probes)
 
 	// Redundancy degradation and repair.
@@ -431,13 +389,9 @@ func newSnapInstr(reg *obs.Registry) snapInstr {
 	}
 }
 
-// New allocates an empty snapshot whose storage is distributed over pg.
+// New allocates an empty snapshot whose storage is distributed over pg,
+// under the runtime's redundancy policy (apgas.Config.Store).
 func New(rt *apgas.Runtime, pg apgas.PlaceGroup) (*Snapshot, error) {
-	return NewWithOptions(rt, pg, Options{})
-}
-
-// NewWithOptions is New with explicit Options.
-func NewWithOptions(rt *apgas.Runtime, pg apgas.PlaceGroup, opts Options) (*Snapshot, error) {
 	if pg.Size() == 0 {
 		return nil, errors.New("snapshot: empty place group")
 	}
@@ -452,9 +406,7 @@ func NewWithOptions(rt *apgas.Runtime, pg apgas.PlaceGroup, opts Options) (*Snap
 		return nil, fmt.Errorf("snapshot: allocating stores: %w", err)
 	}
 	s.plh = plh
-	opts.Retry = opts.Retry.normalize()
-	s.opts = opts
-	s.pol = resolvePolicy(rt, pg.Size(), opts)
+	s.pol = resolvePolicy(rt, pg.Size())
 	return s, nil
 }
 
@@ -615,23 +567,18 @@ func (s *Snapshot) warmReplica(c *apgas.Ctx, key int, e *entry) {
 // snapshot.replicas.degraded gauge — instead of failing the checkpoint;
 // Repair re-replicates it at the next commit.
 func (s *Snapshot) putReplica(c *apgas.Ctx, key int, e *entry, ownerIdx int) {
-	pol := s.opts.Retry
-	backoff := pol.Backoff
+	backoff := replicaBackoff
 	for attempt := 1; ; attempt++ {
 		if err := s.rt.InjectFault(apgas.FaultPointReplica, c.Here); err == nil {
 			s.plh.Local(c).put(key, e)
 			return
 		}
-		if attempt >= pol.MaxAttempts {
+		if attempt >= replicaAttempts {
 			break
 		}
 		s.instr.retries.Inc()
 		s.rt.Obs().Trace("snapshot.replica.retry", int64(key), int64(attempt))
-		wait := backoff
-		if wait > pol.AttemptTimeout {
-			wait = pol.AttemptTimeout
-		}
-		time.Sleep(wait)
+		time.Sleep(min(backoff, replicaAttemptCap))
 		backoff *= 2
 		// A backup place killed while we were backing off must abort the
 		// task as a place death, not keep writing into a dead store.
@@ -737,7 +684,7 @@ func (s *Snapshot) Load(ctx *apgas.Ctx, key, ownerIdx int) ([]byte, error) {
 
 // Digest returns the save-time CRC-32C checksum and payload size of the
 // entry for key without transferring the payload — a metadata-only probe
-// costing one control message at most. Partial restore uses it to
+// costing one control message at most. RestoreSnapshot uses it to
 // validate a surviving place's in-memory state against the checkpoint:
 // the survivor re-encodes its fragment locally and keeps it only if the
 // digests match. Replica preference and fallback mirror Load.

@@ -9,9 +9,9 @@ import (
 	"github.com/rgml/rgml/internal/codec"
 )
 
-func newRT(t *testing.T, places int) *apgas.Runtime {
+func newRT(t *testing.T, places int, opts ...apgas.Option) *apgas.Runtime {
 	t.Helper()
-	rt, err := apgas.New(apgas.WithPlaces(places), apgas.WithResilient(true))
+	rt, err := apgas.New(append([]apgas.Option{apgas.WithPlaces(places), apgas.WithResilient(true)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,9 +176,9 @@ func TestAdjacentDoubleFailureLosesData(t *testing.T) {
 // TestReplicateK1OwnerDeathIsLoudLoss pins the no-backup ablation's
 // policy: replicate k=1 keeps only the owner's copy.
 func TestReplicateK1OwnerDeathIsLoudLoss(t *testing.T) {
-	rt := newRT(t, 3)
+	rt := newRT(t, 3, apgas.WithStorePolicy(apgas.ReplicateStore(1)))
 	pg := rt.World()
-	s, err := NewWithOptions(rt, pg, Options{Policy: apgas.ReplicateStore(1)})
+	s, err := New(rt, pg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,8 +313,8 @@ func TestDestroyRecyclesEachEntryOnce(t *testing.T) {
 		{apgas.ReplicateStore(2), 4},
 		{apgas.ErasureStore(3, 1), 4 * 4},
 	} {
-		rt := newRT(t, 4)
-		s, err := NewWithOptions(rt, rt.World(), Options{Policy: tc.pol})
+		rt := newRT(t, 4, apgas.WithStorePolicy(tc.pol))
+		s, err := New(rt, rt.World())
 		if err != nil {
 			t.Fatal(err)
 		}

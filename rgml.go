@@ -120,9 +120,9 @@ const (
 	// CompressLossless varint/delta-encodes index arrays and
 	// byte-shuffle+flate-compresses float payloads; round-trips are exact.
 	CompressLossless = codec.CompressLossless
-	// CompressLossy quantizes float payloads relative to a per-object
-	// error bound; every element restores within ±ErrorBound. Objects
-	// opt in per instance (AllowLossyCheckpoint); everything else is
+	// CompressLossy quantizes float payloads to the runtime's error
+	// bound; every element restores within ±ErrorBound. Objects opt in
+	// per instance (AllowLossyCheckpoint); everything else is
 	// downgraded to lossless.
 	CompressLossy = codec.CompressLossy
 )
@@ -139,10 +139,10 @@ func LossyCompression(errorBound float64) CompressionSpec {
 // LosslessCompression returns the lossless spec.
 func LosslessCompression() CompressionSpec { return codec.Spec{Mode: codec.CompressLossless} }
 
-// WithCompression sets the runtime-wide checkpoint compression policy
-// applied when the dist classes serialize snapshot payloads. Individual
-// objects can override it with SetCompression; lossy mode additionally
-// requires the object's AllowLossyCheckpoint opt-in.
+// WithCompression sets the checkpoint compression policy every dist
+// object of the runtime serializes its snapshot payloads with. Lossy mode
+// additionally requires the object's AllowLossyCheckpoint opt-in; an
+// object without it is checkpointed losslessly.
 func WithCompression(spec CompressionSpec) RuntimeOption { return apgas.WithCompression(spec) }
 
 // RuntimeOption configures a runtime built with NewRuntimeWith.
@@ -342,11 +342,6 @@ type (
 	// Snapshottable is implemented by every GML object that supports
 	// snapshot/restore (paper Listing 3).
 	Snapshottable = snapshot.Snapshottable
-	// PartialRestorer marks Snapshottables that can restore only the
-	// state their current owner lost: fragments Remake retained at a
-	// surviving place are kept when they validate against the checkpoint.
-	// Every executor recovery restores through it.
-	PartialRestorer = snapshot.PartialRestorer
 )
 
 // Resilient iterative framework surface (paper section V).
