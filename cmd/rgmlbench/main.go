@@ -60,8 +60,6 @@ func run(args []string) error {
 		ckpt       = fs.Int("ckpt", 0, "checkpoint interval (default 10)")
 		failIter   = fs.Int("fail-iter", 0, "failure iteration for fig5-7 (default 15)")
 		scale      = fs.Float64("scale", 1, "multiplier on the per-place workload sizes")
-		latency    = fs.Duration("latency", 0, "simulated per-message latency (sleep-based; leave 0 on hosts with coarse timers)")
-		bytePeriod = fs.Duration("byte-period", 0, "simulated per-byte transfer time")
 		ledgerWork = fs.Int("ledger-work", bench.DefaultConfig().LedgerWork, "resilient-finish ledger work units per event")
 		metricsDir = fs.String("metrics", "", "directory for per-restore-run JSON metrics exports (empty: none)")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile covering all experiments to this file")
@@ -112,8 +110,6 @@ func run(args []string) error {
 	}
 
 	cfg := bench.DefaultConfig()
-	cfg.Latency = *latency
-	cfg.BytePeriod = *bytePeriod
 	cfg.LedgerWork = *ledgerWork
 	cfg.MetricsDir = *metricsDir
 	mode, err := rf.FinishMode()
@@ -341,7 +337,7 @@ func runExperiment(cfg bench.Config, exp, outDir string) error {
 			return err
 		}
 		return output(outDir, "ablations", func(w io.Writer) error {
-			return bench.WriteAblations(w, rows)
+			return bench.WriteAblations(w, rows, cfg.Scale.Runs)
 		})
 	default:
 		return fmt.Errorf("unknown experiment (want table2, fig2-7, table3, table4, ablations, chaos, all)")

@@ -58,7 +58,6 @@ func run() error {
 		minWorkerTasks = flag.Int("min-worker-tasks", 0, "tcp only: fail unless at least this many registered kernels executed inside worker processes (0: no assertion)")
 		size           = flag.Int("size", 1000, "per-place problem size (examples or nodes)")
 		seed           = flag.Uint64("seed", 42, "dataset seed")
-		latency        = flag.Duration("latency", 0, "simulated per-message latency")
 		metrics        = flag.String("metrics", "", "export the run's metrics registry: \"-\" for text on stdout, else a JSON file path")
 		chaosStr       = flag.String("chaos", "", "chaos schedule driving seed-reproducible fault injection, e.g. \"kill(point=commit,iter=4,place=1)\"")
 		chaosSd        = flag.Uint64("chaos-seed", 1, "chaos engine seed")
@@ -109,7 +108,6 @@ func run() error {
 		apgas.WithResilient(true),
 		apgas.WithFinishMode(finishMode),
 		apgas.WithStorePolicy(pol),
-		apgas.WithNet(apgas.NetModel{Latency: *latency}),
 		apgas.WithObs(reg),
 		apgas.WithKernelWorkers(rf.Workers),
 	}

@@ -32,7 +32,8 @@
 //     refused), matching the paper's assumption that resilient X10 cannot
 //     survive the loss of place zero.
 //
-// A configurable NetModel charges latency and per-byte time for
-// place-to-place messages so that experiments can model cluster
-// interconnects; unit tests run with a zero-cost network.
+// No interconnect is simulated: every place-to-place message is counted
+// (apgas.net.messages, apgas.net.bytes and the per-class
+// apgas.transport.* counters), never slept. The tcp transport backend is
+// the real network.
 package apgas

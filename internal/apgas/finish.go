@@ -224,7 +224,8 @@ func (c *Ctx) AsyncAt(p Place, fn func(ctx *Ctx)) {
 }
 
 // flushForks delivers the activity's buffered forks to the finish's shard
-// as one batched message (one NetModel hop for the whole burst). Every
+// as one batched message (one hop counted in apgas.net.* for the whole
+// burst). Every
 // activity flushes before its own join is sent — the ordering invariant
 // the release protocol relies on — and at the shape's batch size, which
 // is one in central mode. A no-op when nothing is buffered, as on a

@@ -21,11 +21,11 @@ import (
 // in-process on the live objects, by reference. The kernel purity contract
 // makes the two bit-identical.
 //
-// ExecKernel deliberately performs NO hop/NetModel accounting: the call
-// sites that adopt it (dist.MultVec, DupVector.Sync, snapshot replica
-// puts) charge their logical traffic themselves, so apgas-level counters —
-// and with them chaos fingerprints and cross-backend NetModel invariance —
-// are unchanged by where the kernel physically ran. Only transport-level
+// ExecKernel deliberately counts NO hop in apgas.net.*: the call sites
+// that adopt it (dist.MultVec, DupVector.Sync, snapshot replica puts)
+// count their logical traffic themselves, so apgas-level counters — and
+// with them chaos fingerprints and their cross-backend invariance — are
+// unchanged by where the kernel physically ran. Only transport-level
 // wire counters may differ.
 
 // RegisterKernel registers a named kernel in the process-global registry
@@ -257,9 +257,9 @@ func fallbackCause(err error) int64 {
 // with the bytes (optional).
 //
 // Like every Ctx operation it throws DeadPlaceError when the place has
-// died; unlike At/Transfer it charges no hops or bytes — its call sites
-// keep their existing logical accounting, so NetModel numbers and chaos
-// fingerprints are invariant to where the kernel ran.
+// died; unlike At/Transfer it counts no hops or bytes — its call sites
+// keep their existing logical accounting, so the apgas.net.* counts and
+// chaos fingerprints are invariant to where the kernel ran.
 func (c *Ctx) ExecKernel(t *kernel.Task, inputs ...kernel.Input) (*kernel.Result, error) {
 	rt := c.rt
 	rt.placeState(c.Here).checkAlive()

@@ -71,7 +71,7 @@ func ParseFinishMode(s string) (FinishMode, error) {
 
 // forkBatchCap is the sharded fork batch size: an activity's burst of
 // remote spawns is delivered to the home shard in messages of at most this
-// many forks, each charged one NetModel hop.
+// many forks, each counted in apgas.net.* as one hop.
 const forkBatchCap = 32
 
 // ledgerGulp bounds how many queued events one sharded drain processes

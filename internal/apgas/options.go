@@ -24,11 +24,6 @@ func WithResilient(on bool) Option {
 	return func(c *Config) { c.Resilient = on }
 }
 
-// WithNet sets the simulated interconnect model.
-func WithNet(m NetModel) Option {
-	return func(c *Config) { c.Net = m }
-}
-
 // WithFinishMode selects the shape of the resilient-finish ledger:
 // FinishCentral (the default) is the paper-faithful place-zero ledger,
 // FinishSharded the home-based sharded design with a local fast path and
@@ -71,8 +66,9 @@ func WithStorePolicy(sp StorePolicy) Option {
 // WithTransport installs a communication backend (see Config.Transport):
 // all place-crossing traffic and liveness information flows through it.
 // Omitting the option selects the default in-process backend
-// (transport/local) wired to the NetModel, which is bit-identical to the
-// pre-seam runtime. A nil backend is a construction error (wrapping
+// (transport/local), whose places share one process and whose Send does
+// nothing; the apgas.net.* counters record every message either way. A
+// nil backend is a construction error (wrapping
 // ErrBadOption) — callers wanting the default simply omit the option.
 func WithTransport(tp transport.Transport) Option {
 	return func(c *Config) {

@@ -27,8 +27,6 @@ type Config struct {
 	// (matching non-resilient X10, where a crash takes the whole
 	// application down).
 	Resilient bool
-	// Net is the simulated interconnect. The zero value is a free network.
-	Net NetModel
 	// FinishMode selects the shape of the one resilient-finish ledger:
 	// FinishCentral (the default) is the paper-faithful place-zero ledger,
 	// a single shard that sees every fork and join one event at a time;
@@ -49,10 +47,10 @@ type Config struct {
 	// sharded design escapes the bottleneck.
 	LedgerCost func(liveTasks int)
 	// Obs, when non-nil, receives runtime instrumentation: task spawns,
-	// place-crossing messages and bytes, ledger events, observed kills,
-	// simulated network time, and finish latencies. The same registry is
-	// typically shared with the snapshot layer and the executor so one
-	// run exports as a single document. Nil disables instrumentation at
+	// place-crossing messages and bytes, ledger events, observed kills
+	// and finish latencies. The same registry is typically shared with
+	// the snapshot layer and the executor so one run exports as a single
+	// document. Nil disables instrumentation at
 	// the cost of one branch per event.
 	Obs *obs.Registry
 	// Store is the snapshot store's redundancy policy (replication factor
@@ -70,10 +68,11 @@ type Config struct {
 	KernelWorkers int
 	// Transport is the communication backend all place-crossing traffic
 	// and liveness information flows through. Nil selects the default
-	// in-process backend (transport/local) wired to Net's simulated
-	// delay, which is bit-identical to the pre-seam runtime. A non-nil
-	// backend (transport/tcp) owns place bodies: its failure detector
-	// feeds the same dead-place broadcast path used by injected kills.
+	// in-process backend (transport/local), whose Send does nothing: its
+	// places share one process, so the runtime's apgas.net.* counters are
+	// the whole record of a message. A non-nil backend (transport/tcp)
+	// owns place bodies: its failure detector feeds the same dead-place
+	// broadcast path used by injected kills.
 	Transport transport.Transport
 
 	// Compress selects the checkpoint compression policy applied by the
@@ -133,7 +132,6 @@ type rtInstr struct {
 	tasks           *obs.Counter   // apgas.tasks.spawned
 	messages        *obs.Counter   // apgas.net.messages
 	bytes           *obs.Counter   // apgas.net.bytes
-	netTime         *obs.Counter   // apgas.net.simulated_ns
 	ledgerEvents    *obs.Counter   // apgas.ledger.events
 	ledgerQueueFull *obs.Counter   // apgas.ledger.queue_full
 	ledgerLocal     *obs.Counter   // apgas.ledger.local_fast
@@ -168,7 +166,6 @@ func newRTInstr(reg *obs.Registry) rtInstr {
 		tasks:           stat("apgas.tasks.spawned"),
 		messages:        stat("apgas.net.messages"),
 		bytes:           stat("apgas.net.bytes"),
-		netTime:         reg.Counter("apgas.net.simulated_ns"),
 		ledgerEvents:    stat("apgas.ledger.events"),
 		ledgerQueueFull: reg.Counter("apgas.ledger.queue_full"),
 		ledgerLocal:     stat("apgas.ledger.local_fast"),
@@ -221,10 +218,7 @@ func New(opts ...Option) (*Runtime, error) {
 	}
 	rt.tp = cfg.Transport
 	if rt.tp == nil {
-		// Default backend: the in-process emulation, wired to the NetModel
-		// so Send charges exactly what the pre-seam chargeNet did.
-		net := cfg.Net
-		rt.tp = local.New(local.WithDelay(net.delay))
+		rt.tp = local.New()
 	}
 	if err := rt.tp.Start(cfg.Places, transport.Handler{PlaceDead: rt.transportDeath}); err != nil {
 		if rt.shards != nil {
@@ -277,23 +271,10 @@ func (rt *Runtime) hop(from, to Place, class transport.Class, bytes int) {
 		rt.instr.bytes.Add(int64(bytes))
 		rt.instr.classBytes[class].Add(int64(bytes))
 	}
-	rt.charge(from, to, class, bytes)
-}
-
-// charge moves a message through the transport, blocking for its transfer
-// time and accounting it, without counting a message (used for the return
-// leg of an "at", which the stats model treats as part of the same hop).
-func (rt *Runtime) charge(from, to Place, class transport.Class, bytes int) {
-	if from.ID == to.ID {
-		return
-	}
 	// Send errors are not task-visible faults: a failed send to a dying
 	// place is answered by the failure detector feeding transportDeath,
 	// after which the dead-place machinery takes over.
-	d, _ := rt.tp.Send(from.ID, to.ID, class, bytes, nil)
-	if d > 0 {
-		rt.instr.netTime.Add(int64(d))
-	}
+	_, _ = rt.tp.Send(from.ID, to.ID, class, bytes, nil)
 }
 
 // noteRefusedFork accounts a fork refused because its target place was
@@ -310,9 +291,6 @@ func (rt *Runtime) Resilient() bool { return rt.cfg.Resilient }
 // FinishMode returns the resilient-finish bookkeeping architecture the
 // runtime was configured with (meaningful only when Resilient).
 func (rt *Runtime) FinishMode() FinishMode { return rt.cfg.FinishMode }
-
-// Net returns the runtime's network model.
-func (rt *Runtime) Net() NetModel { return rt.cfg.Net }
 
 // Compression returns the runtime-wide checkpoint compression policy
 // (see Config.Compress). The dist layer resolves it per object at
@@ -530,22 +508,22 @@ func (c *Ctx) CheckAlive() {
 	c.rt.placeState(c.Here).checkAlive()
 }
 
-// Transfer charges the network model for moving a payload of the given size
-// from the task's place to place to. GML collective operations call this
-// around bulk data movement so the simulated interconnect sees realistic
-// volumes.
+// Transfer counts one data-class message of the given declared size from
+// the task's place to place to in apgas.net.*. GML collective operations
+// call this around bulk data movement so the counters see realistic
+// volumes; no payload is handed to the transport.
 func (c *Ctx) Transfer(to Place, bytes int) {
 	c.rt.hop(c.Here, to, transport.ClassData, bytes)
 }
 
-// TransferSnapshot charges checkpoint redundancy traffic — a replica or
+// TransferSnapshot counts checkpoint redundancy traffic — a replica or
 // erasure shard written at save or by repair, or fetched by a restore —
 // by its declared size. Like every Send it hands the transport no bytes,
 // and the tcp backend writes none: the process it reaches would discard
 // them (the snapshot's entries live at the coordinator). Where a
 // replica's bytes are worth having in a worker, the save path installs
 // them with a kernel task (Snapshot.warmReplica). The hop, class and byte
-// count are what the NetModel and the apgas counters see, so they are
+// count are what the apgas.net.* counters see, so they are
 // invariant to which wire, if any, carried the payload.
 func (c *Ctx) TransferSnapshot(to Place, bytes int) {
 	c.rt.hop(c.Here, to, transport.ClassSnapshot, bytes)
@@ -565,8 +543,8 @@ func (c *Ctx) At(p Place, fn func(ctx *Ctx)) {
 	// unwinds with a DeadPlaceError (their tasks are already running).
 	defer sub.flushForks()
 	fn(sub)
-	// Returning from "at" is itself a message back to the origin.
-	rt.charge(p, c.Here, transport.ClassTask, 0)
+	// The return leg belongs to the hop counted above; only the target's
+	// liveness is checked again.
 	pl.checkAlive()
 }
 

@@ -439,39 +439,6 @@ func TestLedgerCostHookRuns(t *testing.T) {
 	}
 }
 
-func TestNetModelDelay(t *testing.T) {
-	n := NetModel{Latency: time.Millisecond, BytePeriod: time.Microsecond}
-	if got := n.delay(100); got != time.Millisecond+100*time.Microsecond {
-		t.Errorf("delay = %v", got)
-	}
-	var zero NetModel
-	if zero.delay(1<<20) != 0 {
-		t.Error("zero model should be free")
-	}
-}
-
-func TestNetLatencyIsCharged(t *testing.T) {
-	rt, err := New(
-		WithPlaces(2),
-		WithNet(NetModel{Latency: 20 * time.Millisecond}),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Shutdown()
-	start := time.Now()
-	err = rt.Finish(func(ctx *Ctx) {
-		ctx.At(rt.Place(1), func(*Ctx) {})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// At = request hop + return hop = >= 40ms.
-	if el := time.Since(start); el < 40*time.Millisecond {
-		t.Errorf("elapsed %v, want >= 40ms", el)
-	}
-}
-
 func TestShutdownIdempotent(t *testing.T) {
 	rt, err := New(WithPlaces(2), WithResilient(true))
 	if err != nil {

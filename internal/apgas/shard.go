@@ -23,17 +23,17 @@ import (
 //     Concurrent finishes with different homes no longer serialize
 //     against each other; each shard applies the LedgerCost congestion
 //     model to its own live-task population only.
-//   - Bookkeeping hops are charged from the event's origin to the
+//   - Bookkeeping hops are counted from the event's origin to the
 //     finish's home, not always to place zero. A finish whose activities
-//     all run at its home pays no simulated network at all.
+//     all run at its home sends no bookkeeping message at all.
 //   - Local fast path: tasks spawned at the finish's own home place are
 //     tracked by a counter on the Finish itself (finish.go) and never
 //     become shard events — the classic X10/HPX optimization where only
 //     place-crossing activities pay resilient bookkeeping.
 //   - Batched delivery: an activity's burst of remote forks is coalesced
-//     into one shard message (Ctx.flushForks), charging the NetModel once
-//     per batch, and the shard drains bursts from its channel in gulps,
-//     charging the modeled per-message protocol cost once per gulp.
+//     into one shard message (Ctx.flushForks), counted in apgas.net.*
+//     once per batch, and the shard drains bursts from its channel in
+//     gulps, charging the modeled per-message protocol cost once per gulp.
 //
 // # Ordering and the early-join window
 //
@@ -246,7 +246,7 @@ func newLedgerShard(rt *Runtime, home int) *ledgerShard {
 	return sh
 }
 
-// send charges the network model for the hop to the shard's home place and
+// send counts the hop to the shard's home place in apgas.net.* and
 // enqueues the event, counting (then waiting out) a saturated queue.
 func (sh *ledgerShard) send(ev ledgerEvent) {
 	sh.rt.hop(ev.from, Place{ID: sh.home}, transport.ClassControl, 0)

@@ -2,49 +2,20 @@ package local
 
 import (
 	"testing"
-	"time"
 
 	"github.com/rgml/rgml/internal/apgas/transport"
 )
 
-func TestSendChargesDelay(t *testing.T) {
-	var charged []int
-	tr := New(WithDelay(func(bytes int) time.Duration {
-		charged = append(charged, bytes)
-		return time.Microsecond
-	}))
+func TestZeroValueAndNoOps(t *testing.T) {
+	tr := New()
 	if tr.Name() != "local" {
 		t.Fatalf("Name() = %q", tr.Name())
 	}
 	if err := tr.Start(4, transport.Handler{}); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
-	d, err := tr.Send(0, 1, transport.ClassData, 128, nil)
-	if err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	if d != time.Microsecond {
-		t.Fatalf("Send returned %v, want the charged delay", d)
-	}
-	if len(charged) != 1 || charged[0] != 128 {
-		t.Fatalf("delay consulted with %v, want [128]", charged)
-	}
-}
-
-func TestIntraPlaceSendFree(t *testing.T) {
-	tr := New(WithDelay(func(int) time.Duration {
-		t.Fatal("delay consulted for an intra-place send")
-		return 0
-	}))
-	if d, err := tr.Send(2, 2, transport.ClassTask, 1<<20, nil); err != nil || d != 0 {
-		t.Fatalf("Send(2,2) = %v, %v; want 0, nil", d, err)
-	}
-}
-
-func TestZeroValueAndNoOps(t *testing.T) {
-	tr := New()
 	if d, err := tr.Send(0, 1, transport.ClassControl, 64, nil); err != nil || d != 0 {
-		t.Fatalf("free-network Send = %v, %v; want 0, nil", d, err)
+		t.Fatalf("Send = %v, %v; want 0, nil", d, err)
 	}
 	if err := tr.Kill(1); err != nil {
 		t.Fatalf("Kill: %v", err)

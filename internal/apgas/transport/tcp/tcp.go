@@ -586,8 +586,8 @@ func (t *Transport) placeDead(place int, cause transport.DeathCause) {
 // Send implements transport.Transport. It writes nothing: closure bodies
 // run at the coordinator, so a logical hop between places has no bytes a
 // worker could use, and bytes a worker keeps travel in kernel tasks
-// (Exec). The runtime accounts the hop above Send (apgas.net.*, the
-// NetModel, kill fingerprints). Send only checks the contract: a non-nil
+// (Exec). The hop is counted in apgas.net.* above Send, where kill
+// fingerprints are also taken. Send only checks the contract: a non-nil
 // payload is an error, and so is a closed transport or a hop whose
 // non-coordinator endpoint has no live body.
 func (t *Transport) Send(from, to int, class transport.Class, size int, payload []byte) (time.Duration, error) {

@@ -18,10 +18,9 @@
 // Two backends implement the seam:
 //
 //   - transport/local is the default in-process emulation: every place
-//     lives in the one OS process, Send charges the configured simulated
-//     delay, and no external failures exist. It is bit-identical to the
-//     pre-seam runtime: same NetModel accounting, same deterministic chaos
-//     kill fingerprints.
+//     lives in the one OS process, Send does nothing, and no external
+//     failures exist. Messages are counted in apgas.net.* above the seam,
+//     and chaos kill fingerprints stay deterministic.
 //
 //   - transport/tcp runs one place per OS process: place zero is the
 //     coordinator, every other place is paired with a worker process
@@ -45,8 +44,8 @@ import (
 type Class uint8
 
 const (
-	// ClassTask is task-control traffic: spawns (AsyncAt), synchronous
-	// at-hops and their return legs.
+	// ClassTask is task-control traffic: spawns (AsyncAt) and synchronous
+	// at-hops, one message each (an At's return leg sends nothing).
 	ClassTask Class = iota
 	// ClassControl is resilient-finish bookkeeping traffic: fork/join/wait
 	// events bound for a ledger shard.
@@ -137,10 +136,12 @@ type Transport interface {
 	Start(places int, h Handler) error
 
 	// Send moves one message of the given class from place from to place
-	// to, blocking the caller for the transfer's duration, and returns
-	// that duration (simulated for the local backend; zero for tcp, which
-	// puts nothing on the wire because closure bodies run at the
-	// coordinator). size declares the payload volume for accounting.
+	// to. The runtime has already counted it in apgas.net.*; neither
+	// in-tree backend sleeps or writes for it (tcp puts nothing on the
+	// wire because closure bodies run at the coordinator), so both return
+	// a zero duration. The duration result stays only for the benchmark's
+	// tracing decorator, which times the call. size declares the payload
+	// volume for accounting.
 	// The runtime always passes a nil payload: every message is a
 	// footprint, and bytes a worker should keep travel in kernel tasks
 	// (Executor). The parameter remains for implementations outside this

@@ -101,6 +101,7 @@ func TestTransportSeamTrafficAndLifecycle(t *testing.T) {
 			c.Transfer(rt.Place(2), 512)
 			c.TransferSnapshot(rt.Place(2), 4)
 		})
+		ctx.At(rt.Place(2), func(*apgas.Ctx) {})
 	})
 	if err != nil {
 		t.Fatalf("Finish: %v", err)
@@ -118,7 +119,13 @@ func TestTransportSeamTrafficAndLifecycle(t *testing.T) {
 			sawPayload = true
 		}
 	}
+	sends := len(ft.sends)
 	ft.mu.Unlock()
+	// Every Send is a message the runtime counted: nothing crosses the
+	// seam uncounted, not even the return leg of an At.
+	if got := reg.Counter("apgas.net.messages").Value(); int64(sends) != got {
+		t.Fatalf("%d sends crossed the seam, apgas.net.messages = %d", sends, got)
+	}
 	if byClass[transport.ClassTask] == 0 {
 		t.Fatal("no ClassTask traffic crossed the seam")
 	}

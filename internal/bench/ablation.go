@@ -35,17 +35,12 @@ type AblationRow struct {
 //     places with a recalculated grid vs the survivor-keeping same-grid
 //     restore every shrink recovery runs — the section IV-B2
 //     overlap-and-count cost behind Table IV's rebalance column.
+//
+// Each row is the median of Scale.Runs measurements. Every run measures
+// all variants in table order, so the variants of one experiment run back
+// to back and host drift hits each of them alike.
 func (c Config) Ablations() ([]AblationRow, error) {
 	places := c.Scale.PlaceCounts[len(c.Scale.PlaceCounts)-1]
-	var rows []AblationRow
-	add := func(exp, variant string, d time.Duration, err error) error {
-		if err != nil {
-			return fmt.Errorf("bench: ablation %s/%s: %w", exp, variant, err)
-		}
-		rows = append(rows, AblationRow{Experiment: exp, Variant: variant, MS: float64(d.Microseconds()) / 1000})
-		c.progressf("ablation %s/%s: %.2f ms", exp, variant, float64(d.Microseconds())/1000)
-		return nil
-	}
 
 	// --- ledger-cost ---
 	fanout := func(resilient bool, work int, mode apgas.FinishMode) (time.Duration, error) {
@@ -65,30 +60,6 @@ func (c Config) Ablations() ([]AblationRow, error) {
 			}
 		}
 		return time.Since(start) / rounds, nil
-	}
-	d, err := fanout(false, 0, apgas.FinishCentral)
-	if err := add("ledger-cost", "non-resilient", d, err); err != nil {
-		return nil, err
-	}
-	d, err = fanout(true, 0, apgas.FinishCentral)
-	if err := add("ledger-cost", "resilient/free-bookkeeping", d, err); err != nil {
-		return nil, err
-	}
-	d, err = fanout(true, c.LedgerWork, apgas.FinishCentral)
-	if err := add("ledger-cost", "resilient/congested-ledger", d, err); err != nil {
-		return nil, err
-	}
-	// The sharded variants isolate what home-based bookkeeping buys at the
-	// same modeled congestion: batched delivery amortizes the per-event
-	// cost, so the congested sharded row should sit near the free one
-	// instead of climbing with it.
-	d, err = fanout(true, 0, apgas.FinishSharded)
-	if err := add("ledger-cost", "resilient/sharded-free", d, err); err != nil {
-		return nil, err
-	}
-	d, err = fanout(true, c.LedgerWork, apgas.FinishSharded)
-	if err := add("ledger-cost", "resilient/sharded-congested", d, err); err != nil {
-		return nil, err
 	}
 
 	// --- backup-copy ---
@@ -124,14 +95,6 @@ func (c Config) Ablations() ([]AblationRow, error) {
 		elapsed := time.Since(start)
 		s.Destroy()
 		return elapsed, err
-	}
-	d, err = saveVec(true)
-	if err := add("backup-copy", "double-storage", d, err); err != nil {
-		return nil, err
-	}
-	d, err = saveVec(false)
-	if err := add("backup-copy", "local-only", d, err); err != nil {
-		return nil, err
 	}
 
 	// --- read-only ---
@@ -171,14 +134,6 @@ func (c Config) Ablations() ([]AblationRow, error) {
 		}
 		return time.Since(start) / 3, nil
 	}
-	d, err = checkpoint3(true)
-	if err := add("read-only", "saveReadOnly×3", d, err); err != nil {
-		return nil, err
-	}
-	d, err = checkpoint3(false)
-	if err := add("read-only", "save×3", d, err); err != nil {
-		return nil, err
-	}
 
 	// --- regrid-sparse ---
 	restoreSparse := func(regrid bool) (time.Duration, error) {
@@ -214,21 +169,49 @@ func (c Config) Ablations() ([]AblationRow, error) {
 		}
 		return time.Since(start), nil
 	}
-	d, err = restoreSparse(false)
-	if err := add("regrid-sparse", "same-grid", d, err); err != nil {
-		return nil, err
-	}
-	d, err = restoreSparse(true)
-	if err := add("regrid-sparse", "re-grid", d, err); err != nil {
-		return nil, err
-	}
 
+	variants := []struct {
+		experiment, variant string
+		measure             func() (time.Duration, error)
+	}{
+		{"ledger-cost", "non-resilient", func() (time.Duration, error) { return fanout(false, 0, apgas.FinishCentral) }},
+		{"ledger-cost", "resilient/free-bookkeeping", func() (time.Duration, error) { return fanout(true, 0, apgas.FinishCentral) }},
+		{"ledger-cost", "resilient/congested-ledger", func() (time.Duration, error) { return fanout(true, c.LedgerWork, apgas.FinishCentral) }},
+		// The sharded variants isolate what home-based bookkeeping buys at
+		// the same modeled congestion: batched delivery amortizes the
+		// per-event cost, so the congested sharded row should sit near the
+		// free one instead of climbing with it.
+		{"ledger-cost", "resilient/sharded-free", func() (time.Duration, error) { return fanout(true, 0, apgas.FinishSharded) }},
+		{"ledger-cost", "resilient/sharded-congested", func() (time.Duration, error) { return fanout(true, c.LedgerWork, apgas.FinishSharded) }},
+		{"backup-copy", "double-storage", func() (time.Duration, error) { return saveVec(true) }},
+		{"backup-copy", "local-only", func() (time.Duration, error) { return saveVec(false) }},
+		{"read-only", "saveReadOnly×3", func() (time.Duration, error) { return checkpoint3(true) }},
+		{"read-only", "save×3", func() (time.Duration, error) { return checkpoint3(false) }},
+		{"regrid-sparse", "same-grid", func() (time.Duration, error) { return restoreSparse(false) }},
+		{"regrid-sparse", "re-grid", func() (time.Duration, error) { return restoreSparse(true) }},
+	}
+	samples := make([][]float64, len(variants))
+	for run := 0; run < c.Scale.Runs; run++ {
+		for i, v := range variants {
+			d, err := v.measure()
+			if err != nil {
+				return nil, fmt.Errorf("bench: ablation %s/%s: %w", v.experiment, v.variant, err)
+			}
+			samples[i] = append(samples[i], float64(d.Microseconds())/1000)
+		}
+	}
+	rows := make([]AblationRow, len(variants))
+	for i, v := range variants {
+		rows[i] = AblationRow{Experiment: v.experiment, Variant: v.variant, MS: median(samples[i])}
+		c.progressf("ablation %s/%s: %.2f ms (median of %d)", v.experiment, v.variant, rows[i].MS, c.Scale.Runs)
+	}
 	return rows, nil
 }
 
-// WriteAblations renders the ablation measurements.
-func WriteAblations(w io.Writer, rows []AblationRow) error {
-	fmt.Fprintln(w, "# ablations: design-choice costs (DESIGN.md section 9)")
+// WriteAblations renders the ablation measurements, each the median of
+// runs interleaved runs.
+func WriteAblations(w io.Writer, rows []AblationRow, runs int) error {
+	fmt.Fprintf(w, "# ablations: design-choice costs (DESIGN.md section 9), median of %d interleaved runs\n", runs)
 	fmt.Fprintln(w, "experiment\tvariant\tms")
 	for _, r := range rows {
 		if _, err := fmt.Fprintf(w, "%s\t%s\t%.3f\n", r.Experiment, r.Variant, r.MS); err != nil {

@@ -9,6 +9,7 @@ import (
 func TestAblationsSmoke(t *testing.T) {
 	c := smokeConfig()
 	c.LedgerWork = 10
+	c.Scale.Runs = 2
 	rows, err := c.Ablations()
 	if err != nil {
 		t.Fatal(err)
@@ -30,10 +31,13 @@ func TestAblationsSmoke(t *testing.T) {
 		t.Log("warning: re-grid measured cheaper than same-grid (noise at smoke scale)")
 	}
 	var buf bytes.Buffer
-	if err := WriteAblations(&buf, rows); err != nil {
+	if err := WriteAblations(&buf, rows, c.Scale.Runs); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "ledger-cost") {
 		t.Error("render missing experiment names")
+	}
+	if !strings.Contains(buf.String(), "median of 2 interleaved runs") {
+		t.Error("render missing the run count")
 	}
 }

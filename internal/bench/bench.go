@@ -100,13 +100,6 @@ func SmokeScale() Scale {
 // Config drives the harness.
 type Config struct {
 	Scale Scale
-	// Latency and BytePeriod parameterize the simulated interconnect.
-	// They default to zero: this host's sleep granularity (~1 ms) is far
-	// coarser than a cluster fabric, so injecting sleep-based latency
-	// would distort rather than model it. All modeled costs are real CPU
-	// work instead (bookkeeping, serialization, copies).
-	Latency    time.Duration
-	BytePeriod time.Duration
 	// LedgerWork scales the busy work the place-zero ledger performs per
 	// bookkeeping event. The work grows with the ledger's live-task count
 	// (per-finish, per-place transit state upkeep — the congestion that
@@ -187,7 +180,6 @@ func (c Config) newRuntime(places int, resilient bool, reg *obs.Registry) (*apga
 		apgas.WithResilient(resilient),
 		apgas.WithFinishMode(c.FinishMode),
 		apgas.WithStorePolicy(c.Store),
-		apgas.WithNet(apgas.NetModel{Latency: c.Latency, BytePeriod: c.BytePeriod}),
 		apgas.WithObs(reg),
 	}
 	if !c.Compress.IsZero() {

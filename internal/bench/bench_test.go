@@ -8,8 +8,7 @@ import (
 	"github.com/rgml/rgml/internal/codec"
 )
 
-// smokeConfig is a fast harness configuration for tests (no simulated
-// latency, tiny workloads).
+// smokeConfig is a fast harness configuration for tests (tiny workloads).
 func smokeConfig() Config {
 	return Config{Scale: SmokeScale()}
 }

@@ -4,8 +4,8 @@
 // snapshot metadata stay directly seekable. The Encoder folds the CRC-32C
 // over whatever bytes are actually emitted, so with a compressor attached
 // the integrity checksum covers the *compressed* frames end-to-end —
-// replica placement, Reed-Solomon sharding and the NetModel byte charges
-// all operate on compressed sizes with no further plumbing.
+// replica placement, Reed-Solomon sharding and the byte counts in
+// apgas.net.* all operate on compressed sizes with no further plumbing.
 //
 // Three modes:
 //

@@ -22,7 +22,7 @@ type dupKind[T any] interface {
 	clone(T) T
 	// copyInto overwrites dst with src and returns dst.
 	copyInto(dst, src T) T
-	// bytes is the payload size charged to the network model.
+	// bytes is the payload size counted in apgas.net.bytes.
 	bytes(T) int
 	// encodedSize is the payload's uncompressed checkpoint size.
 	encodedSize(T) int
@@ -135,7 +135,7 @@ func (d *dup[T]) sync(recv func(*apgas.Ctx, T)) error {
 // remaining indices along a binomial halving: each round peels off the
 // upper half of the list and hands it to that half's first index, whose
 // async relays the half in parallel with the sender's next peels. Every
-// edge charges the network model for one full payload, and the critical
+// edge counts one full payload in apgas.net.*, and the critical
 // path is O(log n) sends. Sync broadcasts over the whole group;
 // RestoreSnapshot over just the places that lost the checkpointed value.
 func (d *dup[T]) bcast(c *apgas.Ctx, idxs []int, src T, recv func(*apgas.Ctx, T)) {

@@ -31,7 +31,7 @@ type dupSubject struct {
 }
 
 // dupClass builds one Dup class over pg. bytes is the payload size every
-// relay edge charges to the network model.
+// relay edge counts in apgas.net.bytes.
 type dupClass struct {
 	name  string
 	bytes int
@@ -250,7 +250,7 @@ func TestDupCore(t *testing.T) {
 }
 
 // TestDupNetworkAccounting pins what Sync and the partial-restore
-// re-broadcast cost the network model at group sizes 1–9, for every Dup
+// re-broadcast count in apgas.net.* at group sizes 1–9, for every Dup
 // class: messages, payload bytes, spawned tasks and ledger events, and
 // the forced worker-cache puts. Sync warms every receiving worker's cache
 // for DupVector (the vector the multvec kernel reads); the restore

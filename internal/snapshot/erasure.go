@@ -14,8 +14,8 @@ import (
 // place failures are survivable at (d+p)/d storage overhead instead of
 // the k-fold overhead of replication. Shard encode/reconstruct run
 // through the internal/par engine (inside the codec), and every shard
-// that crosses a place boundary is charged against the NetModel exactly
-// like a replica put.
+// that crosses a place boundary is counted in apgas.net.* exactly like a
+// replica put.
 
 // saveErasure shards data and places the shards across the entry's slot
 // set. The owner's shard is stored locally; the d+p-1 remote shards are
@@ -65,7 +65,7 @@ func (s *Snapshot) saveErasure(ctx *apgas.Ctx, key int, data []byte, sum uint32,
 // loadErasure gathers the surviving shards of key's slot set in parallel
 // (one async fetch per live holder under a nested finish), reconstructs
 // any missing data shards, and reassembles the payload. Remote shard
-// fetches are charged against the NetModel at fetch time, mirroring
+// fetches are counted in apgas.net.* at fetch time, mirroring
 // Load's byte accounting. The reassembled payload is verified against
 // the save-time full-payload CRC, so a bad reconstruction can never be
 // returned silently.

@@ -43,8 +43,8 @@ import (
 // nothing new to heal costs no walk.
 //
 // Repair reads peer stores directly (the emulation's shared memory) to
-// census holders, but every payload shipped to a new holder is charged
-// against the NetModel from the donor's place and lands through the same
+// census holders, but every payload shipped to a new holder is counted
+// in apgas.net.* from the donor's place and lands through the same
 // fault-injected put path as a checkpoint replica. It must not run
 // concurrently with other operations on the snapshot.
 func (s *Snapshot) Repair(group apgas.PlaceGroup) (int, error) {
@@ -329,7 +329,7 @@ func (s *Snapshot) shipShards(key, ownerIdx, donor int, es []*entry, dests []int
 
 // ship runs one finish in which the donor slot's place sends entryFor(gi)
 // to each slot gi of dests, counting each put in puts. Every payload is
-// charged to the network model and lands through the same fault-injected
+// counted in apgas.net.* and lands through the same fault-injected
 // put as a checkpoint replica.
 func (s *Snapshot) ship(key, ownerIdx, donor int, dests []int, entryFor func(gi int) *entry, puts *obs.Counter) error {
 	return s.rt.Finish(func(ctx *apgas.Ctx) {

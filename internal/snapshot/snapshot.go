@@ -505,9 +505,9 @@ func (s *Snapshot) SaveEncoded(ctx *apgas.Ctx, key int, encode func() *codec.Enc
 // save places e locally and asynchronously at the k-1 replica places. The
 // replica puts overlap the saver's remaining work (encoding of its next
 // block); the enclosing finish waits for them, so the checkpoint's
-// completion still implies every replica is in place. The network model
-// is charged identically to synchronous puts: one payload transfer per
-// replica place.
+// completion still implies every replica is in place. apgas.net.* counts
+// them identically to synchronous puts: one payload transfer per replica
+// place.
 func (s *Snapshot) save(ctx *apgas.Ctx, key int, e *entry) {
 	idx := s.pg.IndexOf(ctx.Here)
 	if idx < 0 {
@@ -524,9 +524,9 @@ func (s *Snapshot) save(ctx *apgas.Ctx, key int, e *entry) {
 		// Where the replica place has a worker body the payload rides a
 		// forced kernel put into it (warmReplica), so the spawn message
 		// carries no bytes; where it has none there is no wire to carry
-		// them over. TransferSnapshot charges the full declared size
-		// against the snapshot class either way, so NetModel numbers do
-		// not depend on the backend.
+		// them over. TransferSnapshot counts the full declared size in
+		// apgas.net.* against the snapshot class either way, so those
+		// counts do not depend on the backend.
 		ctx.TransferSnapshot(next, len(e.data))
 		ctx.AsyncAt(next, func(c *apgas.Ctx) {
 			s.warmReplica(c, key, e)
@@ -596,16 +596,15 @@ func (s *Snapshot) putReplica(c *apgas.Ctx, key int, e *entry, ownerIdx int) {
 // replicas at the following slots (plus any repair-time extra holders)
 // when the owner has failed; under erasure it gathers surviving shards
 // from the slot set and reconstructs (see loadErasure). Reading a remote
-// replica charges the network model for the payload. Integrity
+// replica counts the payload in apgas.net.*. Integrity
 // verification is memoized per replica, so re-loading an
 // already-verified entry (e.g. many new blocks reading one old block
 // during a regrid restore) does not re-hash it.
 //
 // Byte accounting (snapshot.load.bytes): a remote replica is counted at
-// fetch time, alongside the NetModel Transfer charge — its payload
-// crossed the network before it could be verified, so a replica that
-// then fails CRC still cost its bytes and the obs counter agrees with
-// the simulated network time. A local replica involves no transfer and
+// fetch time, alongside the Transfer counted in apgas.net.* — its
+// payload crossed the network before it could be verified, so a replica
+// that then fails CRC still cost its bytes and the two counters agree. A local replica involves no transfer and
 // is counted only when it is actually returned.
 func (s *Snapshot) Load(ctx *apgas.Ctx, key, ownerIdx int) ([]byte, error) {
 	if ownerIdx < 0 || ownerIdx >= s.pg.Size() {

@@ -49,8 +49,6 @@ type (
 	PlaceGroup = apgas.PlaceGroup
 	// Ctx is a task's execution context.
 	Ctx = apgas.Ctx
-	// NetModel charges simulated interconnect time.
-	NetModel = apgas.NetModel
 	// DeadPlaceError reports a failed place (x10.lang.DeadPlaceException).
 	DeadPlaceError = apgas.DeadPlaceError
 	// FinishMode selects the resilient-finish bookkeeping architecture.
@@ -162,9 +160,6 @@ func WithPlaces(n int) RuntimeOption { return apgas.WithPlaces(n) }
 // WithResilient selects resilient finish semantics (required for failure
 // injection, and therefore for chaos schedules).
 func WithResilient(on bool) RuntimeOption { return apgas.WithResilient(on) }
-
-// WithNet sets the simulated interconnect model.
-func WithNet(m NetModel) RuntimeOption { return apgas.WithNet(m) }
 
 // WithFinishMode selects the resilient-finish bookkeeping architecture:
 // FinishCentral (the default) or FinishSharded. Both modes have identical
