@@ -439,6 +439,34 @@ func TestLedgerCostHookRuns(t *testing.T) {
 	}
 }
 
+// TestAtCountsOneHop pins what an At costs: one place-crossing message
+// of no payload for the request leg, none for the return leg, and nothing
+// at all when the target is the caller's own place.
+func TestAtCountsOneHop(t *testing.T) {
+	rt := newTestRuntime(t, 2, false)
+	before := rt.Stats()
+	err := rt.Finish(func(ctx *Ctx) {
+		ctx.At(ctx.Here, func(*Ctx) {})
+		_ = Eval(ctx, ctx.Here, func(*Ctx) int { return 1 })
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := rt.Stats().Sub(before); d.Messages != 0 || d.Bytes != 0 {
+		t.Fatalf("At to the caller's own place counted: %+v", d)
+	}
+	before = rt.Stats()
+	err = rt.Finish(func(ctx *Ctx) {
+		ctx.At(rt.Place(1), func(*Ctx) {})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := rt.Stats().Sub(before); d.Messages != 1 || d.Bytes != 0 {
+		t.Fatalf("remote At counted %d messages, %d bytes; want 1, 0", d.Messages, d.Bytes)
+	}
+}
+
 func TestShutdownIdempotent(t *testing.T) {
 	rt, err := New(WithPlaces(2), WithResilient(true))
 	if err != nil {

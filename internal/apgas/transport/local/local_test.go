@@ -27,3 +27,12 @@ func TestZeroValueAndNoOps(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 }
+
+func TestIntraPlaceSendFree(t *testing.T) {
+	tr := New()
+	for c := 0; c < transport.NumClasses; c++ {
+		if d, err := tr.Send(2, 2, transport.Class(c), 1<<20, nil); err != nil || d != 0 {
+			t.Fatalf("Send(2,2,%v) = %v, %v; want 0, nil", transport.Class(c), d, err)
+		}
+	}
+}

@@ -181,6 +181,93 @@ func TestTransportSeamTrafficAndLifecycle(t *testing.T) {
 	}
 }
 
+// TestAtSendsOnlyTheRequestLeg checks what reaches the seam for At and
+// Eval: one payload-free task-class Send from the caller to the target,
+// nothing for the return leg, and nothing for an At to the caller's own
+// place.
+func TestAtSendsOnlyTheRequestLeg(t *testing.T) {
+	ft := &fakeTransport{}
+	reg := obs.NewRegistry()
+	rt, err := apgas.New(apgas.WithPlaces(3), apgas.WithTransport(ft), apgas.WithObs(reg))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer rt.Shutdown()
+	err = rt.Finish(func(ctx *apgas.Ctx) {
+		ctx.At(rt.Place(1), func(c *apgas.Ctx) {
+			c.At(c.Here, func(*apgas.Ctx) {})
+		})
+		if v := apgas.Eval(ctx, rt.Place(2), func(*apgas.Ctx) int { return 7 }); v != 7 {
+			t.Errorf("Eval = %d, want 7", v)
+		}
+	})
+	if err != nil {
+		t.Fatalf("Finish: %v", err)
+	}
+	ft.mu.Lock()
+	sends := append([]fakeSend(nil), ft.sends...)
+	ft.mu.Unlock()
+	want := []fakeSend{
+		{from: 0, to: 1, class: transport.ClassTask},
+		{from: 0, to: 2, class: transport.ClassTask},
+	}
+	if len(sends) != len(want) {
+		t.Fatalf("sends = %+v, want %+v", sends, want)
+	}
+	for i, s := range sends {
+		if s.from != want[i].from || s.to != want[i].to || s.class != want[i].class || s.size != 0 || s.payload != nil {
+			t.Fatalf("send %d = %+v, want %+v", i, s, want[i])
+		}
+	}
+	if got := reg.Counter("apgas.transport.task.messages").Value(); got != 2 {
+		t.Fatalf("apgas.transport.task.messages = %d, want 2", got)
+	}
+}
+
+// failingSend is a fakeTransport whose every Send fails, like a tcp
+// backend whose peer has gone but is not yet declared dead.
+type failingSend struct{ fakeTransport }
+
+func (f *failingSend) Send(from, to int, class transport.Class, size int, payload []byte) (time.Duration, error) {
+	f.fakeTransport.Send(from, to, class, size, payload)
+	return 0, errors.New("send failed")
+}
+
+// TestSendErrorsAreNotTaskVisible checks that a failing Send neither
+// fails the task that caused it nor goes uncounted: deaths reach tasks
+// only through the failure detector's PlaceDead report.
+func TestSendErrorsAreNotTaskVisible(t *testing.T) {
+	ft := &failingSend{}
+	reg := obs.NewRegistry()
+	rt, err := apgas.New(apgas.WithPlaces(2), apgas.WithResilient(true), apgas.WithTransport(ft), apgas.WithObs(reg))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer rt.Shutdown()
+	ran := false
+	err = rt.Finish(func(ctx *apgas.Ctx) {
+		ctx.At(rt.Place(1), func(c *apgas.Ctx) {
+			c.Transfer(rt.Place(0), 256)
+			ran = true
+		})
+	})
+	if err != nil || !ran {
+		t.Fatalf("Finish = %v, At body ran %v; want nil, true", err, ran)
+	}
+	if got := reg.Counter("apgas.net.bytes").Value(); got != 256 {
+		t.Fatalf("apgas.net.bytes = %d, want 256", got)
+	}
+	ft.mu.Lock()
+	sends := len(ft.sends)
+	ft.mu.Unlock()
+	if got := reg.Counter("apgas.net.messages").Value(); int64(sends) != got || got == 0 {
+		t.Fatalf("%d failed sends, apgas.net.messages = %d; want equal and nonzero", sends, got)
+	}
+	if rt.IsDead(rt.Place(1)) {
+		t.Fatal("a failed Send marked its target dead")
+	}
+}
+
 // TestTransportDeathFeedsBroadcastPath injects detector-style death
 // reports and verifies they ride the same dead-place machinery as kills:
 // IsDead flips, orphan tasks observe DeadPlaceError, stats are counted
