@@ -28,10 +28,17 @@ race:
 	$(GO) test -race -count=2 ./...
 
 # The failure detector's latency bound, no-false-positive and
-# flapping-suppression properties under virtual time (asynctimerchan=0 is
-# required by synctest until the go directive passes 1.23).
+# flapping-suppression properties, and the tcp backend's fault classes
+# over in-process bodies (stalled worker, truncated frame, abrupt close,
+# late hello, dying standby), under virtual time (asynctimerchan=0 is
+# required by synctest until the go directive passes 1.23). The -list
+# check fails the target if a rename leaves the -run pattern matching
+# fewer tests than the 11 it is meant to run.
+SYNCTEST = GOEXPERIMENT=synctest GODEBUG=asynctimerchan=0
 race-synctest:
-	GOEXPERIMENT=synctest GODEBUG=asynctimerchan=0 $(GO) test -race -run 'Synctest' ./internal/apgas/transport/
+	@n=$$($(SYNCTEST) $(GO) test -list '^TestSynctest' ./internal/apgas/transport/... | grep -c '^TestSynctest'); \
+	if [ "$$n" -ne 11 ]; then echo "race-synctest: $$n of the 11 tests found"; exit 1; fi
+	$(SYNCTEST) $(GO) test -race -run '^TestSynctest' ./internal/apgas/transport/...
 
 # The resilient-finish ledger's kill-versus-spawn races, repeated under
 # the race detector: the refused-fork tests 2000 times, the shard's

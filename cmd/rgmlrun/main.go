@@ -13,9 +13,7 @@
 //
 // With -transport tcp every place is a separate OS process; -kill-proc-iter
 // kills a worker process outright (SIGKILL, no administrative shutdown) and
-// lets the heartbeat failure detector discover the death. A worker can also
-// be started explicitly with -serve-place for externally managed process
-// groups.
+// lets the heartbeat failure detector discover the death.
 package main
 
 import (
@@ -62,19 +60,8 @@ func run() error {
 		chaosStr       = flag.String("chaos", "", "chaos schedule driving seed-reproducible fault injection, e.g. \"kill(point=commit,iter=4,place=1)\"")
 		chaosSd        = flag.Uint64("chaos-seed", 1, "chaos engine seed")
 		timeout        = flag.Duration("timeout", 0, "cancel the run after this long (0: no bound)")
-
-		servePlace = flag.Bool("serve-place", false, "run as an explicit tcp transport worker: join -join as place -place-id and block")
-		joinAddr   = flag.String("join", "", "coordinator address for -serve-place")
-		placeID    = flag.Int("place-id", -1, "place to serve for -serve-place")
 	)
 	flag.Parse()
-
-	if *servePlace {
-		if *joinAddr == "" || *placeID < 0 {
-			return fmt.Errorf("-serve-place needs -join <addr> and -place-id <k>")
-		}
-		return tcp.ServeWorker(*joinAddr, *placeID, rf.HBInterval, rf.HBTimeout)
-	}
 
 	mode, err := cliflags.ParseRestoreMode(*modeName)
 	if err != nil {

@@ -392,8 +392,8 @@ func (rt *Runtime) AddPlaces(n int) (PlaceGroup, error) {
 	if down {
 		return nil, ErrShutdown
 	}
-	// The backend must be able to conjure bodies for the new places before
-	// the runtime advertises them (externally-joined transports cannot).
+	// The backend must have given the new places bodies before the
+	// runtime advertises them (a tcp spawn can fail or time out).
 	if err := rt.tp.Grow(n); err != nil {
 		return nil, fmt.Errorf("apgas: AddPlaces(%d): transport %q: %w", n, rt.tp.Name(), err)
 	}

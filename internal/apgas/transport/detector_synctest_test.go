@@ -15,7 +15,7 @@ import (
 //	GOEXPERIMENT=synctest GODEBUG=asynctimerchan=0 \
 //	    go test -run Synctest ./internal/apgas/transport/
 //
-// (the Makefile's race-transport leg includes it; asynctimerchan=0 is
+// (make race-synctest runs it; asynctimerchan=0 is
 // needed because the module's go directive predates the new timer
 // semantics synctest requires).
 

@@ -378,71 +378,3 @@ func TestWorkersAndStoresDoNotLeak(t *testing.T) {
 		t.Fatalf("transport keeps %d standbys after Shutdown, want 0", got)
 	}
 }
-
-// TestStalledWorkerSurfacesAsConnLost plays the SIGSTOPped worker with a
-// full socket buffer: a peer that joins, keeps heartbeating, and never
-// reads. The write deadline turns the blocked Exec into an error within
-// the detector timeout, the place is reported dead exactly once, as a
-// connection loss, and Send to it fails from then on.
-func TestStalledWorkerSurfacesAsConnLost(t *testing.T) {
-	const timeout = 300 * time.Millisecond
-	tr := tcp.New(tcp.WithExternalWorkers(), tcp.WithHeartbeat(10*time.Millisecond, timeout))
-	type death struct {
-		place int
-		cause transport.DeathCause
-	}
-	deaths := make(chan death, 4)
-	started := make(chan error, 1)
-	go func() {
-		started <- tr.Start(2, transport.Handler{
-			PlaceDead: func(p int, c transport.DeathCause) { deaths <- death{p, c} },
-		})
-	}()
-	for deadline := time.Now().Add(5 * time.Second); tr.Addr() == ""; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("coordinator never started listening")
-		}
-	}
-	stall, err := tcp.DialStalledWorker(tr.Addr(), 1, 10*time.Millisecond)
-	if err != nil {
-		t.Fatalf("stalled worker: %v", err)
-	}
-	defer stall()
-	if err := <-started; err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	defer tr.Close()
-
-	// Fill the socket buffers with TASK frames carrying 4 MiB puts until a
-	// write would block: the call must fail, and within a few timeouts.
-	payload := make([]byte, 4<<20)
-	start := time.Now()
-	for {
-		_, err := tr.Exec(&kernel.Task{Name: kernel.PutName, Place: 1, Puts: []kernel.Blob{{Handle: 1, Data: payload}}})
-		if err != nil {
-			break
-		}
-		if time.Since(start) > 10*timeout {
-			t.Fatal("calls keep succeeding against a peer that never reads")
-		}
-	}
-	if took := time.Since(start); took > 10*timeout {
-		t.Fatalf("call failed only after %v", took)
-	}
-	select {
-	case d := <-deaths:
-		if d.place != 1 || d.cause != transport.CauseConn {
-			t.Fatalf("death report %+v, want place 1 by connection loss", d)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("stalled place never reported dead")
-	}
-	if _, err := tr.Send(0, 1, transport.ClassSnapshot, len(payload), nil); err == nil {
-		t.Fatal("Send to the stalled place succeeded after its death")
-	}
-	select {
-	case d := <-deaths:
-		t.Fatalf("duplicate death report: %+v", d)
-	case <-time.After(2 * timeout):
-	}
-}

@@ -1,9 +1,9 @@
 package tcp
 
 import (
+	"errors"
 	"fmt"
 	"net"
-	"os"
 	"time"
 )
 
@@ -12,40 +12,6 @@ func (t *Transport) WorkerRecords() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.workers)
-}
-
-// DialStalledWorker joins the coordinator at addr as the given place and
-// then behaves like a stopped process behind a full socket buffer: it
-// keeps heartbeating (so only the write deadline can find it) and never
-// reads. The returned function hangs up.
-func DialStalledWorker(addr string, place int, interval time.Duration) (hangUp func(), err error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	fc := newFrameConn(conn, time.Minute)
-	if _, err := fc.write(&frame{Type: fHello, From: int32(place), Ver: wireVersion}); err != nil {
-		fc.close()
-		return nil, err
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				if _, err := fc.write(&frame{Type: fHeartbeat, From: int32(place)}); err != nil {
-					return
-				}
-			}
-		}
-	}()
-	return func() { close(stop); <-done; fc.close() }, nil
 }
 
 // Standbys returns how many standby bodies the transport keeps (0 or 1).
@@ -58,24 +24,69 @@ func (t *Transport) Standbys() int {
 	return 0
 }
 
-// AwaitStandby waits up to timeout for a standby that has completed its
-// hello, and returns its place id and process.
-func (t *Transport) AwaitStandby(timeout time.Duration) (int, *os.Process, error) {
-	for deadline := time.Now().Add(timeout); ; time.Sleep(time.Millisecond) {
-		t.mu.Lock()
-		var (
-			place int
-			proc  *os.Process
-		)
-		if sb := t.standby; sb != nil && sb.fc != nil {
-			place, proc = sb.place, sb.proc
-		}
-		t.mu.Unlock()
-		if proc != nil {
-			return place, proc, nil
-		}
-		if time.Now().After(deadline) {
-			return 0, nil, fmt.Errorf("no standby joined within %v", timeout)
-		}
+// AwaitStandby waits up to timeout for the standby to complete its hello,
+// and returns its place id and a function that kills it without a word
+// to the coordinator and returns once the body has been reaped.
+func (t *Transport) AwaitStandby(timeout time.Duration) (place int, kill func() error, err error) {
+	t.mu.Lock()
+	sb := t.standby
+	t.mu.Unlock()
+	if sb == nil {
+		return 0, nil, errors.New("no standby")
 	}
+	select {
+	case <-sb.ready:
+	case <-sb.exited:
+		return 0, nil, fmt.Errorf("the standby for place %d ended before it joined", sb.place)
+	case <-time.After(timeout):
+		return 0, nil, fmt.Errorf("no standby joined within %v", timeout)
+	}
+	// ready is closed after sb.kill was set, so the read needs no lock.
+	return sb.place, func() error {
+		err := sb.kill()
+		<-sb.exited
+		return err
+	}, nil
+}
+
+// NewInProcess builds a transport whose place bodies run in this process
+// (see pipeSpawner). A non-nil body runs in place of serve.
+func NewInProcess(body func(conn net.Conn, place int) error, opts ...Option) *Transport {
+	t := New(opts...)
+	t.sp = pipeSpawner{body: body}
+	return t
+}
+
+// pipeSpawner is the in-process spawner: a place's body is serve, or the
+// test's stand-in for it, on one end of a net.Pipe whose other end goes
+// to admit as a dialled-in connection does. Its kill closes the body's
+// end without a word, which is what a SIGKILL does to a socket; the body
+// is reaped when it returns.
+type pipeSpawner struct {
+	body func(conn net.Conn, place int) error
+}
+
+func (pipeSpawner) listen(*Transport) error { return nil }
+func (pipeSpawner) close()                  {}
+
+func (s pipeSpawner) spawn(t *Transport, p int, exited func()) (kill, error) {
+	conn := t.dialPipe()
+	go func() {
+		defer exited()
+		defer conn.Close()
+		if s.body != nil {
+			s.body(conn, p)
+		} else {
+			serve(conn, p, t.interval, t.timeout)
+		}
+	}()
+	return conn.Close, nil
+}
+
+// dialPipe hands one end of a fresh net.Pipe to admit, as the listener
+// hands over a dialled-in connection, and returns the other end.
+func (t *Transport) dialPipe() net.Conn {
+	coord, body := net.Pipe()
+	t.join(coord)
+	return body
 }

@@ -3,13 +3,13 @@
 // frames (wire.go).
 //
 // Topology: place zero is the coordinator — the process that constructed
-// the runtime. It listens, and every other place is embodied by a worker
-// process holding one connection to it. Workers are either self-spawned
-// (the default: the coordinator re-executes its own binary with the
-// RGML_TCP_WORKER environment set, and tcp.MaybeWorker at the top of main
-// turns that invocation into a worker; see worker.go) or externally
-// joined (`rgmlrun -serve-place` dials in, and the coordinator waits for
-// all expected places before starting).
+// the runtime. Every other place is embodied by a worker process holding
+// one connection to it, and there is one way to get one: the coordinator
+// re-executes its own binary with the RGML_TCP_WORKER environment set,
+// tcp.MaybeWorker at the top of main turns that invocation into a worker,
+// and the worker dials the coordinator's loopback listener (worker.go).
+// Starting, killing and reaping a body sit behind the spawner seam
+// (spawn.go); tests swap in bodies that run in-process over net.Pipe.
 //
 // Data plane: workers compute. Go cannot serialize closures, but named
 // registered kernels (apgas.RegisterKernel + internal/apgas/kernel)
@@ -31,7 +31,7 @@
 // that the hop's endpoint has a live body. DESIGN.md §14 spells out this
 // boundary.
 //
-// Process start stays off the recovery path: a self-spawning backend
+// Process start stays off the recovery path: the backend
 // keeps one standby worker, started and handshaken but not yet a place,
 // and Grow adopts it as the first new place (see Grow).
 //
@@ -54,17 +54,15 @@
 package tcp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net"
-	"os"
-	"os/exec"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"github.com/rgml/rgml/internal/apgas/kernel"
@@ -78,15 +76,13 @@ const workerEnv = "RGML_TCP_WORKER"
 
 // Transport is the coordinator side of the multi-process backend.
 type Transport struct {
-	addr     string
 	interval time.Duration
 	timeout  time.Duration
-	external int // expected externally-joined workers (0 = self-spawn)
 	reg      *obs.Registry
+	sp       spawner
 
 	handler  transport.Handler
 	detector *transport.Detector
-	ln       net.Listener
 
 	mu      sync.Mutex
 	started bool
@@ -95,13 +91,13 @@ type Transport struct {
 	// workers holds the live (or still joining) place bodies by place ID;
 	// place 0 has none, and a dead place's record is deleted (forget).
 	workers map[int]*worker
-	// standby is the body spawned ahead of time for place id places
-	// (self-spawn mode only, nil while there is none). It is not a place:
+	// standby is the body spawned ahead of time for place id places (nil
+	// while there is none). It is not a place:
 	// it is kept out of workers, the detector does not watch it, and its
 	// death is reported to no one, until Grow adopts it.
 	standby *worker
 
-	wg sync.WaitGroup // acceptor + per-connection readers
+	wg sync.WaitGroup // acceptor, handshakes, per-connection readers
 
 	// In-flight kernel dispatches awaiting fResult frames, keyed by Seq.
 	// Failing a pending entry (worker death, shutdown) sends nil.
@@ -120,11 +116,13 @@ type pendingTask struct {
 
 // worker is the coordinator's record of one remote place body.
 type worker struct {
-	place  int
-	fc     *frameConn    // nil until the hello handshake
-	proc   *os.Process   // nil for externally-joined workers
-	ready  chan struct{} // closed by admit once fc is set
-	exited chan struct{} // closed once a spawned process has been reaped
+	place int
+	fc    *frameConn // nil until the hello handshake
+	kill  kill       // nil until the spawner has started the body
+	// ready is closed once the body has both joined (fc) and a kill,
+	// by whichever of admit and spawnWorker sets the second.
+	ready  chan struct{}
+	exited chan struct{} // closed once the body has been reaped, or its spawn failed
 }
 
 func newWorker(place int) *worker {
@@ -149,15 +147,6 @@ type tcpInstr struct {
 // Option configures the backend.
 type Option func(*Transport)
 
-// WithAddr sets the coordinator's listen address. The default,
-// "127.0.0.1:0", binds an ephemeral loopback port — right for
-// self-spawned workers, which learn the real address from their
-// environment. Externally-joined deployments need a fixed address the
-// workers can be pointed at.
-func WithAddr(addr string) Option {
-	return func(t *Transport) { t.addr = addr }
-}
-
 // WithHeartbeat sets the failure detector's beat interval and
 // declare-dead timeout. Non-positive values keep the defaults
 // (transport.DefaultHeartbeatInterval / transport.DefaultHeartbeatTimeout).
@@ -166,14 +155,6 @@ func WithHeartbeat(interval, timeout time.Duration) Option {
 		t.interval = interval
 		t.timeout = timeout
 	}
-}
-
-// WithExternalWorkers switches the backend to external-join mode: instead
-// of self-spawning worker processes, Start blocks until places 1..places-1
-// have dialed in (each a separate `rgmlrun -serve-place` invocation).
-// Grow is unavailable in this mode.
-func WithExternalWorkers() Option {
-	return func(t *Transport) { t.external = 1 }
 }
 
 // WithObs wires the backend's wire-level instrumentation into reg.
@@ -185,11 +166,11 @@ func WithObs(reg *obs.Registry) Option {
 // transport.Transport.Start.
 func New(opts ...Option) *Transport {
 	t := &Transport{
-		addr:     "127.0.0.1:0",
 		interval: transport.DefaultHeartbeatInterval,
 		timeout:  transport.DefaultHeartbeatTimeout,
 		workers:  make(map[int]*worker),
 		pending:  make(map[uint64]*pendingTask),
+		sp:       &procSpawner{},
 	}
 	for _, o := range opts {
 		if o != nil {
@@ -202,21 +183,8 @@ func New(opts ...Option) *Transport {
 // Name implements transport.Transport.
 func (t *Transport) Name() string { return "tcp" }
 
-// Addr returns the coordinator's actual listen address (useful with the
-// ephemeral default). Empty before Start.
-func (t *Transport) Addr() string {
-	t.mu.Lock()
-	ln := t.ln
-	t.mu.Unlock()
-	if ln == nil {
-		return ""
-	}
-	return ln.Addr().String()
-}
-
-// Start implements transport.Transport: listen, bring up one worker body
-// per non-zero place (spawning or awaiting joins), and start the failure
-// detector.
+// Start implements transport.Transport: ready the spawner, bring up one
+// worker body per non-zero place, and start the failure detector.
 func (t *Transport) Start(places int, h transport.Handler) error {
 	t.mu.Lock()
 	if t.started {
@@ -242,23 +210,17 @@ func (t *Transport) Start(places int, h transport.Handler) error {
 		lost:          t.reg.Counter("transport.tcp.standby.lost"),
 	}
 
-	ln, err := net.Listen("tcp", t.addr)
-	if err != nil {
-		return fmt.Errorf("tcp: listen %s: %w", t.addr, err)
-	}
-	t.mu.Lock()
-	t.ln = ln
-	t.mu.Unlock()
-
+	// The detector exists before any body can join: admit reads its
+	// timeout.
 	t.detector = transport.NewDetector(t.interval, t.timeout, t.placeDead)
-
-	t.wg.Add(1)
-	go t.acceptLoop()
+	if err := t.sp.listen(t); err != nil {
+		return err
+	}
 
 	// Wait for every expected place to complete its HELLO handshake, so
 	// the runtime never sees a place whose body is not yet reachable.
 	if err := t.bringUp(1, places); err != nil {
-		ln.Close()
+		t.sp.close()
 		return err
 	}
 	t.detector.Start()
@@ -266,9 +228,9 @@ func (t *Transport) Start(places int, h transport.Handler) error {
 	return nil
 }
 
-// bringUp registers places lo..hi-1 as expected, spawns their worker
-// processes (unless they join externally) and waits, bounded by
-// joinTimeout, until each has completed its hello handshake.
+// bringUp registers places lo..hi-1 as expected, spawns their bodies and
+// waits, bounded by joinTimeout, until each has completed its hello
+// handshake.
 func (t *Transport) bringUp(lo, hi int) error {
 	expected := make([]*worker, 0, hi-lo)
 	t.mu.Lock()
@@ -278,11 +240,9 @@ func (t *Transport) bringUp(lo, hi int) error {
 		expected = append(expected, w)
 	}
 	t.mu.Unlock()
-	if t.external == 0 {
-		for _, w := range expected {
-			if err := t.spawnWorker(w); err != nil {
-				return err
-			}
+	for _, w := range expected {
+		if err := t.spawnWorker(w); err != nil {
+			return err
 		}
 	}
 	timeout := time.NewTimer(joinTimeout(hi - lo))
@@ -306,12 +266,11 @@ func joinTimeout(places int) time.Duration {
 }
 
 // spawnStandby starts, in the background, a standby body for the next
-// place id, unless workers join externally, the backend is closed, or a
-// standby exists already.
+// place id, unless the backend is closed or a standby exists already.
 func (t *Transport) spawnStandby() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.external != 0 || t.closed || t.standby != nil {
+	if t.closed || t.standby != nil {
 		return
 	}
 	w := newWorker(t.places)
@@ -330,7 +289,7 @@ func (t *Transport) spawnStandby() {
 
 // dropStandby forgets w if it is still the standby: it was never a place,
 // so its loss is counted (transport.tcp.standby.lost) and reported to no
-// one. Its connection is cut and its process killed.
+// one. Its connection is cut and its body killed.
 func (t *Transport) dropStandby(w *worker) {
 	t.mu.Lock()
 	if t.standby != w {
@@ -338,65 +297,57 @@ func (t *Transport) dropStandby(w *worker) {
 		return
 	}
 	t.standby = nil
-	fc, proc := w.fc, w.proc
 	t.mu.Unlock()
 	t.instr.lost.Inc()
 	t.reg.Trace("tcp.standby.lost", int64(w.place), 0)
+	t.destroy(w)
+}
+
+// destroy cuts w's connection and kills its body, whichever of the two
+// exist yet. A kill set after this look is spawnWorker's to use: w is
+// no longer a place or the standby.
+func (t *Transport) destroy(w *worker) {
+	t.mu.Lock()
+	fc, kill := w.fc, w.kill
+	t.mu.Unlock()
 	if fc != nil {
 		fc.close()
 	}
-	if proc != nil {
-		proc.Kill()
+	if kill != nil {
+		kill()
 	}
 }
 
-// spawnWorker re-executes the current binary as the body of w's place.
-// The child's RGML_TCP_WORKER environment routes it into MaybeWorker
-// before any of its own main logic runs.
+// spawnWorker has the spawner start the body of w's place. A body whose
+// record was forgotten or dropped — or whose backend closed — while it
+// started is killed at once. A standby that ends before adoption is
+// dropped when it is reaped, before a Grow waiting to adopt it wakes.
 func (t *Transport) spawnWorker(w *worker) error {
-	p := w.place
-	exe, err := os.Executable()
-	if err != nil {
-		return fmt.Errorf("tcp: resolve own executable: %w", err)
-	}
-	spec := fmt.Sprintf("%s|%d|%d|%d", t.ln.Addr().String(), p, int64(t.interval), int64(t.timeout))
-	cmd := exec.Command(exe)
-	cmd.Env = append(os.Environ(), workerEnv+"="+spec)
-	cmd.Stdout = os.Stderr // worker noise must not corrupt coordinator stdout
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return fmt.Errorf("tcp: spawn worker for place %d: %w", p, err)
-	}
-	t.mu.Lock()
-	w.proc = cmd.Process
-	closed := t.closed
-	t.mu.Unlock()
-	if closed {
-		// Close ran while the process started and could not see it.
-		cmd.Process.Kill()
-	}
-	// Reap on exit so dead workers never linger as zombies. A standby
-	// that exits before adoption is dropped here, before a Grow waiting
-	// to adopt it wakes.
-	go func() {
-		cmd.Wait()
+	kill, err := t.sp.spawn(t, w.place, func() {
 		t.dropStandby(w)
 		close(w.exited)
-	}()
+	})
+	if err != nil {
+		return err
+	}
+	t.mu.Lock()
+	w.kill = kill
+	joined := w.fc != nil
+	orphan := t.closed || (t.workers[w.place] != w && t.standby != w)
+	t.mu.Unlock()
+	if joined {
+		close(w.ready)
+	}
+	if orphan {
+		kill()
+	}
 	return nil
 }
 
-// acceptLoop admits worker connections and performs the HELLO handshake.
-func (t *Transport) acceptLoop() {
-	defer t.wg.Done()
-	for {
-		conn, err := t.ln.Accept()
-		if err != nil {
-			return // listener closed: shutdown
-		}
-		t.wg.Add(1)
-		go t.admit(conn)
-	}
+// join hands one body's end of a connection to admit.
+func (t *Transport) join(conn net.Conn) {
+	t.wg.Add(1)
+	go t.admit(conn)
 }
 
 // admit handshakes one inbound connection and, on success, registers the
@@ -432,31 +383,34 @@ func (t *Transport) admit(conn net.Conn) {
 		return
 	}
 	w.fc = fc
+	joined := w.kill != nil
 	if w != t.standby {
 		t.detector.Watch(p) // a standby is watched from adoption on
 	}
 	t.mu.Unlock()
-	close(w.ready)
+	if joined {
+		close(w.ready)
+	}
 	t.wg.Add(1)
 	go t.readLoop(w)
 }
 
-// body snapshots a place's worker handles under the lock: fc and proc
+// body snapshots a place's worker handles under the lock: fc and kill
 // are each assigned once (by admit and spawnWorker, both lock-holding),
 // so a snapshot stays valid, but reading the fields without the lock
 // would race those assignments.
-func (t *Transport) body(place int) (fc *frameConn, proc *os.Process) {
+func (t *Transport) body(place int) (fc *frameConn, kill kill) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if w := t.workers[place]; w != nil {
-		fc, proc = w.fc, w.proc
+		fc, kill = w.fc, w.kill
 	}
-	return fc, proc
+	return fc, kill
 }
 
 // forget deletes a dead place's record, cutting its wire and killing its
-// process (a stopped or wedged worker would otherwise outlive the run's
-// interest in it). The record — frameConn buffers, process handle — is
+// body (a stopped or wedged worker would otherwise outlive the run's
+// interest in it). The record — frameConn buffers, kill — is
 // garbage from here on; a late hello for the place is refused by admit.
 // Idempotent.
 func (t *Transport) forget(place int) {
@@ -464,14 +418,8 @@ func (t *Transport) forget(place int) {
 	w := t.workers[place]
 	delete(t.workers, place)
 	t.mu.Unlock()
-	if w == nil {
-		return
-	}
-	if w.fc != nil {
-		w.fc.close()
-	}
-	if w.proc != nil {
-		w.proc.Kill()
+	if w != nil {
+		t.destroy(w)
 	}
 }
 
@@ -690,14 +638,14 @@ func (t *Transport) Kill(place int) error {
 
 // KillWorkerProcess SIGKILLs the OS process embodying a place WITHOUT
 // telling the detector — simulating a real crash that the heartbeat
-// timeout or connection reset must discover. Only meaningful for
-// self-spawned workers; tests and the tcp-smoke gate use it.
+// timeout or connection reset must discover. Tests, the benchmark and
+// the tcp-smoke gate use it.
 func (t *Transport) KillWorkerProcess(place int) error {
-	_, proc := t.body(place)
-	if proc == nil {
+	_, kill := t.body(place)
+	if kill == nil {
 		return fmt.Errorf("tcp: place %d has no spawned worker process", place)
 	}
-	return proc.Kill()
+	return kill()
 }
 
 // Grow implements transport.Transport: give n new places, numbered
@@ -707,14 +655,10 @@ func (t *Transport) KillWorkerProcess(place int) error {
 // racing its join and falling back to the coordinator. The first new
 // place is the standby, adopted (see adopt); the rest, and the first too
 // if the standby died, are spawned now. A new standby is started in the
-// background before Grow returns. External-join mode cannot conjure
-// processes and returns an error.
+// background before Grow returns.
 func (t *Transport) Grow(n int) error {
 	if n <= 0 {
 		return nil
-	}
-	if t.external != 0 {
-		return errors.New("tcp: cannot grow with externally-joined workers")
 	}
 	t.mu.Lock()
 	if t.closed {
@@ -764,7 +708,7 @@ func (t *Transport) adopt(sb *worker) bool {
 }
 
 // Close implements transport.Transport: stop detection, dismiss workers
-// and the standby, tear down the listener, and reap.
+// and the standby, stop the spawner, and reap.
 func (t *Transport) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -773,16 +717,17 @@ func (t *Transport) Close() error {
 	}
 	t.closed = true
 	type handles struct {
-		place int
-		fc    *frameConn
-		proc  *os.Process
+		place  int
+		fc     *frameConn
+		kill   kill
+		exited chan struct{}
 	}
 	workers := make([]handles, 0, len(t.workers)+1)
 	for _, w := range t.workers {
-		workers = append(workers, handles{w.place, w.fc, w.proc})
+		workers = append(workers, handles{w.place, w.fc, w.kill, w.exited})
 	}
 	if sb := t.standby; sb != nil {
-		workers = append(workers, handles{sb.place, sb.fc, sb.proc})
+		workers = append(workers, handles{sb.place, sb.fc, sb.kill, sb.exited})
 		t.standby = nil
 	}
 	t.mu.Unlock()
@@ -796,23 +741,22 @@ func (t *Transport) Close() error {
 			w.fc.close()
 		}
 	}
-	if t.ln != nil {
-		t.ln.Close()
-	}
-	// Give workers a moment to exit on fBye, then force the stragglers;
-	// one that never joined was sent no fBye.
-	deadline := time.Now().Add(2 * time.Second)
+	t.sp.close()
+	// Give the bodies two seconds in all to exit on fBye, then kill the
+	// stragglers; one that never joined was sent no fBye.
+	grace, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
 	for _, w := range workers {
-		if w.proc == nil {
+		if w.kill == nil {
 			continue
 		}
-		for w.fc != nil && time.Now().Before(deadline) {
-			if err := w.proc.Signal(syscall.Signal(0)); err != nil {
-				break // already gone
+		if w.fc != nil {
+			select {
+			case <-w.exited:
+			case <-grace.Done():
 			}
-			time.Sleep(10 * time.Millisecond)
 		}
-		w.proc.Kill()
+		w.kill()
 	}
 	t.wg.Wait()
 	return nil

@@ -271,17 +271,15 @@ func TestStandbyDeathIsNotAPlaceDeath(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	defer rt.Shutdown()
-	_, proc, err := tr.AwaitStandby(10 * time.Second)
+	_, kill, err := tr.AwaitStandby(10 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := proc.Kill(); err != nil {
+	if err := kill(); err != nil {
 		t.Fatalf("SIGKILL standby: %v", err)
 	}
-	for deadline := time.Now().Add(5 * time.Second); reg.CounterValue("transport.tcp.standby.lost") == 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the standby's death was never noticed")
-		}
+	if got := reg.CounterValue("transport.tcp.standby.lost"); got != 1 {
+		t.Fatalf("standby.lost = %d once the standby was reaped, want 1", got)
 	}
 	if got := tr.Standbys(); got != 0 {
 		t.Fatalf("%d standbys after the standby died, want 0", got)
@@ -309,52 +307,6 @@ func TestStandbyDeathIsNotAPlaceDeath(t *testing.T) {
 	if st := rt.Stats(); st.PlacesFailed != 0 || reg.CounterValue("transport.tcp.deaths") != 0 {
 		t.Fatalf("PlacesFailed %d, transport.tcp.deaths %d after the replacement; want 0, 0",
 			st.PlacesFailed, reg.CounterValue("transport.tcp.deaths"))
-	}
-}
-
-// TestExternalWorkersJoin covers the externally-managed worker mode (the
-// rgmlrun -serve-place path): the coordinator spawns nothing and waits
-// for ServeWorker joins; growth is impossible, and there is no standby,
-// because the transport cannot conjure external processes.
-func TestExternalWorkersJoin(t *testing.T) {
-	tr := tcp.New(fastHeartbeat(), tcp.WithExternalWorkers())
-	started := make(chan error, 1)
-	go func() { started <- tr.Start(3, transport.Handler{}) }()
-	// The listener is up before Start blocks on the join gate.
-	deadline := time.Now().Add(5 * time.Second)
-	for tr.Addr() == "" {
-		if time.Now().After(deadline) {
-			t.Fatal("coordinator never started listening")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	for p := 1; p < 3; p++ {
-		p := p
-		go func() {
-			if err := tcp.ServeWorker(tr.Addr(), p, 10*time.Millisecond, 2*time.Second); err != nil {
-				t.Errorf("ServeWorker(%d): %v", p, err)
-			}
-		}()
-	}
-	select {
-	case err := <-started:
-		if err != nil {
-			t.Fatalf("Start: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Start never returned after workers joined")
-	}
-	defer tr.Close()
-	for p := 1; p < 3; p++ {
-		if _, err := tr.Send(0, p, transport.ClassTask, 0, nil); err != nil {
-			t.Fatalf("Send(0->%d): %v", p, err)
-		}
-	}
-	if err := tr.Grow(1); err == nil {
-		t.Fatal("Grow succeeded in external-workers mode; want error")
-	}
-	if got := tr.Standbys(); got != 0 {
-		t.Fatalf("%d standbys with externally joined workers, want 0", got)
 	}
 }
 

@@ -428,85 +428,130 @@ func TestWriteDeadlineBreaksStalledConnection(t *testing.T) {
 // TestHelloVersionRejected verifies the coordinator refuses a worker
 // speaking a different wire version at the handshake — closing the
 // connection and counting the rejection — instead of admitting a peer it
-// would misdecode later. A version-2 peer's gob hello does not parse as a
-// frame at all and is turned away the same way.
+// would misdecode later. A version-2 peer's gob hello does not even parse
+// as a frame and is turned away the same way. A current-version body
+// joins fine: Start completes with no rejection counted.
 func TestHelloVersionRejected(t *testing.T) {
 	reg := obs.NewRegistry()
-	tr := New(WithExternalWorkers(), WithObs(reg), WithHeartbeat(10*time.Millisecond, 2*time.Second))
-	started := make(chan error, 1)
-	go func() { started <- tr.Start(2, transport.Handler{}) }()
-	deadline := time.Now().Add(5 * time.Second)
-	for tr.Addr() == "" {
-		if time.Now().After(deadline) {
-			t.Fatal("coordinator never started listening")
-		}
-		time.Sleep(time.Millisecond)
+	tr := NewInProcess(nil, WithObs(reg), WithHeartbeat(10*time.Millisecond, 2*time.Second))
+	if err := tr.Start(2, transport.Handler{}); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	defer tr.Close()
+	if got := reg.CounterValue("transport.tcp.hello_rejected"); got != 0 {
+		t.Fatalf("hello_rejected = %d after current-version bodies joined, want 0", got)
 	}
 
-	stale := map[string]func(conn net.Conn) error{
-		"v3 framing, version 2": func(conn net.Conn) error {
-			_, err := newFrameConn(conn, time.Second).write(&frame{Type: fHello, From: 1, Ver: 2})
-			return err
+	// Each stale hello is written whole or until the coordinator hangs up
+	// on it mid-hello (a pipe has no buffer), so its write error is moot.
+	stale := map[string]func(conn net.Conn){
+		"v3 framing, version 2": func(conn net.Conn) {
+			newFrameConn(conn, time.Second).write(&frame{Type: fHello, From: 1, Ver: 2})
 		},
-		"v3 framing, version 3 (tasks without re-keys)": func(conn net.Conn) error {
-			_, err := newFrameConn(conn, time.Second).write(&frame{Type: fHello, From: 1, Ver: 3})
-			return err
+		"v3 framing, version 3 (tasks without re-keys)": func(conn net.Conn) {
+			newFrameConn(conn, time.Second).write(&frame{Type: fHello, From: 1, Ver: 3})
 		},
-		"v4 framing (36-byte header with class and size)": func(conn net.Conn) error {
+		"v4 framing (36-byte header with class and size)": func(conn net.Conn) {
 			b := make([]byte, 4+36)
 			le := binary.LittleEndian
 			le.PutUint32(b[0:], 36)
 			b[4] = byte(fHello)
 			le.PutUint32(b[8:], 1)  // from
 			le.PutUint32(b[16:], 4) // version
-			_, err := conn.Write(b)
-			return err
+			conn.Write(b)
 		},
-		"v2 framing (big-endian length, gob body)": func(conn net.Conn) error {
-			_, err := conn.Write(append([]byte{0, 0, 0, 95}, make([]byte, 95)...))
-			return err
+		"v2 framing (big-endian length, gob body)": func(conn net.Conn) {
+			conn.Write(append([]byte{0, 0, 0, 95}, make([]byte, 95)...))
 		},
 	}
 	rejected := int64(0)
 	for name, hello := range stale {
-		conn, err := net.Dial("tcp", tr.Addr())
-		if err != nil {
-			t.Fatalf("%s: dial: %v", name, err)
-		}
-		if err := hello(conn); err != nil {
-			t.Fatalf("%s: write stale hello: %v", name, err)
-		}
+		conn := tr.dialPipe()
+		hello(conn)
 		var f frame
 		if _, err := newFrameConn(conn, time.Second).read(&f); err == nil {
 			t.Fatalf("%s: coordinator answered a stale hello with a %v frame; want closed connection", name, f.Type)
 		}
 		conn.Close()
+		// admit counts a rejection before it hangs up.
 		rejected++
-		for reg.CounterValue("transport.tcp.hello_rejected") < rejected {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: hello rejection never counted", name)
-			}
-			time.Sleep(time.Millisecond)
+		if got := reg.CounterValue("transport.tcp.hello_rejected"); got != rejected {
+			t.Fatalf("%s: hello_rejected = %d, want %d", name, got, rejected)
 		}
 	}
-
-	// A current-version peer joins fine and completes the expected set.
-	conn2, err := net.Dial("tcp", tr.Addr())
-	if err != nil {
-		t.Fatalf("dial 2: %v", err)
+	if _, err := tr.Send(0, 1, transport.ClassTask, 0, nil); err != nil {
+		t.Fatalf("Send to place 1 after the stale hellos: %v", err)
 	}
-	fc2 := newFrameConn(conn2, time.Second)
-	defer fc2.close()
-	if _, err := fc2.write(&frame{Type: fHello, From: 1, Ver: wireVersion}); err != nil {
-		t.Fatalf("write hello: %v", err)
+}
+
+// stallAt gives every place but p serve, and p the stand-in body of a
+// stopped process behind a full socket buffer: it joins, keeps
+// heartbeating every interval (so only a write deadline can find it) and
+// never reads.
+func stallAt(p int, interval, timeout time.Duration) func(conn net.Conn, place int) error {
+	return func(conn net.Conn, place int) error {
+		if place != p {
+			return serve(conn, place, interval, timeout)
+		}
+		fc := newFrameConn(conn, time.Minute)
+		if _, err := fc.write(&frame{Type: fHello, From: int32(place), Ver: wireVersion}); err != nil {
+			return err
+		}
+		beat := time.NewTicker(interval)
+		defer beat.Stop()
+		for range beat.C {
+			if _, err := fc.write(&frame{Type: fHeartbeat, From: int32(place)}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// TestStalledWorkerSurfacesAsConnLost plays the SIGSTOPped worker with a
+// full socket buffer: a body that joins, keeps heartbeating, and never
+// reads. The write deadline turns the blocked Exec into an error within
+// the detector timeout, the place is reported dead exactly once, as a
+// connection loss, and Send to it fails from then on.
+func TestStalledWorkerSurfacesAsConnLost(t *testing.T) {
+	const interval, timeout = 10 * time.Millisecond, 300 * time.Millisecond
+	tr := NewInProcess(stallAt(1, interval, timeout), WithHeartbeat(interval, timeout))
+	type death struct {
+		place int
+		cause transport.DeathCause
+	}
+	deaths := make(chan death, 4)
+	if err := tr.Start(2, transport.Handler{
+		PlaceDead: func(p int, c transport.DeathCause) { deaths <- death{p, c} },
+	}); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	defer tr.Close()
+
+	// A TASK frame carrying a 4 MiB put blocks on a peer that never
+	// reads: the call must fail, and within a few timeouts.
+	payload := make([]byte, 4<<20)
+	start := time.Now()
+	if _, err := tr.Exec(&kernel.Task{Name: kernel.PutName, Place: 1, Puts: []kernel.Blob{{Handle: 1, Data: payload}}}); err == nil {
+		t.Fatal("a call succeeded against a peer that never reads")
+	}
+	if took := time.Since(start); took > 10*timeout {
+		t.Fatalf("call failed only after %v", took)
 	}
 	select {
-	case err := <-started:
-		if err != nil {
-			t.Fatalf("Start: %v", err)
+	case d := <-deaths:
+		if d.place != 1 || d.cause != transport.CauseConn {
+			t.Fatalf("death report %+v, want place 1 by connection loss", d)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Start never returned after a valid join")
+		t.Fatal("stalled place never reported dead")
 	}
-	tr.Close()
+	if _, err := tr.Send(0, 1, transport.ClassSnapshot, len(payload), nil); err == nil {
+		t.Fatal("Send to the stalled place succeeded after its death")
+	}
+	select {
+	case d := <-deaths:
+		t.Fatalf("duplicate death report: %+v", d)
+	case <-time.After(2 * timeout):
+	}
 }

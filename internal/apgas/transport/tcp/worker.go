@@ -46,29 +46,28 @@ func MaybeWorker() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if err := ServeWorker(addr, place, interval, timeout); err != nil {
+	// A worker that cannot reach the coordinator promptly fails fast and
+	// loudly.
+	conn, err := net.DialTimeout("tcp", addr, max(5*time.Second, timeout))
+	if err != nil {
+		err = fmt.Errorf("tcp: dial coordinator %s: %w", addr, err)
+	} else {
+		err = serve(conn, place, interval, timeout)
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "rgml tcp worker (place %d): %v\n", place, err)
 		os.Exit(1)
 	}
 	os.Exit(0)
 }
 
-// ServeWorker runs the worker protocol for one place against the
-// coordinator at addr: handshake, heartbeat every interval, execute
-// kernel tasks until dismissed. It returns nil on
-// a clean dismissal (fBye, fKill, or coordinator EOF) and an error for
-// anything unexpected. `rgmlrun -serve-place` calls it directly for
-// externally-joined deployments.
-func ServeWorker(addr string, place int, interval, timeout time.Duration) error {
-	if place <= 0 {
-		return fmt.Errorf("tcp: worker place must be positive, got %d", place)
-	}
+// serve runs the worker protocol for one place over conn, its connection
+// to the coordinator: handshake, heartbeat every interval, execute kernel
+// tasks until dismissed. It returns nil on a clean dismissal (fBye,
+// fKill, or coordinator EOF) and an error for anything unexpected.
+func serve(conn net.Conn, place int, interval, timeout time.Duration) error {
 	if interval <= 0 {
 		interval = DefaultDialInterval(timeout)
-	}
-	conn, err := net.DialTimeout("tcp", addr, dialTimeout(timeout))
-	if err != nil {
-		return fmt.Errorf("tcp: dial coordinator %s: %w", addr, err)
 	}
 	if timeout <= 0 {
 		timeout = transport.DefaultHeartbeatTimeout
@@ -166,14 +165,4 @@ func DefaultDialInterval(timeout time.Duration) time.Duration {
 		iv = time.Millisecond
 	}
 	return iv
-}
-
-// dialTimeout bounds the coordinator dial: workers that cannot reach the
-// coordinator promptly should fail fast and loudly.
-func dialTimeout(hbTimeout time.Duration) time.Duration {
-	d := 5 * time.Second
-	if hbTimeout > d {
-		d = hbTimeout
-	}
-	return d
 }

@@ -160,9 +160,9 @@ type Transport interface {
 	Kill(place int) error
 
 	// Grow extends the backend by n new places (elastic growth), numbered
-	// densely after the existing ones. Backends that cannot conjure new
-	// bodies (externally-joined workers) return an error, which
-	// Runtime.AddPlaces surfaces.
+	// densely after the existing ones. A backend that cannot give the new
+	// places bodies (a tcp worker that fails to spawn or to join in time)
+	// returns an error, which Runtime.AddPlaces surfaces.
 	Grow(n int) error
 
 	// Close tears the backend down: stops detectors, closes connections,

@@ -52,14 +52,15 @@ func (c Config) Ablations() ([]AblationRow, error) {
 			return 0, err
 		}
 		defer rt.Shutdown()
-		const rounds = 50
-		start := time.Now()
-		for i := 0; i < rounds; i++ {
+		// At least 50 rounds and 50 ms: 50 rounds of a cheap variant take
+		// ~3 ms, where one scheduler hiccup moves the row by a quarter.
+		start, rounds := time.Now(), 0
+		for ; rounds < 50 || time.Since(start) < 50*time.Millisecond; rounds++ {
 			if err := apgas.ForEachPlace(rt, rt.World(), func(*apgas.Ctx, int) {}); err != nil {
 				return 0, err
 			}
 		}
-		return time.Since(start) / rounds, nil
+		return time.Since(start) / time.Duration(rounds), nil
 	}
 
 	// --- backup-copy ---

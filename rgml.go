@@ -200,13 +200,10 @@ type (
 func WithTransport(tp Transport) RuntimeOption { return apgas.WithTransport(tp) }
 
 // NewTCPTransport returns the multi-process TCP backend: the coordinator
-// listens on a loopback address, spawns (or accepts) one worker process
-// per place, and declares places dead when their heartbeats stop or the
-// connection drops. Pair with WithTransport.
+// spawns one worker process per place, each re-executing the running
+// binary and dialing back over loopback, and declares places dead when
+// their heartbeats stop or the connection drops. Pair with WithTransport.
 func NewTCPTransport(opts ...TCPOption) Transport { return tcp.New(opts...) }
-
-// WithTCPAddr sets the coordinator listen address (default "127.0.0.1:0").
-func WithTCPAddr(addr string) TCPOption { return tcp.WithAddr(addr) }
 
 // WithTCPHeartbeat sets the heartbeat interval and the silence threshold
 // after which a place is declared dead.
@@ -223,13 +220,6 @@ func WithTCPObs(reg *MetricsRegistry) TCPOption { return tcp.WithObs(reg) }
 // runtime over NewTCPTransport, so the backend can re-exec the binary as
 // its worker processes.
 func MaybeTCPWorker() { tcp.MaybeWorker() }
-
-// ServeTCPWorker joins a TCP transport coordinator at addr as the worker
-// body for the given place and blocks until dismissed or killed — the
-// explicit form of the worker side for externally managed processes.
-func ServeTCPWorker(addr string, place int, interval, timeout time.Duration) error {
-	return tcp.ServeWorker(addr, place, interval, timeout)
-}
 
 // IsDeadPlace reports whether err contains a DeadPlaceError.
 func IsDeadPlace(err error) bool { return apgas.IsDeadPlace(err) }
