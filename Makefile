@@ -170,7 +170,10 @@ bench:
 	bash benchmark/run.sh
 
 # The size counts every simplification quotes before and after (ROADMAP's
-# standing constraint). Not part of ci: it checks nothing.
+# standing constraint). Not part of ci: it checks nothing. The test count
+# is of the root module's top-level Test and Fuzz functions as plain
+# `go test -list` sees them: subtests and the files behind the synctest
+# build tag are not counted.
 GO_SRC = find . -name '*.go' ! -path './benchmark/*'
 counts:
 	@printf 'non-test Go lines outside benchmark/: '; $(GO_SRC) ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
@@ -179,3 +182,5 @@ counts:
 	@printf 'exported With* options:               '; $(GO_SRC) ! -name '*_test.go' -print0 | xargs -0 grep -hE '^func With[A-Z]' | wc -l
 	@printf 'registered CLI flags:                 '; find cmd internal/cliflags -name '*.go' ! -name '*_test.go' -print0 | \
 		xargs -0 grep -ohE '\b(fs|flag)\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc|TextVar|Var)(Var)?\(' | wc -l
+	@list=$$($(GO) test -list '.*' ./...) || { echo "$$list"; exit 1; }; \
+		printf 'top-level tests:                      '; echo "$$list" | grep -cE '^(Test|Fuzz)'

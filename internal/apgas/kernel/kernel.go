@@ -55,8 +55,8 @@ type Task struct {
 	// for the ones it does not.
 	Refs []Ref
 	// Puts are store installs applied before the kernel runs: the subset
-	// of Refs the target place did not already hold (plus any
-	// unconditional installs a call site adds itself).
+	// of Refs the target place did not already hold (plus, for the
+	// kernel.put primitive, the installs its caller adds itself).
 	Puts []Blob
 	// Rekeys move entries whose object survived a Remake at this place
 	// from the destroyed handle to its successor. They apply before Drops,
@@ -417,11 +417,12 @@ func runSafe(fn Func, ex *Exec, t *Task) (res *Result, err error) {
 	return fn(ex, t)
 }
 
-// PutName is the built-in cache-install kernel: it has no body of its
+// PutName is the built-in store-install kernel: it has no body of its
 // own — the work is the task's Puts, which Run installs before any
-// kernel executes — but it verifies its refs landed. Call sites use it
-// to push data to a place's body ahead of need (a Sync'd model vector,
-// a checkpoint replica) so later kernels find their inputs cached.
+// kernel executes — but it verifies its refs landed. It is a primitive
+// for measuring and testing the data plane's bulk path; no framework
+// code pushes data ahead of need, since a worker holds only what a
+// kernel named as an input.
 const PutName = "kernel.put"
 
 func init() {

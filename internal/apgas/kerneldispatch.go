@@ -203,8 +203,7 @@ func (k *kernDispatch) takePending(place int) ([]kernel.Rekey, []uint64) {
 // WorkerBody reports whether the task's own place is embodied by a worker
 // process that executes kernels: a data-plane backend, and not place
 // zero, which is the coordinator itself. It is the one fact ExecKernel's
-// two legs are selected by. Cache warms (forced puts that only
-// pre-install bytes in a worker's store) are pointless without one.
+// two legs are selected by.
 func (c *Ctx) WorkerBody() bool { return c.rt.kern.ex != nil && c.Here.ID != 0 }
 
 // Causes of an in-process re-execution, read off the transport's Exec
@@ -232,11 +231,12 @@ func fallbackCause(err error) int64 {
 //
 //   - The place has a worker body: inputs resolve into task refs, only the
 //     blobs the worker's store does not already hold at the declared
-//     version ship, and the kernel runs inside the worker process. Puts
-//     already present on t are unconditional installs: they ship (and
-//     apply) regardless of what the mirror believes, which is how call
-//     sites push content that changed under an unchanged version
-//     (DupVector.Sync republishes the root value without bumping it).
+//     version ship, and the kernel runs inside the worker process. A
+//     worker therefore holds only what some kernel named as an input, and
+//     a caller that changes an input's content must move its version.
+//     Puts already present on t are unconditional installs that ship (and
+//     apply) regardless of what the mirror believes; only the kernel.put
+//     primitive's own benchmark and tests issue them.
 //   - It has none (any place of the local backend, place zero of tcp): the
 //     kernel runs in-process against the place's store, where each input's
 //     live object (Input.Obj) is installed by reference and nothing is

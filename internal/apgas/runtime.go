@@ -519,12 +519,10 @@ func (c *Ctx) Transfer(to Place, bytes int) {
 // TransferSnapshot counts checkpoint redundancy traffic — a replica or
 // erasure shard written at save or by repair, or fetched by a restore —
 // by its declared size. Like every Send it hands the transport no bytes,
-// and the tcp backend writes none: the process it reaches would discard
-// them (the snapshot's entries live at the coordinator). Where a
-// replica's bytes are worth having in a worker, the save path installs
-// them with a kernel task (Snapshot.warmReplica). The hop, class and byte
-// count are what the apgas.net.* counters see, so they are
-// invariant to which wire, if any, carried the payload.
+// and the tcp backend writes none: the snapshot's entries live in the
+// coordinator-side store, and a worker receives bytes only as the input
+// of a kernel that reads them. The hop, class and byte count are what the
+// apgas.net.* counters see, so they are invariant to the backend.
 func (c *Ctx) TransferSnapshot(to Place, bytes int) {
 	c.rt.hop(c.Here, to, transport.ClassSnapshot, bytes)
 }

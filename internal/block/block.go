@@ -125,42 +125,10 @@ func (b *MatrixBlock) At(i, j int) float64 {
 	return b.Sparse.At(i, j)
 }
 
-// MultVecInto accumulates this block's contribution to y = M·x for the
-// whole distributed matrix M: y[Row0:Row0+Rows] += B · x[Col0:Col0+Cols].
-// x is indexed in global column coordinates and yLocal in coordinates
-// local to the place's row range, offset by yOffset.
-func (b *MatrixBlock) MultVecInto(x la.Vector, yLocal la.Vector, yOffset int) {
-	xSeg := x[b.Col0 : b.Col0+b.Cols]
-	ySeg := yLocal[b.Row0-yOffset : b.Row0-yOffset+b.Rows]
-	tmp := la.NewVector(b.Rows)
-	if b.Dense != nil {
-		b.Dense.MultVec(xSeg, tmp)
-	} else {
-		b.Sparse.MultVec(xSeg, tmp)
-	}
-	ySeg.Add(tmp)
-}
-
-// TransMultVecInto accumulates this block's contribution to y = Mᵀ·x:
-// y[Col0:Col0+Cols] += Bᵀ · x[Row0:Row0+Rows]. x is indexed in global row
-// coordinates; yLocal covers the full column dimension (callers reduce the
-// per-place partials afterwards).
-func (b *MatrixBlock) TransMultVecInto(x la.Vector, yLocal la.Vector) {
-	xSeg := x[b.Row0 : b.Row0+b.Rows]
-	ySeg := yLocal[b.Col0 : b.Col0+b.Cols]
-	tmp := la.NewVector(b.Cols)
-	if b.Dense != nil {
-		b.Dense.TransMultVec(xSeg, tmp)
-	} else {
-		b.Sparse.TransMultVec(xSeg, tmp)
-	}
-	ySeg.Add(tmp)
-}
-
 // MultVecAssign computes dst = B · xCols, overwriting dst (length
 // b.Rows), where xCols holds the block's columns of x (x[Col0:Col0+Cols]).
-// Unlike MultVecInto it neither allocates a temporary nor accumulates, so
-// hot iteration paths can reuse per-block scratch vectors across calls.
+// It neither allocates nor accumulates, so hot iteration paths can reuse
+// per-block scratch vectors across calls.
 func (b *MatrixBlock) MultVecAssign(xCols, dst la.Vector) {
 	if b.Dense != nil {
 		b.Dense.MultVec(xCols, dst)
@@ -170,8 +138,8 @@ func (b *MatrixBlock) MultVecAssign(xCols, dst la.Vector) {
 }
 
 // TransMultVecAssign computes dst = Bᵀ · xRows, overwriting dst (length
-// b.Cols), where xRows holds the block's rows of x (x[Row0:Row0+Rows]);
-// the allocation-free counterpart of TransMultVecInto.
+// b.Cols), where xRows holds the block's rows of x (x[Row0:Row0+Rows]),
+// with no allocation.
 func (b *MatrixBlock) TransMultVecAssign(xRows, dst la.Vector) {
 	if b.Dense != nil {
 		b.Dense.TransMultVec(xRows, dst)

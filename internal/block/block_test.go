@@ -67,48 +67,49 @@ func TestBlockCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestMultVecInto(t *testing.T) {
+// TestMultVecAssign checks that MultVecAssign overwrites dst with the
+// block's product over its own columns of x: stale contents of dst do not
+// leak into the result, and a second call gives the same bits rather than
+// twice them.
+func TestMultVecAssign(t *testing.T) {
 	g := testGrid(t)
 	rng := la.NewRNG(1)
 	b := NewDenseBlock(g, 1, 1)
 	copy(b.Dense.Data, la.RandomDense(3, 4, rng).Data)
 
 	x := la.RandomVector(8, rng)
-	// Place owns row range [4, 7); compute block contribution.
-	yLocal := la.NewVector(3)
-	b.MultVecInto(x, yLocal, 4)
 	want := la.NewVector(3)
 	b.Dense.MultVec(x[4:8], want)
-	if !yLocal.EqualApprox(want, 1e-14) {
-		t.Errorf("MultVecInto = %v, want %v", yLocal, want)
+	dst := la.Vector{7, -7, 7}
+	b.MultVecAssign(x[b.Col0:b.Col0+b.Cols], dst)
+	if !dst.EqualApprox(want, 0) {
+		t.Errorf("MultVecAssign = %v, want %v", dst, want)
 	}
-	// Accumulation: calling twice doubles.
-	b.MultVecInto(x, yLocal, 4)
-	if !yLocal.EqualApprox(want.Scale(2), 1e-14) {
-		t.Error("MultVecInto does not accumulate")
+	b.MultVecAssign(x[b.Col0:b.Col0+b.Cols], dst)
+	if !dst.EqualApprox(want, 0) {
+		t.Errorf("second MultVecAssign = %v, want %v (it must not accumulate)", dst, want)
 	}
 }
 
-func TestTransMultVecInto(t *testing.T) {
+// TestTransMultVecAssign is TestMultVecAssign for Bᵀ·x over a sparse
+// block: dst gets exactly the block's columns, overwritten.
+func TestTransMultVecAssign(t *testing.T) {
 	g := testGrid(t)
 	rng := la.NewRNG(2)
 	b := NewSparseBlock(g, 1, 0)
 	b.Sparse = la.RandomSparseCSC(3, 4, 2, rng).ToCSR()
 
 	x := la.RandomVector(10, rng)
-	yLocal := la.NewVector(8)
-	b.TransMultVecInto(x, yLocal)
 	want := la.NewVector(4)
 	b.Sparse.TransMultVec(x[4:7], want)
-	for j := 0; j < 4; j++ {
-		if yLocal[j] != want[j] {
-			t.Fatalf("TransMultVecInto col %d = %v, want %v", j, yLocal[j], want[j])
-		}
+	dst := la.Vector{9, 9, 9, 9}
+	b.TransMultVecAssign(x[b.Row0:b.Row0+b.Rows], dst)
+	if !dst.EqualApprox(want, 0) {
+		t.Errorf("TransMultVecAssign = %v, want %v", dst, want)
 	}
-	for j := 4; j < 8; j++ {
-		if yLocal[j] != 0 {
-			t.Fatal("columns outside block touched")
-		}
+	b.TransMultVecAssign(x[b.Row0:b.Row0+b.Rows], dst)
+	if !dst.EqualApprox(want, 0) {
+		t.Errorf("second TransMultVecAssign = %v, want %v (it must not accumulate)", dst, want)
 	}
 }
 

@@ -45,9 +45,9 @@ type dup[T any] struct {
 	plh  apgas.PlaceLocalHandle[T]
 	// ver is the logical content version for the kernel data plane, which
 	// ships the value to a worker only when the worker does not hold it
-	// at this version: every collective that changes it bumps ver
-	// (MarkDirty for direct Local mutation). Sync republishes the root
-	// value without changing it, so it does not bump.
+	// at this version: every collective that changes the content at any
+	// place bumps ver (MarkDirty for direct Local mutation), Sync
+	// included, so one version names one content at every place.
 	ver uint64
 	// retained[idx] marks a duplicate whose storage survived a Remake at
 	// the same place; RestoreSnapshot validates one survivor against the
@@ -111,12 +111,11 @@ func (d *dup[T]) Root() (T, error) {
 // Sync broadcasts the root copy to every other place of the group (paper
 // Listing 2: P.sync()) along a binomial tree over the group index (see
 // bcast): same total volume as the flat broadcast, O(log P)
-// critical-path sends.
-func (d *dup[T]) Sync() error { return d.sync(nil) }
-
-// sync is Sync with recv run at every receiving place before it relays
-// further (DupVector warms the worker caches with it).
-func (d *dup[T]) sync(recv func(*apgas.Ctx, T)) error {
+// critical-path sends. It bumps the version: a kernel dispatched at a
+// non-root place before Sync may have cached that place's old content
+// under the current one.
+func (d *dup[T]) Sync() error {
+	d.ver++
 	if d.pg.Size() <= 1 {
 		return nil
 	}
@@ -126,7 +125,7 @@ func (d *dup[T]) sync(recv func(*apgas.Ctx, T)) error {
 	}
 	return d.rt.Finish(func(ctx *apgas.Ctx) {
 		ctx.At(d.pg[0], func(root *apgas.Ctx) {
-			d.bcast(root, idxs, d.kind.clone(d.plh.Local(root)), recv)
+			d.bcast(root, idxs, d.kind.clone(d.plh.Local(root)))
 		})
 	})
 }
@@ -138,18 +137,14 @@ func (d *dup[T]) sync(recv func(*apgas.Ctx, T)) error {
 // edge counts one full payload in apgas.net.*, and the critical
 // path is O(log n) sends. Sync broadcasts over the whole group;
 // RestoreSnapshot over just the places that lost the checkpointed value.
-func (d *dup[T]) bcast(c *apgas.Ctx, idxs []int, src T, recv func(*apgas.Ctx, T)) {
+func (d *dup[T]) bcast(c *apgas.Ctx, idxs []int, src T) {
 	for len(idxs) > 1 {
 		h := len(idxs) / 2
 		rest := idxs[len(idxs)-h:]
 		p := d.pg[rest[0]]
 		c.Transfer(p, d.kind.bytes(src))
 		c.AsyncAt(p, func(cc *apgas.Ctx) {
-			local := d.kind.copyInto(d.plh.Local(cc), src)
-			if recv != nil {
-				recv(cc, local)
-			}
-			d.bcast(cc, rest, local, recv)
+			d.bcast(cc, rest, d.kind.copyInto(d.plh.Local(cc), src))
 		})
 		idxs = idxs[:len(idxs)-h]
 	}
@@ -280,7 +275,7 @@ func (d *dup[T]) RestoreSnapshot(s *snapshot.Snapshot) error {
 	d.rt.Obs().Counter("dist.restore.partial.bcast").Add(int64(len(idxs) - 1))
 	return d.rt.Finish(func(ctx *apgas.Ctx) {
 		ctx.At(d.pg[src], func(c *apgas.Ctx) {
-			d.bcast(c, idxs, d.kind.clone(d.plh.Local(c)), nil)
+			d.bcast(c, idxs, d.kind.clone(d.plh.Local(c)))
 		})
 	})
 }

@@ -252,10 +252,10 @@ func TestDupCore(t *testing.T) {
 // TestDupNetworkAccounting pins what Sync and the partial-restore
 // re-broadcast count in apgas.net.* at group sizes 1–9, for every Dup
 // class: messages, payload bytes, spawned tasks and ledger events, and
-// the forced worker-cache puts. Sync warms every receiving worker's cache
-// for DupVector (the vector the multvec kernel reads); the restore
-// re-broadcast warms nothing. The message, task and ledger counts are
-// those of the per-class broadcasts the shared relay replaced.
+// the forced worker-store puts. Neither broadcast puts anything into a
+// worker: a worker gets a duplicate's bytes only as the input of a kernel
+// that reads it. The message, task and ledger counts are those of the
+// per-class broadcasts the shared relay replaced.
 func TestDupNetworkAccounting(t *testing.T) {
 	syncMsgs := []int64{0, 3, 6, 10, 13, 17, 21, 25, 28}
 	syncLedger := []int64{0, 3, 5, 7, 9, 11, 13, 15, 17}
@@ -293,9 +293,6 @@ func TestDupNetworkAccounting(t *testing.T) {
 				p := int64(places)
 				payloads := (p - 1) * int64(class.bytes)
 				wantSync := cost{syncMsgs[p-1], payloads, p - 1, syncLedger[p-1], 0}
-				if class.name == "DupVector" {
-					wantSync.puts = p - 1
-				}
 				if got := measure(sub.obj.Sync); got != wantSync {
 					t.Errorf("Sync cost %+v, want %+v", got, wantSync)
 				}

@@ -14,8 +14,8 @@ import (
 // vectors duplicated so that large distributed operands can consume them
 // without communication; after local updates, Sync re-broadcasts the root
 // copy (paper Listing 2, line 17). Group, Local, MarkDirty, AllApply,
-// Root, Remake and the snapshot methods are the duplicated-object core's
-// (dup).
+// Root, Sync, Remake and the snapshot methods are the duplicated-object
+// core's (dup).
 type DupVector struct {
 	dup[la.Vector]
 	n int
@@ -92,10 +92,6 @@ func (v *DupVector) RootApply(fn func(local la.Vector)) error {
 		})
 	})
 }
-
-// Sync broadcasts the root copy to every other place of the group (see
-// dup.Sync), warming each receiving worker's kernel cache on the way.
-func (v *DupVector) Sync() error { return v.sync(v.warm) }
 
 // vecKind is the DupVector payload: a vector of the given length,
 // checkpointed through saveVector.

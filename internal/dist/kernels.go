@@ -228,25 +228,3 @@ func (m *DistBlockMatrix) matVecKernel(ctx *apgas.Ctx, name string, x kernel.Inp
 	}
 	return nil
 }
-
-// warm force-installs a duplicate's current bytes into the executing
-// place's body through the data plane, so the next kernel referencing it
-// at the current version finds it cached. A forced put (not a versioned
-// input): Sync republishes content under an unchanged version, which a
-// version-checked ship would wrongly skip. Failures are ignored — the
-// warm is a cache optimization, and a worker that missed it gets the
-// bytes re-shipped by the next kernel whose mirror entry is absent.
-func (v *DupVector) warm(c *apgas.Ctx, local la.Vector) {
-	if !c.WorkerBody() {
-		return
-	}
-	data := wireVector(local)
-	t := &kernel.Task{Name: kernel.PutName, Puts: []kernel.Blob{{
-		Handle: v.plh.Handle(),
-		Key:    0,
-		Ver:    v.ver,
-		Data:   data,
-	}}}
-	_, _ = c.ExecKernel(t)
-	codec.PutBuffer(data)
-}

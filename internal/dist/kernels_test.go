@@ -15,6 +15,7 @@ import (
 	"github.com/rgml/rgml/internal/la"
 	"github.com/rgml/rgml/internal/obs"
 	"github.com/rgml/rgml/internal/par"
+	"github.com/rgml/rgml/internal/snapshot"
 )
 
 // execTransport is a minimal in-process transport with a data plane: it
@@ -131,7 +132,7 @@ func multVecOn(t *testing.T, rt *apgas.Runtime, iters int) la.Vector {
 			t.Fatal(err)
 		}
 		// Update x the way the solvers do — at the root, then Sync — so
-		// later iterations exercise the forced-put republish path.
+		// later iterations ship each new version of x to the workers.
 		if err := x.RootApply(func(local la.Vector) {
 			for i := range local {
 				local[i] += 1.0 / float64(it+3)
@@ -254,7 +255,7 @@ func TestMultVecKernelBitIdenticalToReference(t *testing.T) {
 // TestMultVecKernelShipsBlocksOnce pins the mirror economics: the matrix
 // blocks cross the data plane on the first MultVec only; with x unchanged
 // a repeat MultVec ships zero blobs, and after a RootApply+Sync only the
-// one-vector x (as a forced warm put plus nothing else) re-crosses.
+// one-vector x re-crosses, as an input inside the MultVec's own task.
 func TestMultVecKernelShipsBlocksOnce(t *testing.T) {
 	rt, et := newExecRT(t, 2)
 	const rows, cols = 8, 4
@@ -300,9 +301,10 @@ func TestMultVecKernelShipsBlocksOnce(t *testing.T) {
 	}
 	warm := len(shipped)
 
-	// Root update + Sync bumps x across the plane (forced warm puts), but
-	// the blocks — unchanged — must not re-ship: every post-Sync dispatch
-	// carries at most the single x blob.
+	// Root update + Sync moves x to a new version, but the blocks —
+	// unchanged — must not re-ship, and Sync itself dispatches nothing:
+	// the MultVec's own task at the worker place carries exactly the one
+	// x blob.
 	if err := x.RootApply(func(local la.Vector) { local[0] += 1 }); err != nil {
 		t.Fatal(err)
 	}
@@ -313,10 +315,114 @@ func TestMultVecKernelShipsBlocksOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	names, shipped := et.dispatches()
+	if len(names)-warm != first {
+		t.Fatalf("post-Sync MultVec dispatched %v, want %d multvec tasks", names[warm:], first)
+	}
 	for i := warm; i < len(shipped); i++ {
-		if shipped[i] > 1 {
-			t.Fatalf("post-Sync dispatch %d (%s) shipped %d blobs; blocks re-shipped", i, names[i], shipped[i])
+		if names[i] != multVecKernelName || shipped[i] != 1 {
+			t.Fatalf("post-Sync dispatch %d is %s shipping %d blobs, want %s shipping the one x blob", i, names[i], shipped[i], multVecKernelName)
 		}
+	}
+}
+
+// TestSyncMovesTheVersion pins why Sync bumps the version: a kernel that
+// reads x at a non-root place between RootApply and Sync caches that
+// place's stale duplicate under the current version, so a Sync that left
+// the version alone would let the next MultVec compute on the stale copy.
+func TestSyncMovesTheVersion(t *testing.T) {
+	rt, et := newExecRT(t, 2)
+	const rows, cols = 8, 4
+	pg := rt.World()
+	m := makeDenseDBM(t, rt, rows, cols, 2, 1, 2, 1, pg)
+	x, err := MakeDupVector(rt, cols, pg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := x.Init(func(i int) float64 { return float64(i) }); err != nil {
+		t.Fatal(err)
+	}
+	y, err := MakeDistVector(rt, rows, pg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := x.RootApply(func(local la.Vector) { local.Scale(2) }); err != nil {
+		t.Fatal(err)
+	}
+	// A kernel at the worker place reads x now, while its duplicate still
+	// holds the pre-RootApply values.
+	if err := m.MultVec(x, y); err != nil {
+		t.Fatal(err)
+	}
+	dispatched, _ := et.dispatches()
+	if len(dispatched) == 0 {
+		t.Fatal("the pre-Sync MultVec dispatched nothing to the worker place")
+	}
+	if err := x.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.MultVec(x, y); err != nil {
+		t.Fatal(err)
+	}
+	got, err := y.ToVector()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	xs, err := x.Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := grid.New(rows, cols, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := la.NewVector(rows)
+	for rb := 0; rb < g.RowBlocks; rb++ {
+		b := block.NewDenseBlock(g, rb, 0)
+		for j := 0; j < b.Cols; j++ {
+			for i := 0; i < b.Rows; i++ {
+				b.Dense.Set(i, j, denseInit(b.Row0+i, b.Col0+j))
+			}
+		}
+		b.MultVecAssign(xs[b.Col0:b.Col0+b.Cols], want[b.Row0:b.Row0+b.Rows])
+	}
+	if !bitsEqualVec(got, want) {
+		t.Fatalf("MultVec after Sync: y = %v, want %v (the worker kept the pre-Sync x)", got, want)
+	}
+}
+
+// TestMakeSnapshotDispatchesNoKernel pins that a checkpoint ships no
+// bytes into worker bodies: every entry and backup lives in the
+// snapshot's coordinator-side store, which is all a restore reads, so
+// saving a distributed vector, a duplicated vector and a block matrix on
+// a data-plane backend dispatches no kernel task at all.
+func TestMakeSnapshotDispatchesNoKernel(t *testing.T) {
+	rt, et := newExecRT(t, 3)
+	pg := rt.World()
+	dv, err := MakeDistVector(rt, 12, pg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dv.Init(func(i int) float64 { return float64(i) }); err != nil {
+		t.Fatal(err)
+	}
+	xv, err := MakeDupVector(rt, 5, pg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := xv.Init(func(i int) float64 { return float64(i) + 0.5 }); err != nil {
+		t.Fatal(err)
+	}
+	m := makeDenseDBM(t, rt, 9, 4, 3, 1, 3, 1, pg)
+	for _, obj := range []snapshot.Snapshottable{dv, xv, m} {
+		s, err := obj.MakeSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Destroy()
+	}
+	if names, _ := et.dispatches(); len(names) != 0 {
+		t.Fatalf("MakeSnapshot dispatched kernel tasks %v, want none", names)
 	}
 }
 

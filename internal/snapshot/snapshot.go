@@ -40,7 +40,6 @@ import (
 	"time"
 
 	"github.com/rgml/rgml/internal/apgas"
-	"github.com/rgml/rgml/internal/apgas/kernel"
 	"github.com/rgml/rgml/internal/codec"
 	"github.com/rgml/rgml/internal/obs"
 )
@@ -521,41 +520,16 @@ func (s *Snapshot) save(ctx *apgas.Ctx, key int, e *entry) {
 		next := s.pg[s.slotOf(idx, i)]
 		s.instr.replicas.Inc()
 		s.instr.backupBytes.Add(int64(len(e.data)))
-		// Where the replica place has a worker body the payload rides a
-		// forced kernel put into it (warmReplica), so the spawn message
-		// carries no bytes; where it has none there is no wire to carry
-		// them over. TransferSnapshot counts the full declared size in
-		// apgas.net.* against the snapshot class either way, so those
-		// counts do not depend on the backend.
+		// The replica is an entry of the coordinator-side store, which is
+		// all Load, Digest and Repair read: no worker body receives its
+		// bytes. TransferSnapshot counts the full declared size in
+		// apgas.net.* against the snapshot class, so those counts do not
+		// depend on the backend.
 		ctx.TransferSnapshot(next, len(e.data))
 		ctx.AsyncAt(next, func(c *apgas.Ctx) {
-			s.warmReplica(c, key, e)
 			s.putReplica(c, key, e, idx)
 		})
 	}
-}
-
-// warmReplica force-installs a replica's bytes into the executing place's
-// worker body so later kernels (and a future worker-side restore) can
-// reference them without a re-ship. Each Snapshot has its own
-// PlaceLocalHandle — handle IDs are never reused — and each key is written
-// once per snapshot, so a constant version suffices. The bytes go out
-// straight from the snapshot's own pooled
-// buffer, which stays the snapshot's: the worker drops its copy when the
-// snapshot's handle is destroyed. At place zero there is no worker body
-// and nothing to warm. Failures are ignored; the warm is purely a cache
-// fill.
-func (s *Snapshot) warmReplica(c *apgas.Ctx, key int, e *entry) {
-	if !c.WorkerBody() {
-		return
-	}
-	t := &kernel.Task{Name: kernel.PutName, Puts: []kernel.Blob{{
-		Handle: s.plh.Handle(),
-		Key:    int64(key),
-		Ver:    1,
-		Data:   e.data,
-	}}}
-	_, _ = c.ExecKernel(t)
 }
 
 // putReplica lands a replica (or shard) copy at the task's place,
