@@ -24,22 +24,20 @@ func main() {
 	}
 	defer rt.Shutdown()
 
-	killed := 0
+	// Two separate failures: both victims are replaced by places created
+	// on the fly.
+	sched, err := rgml.ParseChaosSchedule("kill(iter=8,place=1);kill(iter=17,place=3)")
+	if err != nil {
+		log.Fatal(err)
+	}
+	eng, err := rgml.NewChaosEngine(rt, sched)
+	if err != nil {
+		log.Fatal(err)
+	}
 	exec, err := rgml.NewExecutorWith(rt,
 		rgml.WithCheckpointInterval(5),
 		rgml.WithRestoreMode(rgml.ReplaceElastic),
-		rgml.WithAfterStep(func(iter int64) {
-			// Two separate failures: both victims are replaced by places
-			// created on the fly.
-			if (iter == 8 && killed == 0) || (iter == 17 && killed == 1) {
-				victim := rt.Place(1 + killed*2)
-				killed++
-				fmt.Printf("iteration %d: killing %v\n", iter, victim)
-				if err := rt.Kill(victim); err != nil {
-					log.Fatal(err)
-				}
-			}
-		}),
+		rgml.WithChaos(eng),
 	)
 	if err != nil {
 		log.Fatal(err)
@@ -54,6 +52,7 @@ func main() {
 	if err := exec.Run(app); err != nil {
 		log.Fatal(err)
 	}
+	fmt.Printf("chaos kills: %s\n", eng.Signature())
 
 	m := exec.Metrics()
 	st := rt.Stats()

@@ -21,20 +21,18 @@ func main() {
 	}
 	defer rt.Shutdown()
 
-	killed := false
+	sched, err := rgml.ParseChaosSchedule("kill(iter=8,place=3)")
+	if err != nil {
+		log.Fatal(err)
+	}
+	eng, err := rgml.NewChaosEngine(rt, sched)
+	if err != nil {
+		log.Fatal(err)
+	}
 	exec, err := rgml.NewExecutorWith(rt,
 		rgml.WithCheckpointInterval(5),
 		rgml.WithRestoreMode(rgml.Shrink),
-		rgml.WithAfterStep(func(iter int64) {
-			if !killed && iter == 8 {
-				killed = true
-				victim := rt.Place(3)
-				fmt.Printf("iteration %d: killing %v\n", iter, victim)
-				if err := rt.Kill(victim); err != nil {
-					log.Fatal(err)
-				}
-			}
-		}),
+		rgml.WithChaos(eng),
 	)
 	if err != nil {
 		log.Fatal(err)
@@ -57,6 +55,7 @@ func main() {
 	if err := exec.Run(app); err != nil {
 		log.Fatal(err)
 	}
+	fmt.Printf("chaos kills: %s\n", eng.Signature())
 	after, err := app.Objective()
 	if err != nil {
 		log.Fatal(err)

@@ -66,22 +66,23 @@ func run(cfg rgml.PageRankConfig, places, killIter int) rgml.Vector {
 		log.Fatal(err)
 	}
 	defer rt.Shutdown()
-	killed := false
-	exec, err := rgml.NewExecutorWith(rt,
+	opts := []rgml.ExecutorOption{
 		rgml.WithCheckpointInterval(10),
 		rgml.WithRestoreMode(rgml.Shrink),
 		rgml.WithExecutorObs(reg),
-		rgml.WithAfterStep(func(iter int64) {
-			if killIter > 0 && !killed && iter == int64(killIter) {
-				killed = true
-				victim := rt.Place(places / 2)
-				fmt.Printf("iteration %d: killing %v\n", iter, victim)
-				if err := rt.Kill(victim); err != nil {
-					log.Fatal(err)
-				}
-			}
-		}),
-	)
+	}
+	if killIter > 0 {
+		sched, err := rgml.ParseChaosSchedule(fmt.Sprintf("kill(iter=%d,place=%d)", killIter, places/2))
+		if err != nil {
+			log.Fatal(err)
+		}
+		eng, err := rgml.NewChaosEngine(rt, sched)
+		if err != nil {
+			log.Fatal(err)
+		}
+		opts = append(opts, rgml.WithChaos(eng))
+	}
+	exec, err := rgml.NewExecutorWith(rt, opts...)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -143,8 +143,7 @@ type rtInstr struct {
 	livePlaces      *obs.Gauge     // apgas.places.live
 	finishes        *obs.Histogram // apgas.finish.duration
 	workerExec      *obs.Counter   // apgas.tasks.worker_executed (kernels run in a worker body)
-	kernelLocal     *obs.Counter   // apgas.tasks.kernel_local (kernels run in-process: no worker body, or re-executed)
-	kernelFallback  *obs.Counter   // apgas.tasks.kernel_fallback (re-executed in-process because the worker's transport failed)
+	kernelLocal     *obs.Counter   // apgas.tasks.kernel_local (kernels run in-process: the place has no worker body)
 	kernelPutBytes  *obs.Counter   // apgas.kernel.put_bytes (store bytes shipped to worker bodies by ExecKernel puts)
 	kernelRekeyed   *obs.Counter   // apgas.kernel.rekeyed (worker-resident entries kept across a Remake)
 
@@ -178,7 +177,6 @@ func newRTInstr(reg *obs.Registry) rtInstr {
 		finishes:        reg.Histogram("apgas.finish.duration"),
 		workerExec:      stat("apgas.tasks.worker_executed"),
 		kernelLocal:     reg.Counter("apgas.tasks.kernel_local"),
-		kernelFallback:  reg.Counter("apgas.tasks.kernel_fallback"),
 		kernelPutBytes:  reg.Counter("apgas.kernel.put_bytes"),
 		kernelRekeyed:   reg.Counter("apgas.kernel.rekeyed"),
 	}
@@ -424,17 +422,9 @@ func (rt *Runtime) Kill(p Place) error {
 	if p.ID == 0 {
 		return ErrPlaceZeroImmortal
 	}
-	pl := rt.placeState(p)
-	if !pl.kill() {
+	if !rt.die(rt.placeState(p), rt.instr.kills, "apgas.place.killed", 0) {
 		return nil
 	}
-	rt.instr.kills.Inc()
-	rt.instr.livePlaces.Add(-1)
-	rt.kern.placeDead(p.ID)
-	rt.cfg.Obs.Trace("apgas.place.killed", int64(p.ID), 0)
-	// The failure detector notifies the bookkeeping layer, which adopts
-	// and terminates the dead place's tasks.
-	rt.shards.placeDied(p)
 	// Destroy the place's external body last: the runtime has already
 	// marked and broadcast the death, so kill-driven recovery is identical
 	// across backends regardless of how fast the body actually dies. The
@@ -446,12 +436,11 @@ func (rt *Runtime) Kill(p Place) error {
 }
 
 // transportDeath is the handler the transport's failure detector reports
-// real place deaths through (heartbeat timeout, connection loss). It
-// feeds the exact dead-place broadcast path used by injected kills:
-// store drop, ledger orphan termination, DeadPlaceError delivery.
-// Administrative kills never arrive here — Runtime.Kill marks the place
-// dead before destroying its body and the backend suppresses the report —
-// so anything that does arrive is an unexpected (real) failure.
+// real place deaths through (heartbeat timeout, connection loss), and the
+// path ExecKernel reports a failed dispatch through. Administrative kills
+// never arrive here — Runtime.Kill marks the place dead before destroying
+// its body and the backend suppresses the report — so anything that does
+// arrive is an unexpected (real) failure.
 func (rt *Runtime) transportDeath(id int, cause transport.DeathCause) {
 	rt.mu.RLock()
 	down := rt.down
@@ -464,16 +453,25 @@ func (rt *Runtime) transportDeath(id int, cause transport.DeathCause) {
 		// Place zero is the coordinator itself; its death is process death.
 		return
 	}
+	rt.die(pl, rt.instr.failures, "apgas.place.failed", int64(cause))
+}
+
+// die is the one death body behind Kill and transportDeath: the place's
+// store, kernel store and mirror are dropped and the ledger terminates
+// its orphaned tasks. ctr and event name the door. It reports whether
+// this call made the transition, so racing doors count a death once.
+func (rt *Runtime) die(pl *place, ctr *obs.Counter, event string, cause int64) bool {
 	if !pl.kill() {
-		return
+		return false
 	}
-	rt.instr.failures.Inc()
+	ctr.Inc()
 	rt.instr.livePlaces.Add(-1)
-	rt.kern.placeDead(id)
-	rt.cfg.Obs.Trace("apgas.place.failed", int64(id), int64(cause))
+	rt.kern.placeDead(pl.id)
+	rt.cfg.Obs.Trace(event, int64(pl.id), cause)
 	if rt.shards != nil {
-		rt.shards.placeDied(Place{ID: id})
+		rt.shards.placeDied(Place{ID: pl.id})
 	}
+	return true
 }
 
 // Ctx is the execution context of a task: where it runs and which finish

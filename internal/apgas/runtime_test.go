@@ -6,6 +6,11 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/rgml/rgml/internal/apgas/kernel"
+	"github.com/rgml/rgml/internal/apgas/transport"
+	"github.com/rgml/rgml/internal/apgas/transport/local"
+	"github.com/rgml/rgml/internal/obs"
 )
 
 func newTestRuntime(t *testing.T, places int, resilient bool) *Runtime {
@@ -251,6 +256,103 @@ func TestKillIdempotent(t *testing.T) {
 	}
 	if got := rt.Stats().PlacesKilled; got != 1 {
 		t.Errorf("PlacesKilled = %d, want 1", got)
+	}
+}
+
+// bodyKillRecorder is the in-process backend, counting the bodies the
+// runtime asks it to destroy.
+type bodyKillRecorder struct {
+	*local.Transport
+	kills atomic.Int64
+}
+
+func (b *bodyKillRecorder) Kill(place int) error {
+	b.kills.Add(1)
+	return nil
+}
+
+// TestDeathDoorsLeaveSameState: Kill and a transport-reported death run
+// the one death body. Each leaves the place's store dropped, its orphaned
+// task terminated with DeadPlaceError, its kernel store and mirror gone
+// and the live-places gauge one lower. The doors differ only in the
+// counter (and trace event) that names them, and in that Kill destroys
+// the body.
+func TestDeathDoorsLeaveSameState(t *testing.T) {
+	for _, door := range []struct {
+		name           string
+		die            func(rt *Runtime, p Place) error
+		killed, failed int64
+		bodyKills      int64
+		event          string
+	}{
+		{"kill", func(rt *Runtime, p Place) error { return rt.Kill(p) }, 1, 0, 1, "apgas.place.killed"},
+		{"transport", func(rt *Runtime, p Place) error {
+			rt.transportDeath(p.ID, transport.CauseConn)
+			return nil
+		}, 0, 1, 0, "apgas.place.failed"},
+	} {
+		t.Run(door.name, func(t *testing.T) {
+			tp := &bodyKillRecorder{Transport: local.New()}
+			reg := obs.NewRegistry()
+			rt, err := New(WithPlaces(3), WithResilient(true), WithTransport(tp), WithObs(reg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rt.Shutdown()
+			victim := rt.Place(1)
+			rt.placeState(victim).set(7, "fragment")
+			rt.kern.store(victim.ID).PutObj(1, 0, 1, []float64{1})
+			rt.kern.commit(victim.ID, []kernel.Blob{{Handle: 1, Key: 0, Ver: 1}})
+
+			started, release := make(chan struct{}), make(chan struct{})
+			defer close(release)
+			err = rt.Finish(func(ctx *Ctx) {
+				ctx.AsyncAt(victim, func(*Ctx) {
+					close(started)
+					<-release // never ends on its own: only the ledger can end it
+				})
+				<-started
+				if err := door.die(rt, victim); err != nil {
+					t.Errorf("%s: %v", door.name, err)
+				}
+			})
+			if dead := DeadPlaces(err); len(dead) != 1 || dead[0] != victim {
+				t.Fatalf("Finish = %v, want the orphan's DeadPlaceError at %v", err, victim)
+			}
+			pl := rt.placeState(victim)
+			pl.mu.RLock()
+			store := pl.store
+			pl.mu.RUnlock()
+			if store != nil {
+				t.Error("the dead place's store was not dropped")
+			}
+			rt.kern.mu.Lock()
+			_, kstore := rt.kern.stores[victim.ID]
+			_, mirror := rt.kern.mirror[victim.ID]
+			rt.kern.mu.Unlock()
+			if kstore || mirror {
+				t.Errorf("kernel store kept: %v, mirror kept: %v; want both gone", kstore, mirror)
+			}
+			if got := reg.Gauge("apgas.places.live").Value(); got != 2 {
+				t.Errorf("apgas.places.live = %d, want 2", got)
+			}
+			st := rt.Stats()
+			if st.PlacesKilled != door.killed || st.PlacesFailed != door.failed {
+				t.Errorf("killed/failed = %d/%d, want %d/%d", st.PlacesKilled, st.PlacesFailed, door.killed, door.failed)
+			}
+			if got := tp.kills.Load(); got != door.bodyKills {
+				t.Errorf("bodies destroyed = %d, want %d", got, door.bodyKills)
+			}
+			var events []string
+			for _, ev := range reg.TraceEvents() {
+				if ev.Name == "apgas.place.killed" || ev.Name == "apgas.place.failed" {
+					events = append(events, ev.Name)
+				}
+			}
+			if len(events) != 1 || events[0] != door.event {
+				t.Errorf("death trace events = %v, want [%s]", events, door.event)
+			}
+		})
 	}
 }
 

@@ -52,16 +52,16 @@ type backendRun struct {
 	// place the backends may differ.
 	workerTasks int64
 	localTasks  int64
-	// workerTasksAtKill is the count captured right after the mid-run
-	// kill, for asserting dispatch re-establishes itself on the shrunken
-	// group (runWithKill only).
+	// workerTasksAtKill is the count after the last step completed
+	// before the first kill, for asserting dispatch re-establishes itself
+	// on the shrunken group.
 	workerTasksAtKill int64
 }
 
-// runChaosSchedule executes one seeded chaos run of LinReg at the given
-// place count over the given backend (nil factory: the default local
-// backend) and returns its fingerprint.
-func runChaosSchedule(t *testing.T, factory func() (transport.Transport, error), places int) backendRun {
+// runChaosSchedule executes one chaos run of LinReg under schedule (seed
+// 1, shrink restores) at the given place count over the given backend
+// (nil factory: the default local backend) and returns its fingerprint.
+func runChaosSchedule(t *testing.T, factory func() (transport.Transport, error), places int, schedule string) backendRun {
 	t.Helper()
 	cfg := Config{Scale: SmokeScale()}
 	cfg.Transport = factory
@@ -71,7 +71,7 @@ func runChaosSchedule(t *testing.T, factory func() (transport.Transport, error),
 		t.Fatalf("newRuntime: %v", err)
 	}
 	defer rt.Shutdown()
-	sched, err := chaos.Parse("kill(point=commit,iter=2,place=1)")
+	sched, err := chaos.Parse(schedule)
 	if err != nil {
 		t.Fatalf("chaos.Parse: %v", err)
 	}
@@ -79,10 +79,16 @@ func runChaosSchedule(t *testing.T, factory func() (transport.Transport, error),
 	if err != nil {
 		t.Fatalf("chaos.New: %v", err)
 	}
+	var atKill int64
 	exec, err := core.New(rt,
 		core.WithCheckpointInterval(cfg.Scale.CheckpointInterval),
 		core.WithRestoreMode(core.Shrink),
 		core.WithChaos(eng),
+		core.WithAfterStep(func(int64) {
+			if len(eng.Kills()) == 0 {
+				atKill = rt.Stats().WorkerTasks
+			}
+		}),
 	)
 	if err != nil {
 		t.Fatalf("core.New: %v", err)
@@ -94,18 +100,22 @@ func runChaosSchedule(t *testing.T, factory func() (transport.Transport, error),
 	if err := exec.Run(app); err != nil {
 		t.Fatalf("run (transport %s): %v", rt.TransportName(), err)
 	}
+	if exec.Metrics().Restores == 0 {
+		t.Fatalf("no restore happened (transport %s)", rt.TransportName())
+	}
 	w, err := apps.FinalIterate(app)
 	if err != nil {
 		t.Fatalf("FinalIterate: %v", err)
 	}
 	st := rt.Stats()
 	return backendRun{
-		signature:   eng.Signature(),
-		bits:        vectorBits(w),
-		killed:      st.PlacesKilled,
-		failed:      st.PlacesFailed,
-		workerTasks: st.WorkerTasks,
-		localTasks:  reg.CounterValue("apgas.tasks.kernel_local"),
+		signature:         eng.Signature(),
+		bits:              vectorBits(w),
+		killed:            st.PlacesKilled,
+		failed:            st.PlacesFailed,
+		workerTasks:       st.WorkerTasks,
+		localTasks:        reg.CounterValue("apgas.tasks.kernel_local"),
+		workerTasksAtKill: atKill,
 	}
 }
 
@@ -128,8 +138,9 @@ func TestCrossBackendChaosInvariance(t *testing.T) {
 		t.Skip("spawns worker processes")
 	}
 	for _, places := range []int{3, 5} {
-		local := runChaosSchedule(t, nil, places)
-		over := runChaosSchedule(t, tcpFactory, places)
+		const schedule = "kill(point=commit,iter=2,place=1)"
+		local := runChaosSchedule(t, nil, places, schedule)
+		over := runChaosSchedule(t, tcpFactory, places, schedule)
 		if local.signature != over.signature {
 			t.Errorf("places=%d: kill fingerprints diverge: local %q, tcp %q",
 				places, local.signature, over.signature)
@@ -158,99 +169,28 @@ func TestCrossBackendChaosInvariance(t *testing.T) {
 	}
 }
 
-// runWithKill executes one LinReg run at 4 places, killing place 1 after
-// iteration 3 with the given kill function, and returns the final
-// iterate's bits. The kill function must not return until the runtime has
-// registered the death, so both variants observe it at the same point of
-// the iteration schedule.
-func runWithKill(t *testing.T, factory func() (transport.Transport, error), kill func(rt *apgas.Runtime, victim apgas.Place)) backendRun {
-	t.Helper()
-	const places = 4
-	cfg := Config{Scale: SmokeScale()}
-	cfg.Transport = factory
-	rt, err := cfg.newRuntime(places, true, nil)
-	if err != nil {
-		t.Fatalf("newRuntime: %v", err)
-	}
-	defer rt.Shutdown()
-	killed := false
-	victim := rt.Place(1)
-	var atKill int64
-	exec, err := core.New(rt,
-		core.WithCheckpointInterval(cfg.Scale.CheckpointInterval),
-		core.WithRestoreMode(core.Shrink),
-		core.WithAfterStep(func(iter int64) {
-			if !killed && iter == 3 {
-				killed = true
-				kill(rt, victim)
-				atKill = rt.Stats().WorkerTasks
-			}
-		}),
-	)
-	if err != nil {
-		t.Fatalf("core.New: %v", err)
-	}
-	app, err := cfg.newResilient(LinReg, rt, exec.ActiveGroup(), places)
-	if err != nil {
-		t.Fatalf("newResilient: %v", err)
-	}
-	if err := exec.Run(app); err != nil {
-		t.Fatalf("run (transport %s): %v", rt.TransportName(), err)
-	}
-	if exec.Metrics().Restores == 0 {
-		t.Fatalf("no restore happened (transport %s)", rt.TransportName())
-	}
-	w, err := apps.FinalIterate(app)
-	if err != nil {
-		t.Fatalf("FinalIterate: %v", err)
-	}
-	st := rt.Stats()
-	return backendRun{
-		bits:              vectorBits(w),
-		killed:            st.PlacesKilled,
-		failed:            st.PlacesFailed,
-		workerTasks:       st.WorkerTasks,
-		workerTasksAtKill: atKill,
-	}
-}
-
 // TestRealProcessKillMatchesLocalChaosKill is the acceptance check for
-// transport fidelity: SIGKILLing a real worker process under the tcp
-// backend — death discovered by the heartbeat failure detector, not an
-// administrative mark — must recover to the same final weights as an
-// equivalent administrative kill under the local backend.
+// transport fidelity: a chaos crash rule SIGKILLing a real worker process
+// under the tcp backend — death discovered by the failure detector, not
+// an administrative mark — must log the same kill and recover to the same
+// final weights as the kill rule with the same keys under the local
+// backend.
 func TestRealProcessKillMatchesLocalChaosKill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns and SIGKILLs worker processes")
 	}
-	local := runWithKill(t, nil, func(rt *apgas.Runtime, victim apgas.Place) {
-		if err := rt.Kill(victim); err != nil {
-			t.Errorf("kill: %v", err)
-		}
-	})
+	const places = 4
+	local := runChaosSchedule(t, nil, places, "kill(iter=3,place=1)")
 	if local.killed != 1 || local.failed != 0 {
 		t.Fatalf("local run: killed=%d failed=%d, want 1/0", local.killed, local.failed)
 	}
-
-	over := runWithKill(t, tcpFactory, func(rt *apgas.Runtime, victim apgas.Place) {
-		tp, ok := rt.Transport().(*tcp.Transport)
-		if !ok {
-			t.Fatalf("transport is %T, want *tcp.Transport", rt.Transport())
-		}
-		if err := tp.KillWorkerProcess(victim.ID); err != nil {
-			t.Fatalf("KillWorkerProcess: %v", err)
-		}
-		deadline := time.Now().Add(10 * time.Second)
-		for !rt.IsDead(victim) {
-			if time.Now().After(deadline) {
-				t.Fatalf("place %v not declared dead within 10s of its process dying", victim)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	})
+	over := runChaosSchedule(t, tcpFactory, places, "crash(iter=3,place=1)")
 	// The death must have come through the failure detector, not Kill.
 	if over.killed != 0 || over.failed != 1 {
 		t.Fatalf("tcp run: killed=%d failed=%d, want 0/1", over.killed, over.failed)
+	}
+	if local.signature != over.signature || local.signature != "3@step:p1" {
+		t.Fatalf("kill fingerprints: local %q, tcp %q; want both 3@step:p1", local.signature, over.signature)
 	}
 	// Worker-side execution must have been live before the SIGKILL and
 	// re-established on the shrunken group after the restore — the

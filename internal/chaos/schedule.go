@@ -53,6 +53,9 @@ const (
 	// point (honoured by retryable sites, i.e. replica writes); no place
 	// dies.
 	KindFlake
+	// KindCrash SIGKILLs the victim places' process bodies (tcp only)
+	// and waits for the failure detector to report the deaths.
+	KindCrash
 )
 
 // AnyIteration makes a rule eligible at every iteration.
@@ -67,7 +70,7 @@ const RandomVictim = -1
 type Rule struct {
 	// Point is where the rule is evaluated.
 	Point Point
-	// Kind selects kill vs transient-fault behaviour.
+	// Kind selects kill, crash or transient-fault behaviour.
 	Kind Kind
 	// Iteration restricts the rule to the executor iteration it names;
 	// AnyIteration (-1) matches every iteration. Points that fire before
@@ -130,6 +133,9 @@ func (r Rule) validate() error {
 	if r.Kind == KindFlake && r.Span > 1 {
 		return fmt.Errorf("chaos: span only applies to kill rules")
 	}
+	if r.Kind == KindCrash && (r.Point == PointSpawn || r.Point == PointReplica) {
+		return fmt.Errorf("chaos: crash rules only apply at the serialized points (step, commit, restore), got %q", r.Point)
+	}
 	if r.Place == 0 {
 		return fmt.Errorf("chaos: place zero is immortal and cannot be a victim")
 	}
@@ -146,9 +152,12 @@ func (r Rule) validate() error {
 // through its textual form (campaign reports embed it).
 func (r Rule) String() string {
 	verb := "kill"
-	if r.Kind == KindFlake {
+	switch {
+	case r.Kind == KindFlake:
 		verb = "flake"
-	} else if r.Count > 1 {
+	case r.Kind == KindCrash:
+		verb = "crash"
+	case r.Count > 1:
 		verb = "burst"
 	}
 	var args []string
@@ -198,8 +207,10 @@ func (s Schedule) String() string {
 //	kill(iter=3,place=1,span=2)       correlated failure: place 1 and the
 //	                                  next live place die together
 //	flake(prob=0.3,times=5)           up to 5 transient replica-write faults
+//	crash(iter=4,place=2)             SIGKILL place 2's tcp worker at iteration 4
 //
-// Verbs: kill, burst (kill with k>1), flake (transient replica fault).
+// Verbs: kill, burst (kill with k>1), crash (kill's keys; tcp, serialized
+// points only), flake (transient replica fault).
 // Keys: point (step|commit|restore|spawn|replica), iter, place, prob,
 // k (burst size), span (correlated adjacent kills per victim), times
 // (max fires, -1 unlimited). Defaults: point=step (flake: replica),
@@ -220,10 +231,12 @@ func Parse(text string) (Schedule, error) {
 		switch verb {
 		case "kill", "burst":
 			r.Kind = KindKill
+		case "crash":
+			r.Kind = KindCrash
 		case "flake":
 			r.Kind = KindFlake
 		default:
-			return nil, fmt.Errorf("chaos: unknown verb %q (want kill, burst or flake)", verb)
+			return nil, fmt.Errorf("chaos: unknown verb %q (want kill, burst, crash or flake)", verb)
 		}
 		body := clause[open+1 : len(clause)-1]
 		for _, kv := range strings.Split(body, ",") {

@@ -64,6 +64,8 @@ func TestParseRejects(t *testing.T) {
 		"kill(place)",              // malformed kv
 		"kill(weird=1)",            // unknown key
 		"kill(place=1);;explode()", // error in later clause
+		"crash(point=spawn)",       // crash off the serialized points
+		"crash(point=replica)",     // crash off the serialized points
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) unexpectedly succeeded", bad)
@@ -104,5 +106,22 @@ func TestParseSpan(t *testing.T) {
 	}
 	if _, err := Parse("flake(span=2)"); err == nil {
 		t.Fatal("flake with span accepted")
+	}
+}
+
+func TestParseCrash(t *testing.T) {
+	const in = "crash(point=commit,iter=2,place=1)"
+	s := MustParse(in)
+	if r := s[0]; r.Kind != KindCrash || r.Point != PointCommit || r.Iteration != 2 || r.Place != 1 {
+		t.Fatalf("unexpected rule %+v", r)
+	}
+	if got := s.String(); got != in {
+		t.Fatalf("String() = %q, want %q", got, in)
+	}
+	if back := MustParse(s.String()); back[0] != s[0] {
+		t.Fatalf("round trip changed rule: %+v vs %+v", back[0], s[0])
+	}
+	if got := MustParse("crash(iter=4,place=2)")[0].Point; got != PointStep {
+		t.Fatalf("crash default point = %q, want step", got)
 	}
 }

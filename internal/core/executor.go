@@ -261,7 +261,7 @@ func New(rt *apgas.Runtime, opts ...Option) (*Executor, error) {
 	}
 	e.store.instrument(reg)
 	if eng := cfg.Chaos; eng != nil {
-		e.store.setCommitHook(func() { _ = eng.At(chaos.PointCommit) })
+		e.store.setCommitHook(func() error { return eng.At(chaos.PointCommit) })
 	}
 	e.in.sparesFree.Set(int64(cfg.Spares))
 	e.in.activeSize.Set(int64(split))
@@ -339,7 +339,9 @@ func (e *Executor) RunContext(ctx context.Context, app IterativeApp) error {
 				continue
 			}
 		}
-		e.chaosAt(chaos.PointStep)
+		if err := e.chaosAt(chaos.PointStep); err != nil {
+			return err
+		}
 		t0 := time.Now()
 		err := app.Step()
 		e.in.stepDur.Observe(time.Since(t0))
@@ -373,14 +375,15 @@ func (e *Executor) chaosAdvance() {
 	}
 }
 
-// chaosAt fires one of the executor-serialized chaos points. The injected
-// transient error (flake rules) is deliberately dropped: at these points a
-// fault only matters if it kills a place, which the next distributed
-// operation detects on its own.
-func (e *Executor) chaosAt(p chaos.Point) {
+// chaosAt fires one of the executor-serialized chaos points. A place it
+// kills is observed by the next distributed operation, which starts
+// recovery; its error (a crash the failure detector never reported) ends
+// the run.
+func (e *Executor) chaosAt(p chaos.Point) error {
 	if eng := e.cfg.Chaos; eng != nil {
-		_ = eng.At(p)
+		return eng.At(p)
 	}
+	return nil
 }
 
 // shouldCheckpoint decides whether to checkpoint before the next step:
@@ -483,7 +486,9 @@ func (e *Executor) recover(app IterativeApp, attempts *int) error {
 		// Restore fault point: the plan is final but the application has
 		// not restored yet, so a kill here lands on a group member
 		// mid-restore and forces a further attempt.
-		e.chaosAt(chaos.PointRestore)
+		if err := e.chaosAt(chaos.PointRestore); err != nil {
+			return err
+		}
 		e.store.setGroup(plan.active)
 		applyStart := time.Now()
 		err = app.Restore(plan.active, e.store, snapIter, plan.rebalance)

@@ -55,8 +55,8 @@ type AppResilientStore struct {
 	// pending checkpoint's objects have all been saved but before the
 	// checkpoint is promoted to the recovery point. The executor points it
 	// at the chaos engine's commit fault point, which is how schedules kill
-	// places inside the commit window.
-	commitHook func()
+	// places inside the commit window; an error from it fails the Commit.
+	commitHook func() error
 }
 
 // instrument wires the store's counters into reg. The executor calls it
@@ -73,7 +73,7 @@ func (s *AppResilientStore) instrument(reg *obs.Registry) {
 
 // setCommitHook installs the function Commit runs at its entry (see the
 // commitHook field). The executor owns this; nil clears it.
-func (s *AppResilientStore) setCommitHook(fn func()) {
+func (s *AppResilientStore) setCommitHook(fn func() error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.commitHook = fn
@@ -213,7 +213,9 @@ func (s *AppResilientStore) Commit() error {
 		// store's mutex. The commit itself is a place-zero-local promotion,
 		// so it still succeeds; the next distributed operation observes the
 		// death and triggers recovery from the just-committed checkpoint.
-		hook()
+		if err := hook(); err != nil {
+			return err
+		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -198,10 +198,9 @@ func multVecReference(t *testing.T, iters int) la.Vector {
 // TestMultVecKernelBitIdenticalToReference pins the one dispatch path's
 // correctness contract: the same MultVec/RootApply/Sync program produces
 // the reference's exact bits whether every kernel runs in-process on the
-// live objects (local backend), inside worker-side bodies on shipped bytes
-// (exec-fake; place zero in-process), or in a mix where every third
-// dispatch dies on the wire and is re-executed in-process — the float64
-// codec roundtrip and the single kernel body leave no room for drift.
+// live objects (local backend) or inside worker-side bodies on shipped
+// bytes (exec-fake; place zero in-process) — the float64 codec roundtrip
+// and the single kernel body leave no room for drift.
 func TestMultVecKernelBitIdenticalToReference(t *testing.T) {
 	const iters = 3
 	want := multVecReference(t, iters)
@@ -239,16 +238,6 @@ func TestMultVecKernelBitIdenticalToReference(t *testing.T) {
 	}
 	if got := rtE.Stats().WorkerTasks; got == 0 {
 		t.Fatal("WorkerTasks = 0 on the data-plane backend")
-	}
-
-	flaky := &execTransport{failEvery: 3}
-	rtM, reg := newExecRTWith(t, 4, flaky)
-	check("mixed", multVecOn(t, rtM, iters))
-	if fb := reg.CounterValue("apgas.tasks.kernel_fallback"); fb == 0 || fb != int64(flaky.failed) {
-		t.Fatalf("mixed run: kernel_fallback = %d, transport failed %d dispatches", fb, flaky.failed)
-	}
-	if rtM.Stats().WorkerTasks == 0 {
-		t.Fatal("mixed run executed nothing in workers")
 	}
 }
 
@@ -486,54 +475,40 @@ func smallMultVec(t *testing.T, rt *apgas.Runtime, rowBlocks int) (*DistBlockMat
 	return m, x, y
 }
 
-// TestMultVecKernelSurvivesExecFailure verifies the one re-execution: an
-// executor that fails every dispatch with a transport error — the data
-// plane is "up" (the probe succeeds) but no kernel ever lands remotely —
-// leaves MultVec exact, every failed dispatch re-executed in-process and
-// counted in kernel_fallback.
-func TestMultVecKernelSurvivesExecFailure(t *testing.T) {
+// TestMultVecKernelExecFailureKillsPlace: an executor that fails every
+// dispatch with a transport error — the data plane is "up" (the probe
+// succeeds) but no kernel ever lands remotely — makes MultVec fail with
+// the worker place's death, never compute its blocks at the coordinator.
+func TestMultVecKernelExecFailureKillsPlace(t *testing.T) {
 	et := &execTransport{failEvery: 1}
 	rt, reg := newExecRTWith(t, 2, et)
 	m, x, y := smallMultVec(t, rt, 2)
-	if err := m.MultVec(x, y); err != nil {
-		t.Fatal(err)
+	err := m.MultVec(x, y)
+	if !apgas.IsDeadPlace(err) {
+		t.Fatalf("MultVec under dispatch failure = %v, want DeadPlaceError", err)
 	}
-	got, err := y.ToVector()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dense, _ := m.ToDense()
-	xv := la.NewVector(m.Cols())
-	for i := range xv {
-		xv[i] = float64(i) + 1
-	}
-	want := la.NewVector(m.Rows())
-	dense.MultVec(xv, want)
-	if !got.EqualApprox(want, 0) {
-		t.Fatalf("MultVec under dispatch failure: got %v want %v", got, want)
+	if !rt.IsDead(rt.Place(1)) {
+		t.Fatal("the place whose dispatch failed is still alive")
 	}
 	if rt.Stats().WorkerTasks != 0 {
 		t.Fatal("failing executor still counted worker tasks")
 	}
-	if fb := reg.CounterValue("apgas.tasks.kernel_fallback"); fb == 0 || fb != int64(et.failed) {
-		t.Fatalf("kernel_fallback = %d, transport failed %d dispatches", fb, et.failed)
+	// Only place zero's own kernel ran in-process.
+	if got := reg.CounterValue("apgas.tasks.kernel_local"); got != 1 {
+		t.Fatalf("kernel_local = %d, want 1 (place zero only)", got)
 	}
 }
 
 // TestRekeyLostToFailedDispatchIsForgotten: the re-keys a Remake queues
 // for a worker ride the next dispatch there. When that dispatch fails at
-// the transport, the mirror must stop claiming the re-keyed blocks —
-// otherwise the next MultVec would reference blocks the worker never
-// re-keyed and fail — so the blocks are shipped again instead.
+// the transport, the place is dead and the runtime forgets what it had
+// shipped there: MultVec fails with DeadPlaceError, and a retry
+// dispatches nothing more to the dead place.
 func TestRekeyLostToFailedDispatchIsForgotten(t *testing.T) {
 	et := &execTransport{}
 	rt, reg := newExecRTWith(t, 2, et)
 	m, x, y := smallMultVec(t, rt, 2)
 	if err := m.MultVec(x, y); err != nil {
-		t.Fatal(err)
-	}
-	want, err := y.ToVector()
-	if err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Remake(rt.World(), true); err != nil {
@@ -546,19 +521,15 @@ func TestRekeyLostToFailedDispatchIsForgotten(t *testing.T) {
 	et.failEvery = len(et.tasks) + 1 // the next dispatch, which carries the re-keys
 	et.mu.Unlock()
 	for i := 0; i < 2; i++ {
-		if err := m.MultVec(x, y); err != nil {
-			t.Fatalf("MultVec %d after the lost re-key: %v", i, err)
+		if err := m.MultVec(x, y); !apgas.IsDeadPlace(err) {
+			t.Fatalf("MultVec %d after the lost re-key = %v, want DeadPlaceError", i, err)
 		}
-		got, err := y.ToVector()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bitsEqualVec(got, want) {
-			t.Fatalf("MultVec %d after the lost re-key: got %v want %v", i, got, want)
+		if !rt.IsDead(rt.Place(1)) {
+			t.Fatalf("MultVec %d: the place whose dispatch failed is still alive", i)
 		}
 	}
-	if _, shipped := et.dispatches(); shipped[len(shipped)-1] == 0 {
-		t.Fatal("the blocks were not shipped again after their re-key was lost")
+	if names, _ := et.dispatches(); len(names) != et.failEvery {
+		t.Fatalf("%d dispatches, want %d: the retry dispatched to the dead place", len(names), et.failEvery)
 	}
 }
 
@@ -572,9 +543,6 @@ func TestMultVecKernelErrorIsReturned(t *testing.T) {
 	err := m.MultVec(x, y)
 	if err == nil || !strings.Contains(err.Error(), "injected store disagreement") {
 		t.Fatalf("MultVec = %v, want the kernel's error", err)
-	}
-	if fb := reg.CounterValue("apgas.tasks.kernel_fallback"); fb != 0 {
-		t.Fatalf("kernel_fallback = %d: a kernel-level failure was re-executed", fb)
 	}
 	// Only place zero's own kernel ran in-process.
 	if got := reg.CounterValue("apgas.tasks.kernel_local") - before; got != 1 {

@@ -276,8 +276,8 @@ func TestRemakeKeepsSurvivorResidentBlocks(t *testing.T) {
 			if n := over.reg.CounterValue("apgas.kernel.rekeyed"); n == 0 {
 				t.Error("tcp run re-keyed nothing")
 			}
-			if fb := over.reg.CounterValue("apgas.tasks.kernel_fallback"); fb != 0 {
-				t.Errorf("%d kernels fell back to in-process execution", fb)
+			if n := over.reg.CounterValue("apgas.places.failed"); n != 0 {
+				t.Errorf("%d places died under the run's dispatches", n)
 			}
 		})
 	}

@@ -122,11 +122,11 @@ func (f *tmvFixture) snapshot(s snapshot.Snapshottable) *snapshot.Snapshot {
 }
 
 // checkTCP asserts that a tcp run computed its partials in the workers
-// and never fell back to in-process execution.
+// and no dispatch failed (a failed dispatch is a place death).
 func (f *tmvFixture) checkTCP() {
 	f.t.Helper()
-	if fb := f.reg.CounterValue("apgas.tasks.kernel_fallback"); fb != 0 {
-		f.t.Errorf("%d kernels fell back to in-process execution", fb)
+	if n := f.reg.CounterValue("apgas.places.failed"); n != 0 {
+		f.t.Errorf("%d places died under the run's dispatches", n)
 	}
 	f.rec.mu.Lock()
 	defer f.rec.mu.Unlock()

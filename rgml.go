@@ -397,9 +397,11 @@ func WithExecutorObs(reg *MetricsRegistry) ExecutorOption { return core.WithObs(
 // the duration of each run, driven by the executor's iteration clock.
 func WithChaos(eng *ChaosEngine) ExecutorOption { return core.WithChaos(eng) }
 
-// Chaos fault-injection surface (internal/chaos): deterministic,
-// seed-reproducible failure schedules driving the runtime's Kill and
-// transient-fault hooks from declarative rules.
+// Chaos fault-injection surface (internal/chaos), the one door every
+// injected fault enters by: deterministic, seed-reproducible failure
+// schedules driving the runtime's Kill, real worker-process crashes on
+// the tcp backend (the crash verb) and transient-fault hooks from
+// declarative rules.
 type (
 	// ChaosEngine evaluates a schedule against injection points while a
 	// run is armed; same seed + schedule ⇒ identical kill sequence.
