@@ -106,19 +106,25 @@ chaos-smoke:
 # -compress lossless: the restore reads the compressed descriptor header
 # and re-encodes each survivor's fragment through the codec to check it
 # against the checkpoint digest, and its iterate must equal the
-# failure-free local run under the same compression.
+# failure-free local run under the same compression. Every run's stderr
+# is captured and passed through, and the target fails on any line a
+# worker process printed about its own failure ("rgml tcp worker ..."),
+# such as a body that dialled a coordinator already shut down.
 TCP_SMOKE = -app pagerank -places 4 -size 200 -iters 8 -ckpt 2
 TCP_SMOKE_LOGREG = -app logreg -places 4 -size 200 -iters 8 -ckpt 2 -mode replace-elastic
 TCP_SMOKE_CRASH = -chaos "crash(iter=4,place=2)"
 tcp-smoke:
-	@set -e; \
-	hash() { out=$$($(GO) run ./cmd/rgmlrun "$$@") || exit 1; echo "$$out" | sed -n 's/^  final iterate: //p'; }; \
+	@set -e; errs=$$(mktemp); trap 'rm -f "$$errs"' EXIT; \
+	rgmlrun() { st=0; $(GO) run ./cmd/rgmlrun "$$@" 2>"$$errs" || st=$$?; cat "$$errs" >&2; \
+		if grep -q '^rgml tcp worker' "$$errs"; then echo "tcp-smoke: a worker reported an error: $$*" >&2; return 1; fi; \
+		return $$st; }; \
+	hash() { out=$$(rgmlrun "$$@") || exit 1; echo "$$out" | sed -n 's/^  final iterate: //p'; }; \
 	same() { if [ -z "$$1" ] || [ "$$1" != "$$2" ]; then \
 		echo "tcp-smoke: $$3: tcp final iterate '$$1', local '$$2'"; exit 1; fi; }; \
 	got=$$(hash -transport tcp $(TCP_SMOKE) $(TCP_SMOKE_CRASH) -min-worker-tasks 1); \
 	want=$$(hash $(TCP_SMOKE) -chaos "kill(iter=4,place=2)"); \
 	same "$$got" "$$want" shrink; \
-	out=$$($(GO) run ./cmd/rgmlrun -transport tcp $(TCP_SMOKE) -mode replace-elastic $(TCP_SMOKE_CRASH) -min-worker-tasks 1 -metrics -) || exit 1; \
+	out=$$(rgmlrun -transport tcp $(TCP_SMOKE) -mode replace-elastic $(TCP_SMOKE_CRASH) -min-worker-tasks 1 -metrics -) || exit 1; \
 	got=$$(echo "$$out" | sed -n 's/^  final iterate: //p'); \
 	adopted=$$(echo "$$out" | sed -n 's/^  transport\.tcp\.standby\.adopted  *//p'); \
 	if [ "$${adopted:-0}" -lt 1 ]; then \

@@ -58,7 +58,7 @@ func run(args []string) error {
 		iters      = fs.Int("iters", 0, "iterations per run (default 30)")
 		runs       = fs.Int("runs", 0, "runs to average (default 3)")
 		ckpt       = fs.Int("ckpt", 0, "checkpoint interval (default 10)")
-		failIter   = fs.Int("fail-iter", 0, "failure iteration for fig5-7 (default 15)")
+		failIter   = fs.Int("fail-iter", 0, "failure iteration for fig5-7 (default 15): the chaos rule kill(iter=N,place=places/2), so at a checkpoint iteration the kill follows that checkpoint")
 		scale      = fs.Float64("scale", 1, "multiplier on the per-place workload sizes")
 		ledgerWork = fs.Int("ledger-work", bench.DefaultConfig().LedgerWork, "resilient-finish ledger work units per event")
 		metricsDir = fs.String("metrics", "", "directory for per-restore-run JSON metrics exports (empty: none)")

@@ -91,8 +91,8 @@ func (h PlaceLocalHandle[T]) SetLocal(ctx *Ctx, v T) {
 
 // Destroy removes the handle's per-place objects from every live place of
 // g, releasing the memory — including whatever kernel-visible data the
-// data plane cached under the handle, at the coordinator and in worker
-// bodies. Dead places are skipped (their stores are already gone).
+// data plane shipped to worker bodies under the handle. Dead places are
+// skipped (their stores are already gone).
 func (h PlaceLocalHandle[T]) Destroy(g PlaceGroup) {
 	if h.rt == nil {
 		return

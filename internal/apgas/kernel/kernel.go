@@ -1,7 +1,7 @@
 // Package kernel is the task IR of the distributed data plane: a
 // process-global registry of named compute kernels, a task descriptor
 // that references them (with its flat wire encoding, wire.go), and the
-// per-place data store a kernel executes against.
+// data store a worker process executes kernels against.
 //
 // Go cannot serialize closures, so the transport seam's multi-process
 // backend (transport/tcp) could historically only mirror traffic — every
@@ -10,18 +10,18 @@
 // string name at package-init time, so the coordinator's re-exec'd worker
 // binary (same executable, RGML_TCP_WORKER set) resolves the exact same
 // name to the exact same code. A Task names a kernel and carries its
-// inputs — scalars, one payload, and references into the executing
-// place's Store (with the bytes to install when the place does not hold
-// them yet) — and a Result carries its outputs back. Both are plain
-// values; nothing in this package depends on the apgas runtime or the
-// transport, so both can import it.
+// inputs — scalars, one payload, and references to versioned objects
+// (with the bytes to install when the worker does not hold them yet) — and
+// a Result carries its outputs back. Both are plain values; nothing in
+// this package depends on the apgas runtime or the transport, so both can
+// import it.
 //
 // Determinism contract: a kernel must be a pure function of its task and
-// the store entries it references, and must perform bit-identical
+// the entries it references, and must perform bit-identical
 // floating-point arithmetic wherever it executes. The runtime relies on
-// this to run the same kernel inside a worker process or in-process (no
-// worker body, or a worker whose transport failed mid-dispatch) without
-// perturbing results.
+// this to run the same kernel inside a worker process, on the bytes of
+// its Store, or in-process (a place without a worker body), on the live
+// objects its inputs name, without perturbing results.
 package kernel
 
 import (
@@ -49,10 +49,11 @@ type Task struct {
 	// Payload carries one opaque per-call input, valid for the duration
 	// of the kernel call only (a worker recycles its buffer afterwards).
 	Payload []byte
-	// Refs name the store entries the kernel reads, in the order the
-	// kernel expects them. The dispatcher guarantees the executing store
-	// holds every ref at exactly the referenced version, shipping Puts
-	// for the ones it does not.
+	// Refs name the entries the kernel reads, in the order the kernel
+	// expects them. In a worker, the dispatcher guarantees the store holds
+	// every ref at exactly the referenced version, shipping Puts for the
+	// ones it does not; in-process, each ref is the live object of the
+	// input it came from (Exec.Ref).
 	Refs []Ref
 	// Puts are store installs applied before the kernel runs: the subset
 	// of Refs the target place did not already hold (plus, for the
@@ -131,11 +132,11 @@ func (r *Result) Release() {
 	r.Frames, r.Payload, r.Pooled = nil, nil, false
 }
 
-// Input is a call-site declaration of one store-resident kernel input:
-// the identity and version the kernel needs, plus an Encode that
-// materializes the bytes only when the target store does not hold that
-// exact version. The dispatcher (apgas.Ctx.ExecKernel) turns Inputs into
-// Refs and, for the stale or missing ones, Puts.
+// Input is a call-site declaration of one kernel input: the identity and
+// version the kernel needs, plus an Encode that materializes the bytes
+// only when the target worker's store does not hold that exact version.
+// The dispatcher (apgas.Ctx.ExecKernel) turns Inputs into Refs and, for a
+// worker's stale or missing ones, Puts.
 //
 // The dispatcher owns the buffer Encode returns and hands it to
 // codec.PutBuffer once it has crossed the wire, so Encode returns either
@@ -143,8 +144,9 @@ func (r *Result) Release() {
 // else still references.
 //
 // Obj is the live object the bytes would decode to. Where the kernel runs
-// in-process the dispatcher installs it by reference (Store.PutObj) and
-// never calls Encode; an input without one can only execute in a worker.
+// in-process its ref resolves to Obj itself (Exec.Ref), by reference and
+// with no store, and Encode never runs; an input without one fails its
+// ref there and can only be read in a worker.
 type Input struct {
 	Handle uint64
 	Key    int64
@@ -155,8 +157,9 @@ type Input struct {
 
 // Func is a registered kernel body. It runs inside the executing place's
 // worker process, or in the coordinator process for a place without one;
-// ex gives it the place's store, t its arguments. Returning an error — or panicking — is
-// reported as Result.Err.
+// ex resolves its refs (the worker's store, or the caller's live inputs),
+// t gives its arguments. Returning an error — or panicking — is reported
+// as Result.Err.
 type Func func(ex *Exec, t *Task) (*Result, error)
 
 // registry is the process-global kernel table. Registration happens at
@@ -210,14 +213,14 @@ type storeKey struct {
 	key    int64
 }
 
-// Entry is one versioned store value: the installed bytes plus a
-// decode-once cache for the kernel-side object decoded from them — or,
-// for a by-reference install (Store.PutObj), the object alone.
+// Entry is one versioned value a ref resolves to: in a worker's store, the
+// installed bytes plus a decode-once cache for the kernel-side object
+// decoded from them; in-process, the input's live object alone.
 type Entry struct {
 	ver  uint64
 	data []byte
-	// reuse is the decoded object of the entry this one replaced in a
-	// recycling store, offered to the decoder as storage.
+	// reuse is the decoded object of the entry this one replaced in the
+	// store, offered to the decoder as storage.
 	reuse any
 
 	mu  sync.Mutex
@@ -227,16 +230,16 @@ type Entry struct {
 // Ver returns the entry's content version.
 func (e *Entry) Ver() uint64 { return e.ver }
 
-// Bytes returns the installed bytes (nil for a by-reference entry).
+// Bytes returns the installed bytes (nil for a live object in-process).
 // Kernels must treat them as read-only and must not keep them past the
-// call: a recycling store hands the buffer back to the pool when the
-// entry is replaced or dropped.
+// call: the store hands the buffer back to the pool when the entry is
+// replaced or dropped.
 func (e *Entry) Bytes() []byte { return e.data }
 
 // Reuse returns the decoded object of the version this entry replaced,
 // for a decode function to overwrite instead of allocating (the rank
 // vector a worker receives every iteration has the same shape as the last
-// one). Nil unless the store recycles, and nil once Obj has decoded.
+// one). Nil for a first version, and nil once Obj has decoded.
 func (e *Entry) Reuse() any { return e.reuse }
 
 // Obj returns the decoded object for the entry, building it with decode
@@ -256,21 +259,17 @@ func (e *Entry) Obj(decode func(data []byte) (any, error)) (any, error) {
 	return obj, nil
 }
 
-// Store is one place's kernel-visible data: entries installed by task
-// Puts, keyed by (handle, key). Worker processes own one per place;
-// the coordinator keeps one per place for in-process execution. Safe for
-// concurrent use (the coordinator executes kernels from many task
-// goroutines).
+// Store is a worker process's kernel-visible data: entries installed by
+// task Puts, keyed by (handle, key). It is the only kernel store: a kernel
+// run in-process reads its inputs' live objects instead (Exec.Ref).
+//
+// The store owns every installed buffer: a replaced or dropped entry's
+// bytes go back to codec's buffer pool, and a replaced entry's decoded
+// object is offered to its successor (Entry.Reuse). So tasks run against
+// it one at a time, and every install is a buffer nothing else references
+// — a worker's executor loop, whose installs are the pooled buffers the
+// wire reader filled.
 type Store struct {
-	// Recycle makes the store the owner of every installed buffer: a
-	// replaced or dropped entry's bytes go back to codec's buffer pool and
-	// a replaced entry's decoded object is offered to its successor
-	// (Entry.Reuse). Set it before first use, and only where tasks run one
-	// at a time and every install is a buffer nothing else references — a
-	// worker's executor loop, whose installs are the pooled buffers the
-	// wire reader filled.
-	Recycle bool
-
 	mu sync.RWMutex
 	m  map[storeKey]*Entry
 }
@@ -279,24 +278,14 @@ type Store struct {
 func NewStore() *Store { return &Store{m: make(map[storeKey]*Entry)} }
 
 // Put installs data under (handle, key) at version ver, replacing any
-// previous version (and its decoded object).
+// previous version: its buffer is recycled and its decoded object offered
+// to the new entry (Entry.Reuse).
 func (s *Store) Put(handle uint64, key int64, ver uint64, data []byte) {
-	s.put(handle, key, &Entry{ver: ver, data: data})
-}
-
-// PutObj installs obj itself under (handle, key) at version ver: a
-// by-reference entry whose Obj returns obj without any decode. Only
-// meaningful where the store shares an address space with the object's
-// owner — the runtime's in-process leg.
-func (s *Store) PutObj(handle uint64, key int64, ver uint64, obj any) {
-	s.put(handle, key, &Entry{ver: ver, obj: obj})
-}
-
-func (s *Store) put(handle uint64, key int64, e *Entry) {
+	e := &Entry{ver: ver, data: data}
 	k := storeKey{handle, key}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if old := s.m[k]; old != nil && s.Recycle {
+	if old := s.m[k]; old != nil {
 		codec.PutBuffer(old.data)
 		old.mu.Lock()
 		e.reuse = old.obj
@@ -323,7 +312,7 @@ func (s *Store) Rekey(from, to uint64, key int64) {
 		return
 	}
 	delete(s.m, storeKey{from, key})
-	if old := s.m[storeKey{to, key}]; old != nil && s.Recycle {
+	if old := s.m[storeKey{to, key}]; old != nil {
 		codec.PutBuffer(old.data)
 	}
 	s.m[storeKey{to, key}] = e
@@ -336,9 +325,7 @@ func (s *Store) Drop(handle uint64) {
 	defer s.mu.Unlock()
 	for k, e := range s.m {
 		if k.handle == handle {
-			if s.Recycle {
-				codec.PutBuffer(e.data)
-			}
+			codec.PutBuffer(e.data)
 			delete(s.m, k)
 		}
 	}
@@ -352,21 +339,35 @@ func (s *Store) Len() int {
 }
 
 // Exec is the environment a kernel executes in: which place it embodies
-// and that place's store.
+// and what its refs resolve against.
 type Exec struct {
 	Place int
+	// Store is the worker's store, in a worker; nil in-process (InProcess).
 	Store *Store
 	// Sink is Task.Sink where the kernel runs in the caller's process, and
 	// nil in a worker. A kernel that finds one writes its outputs into it
 	// instead of encoding them as Result frames.
 	Sink any
+
+	// inputs are the task's inputs in-process (InProcess).
+	inputs []Input
 }
 
-// Ref resolves one of the task's refs against the executing store,
-// failing loudly when the dispatcher's install contract was violated
-// (missing entry, or an interleaved install moved the version).
+// InProcess returns the environment of a kernel run in the caller's
+// process at place: no store — each ref resolves to the live object
+// (Input.Obj) of the input it came from, by reference — and sink as
+// Exec.Sink.
+func InProcess(place int, inputs []Input, sink any) *Exec {
+	return &Exec{Place: place, Sink: sink, inputs: inputs}
+}
+
+// Ref resolves one of the task's refs — against the worker's store, or
+// in-process to the live object of the input it came from — failing
+// loudly when the dispatcher's contract was violated (missing entry, an
+// in-process input without a live object, or an interleaved install that
+// moved the version).
 func (ex *Exec) Ref(r Ref) (*Entry, error) {
-	e, ok := ex.Store.Get(r.Handle, r.Key)
+	e, ok := ex.entry(r)
 	if !ok {
 		return nil, fmt.Errorf("kernel: store has no entry (handle %d, key %d)", r.Handle, r.Key)
 	}
@@ -375,6 +376,20 @@ func (ex *Exec) Ref(r Ref) (*Entry, error) {
 			r.Handle, r.Key, e.ver, r.Ver)
 	}
 	return e, nil
+}
+
+// entry finds r's entry: in the worker's store or, in-process, as the
+// live object of the input r came from.
+func (ex *Exec) entry(r Ref) (*Entry, bool) {
+	if ex.Store != nil {
+		return ex.Store.Get(r.Handle, r.Key)
+	}
+	for _, in := range ex.inputs {
+		if in.Handle == r.Handle && in.Key == r.Key && in.Obj != nil {
+			return &Entry{ver: in.Ver, obj: in.Obj}, true
+		}
+	}
+	return nil, false
 }
 
 // Run executes t against ex: apply the task's Rekeys, then its Drops,

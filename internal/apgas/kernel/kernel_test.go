@@ -212,37 +212,16 @@ func TestRunAppliesRekeysBeforeDrops(t *testing.T) {
 	}
 }
 
-// TestPutObjIsByReference: a by-reference entry hands back the very
-// object it was given, without running any decode.
-func TestPutObjIsByReference(t *testing.T) {
-	s := NewStore()
-	live := []float64{1, 2, 3}
-	s.PutObj(1, 0, 7, live)
-	e, ok := s.Get(1, 0)
-	if !ok || e.Ver() != 7 || e.Bytes() != nil {
-		t.Fatalf("Get = %+v, %v", e, ok)
-	}
-	obj, err := e.Obj(func([]byte) (any, error) { return nil, errors.New("decode must not run") })
-	if err != nil {
-		t.Fatal(err)
-	}
-	live[0] = 42
-	if got := obj.([]float64); got[0] != 42 {
-		t.Fatal("entry holds a copy, want the live object")
-	}
-}
-
 // TestRecyclingStore pins what a worker's store does with superseded
 // entries: the replaced buffer goes back to the pool, the replaced
 // decoded object is offered to the new entry's decoder exactly once, and
-// Drop recycles too. A plain store does neither.
+// Drop recycles too.
 func TestRecyclingStore(t *testing.T) {
 	const size = 1 << 12
 	pooled := func() []byte { return codec.GetBuffer(size)[:size] }
 	puts := func() uint64 { _, _, p := codec.PoolStats(); return p }
 
 	s := NewStore()
-	s.Recycle = true
 	s.Put(1, 0, 1, pooled())
 	e1, _ := s.Get(1, 0)
 	first, _ := e1.Obj(func([]byte) (any, error) { return "decoded v1", nil })
@@ -264,19 +243,6 @@ func TestRecyclingStore(t *testing.T) {
 	s.Drop(1)
 	if got := puts() - before; got != 2 {
 		t.Fatalf("replace and drop returned %d buffers to the pool, want 2", got)
-	}
-
-	plain := NewStore()
-	plain.Put(1, 0, 1, pooled())
-	e, _ := plain.Get(1, 0)
-	e.Obj(func([]byte) (any, error) { return "decoded", nil })
-	plain.Put(1, 0, 2, pooled())
-	if e, _ := plain.Get(1, 0); e.Reuse() != nil {
-		t.Fatal("plain store offered storage to reuse")
-	}
-	plain.Drop(1)
-	if got := puts() - before; got != 2 {
-		t.Fatalf("a plain store returned %d buffers to the pool", got-2)
 	}
 }
 

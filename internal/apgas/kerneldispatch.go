@@ -13,12 +13,13 @@ import (
 // The registered-kernel data plane. Closures cannot cross process
 // boundaries, so task bodies that should execute inside a worker process
 // are expressed as registered kernels (internal/apgas/kernel): named pure
-// functions over a task descriptor and a per-place data store. A Ctx
-// dispatches them with ExecKernel, on every backend: where the place has a
-// worker body (transport/tcp, places other than zero) the kernel runs
-// inside that process on shipped bytes, and everywhere else it runs
-// in-process on the live objects, by reference. The kernel purity contract
-// makes the two bit-identical.
+// functions over a task descriptor and the versioned inputs it names. A
+// Ctx dispatches them with ExecKernel, on every backend: where the place
+// has a worker body (transport/tcp, places other than zero) the kernel
+// runs inside that process on shipped bytes held in the worker's store,
+// and everywhere else it runs in-process on the inputs' live objects, by
+// reference and with no store. The kernel purity contract makes the two
+// bit-identical.
 //
 // ExecKernel deliberately counts NO hop in apgas.net.*: the call sites
 // that adopt it (dist.MultVec and dist.TransMultVec's block kernel)
@@ -43,14 +44,14 @@ type mirrorKey struct {
 // capability (nil without a distributed data plane), a per-place mirror
 // of which entry versions have been shipped to each worker body (so an
 // unchanged matrix block crosses the wire once, not once per iteration),
-// per-place stores for in-process execution, and the re-keys and
-// destroyed handles each worker body has yet to be told about.
+// and the re-keys and destroyed handles each worker body has yet to be
+// told about. It holds no data: a worker's store is in the worker, and an
+// in-process kernel reads its inputs.
 type kernDispatch struct {
 	ex transport.Executor
 
 	mu     sync.Mutex
 	mirror map[int]map[mirrorKey]uint64
-	stores map[int]*kernel.Store
 	rekeys map[int][]kernel.Rekey
 	drops  map[int][]uint64
 }
@@ -58,7 +59,6 @@ type kernDispatch struct {
 func (k *kernDispatch) init(ex transport.Executor) {
 	k.ex = ex
 	k.mirror = make(map[int]map[mirrorKey]uint64)
-	k.stores = make(map[int]*kernel.Store)
 	k.rekeys = make(map[int][]kernel.Rekey)
 	k.drops = make(map[int][]uint64)
 }
@@ -91,27 +91,12 @@ func (k *kernDispatch) commit(place int, puts []kernel.Blob) {
 	}
 }
 
-// store returns place's in-process kernel store, creating it
-// on first use.
-func (k *kernDispatch) store(place int) *kernel.Store {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	s := k.stores[place]
-	if s == nil {
-		s = kernel.NewStore()
-		k.stores[place] = s
-	}
-	return s
-}
-
 // placeDead drops everything known about a dead place: its worker body's
-// cache is gone with the process, and the place's in-process store dies
-// with the place exactly as its apgas store does.
+// store is gone with the process.
 func (k *kernDispatch) placeDead(place int) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	delete(k.mirror, place)
-	delete(k.stores, place)
 	delete(k.rekeys, place)
 	delete(k.drops, place)
 }
@@ -145,21 +130,17 @@ func (k *kernDispatch) inherit(place int, from, to uint64, vers map[int64]uint64
 }
 
 // dropHandle forgets a destroyed handle at every place of g: its entries
-// leave the in-process stores and the mirror at once, and each
-// worker body the mirror says holds some is told on the next task
-// dispatched to it (takeDrops). Without this every Remake would leave a
-// dead generation of blocks, and every superseded checkpoint its replica,
-// in memory on both sides for the rest of the run.
+// leave the mirror at once, and each worker body the mirror says holds
+// some is told on the next task dispatched to it (takePending). Without
+// this every Remake would leave a dead generation of blocks in every
+// worker for the rest of the run.
 func (k *kernDispatch) dropHandle(handle uint64, g PlaceGroup) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	if len(k.stores) == 0 && len(k.mirror) == 0 {
-		return // no kernel ever ran: nothing holds anything
+	if len(k.mirror) == 0 {
+		return // nothing was ever shipped: no worker holds anything
 	}
 	for _, p := range g {
-		if st := k.stores[p.ID]; st != nil {
-			st.Drop(handle)
-		}
 		shipped := false
 		for mk := range k.mirror[p.ID] {
 			if mk.handle == handle {
@@ -203,14 +184,14 @@ func (c *Ctx) WorkerBody() bool { return c.rt.kern.ex != nil && c.Here.ID != 0 }
 //     apply) regardless of what the mirror believes; only the kernel.put
 //     primitive's own benchmark and tests issue them.
 //   - It has none (any place of the local backend, place zero of tcp): the
-//     kernel runs in-process against the place's store, where each input's
-//     live object (Input.Obj) is installed by reference and nothing is
+//     kernel runs in-process with no store, each ref resolving to its
+//     input's live object (Input.Obj), by reference, and nothing is
 //     encoded; the task's Sink reaches the kernel as Exec.Sink, so outputs
 //     land in the caller's memory without a wire round trip. Forced puts
 //     are byte installs for a worker's store and are not applied here.
 //
 // A kernel-level failure (Result.Err: unknown kernel, missing or stale
-// store entry, kernel error or panic) is returned as the error from
+// entry, kernel error or panic) is returned as the error from
 // either leg. A transport-level Exec error means the worker body is gone:
 // ExecKernel reports the place's death through the runtime's one death
 // path (the same one the failure detector feeds, so a death both report
@@ -274,18 +255,11 @@ func (c *Ctx) ExecKernel(t *kernel.Task, inputs ...kernel.Input) (*kernel.Result
 		return res, nil
 	}
 
-	// In-process leg. Installs are by reference, every time (a map write;
-	// the object may have been swapped under an unchanged version). An
-	// input without a live object has nothing to install, and the kernel's
-	// Exec.Ref reports it.
-	st := k.store(place)
+	// In-process leg: the kernel reads the inputs themselves, so an object
+	// swapped under an unchanged version is the one it sees, and an input
+	// without a live object fails its ref (Exec.Ref).
 	t.Puts = nil
-	for _, in := range inputs {
-		if in.Obj != nil {
-			st.PutObj(in.Handle, in.Key, in.Ver, in.Obj)
-		}
-	}
-	res := kernel.Run(&kernel.Exec{Place: place, Store: st, Sink: t.Sink}, t)
+	res := kernel.Run(kernel.InProcess(place, inputs, t.Sink), t)
 	if res.Err != "" {
 		return nil, kernelError(t, res)
 	}

@@ -32,11 +32,15 @@ func init() {
 		}
 		return &kernel.Result{Payload: append([]byte(nil), e.Bytes()...)}, nil
 	})
-	// apgastest.obj reports what its first ref resolves to — the live
-	// []float64 of a by-reference entry, or the decoded bytes — plus the
-	// executing store's size.
+	// apgastest.obj reports the executing worker store's size (-1
+	// in-process, where there is no store), then what its first ref
+	// resolves to: the caller's live []float64 in-process, or the decoded
+	// bytes in a worker.
 	apgas.RegisterKernel("apgastest.obj", func(ex *kernel.Exec, t *kernel.Task) (*kernel.Result, error) {
-		res := &kernel.Result{F64: []float64{float64(ex.Store.Len())}}
+		res := &kernel.Result{F64: []float64{-1}}
+		if ex.Store != nil {
+			res.F64[0] = float64(ex.Store.Len())
+		}
 		if len(t.Refs) == 0 {
 			return res, nil
 		}
@@ -167,6 +171,40 @@ func TestKernelDispatchLocalBackend(t *testing.T) {
 	}
 	if got := reg.CounterValue("apgas.tasks.worker_executed"); got != 0 {
 		t.Fatalf("worker_executed = %d, want 0", got)
+	}
+}
+
+// TestKernelInProcessInputWithoutObject: in-process a ref resolves only
+// to its input's live object, so an input that names none fails the
+// kernel with the missing-entry error instead of being encoded for a
+// store that does not exist — at place zero and at any other place of the
+// local backend alike.
+func TestKernelInProcessInputWithoutObject(t *testing.T) {
+	rt, err := apgas.New(apgas.WithPlaces(2))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer rt.Shutdown()
+	read := func(c *apgas.Ctx) {
+		encoded := 0
+		in := kernel.Input{Handle: 3, Key: 4, Ver: 1, Encode: func() []byte {
+			encoded++
+			return []byte{10, 20}
+		}}
+		res, err := c.ExecKernel(&kernel.Task{Name: "apgastest.obj"}, in)
+		if err == nil || !strings.Contains(err.Error(), "no entry (handle 3, key 4)") {
+			t.Errorf("ExecKernel at %v = %+v, %v; want the missing-entry error", c.Here, res, err)
+		}
+		if encoded != 0 {
+			t.Errorf("Encode ran %d times at %v, want 0", encoded, c.Here)
+		}
+	}
+	err = rt.Finish(func(ctx *apgas.Ctx) {
+		read(ctx)
+		ctx.At(rt.Place(1), read)
+	})
+	if err != nil {
+		t.Fatalf("Finish: %v", err)
 	}
 }
 
@@ -399,7 +437,7 @@ func TestKernelDispatchPlaceZeroStaysLocal(t *testing.T) {
 }
 
 // TestKernelPlaceZeroByReference pins how the coordinator's own place
-// executes a kernel: an input that names its live object is installed by
+// executes a kernel: an input's ref resolves to its live object, by
 // reference — Encode never runs, and the kernel sees (and here, mutates)
 // the caller's very slice — while a worker place still gets the bytes.
 func TestKernelPlaceZeroByReference(t *testing.T) {
@@ -427,8 +465,8 @@ func TestKernelPlaceZeroByReference(t *testing.T) {
 		if encoded != 0 || live[0] != 11 || res.F64[1] != 11 {
 			t.Errorf("place 0: Encode ran %d times, live[0] = %v, kernel saw %v; want by-reference", encoded, live[0], res.F64[1:])
 		}
-		// The same version again, with a different object: by-reference
-		// installs are unconditional, never skipped on a version match.
+		// The same version again, with a different object: the kernel reads
+		// the input itself, so the swapped object is the one it sees.
 		if live, _, res := run(ctx); live[0] != 11 || res.F64[1] != 11 {
 			t.Errorf("place 0, second object under the same version: live[0] = %v, kernel saw %v", live[0], res.F64[1:])
 		}
@@ -445,10 +483,10 @@ func TestKernelPlaceZeroByReference(t *testing.T) {
 }
 
 // TestHandleDestroyDropsKernelData: destroying a PlaceLocalHandle removes
-// what the data plane cached under it — from the coordinator's own stores
-// at once, from the ship-once mirror (a re-dispatch re-ships), and from
-// each worker body that holds some via a Drops list on the next task to
-// that place, and only to such places.
+// what the data plane cached under it — from the ship-once mirror at once
+// (a re-dispatch re-ships), and from each worker body that holds some via
+// a Drops list on the next task to that place, and only to such places.
+// Place zero runs in-process and keeps no store.
 func TestHandleDestroyDropsKernelData(t *testing.T) {
 	fe := &fakeExecutor{}
 	rt, err := apgas.New(apgas.WithPlaces(3), apgas.WithResilient(true), apgas.WithTransport(fe))
@@ -484,7 +522,7 @@ func TestHandleDestroyDropsKernelData(t *testing.T) {
 		h.Destroy(rt.World())
 	}
 	err = rt.Finish(func(ctx *apgas.Ctx) {
-		for _, p := range rt.World() {
+		for _, p := range rt.World()[1:] {
 			ctx.At(p, func(c *apgas.Ctx) {
 				if n := storeLen(c); n != 0 {
 					t.Errorf("store of %v holds %v entries after every handle was destroyed", c.Here, n)

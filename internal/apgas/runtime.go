@@ -457,7 +457,7 @@ func (rt *Runtime) transportDeath(id int, cause transport.DeathCause) {
 }
 
 // die is the one death body behind Kill and transportDeath: the place's
-// store, kernel store and mirror are dropped and the ledger terminates
+// store and worker mirror are dropped and the ledger terminates
 // its orphaned tasks. ctr and event name the door. It reports whether
 // this call made the transition, so racing doors count a death once.
 func (rt *Runtime) die(pl *place, ctr *obs.Counter, event string, cause int64) bool {

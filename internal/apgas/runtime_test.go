@@ -273,8 +273,8 @@ func (b *bodyKillRecorder) Kill(place int) error {
 
 // TestDeathDoorsLeaveSameState: Kill and a transport-reported death run
 // the one death body. Each leaves the place's store dropped, its orphaned
-// task terminated with DeadPlaceError, its kernel store and mirror gone
-// and the live-places gauge one lower. The doors differ only in the
+// task terminated with DeadPlaceError, its worker mirror gone and the
+// live-places gauge one lower. The doors differ only in the
 // counter (and trace event) that names them, and in that Kill destroys
 // the body.
 func TestDeathDoorsLeaveSameState(t *testing.T) {
@@ -301,7 +301,6 @@ func TestDeathDoorsLeaveSameState(t *testing.T) {
 			defer rt.Shutdown()
 			victim := rt.Place(1)
 			rt.placeState(victim).set(7, "fragment")
-			rt.kern.store(victim.ID).PutObj(1, 0, 1, []float64{1})
 			rt.kern.commit(victim.ID, []kernel.Blob{{Handle: 1, Key: 0, Ver: 1}})
 
 			started, release := make(chan struct{}), make(chan struct{})
@@ -327,11 +326,10 @@ func TestDeathDoorsLeaveSameState(t *testing.T) {
 				t.Error("the dead place's store was not dropped")
 			}
 			rt.kern.mu.Lock()
-			_, kstore := rt.kern.stores[victim.ID]
 			_, mirror := rt.kern.mirror[victim.ID]
 			rt.kern.mu.Unlock()
-			if kstore || mirror {
-				t.Errorf("kernel store kept: %v, mirror kept: %v; want both gone", kstore, mirror)
+			if mirror {
+				t.Error("the dead place's worker mirror was kept")
 			}
 			if got := reg.Gauge("apgas.places.live").Value(); got != 2 {
 				t.Errorf("apgas.places.live = %d, want 2", got)

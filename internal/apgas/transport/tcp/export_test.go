@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
+	"sync"
 	"time"
 )
 
@@ -53,7 +55,7 @@ func (t *Transport) AwaitStandby(timeout time.Duration) (place int, kill func() 
 // (see pipeSpawner). A non-nil body runs in place of serve.
 func NewInProcess(body func(conn net.Conn, place int) error, opts ...Option) *Transport {
 	t := New(opts...)
-	t.sp = pipeSpawner{body: body}
+	t.sp = &pipeSpawner{body: body}
 	return t
 }
 
@@ -61,15 +63,32 @@ func NewInProcess(body func(conn net.Conn, place int) error, opts ...Option) *Tr
 // test's stand-in for it, on one end of a net.Pipe whose other end goes
 // to admit as a dialled-in connection does. Its kill closes the body's
 // end without a word, which is what a SIGKILL does to a socket; the body
-// is reaped when it returns.
+// is reaped when it returns. It logs each kill ("kill P") and its close
+// ("close") in call order.
 type pipeSpawner struct {
 	body func(conn net.Conn, place int) error
+
+	mu  sync.Mutex
+	log []string
 }
 
-func (pipeSpawner) listen(*Transport) error { return nil }
-func (pipeSpawner) close()                  {}
+func (s *pipeSpawner) record(event string) {
+	s.mu.Lock()
+	s.log = append(s.log, event)
+	s.mu.Unlock()
+}
 
-func (s pipeSpawner) spawn(t *Transport, p int, exited func()) (kill, error) {
+// events returns the spawner's log so far.
+func (s *pipeSpawner) events() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.Clone(s.log)
+}
+
+func (*pipeSpawner) listen(*Transport) error { return nil }
+func (s *pipeSpawner) close()                { s.record("close") }
+
+func (s *pipeSpawner) spawn(t *Transport, p int, exited func()) (kill, error) {
 	conn := t.dialPipe()
 	go func() {
 		defer exited()
@@ -80,7 +99,10 @@ func (s pipeSpawner) spawn(t *Transport, p int, exited func()) (kill, error) {
 			serve(conn, p, t.interval, t.timeout)
 		}
 	}()
-	return conn.Close, nil
+	return func() error {
+		s.record(fmt.Sprintf("kill %d", p))
+		return conn.Close()
+	}, nil
 }
 
 // dialPipe hands one end of a fresh net.Pipe to admit, as the listener

@@ -708,8 +708,10 @@ func (t *Transport) adopt(sb *worker) bool {
 	return true
 }
 
-// Close implements transport.Transport: stop detection, dismiss workers
-// and the standby, stop the spawner, and reap.
+// Close implements transport.Transport: stop detection, dismiss joined
+// bodies, kill the ones that never joined, stop the spawner, and reap. A
+// body that never joined is killed before the spawner stops listening,
+// so none is left to dial a closed listener and log the refusal.
 func (t *Transport) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -737,25 +739,26 @@ func (t *Transport) Close() error {
 	}
 	t.failPending(-1)
 	for _, w := range workers {
-		if w.fc != nil {
+		switch {
+		case w.fc != nil:
 			w.fc.write(&frame{Type: fBye, To: int32(w.place)})
 			w.fc.close()
+		case w.kill != nil:
+			w.kill()
 		}
 	}
 	t.sp.close()
-	// Give the bodies two seconds in all to exit on fBye, then kill the
-	// stragglers; one that never joined was sent no fBye.
+	// Give the joined bodies two seconds in all to exit on fBye, then kill
+	// the stragglers.
 	grace, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	for _, w := range workers {
-		if w.kill == nil {
+		if w.fc == nil || w.kill == nil {
 			continue
 		}
-		if w.fc != nil {
-			select {
-			case <-w.exited:
-			case <-grace.Done():
-			}
+		select {
+		case <-w.exited:
+		case <-grace.Done():
 		}
 		w.kill()
 	}

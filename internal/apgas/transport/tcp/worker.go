@@ -130,13 +130,11 @@ func serve(conn net.Conn, place int, interval, timeout time.Duration) error {
 // (coordinator gone, and the read loop is tearing everything down).
 //
 // Buffer ownership: the task's Puts arrived in pooled buffers that the
-// recycling store now owns and returns to the pool when an entry is
+// store now owns and returns to the pool when an entry is
 // replaced or dropped; the task's Payload and a pooled result's outputs
 // go back as soon as the result is on the wire.
 func runKernels(fc *frameConn, place int, tasks <-chan *frame) {
-	st := kernel.NewStore()
-	st.Recycle = true
-	ex := &kernel.Exec{Place: place, Store: st}
+	ex := &kernel.Exec{Place: place, Store: kernel.NewStore()}
 	for f := range tasks {
 		res := kernel.Run(ex, f.Task)
 		_, err := fc.write(&frame{Type: fResult, From: int32(place), Seq: f.Seq, Result: res})

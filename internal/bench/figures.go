@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"github.com/rgml/rgml/internal/chaos"
 	"github.com/rgml/rgml/internal/core"
 	"github.com/rgml/rgml/internal/obs"
 )
@@ -217,20 +218,23 @@ func (c Config) restoreRun(app AppName, places int, mode core.RestoreMode) (Rest
 		return RestoreRun{}, err
 	}
 	defer rt.Shutdown()
-	killed := false
-	var exec *core.Executor
-	victim := rt.Place(places / 2) // a mid-group active place
-	exec, err = core.New(rt,
+	// One kill of a mid-group active place, through the chaos engine like
+	// every injected fault: it fires once FailureIteration steps have
+	// completed, after that iteration's checkpoint decision.
+	sched, err := chaos.Parse(fmt.Sprintf("kill(iter=%d,place=%d)", c.Scale.FailureIteration, places/2))
+	if err != nil {
+		return RestoreRun{}, err
+	}
+	eng, err := chaos.New(rt, sched)
+	if err != nil {
+		return RestoreRun{}, err
+	}
+	exec, err := core.New(rt,
 		core.WithCheckpointInterval(c.Scale.CheckpointInterval),
 		core.WithRestoreMode(mode),
 		core.WithSpares(spares),
 		core.WithObs(reg),
-		core.WithAfterStep(func(iter int64) {
-			if !killed && iter == int64(c.Scale.FailureIteration) {
-				killed = true
-				_ = rt.Kill(victim)
-			}
-		}),
+		core.WithChaos(eng),
 	)
 	if err != nil {
 		return RestoreRun{}, err

@@ -38,23 +38,6 @@ func (m *DistBlockMatrix) conformalRows(other *DistBlockMatrix) error {
 	return nil
 }
 
-// matScratch returns the cached per-place partial-matrix maps used by the
-// reductions, allocated lazily (rebuilt on Remake alongside the vector
-// scratch).
-func (m *DistBlockMatrix) matScratch() (apgas.PlaceLocalHandle[map[int]*la.DenseMatrix], error) {
-	if !m.matScratchOK {
-		plh, err := apgas.NewPlaceLocalHandle(m.rt, m.pg, func(ctx *apgas.Ctx, idx int) map[int]*la.DenseMatrix {
-			return make(map[int]*la.DenseMatrix)
-		})
-		if err != nil {
-			return apgas.PlaceLocalHandle[map[int]*la.DenseMatrix]{}, err
-		}
-		m.matScratchH = plh
-		m.matScratchOK = true
-	}
-	return m.matScratchH, nil
-}
-
 // TransMultMatrix computes out = mᵀ · other, reducing the co-located
 // per-row-block partial products in canonical block order and broadcasting
 // the K×M result to every duplicate of out. m must be dense (the factor);
@@ -80,21 +63,17 @@ func (m *DistBlockMatrix) TransMultMatrix(other *DistBlockMatrix, out *DupDenseM
 		return fmt.Errorf("dist: TransMultMatrix: %w", ErrGroupMismatch)
 	}
 	out.MarkDirty()
-	scratch, err := m.matScratch()
-	if err != nil {
-		return err
-	}
-	gath, err := m.matGatherScratch()
+	scratch, err := m.buffers()
 	if err != nil {
 		return err
 	}
 	// Phase 1: per-row-block partials Aᵣᵀ·Bᵣ at each owner, fanned across
 	// the kernel pool into reused scratch matrices, then registered in the
-	// gather map for phase 2.
+	// up-sweep map for phase 2.
 	err = apgas.ForEachPlace(m.rt, m.pg, func(ctx *apgas.Ctx, idx int) {
-		gm := gath.Local(ctx)
-		clear(gm)
-		part := scratch.Local(ctx)
+		sc := scratch.Local(ctx)
+		clear(sc.matUp)
+		part := sc.mat
 		mine := m.plh.Local(ctx)
 		theirs := other.plh.Local(ctx)
 		mine.Each(func(id int, a *block.MatrixBlock) {
@@ -116,54 +95,22 @@ func (m *DistBlockMatrix) TransMultMatrix(other *DistBlockMatrix, out *DupDenseM
 			}
 		})
 		mine.Each(func(id int, a *block.MatrixBlock) {
-			gm[id] = part[id]
+			sc.matUp[id] = part[id]
 		})
 	})
 	if err != nil {
 		return err
 	}
-	// Phase 2a: binomial up-sweep of the partial maps (see
-	// DistBlockMatrix.TransMultVec).
-	p := m.pg.Size()
-	for stride := 1; stride < p; stride *= 2 {
-		st := stride
-		err = apgas.ForEachPlace(m.rt, m.pg, func(ctx *apgas.Ctx, idx int) {
-			if idx%(2*st) != 0 || idx+st >= p {
-				return
-			}
-			src := m.pg[idx+st]
-			origin := ctx.Here
-			got := apgas.Eval(ctx, src, func(c *apgas.Ctx) map[int]*la.DenseMatrix {
-				sub := gath.Local(c)
-				out := make(map[int]*la.DenseMatrix, len(sub))
-				bytes := 0
-				for id, v := range sub {
-					out[id] = v.Clone()
-					bytes += v.Bytes()
-				}
-				c.Transfer(origin, bytes)
-				return out
-			})
-			gm := gath.Local(ctx)
-			for id, v := range got {
-				gm[id] = v
-			}
-		})
-		if err != nil {
-			return err
-		}
-	}
-	// Phase 2b: canonical-order reduction at the group root, then broadcast.
-	err = m.rt.Finish(func(ctx *apgas.Ctx) {
-		ctx.At(m.pg[0], func(root *apgas.Ctx) {
+	// Phase 2: the partials climb to the root (upSweep), which sums them
+	// in canonical row-block order and broadcasts.
+	err = upSweep(m, func(c *apgas.Ctx) map[int]*la.DenseMatrix { return scratch.Local(c).matUp },
+		func(root *apgas.Ctx, all map[int]*la.DenseMatrix) {
 			dst := out.Local(root)
 			dst.Zero()
-			gm := gath.Local(root)
 			for rb := 0; rb < m.g.RowBlocks; rb++ {
-				dst.CellAdd(gm[m.g.BlockID(rb, 0)])
+				dst.CellAdd(all[m.g.BlockID(rb, 0)])
 			}
 		})
-	})
 	if err != nil {
 		return err
 	}

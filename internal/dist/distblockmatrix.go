@@ -30,22 +30,12 @@ type DistBlockMatrix struct {
 	bppRow int
 	plh    apgas.PlaceLocalHandle[*block.BlockSet]
 
-	// scratch holds the per-place, per-block partial vectors reused by
-	// MultVec / TransMultVec, allocated lazily and rebuilt on Remake.
-	// Collective operations on one matrix must not overlap (GML's
-	// sequential-style programming model guarantees this).
-	scratch   apgas.PlaceLocalHandle[map[int]la.Vector]
-	scratchOK bool
-	// matScratchH is the matrix-product analogue used by TransMultMatrix.
-	matScratchH  apgas.PlaceLocalHandle[map[int]*la.DenseMatrix]
-	matScratchOK bool
-	// gatherH holds each place's per-block aggregation map for the
-	// binomial tree gather of TransMultVec phase 2; matGatherH is the
-	// matrix analogue for TransMultMatrix.
-	gatherH     apgas.PlaceLocalHandle[map[int]la.Vector]
-	gatherOK    bool
-	matGatherH  apgas.PlaceLocalHandle[map[int]*la.DenseMatrix]
-	matGatherOK bool
+	// scratch holds each place's reusable buffers for the collectives
+	// (blockScratch), built on first use and rebuilt after a Remake: its
+	// Valid is the only "built" flag. Collective operations on one matrix
+	// must not overlap (GML's sequential-style programming model
+	// guarantees this).
+	scratch apgas.PlaceLocalHandle[*blockScratch]
 
 	// compressible carries the object's lossy-checkpoint opt-in
 	// (AllowLossyCheckpoint).
@@ -301,52 +291,35 @@ func (m *DistBlockMatrix) ToDense() (*la.DenseMatrix, error) {
 	return out, nil
 }
 
-// scratchPartials returns the cached per-place partial-vector maps,
-// allocating them on first use.
-func (m *DistBlockMatrix) scratchPartials() (apgas.PlaceLocalHandle[map[int]la.Vector], error) {
-	if !m.scratchOK {
-		plh, err := apgas.NewPlaceLocalHandle(m.rt, m.pg, func(ctx *apgas.Ctx, idx int) map[int]la.Vector {
-			return make(map[int]la.Vector)
+// blockScratch is one place's reusable buffers for the matrix's
+// collectives: the per-block partials of MultVec and TransMultVec (vec,
+// keyed as distblockops.go describes) and of TransMultMatrix (mat), and
+// the maps the up-sweep gathers each product's partials into (vecUp,
+// matUp).
+type blockScratch struct {
+	vec   map[int]la.Vector
+	mat   map[int]*la.DenseMatrix
+	vecUp map[int]la.Vector
+	matUp map[int]*la.DenseMatrix
+}
+
+// buffers returns the matrix's per-place scratch, building it on first use.
+func (m *DistBlockMatrix) buffers() (apgas.PlaceLocalHandle[*blockScratch], error) {
+	if !m.scratch.Valid() {
+		plh, err := apgas.NewPlaceLocalHandle(m.rt, m.pg, func(*apgas.Ctx, int) *blockScratch {
+			return &blockScratch{
+				vec:   make(map[int]la.Vector),
+				mat:   make(map[int]*la.DenseMatrix),
+				vecUp: make(map[int]la.Vector),
+				matUp: make(map[int]*la.DenseMatrix),
+			}
 		})
 		if err != nil {
-			return apgas.PlaceLocalHandle[map[int]la.Vector]{}, err
+			return plh, err
 		}
 		m.scratch = plh
-		m.scratchOK = true
 	}
 	return m.scratch, nil
-}
-
-// gatherScratch returns the cached per-place tree-gather maps, allocating
-// them on first use.
-func (m *DistBlockMatrix) gatherScratch() (apgas.PlaceLocalHandle[map[int]la.Vector], error) {
-	if !m.gatherOK {
-		plh, err := apgas.NewPlaceLocalHandle(m.rt, m.pg, func(ctx *apgas.Ctx, idx int) map[int]la.Vector {
-			return make(map[int]la.Vector)
-		})
-		if err != nil {
-			return apgas.PlaceLocalHandle[map[int]la.Vector]{}, err
-		}
-		m.gatherH = plh
-		m.gatherOK = true
-	}
-	return m.gatherH, nil
-}
-
-// matGatherScratch returns the cached per-place tree-gather maps for
-// matrix partials, allocating them on first use.
-func (m *DistBlockMatrix) matGatherScratch() (apgas.PlaceLocalHandle[map[int]*la.DenseMatrix], error) {
-	if !m.matGatherOK {
-		plh, err := apgas.NewPlaceLocalHandle(m.rt, m.pg, func(ctx *apgas.Ctx, idx int) map[int]*la.DenseMatrix {
-			return make(map[int]*la.DenseMatrix)
-		})
-		if err != nil {
-			return apgas.PlaceLocalHandle[map[int]*la.DenseMatrix]{}, err
-		}
-		m.matGatherH = plh
-		m.matGatherOK = true
-	}
-	return m.matGatherH, nil
 }
 
 // FrobNorm returns the Frobenius norm, with per-block partial sums reduced
@@ -399,22 +372,8 @@ func (m *DistBlockMatrix) Remake(newPG apgas.PlaceGroup, keepGrid bool) error {
 		oldPLH = apgas.PlaceLocalHandle[*block.BlockSet]{}
 		m.plh.Destroy(m.pg)
 	}
-	if m.scratchOK {
-		m.scratch.Destroy(m.pg)
-		m.scratchOK = false
-	}
-	if m.matScratchOK {
-		m.matScratchH.Destroy(m.pg)
-		m.matScratchOK = false
-	}
-	if m.gatherOK {
-		m.gatherH.Destroy(m.pg)
-		m.gatherOK = false
-	}
-	if m.matGatherOK {
-		m.matGatherH.Destroy(m.pg)
-		m.matGatherOK = false
-	}
+	m.scratch.Destroy(m.pg)
+	m.scratch = apgas.PlaceLocalHandle[*blockScratch]{}
 	if keepGrid {
 		dg, err := grid.Remap(m.g, newPG.Size())
 		if err != nil {

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"maps"
 
 	"github.com/rgml/rgml/internal/apgas"
 	"github.com/rgml/rgml/internal/apgas/kernel"
@@ -48,7 +49,7 @@ func (m *DistBlockMatrix) MultVec(x *DupVector, y *DistVector) error {
 		return fmt.Errorf("dist: MultVec: %w", ErrGroupMismatch)
 	}
 	y.MarkDirty()
-	scratch, err := m.scratchPartials()
+	scratch, err := m.buffers()
 	if err != nil {
 		return err
 	}
@@ -60,7 +61,7 @@ func (m *DistBlockMatrix) MultVec(x *DupVector, y *DistVector) error {
 	// on a re-run.
 	err = apgas.ForEachPlace(m.rt, m.pg, func(ctx *apgas.Ctx, idx int) {
 		xloc := x.Local(ctx)
-		part := scratch.Local(ctx)
+		part := scratch.Local(ctx).vec
 		bs := m.plh.Local(ctx)
 		bs.Each(func(id int, b *block.MatrixBlock) {
 			if len(part[rowPartKey(id)]) != b.Rows {
@@ -99,10 +100,10 @@ func (m *DistBlockMatrix) MultVec(x *DupVector, y *DistVector) error {
 				origin := ctx.Here
 				var slice la.Vector
 				if owner.ID == ctx.Here.ID {
-					slice = scratch.Local(ctx)[rowPartKey(id)][lo-rbOff : hi-rbOff]
+					slice = scratch.Local(ctx).vec[rowPartKey(id)][lo-rbOff : hi-rbOff]
 				} else {
 					slice = apgas.Eval(ctx, owner, func(c *apgas.Ctx) la.Vector {
-						s := scratch.Local(c)[rowPartKey(id)][lo-rbOff : hi-rbOff].Clone()
+						s := scratch.Local(c).vec[rowPartKey(id)][lo-rbOff : hi-rbOff].Clone()
 						c.Transfer(origin, s.Bytes())
 						return s
 					})
@@ -128,21 +129,17 @@ func (m *DistBlockMatrix) TransMultVec(x *DistVector, z *DupVector) error {
 		return fmt.Errorf("dist: TransMultVec: %w", ErrGroupMismatch)
 	}
 	z.MarkDirty()
-	scratch, err := m.scratchPartials()
-	if err != nil {
-		return err
-	}
-	gath, err := m.gatherScratch()
+	scratch, err := m.buffers()
 	if err != nil {
 		return err
 	}
 
 	// Phase 1: gather the needed x rows, then compute per-block partials
-	// B_{rb,cb}ᵀ · x[rows(rb)] in the place's kernel. The place's gather
+	// B_{rb,cb}ᵀ · x[rows(rb)] in the place's kernel. The place's up-sweep
 	// map is seeded with its own partials for phase 2.
 	err = apgas.ForEachPlace(m.rt, m.pg, func(ctx *apgas.Ctx, idx int) {
-		gm := gath.Local(ctx)
-		clear(gm)
+		sc := scratch.Local(ctx)
+		clear(sc.vecUp)
 		bs := m.plh.Local(ctx)
 		if bs.Len() == 0 {
 			return
@@ -157,7 +154,7 @@ func (m *DistBlockMatrix) TransMultVec(x *DistVector, z *DupVector) error {
 				maxR = b.Row0 + b.Rows
 			}
 		})
-		part := scratch.Local(ctx)
+		part := sc.vec
 		xbuf := part[xbufKey]
 		if len(xbuf) != m.rows {
 			xbuf = la.NewVector(m.rows)
@@ -200,30 +197,55 @@ func (m *DistBlockMatrix) TransMultVec(x *DistVector, z *DupVector) error {
 			Obj:    rows,
 		}, part, colPartKey, bs))
 		bs.Each(func(id int, b *block.MatrixBlock) {
-			gm[id] = part[colPartKey(id)]
+			sc.vecUp[id] = part[colPartKey(id)]
 		})
 	})
 	if err != nil {
 		return err
 	}
 
-	// Phase 2a: binomial up-sweep. At stride s every group index divisible
-	// by 2s pulls the aggregated partial map of index+s; after ⌈log₂P⌉
-	// rounds the root holds every block's partial. Entries are only
-	// concatenated on the way up, so the arithmetic below stays in
-	// canonical block order.
+	// Phase 2: the partials climb to the root, which sums them in
+	// canonical block order and broadcasts.
+	g := m.g
+	err = upSweep(m, func(c *apgas.Ctx) map[int]la.Vector { return scratch.Local(c).vecUp },
+		func(root *apgas.Ctx, all map[int]la.Vector) {
+			dst := z.Local(root).Zero()
+			for cb := 0; cb < g.ColBlocks; cb++ {
+				cOff := g.ColOffsets[cb]
+				cSz := g.ColSizes[cb]
+				for rb := 0; rb < g.RowBlocks; rb++ {
+					dst[cOff : cOff+cSz].Add(all[g.BlockID(rb, cb)])
+				}
+			}
+		})
+	if err != nil {
+		return err
+	}
+	return z.Sync()
+}
+
+// upSweep brings every place's per-block partials (the map up returns at
+// a place) to the group root along a binomial tree and hands them to
+// reduce there. At stride s every group index divisible by 2s pulls the
+// aggregated map of index+s, a clone of each entry; after ⌈log₂P⌉ rounds
+// the root holds every block's partial. Entries are only concatenated on
+// the way up, so reduce alone fixes the arithmetic's order: the caller's
+// canonical block order, independent of the block→place mapping.
+func upSweep[T interface {
+	Clone() T
+	Bytes() int
+}](m *DistBlockMatrix, up func(*apgas.Ctx) map[int]T, reduce func(root *apgas.Ctx, all map[int]T)) error {
 	p := m.pg.Size()
 	for stride := 1; stride < p; stride *= 2 {
 		st := stride
-		err = apgas.ForEachPlace(m.rt, m.pg, func(ctx *apgas.Ctx, idx int) {
+		err := apgas.ForEachPlace(m.rt, m.pg, func(ctx *apgas.Ctx, idx int) {
 			if idx%(2*st) != 0 || idx+st >= p {
 				return
 			}
-			src := m.pg[idx+st]
 			origin := ctx.Here
-			got := apgas.Eval(ctx, src, func(c *apgas.Ctx) map[int]la.Vector {
-				sub := gath.Local(c)
-				out := make(map[int]la.Vector, len(sub))
+			got := apgas.Eval(ctx, m.pg[idx+st], func(c *apgas.Ctx) map[int]T {
+				sub := up(c)
+				out := make(map[int]T, len(sub))
 				bytes := 0
 				for id, v := range sub {
 					out[id] = v.Clone()
@@ -232,34 +254,13 @@ func (m *DistBlockMatrix) TransMultVec(x *DistVector, z *DupVector) error {
 				c.Transfer(origin, bytes)
 				return out
 			})
-			gm := gath.Local(ctx)
-			for id, v := range got {
-				gm[id] = v
-			}
+			maps.Copy(up(ctx), got)
 		})
 		if err != nil {
 			return err
 		}
 	}
-
-	// Phase 2b: canonical-order reduction at the group root, then
-	// broadcast.
-	g := m.g
-	err = m.rt.Finish(func(ctx *apgas.Ctx) {
-		ctx.At(m.pg[0], func(root *apgas.Ctx) {
-			dst := z.Local(root).Zero()
-			gm := gath.Local(root)
-			for cb := 0; cb < g.ColBlocks; cb++ {
-				cOff := g.ColOffsets[cb]
-				cSz := g.ColSizes[cb]
-				for rb := 0; rb < g.RowBlocks; rb++ {
-					dst[cOff : cOff+cSz].Add(gm[g.BlockID(rb, cb)])
-				}
-			}
-		})
+	return m.rt.Finish(func(ctx *apgas.Ctx) {
+		ctx.At(m.pg[0], func(root *apgas.Ctx) { reduce(root, up(root)) })
 	})
-	if err != nil {
-		return err
-	}
-	return z.Sync()
 }

@@ -19,7 +19,7 @@ import (
 // child into a worker — so coordinator and workers always resolve the same
 // names to the same code.
 //
-// The kernels are pure functions of their task and store entries, so
+// The kernels are pure functions of their task and the entries it names, so
 // results are bit-identical wherever they run; vectors cross the wire
 // through the exact float64 codec roundtrip, in pooled buffers
 // (wireVector) that go back to the pool once sent or decoded.

@@ -612,12 +612,13 @@ func multVecAllocs(t *testing.T, blocksPerPlace int) float64 {
 
 // TestMultVecInProcessAllocs: on the local backend every MultVec kernel
 // runs in-process and writes each block's partial straight into the
-// place's scratch vector, so a block costs only its kernel input, its
-// by-reference store entry and its SpMV call's parallel region — no
-// partial vector, no wire frame, no boxed dimension check. Measured at one
-// kernel worker (the block fan's pool bookkeeping then does not depend on
-// the host), 1 → 4 blocks per place cost 140 → 228 allocations with a
-// fresh partial per block and is 128 → 180 with the scratch sink.
+// place's scratch vector, so a block costs only its kernel input, the
+// entry its ref resolves to (the live block, no store) and its SpMV
+// call's parallel region — no partial vector, no wire frame, no boxed
+// dimension check. Measured at one kernel worker (the block fan's pool
+// bookkeeping then does not depend on the host), 1 → 4 blocks per place
+// cost 140 → 228 allocations with a fresh partial per block and 134 → 186
+// with the scratch sink.
 func TestMultVecInProcessAllocs(t *testing.T) {
 	defer par.SetWorkers(par.Workers())
 	par.SetWorkers(1)

@@ -30,11 +30,11 @@ func (s *Snapshot) saveErasure(ctx *apgas.Ctx, key int, data []byte, sum uint32,
 	if idx < 0 {
 		panic(fmt.Sprintf("snapshot: Save from %v, not a member of %v", ctx.Here, s.pg))
 	}
-	shards, err := codec.RSEncode(data, s.pol.d, s.pol.p)
+	shards, err := codec.RSEncode(data, s.pol.DataShards, s.pol.ParityShards)
 	if err != nil {
 		// resolvePolicy clamped the geometry to a valid one; a failure here
 		// is a programming error, not an input error.
-		panic(fmt.Sprintf("snapshot: erasure encode d=%d p=%d: %v", s.pol.d, s.pol.p, err))
+		panic(fmt.Sprintf("snapshot: erasure encode d=%d p=%d: %v", s.pol.DataShards, s.pol.ParityShards, err))
 	}
 	set := &shardSet{fullSum: sum, fullLen: len(data)}
 	s.instr.saves.Inc()
@@ -71,7 +71,7 @@ func (s *Snapshot) saveErasure(ctx *apgas.Ctx, key int, data []byte, sum uint32,
 // returned silently.
 func (s *Snapshot) loadErasure(ctx *apgas.Ctx, key, ownerIdx int) ([]byte, error) {
 	s.instr.loads.Inc()
-	d, p := s.pol.d, s.pol.p
+	d, p := s.pol.DataShards, s.pol.ParityShards
 	n := d + p
 	var (
 		mu         sync.Mutex

@@ -4,52 +4,16 @@ import (
 	"github.com/rgml/rgml/internal/apgas"
 )
 
-// policy is an apgas.StorePolicy resolved against a concrete place
-// group: defaults applied, widths clamped to the group size.
-type policy struct {
-	// erasure selects the Reed-Solomon layout; otherwise k full copies.
-	erasure bool
-	// k is the replication factor (total copies, owner included) under
-	// replication; 1 under erasure (unused).
-	k int
-	// d and p are the erasure data/parity shard counts (0 under
-	// replication).
-	d, p int
-}
-
-// width is the number of consecutive group slots one entry occupies.
-func (pl policy) width() int {
-	if pl.erasure {
-		return pl.d + pl.p
-	}
-	return pl.k
-}
-
-// tolerance is how many place failures an entry survives.
-func (pl policy) tolerance() int {
-	if pl.erasure {
-		return pl.p
-	}
-	return pl.k - 1
-}
-
-// String renders the resolved policy in the StorePolicy flag form.
-func (pl policy) String() string {
-	if pl.erasure {
-		return apgas.ErasureStore(pl.d, pl.p).String()
-	}
-	return apgas.ReplicateStore(pl.k).String()
-}
-
 // resolvePolicy turns the runtime's StorePolicy (the paper default of
-// replicate k=2 when unset) into a policy that fits a group of the given
-// size. A policy wider than the group is clamped — never a panic — and
+// replicate k=2 when unset) into a normalized policy that fits a group of
+// the given size: its Width is the number of consecutive group slots one
+// entry occupies, its Tolerance how many place failures an entry survives. A policy wider than the group is clamped — never a panic — and
 // the clamp is recorded as a "snapshot.policy.clamped" trace event
 // carrying (requested width, effective width). Erasure clamping sheds parity
 // before data so the geometry keeps as much tolerance as the group can
 // physically hold; a single-place group degenerates to replicate k=1
 // (there is nowhere to put redundancy).
-func resolvePolicy(rt *apgas.Runtime, size int) policy {
+func resolvePolicy(rt *apgas.Runtime, size int) apgas.StorePolicy {
 	sp := rt.StorePolicy()
 	if sp.IsZero() {
 		sp = apgas.ReplicateStore(2)
@@ -59,7 +23,7 @@ func resolvePolicy(rt *apgas.Runtime, size int) policy {
 		d, p := sp.DataShards, sp.ParityShards
 		if size < 2 {
 			rt.Obs().Trace("snapshot.policy.clamped", int64(d+p), 1)
-			return policy{k: 1}
+			return apgas.ReplicateStore(1)
 		}
 		if d+p > size {
 			cp := p
@@ -73,7 +37,7 @@ func resolvePolicy(rt *apgas.Runtime, size int) policy {
 			rt.Obs().Trace("snapshot.policy.clamped", int64(d+p), int64(cd+cp))
 			d, p = cd, cp
 		}
-		return policy{erasure: true, d: d, p: p}
+		return apgas.ErasureStore(d, p)
 	}
 	k := sp.Replicas
 	if k < 1 {
@@ -83,7 +47,7 @@ func resolvePolicy(rt *apgas.Runtime, size int) policy {
 		rt.Obs().Trace("snapshot.policy.clamped", int64(k), int64(size))
 		k = size
 	}
-	return policy{k: k}
+	return apgas.ReplicateStore(k)
 }
 
 // slotOf returns the group index of the i-th slot of an entry owned by
@@ -96,7 +60,7 @@ func (s *Snapshot) slotOf(ownerIdx, i int) int {
 // first. Clamping guarantees width <= group size, so the slots are
 // distinct places.
 func (s *Snapshot) baseSlots(ownerIdx int) []int {
-	w := s.pol.width()
+	w := s.pol.Width()
 	out := make([]int, w)
 	for i := range out {
 		out[i] = s.slotOf(ownerIdx, i)

@@ -185,8 +185,8 @@ func TestPolicyClampTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.pol.k != 3 {
-		t.Fatalf("clamped k = %d, want 3", s.pol.k)
+	if s.pol.Replicas != 3 {
+		t.Fatalf("clamped k = %d, want 3", s.pol.Replicas)
 	}
 	found := false
 	for _, ev := range reg.TraceEvents() {
@@ -210,7 +210,7 @@ func TestPolicyClampTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !se.pol.erasure || se.pol.d != 1 || se.pol.p != 2 {
+	if se.pol.Placement != apgas.PlacementErasure || se.pol.DataShards != 1 || se.pol.ParityShards != 2 {
 		t.Fatalf("clamped erasure policy = %+v, want d=1 p=2", se.pol)
 	}
 	saveAll(t, rt, se, pg)
@@ -234,7 +234,7 @@ func TestSinglePlaceGroupDegeneratesToK1(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.pol.erasure || s.pol.k != 1 {
+		if s.pol.Placement == apgas.PlacementErasure || s.pol.Replicas != 1 {
 			t.Fatalf("policy %v on 1 place resolved to %+v, want k=1", sp, s.pol)
 		}
 		saveAll(t, rt, s, pg)

@@ -51,7 +51,7 @@ func (s *Snapshot) Repair(group apgas.PlaceGroup) (int, error) {
 	if s == nil || s.destroyed.Load() || !s.plh.Valid() {
 		return 0, nil
 	}
-	if s.pol.tolerance() == 0 {
+	if s.pol.Tolerance() == 0 {
 		// k=1 (backups disabled or single-place group): there is no target
 		// redundancy to repair toward.
 		return 0, nil
@@ -212,15 +212,15 @@ func (s *Snapshot) repairEntry(key, ownerIdx int) (bool, error) {
 		return false, fmt.Errorf("snapshot: repair key %d: owner index %d out of %d", key, ownerIdx, s.pg.Size())
 	}
 	holders, es := s.liveHolders(key, ownerIdx, nil)
-	target := min(s.pol.width(), s.liveGroupCount())
+	target := min(s.pol.Width(), s.liveGroupCount())
 	if len(holders) >= target {
 		s.clearDegraded(key)
 		s.recordExtras(key, ownerIdx, holders)
 		return false, nil
 	}
 	decodable := 1
-	if s.pol.erasure {
-		decodable = s.pol.d
+	if s.pol.Placement == apgas.PlacementErasure {
+		decodable = s.pol.DataShards
 	}
 	if len(holders) < decodable {
 		// Every copy gone (or corrupt), or too few shards to decode:
@@ -231,7 +231,7 @@ func (s *Snapshot) repairEntry(key, ownerIdx int) (bool, error) {
 	}
 	dests := s.substituteSlots(key, ownerIdx, holders, target-len(holders))
 	var err error
-	if s.pol.erasure {
+	if s.pol.Placement == apgas.PlacementErasure {
 		err = s.shipShards(key, ownerIdx, holders[0], es, dests)
 	} else {
 		err = s.ship(key, ownerIdx, holders[0], dests, func(int) *entry { return es[0] }, s.instr.replicas)
@@ -256,8 +256,8 @@ func (s *Snapshot) repairEntry(key, ownerIdx int) (bool, error) {
 // Under erasure only the first holder of each shard counts.
 func (s *Snapshot) liveHolders(key, ownerIdx int, extra []int) (slots []int, es []*entry) {
 	var seen []bool
-	if s.pol.erasure {
-		seen = make([]bool, s.pol.width())
+	if s.pol.Placement == apgas.PlacementErasure {
+		seen = make([]bool, s.pol.Width())
 	}
 	for _, gi := range append(s.holderSlots(key, ownerIdx), extra...) {
 		if s.rt.IsDead(s.pg[gi]) || containsSlot(slots, gi) {
@@ -285,13 +285,13 @@ func (s *Snapshot) liveHolders(key, ownerIdx int, extra []int) (slots []int, es 
 // layout canonical; the others take the remaining dests in shard order.
 // Rebuilt shards left without a destination go back to the pool.
 func (s *Snapshot) shipShards(key, ownerIdx, donor int, es []*entry, dests []int) error {
-	n := s.pol.width()
+	n := s.pol.Width()
 	work := make([][]byte, n)
 	for _, e := range es {
 		work[e.shardIdx] = e.data
 	}
 	s.instr.rebuilds.Inc()
-	if err := codec.RSReconstruct(work, s.pol.d, s.pol.p); err != nil {
+	if err := codec.RSReconstruct(work, s.pol.DataShards, s.pol.ParityShards); err != nil {
 		return fmt.Errorf("reconstruct: %w", err)
 	}
 	shardAt := make(map[int]int, len(dests)) // dest slot -> shard index

@@ -217,7 +217,7 @@ type Snapshot struct {
 	pg apgas.PlaceGroup
 	// pol is the redundancy policy resolved against pg (defaults applied,
 	// width clamped to the group size).
-	pol policy
+	pol apgas.StorePolicy
 	plh apgas.PlaceLocalHandle[*placeStore]
 	// stores aliases the per-place stores by group index for Destroy-time
 	// recycling (mirroring PlaceLocalHandle.Destroy's direct teardown).
@@ -475,7 +475,7 @@ func (s *Snapshot) NoteLossyMaxError(maxErr float64) {
 // into the same recovery path as a failed place. Under replication the
 // byte slice is retained; callers must not mutate it afterwards.
 func (s *Snapshot) Save(ctx *apgas.Ctx, key int, data []byte) {
-	if s.pol.erasure {
+	if s.pol.Placement == apgas.PlacementErasure {
 		s.saveErasure(ctx, key, data, codec.Checksum(data), false)
 		return
 	}
@@ -494,7 +494,7 @@ func (s *Snapshot) SaveEncoded(ctx *apgas.Ctx, key int, encode func() *codec.Enc
 	start := time.Now()
 	enc := encode()
 	s.instr.encode.Observe(time.Since(start))
-	if s.pol.erasure {
+	if s.pol.Placement == apgas.PlacementErasure {
 		s.saveErasure(ctx, key, enc.Bytes(), enc.Sum(), true)
 		return
 	}
@@ -516,7 +516,7 @@ func (s *Snapshot) save(ctx *apgas.Ctx, key int, e *entry) {
 	s.plh.Local(ctx).put(key, e)
 	s.instr.saves.Inc()
 	s.instr.saveBytes.Add(int64(len(e.data)))
-	for i := 1; i < s.pol.k; i++ {
+	for i := 1; i < s.pol.Replicas; i++ {
 		next := s.pg[s.slotOf(idx, i)]
 		s.instr.replicas.Inc()
 		s.instr.backupBytes.Add(int64(len(e.data)))
@@ -584,7 +584,7 @@ func (s *Snapshot) Load(ctx *apgas.Ctx, key, ownerIdx int) ([]byte, error) {
 	if ownerIdx < 0 || ownerIdx >= s.pg.Size() {
 		return nil, fmt.Errorf("snapshot: owner index %d out of %d", ownerIdx, s.pg.Size())
 	}
-	if s.pol.erasure {
+	if s.pol.Placement == apgas.PlacementErasure {
 		return s.loadErasure(ctx, key, ownerIdx)
 	}
 	s.instr.loads.Inc()
